@@ -398,9 +398,9 @@ fn banks_vs_seed(_c: &mut Criterion) {
         );
 
         // Parallel scaling curve: the fused path at fixed thread counts
-        // (requested threads — the engine still clamps to its
-        // min-ants-per-worker floor, and 1 requested thread takes the
-        // serial fallback). Bit-identity across thread counts is pinned
+        // (requested threads — the engine still clamps to one
+        // participant per 8 000 ants, and 1 requested thread is the
+        // plain serial run). Bit-identity across thread counts is pinned
         // by the determinism proptests; here we only measure.
         let scaling: Vec<(usize, f64)> = SCALING_THREADS
             .iter()
@@ -624,8 +624,8 @@ fn banks_vs_seed(_c: &mut Criterion) {
         // given real hardware parallelism (> 2 threads, matching
         // `worker_threads`' own floor), the best point on the fused
         // parallel scaling curve must not lose to the serial path.
-        // On 1–2-thread boxes requested-parallel degenerates to the
-        // serial fallback and the curve is flat, so there is nothing
+        // On 1–2-thread boxes extra participants only time-share the
+        // same cores and the curve is flat, so there is nothing
         // to enforce.
         let hw = std::thread::available_parallelism()
             .map(|v| v.get())

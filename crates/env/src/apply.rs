@@ -6,7 +6,8 @@
 //! assignment straight into a shared [`TaskColumn`] (the *next* column
 //! of a double buffer) through a [`ColumnWriter`], which also folds the
 //! transition into a local [`RoundDelta`]. Committing a round is then
-//! an O(1) column swap plus an O(k) delta application — no O(n) sweep.
+//! an O(1) buffer-parity flip plus an O(k) delta application — no O(n)
+//! sweep.
 //!
 //! Determinism: all of a round's column writes target disjoint slots
 //! (one per ant), every delta field is a commutative sum, and each ant

@@ -8,12 +8,14 @@ use crate::demand::DemandVector;
 ///
 /// Assignments live in a packed u32 [`TaskColumn`] (idle =
 /// [`Assignment::RAW_IDLE`]) shadowed by a packed idle bitmask — the
-/// *current* half of the engine's double buffer. Step kernels write the
-/// engine-owned *next* column directly; [`ColonyState::commit_round`]
-/// swaps the columns in O(1) and folds in the round's commutative
-/// [`RoundDelta`]. Loads are maintained incrementally — applying one
-/// ant's decision is O(1) — and a full recount is available as a
-/// (debug-asserted) consistency check.
+/// *current* half of the engine's double buffer. While the engine steps
+/// rounds it lends the column out ([`ColonyState::take_column`]), step
+/// kernels write the *next* column directly, and each round's
+/// commutative [`RoundDelta`] folds into loads, idle count and mask via
+/// [`ColonyState::apply_round_delta`]; [`ColonyState::restore_column`]
+/// hands back whichever buffer ended up current. Loads are maintained
+/// incrementally — applying one ant's decision is O(1) — and a full
+/// recount is available as a (debug-asserted) consistency check.
 #[derive(Clone, Debug)]
 pub struct ColonyState {
     tasks: TaskColumn,
@@ -137,15 +139,14 @@ impl ColonyState {
         &self.idle_words
     }
 
-    /// The current packed assignment column (the step kernels' *prev*
-    /// source in the serial fused path).
+    /// The current packed assignment column.
     #[inline]
     pub fn task_column(&self) -> &TaskColumn {
         &self.tasks
     }
 
     /// Takes the task column out of the colony for the duration of a
-    /// parallel segment (workers share it immutably while the
+    /// stepping scope (participants share it immutably while the
     /// coordinator keeps `&mut` access to the load/idle bookkeeping).
     /// The colony's per-ant accessors are unusable until
     /// [`ColonyState::restore_column`] puts a column back.
@@ -154,7 +155,7 @@ impl ColonyState {
     }
 
     /// Restores the (possibly parity-swapped) current column after a
-    /// parallel segment; the per-round deltas were already applied via
+    /// stepping scope; the per-round deltas were already applied via
     /// [`ColonyState::apply_round_delta`].
     pub fn restore_column(&mut self, column: TaskColumn) {
         debug_assert!(self.tasks.is_empty(), "column already present");
@@ -205,23 +206,11 @@ impl ColonyState {
         self.tasks.store(i as u32, next.to_raw());
     }
 
-    /// Commits a fully-written next column (the serial round path):
-    /// swaps it with the current column in O(1), then folds in the
-    /// round's delta. `next` receives the previous column, becoming the
-    /// scratch for the following round.
-    pub fn commit_round(&mut self, next: &mut TaskColumn, delta: &RoundDelta) {
-        assert_eq!(next.len(), self.num_ants(), "next column length mismatch");
-        core::mem::swap(&mut self.tasks, next);
-        self.apply_round_delta(delta);
-        debug_assert!(self.recount_consistent());
-    }
-
     /// Folds one round delta into loads, idle count and the idle mask
-    /// **without** touching the task column (the parallel round path,
-    /// where the column is on loan via [`ColonyState::take_column`] and
-    /// double-buffered by parity until [`ColonyState::restore_column`]
-    /// returns it). Mid-segment the task column is absent; loads, idle
-    /// count and mask are current.
+    /// **without** touching the task column (the column is on loan via
+    /// [`ColonyState::take_column`] and double-buffered by parity until
+    /// [`ColonyState::restore_column`] returns it). Mid-scope the task
+    /// column is absent; loads, idle count and mask are current.
     pub fn apply_round_delta(&mut self, delta: &RoundDelta) {
         assert_eq!(delta.load_deltas.len(), self.loads.len());
         for (load, &d) in self.loads.iter_mut().zip(&delta.load_deltas) {
@@ -404,37 +393,10 @@ mod tests {
     }
 
     #[test]
-    fn commit_round_swaps_and_applies() {
-        let mut c = colony();
-        let mut next = TaskColumn::new(10);
-        let mut delta = RoundDelta::new(2);
-        {
-            let prev = c.task_column().clone();
-            let mut w = ColumnWriter::new(&prev, &next, &mut delta);
-            // Ants 0..3 go to task 0, ant 3 to task 1, rest stay idle.
-            for i in 0u32..10 {
-                let target = match i {
-                    0..=2 => 0,
-                    3 => 1,
-                    _ => Assignment::RAW_IDLE,
-                };
-                w.write(i, target);
-            }
-        }
-        c.commit_round(&mut next, &delta);
-        assert_eq!(delta.switches(), 4);
-        assert_eq!(c.load(0), 3);
-        assert_eq!(c.load(1), 1);
-        assert_eq!(c.idle_count(), 6);
-        assert_eq!(c.assignment(3), Assignment::Task(1));
-        assert!(c.recount_consistent());
-    }
-
-    #[test]
     fn apply_round_delta_with_loaned_column() {
         let mut c = colony();
-        // The parallel segment lends the column out and double-buffers
-        // by parity; the colony tracks loads/idle/mask via deltas only.
+        // A stepping scope lends the column out and double-buffers by
+        // parity; the colony tracks loads/idle/mask via deltas only.
         let columns = [c.take_column(), TaskColumn::new(10)];
         assert_eq!(c.num_ants(), 0, "column is on loan");
         let mut d0 = RoundDelta::new(2);
@@ -453,7 +415,7 @@ mod tests {
             }
         }
         // Worker deltas merge in either order; the written column is
-        // restored as authoritative at segment end (parity 1).
+        // restored as authoritative at scope end (parity 1).
         c.apply_round_delta(&d1);
         c.apply_round_delta(&d0);
         assert_eq!(c.load(0), 5);
@@ -497,10 +459,10 @@ mod tests {
         fn fused_round_matches_apply(targets in proptest::collection::vec(0u32..4, 10)) {
             let mut fused = colony();
             let mut reference = colony();
-            let mut next = TaskColumn::new(10);
+            let prev = fused.take_column();
+            let next = TaskColumn::new(10);
             let mut delta = RoundDelta::new(2);
             {
-                let prev = fused.task_column().clone();
                 let mut w = ColumnWriter::new(&prev, &next, &mut delta);
                 for (i, &t) in targets.iter().enumerate() {
                     let a = if t >= 2 { Assignment::Idle } else { Assignment::Task(t) };
@@ -508,7 +470,8 @@ mod tests {
                     reference.apply(i, a);
                 }
             }
-            fused.commit_round(&mut next, &delta);
+            fused.apply_round_delta(&delta);
+            fused.restore_column(next);
             prop_assert_eq!(fused.assignments(), reference.assignments());
             prop_assert_eq!(fused.loads(), reference.loads());
             prop_assert_eq!(fused.idle_count(), reference.idle_count());

@@ -64,6 +64,12 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// Mutable access without locking (exclusive borrow proves safety).
+    #[inline]
+    pub fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 #[cfg(test)]

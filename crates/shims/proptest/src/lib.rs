@@ -325,6 +325,8 @@ impl_tuple_strategy!(A.0, B.1, C.2, D.3, E.4);
 impl_tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5);
 impl_tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6);
 impl_tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6, H.7);
+impl_tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6, H.7, I.8);
+impl_tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6, H.7, I.8, J.9);
 
 pub mod collection {
     //! Collection strategies.

@@ -11,8 +11,8 @@
 //! stream position never depends on where it stands — the bit-identity
 //! contract survives untouched.
 //!
-//! Movement is resolved in the coordinator's exclusive window (serial:
-//! right after the round commits), on the reserved `ARENA` stream keyed
+//! Movement is resolved in the coordinator's exclusive window (right
+//! after the round's deltas merge), on the reserved `ARENA` stream keyed
 //! per round, in global ant order: travel counters tick down first,
 //! then every idle settled ant flips the wander coin and, on success,
 //! departs for a uniformly chosen *other* site. Working ants never

@@ -27,14 +27,28 @@
 //!
 //! Rounds are double-buffered through a fused apply: sub-round 1 steps
 //! kernels that write every ant's next assignment straight into the
-//! engine-owned next-state [`antalloc_env::TaskColumn`] (accumulating a
-//! commutative [`antalloc_env::RoundDelta`]), sub-round 2 is an O(1)
-//! column swap plus an O(k) delta application — there is no separate
-//! apply sweep. *Write* order is therefore immaterial: column slots are
-//! disjoint per ant, load/idle transitions commute, and the switch
-//! count is a sum. Consumption order of randomness is what matters, and
-//! that is per-ant by construction. `tests/determinism.rs` and the bank
-//! property tests in `tests/banks.rs` hold this contract down.
+//! next-state half of a pair of [`antalloc_env::TaskColumn`]s
+//! (accumulating a commutative [`antalloc_env::RoundDelta`]), sub-round
+//! 2 is an O(1) buffer-parity flip plus an O(k) delta application —
+//! there is no separate apply sweep. *Write* order is therefore
+//! immaterial: column slots are disjoint per ant, load/idle transitions
+//! commute, and the switch count is a sum. Consumption order of
+//! randomness is what matters, and that is per-ant by construction.
+//! `tests/determinism.rs` and the bank property tests in
+//! `tests/banks.rs` hold this contract down.
+//!
+//! ## One round driver
+//!
+//! Every stepping method runs the same private driver over P
+//! participants: the calling thread (the coordinator, which also steps
+//! part 0) plus P − 1 scoped workers. [`SyncEngine::run`] and
+//! [`SyncEngine::step`] are P = 1, which spawns nothing and skips the
+//! barriers; [`SyncEngine::run_parallel`] sizes P from the live colony.
+//! A run splits into scopes that end where a timeline event is due:
+//! the event fires in the coordinator's exclusive window against the
+//! whole population, then the population is partitioned afresh, so
+//! event rounds step on every participant. A trigger that arms ends its
+//! scope the same way.
 
 use std::sync::Arc;
 
@@ -49,7 +63,7 @@ use antalloc_rng::{reserved, AntRng, StreamSeeder};
 use crate::arena::ArenaState;
 use crate::config::{ControllerSpec, SimConfig};
 use crate::observer::Observer;
-use crate::population::Population;
+use crate::population::{Population, WorkerPart};
 
 /// The sub-seeder every timeline-event draw derives from: a pure
 /// function of the master seed, keyed per firing round, so scripted
@@ -117,15 +131,18 @@ pub(crate) fn apply_perturbation(
 
 /// The end-of-round summary timeline triggers are evaluated over,
 /// shared by both engines so triggered scenarios are model-portable.
+/// `population` is passed in because the synchronous engine lends the
+/// colony's task column out while a scope runs.
 pub(crate) fn colony_view<'a>(
     round: u64,
     post_deficits: &'a [i64],
+    population: usize,
     colony: &ColonyState,
 ) -> ColonyView<'a> {
     ColonyView {
         round,
         regret: post_deficits.iter().map(|d| d.unsigned_abs()).sum(),
-        population: colony.num_ants(),
+        population,
         idle: colony.idle_count(),
         deficits: post_deficits,
     }
@@ -157,6 +174,31 @@ pub(crate) fn apply_event(
                 .expect("non-pure events are perturbations");
             apply_perturbation(&p, colony, population, arena, rng, seeder, next_stream);
         }
+    }
+}
+
+/// One participant's share of a round: steps its part of the
+/// population against the frozen feedback, writing next assignments
+/// into `columns[parity ^ 1]` and folding the transitions into `delta`.
+fn step_part(
+    part: &mut WorkerPart<'_>,
+    prepared: &PreparedRound,
+    arena: Option<&parking_lot::RwLock<ArenaState>>,
+    columns: &[TaskColumn; 2],
+    parity: usize,
+    delta: &mut RoundDelta,
+) {
+    delta.reset(prepared.num_tasks());
+    // The coordinator rebuilt the sense rows before this pass and
+    // rewrites them only after it, so the read guard is uncontended.
+    let arena = arena.map(|l| l.read());
+    let sensed = match &arena {
+        Some(a) => a.sensed(prepared),
+        None => SensedRound::shared(prepared),
+    };
+    let mut writer = ColumnWriter::new(&columns[parity], &columns[parity ^ 1], delta);
+    for (slice, rngs, ids) in part.iter_mut() {
+        slice.step_batch_fused(sensed, rngs, ids, &mut writer);
     }
 }
 
@@ -257,23 +299,20 @@ pub struct SyncEngine {
     post_deficits: Vec<i64>,
     /// Stream ids handed out so far (spawned ants get fresh streams).
     next_stream: u64,
-    /// The *next* half of the double-buffered assignment column: step
-    /// kernels write it, committing swaps it with the colony's current
-    /// column. Engine-owned so workers can share it immutably while the
-    /// coordinator keeps `&mut` access to the colony.
+    /// The spare half of the double-buffered assignment column: lent
+    /// into every scope next to the colony's own column, and handed
+    /// back as whichever buffer the scope's final parity leaves spare.
     next_column: TaskColumn,
-    /// Serial-path round-delta scratch (reused every round).
-    round_delta: RoundDelta,
-    /// Per-worker round-delta scratch for the pooled path, slot 0 being
-    /// the coordinator's. Reused across rounds and segments; each
-    /// worker locks only its own slot between the round barriers, the
-    /// coordinator merges in its exclusive window.
-    worker_deltas: Vec<parking_lot::Mutex<RoundDelta>>,
+    /// Round-delta scratch, one slot per participant, slot 0 being the
+    /// coordinator's. Grown on demand and reused across rounds and
+    /// scopes; each worker locks only its own slot between the round
+    /// barriers, the coordinator merges in its exclusive window.
+    deltas: Vec<parking_lot::Mutex<RoundDelta>>,
     /// Spatial runtime for arena scenarios (`None` for well-mixed).
-    /// Behind a lock only for the pooled path's sake: workers read the
-    /// frozen sense rows between the round barriers, the coordinator
-    /// writes (sense-row rebuild, wander pass) in its exclusive
-    /// windows — the lock is never contended.
+    /// Behind a lock because workers read the frozen sense rows between
+    /// the round barriers while the coordinator writes them (sense-row
+    /// rebuild, wander pass) in its exclusive windows — the lock is
+    /// never contended.
     arena: Option<parking_lot::RwLock<ArenaState>>,
 }
 
@@ -299,8 +338,7 @@ impl SyncEngine {
             post_deficits: vec![0; k],
             next_stream: n as u64,
             next_column: TaskColumn::new(n),
-            round_delta: RoundDelta::new(k),
-            worker_deltas: Vec::new(),
+            deltas: Vec::new(),
             arena: config
                 .arena
                 .as_ref()
@@ -344,9 +382,8 @@ impl SyncEngine {
         self.post_deficits.resize(k, 0);
         self.next_stream = n as u64;
         self.next_column.reset(n);
-        self.round_delta.reset(k);
-        // worker_deltas are pure scratch: grown on demand, reset at
-        // every segment start, so stale capacity cannot leak state.
+        // The delta slots are pure scratch, reset before every use, so
+        // stale capacity cannot leak state.
         self.arena = config
             .arena
             .as_ref()
@@ -426,21 +463,20 @@ impl SyncEngine {
         self.population.reference_controllers()
     }
 
-    /// Fires every timeline event scheduled for the current round:
-    /// one-shots past the cursor, then cycle generators, then triggers
-    /// armed at the end of the previous round. All events of one round
-    /// share a generator derived purely from `(master seed, round)`, so
-    /// firing is stepping-path independent.
-    fn fire_events(&mut self) {
+    /// Fires every timeline event scheduled for `round`, the round about
+    /// to begin: one-shots past the cursor, then cycle generators, then
+    /// triggers armed at the end of the previous round. All events of
+    /// one round share a generator derived purely from `(master seed,
+    /// round)`, so firing is stepping-path independent.
+    fn fire_events(&mut self, round: u64) {
         let mut fired = Vec::new();
+        self.compiled.fire_into(round, &mut self.cursor, &mut fired);
         self.compiled
-            .fire_into(self.round, &mut self.cursor, &mut fired);
-        self.compiled
-            .fire_triggers_into(self.round, &mut self.trigger_states, &mut fired);
+            .fire_triggers_into(round, &mut self.trigger_states, &mut fired);
         if fired.is_empty() {
             return;
         }
-        let mut rng = self.event_seeder.stream(self.round);
+        let mut rng = self.event_seeder.stream(round);
         let mut arena = self.arena.as_mut().map(|l| l.get_mut());
         for event in &fired {
             apply_event(
@@ -456,123 +492,34 @@ impl SyncEngine {
         }
     }
 
-    fn begin_round(&mut self) -> PreparedRound {
-        self.round += 1;
-        self.fire_events();
-        self.colony.deficits_into(&mut self.pre_deficits);
-        self.noise.prepare(
-            self.round,
-            &self.pre_deficits,
-            self.colony.demands().as_slice(),
-        )
-    }
-
-    fn finish_round(&mut self, switches: u64, observer: &mut impl Observer) {
-        self.colony.deficits_into(&mut self.post_deficits);
-        let record = RoundRecord {
-            round: self.round,
-            deficits: &self.post_deficits,
-            demands: self.colony.demands().as_slice(),
-            loads: self.colony.loads(),
-            idle: self.colony.idle_count(),
-            switches,
-        };
-        observer.on_round(&record);
-        if self.compiled.has_triggers() {
-            let view = colony_view(self.round, &self.post_deficits, &self.colony);
-            self.compiled
-                .observe_triggers(&mut self.trigger_states, &view);
-        }
-    }
-
-    /// Whether a trigger armed at the end of the last round (its event
-    /// fires at the start of the next one — which must step serially).
-    fn trigger_pending(&self) -> bool {
-        self.trigger_states.iter().any(|s| s.pending)
-    }
-
-    /// Runs one synchronous round on the current thread: kernels write
-    /// the next-state column fused, then the round commits as an O(1)
-    /// column swap plus the accumulated delta.
+    /// Runs one synchronous round on the calling thread.
     pub fn step(&mut self, observer: &mut impl Observer) {
-        let prepared = self.begin_round();
-        // Events fired in begin_round may have resized the population.
-        self.next_column.resize(self.population.len());
-        self.round_delta.reset(self.colony.num_tasks());
-        if let Some(arena) = &mut self.arena {
-            arena.get_mut().build_round(&prepared);
-        }
-        // The read guard is uncontended here (serial path); it exists
-        // so the pooled path can share the identical sensing code.
-        let arena_guard = self.arena.as_ref().map(|l| l.read());
-        let sensed = match &arena_guard {
-            Some(a) => a.sensed(&prepared),
-            None => SensedRound::shared(&prepared),
-        };
-        self.population.step_round(
-            sensed,
-            self.colony.task_column(),
-            &self.next_column,
-            &mut self.round_delta,
-        );
-        drop(arena_guard);
-        let switches = self.round_delta.switches();
-        self.colony
-            .commit_round(&mut self.next_column, &self.round_delta);
-        if let Some(arena) = &mut self.arena {
-            arena
-                .get_mut()
-                .wander(self.round, self.colony.task_column());
-        }
-        self.finish_round(switches, observer);
+        self.run(1, observer);
     }
 
-    /// Runs `rounds` rounds serially.
+    /// Runs `rounds` rounds on the calling thread.
     pub fn run(&mut self, rounds: u64, observer: &mut impl Observer) {
-        for _ in 0..rounds {
-            self.step(observer);
-        }
+        self.drive(rounds, 1, 1, observer);
     }
 
-    /// Runs one round with ants partitioned across worker threads.
+    /// Runs `rounds` rounds with the ants partitioned across up to
+    /// `threads` participants (the calling thread plus scoped workers),
+    /// bit-identical to [`SyncEngine::run`].
     ///
-    /// Bit-identical to [`SyncEngine::step`]. Prefer
-    /// [`SyncEngine::run_parallel`] for multi-round runs — it amortizes
-    /// worker startup across the whole run.
-    pub fn step_parallel(&mut self, threads: usize, observer: &mut impl Observer) {
-        self.run_parallel(1, threads, observer);
-    }
-
-    /// Runs `rounds` rounds with ants partitioned across `threads`
-    /// worker threads, bit-identical to the serial path.
-    ///
-    /// Workers are spawned **once per event-free segment** (once per
-    /// call for a static timeline) and synchronize with the coordinator
-    /// through two [`std::sync::Barrier`] crossings per round: the
-    /// coordinator prepares the round's feedback state, workers step
-    /// their fixed bank chunks — each writing its ants' next
-    /// assignments straight into a cache-line-sharded slice of the
-    /// shared next-state column while folding switch/load/idle changes
-    /// into a worker-local delta — and the coordinator merges the
-    /// per-worker deltas in its exclusive window (no global re-read
-    /// sweep). Rounds at which a timeline event fires step serially
-    /// (events may resize the population under the workers' partition);
-    /// determinism is unconditional either way, because every ant
-    /// consumes only its own RNG stream and events only reserved
-    /// per-round streams.
-    ///
-    /// Falls back to the serial path when the colony is too small for
-    /// the per-round synchronization to pay off.
+    /// A colony too small to keep a participant busy runs on fewer of
+    /// them, down to the calling thread alone; `threads == 0` counts as
+    /// one. The count is chosen afresh whenever a timeline event may
+    /// have resized the colony.
     pub fn run_parallel(&mut self, rounds: u64, threads: usize, observer: &mut impl Observer) {
         // Two barrier crossings cost ~10µs/round; an ant-step ~30ns.
-        // Below ~8k ants per worker the serial path wins.
-        self.run_parallel_impl(rounds, threads, 8_000, observer)
+        // Below ~8k ants per participant the extra threads lose.
+        self.drive(rounds, threads, 8_000, observer)
     }
 
-    /// Like [`SyncEngine::run_parallel`] but always takes the pooled
-    /// path, however small the colony. Exists so tests can exercise the
-    /// worker machinery at sizes where production code would fall back
-    /// to serial; not useful for performance.
+    /// Like [`SyncEngine::run_parallel`] but uses all `threads`
+    /// participants however small the colony. Exists so tests can
+    /// exercise the worker machinery at small sizes; not useful for
+    /// performance.
     #[doc(hidden)]
     pub fn run_parallel_forced(
         &mut self,
@@ -580,23 +527,18 @@ impl SyncEngine {
         threads: usize,
         observer: &mut impl Observer,
     ) {
-        self.run_parallel_impl(rounds, threads, 1, observer)
+        self.drive(rounds, threads, 1, observer)
     }
 
-    /// The segmenting wrapper around the pooled path: timeline events
-    /// may resize the population or scramble controllers, which would
-    /// invalidate the per-run bank partition workers hold — so the run
-    /// splits into event-free parallel segments, and each event round
-    /// steps serially (bit-identical to the pooled path by the engine's
-    /// contract). Timelines are sparse, so the serial rounds are noise.
+    /// The round driver behind every stepping method.
     ///
-    /// Trigger firing rounds are not known from the config alone, so a
-    /// segment also ends the moment a trigger *arms* (its event fires
-    /// at the start of the next round): [`Self::run_parallel_segment`]
-    /// evaluates triggers in the coordinator's exclusive end-of-round
-    /// window and returns early, and the firing round steps serially
-    /// here — the identical firing path the serial engine takes.
-    fn run_parallel_impl(
+    /// A run splits into *scopes*: maximal stretches of rounds at which
+    /// no timeline event fires after the first. Each scope opens with
+    /// the coordinator's exclusive window, where the first round's
+    /// events fire against the whole population; only then is the live
+    /// population partitioned, so event rounds step on every
+    /// participant too. The participant count is sized here, per scope.
+    fn drive(
         &mut self,
         rounds: u64,
         threads: usize,
@@ -605,171 +547,96 @@ impl SyncEngine {
     ) {
         let mut remaining = rounds;
         while remaining > 0 {
-            if self.trigger_pending() {
-                // A triggered event fires this round; step it serially
-                // (it may resize the population under a partition).
-                self.step(observer);
-                remaining -= 1;
-                continue;
-            }
-            match self.compiled.next_firing(self.round, self.cursor) {
-                Some(r) if r - self.round <= remaining => {
-                    let quiet = r - self.round - 1;
-                    if quiet > 0 {
-                        let done = self.run_parallel_segment(
-                            quiet,
-                            threads,
-                            min_ants_per_worker,
-                            observer,
-                        );
-                        remaining -= done;
-                        if done < quiet {
-                            // A trigger armed mid-segment; re-plan.
-                            continue;
-                        }
-                    }
-                    self.step(observer);
-                    remaining -= 1;
-                }
-                _ => {
-                    let done = self.run_parallel_segment(
-                        remaining,
-                        threads,
-                        min_ants_per_worker,
-                        observer,
-                    );
-                    remaining -= done;
-                }
-            }
+            let first = self.round + 1;
+            self.fire_events(first);
+            let scope_len = match self.compiled.next_firing(first, self.cursor) {
+                Some(next) => (next - first).min(remaining),
+                None => remaining,
+            };
+            let workers = (self.population.len() / min_ants_per_worker)
+                .min(threads)
+                .max(1);
+            remaining -= self.run_scope(scope_len, workers, observer);
         }
     }
 
-    /// Runs up to `rounds` scheduled-event-free rounds on the worker
-    /// pool (the caller guarantees no one-shot or cycle fires inside
-    /// the segment). Returns the rounds actually completed: fewer than
-    /// `rounds` when a trigger arms, since its event must fire — and
-    /// therefore step — outside the pooled partition.
-    fn run_parallel_segment(
-        &mut self,
-        rounds: u64,
-        threads: usize,
-        min_ants_per_worker: usize,
-        observer: &mut impl Observer,
-    ) -> u64 {
+    /// Runs up to `rounds` rounds on `workers` participants: the calling
+    /// thread, which coordinates and steps part 0, plus `workers − 1`
+    /// scoped threads spawned once for the scope (none when `workers`
+    /// is 1, which also skips the barriers and the publish slot).
+    /// Returns the rounds completed — fewer than `rounds` when a
+    /// trigger arms, since its event mutates the population the parts
+    /// borrow and must fire in the driver's exclusive window.
+    fn run_scope(&mut self, rounds: u64, workers: usize, observer: &mut impl Observer) -> u64 {
         use std::sync::atomic::{AtomicBool, Ordering};
 
-        assert!(threads >= 1);
         let n = self.population.len();
-        // Size the pool by how many workers the colony can keep busy,
-        // clamped by the requested thread count — `workers` can never
-        // exceed `threads`. Anything that cannot sustain two busy
-        // workers runs serially.
-        let workers = (n / min_ants_per_worker.max(1)).min(threads);
-        if workers < 2 {
-            // The serial path handles trigger rounds inline, so the
-            // whole segment always completes here.
-            self.run(rounds, observer);
-            return rounds;
-        }
-        // Round chunk boundaries up to 16 ants (16 × u32 = one 64-byte
-        // cache line in the next-state column) so no two workers ever
-        // write the same destination line.
+        // Round part boundaries up to 16 ants (16 × u32 = one 64-byte
+        // cache line in the next-state column) so no two participants
+        // ever write the same destination line.
         let chunk = n.div_ceil(workers).next_multiple_of(16);
-
-        self.next_column.resize(n);
-        let k = self.colony.num_tasks();
-        // Per-worker delta scratch (slot 0 = coordinator), reused
-        // across rounds and segments.
-        if self.worker_deltas.len() < workers {
-            self.worker_deltas
+        if self.deltas.len() < workers {
+            let k = self.colony.num_tasks();
+            self.deltas
                 .resize_with(workers, || parking_lot::Mutex::new(RoundDelta::new(k)));
         }
-        // The double buffer, shared immutably with every worker: on a
-        // round with parity `p` kernels read prior assignments from
+        self.next_column.resize(n);
+        // The double buffer, shared immutably with every participant: on
+        // a round with parity `p` kernels read prior assignments from
         // `columns[p]` and write next assignments into `columns[p ^ 1]`
-        // (relaxed stores into disjoint slots; the `done` barrier
-        // orders them before the coordinator's merge). Flipping the
-        // parity in the coordinator's exclusive window *is* the apply
-        // pass — no data moves. The colony's task column is lent into
-        // slot 0 for the segment and restored afterwards.
+        // (relaxed stores into disjoint slots; the `done` barrier orders
+        // them before the merge). Flipping the parity in the exclusive
+        // window *is* the apply pass — no data moves. The colony's task
+        // column is lent into slot 0 for the scope.
         let columns = [
             self.colony.take_column(),
             core::mem::replace(&mut self.next_column, TaskColumn::new(0)),
         ];
         // The coordinator publishes each round's prepared feedback and
         // parity here — one Arc bump per round, no deep clone; workers
-        // only read it between the two barriers of a round.
+        // read it only between the two barriers of a round.
         let shared: parking_lot::RwLock<Option<(Arc<PreparedRound>, usize)>> =
             parking_lot::RwLock::new(None);
-        // Participants: (workers − 1) spawned threads + the coordinator,
-        // which steps chunk 0 itself.
         let start = std::sync::Barrier::new(workers);
         let done = std::sync::Barrier::new(workers);
         let stop = AtomicBool::new(false);
 
-        // Partition the banks once for the whole run: each worker owns
-        // a disjoint set of (bank chunk, RNG chunk, ant-id chunk)
-        // triples covering ~`chunk` ants.
-        let parts = self.population.partition_mut(workers, chunk);
-
-        // Fields the coordinator keeps for itself during the scope.
-        let colony = &mut self.colony;
-        let noise = &self.noise;
-        let round = &mut self.round;
-        let pre_deficits = &mut self.pre_deficits;
-        let post_deficits = &mut self.post_deficits;
-        let compiled = &self.compiled;
-        let trigger_states = &mut self.trigger_states;
-        let worker_deltas = &self.worker_deltas;
+        // Each participant owns a disjoint set of (bank chunk, RNG
+        // chunk, ant-id chunk) triples covering ~`chunk` ants (trailing
+        // parts may be empty), and one delta slot: the coordinator's
+        // without a lock, each worker's behind an uncontended one.
+        let mut parts = self.population.partition_mut(workers, chunk).into_iter();
+        // audit:allow(panic-path): the partitioner emits exactly `workers` >= 1 parts.
+        let mut own_part = parts.next().expect("one part per participant");
+        let (own_delta, worker_deltas) = self.deltas[..workers].split_at_mut(1);
+        let own_delta = own_delta[0].get_mut();
+        let worker_deltas = &*worker_deltas;
+        let arena = self.arena.as_ref();
         let columns_ref = &columns;
-        let arena = &self.arena;
 
-        let completed = crossbeam::thread::scope(|scope| {
-            // The coordinator doubles as the worker for chunk 0, so the
-            // run uses exactly `workers` OS threads (no oversubscription
-            // from a dedicated coordinator).
-            let mut parts = parts.into_iter();
-            // audit:allow(panic-path): the partitioner always emits >= 1 chunk for a non-empty colony (checked above).
-            let mut own_part = parts.next().expect("at least one chunk");
-            for (w, part) in parts.enumerate() {
-                let slot = &worker_deltas[w + 1];
-                let shared = &shared;
-                let start = &start;
-                let done = &done;
-                let stop = &stop;
-                let columns = columns_ref;
-                let mut part = part;
+        let (completed, parity) = crossbeam::thread::scope(|scope| {
+            for (mut part, slot) in parts.zip(worker_deltas) {
+                let (shared, start, done, stop) = (&shared, &start, &done, &stop);
                 scope.spawn(move |_| loop {
                     start.wait();
                     if stop.load(Ordering::Acquire) {
                         return;
                     }
-                    let (prepared, parity) = {
-                        let guard = shared.read();
-                        // audit:allow(panic-path): the coordinator publishes the prepared round before releasing the start barrier.
-                        let (prepared, parity) = guard.as_ref().expect("round prepared");
-                        (Arc::clone(prepared), *parity)
-                    };
                     {
-                        // Only this worker touches its slot between the
-                        // barriers, so the lock is uncontended; it must
-                        // drop before `done` so the coordinator's merge
-                        // can take it. Same for the arena read guard:
-                        // the coordinator rebuilt the sense rows before
-                        // releasing `start` and next writes only after
-                        // `done`.
-                        let mut delta = slot.lock();
-                        delta.reset(k);
-                        let arena_guard = arena.as_ref().map(|l| l.read());
-                        let sensed = match &arena_guard {
-                            Some(a) => a.sensed(&prepared),
-                            None => SensedRound::shared(&prepared),
-                        };
-                        let mut writer =
-                            ColumnWriter::new(&columns[parity], &columns[parity ^ 1], &mut delta);
-                        for (slice, rngs, ids) in part.iter_mut() {
-                            slice.step_batch_fused(sensed, rngs, ids, &mut writer);
-                        }
+                        // Both guards drop before `done`, so the
+                        // coordinator's merge and next publish never
+                        // wait on them.
+                        let published = shared.read();
+                        // audit:allow(panic-path): the coordinator publishes the round before releasing the start barrier.
+                        let (prepared, parity) = published.as_ref().expect("round published");
+                        step_part(
+                            &mut part,
+                            prepared,
+                            arena,
+                            columns_ref,
+                            *parity,
+                            &mut slot.lock(),
+                        );
                     }
                     done.wait();
                 });
@@ -777,101 +644,86 @@ impl SyncEngine {
 
             let mut completed = 0u64;
             let mut parity = 0usize;
-            for _ in 0..rounds {
-                // Exclusive window: begin the round (event-free by the
-                // segment contract).
-                *round += 1;
-                colony.deficits_into(pre_deficits);
-                let prepared =
-                    Arc::new(noise.prepare(*round, pre_deficits, colony.demands().as_slice()));
-                // Still exclusive: freeze this round's sense rows before
-                // any worker can read them.
+            while completed < rounds {
+                // Exclusive window: begin the round (its events, if any,
+                // fired before the population was partitioned) and
+                // freeze its feedback and sense rows.
+                self.round += 1;
+                self.colony.deficits_into(&mut self.pre_deficits);
+                let prepared = self.noise.prepare(
+                    self.round,
+                    &self.pre_deficits,
+                    self.colony.demands().as_slice(),
+                );
                 if let Some(l) = arena {
                     l.write().build_round(&prepared);
                 }
-                *shared.write() = Some((Arc::clone(&prepared), parity));
-                start.wait();
-                // Step the coordinator's own chunks alongside the workers.
-                {
-                    let mut delta = worker_deltas[0].lock();
-                    delta.reset(k);
-                    let arena_guard = arena.as_ref().map(|l| l.read());
-                    let sensed = match &arena_guard {
-                        Some(a) => a.sensed(&prepared),
-                        None => SensedRound::shared(&prepared),
-                    };
-                    let mut writer = ColumnWriter::new(
-                        &columns_ref[parity],
-                        &columns_ref[parity ^ 1],
-                        &mut delta,
-                    );
-                    for (slice, rngs, ids) in own_part.iter_mut() {
-                        slice.step_batch_fused(sensed, rngs, ids, &mut writer);
-                    }
+                let published;
+                let prepared = if workers > 1 {
+                    published = Arc::new(prepared);
+                    *shared.write() = Some((Arc::clone(&published), parity));
+                    start.wait();
+                    &*published
+                } else {
+                    &prepared
+                };
+                step_part(
+                    &mut own_part,
+                    prepared,
+                    arena,
+                    columns_ref,
+                    parity,
+                    own_delta,
+                );
+                if workers > 1 {
+                    done.wait();
                 }
-                done.wait();
-                // Exclusive window: merge the per-worker deltas. All
-                // delta fields are commutative (sums and disjoint XOR
-                // flips), so merge order is immaterial. Flipping the
-                // parity afterwards IS the apply pass: the column the
-                // workers just filled becomes the authoritative
-                // previous column for the next round — no data moves.
-                let mut switches = 0u64;
-                for slot in &worker_deltas[..workers] {
+                // Exclusive window: merge the deltas (commutative, so
+                // in any order), then flip the parity — the column just
+                // written becomes the authoritative one.
+                let mut switches = own_delta.switches();
+                self.colony.apply_round_delta(own_delta);
+                for slot in worker_deltas {
                     let delta = slot.lock();
                     switches += delta.switches();
-                    colony.apply_round_delta(&delta);
+                    self.colony.apply_round_delta(&delta);
                 }
                 parity ^= 1;
-                // Exclusive window: the wander pass runs against the
-                // just-flipped authoritative column, exactly where the
-                // serial path runs it after `commit_round`.
                 if let Some(l) = arena {
-                    l.write().wander(*round, &columns_ref[parity]);
+                    l.write().wander(self.round, &columns_ref[parity]);
                 }
-                colony.deficits_into(post_deficits);
-                let record = RoundRecord {
-                    round: *round,
-                    deficits: post_deficits,
-                    demands: colony.demands().as_slice(),
-                    loads: colony.loads(),
-                    idle: colony.idle_count(),
+                self.colony.deficits_into(&mut self.post_deficits);
+                observer.on_round(&RoundRecord {
+                    round: self.round,
+                    deficits: &self.post_deficits,
+                    demands: self.colony.demands().as_slice(),
+                    loads: self.colony.loads(),
+                    idle: self.colony.idle_count(),
                     switches,
-                };
-                observer.on_round(&record);
+                });
                 completed += 1;
-                // Still inside the exclusive window: evaluate triggers
-                // exactly as the serial path's finish_round does. An
-                // armed trigger ends the segment — its event fires at
-                // the start of the next round, outside the partition.
-                if compiled.has_triggers() {
-                    // The colony's task column is on loan to `columns`
-                    // for the whole segment, so `colony.num_ants()`
-                    // would read 0 here — build the view from the
-                    // segment's own population count instead.
-                    let view = ColonyView {
-                        round: *round,
-                        regret: post_deficits.iter().map(|d| d.unsigned_abs()).sum(),
-                        population: n,
-                        idle: colony.idle_count(),
-                        deficits: post_deficits,
-                    };
-                    if compiled.observe_triggers(trigger_states, &view) {
+                if self.compiled.has_triggers() {
+                    let view = colony_view(self.round, &self.post_deficits, n, &self.colony);
+                    if self
+                        .compiled
+                        .observe_triggers(&mut self.trigger_states, &view)
+                    {
                         break;
                     }
                 }
             }
-            stop.store(true, Ordering::Release);
-            start.wait();
+            if workers > 1 {
+                stop.store(true, Ordering::Release);
+                start.wait();
+            }
             (completed, parity)
         })
         // audit:allow(panic-path): propagating a worker panic is the only sane response — the round state is torn.
         .expect("worker thread panicked");
-        let (completed, parity) = completed;
-        // Return the loaned columns: the parity-current one becomes the
-        // colony's authoritative column again (O(1) move — the parity
-        // flips already "applied" every round), the other becomes the
-        // engine's reusable next-state scratch.
+        // Return the lent buffers: the parity-current one becomes the
+        // colony's authoritative column again (an O(1) move — the flips
+        // already applied every round), the other the next scope's
+        // scratch.
         let [a, b] = columns;
         let (current, scratch) = if parity == 0 { (a, b) } else { (b, a) };
         self.colony.restore_column(current);
@@ -1002,7 +854,6 @@ impl SyncEngine {
         self.post_deficits.resize(k, 0);
         self.next_stream = next_stream;
         self.next_column.reset(n);
-        self.round_delta.reset(k);
         self.arena = config.arena.as_ref().map(|a| {
             let mut state = ArenaState::new(a, n, config.seed);
             match arena_columns {
@@ -1136,17 +987,33 @@ mod tests {
     fn worker_count_never_exceeds_requested_threads() {
         // Regression: with n just above one worker's minimum, the old
         // heuristic `threads.min(n / min).max(2)` ran 2 undersized
-        // workers; the pool must instead fall back to serial. We can't
-        // observe thread counts directly, but the path must stay
-        // bit-identical to serial either way.
+        // workers; the driver must instead run the calling thread
+        // alone. We can't observe thread counts directly, but the path
+        // must stay bit-identical to serial either way.
         let mut serial = config().build();
         let mut pooled = config().build();
         let mut obs = NullObserver;
         serial.run(20, &mut obs);
-        // 800 ants / 8000 min = 0 workers → serial fallback.
+        // 800 ants / 8000 min = 0 workers → one participant.
         pooled.run_parallel(20, 8, &mut obs);
         assert_eq!(serial.colony().loads(), pooled.colony().loads());
         assert_eq!(serial.colony().assignments(), pooled.colony().assignments());
+    }
+
+    #[test]
+    fn zero_threads_counts_as_one() {
+        let mut serial = config().build();
+        let mut zero = config().build();
+        let mut forced = config().build();
+        let mut obs = NullObserver;
+        serial.run(5, &mut obs);
+        zero.run_parallel(5, 0, &mut obs);
+        forced.run_parallel_forced(5, 0, &mut obs);
+        for e in [&zero, &forced] {
+            assert_eq!(e.round(), 5);
+            assert_eq!(serial.colony().assignments(), e.colony().assignments());
+            assert_eq!(serial.colony().loads(), e.colony().loads());
+        }
     }
 
     #[test]
@@ -1230,7 +1097,7 @@ mod tests {
 
         // A repeating stampede that strikes whenever the colony has
         // settled for 8 rounds: the firing rounds are state-dependent,
-        // so the parallel path must discover them mid-segment. Starting
+        // so the parallel path must discover them mid-scope. Starting
         // saturated puts the colony inside the trigger band right away.
         let cfg = SimConfig::builder(900, vec![120, 180])
             .noise(NoiseModel::Sigmoid { lambda: 2.0 })

@@ -34,8 +34,8 @@
 //! bit-identically to an uninterrupted run.
 
 use antalloc_core::{AnyController, BankSliceMut, ControllerBank, ControllerScratch};
-use antalloc_env::{Assignment, ColonyState, ColumnWriter, RoundDelta, TaskColumn};
-use antalloc_noise::{PreparedRound, SensedRound};
+use antalloc_env::{Assignment, ColonyState};
+use antalloc_noise::PreparedRound;
 use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
 
 use crate::config::ControllerSpec;
@@ -354,35 +354,6 @@ impl Population {
         self.mix.is_some()
     }
 
-    /// One synchronous round over every bank, fused: each bank's step
-    /// kernels write every ant's next assignment straight into the
-    /// `next` column (at the ant's colony id) and fold the transition
-    /// into `delta`, reading prior assignments from the authoritative
-    /// `prev` column — no decisions buffer and no apply sweep. No ant
-    /// observes another's move: kernels read only their own bank state,
-    /// the frozen `prev` column and the shared frozen `prepared`
-    /// feedback. The caller commits with
-    /// [`ColonyState::commit_round`] (O(1) column swap + O(k) delta).
-    ///
-    /// Write order (bank-major here, worker-sharded in the parallel
-    /// engine) is immaterial: slots are disjoint, delta fields are
-    /// commutative sums, and the switch count is a sum. Randomness
-    /// consumption stays per-ant, so fused rounds are draw-for-draw
-    /// identical to the buffered path they replaced.
-    pub fn step_round(
-        &mut self,
-        sensed: SensedRound<'_>,
-        prev: &TaskColumn,
-        next: &TaskColumn,
-        delta: &mut RoundDelta,
-    ) {
-        for bank in &mut self.banks {
-            let mut writer = ColumnWriter::new(prev, next, delta);
-            bank.controllers
-                .step_batch_fused(sensed, &mut bank.rngs, &bank.ants, &mut writer);
-        }
-    }
-
     /// Steps the single ant `i` (the sequential model's round).
     pub fn step_one(&mut self, i: usize, prepared: &PreparedRound) -> Assignment {
         let (b, s) = self.index[i];
@@ -504,8 +475,9 @@ impl Population {
     /// Splits the whole population into `workers` disjoint parts of
     /// ~`chunk` ants each, cutting across banks as needed. Each part is
     /// a list of (controller chunk, RNG chunk, global-id chunk)
-    /// triples; the parallel engine hands one part to each worker for a
-    /// whole run. The final part absorbs any remainder.
+    /// triples; the round driver hands one part to each participant
+    /// for a whole scope. The final part absorbs any remainder; when
+    /// `chunk` over-covers the population, trailing parts are empty.
     pub fn partition_mut(&mut self, workers: usize, chunk: usize) -> Vec<WorkerPart<'_>> {
         assert!(workers >= 1 && chunk >= 1);
         let mut parts: Vec<WorkerPart<'_>> = (0..workers).map(|_| Vec::new()).collect();

@@ -142,7 +142,12 @@ impl SequentialEngine {
         };
         observer.on_round(&record);
         if self.compiled.has_triggers() {
-            let view = colony_view(self.round, &self.post_deficits, &self.colony);
+            let view = colony_view(
+                self.round,
+                &self.post_deficits,
+                self.colony.num_ants(),
+                &self.colony,
+            );
             self.compiled
                 .observe_triggers(&mut self.trigger_states, &view);
         }

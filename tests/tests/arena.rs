@@ -432,7 +432,13 @@ mod properties {
         }
 
         /// Random multi-site geometry: serial and parallel stepping
-        /// agree, and a mid-run checkpoint continues exactly.
+        /// agree round for round, and a mid-run checkpoint continues
+        /// exactly. With `shocks`, a scripted kill shrinks the colony
+        /// below 16 ants per participant (so trailing parts are empty),
+        /// a population trigger arms on the first round of the kill's
+        /// scope and spawns ants back, and a scripted spawn regrows the
+        /// rest: every repartition must match serial, trigger states
+        /// included.
         #[test]
         fn multi_site_contract_holds(
             seed: u64,
@@ -440,10 +446,13 @@ mod properties {
             wander in 0.0f64..0.5,
             boundary in 1u64..20,
             tail in 1u64..20,
-            threads in 2usize..5,
+            sites in 2u32..4,
+            shocks: bool,
+            survivors in 1usize..32,
+            kill_at in 1u64..30,
         ) {
             let arena = ArenaConfig {
-                site_of_task: vec![0, 1, 0],
+                site_of_task: (0..3).map(|j| j % sites).collect(),
                 travel_rounds: travel,
                 wander_probability: wander,
             };
@@ -451,18 +460,35 @@ mod properties {
                 (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
                 (1.0, ControllerSpec::Proportional(ProportionalParams::default())),
             ]);
-            let cfg = config_for(&spec, 3, 150, seed, Some(arena));
+            let mut cfg = config_for(&spec, 3, 150, seed, Some(arena));
+            if shocks {
+                cfg.timeline = Timeline::new()
+                    .at(kill_at, Event::Kill { count: 150 - survivors })
+                    .at(kill_at + 4, Event::Spawn { count: 75 })
+                    .trigger(Trigger::once(
+                        Condition::PopulationBelow { threshold: 32 },
+                        Event::Spawn { count: 50 },
+                    ));
+            }
             let split = boundary * 2; // mix capture phase is 2
             let total = split + tail;
             let mut obs = NullObserver;
 
             let mut serial = cfg.build();
-            serial.run(total, &mut obs);
-
-            let mut par = cfg.build();
-            par.run_parallel_forced(total, threads, &mut obs);
-            prop_assert_eq!(serial.colony().assignments(), par.colony().assignments());
-            prop_assert_eq!(serial.colony().loads(), par.colony().loads());
+            let serial_trace = trace_of(&mut serial, total);
+            for threads in [2usize, 4, 8] {
+                let mut par = cfg.build();
+                let mut par_trace = Trace::new();
+                {
+                    let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
+                        par_trace.push((r.round, r.loads.to_vec(), r.idle, r.switches));
+                    });
+                    par.run_parallel_forced(total, threads, &mut obs);
+                }
+                prop_assert_eq!(&serial_trace, &par_trace, "threads = {}", threads);
+                prop_assert_eq!(serial.colony().assignments(), par.colony().assignments());
+                prop_assert_eq!(serial.trigger_states(), par.trigger_states());
+            }
 
             let mut head = cfg.build();
             head.run(split, &mut obs);

@@ -22,7 +22,7 @@ fn serial_and_parallel_trajectories_are_bit_identical() {
 
     for threads in [2usize, 3, 8] {
         let mut par = config(1).build();
-        // Forced: production run_parallel would fall back to serial at
+        // Forced: production run_parallel would use one participant at
         // this colony size, which would make the test vacuous.
         par.run_parallel_forced(501, threads, &mut obs);
         assert_eq!(
@@ -85,8 +85,8 @@ mod fused_properties {
     use antalloc_sim::{Checkpoint, FnObserver, RoundRecord};
     use proptest::prelude::*;
 
-    /// Thread counts the fused path is pinned at (1 exercises the
-    /// forced single-worker parallel harness, not the serial fallback).
+    /// Thread counts the fused path is pinned at (1 is the driver's
+    /// single-participant path, the same one `run` takes).
     const THREADS: [usize; 4] = [1, 2, 4, 8];
 
     /// Homogeneous and mixed colonies; mixes make bank boundaries land
@@ -153,19 +153,27 @@ mod fused_properties {
             }
         }
 
-        /// A state-dependent trigger arms mid-segment: the parallel
-        /// coordinator must observe it in the exclusive window (while
-        /// the task column is on loan to the workers), end the segment
-        /// on the same round the serial path does, and fire the event
-        /// identically.
+        /// A state-dependent trigger arms mid-scope: the coordinator
+        /// must observe it in the exclusive window (while the task
+        /// column is on loan to the workers), end the scope on the same
+        /// round the serial path does, and fire the event identically.
+        /// With `shocks`, a scripted kill shrinks the colony below 16
+        /// ants per participant (so trailing parts are empty), a
+        /// population trigger arms on the first round of the kill's
+        /// scope and spawns ants back, and a scripted spawn regrows the
+        /// rest: every repartition must match serial, trigger states
+        /// included.
         #[test]
         fn fused_parallel_triggers_arm_mid_segment_identically(
             n in 300usize..600,
             seed: u64,
             for_rounds in 4u32..10,
+            shocks: bool,
+            survivors in 1usize..32,
+            kill_at in 2u64..60,
         ) {
             let cfg = |()| {
-                SimConfig::builder(n, vec![(n / 6) as u64, (n / 4) as u64])
+                let mut builder = SimConfig::builder(n, vec![(n / 6) as u64, (n / 4) as u64])
                     .noise(NoiseModel::Sigmoid { lambda: 2.0 })
                     .controller(ControllerSpec::Ant(AntParams::default()))
                     .seed(seed)
@@ -178,31 +186,48 @@ mod fused_properties {
                         event: Event::StampedeTo(0),
                         cooldown: 40,
                         max_firings: 0,
-                    })
-                    .build()
-                    .expect("valid scenario")
+                    });
+                if shocks {
+                    builder = builder
+                        .event(kill_at, Event::Kill { count: n - survivors })
+                        .trigger(Trigger::once(
+                            Condition::PopulationBelow { threshold: 32 },
+                            Event::Spawn { count: n / 3 },
+                        ))
+                        .event(kill_at + 5, Event::Spawn { count: n / 2 });
+                }
+                builder.build().expect("valid scenario")
             };
             let mut serial_trace = Vec::new();
+            let mut serial = cfg(()).build();
             {
-                let mut engine = cfg(()).build();
                 let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-                    serial_trace.push((r.round, r.instant_regret(), r.switches));
+                    serial_trace.push((r.round, r.instant_regret(), r.loads.to_vec(), r.idle, r.switches));
                 });
-                engine.run(200, &mut obs);
+                serial.run(200, &mut obs);
             }
-            // The stampede really fired (regret jumps to ~n scale).
-            prop_assert!(
-                serial_trace.iter().any(|&(_, regret, _)| regret > (n / 2) as u64),
-                "trigger never fired — the case is vacuous"
-            );
+            if shocks {
+                // The population trigger armed on the kill's round and
+                // fired on the next.
+                prop_assert_eq!(serial.trigger_states()[1].firings, 1);
+            } else {
+                // The stampede really fired (regret jumps to ~n scale).
+                prop_assert!(
+                    serial_trace.iter().any(|&(_, regret, _, _, _)| regret > (n / 2) as u64),
+                    "trigger never fired — the case is vacuous"
+                );
+            }
             for threads in THREADS {
                 let mut par_trace = Vec::new();
                 let mut engine = cfg(()).build();
-                let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-                    par_trace.push((r.round, r.instant_regret(), r.switches));
-                });
-                engine.run_parallel_forced(200, threads, &mut obs);
+                {
+                    let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
+                        par_trace.push((r.round, r.instant_regret(), r.loads.to_vec(), r.idle, r.switches));
+                    });
+                    engine.run_parallel_forced(200, threads, &mut obs);
+                }
                 prop_assert_eq!(&serial_trace, &par_trace, "threads = {}", threads);
+                prop_assert_eq!(serial.trigger_states(), engine.trigger_states());
             }
         }
 

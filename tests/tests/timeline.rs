@@ -117,7 +117,7 @@ fn timeline_runs_are_bit_identical_across_serial_parallel_and_interleaving() {
     let mut interleaved = config.build();
     let mut obs = NullObserver;
     serial.run(260, &mut obs);
-    // The pooled path must segment around the five event rounds.
+    // The pooled path must re-partition around the five event rounds.
     parallel.run_parallel_forced(260, 4, &mut obs);
     // Switching paths mid-script must not matter either.
     interleaved.run(100, &mut obs);
@@ -362,7 +362,7 @@ fn adversarial_runs_are_bit_identical_across_parallel_and_interleaving() {
     let mut interleaved = config.build();
     let mut obs = NullObserver;
     serial.run(260, &mut obs);
-    // The pooled path must cut segments at trigger arming rounds it
+    // The pooled path must end scopes at trigger arming rounds it
     // cannot predict from the config.
     parallel.run_parallel_forced(260, 4, &mut obs);
     interleaved.run(90, &mut obs);
