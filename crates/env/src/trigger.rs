@@ -13,8 +13,7 @@
 //! count, cooldown bookkeeping, last-round deficits for the
 //! rate-of-change conditions) lives in a separate [`TriggerState`] so
 //! the scenario stays immutable config and checkpoints can carry the
-//! runtime state verbatim (checkpoint format v4; the deficit history
-//! was added in v7).
+//! runtime state verbatim.
 //!
 //! # Examples
 //!
@@ -230,9 +229,9 @@ impl Condition {
     /// Checks the condition's parameters against a colony with
     /// `num_tasks` tasks.
     ///
-    /// Nesting is capped at the same 64 levels the checkpoint decoder
-    /// accepts, so any condition that validates also round-trips
-    /// through serialized checkpoints.
+    /// Nesting is capped at 64 levels, well under the scenario parsers'
+    /// nesting cap, so any condition that validates also round-trips
+    /// through TOML, JSON and serialized checkpoints.
     pub(crate) fn validate(&self, num_tasks: usize) -> Result<(), String> {
         self.validate_at(0, num_tasks)
     }
@@ -385,8 +384,7 @@ impl Trigger {
 }
 
 /// The mutable runtime state of one [`Trigger`], carried by engines and
-/// serialized into v4 checkpoints (the previous-deficit history was
-/// added in v7; older checkpoints decode it as unset).
+/// serialized into checkpoints.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TriggerState {
     /// Consecutive-round counters, one per streaked leaf of the
@@ -656,8 +654,9 @@ mod tests {
         assert!(t.validate(2).is_err());
         let t = Trigger::once(Condition::RoundReached { round: 1 }, Event::Scramble);
         assert!(t.validate(2).is_ok());
-        // Nesting past the checkpoint decoder's depth cap is rejected
-        // up front (a condition that validates must also round-trip).
+        // Nesting past 64 levels is rejected up front: a condition that
+        // validates must also fit under the scenario parsers' nesting
+        // cap, so it round-trips through TOML, JSON and checkpoints.
         let mut deep = Condition::RoundReached { round: 1 };
         for _ in 0..70 {
             deep = Condition::And(

@@ -1,4 +1,5 @@
-//! Versioned binary checkpoints.
+//! Versioned checkpoints: the canonical scenario text plus binary
+//! runtime state.
 //!
 //! A checkpoint captures everything a [`SyncEngine`] needs to continue a
 //! run bit-identically: the config (including noise model, controller
@@ -8,21 +9,23 @@
 //! ant's assignment and RNG state, and the round counter — so a
 //! capture taken *mid-timeline* (after kills, spawns, demand steps,
 //! noise switches or trigger firings) resumes exactly where the script
-//! left off. The byte layout, the v2 → v3 → v4 version history and the
-//! read-compat policy live in `docs/CHECKPOINTS.md`.
+//! left off.
+//!
+//! The config and the live noise model travel as the same canonical
+//! TOML the scenario files and store fingerprints use
+//! ([`SimConfig::to_toml`]), so the scenario codec is the one place a
+//! config is serialized; everything else is a fixed little-endian
+//! binary layout. The layout and the read-compat policy (current
+//! version only) live in `docs/CHECKPOINTS.md`.
 //!
 //! **Exactness contract.** Controllers are rebuilt from their spec and
-//! `reset_to(assignment)`, plus — since format v5 — a per-kind
-//! **scratch section** carrying mid-phase state for kinds that
-//! serialize it: Precise Sigmoid's half-phase counters
-//! ([`SigmoidScratch`]), whose `2m = O(1/ε)`-round phases previously
-//! restricted captures to every 2m-th round (and a restore landing
-//! mid-phase silently idled out the partial phase), and — since v6 —
-//! Precise Adversarial's phase trackers
-//! ([`antalloc_core::AdversarialScratch`]), closing the last long-phase
-//! capture gap. Kinds *without* a
-//! scratch codec still capture only at their phase boundaries
-//! (`round % capture_phase == 0`, see
+//! `reset_to(assignment)`, plus a per-kind **scratch section** carrying
+//! mid-phase state for kinds that serialize it: Precise Sigmoid's
+//! half-phase counters ([`SigmoidScratch`]), Precise Adversarial's
+//! phase trackers ([`antalloc_core::AdversarialScratch`]) and
+//! Proportional's deadband streaks, so those kinds capture at any
+//! round. Kinds *without* a scratch codec capture only at their phase
+//! boundaries (`round % capture_phase == 0`, see
 //! [`crate::ControllerSpec::capture_phase_len`]), where their per-phase
 //! scratch is empty by construction; [`Checkpoint::capture`] refuses to
 //! snapshot anywhere else. Restored runs replay exactly
@@ -38,38 +41,20 @@
 
 use std::path::Path;
 
-use antalloc_core::{
-    AdversarialScratch, AntParams, ControllerScratch, ExactGreedyParams, PreciseAdversarialParams,
-    PreciseSigmoidParams, ProportionalParams, SigmoidScratch,
-};
-use antalloc_env::{
-    ArenaConfig, Assignment, Condition, Cycle, DemandSchedule, DemandVector, Event, GenShock,
-    InitialConfig, TimedEvent, Timeline, TimelineGen, Trigger, TriggerState,
-};
-use antalloc_noise::{GreyZonePolicy, NoiseModel};
+use antalloc_core::{AdversarialScratch, ControllerScratch, SigmoidScratch};
+use antalloc_env::{Assignment, DemandVector, TriggerState};
+use antalloc_noise::NoiseModel;
 use bytes::{Buf, BufMut};
 
 use crate::config::{ControllerSpec, SimConfig};
 use crate::engine::SyncEngine;
+use crate::scenario::{config_from_value, noise_from_value, noise_to_value, toml, ConfigError};
 
 const MAGIC: u32 = 0x414E_5441; // "ANTA"
-/// The current format version. The v2 → … → v7 evolution, what each
-/// version carries, and the read-compat policy are documented in
-/// `docs/CHECKPOINTS.md`; in short: v7 added the spatial-arena section
-/// (arena config after the initial configuration, per-ant site/travel
-/// columns at the tail), the Proportional controller spec and scratch
-/// tags, the deficit condition tags, the `set-task-demand` event tag,
-/// and per-trigger `prev_deficits`; v6 added the Precise Adversarial
-/// scratch tag to the scratch section (every shipped long-phase kind
-/// now captures mid-phase), v5 appended the per-kind controller
-/// scratch section (Precise Sigmoid mid-phase counters), v4 added
-/// timeline triggers and generators to the timeline codec plus the
-/// per-trigger runtime state section, v3 replaced the demand schedule
-/// with the event timeline (plus live noise model and cursor), v2
-/// appended mixed-colony bank membership. Writers always emit the
-/// current version; readers accept everything back to [`MIN_VERSION`].
-const VERSION: u32 = 7;
-const MIN_VERSION: u32 = 2;
+/// The format version: writers emit it and readers accept only it
+/// (`docs/CHECKPOINTS.md` documents the layout and why older versions
+/// are rejected rather than migrated).
+const VERSION: u32 = 8;
 
 /// Why a checkpoint could not be captured or decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -110,7 +95,7 @@ pub struct Checkpoint {
     /// One-shot timeline events consumed before the captured round
     /// (indexes the *compiled* stream: scripted plus generated events).
     cursor: u64,
-    /// Runtime state of every timeline trigger (v4; empty before).
+    /// Runtime state of every timeline trigger, in timeline order.
     trigger_states: Vec<TriggerState>,
     assignments: Vec<Assignment>,
     rng_states: Vec<[u64; 4]>,
@@ -119,16 +104,15 @@ pub struct Checkpoint {
     /// Per-ant bank membership for `ControllerSpec::Mix` colonies
     /// (which sub-spec each global ant id runs); empty otherwise.
     members: Vec<u16>,
-    /// Mid-phase controller scratch in ascending global-ant order (v5;
-    /// empty before). Only kinds with a scratch codec — Precise
-    /// Sigmoid counters (v5), Precise Adversarial phase trackers (v6)
-    /// and Proportional overload/lack streaks (v7) — produce entries.
+    /// Mid-phase controller scratch in ascending global-ant order. Only
+    /// kinds with a scratch codec — Precise Sigmoid counters, Precise
+    /// Adversarial phase trackers and Proportional overload/lack
+    /// streaks — produce entries.
     scratch: Vec<(u32, ControllerScratch)>,
-    /// Per-ant arena site column (v7; empty unless the config pins
-    /// tasks to arena sites).
+    /// Per-ant arena site column (empty unless the config pins tasks to
+    /// arena sites).
     arena_site: Vec<u32>,
-    /// Per-ant remaining travel rounds (v7; same shape as
-    /// `arena_site`).
+    /// Per-ant remaining travel rounds (same shape as `arena_site`).
     arena_travel: Vec<u32>,
 }
 
@@ -265,25 +249,66 @@ impl Checkpoint {
         &self.config
     }
 
-    /// Serializes to the versioned binary format.
+    /// The byte length of each binary runtime section, in stream order:
+    /// current demands, cursor, trigger states, assignments, RNG states,
+    /// membership, scratch and arena columns (0 when absent).
+    fn runtime_section_lens(&self) -> [usize; 8] {
+        let ants = self.assignments.len();
+        let triggers: usize = self
+            .trigger_states
+            .iter()
+            .map(|s| 8 + 8 + 1 + 8 + 4 * s.streaks.len() + 8 + 8 * s.prev_deficits.len())
+            .sum();
+        let scratch: usize = self
+            .scratch
+            .iter()
+            .map(|(_, scratch)| {
+                4 + 1
+                    + match scratch {
+                        ControllerScratch::PreciseSigmoid(s) => {
+                            4 + 1 + 2 * (s.count1.len() + s.count2.len()) + s.shat1_lack.len()
+                        }
+                        ControllerScratch::PreciseAdversarial(s) => 4 + 5 + s.all_lack.len(),
+                        ControllerScratch::Proportional(_) => 2,
+                    }
+            })
+            .sum();
+        let members = match self.config.controller {
+            ControllerSpec::Mix(_) => 8 + 2 * self.members.len(),
+            _ => 0,
+        };
+        let arena = match self.config.arena {
+            Some(_) => 4 * (self.arena_site.len() + self.arena_travel.len()),
+            None => 0,
+        };
+        [
+            8 + 8 * self.current_demands.len(),
+            8,
+            8 + triggers,
+            8 + 4 * ants,
+            32 * ants,
+            members,
+            8 + scratch,
+            arena,
+        ]
+    }
+
+    /// Serializes to the versioned format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.assignments.len() * 36);
+        let config = self.config.to_toml();
+        let noise = toml::write(&noise_to_value(&self.current_noise));
+        // Sized exactly: growing a multi-megabyte buffer mid-encode
+        // measurably raised peak RSS on 200k-ant colonies.
+        let runtime: usize = self.runtime_section_lens().iter().sum();
+        let mut out = Vec::with_capacity(40 + config.len() + noise.len() + runtime);
         out.put_u32_le(MAGIC);
         out.put_u32_le(VERSION);
         out.put_u64_le(self.round);
         out.put_u64_le(self.next_stream);
-        out.put_u64_le(self.config.seed);
-        out.put_u64_le(self.config.n as u64);
-        put_u64s(&mut out, &self.config.demands);
+        put_text(&mut out, &config);
+        put_text(&mut out, &noise);
         put_u64s(&mut out, &self.current_demands);
-        put_noise(&mut out, &self.config.noise);
-        // v3: the live noise model and the timeline (with its cursor)
-        // replace v2's demand schedule.
-        put_noise(&mut out, &self.current_noise);
-        put_spec(&mut out, &self.config.controller);
-        put_timeline(&mut out, &self.config.timeline);
         out.put_u64_le(self.cursor);
-        // v4: the runtime state of every trigger, in timeline order.
         out.put_u64_le(self.trigger_states.len() as u64);
         for state in &self.trigger_states {
             out.put_u64_le(u64::from(state.firings));
@@ -293,74 +318,46 @@ impl Checkpoint {
             for &streak in &state.streaks {
                 out.put_u32_le(streak);
             }
-            // v7: last observed deficits of the rate leaves.
             out.put_u64_le(state.prev_deficits.len() as u64);
             for &prev in &state.prev_deficits {
                 out.put_i64_le(prev);
             }
         }
-        put_initial(&mut out, &self.config.initial);
-        // v7: the spatial arena, if the scenario pins tasks to sites.
-        match &self.config.arena {
-            None => out.put_u8(0),
-            Some(arena) => {
-                out.put_u8(1);
-                out.put_u64_le(arena.site_of_task.len() as u64);
-                for &site in &arena.site_of_task {
-                    out.put_u32_le(site);
-                }
-                out.put_u32_le(arena.travel_rounds);
-                out.put_f64_le(arena.wander_probability);
-            }
-        }
         out.put_u64_le(self.assignments.len() as u64);
-        for a in &self.assignments {
-            out.put_u32_le(match a {
-                Assignment::Idle => u32::MAX,
-                Assignment::Task(j) => *j,
-            });
+        for &a in &self.assignments {
+            put_task(&mut out, a);
         }
         for s in &self.rng_states {
             for &w in s {
                 out.put_u64_le(w);
             }
         }
-        // v2: per-ant bank membership, present iff the spec is a Mix.
+        // Per-ant bank membership, present iff the spec is a Mix.
         if matches!(self.config.controller, ControllerSpec::Mix(_)) {
             out.put_u64_le(self.members.len() as u64);
             for &m in &self.members {
                 out.put_u16_le(m);
             }
         }
-        // v5: per-kind controller scratch, ascending global-ant order.
+        // Per-kind controller scratch, ascending global-ant order.
         out.put_u64_le(self.scratch.len() as u64);
         for (ant, scratch) in &self.scratch {
             out.put_u32_le(*ant);
             match scratch {
                 ControllerScratch::PreciseSigmoid(s) => {
                     out.put_u8(0);
-                    out.put_u32_le(match s.current_task {
-                        Assignment::Idle => u32::MAX,
-                        Assignment::Task(j) => j,
-                    });
+                    put_task(&mut out, s.current_task);
                     out.put_u8(u8::from(s.have_phase));
-                    for &c in &s.count1 {
-                        out.put_u16_le(c);
-                    }
-                    for &c in &s.count2 {
+                    for &c in s.count1.iter().chain(&s.count2) {
                         out.put_u16_le(c);
                     }
                     for &l in &s.shat1_lack {
                         out.put_u8(u8::from(l));
                     }
                 }
-                // v6: Precise Adversarial phase trackers.
                 ControllerScratch::PreciseAdversarial(s) => {
                     out.put_u8(1);
-                    out.put_u32_le(match s.current_task {
-                        Assignment::Idle => u32::MAX,
-                        Assignment::Task(j) => j,
-                    });
+                    put_task(&mut out, s.current_task);
                     out.put_u8(u8::from(s.have_phase));
                     out.put_u8(u8::from(s.all_overload));
                     out.put_u8(u8::from(s.frozen_working));
@@ -374,21 +371,17 @@ impl Checkpoint {
                         out.put_u8(u8::from(l));
                     }
                 }
-                // v7: Proportional overload/lack streak.
                 ControllerScratch::Proportional(streak) => {
                     out.put_u8(2);
                     out.put_u16_le(*streak);
                 }
             }
         }
-        // v7: per-ant arena columns (site, then travel), present iff
-        // the config carries an arena; lengths equal the ant count.
+        // Per-ant arena columns (site, then travel), present iff the
+        // config carries an arena; lengths equal the ant count.
         if self.config.arena.is_some() {
-            for &site in &self.arena_site {
+            for &site in self.arena_site.iter().chain(&self.arena_travel) {
                 out.put_u32_le(site);
-            }
-            for &travel in &self.arena_travel {
-                out.put_u32_le(travel);
             }
         }
         out
@@ -401,138 +394,93 @@ impl Checkpoint {
             return Err(corrupt("bad magic"));
         }
         let version = get_u32(&mut buf)?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(corrupt(format!("unsupported version {version}")));
+        if version != VERSION {
+            return Err(corrupt(format!(
+                "format version {version}, but this build reads only version {VERSION}"
+            )));
         }
         let round = get_u64(&mut buf)?;
         let next_stream = get_u64(&mut buf)?;
-        let seed = get_u64(&mut buf)?;
-        let n = get_u64(&mut buf)? as usize;
-        let demands = get_u64s(&mut buf)?;
+        // The config passes the same structural validation as
+        // `SimConfig::build`: any captured config did, so a failure here
+        // means crafted or corrupted bytes — and a crafted generator
+        // (start = 0, absurd windows) must never drive the timeline
+        // expansion below.
+        let config = decode_text(&mut buf, "config", |root| {
+            let (config, _, _) = config_from_value(root)?;
+            config.validate_structure()?;
+            Ok(config)
+        })?;
+        let k = config.demands.len();
+        let current_noise = decode_text(&mut buf, "live noise", |root| {
+            let noise = noise_from_value(root)?;
+            noise.validate(k).map_err(ConfigError::Noise)?;
+            Ok(noise)
+        })?;
         let current_demands = get_u64s(&mut buf)?;
-        let noise = get_noise(&mut buf)?;
-        let current_noise = if version >= 3 {
-            get_noise(&mut buf)?
-        } else {
-            noise.clone()
-        };
-        let controller = get_spec(&mut buf)?;
-        let (timeline, cursor) = if version >= 3 {
-            let timeline = get_timeline(&mut buf, version)?;
-            let cursor = get_u64(&mut buf)?;
-            // Reject structurally invalid timelines *before* compiling:
-            // any captured config passed build-time validation, so a
-            // failure here means crafted or corrupted bytes — and a
-            // crafted generator section (start = 0, absurd windows)
-            // must never drive the expansion loop.
-            timeline
-                .validate(demands.len(), n)
-                .and_then(|()| timeline.validate_triggers(demands.len()))
-                .map_err(|e| corrupt(format!("invalid timeline: {e}")))?;
-            // The cursor indexes the *compiled* stream (generated
-            // events included), which re-expands deterministically.
-            let compiled_events = timeline.compile(seed, n, &demands).events.len();
-            if cursor as usize > compiled_events {
-                return Err(corrupt(format!(
-                    "timeline cursor {cursor} exceeds {compiled_events} compiled events"
-                )));
+        if current_demands.len() != k {
+            return Err(corrupt(format!(
+                "{} current demands for {k} tasks",
+                current_demands.len()
+            )));
+        }
+        // The cursor indexes the *compiled* stream (generated events
+        // included), which re-expands deterministically.
+        let cursor = get_u64(&mut buf)?;
+        let timeline = &config.timeline;
+        let compiled_events = timeline
+            .compile(config.seed, config.n, &config.demands)
+            .events
+            .len();
+        if cursor as usize > compiled_events {
+            return Err(corrupt(format!(
+                "timeline cursor {cursor} exceeds {compiled_events} compiled events"
+            )));
+        }
+        let count = get_u64(&mut buf)? as usize;
+        if count != timeline.triggers.len() {
+            return Err(corrupt(format!(
+                "{count} trigger states for {} triggers",
+                timeline.triggers.len()
+            )));
+        }
+        let mut trigger_states = Vec::with_capacity(count);
+        for (i, trigger) in timeline.triggers.iter().enumerate() {
+            let firings = get_u64(&mut buf)?;
+            let firings = u32::try_from(firings)
+                .map_err(|_| corrupt(format!("implausible firing count {firings}")))?;
+            let last_fired = get_u64(&mut buf)?;
+            let pending = get_bool(&mut buf)?;
+            let streak_len = get_u64(&mut buf)? as usize;
+            if streak_len > 1 << 16 {
+                return Err(corrupt("implausible streak count"));
             }
-            (timeline, cursor)
-        } else {
-            // v2 stored a demand schedule; compile it to the equivalent
-            // timeline and recompute the cursor from the round (both
-            // fire at identical rounds, so the continuation is exact).
-            let timeline: Timeline = get_schedule(&mut buf)?.into();
-            let cursor = timeline.cursor_at(round) as u64;
-            (timeline, cursor)
-        };
-        let trigger_states = if version >= 4 {
-            let count = get_u64(&mut buf)? as usize;
-            if count != timeline.triggers.len() {
-                return Err(corrupt(format!(
-                    "{count} trigger states for {} triggers",
-                    timeline.triggers.len()
-                )));
+            let mut streaks = Vec::with_capacity(streak_len.min(1 << 10));
+            for _ in 0..streak_len {
+                streaks.push(get_u32(&mut buf)?);
             }
-            let mut states = Vec::with_capacity(count.min(1 << 10));
-            for i in 0..count {
-                let firings = get_u64(&mut buf)?;
-                let firings = u32::try_from(firings)
-                    .map_err(|_| corrupt(format!("implausible firing count {firings}")))?;
-                let last_fired = get_u64(&mut buf)?;
-                let pending = get_bool(&mut buf)?;
-                let streak_len = get_u64(&mut buf)? as usize;
-                if streak_len > 1 << 16 {
-                    return Err(corrupt("implausible streak count"));
-                }
-                let mut streaks = Vec::with_capacity(streak_len.min(1 << 10));
-                for _ in 0..streak_len {
-                    streaks.push(get_u32(&mut buf)?);
-                }
-                // v7 appended the rate leaves' last observed deficits;
-                // older captures cannot hold rate conditions, so the
-                // fresh-state default (all unset) is exact.
-                let prev_deficits = if version >= 7 {
-                    let prev_len = get_u64(&mut buf)? as usize;
-                    if prev_len > 1 << 16 {
-                        return Err(corrupt("implausible prev-deficit count"));
-                    }
-                    let mut prevs = Vec::with_capacity(prev_len.min(1 << 10));
-                    for _ in 0..prev_len {
-                        prevs.push(get_i64(&mut buf)?);
-                    }
-                    prevs
-                } else {
-                    TriggerState::new(&timeline.triggers[i]).prev_deficits
-                };
-                let state = TriggerState {
-                    streaks,
-                    firings,
-                    last_fired,
-                    pending,
-                    prev_deficits,
-                };
-                if !state.matches(&timeline.triggers[i]) {
-                    return Err(corrupt(format!(
-                        "trigger state {i} disagrees with its condition shape"
-                    )));
-                }
-                states.push(state);
+            let prev_len = get_u64(&mut buf)? as usize;
+            if prev_len > 1 << 16 {
+                return Err(corrupt("implausible prev-deficit count"));
             }
-            states
-        } else {
-            // Pre-v4 formats cannot encode triggers, so there is no
-            // state to restore.
-            Vec::new()
-        };
-        let initial = get_initial(&mut buf)?;
-        // v7: the spatial arena (None before v7 — the mode predates it).
-        let arena = if version >= 7 && get_bool(&mut buf)? {
-            let len = get_u64(&mut buf)? as usize;
-            if len != demands.len() {
-                return Err(corrupt(format!(
-                    "arena pins {len} tasks but the scenario has {}",
-                    demands.len()
-                )));
+            let mut prev_deficits = Vec::with_capacity(prev_len.min(1 << 10));
+            for _ in 0..prev_len {
+                prev_deficits.push(get_i64(&mut buf)?);
             }
-            let mut site_of_task = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                site_of_task.push(get_u32(&mut buf)?);
-            }
-            let arena = ArenaConfig {
-                site_of_task,
-                travel_rounds: get_u32(&mut buf)?,
-                wander_probability: get_f64(&mut buf)?,
+            let state = TriggerState {
+                streaks,
+                firings,
+                last_fired,
+                pending,
+                prev_deficits,
             };
-            // Any captured arena passed build-time validation; failure
-            // here means crafted or corrupted bytes.
-            arena
-                .validate(demands.len())
-                .map_err(|e| corrupt(format!("invalid arena: {e}")))?;
-            Some(arena)
-        } else {
-            None
-        };
+            if !state.matches(trigger) {
+                return Err(corrupt(format!(
+                    "trigger state {i} disagrees with its condition shape"
+                )));
+            }
+            trigger_states.push(state);
+        }
         let ants = get_u64(&mut buf)? as usize;
         // Validate the claimed count against the bytes actually present
         // (4 per assignment + 32 per RNG state) before any allocation —
@@ -545,12 +493,7 @@ impl Checkpoint {
         }
         let mut assignments = Vec::with_capacity(ants);
         for _ in 0..ants {
-            let raw = get_u32(&mut buf)?;
-            assignments.push(if raw == u32::MAX {
-                Assignment::Idle
-            } else {
-                Assignment::Task(raw)
-            });
+            assignments.push(get_task(&mut buf, k)?);
         }
         let mut rng_states = Vec::with_capacity(ants);
         for _ in 0..ants {
@@ -560,7 +503,7 @@ impl Checkpoint {
             }
             rng_states.push(s);
         }
-        let members = if let ControllerSpec::Mix(parts) = &controller {
+        let members = if let ControllerSpec::Mix(parts) = &config.controller {
             let len = get_u64(&mut buf)? as usize;
             if len != ants {
                 return Err(corrupt(format!(
@@ -569,8 +512,7 @@ impl Checkpoint {
             }
             let mut members = Vec::with_capacity(len);
             for _ in 0..len {
-                need(&buf, 2)?;
-                let m = buf.get_u16_le();
+                let m = get_u16(&mut buf)?;
                 if usize::from(m) >= parts.len() {
                     return Err(corrupt(format!(
                         "membership {m} references unknown sub-spec"
@@ -582,195 +524,14 @@ impl Checkpoint {
         } else {
             Vec::new()
         };
-        let scratch = if version >= 5 {
-            let k = demands.len();
-            let count = get_u64(&mut buf)? as usize;
-            // Minimum per-entry size across the scratch kinds: Precise
-            // Sigmoid is ant id + tag + currentTask + have_phase + two
-            // u16 counter rows + one median-bit row (10 + 5k); Precise
-            // Adversarial is ant id + tag + currentTask + five flag
-            // bytes + one lack-bit row (14 + k); Proportional is ant id
-            // + tag + streak (7). Validate the claimed count against
-            // the bytes present before any allocation.
-            let per_entry = (4 + 1 + 4 + 1 + k * 5)
-                .min(4 + 1 + 4 + 5 + k)
-                .min(4 + 1 + 2);
-            if count > ants || buf.remaining() / per_entry < count {
-                return Err(corrupt(format!(
-                    "scratch count {count} exceeds payload or ant count {ants}"
-                )));
+        let scratch = get_scratch(&mut buf, &config.controller, &members, ants, k)?;
+        // The per-ant arena columns close the stream (present iff the
+        // config carries an arena).
+        let (arena_site, arena_travel) = if let Some(arena) = &config.arena {
+            let num_sites = arena.num_sites() as u32;
+            if buf.remaining() / 8 < ants {
+                return Err(corrupt("arena columns exceed remaining payload"));
             }
-            // Which ants may legally carry Precise Sigmoid scratch (and
-            // the phase half-length m bounding their counters): crafted
-            // bytes must fail here, not panic in `restore()`.
-            let sigmoid_m_for = |ant: usize| -> Option<u64> {
-                match &controller {
-                    ControllerSpec::PreciseSigmoid(p) => Some(p.m()),
-                    ControllerSpec::Mix(parts) => {
-                        let b = usize::from(*members.get(ant)?);
-                        match parts.get(b) {
-                            Some((_, ControllerSpec::PreciseSigmoid(p))) => Some(p.m()),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                }
-            };
-            // Likewise for Precise Adversarial (v6 scratch): which ants
-            // may legally carry its phase trackers.
-            let adversarial_for = |ant: usize| -> bool {
-                match &controller {
-                    ControllerSpec::PreciseAdversarial(_) => true,
-                    ControllerSpec::Mix(parts) => {
-                        let Some(&m) = members.get(ant) else {
-                            return false;
-                        };
-                        matches!(
-                            parts.get(usize::from(m)),
-                            Some((_, ControllerSpec::PreciseAdversarial(_)))
-                        )
-                    }
-                    _ => false,
-                }
-            };
-            // And for Proportional (v7 scratch): which ants may legally
-            // carry a deadband streak.
-            let proportional_for = |ant: usize| -> bool {
-                match &controller {
-                    ControllerSpec::Proportional(_) => true,
-                    ControllerSpec::Mix(parts) => {
-                        let Some(&m) = members.get(ant) else {
-                            return false;
-                        };
-                        matches!(
-                            parts.get(usize::from(m)),
-                            Some((_, ControllerSpec::Proportional(_)))
-                        )
-                    }
-                    _ => false,
-                }
-            };
-            let mut scratch: Vec<(u32, ControllerScratch)> = Vec::with_capacity(count);
-            for _ in 0..count {
-                let ant = get_u32(&mut buf)?;
-                if ant as usize >= ants {
-                    return Err(corrupt(format!("scratch ant {ant} out of range")));
-                }
-                if let Some(&(prev, _)) = scratch.last() {
-                    if ant <= prev {
-                        return Err(corrupt("scratch entries out of order"));
-                    }
-                }
-                match get_u8(&mut buf)? {
-                    0 => {
-                        let Some(m) = sigmoid_m_for(ant as usize) else {
-                            return Err(corrupt(format!(
-                                "scratch for ant {ant}, which runs no Precise Sigmoid"
-                            )));
-                        };
-                        let raw = get_u32(&mut buf)?;
-                        let current_task = if raw == u32::MAX {
-                            Assignment::Idle
-                        } else if (raw as usize) < k {
-                            Assignment::Task(raw)
-                        } else {
-                            return Err(corrupt(format!("scratch task {raw} out of range")));
-                        };
-                        let have_phase = get_bool(&mut buf)?;
-                        let mut counts = [Vec::with_capacity(k), Vec::with_capacity(k)];
-                        for half in &mut counts {
-                            for _ in 0..k {
-                                need(&buf, 2)?;
-                                let c = buf.get_u16_le();
-                                if u64::from(c) > m {
-                                    return Err(corrupt(format!(
-                                        "scratch counter {c} exceeds half-phase length {m}"
-                                    )));
-                                }
-                                half.push(c);
-                            }
-                        }
-                        let [count1, count2] = counts;
-                        let mut shat1_lack = Vec::with_capacity(k);
-                        for _ in 0..k {
-                            shat1_lack.push(get_u8(&mut buf)? != 0);
-                        }
-                        scratch.push((
-                            ant,
-                            ControllerScratch::PreciseSigmoid(SigmoidScratch {
-                                current_task,
-                                have_phase,
-                                count1,
-                                count2,
-                                shat1_lack,
-                            }),
-                        ));
-                    }
-                    1 => {
-                        if !adversarial_for(ant as usize) {
-                            return Err(corrupt(format!(
-                                "scratch for ant {ant}, which runs no Precise Adversarial"
-                            )));
-                        }
-                        let raw = get_u32(&mut buf)?;
-                        let current_task = if raw == u32::MAX {
-                            Assignment::Idle
-                        } else if (raw as usize) < k {
-                            Assignment::Task(raw)
-                        } else {
-                            return Err(corrupt(format!("scratch task {raw} out of range")));
-                        };
-                        let have_phase = get_bool(&mut buf)?;
-                        let all_overload = get_bool(&mut buf)?;
-                        let frozen_working = get_bool(&mut buf)?;
-                        let pending_first_lack = get_bool(&mut buf)?;
-                        let working_at_first_lack = match get_u8(&mut buf)? {
-                            0 => None,
-                            1 => Some(false),
-                            2 => Some(true),
-                            t => return Err(corrupt(format!("unknown first-lack tri-state {t}"))),
-                        };
-                        let mut all_lack = Vec::with_capacity(k);
-                        for _ in 0..k {
-                            all_lack.push(get_u8(&mut buf)? != 0);
-                        }
-                        scratch.push((
-                            ant,
-                            ControllerScratch::PreciseAdversarial(AdversarialScratch {
-                                current_task,
-                                have_phase,
-                                all_lack,
-                                all_overload,
-                                working_at_first_lack,
-                                pending_first_lack,
-                                frozen_working,
-                            }),
-                        ));
-                    }
-                    2 => {
-                        if !proportional_for(ant as usize) {
-                            return Err(corrupt(format!(
-                                "scratch for ant {ant}, which runs no Proportional controller"
-                            )));
-                        }
-                        need(&buf, 2)?;
-                        let streak = buf.get_u16_le();
-                        scratch.push((ant, ControllerScratch::Proportional(streak)));
-                    }
-                    t => return Err(corrupt(format!("unknown scratch tag {t}"))),
-                }
-            }
-            scratch
-        } else {
-            // Pre-v5 captures were phase-boundary-only: no mid-phase
-            // state existed to serialize.
-            Vec::new()
-        };
-        // v7: the per-ant arena columns close the stream (present iff
-        // the config carries an arena — decided above, so pre-v7 reads
-        // never reach this branch).
-        let (arena_site, arena_travel) = if let Some(cfg) = &arena {
-            let num_sites = cfg.num_sites() as u32;
             let mut site = Vec::with_capacity(ants);
             for _ in 0..ants {
                 let s = get_u32(&mut buf)?;
@@ -784,10 +545,10 @@ impl Checkpoint {
             let mut travel = Vec::with_capacity(ants);
             for _ in 0..ants {
                 let t = get_u32(&mut buf)?;
-                if t > cfg.travel_rounds {
+                if t > arena.travel_rounds {
                     return Err(corrupt(format!(
                         "arena travel {t} exceeds the travel latency {}",
-                        cfg.travel_rounds
+                        arena.travel_rounds
                     )));
                 }
                 travel.push(t);
@@ -800,16 +561,7 @@ impl Checkpoint {
             return Err(corrupt("trailing bytes"));
         }
         Ok(Self {
-            config: SimConfig {
-                n,
-                demands,
-                noise,
-                controller,
-                seed,
-                timeline,
-                initial,
-                arena,
-            },
+            config,
             current_demands,
             current_noise,
             cursor,
@@ -841,11 +593,157 @@ impl Checkpoint {
     }
 }
 
+/// Decodes the scratch section. Each entry must belong to an ant that
+/// runs the entry's kind — crafted bytes must fail here, not panic in
+/// `restore()`.
+fn get_scratch(
+    buf: &mut &[u8],
+    controller: &ControllerSpec,
+    members: &[u16],
+    ants: usize,
+    k: usize,
+) -> Result<Vec<(u32, ControllerScratch)>, CheckpointError> {
+    let count = get_u64(buf)? as usize;
+    // Minimum per-entry size across the scratch kinds: Precise Sigmoid
+    // is ant id + tag + currentTask + have_phase + two u16 counter rows
+    // + one median-bit row (10 + 5k); Precise Adversarial is ant id +
+    // tag + currentTask + five flag bytes + one lack-bit row (14 + k);
+    // Proportional is ant id + tag + streak (7). Validate the claimed
+    // count against the bytes present before any allocation.
+    let per_entry = (4 + 1 + 4 + 1 + k * 5)
+        .min(4 + 1 + 4 + 5 + k)
+        .min(4 + 1 + 2);
+    if count > ants || buf.remaining() / per_entry < count {
+        return Err(corrupt(format!(
+            "scratch count {count} exceeds payload or ant count {ants}"
+        )));
+    }
+    // The spec a given ant runs (its bank's sub-spec in a mix).
+    let spec_of = |ant: u32| -> Option<&ControllerSpec> {
+        match controller {
+            ControllerSpec::Mix(parts) => {
+                let bank = usize::from(*members.get(ant as usize)?);
+                parts.get(bank).map(|(_, spec)| spec)
+            }
+            spec => Some(spec),
+        }
+    };
+    let mut scratch: Vec<(u32, ControllerScratch)> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let ant = get_u32(buf)?;
+        if ant as usize >= ants {
+            return Err(corrupt(format!("scratch ant {ant} out of range")));
+        }
+        if scratch.last().is_some_and(|&(prev, _)| ant <= prev) {
+            return Err(corrupt("scratch entries out of order"));
+        }
+        let entry = match (get_u8(buf)?, spec_of(ant)) {
+            (0, Some(ControllerSpec::PreciseSigmoid(p))) => {
+                let m = p.m();
+                let current_task = get_task(buf, k)?;
+                let have_phase = get_bool(buf)?;
+                let mut counts = [Vec::with_capacity(k), Vec::with_capacity(k)];
+                for half in &mut counts {
+                    for _ in 0..k {
+                        let c = get_u16(buf)?;
+                        if u64::from(c) > m {
+                            return Err(corrupt(format!(
+                                "scratch counter {c} exceeds half-phase length {m}"
+                            )));
+                        }
+                        half.push(c);
+                    }
+                }
+                let [count1, count2] = counts;
+                ControllerScratch::PreciseSigmoid(SigmoidScratch {
+                    current_task,
+                    have_phase,
+                    count1,
+                    count2,
+                    shat1_lack: get_bools(buf, k)?,
+                })
+            }
+            (0, _) => {
+                return Err(corrupt(format!(
+                    "scratch for ant {ant}, which runs no Precise Sigmoid"
+                )))
+            }
+            (1, Some(ControllerSpec::PreciseAdversarial(_))) => {
+                let current_task = get_task(buf, k)?;
+                let have_phase = get_bool(buf)?;
+                let all_overload = get_bool(buf)?;
+                let frozen_working = get_bool(buf)?;
+                let pending_first_lack = get_bool(buf)?;
+                let working_at_first_lack = match get_u8(buf)? {
+                    0 => None,
+                    1 => Some(false),
+                    2 => Some(true),
+                    t => return Err(corrupt(format!("unknown first-lack tri-state {t}"))),
+                };
+                ControllerScratch::PreciseAdversarial(AdversarialScratch {
+                    current_task,
+                    have_phase,
+                    all_lack: get_bools(buf, k)?,
+                    all_overload,
+                    working_at_first_lack,
+                    pending_first_lack,
+                    frozen_working,
+                })
+            }
+            (1, _) => {
+                return Err(corrupt(format!(
+                    "scratch for ant {ant}, which runs no Precise Adversarial"
+                )))
+            }
+            (2, Some(ControllerSpec::Proportional(_))) => {
+                ControllerScratch::Proportional(get_u16(buf)?)
+            }
+            (2, _) => {
+                return Err(corrupt(format!(
+                    "scratch for ant {ant}, which runs no Proportional controller"
+                )))
+            }
+            (t, _) => return Err(corrupt(format!("unknown scratch tag {t}"))),
+        };
+        scratch.push((ant, entry));
+    }
+    Ok(scratch)
+}
+
 fn corrupt(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(msg.into())
 }
 
-// ---- primitive readers (length-checked) --------------------------------
+// ---- text sections -------------------------------------------------------
+
+fn put_text(out: &mut Vec<u8>, text: &str) {
+    out.put_u64_le(text.len() as u64);
+    out.extend_from_slice(text.as_bytes());
+}
+
+/// Reads a length-prefixed TOML section and decodes it through the
+/// scenario codec; parse and validation errors are corruption.
+fn decode_text<T>(
+    buf: &mut &[u8],
+    what: &str,
+    decode: impl FnOnce(&crate::scenario::Value) -> Result<T, ConfigError>,
+) -> Result<T, CheckpointError> {
+    let len = get_u64(buf)?;
+    if len > buf.remaining() as u64 {
+        return Err(corrupt(format!(
+            "{what} section length {len} exceeds remaining payload"
+        )));
+    }
+    let (text, rest) = buf.split_at(len as usize);
+    *buf = rest;
+    let text = std::str::from_utf8(text)
+        .map_err(|e| corrupt(format!("{what} section is not UTF-8: {e}")))?;
+    toml::parse(text)
+        .and_then(|root| decode(&root))
+        .map_err(|e| corrupt(format!("invalid {what} section: {e}")))
+}
+
+// ---- primitives (readers are length-checked) ----------------------------
 
 fn need(buf: &&[u8], n: usize) -> Result<(), CheckpointError> {
     if buf.remaining() < n {
@@ -853,6 +751,16 @@ fn need(buf: &&[u8], n: usize) -> Result<(), CheckpointError> {
     } else {
         Ok(())
     }
+}
+
+fn get_u8(buf: &mut &[u8]) -> Result<u8, CheckpointError> {
+    need(buf, 1)?;
+    Ok(buf.get_u8())
+}
+
+fn get_u16(buf: &mut &[u8]) -> Result<u16, CheckpointError> {
+    need(buf, 2)?;
+    Ok(buf.get_u16_le())
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32, CheckpointError> {
@@ -865,23 +773,34 @@ fn get_u64(buf: &mut &[u8]) -> Result<u64, CheckpointError> {
     Ok(buf.get_u64_le())
 }
 
-fn get_f64(buf: &mut &[u8]) -> Result<f64, CheckpointError> {
+fn get_i64(buf: &mut &[u8]) -> Result<i64, CheckpointError> {
     need(buf, 8)?;
-    Ok(buf.get_f64_le())
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8, CheckpointError> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
+    Ok(buf.get_i64_le())
 }
 
 fn get_bool(buf: &mut &[u8]) -> Result<bool, CheckpointError> {
     Ok(get_u8(buf)? != 0)
 }
 
-fn get_i64(buf: &mut &[u8]) -> Result<i64, CheckpointError> {
-    need(buf, 8)?;
-    Ok(buf.get_i64_le())
+fn get_bools(buf: &mut &[u8], len: usize) -> Result<Vec<bool>, CheckpointError> {
+    (0..len).map(|_| get_bool(buf)).collect()
+}
+
+fn put_task(out: &mut Vec<u8>, assignment: Assignment) {
+    out.put_u32_le(match assignment {
+        Assignment::Idle => u32::MAX,
+        Assignment::Task(j) => j,
+    });
+}
+
+/// Reads an assignment (`u32::MAX` = idle), rejecting task indices
+/// outside the colony's `k` tasks.
+fn get_task(buf: &mut &[u8], k: usize) -> Result<Assignment, CheckpointError> {
+    match get_u32(buf)? {
+        u32::MAX => Ok(Assignment::Idle),
+        j if (j as usize) < k => Ok(Assignment::Task(j)),
+        j => Err(corrupt(format!("task {j} out of range ({k} tasks)"))),
+    }
 }
 
 fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
@@ -893,587 +812,30 @@ fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
 
 fn get_u64s(buf: &mut &[u8]) -> Result<Vec<u64>, CheckpointError> {
     let len = get_u64(buf)? as usize;
-    if len > 1 << 32 {
-        return Err(corrupt("implausible vector length"));
+    if buf.remaining() / 8 < len {
+        return Err(corrupt(format!(
+            "vector length {len} exceeds remaining payload"
+        )));
     }
-    let mut xs = Vec::with_capacity(len.min(1 << 20));
-    for _ in 0..len {
-        xs.push(get_u64(buf)?);
-    }
-    Ok(xs)
-}
-
-// ---- enum codecs --------------------------------------------------------
-
-fn put_noise(out: &mut Vec<u8>, noise: &NoiseModel) {
-    match noise {
-        NoiseModel::Sigmoid { lambda } => {
-            out.put_u8(0);
-            out.put_f64_le(*lambda);
-        }
-        NoiseModel::CorrelatedSigmoid { lambda, rho, seed } => {
-            out.put_u8(1);
-            out.put_f64_le(*lambda);
-            out.put_f64_le(*rho);
-            out.put_u64_le(*seed);
-        }
-        NoiseModel::Adversarial { gamma_ad, policy } => {
-            out.put_u8(2);
-            out.put_f64_le(*gamma_ad);
-            put_policy(out, policy);
-        }
-        NoiseModel::Exact => out.put_u8(3),
-    }
-}
-
-fn get_noise(buf: &mut &[u8]) -> Result<NoiseModel, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => NoiseModel::Sigmoid {
-            lambda: get_f64(buf)?,
-        },
-        1 => NoiseModel::CorrelatedSigmoid {
-            lambda: get_f64(buf)?,
-            rho: get_f64(buf)?,
-            seed: get_u64(buf)?,
-        },
-        2 => NoiseModel::Adversarial {
-            gamma_ad: get_f64(buf)?,
-            policy: get_policy(buf)?,
-        },
-        3 => NoiseModel::Exact,
-        t => return Err(corrupt(format!("unknown noise tag {t}"))),
-    })
-}
-
-fn put_policy(out: &mut Vec<u8>, policy: &GreyZonePolicy) {
-    match policy {
-        GreyZonePolicy::AlwaysLack => out.put_u8(0),
-        GreyZonePolicy::AlwaysOverload => out.put_u8(1),
-        GreyZonePolicy::Truthful => out.put_u8(2),
-        GreyZonePolicy::Inverted => out.put_u8(3),
-        GreyZonePolicy::AlternateByRound => out.put_u8(4),
-        GreyZonePolicy::RandomLack(p) => {
-            out.put_u8(5);
-            out.put_f64_le(*p);
-        }
-        GreyZonePolicy::LoadThreshold(thresholds) => {
-            out.put_u8(6);
-            put_u64s(out, thresholds);
-        }
-    }
-}
-
-fn get_policy(buf: &mut &[u8]) -> Result<GreyZonePolicy, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => GreyZonePolicy::AlwaysLack,
-        1 => GreyZonePolicy::AlwaysOverload,
-        2 => GreyZonePolicy::Truthful,
-        3 => GreyZonePolicy::Inverted,
-        4 => GreyZonePolicy::AlternateByRound,
-        5 => GreyZonePolicy::RandomLack(get_f64(buf)?),
-        6 => GreyZonePolicy::LoadThreshold(get_u64s(buf)?),
-        t => return Err(corrupt(format!("unknown policy tag {t}"))),
-    })
-}
-
-fn put_spec(out: &mut Vec<u8>, spec: &ControllerSpec) {
-    match spec {
-        ControllerSpec::Ant(p) => {
-            out.put_u8(0);
-            out.put_f64_le(p.gamma);
-            out.put_f64_le(p.cs);
-            out.put_f64_le(p.cd);
-        }
-        ControllerSpec::PreciseSigmoid(p) => {
-            out.put_u8(1);
-            out.put_f64_le(p.gamma);
-            out.put_f64_le(p.eps);
-            out.put_f64_le(p.c_chi);
-            out.put_f64_le(p.cs);
-            out.put_f64_le(p.cd);
-            out.put_u8(u8::from(p.paper_literal_leave_prob));
-        }
-        ControllerSpec::PreciseAdversarial(p) => {
-            out.put_u8(2);
-            out.put_f64_le(p.gamma);
-            out.put_f64_le(p.eps);
-        }
-        ControllerSpec::Trivial => out.put_u8(3),
-        ControllerSpec::ExactGreedy(p) => {
-            out.put_u8(4);
-            out.put_f64_le(p.p_join);
-            out.put_f64_le(p.p_leave);
-        }
-        ControllerSpec::Hysteresis { depth, lazy } => {
-            out.put_u8(5);
-            out.put_u16_le(*depth);
-            match lazy {
-                None => out.put_u8(0),
-                Some(p) => {
-                    out.put_u8(1);
-                    out.put_f64_le(*p);
-                }
-            }
-        }
-        ControllerSpec::AntDesync(p) => {
-            out.put_u8(6);
-            out.put_f64_le(p.gamma);
-            out.put_f64_le(p.cs);
-            out.put_f64_le(p.cd);
-        }
-        ControllerSpec::Mix(parts) => {
-            out.put_u8(7);
-            out.put_u64_le(parts.len() as u64);
-            for (weight, sub) in parts {
-                out.put_f64_le(*weight);
-                put_spec(out, sub);
-            }
-        }
-        // v7: the proportional-control rival.
-        ControllerSpec::Proportional(p) => {
-            out.put_u8(8);
-            out.put_f64_le(p.gain);
-            out.put_u16_le(p.deadband);
-        }
-    }
-}
-
-fn get_spec(buf: &mut &[u8]) -> Result<ControllerSpec, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => ControllerSpec::Ant(AntParams {
-            gamma: get_f64(buf)?,
-            cs: get_f64(buf)?,
-            cd: get_f64(buf)?,
-        }),
-        1 => ControllerSpec::PreciseSigmoid(PreciseSigmoidParams {
-            gamma: get_f64(buf)?,
-            eps: get_f64(buf)?,
-            c_chi: get_f64(buf)?,
-            cs: get_f64(buf)?,
-            cd: get_f64(buf)?,
-            paper_literal_leave_prob: get_bool(buf)?,
-        }),
-        2 => ControllerSpec::PreciseAdversarial(PreciseAdversarialParams {
-            gamma: get_f64(buf)?,
-            eps: get_f64(buf)?,
-        }),
-        3 => ControllerSpec::Trivial,
-        4 => ControllerSpec::ExactGreedy(ExactGreedyParams {
-            p_join: get_f64(buf)?,
-            p_leave: get_f64(buf)?,
-        }),
-        5 => {
-            need(buf, 2)?;
-            let depth = buf.get_u16_le();
-            let lazy = if get_bool(buf)? {
-                Some(get_f64(buf)?)
-            } else {
-                None
-            };
-            ControllerSpec::Hysteresis { depth, lazy }
-        }
-        6 => ControllerSpec::AntDesync(AntParams {
-            gamma: get_f64(buf)?,
-            cs: get_f64(buf)?,
-            cd: get_f64(buf)?,
-        }),
-        7 => {
-            let len = get_u64(buf)? as usize;
-            if len == 0 || len > u16::MAX as usize {
-                return Err(corrupt(format!("implausible mix arity {len}")));
-            }
-            let mut parts = Vec::with_capacity(len.min(1 << 10));
-            for _ in 0..len {
-                let weight = get_f64(buf)?;
-                let sub = get_spec(buf)?;
-                if matches!(sub, ControllerSpec::Mix(_)) {
-                    return Err(corrupt("nested mix in checkpoint"));
-                }
-                parts.push((weight, sub));
-            }
-            ControllerSpec::Mix(parts)
-        }
-        8 => {
-            let gain = get_f64(buf)?;
-            need(buf, 2)?;
-            let deadband = buf.get_u16_le();
-            ControllerSpec::Proportional(ProportionalParams { gain, deadband })
-        }
-        t => return Err(corrupt(format!("unknown controller tag {t}"))),
-    })
-}
-
-/// v2 read-compat only: v3 writes timelines instead.
-fn get_schedule(buf: &mut &[u8]) -> Result<DemandSchedule, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => DemandSchedule::Static,
-        1 => DemandSchedule::Step {
-            at: get_u64(buf)?,
-            demands: get_u64s(buf)?,
-        },
-        2 => {
-            let len = get_u64(buf)? as usize;
-            let mut steps = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                steps.push((get_u64(buf)?, get_u64s(buf)?));
-            }
-            DemandSchedule::Steps(steps)
-        }
-        3 => DemandSchedule::Alternating {
-            a: get_u64s(buf)?,
-            b: get_u64s(buf)?,
-            half_period: get_u64(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown schedule tag {t}"))),
-    })
-}
-
-fn put_event(out: &mut Vec<u8>, event: &Event) {
-    match event {
-        Event::SetDemands(demands) => {
-            out.put_u8(0);
-            put_u64s(out, demands);
-        }
-        Event::Kill { count } => {
-            out.put_u8(1);
-            out.put_u64_le(*count as u64);
-        }
-        Event::Spawn { count } => {
-            out.put_u8(2);
-            out.put_u64_le(*count as u64);
-        }
-        Event::Scramble => out.put_u8(3),
-        Event::StampedeTo(j) => {
-            out.put_u8(4);
-            out.put_u64_le(*j as u64);
-        }
-        Event::SetNoise(model) => {
-            out.put_u8(5);
-            put_noise(out, model);
-        }
-        // v7: the arena experiments' site-local demand shock.
-        Event::SetTaskDemand { task, demand } => {
-            out.put_u8(6);
-            out.put_u64_le(*task as u64);
-            out.put_u64_le(*demand);
-        }
-    }
-}
-
-fn get_event(buf: &mut &[u8]) -> Result<Event, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => Event::SetDemands(get_u64s(buf)?),
-        1 => Event::Kill {
-            count: get_u64(buf)? as usize,
-        },
-        2 => Event::Spawn {
-            count: get_u64(buf)? as usize,
-        },
-        3 => Event::Scramble,
-        4 => Event::StampedeTo(get_u64(buf)? as usize),
-        5 => Event::SetNoise(get_noise(buf)?),
-        6 => Event::SetTaskDemand {
-            task: get_u64(buf)? as usize,
-            demand: get_u64(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown event tag {t}"))),
-    })
-}
-
-fn put_timeline(out: &mut Vec<u8>, timeline: &Timeline) {
-    out.put_u64_le(timeline.events.len() as u64);
-    for timed in &timeline.events {
-        out.put_u64_le(timed.at);
-        put_event(out, &timed.event);
-    }
-    out.put_u64_le(timeline.cycles.len() as u64);
-    for cycle in &timeline.cycles {
-        out.put_u64_le(cycle.start);
-        out.put_u64_le(cycle.period);
-        out.put_u64_le(cycle.events.len() as u64);
-        for event in &cycle.events {
-            put_event(out, event);
-        }
-    }
-    // v4: triggers and generators follow the cycles.
-    out.put_u64_le(timeline.triggers.len() as u64);
-    for trigger in &timeline.triggers {
-        put_condition(out, &trigger.when);
-        put_event(out, &trigger.event);
-        out.put_u64_le(trigger.cooldown);
-        out.put_u64_le(u64::from(trigger.max_firings));
-    }
-    out.put_u64_le(timeline.generators.len() as u64);
-    for generator in &timeline.generators {
-        out.put_u64_le(generator.start);
-        out.put_u64_le(generator.until);
-        out.put_f64_le(generator.mean_gap);
-        put_gen_shock(out, &generator.shock);
-    }
-}
-
-fn get_timeline(buf: &mut &[u8], version: u32) -> Result<Timeline, CheckpointError> {
-    let len = get_u64(buf)? as usize;
-    if len > 1 << 32 {
-        return Err(corrupt("implausible timeline length"));
-    }
-    let mut events = Vec::with_capacity(len.min(1 << 16));
-    for _ in 0..len {
-        events.push(TimedEvent {
-            at: get_u64(buf)?,
-            event: get_event(buf)?,
-        });
-    }
-    let cycles_len = get_u64(buf)? as usize;
-    if cycles_len > 1 << 20 {
-        return Err(corrupt("implausible cycle count"));
-    }
-    let mut cycles = Vec::with_capacity(cycles_len.min(1 << 10));
-    for _ in 0..cycles_len {
-        let start = get_u64(buf)?;
-        let period = get_u64(buf)?;
-        let n_events = get_u64(buf)? as usize;
-        if n_events > 1 << 20 {
-            return Err(corrupt("implausible cycle event count"));
-        }
-        let mut cycle_events = Vec::with_capacity(n_events.min(1 << 10));
-        for _ in 0..n_events {
-            cycle_events.push(get_event(buf)?);
-        }
-        cycles.push(Cycle {
-            start,
-            period,
-            events: cycle_events,
-        });
-    }
-    // v3 timelines end here; v4 appended triggers and generators.
-    let (triggers, generators) = if version >= 4 {
-        let trigger_len = get_u64(buf)? as usize;
-        if trigger_len > 1 << 16 {
-            return Err(corrupt("implausible trigger count"));
-        }
-        let mut triggers = Vec::with_capacity(trigger_len.min(1 << 10));
-        for _ in 0..trigger_len {
-            let when = get_condition(buf, 0)?;
-            let event = get_event(buf)?;
-            let cooldown = get_u64(buf)?;
-            let max_firings = get_u64(buf)?;
-            let max_firings = u32::try_from(max_firings)
-                .map_err(|_| corrupt(format!("implausible max_firings {max_firings}")))?;
-            triggers.push(Trigger {
-                when,
-                event,
-                cooldown,
-                max_firings,
-            });
-        }
-        let gen_len = get_u64(buf)? as usize;
-        if gen_len > 1 << 16 {
-            return Err(corrupt("implausible generator count"));
-        }
-        let mut generators = Vec::with_capacity(gen_len.min(1 << 10));
-        for _ in 0..gen_len {
-            generators.push(TimelineGen {
-                start: get_u64(buf)?,
-                until: get_u64(buf)?,
-                mean_gap: get_f64(buf)?,
-                shock: get_gen_shock(buf)?,
-            });
-        }
-        (triggers, generators)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    Ok(Timeline {
-        events,
-        cycles,
-        triggers,
-        generators,
-    })
-}
-
-fn put_condition(out: &mut Vec<u8>, condition: &Condition) {
-    match condition {
-        Condition::RegretAbove {
-            threshold,
-            for_rounds,
-        } => {
-            out.put_u8(0);
-            out.put_u64_le(*threshold);
-            out.put_u32_le(*for_rounds);
-        }
-        Condition::RegretBelow {
-            threshold,
-            for_rounds,
-        } => {
-            out.put_u8(1);
-            out.put_u64_le(*threshold);
-            out.put_u32_le(*for_rounds);
-        }
-        Condition::PopulationBelow { threshold } => {
-            out.put_u8(2);
-            out.put_u64_le(*threshold as u64);
-        }
-        Condition::RoundReached { round } => {
-            out.put_u8(3);
-            out.put_u64_le(*round);
-        }
-        Condition::And(a, b) => {
-            out.put_u8(4);
-            put_condition(out, a);
-            put_condition(out, b);
-        }
-        Condition::Or(a, b) => {
-            out.put_u8(5);
-            put_condition(out, a);
-            put_condition(out, b);
-        }
-        // v7: per-task deficit conditions.
-        Condition::DeficitAbove {
-            task,
-            threshold,
-            for_rounds,
-        } => {
-            out.put_u8(6);
-            out.put_u64_le(*task as u64);
-            out.put_i64_le(*threshold);
-            out.put_u32_le(*for_rounds);
-        }
-        Condition::DeficitRateAbove {
-            task,
-            min_rise,
-            for_rounds,
-        } => {
-            out.put_u8(7);
-            out.put_u64_le(*task as u64);
-            out.put_i64_le(*min_rise);
-            out.put_u32_le(*for_rounds);
-        }
-    }
-}
-
-/// `depth` guards the recursion: a crafted byte stream of nested
-/// `And` tags must error out, not blow the stack.
-fn get_condition(buf: &mut &[u8], depth: u32) -> Result<Condition, CheckpointError> {
-    if depth > 64 {
-        return Err(corrupt("condition nesting too deep"));
-    }
-    Ok(match get_u8(buf)? {
-        0 => Condition::RegretAbove {
-            threshold: get_u64(buf)?,
-            for_rounds: get_u32(buf)?,
-        },
-        1 => Condition::RegretBelow {
-            threshold: get_u64(buf)?,
-            for_rounds: get_u32(buf)?,
-        },
-        2 => Condition::PopulationBelow {
-            threshold: get_u64(buf)? as usize,
-        },
-        3 => Condition::RoundReached {
-            round: get_u64(buf)?,
-        },
-        4 => Condition::And(
-            Box::new(get_condition(buf, depth + 1)?),
-            Box::new(get_condition(buf, depth + 1)?),
-        ),
-        5 => Condition::Or(
-            Box::new(get_condition(buf, depth + 1)?),
-            Box::new(get_condition(buf, depth + 1)?),
-        ),
-        6 => Condition::DeficitAbove {
-            task: get_u64(buf)? as usize,
-            threshold: get_i64(buf)?,
-            for_rounds: get_u32(buf)?,
-        },
-        7 => Condition::DeficitRateAbove {
-            task: get_u64(buf)? as usize,
-            min_rise: get_i64(buf)?,
-            for_rounds: get_u32(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown condition tag {t}"))),
-    })
-}
-
-fn put_gen_shock(out: &mut Vec<u8>, shock: &GenShock) {
-    match shock {
-        GenShock::Kill { min_frac, max_frac } => {
-            out.put_u8(0);
-            out.put_f64_le(*min_frac);
-            out.put_f64_le(*max_frac);
-        }
-        GenShock::Spawn { min_frac, max_frac } => {
-            out.put_u8(1);
-            out.put_f64_le(*min_frac);
-            out.put_f64_le(*max_frac);
-        }
-        GenShock::Scramble => out.put_u8(2),
-        GenShock::DemandStep {
-            min_factor,
-            max_factor,
-        } => {
-            out.put_u8(3);
-            out.put_f64_le(*min_factor);
-            out.put_f64_le(*max_factor);
-        }
-    }
-}
-
-fn get_gen_shock(buf: &mut &[u8]) -> Result<GenShock, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => GenShock::Kill {
-            min_frac: get_f64(buf)?,
-            max_frac: get_f64(buf)?,
-        },
-        1 => GenShock::Spawn {
-            min_frac: get_f64(buf)?,
-            max_frac: get_f64(buf)?,
-        },
-        2 => GenShock::Scramble,
-        3 => GenShock::DemandStep {
-            min_factor: get_f64(buf)?,
-            max_factor: get_f64(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown generator shock tag {t}"))),
-    })
-}
-
-fn put_initial(out: &mut Vec<u8>, initial: &InitialConfig) {
-    match initial {
-        InitialConfig::AllIdle => out.put_u8(0),
-        InitialConfig::AllOnTask(j) => {
-            out.put_u8(1);
-            out.put_u64_le(*j as u64);
-        }
-        InitialConfig::UniformRandom => out.put_u8(2),
-        InitialConfig::Saturated => out.put_u8(3),
-        InitialConfig::Inverted => out.put_u8(4),
-        InitialConfig::SaturatedPlus { extra } => {
-            out.put_u8(5);
-            out.put_u64_le(*extra);
-        }
-    }
-}
-
-fn get_initial(buf: &mut &[u8]) -> Result<InitialConfig, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => InitialConfig::AllIdle,
-        1 => InitialConfig::AllOnTask(get_u64(buf)? as usize),
-        2 => InitialConfig::UniformRandom,
-        3 => InitialConfig::Saturated,
-        4 => InitialConfig::Inverted,
-        5 => InitialConfig::SaturatedPlus {
-            extra: get_u64(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown initial-config tag {t}"))),
-    })
+    (0..len).map(|_| get_u64(buf)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observer::NullObserver;
-    use antalloc_core::AntParams;
+    use antalloc_core::{
+        AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
+        ProportionalParams,
+    };
+    use antalloc_env::{Condition, DemandSchedule, Event, InitialConfig, Timeline, Trigger};
+    use antalloc_noise::GreyZonePolicy;
+
+    /// The frozen fixture: a 3-site arena, a Precise Sigmoid +
+    /// Proportional mix captured mid-phase, a `deficit-rate-above`
+    /// trigger, a generator and a `set-noise` switch — a stream with
+    /// every section populated.
+    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint_v8.ckpt");
 
     fn config() -> SimConfig {
         SimConfig::builder(200, vec![30, 40])
@@ -1482,6 +844,35 @@ mod tests {
             .seed(99)
             .build()
             .expect("valid scenario")
+    }
+
+    /// The config section's text (it follows the 24-byte header).
+    fn config_text(bytes: &[u8]) -> &str {
+        let len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+        std::str::from_utf8(&bytes[32..32 + len]).unwrap()
+    }
+
+    /// `bytes` with its config section replaced by `text`.
+    fn with_config_text(bytes: &[u8], text: &str) -> Vec<u8> {
+        let old_len = config_text(bytes).len();
+        let mut out = bytes[..24].to_vec();
+        out.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        out.extend_from_slice(text.as_bytes());
+        out.extend_from_slice(&bytes[32 + old_len..]);
+        out
+    }
+
+    /// The offsets at which each section of `cp.to_bytes()` ends.
+    fn section_ends(cp: &Checkpoint) -> Vec<usize> {
+        let noise = toml::write(&noise_to_value(&cp.current_noise));
+        [8, 16, 8 + cp.config.to_toml().len(), 8 + noise.len()]
+            .into_iter()
+            .chain(cp.runtime_section_lens())
+            .scan(0, |at, len| {
+                *at += len;
+                Some(*at)
+            })
+            .collect()
     }
 
     #[test]
@@ -1525,6 +916,20 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(Checkpoint::from_bytes(&long).is_err());
+        // Any version but the current one, named in the error.
+        assert_eq!(bytes[4..8], VERSION.to_le_bytes());
+        for other in [2u32, 7, 9] {
+            let mut stale = bytes.clone();
+            stale[4..8].copy_from_slice(&other.to_le_bytes());
+            let Err(CheckpointError::Corrupt(msg)) = Checkpoint::from_bytes(&stale) else {
+                panic!("a v{other} stream must be rejected as corrupt");
+            };
+            assert!(
+                msg.contains(&format!("version {other}"))
+                    && msg.contains(&format!("version {VERSION}")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
@@ -1588,27 +993,42 @@ mod tests {
 
     #[test]
     fn random_byte_mutations_never_panic() {
-        // Fuzz the decoder: flipping any single byte must yield either a
-        // clean error or a decoded checkpoint — never a panic. (Length
-        // fields are validated before allocation.)
-        let mut e = config().build();
-        let mut obs = NullObserver;
-        e.run(4, &mut obs);
-        let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
-        for i in 0..bytes.len().min(512) {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0x5A;
-            let _ = Checkpoint::from_bytes(&mutated);
+        // Fuzz the decoder on the frozen fixture, whose stream populates
+        // every section: flipping any byte of the two text sections or a
+        // stride of bytes across the binary sections, and truncating at
+        // every section boundary, must yield a checkpoint that restores
+        // and steps, or `Corrupt` — never a panic. (Length fields are
+        // validated before allocation.)
+        let cp = Checkpoint::from_bytes(FIXTURE).expect("fixture decodes");
+        let ends = section_ends(&cp);
+        assert_eq!(ends.last(), Some(&FIXTURE.len()));
+        let check = |bytes: &[u8]| match Checkpoint::from_bytes(bytes) {
+            Ok(back) => back.restore().run(2, &mut NullObserver),
+            Err(CheckpointError::Corrupt(_)) => {}
+            Err(e) => panic!("unexpected error {e:?}"),
+        };
+        let texts = (ends[1] + 8..ends[2]).chain(ends[2] + 8..ends[3]);
+        for i in texts {
+            for mask in [0x01, 0x20, 0x5A] {
+                let mut mutated = FIXTURE.to_vec();
+                mutated[i] ^= mask;
+                check(&mutated);
+            }
         }
-        // Random truncations likewise.
-        for len in [0usize, 1, 7, 8, 9, bytes.len() / 2, bytes.len() - 1] {
-            let _ = Checkpoint::from_bytes(&bytes[..len]);
+        for i in (0..FIXTURE.len()).step_by(7) {
+            let mut mutated = FIXTURE.to_vec();
+            mutated[i] ^= 0x5A;
+            check(&mutated);
+        }
+        for &end in &ends {
+            check(&FIXTURE[..end - 1]);
+            check(&FIXTURE[..end]);
         }
     }
 
     #[test]
     fn scratch_for_non_sigmoid_colonies_is_rejected_not_panicked() {
-        // A crafted v5 stream that claims Precise Sigmoid scratch for an
+        // A crafted stream that claims Precise Sigmoid scratch for an
         // Ant colony must come back as a clean corrupt error — reaching
         // `restore()` would panic in `apply_scratch`.
         let mut e = config().build(); // Ant colony, 2 tasks
@@ -1759,34 +1179,54 @@ mod tests {
 
     #[test]
     fn deeply_nested_condition_bytes_error_instead_of_overflowing() {
-        // A byte stream of 100 nested `and` tags must come back as a
-        // clean corrupt error, not a stack overflow.
-        let mut e = {
-            let cfg = SimConfig::builder(50, vec![10])
-                .noise(NoiseModel::Exact)
-                .controller(ControllerSpec::Trivial)
-                .build()
-                .unwrap();
-            cfg.build()
+        // The deepest valid trigger condition — 64 nested `and`s —
+        // round-trips; a config section nesting 100 000 of them comes
+        // back as a clean corrupt error, not a stack overflow, and one
+        // level past the validation cap is corrupt too.
+        let leaf = || Condition::RoundReached { round: 1 };
+        let chain = |depth: usize| {
+            (0..depth).fold(leaf(), |a, _| Condition::And(Box::new(a), Box::new(leaf())))
         };
-        let mut obs = NullObserver;
-        e.run(2, &mut obs);
-        let mut bytes = Checkpoint::capture(&e).unwrap().to_bytes();
-        // Patch the timeline's trigger section: locate it by rebuilding
-        // the prefix is brittle, so instead decode-and-cross-check via a
-        // synthetic buffer fed straight to the condition reader.
-        let mut cond = vec![4u8; 100]; // 100 nested `And` left arms
-        cond.push(0xFF);
-        let mut slice: &[u8] = &cond;
-        assert!(super::get_condition(&mut slice, 0).is_err());
+        let cfg = SimConfig::builder(50, vec![10])
+            .noise(NoiseModel::Exact)
+            .controller(ControllerSpec::Trivial)
+            .trigger(Trigger::once(chain(64), Event::Scramble))
+            .build()
+            .unwrap();
+        let mut e = cfg.build();
+        e.run(2, &mut NullObserver);
+        let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
+        assert_eq!(Checkpoint::from_bytes(&bytes).unwrap().config(), &cfg);
+
+        let text = config_text(&bytes);
+        let when = text
+            .lines()
+            .find(|l| l.starts_with("when = "))
+            .expect("the trigger's condition line");
+        let leaf_text = "{ kind = \"round-reached\", round = 1 }";
+        let deep = |depth: usize| {
+            format!(
+                "when = {}{leaf_text}{}",
+                "{ kind = \"and\", a = ".repeat(depth),
+                format!(", b = {leaf_text} }}").repeat(depth)
+            )
+        };
+        for (depth, expect) in [(100_000, "nesting"), (65, "64")] {
+            let crafted = with_config_text(&bytes, &text.replace(when, &deep(depth)));
+            let err = Checkpoint::from_bytes(&crafted).expect_err("must reject");
+            assert!(
+                matches!(&err, CheckpointError::Corrupt(msg) if msg.contains(expect)),
+                "depth {depth}: {err}"
+            );
+        }
         // And a truncated tail still errors cleanly end-to-end.
-        bytes.truncate(bytes.len() - 1);
-        assert!(Checkpoint::from_bytes(&bytes).is_err());
+        assert!(Checkpoint::from_bytes(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]
     fn all_enum_variants_roundtrip() {
-        // Exercise every codec arm via synthetic configs.
+        // Round-trip every controller, noise, timeline and initial-config
+        // shape via synthetic configs.
         let specs = [
             ControllerSpec::Trivial,
             ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
@@ -1800,6 +1240,10 @@ mod tests {
             },
             ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.03, 0.5)),
             ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.03, 0.5)),
+            ControllerSpec::Proportional(ProportionalParams {
+                gain: 0.5,
+                deadband: 3,
+            }),
         ];
         let noises = [
             NoiseModel::Exact,
@@ -1877,7 +1321,10 @@ mod tests {
             };
             let e = cfg.build();
             let cp = Checkpoint::capture(&e).unwrap();
-            let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
+            let bytes = cp.to_bytes();
+            // The config section is the canonical scenario text.
+            assert_eq!(config_text(&bytes), cfg.to_toml(), "spec {i}");
+            let back = Checkpoint::from_bytes(&bytes).unwrap();
             assert_eq!(cp, back, "spec {i}");
         }
     }

@@ -235,9 +235,9 @@ impl ControllerSpec {
     /// like [`ControllerSpec::phase_len`], except that kinds whose
     /// mid-phase state is fully serialized as
     /// [`antalloc_core::ControllerScratch`] contribute 1: Precise
-    /// Sigmoid's counters travel in the checkpoint (format v5) and
-    /// Precise Adversarial's phase trackers since v6, so their
-    /// `O(1/ε)`-round phases no longer restrict capture rounds.
+    /// Sigmoid's counters and Precise Adversarial's phase trackers
+    /// travel in the checkpoint, so their `O(1/ε)`-round phases do not
+    /// restrict capture rounds.
     pub fn capture_phase_len(&self, num_tasks: usize) -> u64 {
         match self {
             ControllerSpec::PreciseSigmoid(_) | ControllerSpec::PreciseAdversarial(_) => 1,
@@ -460,8 +460,8 @@ mod tests {
             2,
             "lcm(ant 2, sigmoid 1)"
         );
-        // Precise Adversarial gained its scratch codec in v6: capture
-        // anywhere, even though its stepping phase is 5·r1 rounds.
+        // Precise Adversarial's phase trackers are serialized too:
+        // capture anywhere, even though its stepping phase is 5·r1 rounds.
         assert_eq!(
             ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.03, 0.5))
                 .capture_phase_len(2),

@@ -789,12 +789,10 @@ impl SyncEngine {
     /// from `config.noise` after a `SetNoise` event); `cursor` is the
     /// number of one-shot events of the *compiled* timeline already
     /// consumed (generators re-expand identically from the seed);
-    /// `trigger_states` is the captured runtime state of every trigger
-    /// (empty for pre-trigger checkpoint formats, which cannot carry
-    /// triggers in the first place); `scratch` carries mid-phase
-    /// controller counters (Precise Sigmoid) for captures between phase
-    /// boundaries (empty for pre-v5 formats, whose captures were
-    /// boundary-only and therefore scratch-free).
+    /// `trigger_states` is the captured runtime state of every trigger;
+    /// `scratch` carries mid-phase controller state (Precise Sigmoid,
+    /// Precise Adversarial, Proportional) for captures between phase
+    /// boundaries.
     #[allow(clippy::too_many_arguments)] // checkpoint-internal plumbing
     pub(crate) fn restore_parts_in(
         &mut self,

@@ -39,10 +39,10 @@
 //! * [`Observer`] — per-round measurement hook; [`BasicObserver`]
 //!   bundles the standard metrics, [`TraceRecorder`] stores downsampled
 //!   series and writes CSV.
-//! * [`Checkpoint`] — versioned binary snapshots, exact at phase
-//!   boundaries (see `checkpoint` module docs); restored engines carry
-//!   their full [`SimConfig`], so a checkpoint can always be re-encoded
-//!   as a scenario file.
+//! * [`Checkpoint`] — versioned snapshots, exact at capture-phase
+//!   boundaries (see `checkpoint` module docs); the config travels as
+//!   its canonical scenario TOML, so a checkpoint can always be
+//!   re-exported as a scenario file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

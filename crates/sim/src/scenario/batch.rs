@@ -60,10 +60,10 @@ use crate::scenario::ConfigError;
 /// layout changes so stale entries become misses, not misreads.
 const OUTCOME_DOMAIN: &str = "antalloc.outcome.v1";
 
-/// Domain tag of shared-prefix checkpoint fingerprints. The payload is
-/// a self-versioned checkpoint stream, so this only needs bumping if
-/// the *inputs* to the key change meaning.
-const PREFIX_DOMAIN: &str = "antalloc.prefix-checkpoint.v1";
+/// Domain tag of shared-prefix checkpoint fingerprints; bump when the
+/// checkpoint format changes (or the key's inputs change meaning), so
+/// entries in an older format become misses before they are decoded.
+const PREFIX_DOMAIN: &str = "antalloc.prefix-checkpoint.v2";
 
 /// One sweep-axis coordinate as recorded in a [`RunOutcome`].
 ///

@@ -10,14 +10,16 @@
 //! config with e.g. `cd = inf` round-trips (covered by
 //! `non_finite_params_roundtrip_through_json`).
 
-use crate::scenario::value::Value;
+use crate::scenario::value::{Value, MAX_NESTING};
 use crate::scenario::ConfigError;
 
-/// Parses a JSON document.
+/// Parses a JSON document. Arrays and objects nested deeper than
+/// 128 levels are a parse error.
 pub fn parse(text: &str) -> Result<Value, ConfigError> {
     let mut p = Parser {
         chars: text.chars().collect(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -112,6 +114,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -144,8 +148,8 @@ impl Parser {
     fn value(&mut self) -> Result<Value, ConfigError> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => self.string().map(Value::Str),
             Some('t') => self.literal("true", Value::Bool(true)),
             Some('f') => self.literal("false", Value::Bool(false)),
@@ -154,6 +158,21 @@ impl Parser {
             Some(c) => Err(self.error(format!("unexpected `{c}`"))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object level, refusing to open more than
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ConfigError>,
+    ) -> Result<Value, ConfigError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ConfigError> {
@@ -319,6 +338,7 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
+        let deep = "[".repeat(200_000);
         for bad in [
             "",
             "{",
@@ -330,8 +350,12 @@ mod tests {
             "null",
             "{} extra",
             "{\"a\": 1,}x",
+            &deep, // nesting past the cap, not a stack overflow
         ] {
-            assert!(parse(bad).is_err(), "`{bad}` should fail");
+            assert!(
+                matches!(parse(bad), Err(ConfigError::Parse(_))),
+                "`{bad}` should fail"
+            );
         }
     }
 

@@ -195,12 +195,13 @@ impl SimConfig {
 mod tests {
     use super::*;
     use antalloc_core::AntParams;
-    use antalloc_env::{DemandSchedule, InitialConfig};
+    use antalloc_env::{Condition, DemandSchedule, Event, InitialConfig, Trigger};
     use antalloc_noise::{GreyZonePolicy, NoiseModel};
 
     use crate::config::ControllerSpec;
 
     fn rich_scenario() -> Scenario {
+        let leaf = || Condition::RoundReached { round: 1 };
         let config = SimConfig::builder(4000, vec![400, 700, 300])
             .noise(NoiseModel::Adversarial {
                 gamma_ad: 0.05,
@@ -213,6 +214,12 @@ mod tests {
                 (8000, vec![500, 500, 400]),
             ]))
             .initial(InitialConfig::SaturatedPlus { extra: 7 })
+            // 64 nested `and`s, the deepest condition validation
+            // accepts, must fit under the parsers' nesting cap.
+            .trigger(Trigger::once(
+                (0..64).fold(leaf(), |a, _| Condition::And(Box::new(a), Box::new(leaf()))),
+                Event::Scramble,
+            ))
             .build()
             .unwrap();
         Scenario::new(config).named("rich")

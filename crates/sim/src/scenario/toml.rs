@@ -10,7 +10,7 @@
 //! element, including through nested paths). Not supported: dotted
 //! keys, datetimes, multi-line strings.
 
-use crate::scenario::value::Value;
+use crate::scenario::value::{Value, MAX_NESTING};
 use crate::scenario::ConfigError;
 
 /// Parses a TOML document into a [`Value::Table`].
@@ -18,11 +18,14 @@ use crate::scenario::ConfigError;
 /// Duplicate keys and duplicate `[section]` headers are errors, not
 /// last-wins: a scenario file where the same parameter appears twice
 /// would otherwise silently run with whichever value came last.
+/// Nesting — a value's section-header path plus its inline arrays and
+/// tables — deeper than 128 levels is an error too.
 pub fn parse(text: &str) -> Result<Value, ConfigError> {
     let mut parser = Parser {
         chars: text.chars().collect(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     let mut root = Value::table();
     let mut path: Vec<String> = Vec::new();
@@ -39,6 +42,9 @@ pub fn parse(text: &str) -> Result<Value, ConfigError> {
                 parser.bump();
             }
             path = parser.key_path()?;
+            if path.len() > MAX_NESTING {
+                return Err(parser.error(format!("nesting deeper than {MAX_NESTING} levels")));
+            }
             parser.expect(']')?;
             if array_of_tables {
                 parser.expect(']')?;
@@ -75,6 +81,7 @@ pub fn parse(text: &str) -> Result<Value, ConfigError> {
             let key = parser.key()?;
             parser.skip_inline_ws();
             parser.expect('=')?;
+            parser.depth = path.len();
             let value = parser.value()?;
             parser.expect_line_end()?;
             let line = parser.line;
@@ -366,6 +373,9 @@ struct Parser {
     chars: Vec<char>,
     pos: usize,
     line: u32,
+    /// Nesting levels open around the value being parsed: the section
+    /// header's path plus the inline arrays and tables entered.
+    depth: usize,
 }
 
 impl Parser {
@@ -486,13 +496,28 @@ impl Parser {
         self.skip_inline_ws();
         match self.peek() {
             Some('"') => self.string(),
-            Some('[') => self.array(),
-            Some('{') => self.inline_table(),
+            Some('[') => self.nested(Self::array),
+            Some('{') => self.nested(Self::inline_table),
             Some('t') | Some('f') | Some('i') | Some('n') => self.word(),
             Some(c) if c == '+' || c == '-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(format!("expected value, found `{c}`"))),
             None => Err(self.error("expected value, found end of input")),
         }
+    }
+
+    /// Parses one inline array or table level, refusing to open more
+    /// than [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ConfigError>,
+    ) -> Result<Value, ConfigError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<Value, ConfigError> {
@@ -747,6 +772,8 @@ period = 1_000
 
     #[test]
     fn rejects_malformed_documents() {
+        let deep_value = format!("n = {}", "[".repeat(200_000));
+        let deep_header = format!("[{}]", vec!["a"; 200_000].join("."));
         for bad in [
             "n = ",
             "n 4",
@@ -760,6 +787,8 @@ period = 1_000
             "x = 1\n[[x]]\n",             // array-of-tables vs existing scalar
             "[x]\n[[x]]\n",               // array-of-tables vs existing table
             "[[x]]\na = 1\n[x]\nb = 2\n", // plain header reopening an array
+            &deep_value,                  // nesting past the cap, not a stack overflow
+            &deep_header,
         ] {
             let err = parse(bad).unwrap_err();
             assert!(matches!(err, ConfigError::Parse(_)), "`{bad}` gave {err:?}");

@@ -7,6 +7,13 @@
 
 use crate::scenario::ConfigError;
 
+/// The deepest nesting of tables and arrays the TOML and JSON parsers
+/// accept. The parsers, the codec and `Drop` all recurse once per
+/// level, so an unbounded document could overflow the stack; 128 levels
+/// leave room for the deepest valid trigger condition (64 nested
+/// `and`/`or` levels) inside a timeline.
+pub(crate) const MAX_NESTING: usize = 128;
+
 /// One node of a parsed scenario document.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {

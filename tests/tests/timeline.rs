@@ -1,18 +1,20 @@
 //! The timeline subsystem end to end: a pure-TOML shock script runs
 //! under the batch runner bit-identically to serial runs, survives
 //! checkpoint-restore mid-timeline, fires identically under both
-//! engines, and older checkpoints (v3 pre-trigger, v2 pre-timeline)
-//! still load.
+//! engines, and a frozen current-format checkpoint still loads and
+//! continues exactly.
 //!
 //! The second half pins the PR-4 adversarial layer: a pure-TOML
 //! scenario with a regret-*triggered* scramble and a *generated*
 //! Poisson kill schedule runs under `Batch` across 8 seeds bit-identical
-//! to serial, and survives mid-timeline checkpoint-restore in the v4
-//! format (trigger state included).
+//! to serial, and survives mid-timeline checkpoint-restore (trigger
+//! state included).
 
-use antalloc_core::AntParams;
-use antalloc_env::{Condition, DemandSchedule, Event, GenShock, Timeline, TimelineGen, Trigger};
-use antalloc_noise::NoiseModel;
+use antalloc_core::{AntParams, PreciseSigmoidParams, ProportionalParams};
+use antalloc_env::{
+    ArenaConfig, Condition, DemandSchedule, Event, GenShock, Timeline, TimelineGen, Trigger,
+};
+use antalloc_noise::{GreyZonePolicy, NoiseModel};
 use antalloc_sim::{
     Batch, Checkpoint, ControllerSpec, FnObserver, NullObserver, RoundRecord, RunSummary, Scenario,
     SimConfig,
@@ -391,8 +393,8 @@ fn adversarial_mid_timeline_checkpoint_restore_replays_bit_identically() {
     let bytes = cp.to_bytes();
     assert_eq!(
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        7,
-        "current checkpoints are format v7"
+        8,
+        "current checkpoints are format v8"
     );
     let restored = Checkpoint::from_bytes(&bytes).expect("decodes");
     assert_eq!(cp, restored);
@@ -433,206 +435,92 @@ fn sequential_engine_consumes_triggers_and_generators_deterministically() {
     assert!(a.colony().recount_consistent());
 }
 
-#[test]
-fn v3_checkpoints_still_load_and_continue_exactly() {
-    // Fixture written by the v3 (pre-trigger) format: the shock-script
-    // scenario captured at round 100. It must decode, carry the same
-    // config, and continue bit-identically to an uninterrupted run.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let cp = Checkpoint::load(&dir.join("checkpoint_v3_timeline.ckpt")).expect("v3 fixture loads");
-    assert_eq!(cp.round(), 100);
-    assert_eq!(cp.config(), &shock_config());
-
-    let mut obs = NullObserver;
-    let mut resumed = cp.restore();
-    resumed.run(160, &mut obs); // crosses the scramble, noise switch, spawn
-    let mut fresh = shock_config().build();
-    fresh.run(260, &mut obs);
-    assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
-    assert_eq!(fresh.colony().loads(), resumed.colony().loads());
-    assert_eq!(resumed.colony().num_ants(), 1000);
-    // A v3 checkpoint re-saved today is a v7 byte stream that
-    // round-trips.
-    let resaved = cp.to_bytes();
-    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 7);
-    assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
-}
-
-#[test]
-fn v4_checkpoints_still_load_and_continue_exactly() {
-    // Fixture written by the v4 (pre-scratch) format: an Ant colony
-    // under a trigger and a generated kill schedule, captured at round
-    // 80. It must decode (empty scratch section), carry the same
-    // config — triggers and generators included — and continue
-    // bit-identically to an uninterrupted run.
-    let expected = SimConfig::builder(400, vec![60, 90])
+/// The scenario frozen in `fixtures/checkpoint_v8.ckpt`: a mixed Precise
+/// Sigmoid + Proportional colony in a 3-site arena, with a
+/// `deficit-rate-above` trigger, a generated kill schedule, and
+/// `set-noise` switches on both sides of the captured round.
+fn v8_fixture_config() -> SimConfig {
+    SimConfig::builder(150, vec![20, 25, 30])
         .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-        .controller(ControllerSpec::Ant(AntParams::new(1.0 / 16.0)))
-        .seed(0xF4C)
+        .controller(ControllerSpec::Mix(vec![
+            (
+                1.0,
+                ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
+            ),
+            (
+                1.0,
+                ControllerSpec::Proportional(ProportionalParams {
+                    gain: 0.5,
+                    deadband: 2,
+                }),
+            ),
+        ]))
+        .arena(ArenaConfig {
+            site_of_task: vec![0, 1, 2],
+            travel_rounds: 2,
+            wander_probability: 0.05,
+        })
+        .seed(0xF8C)
+        .event(
+            20,
+            Event::SetNoise(NoiseModel::Adversarial {
+                gamma_ad: 0.05,
+                policy: GreyZonePolicy::RandomLack(0.25),
+            }),
+        )
+        .event(60, Event::SetNoise(NoiseModel::Sigmoid { lambda: 2.0 }))
         .trigger(Trigger {
-            when: Condition::RegretBelow {
-                threshold: 40,
-                for_rounds: 4,
+            when: Condition::DeficitRateAbove {
+                task: 0,
+                min_rise: 1,
+                for_rounds: 2,
             },
-            event: Event::StampedeTo(0),
-            cooldown: 30,
-            max_firings: 2,
+            event: Event::Scramble,
+            cooldown: 15,
+            max_firings: 0,
         })
         .generate(TimelineGen {
-            start: 5,
-            until: 400,
-            mean_gap: 50.0,
+            start: 10,
+            until: 200,
+            mean_gap: 25.0,
             shock: GenShock::Kill {
                 min_frac: 0.02,
                 max_frac: 0.05,
             },
         })
         .build()
-        .unwrap();
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let cp = Checkpoint::load(&dir.join("checkpoint_v4_trigger.ckpt")).expect("v4 fixture loads");
-    assert_eq!(cp.round(), 80);
-    assert_eq!(cp.config(), &expected);
+        .expect("fixture scenario validates")
+}
+
+#[test]
+fn v8_checkpoint_fixture_loads_and_continues_exactly() {
+    // A frozen v8 stream captured at round 37: mid-phase for Precise
+    // Sigmoid, after the first noise switch. It must decode to the same
+    // config, re-encode to the same bytes (so a silent layout change
+    // fails here), and continue bit-identically to an uninterrupted run
+    // across later generated kills, trigger firings and the second
+    // noise switch.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/checkpoint_v8.ckpt");
+    let bytes = std::fs::read(&path).expect("v8 fixture present");
+    let cp = Checkpoint::from_bytes(&bytes).expect("v8 fixture decodes");
+    let config = v8_fixture_config();
+    assert_eq!(cp.round(), 37);
+    assert_eq!(cp.config(), &config);
+    assert_eq!(cp.to_bytes(), bytes, "the writer's layout drifted");
 
     let mut obs = NullObserver;
     let mut resumed = cp.restore();
-    resumed.run(120, &mut obs); // crosses later generated kills
-    let mut fresh = expected.build();
-    fresh.run(200, &mut obs);
+    resumed.run(123, &mut obs);
+    let mut fresh = config.build();
+    fresh.run(160, &mut obs);
     assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
     assert_eq!(fresh.colony().loads(), resumed.colony().loads());
+    assert_eq!(fresh.colony().demands(), resumed.colony().demands());
     assert_eq!(fresh.trigger_states(), resumed.trigger_states());
-    // Re-saved today it is a v7 byte stream that round-trips.
-    let resaved = cp.to_bytes();
-    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 7);
-    assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
-}
-
-#[test]
-fn v5_checkpoints_still_load_and_continue_exactly() {
-    // Fixture written by the v5 format (pre-adversarial-scratch): a
-    // Precise Sigmoid colony captured mid-phase at round 37, with a
-    // kill and a demand step still ahead of it. It must decode (its
-    // sigmoid scratch section intact), carry the same config, and
-    // continue bit-identically to an uninterrupted run.
-    let expected = SimConfig::builder(120, vec![20, 30])
-        .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-        .controller(ControllerSpec::PreciseSigmoid(
-            antalloc_core::PreciseSigmoidParams::new(0.05, 0.5),
-        ))
-        .seed(0xF5C)
-        .timeline(
-            Timeline::new()
-                .at(25, Event::Kill { count: 20 })
-                .at(55, Event::SetDemands(vec![30, 20])),
-        )
-        .build()
-        .unwrap();
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let cp = Checkpoint::load(&dir.join("checkpoint_v5_sigmoid.ckpt")).expect("v5 fixture loads");
-    assert_eq!(cp.round(), 37);
-    assert_eq!(cp.config(), &expected);
-
-    let mut obs = NullObserver;
-    let mut resumed = cp.restore();
-    resumed.run(63, &mut obs); // crosses the demand step at round 55
-    let mut fresh = expected.build();
-    fresh.run(100, &mut obs);
-    assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
-    assert_eq!(fresh.colony().loads(), resumed.colony().loads());
-    // Re-saved today it is a v7 byte stream that round-trips.
-    let resaved = cp.to_bytes();
-    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 7);
-    assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
-}
-
-#[test]
-fn v6_checkpoints_still_load_and_continue_exactly() {
-    // Fixture written by the v6 format (pre-arena, pre-proportional): a
-    // Precise Adversarial colony captured mid-phase at round 37. It
-    // must decode (its adversarial scratch section intact, no arena
-    // section, trigger states without deficit history), carry the same
-    // config, and continue bit-identically to an uninterrupted run.
-    let expected = SimConfig::builder(100, vec![15, 25])
-        .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-        .controller(ControllerSpec::PreciseAdversarial(
-            antalloc_core::PreciseAdversarialParams::new(0.05, 0.5),
-        ))
-        .seed(0xF6C)
-        .timeline(Timeline::new().at(50, Event::Kill { count: 10 }))
-        .build()
-        .unwrap();
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let cp =
-        Checkpoint::load(&dir.join("checkpoint_v6_adversarial.ckpt")).expect("v6 fixture loads");
-    assert_eq!(cp.round(), 37);
-    assert_eq!(cp.config(), &expected);
-
-    let mut obs = NullObserver;
-    let mut resumed = cp.restore();
-    resumed.run(63, &mut obs); // crosses the kill at round 50
-    let mut fresh = expected.build();
-    fresh.run(100, &mut obs);
-    assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
-    assert_eq!(fresh.colony().loads(), resumed.colony().loads());
-    // Re-saved today it is a v7 byte stream that round-trips.
-    let resaved = cp.to_bytes();
-    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 7);
-    assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
-}
-
-#[test]
-fn v2_checkpoints_still_load_and_continue_exactly() {
-    // Fixtures written by the v2 (pre-timeline) format: the schedule
-    // section compiles to a timeline on load and the continuation must
-    // match a fresh run of the equivalent config.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-
-    // Homogeneous Ant colony with a two-step schedule, captured at 40.
-    let cp = Checkpoint::load(&dir.join("checkpoint_v2_ant.ckpt")).expect("v2 fixture loads");
-    assert_eq!(cp.round(), 40);
-    let expected = SimConfig::builder(300, vec![40, 60])
-        .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-        .controller(ControllerSpec::Ant(AntParams::new(1.0 / 16.0)))
-        .seed(0xF1C)
-        .schedule(DemandSchedule::Steps(vec![
-            (20, vec![60, 40]),
-            (60, vec![50, 50]),
-        ]))
-        .build()
-        .unwrap();
-    assert_eq!(cp.config(), &expected, "schedule compiled to timeline");
-    let mut obs = NullObserver;
-    let mut resumed = cp.restore();
-    resumed.run(60, &mut obs); // crosses the second step at round 60
-    let mut fresh = expected.build();
-    fresh.run(100, &mut obs);
-    assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
-    assert_eq!(fresh.colony().loads(), resumed.colony().loads());
-    assert_eq!(resumed.colony().demands().as_slice(), &[50, 50]);
-
-    // Mixed colony (v2 membership section), captured at 30.
-    let cp = Checkpoint::load(&dir.join("checkpoint_v2_mix.ckpt")).expect("v2 mix fixture loads");
-    assert_eq!(cp.round(), 30);
-    let expected = SimConfig::builder(200, vec![30, 30])
-        .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-        .controller(ControllerSpec::Mix(vec![
-            (2.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
-            (1.0, ControllerSpec::Trivial),
-        ]))
-        .seed(0xF2C)
-        .build()
-        .unwrap();
-    assert_eq!(cp.config(), &expected);
-    let mut resumed = cp.restore();
-    resumed.run(30, &mut obs);
-    let mut fresh = expected.build();
-    fresh.run(60, &mut obs);
-    assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
-    // And a v2 checkpoint re-saved today is a current-format byte
-    // stream that round-trips.
-    let cp2 = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
-    assert_eq!(&cp2, &cp);
+    assert_eq!(
+        Checkpoint::capture(&fresh).unwrap(),
+        Checkpoint::capture(&resumed).unwrap()
+    );
 }
 
 #[test]
