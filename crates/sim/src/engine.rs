@@ -54,8 +54,8 @@ use std::sync::Arc;
 
 use antalloc_core::AnyController;
 use antalloc_env::{
-    Assignment, ColonyState, ColonyView, ColumnWriter, DemandVector, Event, InitialConfig,
-    Perturbation, RoundDelta, TaskColumn, Timeline, TriggerState,
+    ArenaConfig, Assignment, ColonyState, ColonyView, ColumnWriter, DemandVector, Event,
+    InitialConfig, Perturbation, RoundDelta, TaskColumn, Timeline, TriggerState,
 };
 use antalloc_noise::{NoiseModel, PreparedRound, SensedRound};
 use antalloc_rng::{reserved, AntRng, StreamSeeder};
@@ -384,10 +384,11 @@ impl SyncEngine {
         self.next_column.reset(n);
         // The delta slots are pure scratch, reset before every use, so
         // stale capacity cannot leak state.
-        self.arena = config
-            .arena
-            .as_ref()
-            .map(|a| parking_lot::RwLock::new(ArenaState::new(a, n, config.seed)));
+        self.arena = config.arena.as_ref().map(|a| {
+            let mut arena = self.take_arena(a, config.seed);
+            arena.get_mut().reset(a, n, config.seed);
+            arena
+        });
         let initial = self.config.initial.clone();
         self.set_initial(&initial);
     }
@@ -571,10 +572,6 @@ impl SyncEngine {
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let n = self.population.len();
-        // Round part boundaries up to 16 ants (16 × u32 = one 64-byte
-        // cache line in the next-state column) so no two participants
-        // ever write the same destination line.
-        let chunk = n.div_ceil(workers).next_multiple_of(16);
         if self.deltas.len() < workers {
             let k = self.colony.num_tasks();
             self.deltas
@@ -601,11 +598,12 @@ impl SyncEngine {
         let done = std::sync::Barrier::new(workers);
         let stop = AtomicBool::new(false);
 
-        // Each participant owns a disjoint set of (bank chunk, RNG
-        // chunk, ant-id chunk) triples covering ~`chunk` ants (trailing
-        // parts may be empty), and one delta slot: the coordinator's
-        // without a lock, each worker's behind an uncontended one.
-        let mut parts = self.population.partition_mut(workers, chunk).into_iter();
+        // Each participant owns an equal, 16-ant-aligned share of every
+        // bank as (bank chunk, RNG chunk, ant-id chunk) triples (parts
+        // of a small colony may be empty), and one delta slot: the
+        // coordinator's without a lock, each worker's behind an
+        // uncontended one.
+        let mut parts = self.population.partition_mut(workers).into_iter();
         // audit:allow(panic-path): the partitioner emits exactly `workers` >= 1 parts.
         let mut own_part = parts.next().expect("one part per participant");
         let (own_delta, worker_deltas) = self.deltas[..workers].split_at_mut(1);
@@ -690,7 +688,7 @@ impl SyncEngine {
                 }
                 parity ^= 1;
                 if let Some(l) = arena {
-                    l.write().wander(self.round, &columns_ref[parity]);
+                    l.write().wander(self.round, self.colony.idle_mask());
                 }
                 self.colony.deficits_into(&mut self.post_deficits);
                 observer.on_round(&RoundRecord {
@@ -853,16 +851,29 @@ impl SyncEngine {
         self.next_stream = next_stream;
         self.next_column.reset(n);
         self.arena = config.arena.as_ref().map(|a| {
-            let mut state = ArenaState::new(a, n, config.seed);
+            let mut arena = self.take_arena(a, config.seed);
+            let state = arena.get_mut();
             match arena_columns {
-                Some((site, travel)) => state.set_columns(site, travel),
+                Some((site, travel)) => state.restore(a, config.seed, site, travel),
                 // Defensive: a checkpoint that carries an arena config
                 // always carries its columns; re-derive from the colony
                 // if one somehow does not.
-                None => state.sync_to_colony(&self.colony),
+                None => {
+                    state.reset(a, n, config.seed);
+                    state.sync_to_colony(&self.colony);
+                }
             }
-            parking_lot::RwLock::new(state)
+            arena
         });
+    }
+
+    /// The engine's arena, taken out for an in-place reset or restore
+    /// that reuses its column allocations, or an empty one if the
+    /// engine had none.
+    fn take_arena(&mut self, config: &ArenaConfig, seed: u64) -> parking_lot::RwLock<ArenaState> {
+        self.arena
+            .take()
+            .unwrap_or_else(|| parking_lot::RwLock::new(ArenaState::new(config, 0, seed)))
     }
 }
 

@@ -268,3 +268,55 @@ fn sweep_outcomes_identical_with_and_without_engine_reuse() {
         );
     }
 }
+
+/// `reset_from` and `restore_into` keep an engine's arena columns and
+/// rewrite them in place. An engine left mid-run in another arena
+/// (other geometry, latency, wander rate, size and seed, ants in
+/// transit) — or in none — must still match a fresh build and a fresh
+/// restore, and dropping the arena must leave a well-mixed engine.
+#[test]
+fn arena_columns_are_reused_without_leaking_state() {
+    use antalloc_env::ArenaConfig;
+
+    let arena = |sites: u32, travel_rounds, wander_probability| ArenaConfig {
+        site_of_task: (0..3).map(|j| j % sites).collect(),
+        travel_rounds,
+        wander_probability,
+    };
+    let with_arena = |n, seed, a: Option<ArenaConfig>| {
+        let mut cfg = cfg_for(8, n, 3, seed);
+        cfg.arena = a;
+        cfg
+    };
+    let target = with_arena(300, 41, Some(arena(3, 2, 0.2)));
+    let decoys = [
+        with_arena(420, 7, Some(arena(2, 4, 0.5))),
+        with_arena(90, 8, Some(arena(3, 1, 0.9))),
+        with_arena(200, 9, None),
+    ];
+    let mut head = target.build();
+    head.run(24, &mut NullObserver);
+    let cp = Checkpoint::capture(&head).expect("phase boundary");
+    for (i, decoy) in decoys.iter().enumerate() {
+        let mut fresh = target.build();
+        let mut reused = decoy.build();
+        reused.run(11, &mut NullObserver);
+        reused.reset_from(&target);
+        assert_eq!(trace(&mut fresh, 40), trace(&mut reused, 40), "decoy {i}");
+
+        let mut restored = cp.restore();
+        let mut dirty = decoy.build();
+        dirty.run(13, &mut NullObserver);
+        cp.restore_into(&mut dirty);
+        assert_eq!(trace(&mut restored, 40), trace(&mut dirty, 40), "decoy {i}");
+
+        // Back to well-mixed on the same engine.
+        let plain = with_arena(150, 3, None);
+        dirty.reset_from(&plain);
+        assert_eq!(
+            trace(&mut plain.build(), 20),
+            trace(&mut dirty, 20),
+            "decoy {i}"
+        );
+    }
+}
