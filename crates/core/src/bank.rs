@@ -45,7 +45,7 @@
 //! assert_eq!(out, vec![Assignment::Task(0), Assignment::Task(0)]);
 //! ```
 
-use antalloc_env::{Assignment, ColumnWriter};
+use antalloc_env::{Assignment, ColumnWriter, TaskColumn};
 use antalloc_noise::{FeedbackProbe, RoundView, SensedRound};
 use antalloc_rng::AntRng;
 
@@ -228,6 +228,19 @@ impl ControllerBank {
         each_bank!(self, b => b.reset_slot(slot, a), v => v[slot].reset_to(a))
     }
 
+    /// Forces every ant into its colony assignment: slot `s` takes the
+    /// raw value `column[ids[s]]` (see [`ControllerBank::reset_slot`]),
+    /// with one dispatch for the whole bank.
+    pub fn reset_to_column(&mut self, ids: &[u32], column: &TaskColumn) {
+        each_bank!(self,
+        b => for (s, &id) in ids.iter().enumerate() {
+            b.reset_slot(s, Assignment::from_raw(column.load(id)));
+        },
+        v => for (c, &id) in v.iter_mut().zip(ids) {
+            c.reset_to(Assignment::from_raw(column.load(id)));
+        })
+    }
+
     /// Persistent memory of the ant at `slot`, in bits.
     pub fn memory_bits(&self, slot: usize) -> u32 {
         each_bank!(self, b => { let _ = slot; b.memory_bits() }, v => v[slot].memory_bits())
@@ -251,28 +264,6 @@ impl ControllerBank {
                 s => Some(ControllerScratch::Proportional(s)),
             },
             _ => None,
-        }
-    }
-
-    /// Overwrites the mid-phase scratch of the ant at `slot` (checkpoint
-    /// restore; apply *after* [`ControllerBank::reset_slot`]).
-    ///
-    /// # Panics
-    /// If the scratch kind does not match the bank's kind, or its shape
-    /// does not match the bank's task count.
-    pub fn apply_scratch(&mut self, slot: usize, scratch: &ControllerScratch) {
-        match (self, scratch) {
-            (ControllerBank::PreciseSigmoid(b), ControllerScratch::PreciseSigmoid(s)) => {
-                b.apply_scratch(slot, s)
-            }
-            (ControllerBank::PreciseAdversarial(v), ControllerScratch::PreciseAdversarial(s)) => {
-                v[slot].apply_scratch(s)
-            }
-            (ControllerBank::Proportional(b), ControllerScratch::Proportional(s)) => {
-                b.set_streak(slot, *s)
-            }
-            // audit:allow(panic-path): documented precondition — scratch kinds are matched to banks by the checkpoint codec before apply.
-            _ => panic!("scratch kind does not match bank kind"),
         }
     }
 
@@ -488,7 +479,7 @@ impl FromIterator<AnyController> for ControllerBank {
 mod tests {
     use super::*;
     use crate::params::{AntParams, PreciseSigmoidParams};
-    use crate::precise_sigmoid::PreciseSigmoid;
+    use crate::precise_sigmoid::SigmoidScratch;
     use crate::trivial::Trivial;
     use antalloc_noise::NoiseModel;
     use antalloc_rng::StreamSeeder;
@@ -536,14 +527,25 @@ mod tests {
 
     #[test]
     fn scratch_roundtrips_for_sigmoid_banks_only() {
-        let params = PreciseSigmoidParams::new(0.05, 0.5);
-        let mut bank: ControllerBank = (0..3)
-            .map(|_| AnyController::from(PreciseSigmoid::new(2, params)))
-            .collect();
-        let scratch = bank.scratch(1).expect("sigmoid banks carry scratch");
-        bank.reset_slot(1, Assignment::Task(0));
-        bank.apply_scratch(1, &scratch);
-        assert_eq!(bank.scratch(1).unwrap(), scratch);
+        // What the planes hold is what `scratch` reports.
+        let mut bank = PreciseSigmoidBank::new(2, PreciseSigmoidParams::new(0.05, 0.5), 3);
+        let planes = bank.planes_mut();
+        planes.current[1] = 1;
+        planes.have_phase[1] = 1;
+        planes.count1[2..4].copy_from_slice(&[3, 4]);
+        planes.count2[2..4].copy_from_slice(&[5, 6]);
+        planes.shat1[2..4].copy_from_slice(&[1, 0]);
+        let scratch = SigmoidScratch {
+            current_task: Assignment::Task(1),
+            have_phase: true,
+            count1: vec![3, 4],
+            count2: vec![5, 6],
+            shat1_lack: vec![true, false],
+        };
+        assert_eq!(
+            ControllerBank::PreciseSigmoid(bank).scratch(1),
+            Some(ControllerScratch::PreciseSigmoid(scratch))
+        );
         // Scratch-free kinds report None.
         let bank: ControllerBank = (0..2)
             .map(|_| AnyController::from(Trivial::new(2)))

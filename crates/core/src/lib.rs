@@ -61,6 +61,6 @@ pub use precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
 pub use proportional::{
     ProportionalBank, ProportionalController, ProportionalParams, ProportionalSliceMut,
 };
-pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidSliceMut};
+pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidPlanes, SigmoidPlanesMut, SigmoidSliceMut};
 pub use table_fsm::{FsmSpec, ReachabilityError, TableFsm};
 pub use trivial::Trivial;

@@ -251,12 +251,20 @@ impl ProportionalBank {
 
     /// The persisted-error streak of the ant at `slot` (checkpoint
     /// capture).
+    #[inline]
     pub fn streak(&self, slot: usize) -> u16 {
         self.streak[slot]
     }
 
+    /// Every ant's persisted-error streak, in slot order (checkpoint
+    /// capture).
+    pub fn streaks(&self) -> &[u16] {
+        &self.streak
+    }
+
     /// Overwrites the streak of the ant at `slot` (checkpoint restore;
     /// apply *after* [`ProportionalBank::reset_slot`], which clears it).
+    #[inline]
     pub fn set_streak(&mut self, slot: usize, streak: u16) {
         self.streak[slot] = streak;
     }

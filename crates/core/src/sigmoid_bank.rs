@@ -16,9 +16,10 @@
 //! pause/leave/join coins with the same short-circuits), so bank runs
 //! are bit-identical to per-ant runs — pinned by `tests/banks.rs`.
 //!
-//! The counter planes are also what checkpoints serialize (per ant, as
-//! [`SigmoidScratch`]) so a capture *between* phase boundaries — phases
-//! are `2m = O(1/ε)` rounds long — resumes mid-phase bit-identically.
+//! The counter planes are also what checkpoints copy
+//! ([`PreciseSigmoidBank::planes`]), so a capture *between* phase
+//! boundaries — phases are `2m = O(1/ε)` rounds long — resumes
+//! mid-phase bit-identically.
 
 use antalloc_env::{Assignment, ColumnWriter};
 use antalloc_noise::{RoundView, SensedRound};
@@ -28,6 +29,40 @@ use crate::ant_bank::{dec, enc, refill, IDLE};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 use crate::precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
+
+/// A [`PreciseSigmoidBank`]'s checkpointed planes, borrowed: one
+/// `currentTask` (raw, [`Assignment::to_raw`]) and phase-observed flag
+/// (0 or 1) per ant, then `k` entries per ant of each counter plane and
+/// of the frozen-median plane (1 = lack), ant-major.
+#[derive(Clone, Copy, Debug)]
+pub struct SigmoidPlanes<'a> {
+    /// `currentTask` per ant.
+    pub current: &'a [u32],
+    /// Phase-observed-from-start flag per ant.
+    pub have_phase: &'a [u8],
+    /// First-half `lack` counts.
+    pub count1: &'a [u16],
+    /// Second-half `lack` counts.
+    pub count2: &'a [u16],
+    /// Frozen first-half medians.
+    pub shat1: &'a [u8],
+}
+
+/// The same planes as [`SigmoidPlanes`], mutably borrowed (checkpoint
+/// restore; write them *after* [`PreciseSigmoidBank::reset_slot`]).
+#[derive(Debug)]
+pub struct SigmoidPlanesMut<'a> {
+    /// `currentTask` per ant.
+    pub current: &'a mut [u32],
+    /// Phase-observed-from-start flag per ant.
+    pub have_phase: &'a mut [u8],
+    /// First-half `lack` counts.
+    pub count1: &'a mut [u16],
+    /// Second-half `lack` counts.
+    pub count2: &'a mut [u16],
+    /// Frozen first-half medians.
+    pub shat1: &'a mut [u8],
+}
 
 /// A homogeneous Precise Sigmoid population in structure-of-arrays
 /// layout.
@@ -131,8 +166,8 @@ impl PreciseSigmoidBank {
         ant
     }
 
-    /// The mid-phase counter state of the ant at `slot` (checkpoint
-    /// capture; see [`SigmoidScratch`]).
+    /// The mid-phase counter state of the ant at `slot` (see
+    /// [`SigmoidScratch`]).
     pub fn scratch(&self, slot: usize) -> SigmoidScratch {
         let k = self.num_tasks;
         let row = slot * k..slot * k + k;
@@ -145,24 +180,27 @@ impl PreciseSigmoidBank {
         }
     }
 
-    /// Overwrites the mid-phase counter state of the ant at `slot`
-    /// (checkpoint restore; the assignment is restored separately via
-    /// [`PreciseSigmoidBank::reset_slot`] *before* this).
-    ///
-    /// # Panics
-    /// If the scratch's task count disagrees with the bank's.
-    pub fn apply_scratch(&mut self, slot: usize, s: &SigmoidScratch) {
-        let k = self.num_tasks;
-        assert_eq!(s.count1.len(), k, "task count mismatch");
-        assert_eq!(s.count2.len(), k, "task count mismatch");
-        assert_eq!(s.shat1_lack.len(), k, "task count mismatch");
-        let row = slot * k..slot * k + k;
-        self.current[slot] = enc(s.current_task);
-        self.have_phase[slot] = u8::from(s.have_phase);
-        self.count1[row.clone()].copy_from_slice(&s.count1);
-        self.count2[row.clone()].copy_from_slice(&s.count2);
-        for (dst, &lack) in self.shat1[row].iter_mut().zip(&s.shat1_lack) {
-            *dst = u8::from(lack);
+    /// The checkpointed planes of the whole bank (capture).
+    #[inline]
+    pub fn planes(&self) -> SigmoidPlanes<'_> {
+        SigmoidPlanes {
+            current: &self.current,
+            have_phase: &self.have_phase,
+            count1: &self.count1,
+            count2: &self.count2,
+            shat1: &self.shat1,
+        }
+    }
+
+    /// The checkpointed planes of the whole bank, mutably (restore).
+    #[inline]
+    pub fn planes_mut(&mut self) -> SigmoidPlanesMut<'_> {
+        SigmoidPlanesMut {
+            current: &mut self.current,
+            have_phase: &mut self.have_phase,
+            count1: &mut self.count1,
+            count2: &mut self.count2,
+            shat1: &mut self.shat1,
         }
     }
 

@@ -79,6 +79,21 @@ impl TaskColumn {
             .resize_with(n, || AtomicU32::new(Assignment::RAW_IDLE));
     }
 
+    /// Overwrites the column with the raw values `raw`, one slot per
+    /// value, reusing the allocation (checkpoint restore).
+    pub fn assign(&mut self, raw: &[u32]) {
+        self.slots.clear();
+        self.slots.extend(raw.iter().map(|&r| AtomicU32::new(r)));
+    }
+
+    /// The raw values of every slot, in slot order (checkpoint capture).
+    pub fn to_vec(&self) -> Vec<u32> {
+        self.slots
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect()
+    }
+
     /// Appends one slot holding `raw`.
     pub fn push(&mut self, raw: u32) {
         self.slots.push(AtomicU32::new(raw));

@@ -79,6 +79,44 @@ impl ColonyState {
         debug_assert!(self.recount_consistent());
     }
 
+    /// Rebuilds the colony in place from a raw assignment column (one
+    /// [`Assignment::to_raw`] value per ant) over `demands`, reusing the
+    /// allocations, with loads, idle count and idle mask recounted in
+    /// one pass — the checkpoint-restore counterpart of
+    /// [`ColonyState::rebuild_in`].
+    ///
+    /// # Panics
+    /// If `raw` is empty, or holds a value that is neither
+    /// [`Assignment::RAW_IDLE`] nor a task below `demands.len()`.
+    pub fn restore_in(&mut self, raw: &[u32], demands: &[u64]) {
+        let n = raw.len();
+        assert!(n > 0, "empty colony");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "colony size must fit in u32 loads"
+        );
+        let k = demands.len();
+        self.tasks.assign(raw);
+        // Slot `k` counts idle ants, so the tally needs no branch.
+        let mut counts = vec![0u32; k + 1];
+        self.idle_words.clear();
+        self.idle_words.extend(raw.chunks(64).map(|block| {
+            let mut word = 0u64;
+            for (bit, &t) in block.iter().enumerate() {
+                word |= u64::from(t == Assignment::RAW_IDLE) << bit;
+                counts[(t as usize).min(k)] += 1;
+            }
+            word
+        }));
+        self.idle = counts.pop().expect("k + 1 > 0");
+        let masked: u32 = self.idle_words.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(self.idle, masked, "task index out of range");
+        self.loads.clear();
+        self.loads.extend_from_slice(&counts);
+        self.demands.rebuild_in(demands);
+        debug_assert!(self.recount_consistent());
+    }
+
     /// Number of ants `n`.
     #[inline]
     pub fn num_ants(&self) -> usize {
@@ -323,6 +361,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "task index out of range")]
+    fn restore_in_rejects_out_of_range_tasks() {
+        colony().restore_in(&[0, 2, Assignment::RAW_IDLE], &[3, 4]);
+    }
+
+    #[test]
     fn apply_moves_load() {
         let mut c = colony();
         c.apply(0, Assignment::Task(1));
@@ -451,6 +495,34 @@ mod tests {
                 let mass = c.idle_count() + c.load(0) + c.load(1);
                 prop_assert_eq!(mass, 10);
             }
+        }
+
+        /// Restoring from a raw column recounts exactly the state the
+        /// per-ant `apply` calls build, whatever size the colony had.
+        #[test]
+        fn restore_in_matches_apply(
+            targets in proptest::collection::vec(0u32..4, 1..150),
+            before in 1usize..150,
+        ) {
+            let n = targets.len();
+            let mut reference = ColonyState::new(n, DemandVector::new(vec![3, 4, 5]));
+            let raw: Vec<u32> = targets
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| {
+                    let a = if t == 3 { Assignment::Idle } else { Assignment::Task(t) };
+                    reference.apply(i, a);
+                    a.to_raw()
+                })
+                .collect();
+            let mut restored = ColonyState::new(before, DemandVector::new(vec![1, 2]));
+            restored.restore_in(&raw, &[3, 4, 5]);
+            prop_assert_eq!(restored.assignments(), reference.assignments());
+            prop_assert_eq!(restored.loads(), reference.loads());
+            prop_assert_eq!(restored.idle_count(), reference.idle_count());
+            prop_assert_eq!(restored.idle_mask(), reference.idle_mask());
+            prop_assert_eq!(restored.demands(), reference.demands());
+            prop_assert_eq!(restored.task_column().to_vec(), raw);
         }
 
         /// A fused round (column writes + one delta) ends in the same

@@ -18,11 +18,19 @@
 //! binary layout. The layout and the read-compat policy (current
 //! version only) live in `docs/CHECKPOINTS.md`.
 //!
+//! **Codec.** A checkpoint holds the engine's state as columns in
+//! global ant order (the engine's `Snapshot`): the raw task column, the
+//! RNG words, the membership, fixed-stride per-kind scratch columns and
+//! the arena columns. Capture copies them out of the colony and the
+//! banks, restore copies them back, and every fixed-width section
+//! encodes and decodes as one little-endian run that is validated once
+//! (`docs/CHECKPOINTS.md`, "Codec").
+//!
 //! **Exactness contract.** Controllers are rebuilt from their spec and
 //! `reset_to(assignment)`, plus a per-kind **scratch section** carrying
 //! mid-phase state for kinds that serialize it: Precise Sigmoid's
-//! half-phase counters ([`SigmoidScratch`]), Precise Adversarial's
-//! phase trackers ([`antalloc_core::AdversarialScratch`]) and
+//! half-phase counters ([`antalloc_core::SigmoidScratch`]), Precise
+//! Adversarial's phase trackers ([`AdversarialScratch`]) and
 //! Proportional's deadband streaks, so those kinds capture at any
 //! round. Kinds *without* a scratch codec capture only at their phase
 //! boundaries (`round % capture_phase == 0`, see
@@ -40,14 +48,15 @@
 //! reshuffle which index carries which offset.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use antalloc_core::{AdversarialScratch, ControllerScratch, SigmoidScratch};
+use antalloc_core::AdversarialScratch;
 use antalloc_env::{Assignment, DemandVector, TriggerState};
-use antalloc_noise::NoiseModel;
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use crate::config::{ControllerSpec, SimConfig};
-use crate::engine::SyncEngine;
+use crate::engine::{Snapshot, SyncEngine};
+use crate::population::{AntColumns, TAG_ADVERSARIAL, TAG_SIGMOID, TAG_STREAK};
 use crate::scenario::{config_from_value, noise_from_value, noise_to_value, toml, ConfigError};
 
 const MAGIC: u32 = 0x414E_5441; // "ANTA"
@@ -55,6 +64,16 @@ const MAGIC: u32 = 0x414E_5441; // "ANTA"
 /// (`docs/CHECKPOINTS.md` documents the layout and why older versions
 /// are rejected rather than migrated).
 const VERSION: u32 = 8;
+
+/// Wire bytes of one scratch entry with tag `tag` over `k` tasks, ant
+/// id and tag included.
+fn entry_len(tag: u8, k: usize) -> usize {
+    5 + match tag {
+        TAG_SIGMOID => 5 + 5 * k,
+        TAG_ADVERSARIAL => 9 + k,
+        _ => 2,
+    }
+}
 
 /// Why a checkpoint could not be captured or decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,33 +106,7 @@ impl std::error::Error for CheckpointError {}
 /// A captured simulation state.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
-    config: SimConfig,
-    current_demands: Vec<u64>,
-    /// The noise model in force at capture time (a timeline `SetNoise`
-    /// event may have switched it away from `config.noise`).
-    current_noise: NoiseModel,
-    /// One-shot timeline events consumed before the captured round
-    /// (indexes the *compiled* stream: scripted plus generated events).
-    cursor: u64,
-    /// Runtime state of every timeline trigger, in timeline order.
-    trigger_states: Vec<TriggerState>,
-    assignments: Vec<Assignment>,
-    rng_states: Vec<[u64; 4]>,
-    round: u64,
-    next_stream: u64,
-    /// Per-ant bank membership for `ControllerSpec::Mix` colonies
-    /// (which sub-spec each global ant id runs); empty otherwise.
-    members: Vec<u16>,
-    /// Mid-phase controller scratch in ascending global-ant order. Only
-    /// kinds with a scratch codec — Precise Sigmoid counters, Precise
-    /// Adversarial phase trackers and Proportional overload/lack
-    /// streaks — produce entries.
-    scratch: Vec<(u32, ControllerScratch)>,
-    /// Per-ant arena site column (empty unless the config pins tasks to
-    /// arena sites).
-    arena_site: Vec<u32>,
-    /// Per-ant remaining travel rounds (same shape as `arena_site`).
-    arena_travel: Vec<u32>,
+    state: Snapshot,
 }
 
 impl Checkpoint {
@@ -122,40 +115,23 @@ impl Checkpoint {
     /// capture at any round; the rest only where their per-phase
     /// scratch is empty (see module docs).
     pub fn capture(engine: &SyncEngine) -> Result<Self, CheckpointError> {
-        let state = engine.state_parts();
-        let phase = state
-            .config
+        let round = engine.round();
+        let phase = engine
+            .config()
             .controller
-            .capture_phase_len(state.colony.num_tasks());
-        if !state.round.is_multiple_of(phase) {
-            return Err(CheckpointError::NotAtPhaseBoundary {
-                round: state.round,
-                phase,
-            });
+            .capture_phase_len(engine.colony().num_tasks());
+        if !round.is_multiple_of(phase) {
+            return Err(CheckpointError::NotAtPhaseBoundary { round, phase });
         }
         Ok(Self {
-            config: state.config.clone(),
-            current_demands: state.colony.demands().as_slice().to_vec(),
-            current_noise: state.noise.clone(),
-            cursor: state.cursor,
-            trigger_states: state.trigger_states,
-            assignments: state.colony.assignments(),
-            rng_states: state.rng_states,
-            round: state.round,
-            next_stream: state.next_stream,
-            members: state.members.unwrap_or_default(),
-            scratch: state.scratch,
-            arena_site: state.arena_site,
-            arena_travel: state.arena_travel,
+            state: engine.snapshot(),
         })
     }
 
     /// Rebuilds a running engine.
     pub fn restore(&self) -> SyncEngine {
-        let mut engine = SyncEngine::new(
-            self.config.clone(),
-            DemandVector::new(self.config.demands.clone()),
-        );
+        let config = &self.state.config;
+        let mut engine = SyncEngine::new(config.clone(), DemandVector::new(config.demands.clone()));
         self.restore_into(&mut engine);
         engine
     }
@@ -166,26 +142,7 @@ impl Checkpoint {
     /// [`Checkpoint::restore`] regardless of what the engine ran
     /// before.
     pub fn restore_into(&self, engine: &mut SyncEngine) {
-        engine.restore_parts_in(
-            &self.config,
-            &self.current_demands,
-            &self.current_noise,
-            &self.assignments,
-            &self.rng_states,
-            self.round,
-            self.next_stream,
-            self.cursor,
-            &self.members,
-            &self.trigger_states,
-            &self.scratch,
-            self.arena_columns(),
-        );
-    }
-
-    /// The captured arena site/travel columns, if any.
-    fn arena_columns(&self) -> Option<(&[u32], &[u32])> {
-        (!self.arena_site.is_empty())
-            .then_some((self.arena_site.as_slice(), self.arena_travel.as_slice()))
+        engine.restore_from(&self.state, None);
     }
 
     /// Rebases the captured state onto a *different* configuration —
@@ -206,39 +163,12 @@ impl Checkpoint {
     /// against the fork's compiled timeline. With an unchanged config
     /// this is [`Checkpoint::restore_into`] bit for bit.
     pub fn fork_into(&self, config: &SimConfig, engine: &mut SyncEngine) {
-        let demands = if config.demands != self.config.demands {
-            &config.demands
-        } else {
-            &self.current_demands
-        };
-        let noise = if config.noise != self.config.noise {
-            &config.noise
-        } else {
-            &self.current_noise
-        };
-        let compiled = config
-            .timeline
-            .compile(config.seed, config.n, &config.demands);
-        let cursor = compiled.cursor_at(self.round) as u64;
-        engine.restore_parts_in(
-            config,
-            demands,
-            noise,
-            &self.assignments,
-            &self.rng_states,
-            self.round,
-            self.next_stream,
-            cursor,
-            &self.members,
-            &self.trigger_states,
-            &self.scratch,
-            self.arena_columns(),
-        );
+        engine.restore_from(&self.state, Some(config));
     }
 
     /// The captured round.
     pub fn round(&self) -> u64 {
-        self.round
+        self.state.round
     }
 
     /// The configuration embedded in this checkpoint.
@@ -246,47 +176,38 @@ impl Checkpoint {
     /// Together with [`crate::SimConfig::to_toml`] this lets a
     /// checkpoint publish the scenario that produced it verbatim.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.state.config
     }
 
     /// The byte length of each binary runtime section, in stream order:
     /// current demands, cursor, trigger states, assignments, RNG states,
     /// membership, scratch and arena columns (0 when absent).
     fn runtime_section_lens(&self) -> [usize; 8] {
-        let ants = self.assignments.len();
-        let triggers: usize = self
-            .trigger_states
+        let s = &self.state;
+        let (ants, k) = (s.tasks.len(), s.demands.len());
+        let triggers: usize = s
+            .triggers
             .iter()
-            .map(|s| 8 + 8 + 1 + 8 + 4 * s.streaks.len() + 8 + 8 * s.prev_deficits.len())
+            .map(|t| 8 + 8 + 1 + 8 + 4 * t.streaks.len() + 8 + 8 * t.prev_deficits.len())
             .sum();
-        let scratch: usize = self
-            .scratch
-            .iter()
-            .map(|(_, scratch)| {
-                4 + 1
-                    + match scratch {
-                        ControllerScratch::PreciseSigmoid(s) => {
-                            4 + 1 + 2 * (s.count1.len() + s.count2.len()) + s.shat1_lack.len()
-                        }
-                        ControllerScratch::PreciseAdversarial(s) => 4 + 5 + s.all_lack.len(),
-                        ControllerScratch::Proportional(_) => 2,
-                    }
-            })
-            .sum();
-        let members = match self.config.controller {
-            ControllerSpec::Mix(_) => 8 + 2 * self.members.len(),
+        let cols = &s.ants;
+        let scratch = cols.sigmoid.ids.len() * entry_len(TAG_SIGMOID, k)
+            + cols.adversarial_ids.len() * entry_len(TAG_ADVERSARIAL, k)
+            + cols.streak_ids.len() * entry_len(TAG_STREAK, k);
+        let members = match s.config.controller {
+            ControllerSpec::Mix(_) => 8 + 2 * cols.members.len(),
             _ => 0,
         };
-        let arena = match self.config.arena {
-            Some(_) => 4 * (self.arena_site.len() + self.arena_travel.len()),
+        let arena = match s.config.arena {
+            Some(_) => 4 * (s.arena_site.len() + s.arena_travel.len()),
             None => 0,
         };
         [
-            8 + 8 * self.current_demands.len(),
+            8 + 8 * k,
             8,
             8 + triggers,
             8 + 4 * ants,
-            32 * ants,
+            8 * cols.rng.len(),
             members,
             8 + scratch,
             arena,
@@ -295,22 +216,609 @@ impl Checkpoint {
 
     /// Serializes to the versioned format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let config = self.config.to_toml();
-        let noise = toml::write(&noise_to_value(&self.current_noise));
+        let s = &self.state;
+        let config = s.config.to_toml();
+        let noise = toml::write(&noise_to_value(&s.noise));
         // Sized exactly: growing a multi-megabyte buffer mid-encode
         // measurably raised peak RSS on 200k-ant colonies.
         let runtime: usize = self.runtime_section_lens().iter().sum();
         let mut out = Vec::with_capacity(40 + config.len() + noise.len() + runtime);
         out.put_u32_le(MAGIC);
         out.put_u32_le(VERSION);
-        out.put_u64_le(self.round);
-        out.put_u64_le(self.next_stream);
+        out.put_u64_le(s.round);
+        out.put_u64_le(s.next_stream);
         put_text(&mut out, &config);
         put_text(&mut out, &noise);
-        put_u64s(&mut out, &self.current_demands);
-        out.put_u64_le(self.cursor);
-        out.put_u64_le(self.trigger_states.len() as u64);
-        for state in &self.trigger_states {
+        out.put_u64_le(s.demands.len() as u64);
+        put_le(&mut out, &s.demands, u64::to_le_bytes);
+        out.put_u64_le(s.cursor);
+        out.put_u64_le(s.triggers.len() as u64);
+        for state in &s.triggers {
+            out.put_u64_le(u64::from(state.firings));
+            out.put_u64_le(state.last_fired);
+            out.put_u8(u8::from(state.pending));
+            out.put_u64_le(state.streaks.len() as u64);
+            put_le(&mut out, &state.streaks, u32::to_le_bytes);
+            out.put_u64_le(state.prev_deficits.len() as u64);
+            put_le(&mut out, &state.prev_deficits, i64::to_le_bytes);
+        }
+        out.put_u64_le(s.tasks.len() as u64);
+        put_le(&mut out, &s.tasks, u32::to_le_bytes);
+        put_le(&mut out, &s.ants.rng, u64::to_le_bytes);
+        // Per-ant bank membership, present iff the spec is a Mix.
+        if matches!(s.config.controller, ControllerSpec::Mix(_)) {
+            out.put_u64_le(s.ants.members.len() as u64);
+            put_le(&mut out, &s.ants.members, u16::to_le_bytes);
+        }
+        put_scratch(&mut out, &s.ants, s.demands.len());
+        // Per-ant arena columns (site, then travel), present iff the
+        // config carries an arena; lengths equal the ant count.
+        if s.config.arena.is_some() {
+            put_le(&mut out, &s.arena_site, u32::to_le_bytes);
+            put_le(&mut out, &s.arena_travel, u32::to_le_bytes);
+        }
+        out
+    }
+
+    /// Deserializes from [`Checkpoint::to_bytes`] output.
+    pub fn from_bytes(mut buf: &[u8]) -> Result<Self, CheckpointError> {
+        let buf = &mut buf;
+        if get_u32(buf)? != MAGIC {
+            return Err(corrupt("bad magic"));
+        }
+        let version = get_u32(buf)?;
+        if version != VERSION {
+            return Err(corrupt(format!(
+                "format version {version}, but this build reads only version {VERSION}"
+            )));
+        }
+        let round = get_u64(buf)?;
+        let next_stream = get_u64(buf)?;
+        // The config passes the same structural validation as
+        // `SimConfig::build`: any captured config did, so a failure here
+        // means crafted or corrupted bytes — and a crafted generator
+        // (start = 0, absurd windows) must never drive the timeline
+        // expansion below.
+        let config = decode_text(buf, "config", |root| {
+            let (config, _, _) = config_from_value(root)?;
+            config.validate_structure()?;
+            Ok(config)
+        })?;
+        let k = config.demands.len();
+        let noise = decode_text(buf, "live noise", |root| {
+            let noise = noise_from_value(root)?;
+            noise.validate(k).map_err(ConfigError::Noise)?;
+            Ok(noise)
+        })?;
+        let len = get_u64(buf)? as usize;
+        if len != k {
+            return Err(corrupt(format!("{len} current demands for {k} tasks")));
+        }
+        let demands = get_le(buf, k, u64::from_le_bytes)?;
+        // The cursor indexes the *compiled* stream (generated events
+        // included), which re-expands deterministically.
+        let cursor = get_u64(buf)?;
+        let timeline = &config.timeline;
+        let compiled_events = timeline
+            .compile(config.seed, config.n, &config.demands)
+            .events
+            .len();
+        if cursor as usize > compiled_events {
+            return Err(corrupt(format!(
+                "timeline cursor {cursor} exceeds {compiled_events} compiled events"
+            )));
+        }
+        let count = get_u64(buf)? as usize;
+        if count != timeline.triggers.len() {
+            return Err(corrupt(format!(
+                "{count} trigger states for {} triggers",
+                timeline.triggers.len()
+            )));
+        }
+        let mut triggers = Vec::with_capacity(count);
+        for (i, trigger) in timeline.triggers.iter().enumerate() {
+            let firings = get_u64(buf)?;
+            let firings = u32::try_from(firings)
+                .map_err(|_| corrupt(format!("implausible firing count {firings}")))?;
+            let last_fired = get_u64(buf)?;
+            let pending = get_bool(buf)?;
+            let len = get_u64(buf)? as usize;
+            let streaks = get_le(buf, len, u32::from_le_bytes)?;
+            let len = get_u64(buf)? as usize;
+            let prev_deficits = get_le(buf, len, i64::from_le_bytes)?;
+            let state = TriggerState {
+                streaks,
+                firings,
+                last_fired,
+                pending,
+                prev_deficits,
+            };
+            if !state.matches(trigger) {
+                return Err(corrupt(format!(
+                    "trigger state {i} disagrees with its condition shape"
+                )));
+            }
+            triggers.push(state);
+        }
+        let ants = get_u64(buf)? as usize;
+        // Validate the claimed count against the bytes actually present
+        // (4 per assignment + 32 per RNG state) before any allocation —
+        // a corrupted count must not drive an allocation to OOM. A live
+        // colony never drops below one ant.
+        if ants == 0 || buf.len() / 36 < ants {
+            return Err(corrupt(format!(
+                "ant count {ants} is zero or exceeds remaining payload"
+            )));
+        }
+        let tasks = get_le(buf, ants, u32::from_le_bytes)?;
+        check_tasks(&tasks, k)?;
+        let mut cols = AntColumns {
+            rng: get_le(buf, 4 * ants, u64::from_le_bytes)?,
+            ..AntColumns::default()
+        };
+        if let ControllerSpec::Mix(parts) = &config.controller {
+            let len = get_u64(buf)? as usize;
+            if len != ants {
+                return Err(corrupt(format!(
+                    "membership length {len} disagrees with ant count {ants}"
+                )));
+            }
+            cols.members = get_le(buf, len, u16::from_le_bytes)?;
+            if let Some(m) = cols
+                .members
+                .iter()
+                .max()
+                .filter(|&&m| usize::from(m) >= parts.len())
+            {
+                return Err(corrupt(format!(
+                    "membership {m} references unknown sub-spec"
+                )));
+            }
+        }
+        get_scratch(buf, &config.controller, &mut cols, ants, k)?;
+        // The per-ant arena columns close the stream (present iff the
+        // config carries an arena).
+        let (arena_site, arena_travel) = match &config.arena {
+            Some(arena) => {
+                let site = get_le(buf, ants, u32::from_le_bytes)?;
+                let sites = arena.num_sites();
+                if let Some(s) = site.iter().max().filter(|&&s| s as usize >= sites) {
+                    return Err(corrupt(format!(
+                        "arena site {s} out of range (the arena has {sites} sites)"
+                    )));
+                }
+                let travel = get_le(buf, ants, u32::from_le_bytes)?;
+                let latency = arena.travel_rounds;
+                if let Some(t) = travel.iter().max().filter(|&&t| t > latency) {
+                    return Err(corrupt(format!(
+                        "arena travel {t} exceeds the travel latency {latency}"
+                    )));
+                }
+                (site, travel)
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        if !buf.is_empty() {
+            return Err(corrupt("trailing bytes"));
+        }
+        Ok(Self {
+            state: Snapshot {
+                config,
+                demands,
+                noise,
+                round,
+                next_stream,
+                cursor,
+                triggers,
+                tasks,
+                ants: cols,
+                arena_site,
+                arena_travel,
+            },
+        })
+    }
+
+    /// Writes the checkpoint to a file atomically: the bytes go to a
+    /// uniquely named temp file in the same directory, which is then
+    /// renamed over `path`, so an interrupted save leaves any previous
+    /// checkpoint at `path` intact.
+    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = path.parent().unwrap_or(Path::new(""));
+        std::fs::create_dir_all(dir)?;
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!(".{name}.tmp.{}.{seq}", std::process::id()));
+        let saved =
+            std::fs::write(&tmp, self.to_bytes()).and_then(|()| std::fs::rename(&tmp, path));
+        if saved.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        saved
+    }
+
+    /// Reads a checkpoint from a file.
+    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
+        let bytes =
+            std::fs::read(path).map_err(|e| corrupt(format!("read {}: {e}", path.display())))?;
+        Self::from_bytes(&bytes)
+    }
+}
+
+/// Writes the scratch section: the per-kind columns merged into one
+/// stream of entries in ascending global-ant order.
+fn put_scratch(out: &mut Vec<u8>, cols: &AntColumns, k: usize) {
+    // Indexed by tag.
+    let ids = [&cols.sigmoid.ids, &cols.adversarial_ids, &cols.streak_ids];
+    let total: usize = ids.iter().map(|ids| ids.len()).sum();
+    out.put_u64_le(total as u64);
+    let mut next = [0usize; 3];
+    for _ in 0..total {
+        // Ids are distinct across kinds; an exhausted list never wins.
+        let head = |t: usize| ids[t].get(next[t]).copied().unwrap_or(u32::MAX);
+        let (a, b, c) = (head(0), head(1), head(2));
+        let tag = if a < b && a < c {
+            0
+        } else if b < c {
+            1
+        } else {
+            2
+        };
+        let e = next[tag];
+        next[tag] += 1;
+        out.put_u32_le(ids[tag][e]);
+        out.put_u8(tag as u8);
+        match tag as u8 {
+            TAG_SIGMOID => {
+                let (s, row) = (&cols.sigmoid, e * k..e * k + k);
+                out.put_u32_le(s.current[e]);
+                out.put_u8(s.have_phase[e]);
+                for &c in s.count1[row.clone()].iter().chain(&s.count2[row.clone()]) {
+                    out.put_u16_le(c);
+                }
+                out.extend_from_slice(&s.shat1[row]);
+            }
+            TAG_ADVERSARIAL => {
+                let s = &cols.adversarial[e];
+                out.put_u32_le(s.current_task.to_raw());
+                out.put_u8(u8::from(s.have_phase));
+                out.put_u8(u8::from(s.all_overload));
+                out.put_u8(u8::from(s.frozen_working));
+                out.put_u8(u8::from(s.pending_first_lack));
+                out.put_u8(match s.working_at_first_lack {
+                    None => 0,
+                    Some(false) => 1,
+                    Some(true) => 2,
+                });
+                out.extend(s.all_lack.iter().map(|&l| u8::from(l)));
+            }
+            _ => out.put_u16_le(cols.streaks[e]),
+        }
+    }
+}
+
+/// Decodes the scratch section into `cols` (whose membership is already
+/// decoded). Ids must ascend strictly and each entry must belong to an
+/// ant that runs the entry's kind, with Precise Sigmoid counters within
+/// the half-phase — crafted bytes must fail here, not panic in restore.
+fn get_scratch(
+    buf: &mut &[u8],
+    controller: &ControllerSpec,
+    cols: &mut AntColumns,
+    ants: usize,
+    k: usize,
+) -> Result<(), CheckpointError> {
+    let count = get_u64(buf)? as usize;
+    // Validate the claimed count against the bytes present before any
+    // allocation (a Proportional entry is the shortest).
+    if count > ants || buf.len() / entry_len(TAG_STREAK, k) < count {
+        return Err(corrupt(format!(
+            "scratch count {count} exceeds payload or ant count {ants}"
+        )));
+    }
+    // What each bank admits — one bank, or one per mix part, named by
+    // the ant's (validated) membership: its scratch tag and, for
+    // Precise Sigmoid, the half-phase length bounding its counters.
+    let admits = |spec: &ControllerSpec| match spec {
+        ControllerSpec::PreciseSigmoid(p) => Some((TAG_SIGMOID, p.m())),
+        ControllerSpec::PreciseAdversarial(_) => Some((TAG_ADVERSARIAL, 0)),
+        ControllerSpec::Proportional(_) => Some((TAG_STREAK, 0)),
+        _ => None,
+    };
+    let banks: Vec<Option<(u8, u64)>> = match controller {
+        ControllerSpec::Mix(parts) => parts.iter().map(|(_, spec)| admits(spec)).collect(),
+        spec => vec![admits(spec)],
+    };
+    let mut prev = None;
+    for _ in 0..count {
+        let ant = get_u32(buf)?;
+        if ant as usize >= ants {
+            return Err(corrupt(format!("scratch ant {ant} out of range")));
+        }
+        if prev.is_some_and(|prev| ant <= prev) {
+            return Err(corrupt("scratch entries out of order"));
+        }
+        prev = Some(ant);
+        let bank = cols
+            .members
+            .get(ant as usize)
+            .map_or(0, |&b| usize::from(b));
+        let tag = get_u8(buf)?;
+        let Some((_, m)) = banks[bank].filter(|&(admitted, _)| admitted == tag) else {
+            return Err(corrupt(match tag {
+                TAG_SIGMOID => format!("scratch for ant {ant}, which runs no Precise Sigmoid"),
+                TAG_ADVERSARIAL => {
+                    format!("scratch for ant {ant}, which runs no Precise Adversarial")
+                }
+                TAG_STREAK => {
+                    format!("scratch for ant {ant}, which runs no Proportional controller")
+                }
+                t => format!("unknown scratch tag {t}"),
+            }));
+        };
+        match tag {
+            TAG_SIGMOID => {
+                let s = &mut cols.sigmoid;
+                if s.ids.is_empty() {
+                    // Once, for as many entries as the payload can hold.
+                    s.reserve(count.min(1 + buf.len() / entry_len(TAG_SIGMOID, k)), k);
+                }
+                let mut entry = take(buf, entry_len(TAG_SIGMOID, k) - 5)?;
+                s.current.push(get_task(&mut entry, k)?);
+                s.have_phase.push(u8::from(get_bool(&mut entry)?));
+                let (counts, shat1) = entry.split_at(4 * k);
+                let (count1, count2) = counts.as_chunks::<2>().0.split_at(k);
+                let at = s.count1.len();
+                s.count1
+                    .extend(count1.iter().map(|&c| u16::from_le_bytes(c)));
+                s.count2
+                    .extend(count2.iter().map(|&c| u16::from_le_bytes(c)));
+                let counts = s.count1[at..].iter().chain(&s.count2[at..]);
+                if let Some(c) = counts.max().filter(|&&c| u64::from(c) > m) {
+                    return Err(corrupt(format!(
+                        "scratch counter {c} exceeds half-phase length {m}"
+                    )));
+                }
+                s.shat1.extend(shat1.iter().map(|&b| u8::from(b != 0)));
+                s.ids.push(ant);
+            }
+            TAG_ADVERSARIAL => {
+                let current_task = Assignment::from_raw(get_task(buf, k)?);
+                let have_phase = get_bool(buf)?;
+                let all_overload = get_bool(buf)?;
+                let frozen_working = get_bool(buf)?;
+                let pending_first_lack = get_bool(buf)?;
+                let working_at_first_lack = match get_u8(buf)? {
+                    0 => None,
+                    1 => Some(false),
+                    2 => Some(true),
+                    t => return Err(corrupt(format!("unknown first-lack tri-state {t}"))),
+                };
+                cols.adversarial_ids.push(ant);
+                cols.adversarial.push(AdversarialScratch {
+                    current_task,
+                    have_phase,
+                    all_lack: take(buf, k)?.iter().map(|&b| b != 0).collect(),
+                    all_overload,
+                    working_at_first_lack,
+                    pending_first_lack,
+                    frozen_working,
+                });
+            }
+            _ => {
+                if cols.streak_ids.is_empty() {
+                    cols.streak_ids.reserve_exact(count);
+                    cols.streaks.reserve_exact(count);
+                }
+                cols.streak_ids.push(ant);
+                cols.streaks.push(u16::from_le_bytes(get(buf)?));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn corrupt(msg: impl Into<String>) -> CheckpointError {
+    CheckpointError::Corrupt(msg.into())
+}
+
+// ---- text sections -------------------------------------------------------
+
+fn put_text(out: &mut Vec<u8>, text: &str) {
+    out.put_u64_le(text.len() as u64);
+    out.extend_from_slice(text.as_bytes());
+}
+
+/// Reads a length-prefixed TOML section and decodes it through the
+/// scenario codec; parse and validation errors are corruption.
+fn decode_text<T>(
+    buf: &mut &[u8],
+    what: &str,
+    decode: impl FnOnce(&crate::scenario::Value) -> Result<T, ConfigError>,
+) -> Result<T, CheckpointError> {
+    let len = get_u64(buf)?;
+    if len > buf.len() as u64 {
+        return Err(corrupt(format!(
+            "{what} section length {len} exceeds remaining payload"
+        )));
+    }
+    let text = std::str::from_utf8(take(buf, len as usize)?)
+        .map_err(|e| corrupt(format!("{what} section is not UTF-8: {e}")))?;
+    toml::parse(text)
+        .and_then(|root| decode(&root))
+        .map_err(|e| corrupt(format!("invalid {what} section: {e}")))
+}
+
+// ---- fixed-width runs (readers are length-checked) -----------------------
+
+/// Appends `xs` as one little-endian run, converted through a small
+/// stack block so the output is written once (no zero-fill pass over
+/// fresh memory).
+fn put_le<T: Copy, const N: usize>(out: &mut Vec<u8>, xs: &[T], to_le: impl Fn(T) -> [u8; N]) {
+    for chunk in xs.chunks(256) {
+        let mut block = [[0u8; N]; 256];
+        for (dst, &x) in block.iter_mut().zip(chunk) {
+            *dst = to_le(x);
+        }
+        out.extend_from_slice(block[..chunk.len()].as_flattened());
+    }
+}
+
+/// Splits `n` bytes off the front of `buf`.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointError> {
+    if buf.len() < n {
+        return Err(corrupt(format!("truncated: need {n} more bytes")));
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+/// Reads `count` little-endian values of `N` bytes each as one run; the
+/// length is checked before anything is allocated.
+fn get_le<T, const N: usize>(
+    buf: &mut &[u8],
+    count: usize,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, CheckpointError> {
+    let bytes = take(buf, count.saturating_mul(N))?;
+    Ok(bytes
+        .as_chunks::<N>()
+        .0
+        .iter()
+        .map(|&c| from_le(c))
+        .collect())
+}
+
+fn get<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CheckpointError> {
+    take(buf, N).map(|bytes| bytes.as_chunks::<N>().0[0])
+}
+
+fn get_u8(buf: &mut &[u8]) -> Result<u8, CheckpointError> {
+    get(buf).map(|[b]| b)
+}
+
+fn get_u32(buf: &mut &[u8]) -> Result<u32, CheckpointError> {
+    get(buf).map(u32::from_le_bytes)
+}
+
+fn get_u64(buf: &mut &[u8]) -> Result<u64, CheckpointError> {
+    get(buf).map(u64::from_le_bytes)
+}
+
+fn get_bool(buf: &mut &[u8]) -> Result<bool, CheckpointError> {
+    Ok(get_u8(buf)? != 0)
+}
+
+/// Checks that every raw assignment is idle (`u32::MAX`) or a task
+/// below `k`: idle wraps to 0 and task `j` to `j + 1`, so one max over
+/// the column decides.
+fn check_tasks(tasks: &[u32], k: usize) -> Result<(), CheckpointError> {
+    match tasks.iter().map(|&t| t.wrapping_add(1)).max() {
+        Some(top) if top as usize > k => Err(corrupt(format!(
+            "task {} out of range ({k} tasks)",
+            top - 1
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// Reads one raw assignment, rejecting task indices outside the
+/// colony's `k` tasks.
+fn get_task(buf: &mut &[u8], k: usize) -> Result<u32, CheckpointError> {
+    let task = get_u32(buf)?;
+    check_tasks(&[task], k)?;
+    Ok(task)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::observer::NullObserver;
+    use antalloc_core::ControllerScratch;
+    use antalloc_core::{
+        AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
+        ProportionalParams,
+    };
+    use antalloc_env::{Condition, DemandSchedule, Event, InitialConfig, Timeline, Trigger};
+    use antalloc_noise::{GreyZonePolicy, NoiseModel};
+
+    /// The frozen fixture: a 3-site arena, a Precise Sigmoid +
+    /// Proportional mix captured mid-phase, a `deficit-rate-above`
+    /// trigger, a generator and a `set-noise` switch — a stream with
+    /// every section populated.
+    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint_v8.ckpt");
+
+    fn config() -> SimConfig {
+        SimConfig::builder(200, vec![30, 40])
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .controller(ControllerSpec::Ant(AntParams::default()))
+            .seed(99)
+            .build()
+            .expect("valid scenario")
+    }
+
+    /// The config section's text (it follows the 24-byte header).
+    fn config_text(bytes: &[u8]) -> &str {
+        let len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+        std::str::from_utf8(&bytes[32..32 + len]).unwrap()
+    }
+
+    /// `bytes` with its config section replaced by `text`.
+    fn with_config_text(bytes: &[u8], text: &str) -> Vec<u8> {
+        let old_len = config_text(bytes).len();
+        let mut out = bytes[..24].to_vec();
+        out.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        out.extend_from_slice(text.as_bytes());
+        out.extend_from_slice(&bytes[32 + old_len..]);
+        out
+    }
+
+    /// The offsets at which each section of `cp.to_bytes()` ends.
+    fn section_ends(cp: &Checkpoint) -> Vec<usize> {
+        let noise = toml::write(&noise_to_value(&cp.state.noise));
+        [8, 16, 8 + cp.state.config.to_toml().len(), 8 + noise.len()]
+            .into_iter()
+            .chain(cp.runtime_section_lens())
+            .scan(0, |at, len| {
+                *at += len;
+                Some(*at)
+            })
+            .collect()
+    }
+
+    /// The array-of-structs encoder the columnar codec replaced, kept as
+    /// the reference `to_bytes` must match byte for byte. It gathers the
+    /// per-ant state through the per-ant accessors (decoded assignments,
+    /// one RNG state and one `ControllerScratch` per ant) and writes it
+    /// one integer at a time; the scalar fields come from the snapshot.
+    fn reference_bytes(engine: &SyncEngine) -> Vec<u8> {
+        let snap = engine.snapshot();
+        let population = engine.population();
+        let assignments = engine.colony().assignments();
+        let rng_states = population.rng_states();
+        let members = population.members();
+        let scratch = population.scratches();
+        let put_task = |out: &mut Vec<u8>, a: Assignment| {
+            out.put_u32_le(match a {
+                Assignment::Idle => u32::MAX,
+                Assignment::Task(j) => j,
+            })
+        };
+        let mut out = Vec::new();
+        out.put_u32_le(MAGIC);
+        out.put_u32_le(VERSION);
+        out.put_u64_le(snap.round);
+        out.put_u64_le(snap.next_stream);
+        put_text(&mut out, &snap.config.to_toml());
+        put_text(&mut out, &toml::write(&noise_to_value(&snap.noise)));
+        out.put_u64_le(snap.demands.len() as u64);
+        for &d in &snap.demands {
+            out.put_u64_le(d);
+        }
+        out.put_u64_le(snap.cursor);
+        out.put_u64_le(snap.triggers.len() as u64);
+        for state in &snap.triggers {
             out.put_u64_le(u64::from(state.firings));
             out.put_u64_le(state.last_fired);
             out.put_u8(u8::from(state.pending));
@@ -323,25 +831,23 @@ impl Checkpoint {
                 out.put_i64_le(prev);
             }
         }
-        out.put_u64_le(self.assignments.len() as u64);
-        for &a in &self.assignments {
+        out.put_u64_le(assignments.len() as u64);
+        for &a in &assignments {
             put_task(&mut out, a);
         }
-        for s in &self.rng_states {
+        for s in &rng_states {
             for &w in s {
                 out.put_u64_le(w);
             }
         }
-        // Per-ant bank membership, present iff the spec is a Mix.
-        if matches!(self.config.controller, ControllerSpec::Mix(_)) {
-            out.put_u64_le(self.members.len() as u64);
-            for &m in &self.members {
+        if matches!(snap.config.controller, ControllerSpec::Mix(_)) {
+            out.put_u64_le(members.len() as u64);
+            for &m in &members {
                 out.put_u16_le(m);
             }
         }
-        // Per-kind controller scratch, ascending global-ant order.
-        out.put_u64_le(self.scratch.len() as u64);
-        for (ant, scratch) in &self.scratch {
+        out.put_u64_le(scratch.len() as u64);
+        for (ant, scratch) in &scratch {
             out.put_u32_le(*ant);
             match scratch {
                 ControllerScratch::PreciseSigmoid(s) => {
@@ -377,502 +883,142 @@ impl Checkpoint {
                 }
             }
         }
-        // Per-ant arena columns (site, then travel), present iff the
-        // config carries an arena; lengths equal the ant count.
-        if self.config.arena.is_some() {
-            for &site in self.arena_site.iter().chain(&self.arena_travel) {
-                out.put_u32_le(site);
+        if snap.config.arena.is_some() {
+            for &x in snap.arena_site.iter().chain(&snap.arena_travel) {
+                out.put_u32_le(x);
             }
         }
         out
     }
 
-    /// Deserializes from [`Checkpoint::to_bytes`] output.
-    pub fn from_bytes(mut buf: &[u8]) -> Result<Self, CheckpointError> {
-        let magic = get_u32(&mut buf)?;
-        if magic != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = get_u32(&mut buf)?;
-        if version != VERSION {
-            return Err(corrupt(format!(
-                "format version {version}, but this build reads only version {VERSION}"
-            )));
-        }
-        let round = get_u64(&mut buf)?;
-        let next_stream = get_u64(&mut buf)?;
-        // The config passes the same structural validation as
-        // `SimConfig::build`: any captured config did, so a failure here
-        // means crafted or corrupted bytes — and a crafted generator
-        // (start = 0, absurd windows) must never drive the timeline
-        // expansion below.
-        let config = decode_text(&mut buf, "config", |root| {
-            let (config, _, _) = config_from_value(root)?;
-            config.validate_structure()?;
-            Ok(config)
-        })?;
-        let k = config.demands.len();
-        let current_noise = decode_text(&mut buf, "live noise", |root| {
-            let noise = noise_from_value(root)?;
-            noise.validate(k).map_err(ConfigError::Noise)?;
-            Ok(noise)
-        })?;
-        let current_demands = get_u64s(&mut buf)?;
-        if current_demands.len() != k {
-            return Err(corrupt(format!(
-                "{} current demands for {k} tasks",
-                current_demands.len()
-            )));
-        }
-        // The cursor indexes the *compiled* stream (generated events
-        // included), which re-expands deterministically.
-        let cursor = get_u64(&mut buf)?;
-        let timeline = &config.timeline;
-        let compiled_events = timeline
-            .compile(config.seed, config.n, &config.demands)
-            .events
-            .len();
-        if cursor as usize > compiled_events {
-            return Err(corrupt(format!(
-                "timeline cursor {cursor} exceeds {compiled_events} compiled events"
-            )));
-        }
-        let count = get_u64(&mut buf)? as usize;
-        if count != timeline.triggers.len() {
-            return Err(corrupt(format!(
-                "{count} trigger states for {} triggers",
-                timeline.triggers.len()
-            )));
-        }
-        let mut trigger_states = Vec::with_capacity(count);
-        for (i, trigger) in timeline.triggers.iter().enumerate() {
-            let firings = get_u64(&mut buf)?;
-            let firings = u32::try_from(firings)
-                .map_err(|_| corrupt(format!("implausible firing count {firings}")))?;
-            let last_fired = get_u64(&mut buf)?;
-            let pending = get_bool(&mut buf)?;
-            let streak_len = get_u64(&mut buf)? as usize;
-            if streak_len > 1 << 16 {
-                return Err(corrupt("implausible streak count"));
-            }
-            let mut streaks = Vec::with_capacity(streak_len.min(1 << 10));
-            for _ in 0..streak_len {
-                streaks.push(get_u32(&mut buf)?);
-            }
-            let prev_len = get_u64(&mut buf)? as usize;
-            if prev_len > 1 << 16 {
-                return Err(corrupt("implausible prev-deficit count"));
-            }
-            let mut prev_deficits = Vec::with_capacity(prev_len.min(1 << 10));
-            for _ in 0..prev_len {
-                prev_deficits.push(get_i64(&mut buf)?);
-            }
-            let state = TriggerState {
-                streaks,
-                firings,
-                last_fired,
-                pending,
-                prev_deficits,
-            };
-            if !state.matches(trigger) {
-                return Err(corrupt(format!(
-                    "trigger state {i} disagrees with its condition shape"
-                )));
-            }
-            trigger_states.push(state);
-        }
-        let ants = get_u64(&mut buf)? as usize;
-        // Validate the claimed count against the bytes actually present
-        // (4 per assignment + 32 per RNG state) before any allocation —
-        // a corrupted count must not drive `with_capacity` to OOM.
-        let per_ant = 4usize + 32;
-        if buf.remaining() / per_ant < ants {
-            return Err(corrupt(format!(
-                "ant count {ants} exceeds remaining payload"
-            )));
-        }
-        let mut assignments = Vec::with_capacity(ants);
-        for _ in 0..ants {
-            assignments.push(get_task(&mut buf, k)?);
-        }
-        let mut rng_states = Vec::with_capacity(ants);
-        for _ in 0..ants {
-            let mut s = [0u64; 4];
-            for w in &mut s {
-                *w = get_u64(&mut buf)?;
-            }
-            rng_states.push(s);
-        }
-        let members = if let ControllerSpec::Mix(parts) = &config.controller {
-            let len = get_u64(&mut buf)? as usize;
-            if len != ants {
-                return Err(corrupt(format!(
-                    "membership length {len} disagrees with ant count {ants}"
-                )));
-            }
-            let mut members = Vec::with_capacity(len);
-            for _ in 0..len {
-                let m = get_u16(&mut buf)?;
-                if usize::from(m) >= parts.len() {
-                    return Err(corrupt(format!(
-                        "membership {m} references unknown sub-spec"
-                    )));
-                }
-                members.push(m);
-            }
-            members
-        } else {
-            Vec::new()
+    /// A generated scenario over the kinds that carry scratch: alone,
+    /// in the benchmark's four-kind mix, and in a mix of two differently
+    /// tuned Precise Sigmoid banks with the other scratch kinds —
+    /// optionally under kills, spawns, scrambles, a trigger and a
+    /// generator (so membership is permuted), and in an arena.
+    fn generated(kind: usize, n: usize, seed: u64, shocks: bool, arena: bool) -> SimConfig {
+        let sigmoid = |eps| ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, eps));
+        let adversarial =
+            ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5));
+        let proportional = ControllerSpec::Proportional(ProportionalParams {
+            gain: 0.5,
+            deadband: 2,
+        });
+        let controller = match kind {
+            0 => sigmoid(0.5),
+            1 => adversarial,
+            2 => proportional,
+            3 => ControllerSpec::Mix(vec![
+                (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
+                (1.0, sigmoid(0.5)),
+                (1.0, proportional),
+                (
+                    1.0,
+                    ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
+                ),
+            ]),
+            _ => ControllerSpec::Mix(vec![
+                (1.0, sigmoid(0.5)),
+                (2.0, proportional),
+                (1.0, adversarial),
+                (1.0, sigmoid(0.3)),
+            ]),
         };
-        let scratch = get_scratch(&mut buf, &config.controller, &members, ants, k)?;
-        // The per-ant arena columns close the stream (present iff the
-        // config carries an arena).
-        let (arena_site, arena_travel) = if let Some(arena) = &config.arena {
-            let num_sites = arena.num_sites() as u32;
-            if buf.remaining() / 8 < ants {
-                return Err(corrupt("arena columns exceed remaining payload"));
-            }
-            let mut site = Vec::with_capacity(ants);
-            for _ in 0..ants {
-                let s = get_u32(&mut buf)?;
-                if s >= num_sites {
-                    return Err(corrupt(format!(
-                        "arena site {s} out of range (the arena has {num_sites} sites)"
-                    )));
-                }
-                site.push(s);
-            }
-            let mut travel = Vec::with_capacity(ants);
-            for _ in 0..ants {
-                let t = get_u32(&mut buf)?;
-                if t > arena.travel_rounds {
-                    return Err(corrupt(format!(
-                        "arena travel {t} exceeds the travel latency {}",
-                        arena.travel_rounds
-                    )));
-                }
-                travel.push(t);
-            }
-            (site, travel)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        if !buf.is_empty() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(Self {
-            config,
-            current_demands,
-            current_noise,
-            cursor,
-            trigger_states,
-            assignments,
-            rng_states,
-            round,
-            next_stream,
-            members,
-            scratch,
-            arena_site,
-            arena_travel,
-        })
-    }
-
-    /// Writes the checkpoint to a file.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Reads a checkpoint from a file.
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| corrupt(format!("read {}: {e}", path.display())))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-/// Decodes the scratch section. Each entry must belong to an ant that
-/// runs the entry's kind — crafted bytes must fail here, not panic in
-/// `restore()`.
-fn get_scratch(
-    buf: &mut &[u8],
-    controller: &ControllerSpec,
-    members: &[u16],
-    ants: usize,
-    k: usize,
-) -> Result<Vec<(u32, ControllerScratch)>, CheckpointError> {
-    let count = get_u64(buf)? as usize;
-    // Minimum per-entry size across the scratch kinds: Precise Sigmoid
-    // is ant id + tag + currentTask + have_phase + two u16 counter rows
-    // + one median-bit row (10 + 5k); Precise Adversarial is ant id +
-    // tag + currentTask + five flag bytes + one lack-bit row (14 + k);
-    // Proportional is ant id + tag + streak (7). Validate the claimed
-    // count against the bytes present before any allocation.
-    let per_entry = (4 + 1 + 4 + 1 + k * 5)
-        .min(4 + 1 + 4 + 5 + k)
-        .min(4 + 1 + 2);
-    if count > ants || buf.remaining() / per_entry < count {
-        return Err(corrupt(format!(
-            "scratch count {count} exceeds payload or ant count {ants}"
-        )));
-    }
-    // The spec a given ant runs (its bank's sub-spec in a mix).
-    let spec_of = |ant: u32| -> Option<&ControllerSpec> {
-        match controller {
-            ControllerSpec::Mix(parts) => {
-                let bank = usize::from(*members.get(ant as usize)?);
-                parts.get(bank).map(|(_, spec)| spec)
-            }
-            spec => Some(spec),
-        }
-    };
-    let mut scratch: Vec<(u32, ControllerScratch)> = Vec::with_capacity(count);
-    for _ in 0..count {
-        let ant = get_u32(buf)?;
-        if ant as usize >= ants {
-            return Err(corrupt(format!("scratch ant {ant} out of range")));
-        }
-        if scratch.last().is_some_and(|&(prev, _)| ant <= prev) {
-            return Err(corrupt("scratch entries out of order"));
-        }
-        let entry = match (get_u8(buf)?, spec_of(ant)) {
-            (0, Some(ControllerSpec::PreciseSigmoid(p))) => {
-                let m = p.m();
-                let current_task = get_task(buf, k)?;
-                let have_phase = get_bool(buf)?;
-                let mut counts = [Vec::with_capacity(k), Vec::with_capacity(k)];
-                for half in &mut counts {
-                    for _ in 0..k {
-                        let c = get_u16(buf)?;
-                        if u64::from(c) > m {
-                            return Err(corrupt(format!(
-                                "scratch counter {c} exceeds half-phase length {m}"
-                            )));
-                        }
-                        half.push(c);
-                    }
-                }
-                let [count1, count2] = counts;
-                ControllerScratch::PreciseSigmoid(SigmoidScratch {
-                    current_task,
-                    have_phase,
-                    count1,
-                    count2,
-                    shat1_lack: get_bools(buf, k)?,
+        let mut builder = SimConfig::builder(n, vec![n as u64 / 8, n as u64 / 5, n as u64 / 4])
+            .noise(NoiseModel::Sigmoid { lambda: 0.8 })
+            .controller(controller)
+            .seed(seed);
+        if shocks {
+            builder = builder
+                .event(5, Event::Kill { count: n / 6 })
+                .event(11, Event::Spawn { count: n / 4 })
+                .event(13, Event::Scramble)
+                .event(23, Event::Spawn { count: 3 })
+                .trigger(Trigger {
+                    when: Condition::RegretBelow {
+                        threshold: n as u64 / 3,
+                        for_rounds: 3,
+                    },
+                    event: Event::Kill { count: 2 },
+                    cooldown: 9,
+                    max_firings: 0,
                 })
+                .generate(antalloc_env::TimelineGen {
+                    start: 2,
+                    until: 90,
+                    mean_gap: 15.0,
+                    shock: antalloc_env::GenShock::Kill {
+                        min_frac: 0.02,
+                        max_frac: 0.06,
+                    },
+                });
+        }
+        if arena {
+            builder = builder.arena(antalloc_env::ArenaConfig {
+                site_of_task: vec![0, 1, 0],
+                travel_rounds: 2,
+                wander_probability: 0.1,
+            });
+        }
+        builder.build().expect("generated scenario validates")
+    }
+
+    proptest::proptest! {
+        /// The columnar capture and encoder write exactly the bytes the
+        /// array-of-structs reference writes; decoding them gives back
+        /// the same checkpoint, which continues exactly like the
+        /// captured engine, restored fresh or into a reused engine.
+        /// Captures land in both halves of Precise Sigmoid's 82-round
+        /// phase (so both counter planes are live).
+        #[test]
+        fn to_bytes_matches_the_reference_encoder(
+            kind in 0usize..5,
+            n in 24usize..160,
+            seed in 0u64..1 << 40,
+            rounds in 1u64..130,
+            shocks in 0u8..2,
+            arena in 0u8..2,
+        ) {
+            let cfg = generated(kind, n, seed, shocks == 1, arena == 1);
+            let mut engine = cfg.build();
+            let phase = cfg.controller.capture_phase_len(cfg.demands.len());
+            engine.run(rounds - rounds % phase, &mut NullObserver);
+            let cp = Checkpoint::capture(&engine).expect("capture round");
+            let bytes = cp.to_bytes();
+            proptest::prop_assert_eq!(&bytes, &reference_bytes(&engine));
+            let back = Checkpoint::from_bytes(&bytes).expect("decodes");
+            proptest::prop_assert_eq!(&back, &cp);
+            let mut fresh = back.restore();
+            let mut reused = generated((kind + 2) % 5, 200 - n, !seed, shocks == 0, arena == 0).build();
+            reused.run(7, &mut NullObserver);
+            back.restore_into(&mut reused);
+            for e in [&mut engine, &mut fresh, &mut reused] {
+                e.run(30, &mut NullObserver);
             }
-            (0, _) => {
-                return Err(corrupt(format!(
-                    "scratch for ant {ant}, which runs no Precise Sigmoid"
-                )))
+            for e in [&fresh, &reused] {
+                proptest::prop_assert_eq!(e.colony().assignments(), engine.colony().assignments());
+                proptest::prop_assert_eq!(e.colony().loads(), engine.colony().loads());
+                proptest::prop_assert_eq!(
+                    Checkpoint::capture(e).map(|cp| cp.to_bytes()),
+                    Checkpoint::capture(&engine).map(|cp| cp.to_bytes())
+                );
             }
-            (1, Some(ControllerSpec::PreciseAdversarial(_))) => {
-                let current_task = get_task(buf, k)?;
-                let have_phase = get_bool(buf)?;
-                let all_overload = get_bool(buf)?;
-                let frozen_working = get_bool(buf)?;
-                let pending_first_lack = get_bool(buf)?;
-                let working_at_first_lack = match get_u8(buf)? {
-                    0 => None,
-                    1 => Some(false),
-                    2 => Some(true),
-                    t => return Err(corrupt(format!("unknown first-lack tri-state {t}"))),
-                };
-                ControllerScratch::PreciseAdversarial(AdversarialScratch {
-                    current_task,
-                    have_phase,
-                    all_lack: get_bools(buf, k)?,
-                    all_overload,
-                    working_at_first_lack,
-                    pending_first_lack,
-                    frozen_working,
-                })
-            }
-            (1, _) => {
-                return Err(corrupt(format!(
-                    "scratch for ant {ant}, which runs no Precise Adversarial"
-                )))
-            }
-            (2, Some(ControllerSpec::Proportional(_))) => {
-                ControllerScratch::Proportional(get_u16(buf)?)
-            }
-            (2, _) => {
-                return Err(corrupt(format!(
-                    "scratch for ant {ant}, which runs no Proportional controller"
-                )))
-            }
-            (t, _) => return Err(corrupt(format!("unknown scratch tag {t}"))),
-        };
-        scratch.push((ant, entry));
-    }
-    Ok(scratch)
-}
-
-fn corrupt(msg: impl Into<String>) -> CheckpointError {
-    CheckpointError::Corrupt(msg.into())
-}
-
-// ---- text sections -------------------------------------------------------
-
-fn put_text(out: &mut Vec<u8>, text: &str) {
-    out.put_u64_le(text.len() as u64);
-    out.extend_from_slice(text.as_bytes());
-}
-
-/// Reads a length-prefixed TOML section and decodes it through the
-/// scenario codec; parse and validation errors are corruption.
-fn decode_text<T>(
-    buf: &mut &[u8],
-    what: &str,
-    decode: impl FnOnce(&crate::scenario::Value) -> Result<T, ConfigError>,
-) -> Result<T, CheckpointError> {
-    let len = get_u64(buf)?;
-    if len > buf.remaining() as u64 {
-        return Err(corrupt(format!(
-            "{what} section length {len} exceeds remaining payload"
-        )));
-    }
-    let (text, rest) = buf.split_at(len as usize);
-    *buf = rest;
-    let text = std::str::from_utf8(text)
-        .map_err(|e| corrupt(format!("{what} section is not UTF-8: {e}")))?;
-    toml::parse(text)
-        .and_then(|root| decode(&root))
-        .map_err(|e| corrupt(format!("invalid {what} section: {e}")))
-}
-
-// ---- primitives (readers are length-checked) ----------------------------
-
-fn need(buf: &&[u8], n: usize) -> Result<(), CheckpointError> {
-    if buf.remaining() < n {
-        Err(corrupt(format!("truncated: need {n} more bytes")))
-    } else {
-        Ok(())
-    }
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8, CheckpointError> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
-}
-
-fn get_u16(buf: &mut &[u8]) -> Result<u16, CheckpointError> {
-    need(buf, 2)?;
-    Ok(buf.get_u16_le())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, CheckpointError> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64, CheckpointError> {
-    need(buf, 8)?;
-    Ok(buf.get_u64_le())
-}
-
-fn get_i64(buf: &mut &[u8]) -> Result<i64, CheckpointError> {
-    need(buf, 8)?;
-    Ok(buf.get_i64_le())
-}
-
-fn get_bool(buf: &mut &[u8]) -> Result<bool, CheckpointError> {
-    Ok(get_u8(buf)? != 0)
-}
-
-fn get_bools(buf: &mut &[u8], len: usize) -> Result<Vec<bool>, CheckpointError> {
-    (0..len).map(|_| get_bool(buf)).collect()
-}
-
-fn put_task(out: &mut Vec<u8>, assignment: Assignment) {
-    out.put_u32_le(match assignment {
-        Assignment::Idle => u32::MAX,
-        Assignment::Task(j) => j,
-    });
-}
-
-/// Reads an assignment (`u32::MAX` = idle), rejecting task indices
-/// outside the colony's `k` tasks.
-fn get_task(buf: &mut &[u8], k: usize) -> Result<Assignment, CheckpointError> {
-    match get_u32(buf)? {
-        u32::MAX => Ok(Assignment::Idle),
-        j if (j as usize) < k => Ok(Assignment::Task(j)),
-        j => Err(corrupt(format!("task {j} out of range ({k} tasks)"))),
-    }
-}
-
-fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
-    out.put_u64_le(xs.len() as u64);
-    for &x in xs {
-        out.put_u64_le(x);
-    }
-}
-
-fn get_u64s(buf: &mut &[u8]) -> Result<Vec<u64>, CheckpointError> {
-    let len = get_u64(buf)? as usize;
-    if buf.remaining() / 8 < len {
-        return Err(corrupt(format!(
-            "vector length {len} exceeds remaining payload"
-        )));
-    }
-    (0..len).map(|_| get_u64(buf)).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::observer::NullObserver;
-    use antalloc_core::{
-        AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
-        ProportionalParams,
-    };
-    use antalloc_env::{Condition, DemandSchedule, Event, InitialConfig, Timeline, Trigger};
-    use antalloc_noise::GreyZonePolicy;
-
-    /// The frozen fixture: a 3-site arena, a Precise Sigmoid +
-    /// Proportional mix captured mid-phase, a `deficit-rate-above`
-    /// trigger, a generator and a `set-noise` switch — a stream with
-    /// every section populated.
-    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint_v8.ckpt");
-
-    fn config() -> SimConfig {
-        SimConfig::builder(200, vec![30, 40])
-            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-            .controller(ControllerSpec::Ant(AntParams::default()))
-            .seed(99)
-            .build()
-            .expect("valid scenario")
+        }
     }
 
-    /// The config section's text (it follows the 24-byte header).
-    fn config_text(bytes: &[u8]) -> &str {
-        let len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-        std::str::from_utf8(&bytes[32..32 + len]).unwrap()
-    }
-
-    /// `bytes` with its config section replaced by `text`.
-    fn with_config_text(bytes: &[u8], text: &str) -> Vec<u8> {
-        let old_len = config_text(bytes).len();
-        let mut out = bytes[..24].to_vec();
-        out.extend_from_slice(&(text.len() as u64).to_le_bytes());
-        out.extend_from_slice(text.as_bytes());
-        out.extend_from_slice(&bytes[32 + old_len..]);
-        out
-    }
-
-    /// The offsets at which each section of `cp.to_bytes()` ends.
-    fn section_ends(cp: &Checkpoint) -> Vec<usize> {
-        let noise = toml::write(&noise_to_value(&cp.current_noise));
-        [8, 16, 8 + cp.config.to_toml().len(), 8 + noise.len()]
-            .into_iter()
-            .chain(cp.runtime_section_lens())
-            .scan(0, |at, len| {
-                *at += len;
-                Some(*at)
-            })
-            .collect()
+    #[test]
+    fn generated_engines_carry_every_scratch_kind() {
+        // Guards the property above against vacuity: its generator
+        // really produces every scratch kind and permuted membership.
+        let mut engine = generated(4, 150, 3, true, true).build();
+        engine.run(31, &mut NullObserver);
+        let cp = Checkpoint::capture(&engine).unwrap();
+        let cols = &cp.state.ants;
+        assert!(!cols.sigmoid.ids.is_empty());
+        assert!(!cols.adversarial_ids.is_empty());
+        assert!(!cols.streak_ids.is_empty());
+        assert!(cp.state.tasks.len() != 150, "shocks resized the colony");
+        assert_eq!(cp.to_bytes(), reference_bytes(&engine));
     }
 
     #[test]
@@ -964,6 +1110,28 @@ mod tests {
     }
 
     #[test]
+    fn save_replaces_an_existing_checkpoint_atomically() {
+        let mut e = config().build();
+        let mut obs = NullObserver;
+        e.run(4, &mut obs);
+        let first = Checkpoint::capture(&e).unwrap();
+        e.run(6, &mut obs);
+        let second = Checkpoint::capture(&e).unwrap();
+        let dir = std::env::temp_dir().join(format!("antalloc_ckpt_save_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("state.ckpt");
+        first.save(&path).unwrap();
+        second.save(&path).unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["state.ckpt"], "no temp file is left behind");
+        assert_eq!(Checkpoint::load(&path).unwrap(), second);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn mix_checkpoints_roundtrip_with_membership() {
         let cfg = SimConfig::builder(60, vec![10, 10])
             .noise(NoiseModel::Sigmoid { lambda: 2.0 })
@@ -1030,7 +1198,7 @@ mod tests {
     fn scratch_for_non_sigmoid_colonies_is_rejected_not_panicked() {
         // A crafted stream that claims Precise Sigmoid scratch for an
         // Ant colony must come back as a clean corrupt error — reaching
-        // `restore()` would panic in `apply_scratch`.
+        // `restore()` would panic writing the scratch back.
         let mut e = config().build(); // Ant colony, 2 tasks
         let mut obs = NullObserver;
         e.run(2, &mut obs);

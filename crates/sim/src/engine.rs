@@ -54,8 +54,8 @@ use std::sync::Arc;
 
 use antalloc_core::AnyController;
 use antalloc_env::{
-    ArenaConfig, Assignment, ColonyState, ColonyView, ColumnWriter, DemandVector, Event,
-    InitialConfig, Perturbation, RoundDelta, TaskColumn, Timeline, TriggerState,
+    ArenaConfig, ColonyState, ColonyView, ColumnWriter, DemandVector, Event, InitialConfig,
+    Perturbation, RoundDelta, TaskColumn, Timeline, TriggerState,
 };
 use antalloc_noise::{NoiseModel, PreparedRound, SensedRound};
 use antalloc_rng::{reserved, AntRng, StreamSeeder};
@@ -63,7 +63,7 @@ use antalloc_rng::{reserved, AntRng, StreamSeeder};
 use crate::arena::ArenaState;
 use crate::config::{ControllerSpec, SimConfig};
 use crate::observer::Observer;
-use crate::population::{Population, WorkerPart};
+use crate::population::{AntColumns, Population, WorkerPart};
 
 /// The sub-seeder every timeline-event draw derives from: a pure
 /// function of the master seed, keyed per firing round, so scripted
@@ -226,17 +226,19 @@ impl RoundRecord<'_> {
     }
 }
 
-/// Checkpointable engine state, borrowed from a live engine.
-pub(crate) struct EngineState<'a> {
+/// Everything a run needs to continue bit-identically, as columns in
+/// global ant order: what [`crate::Checkpoint`] holds and encodes.
+/// [`SyncEngine::snapshot`] copies it out of an engine and
+/// [`SyncEngine::restore_from`] copies it back in.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Snapshot {
     /// The configuration (including the full timeline).
-    pub config: &'a SimConfig,
-    /// Ground truth (current demands and assignments).
-    pub colony: &'a ColonyState,
-    /// The noise model currently in force (timeline `SetNoise` events
-    /// may have switched it away from `config.noise`).
-    pub noise: &'a NoiseModel,
-    /// Per-ant RNG states in global ant order.
-    pub rng_states: Vec<[u64; 4]>,
+    pub config: SimConfig,
+    /// The demands in force.
+    pub demands: Vec<u64>,
+    /// The noise model in force (a timeline `SetNoise` event may have
+    /// switched it away from `config.noise`).
+    pub noise: NoiseModel,
     /// The current round.
     pub round: u64,
     /// Next RNG stream id for spawned ants.
@@ -244,18 +246,17 @@ pub(crate) struct EngineState<'a> {
     /// One-shot timeline events already consumed (indexes the
     /// *compiled* timeline: scripted plus generated events).
     pub cursor: u64,
-    /// Per-ant bank membership for mixed colonies.
-    pub members: Option<Vec<u16>>,
     /// Runtime state of every timeline trigger, in timeline order.
-    pub trigger_states: Vec<TriggerState>,
-    /// Mid-phase controller scratch (Precise Sigmoid counters), in
-    /// global ant order; empty for scratch-free colonies.
-    pub scratch: Vec<(u32, antalloc_core::ControllerScratch)>,
-    /// Arena position column (site per ant, global ant order); empty
-    /// for well-mixed scenarios.
+    pub triggers: Vec<TriggerState>,
+    /// Every ant's assignment, raw ([`antalloc_env::Assignment::RAW_IDLE`]
+    /// = idle).
+    pub tasks: Vec<u32>,
+    /// RNG words, membership and controller scratch.
+    pub ants: AntColumns,
+    /// Arena site per ant; empty for well-mixed scenarios.
     pub arena_site: Vec<u32>,
-    /// Arena travel column (transit rounds remaining per ant); empty
-    /// for well-mixed scenarios.
+    /// Arena transit rounds remaining per ant; empty for well-mixed
+    /// scenarios.
     pub arena_travel: Vec<u32>,
 }
 
@@ -748,13 +749,14 @@ impl SyncEngine {
         );
     }
 
-    /// Accessors used by checkpointing; see [`EngineState`].
-    pub(crate) fn state_parts(&self) -> EngineState<'_> {
-        let members = if self.population.is_mixed() {
-            Some(self.population.members())
-        } else {
-            None
-        };
+    /// The banked population (checkpoint reference tests).
+    #[cfg(test)]
+    pub(crate) fn population(&self) -> &Population {
+        &self.population
+    }
+
+    /// Copies the engine's state out as columns (checkpoint capture).
+    pub(crate) fn snapshot(&self) -> Snapshot {
         let (arena_site, arena_travel) = match &self.arena {
             Some(l) => {
                 let a = l.read();
@@ -762,106 +764,88 @@ impl SyncEngine {
             }
             None => (Vec::new(), Vec::new()),
         };
-        EngineState {
-            config: &self.config,
-            colony: &self.colony,
-            noise: &self.noise,
-            rng_states: self.population.rng_states(),
+        Snapshot {
+            config: self.config.clone(),
+            demands: self.colony.demands().as_slice().to_vec(),
+            noise: self.noise.clone(),
             round: self.round,
             next_stream: self.next_stream,
             cursor: self.cursor as u64,
-            members,
-            trigger_states: self.trigger_states.clone(),
-            scratch: self.population.scratches(),
+            triggers: self.trigger_states.clone(),
+            tasks: self.colony.task_column().to_vec(),
+            ants: self.population.capture(self.colony.num_tasks()),
             arena_site,
             arena_travel,
         }
     }
 
-    /// Rebuilds this engine in place from checkpointed parts, reusing
-    /// allocations like [`SyncEngine::reset_from`] (the restore-into-a-
-    /// reused-engine path; `Checkpoint::restore` routes through it too,
-    /// via a freshly built shell). `members` carries the
-    /// per-ant bank membership for mixed colonies (empty otherwise);
-    /// `noise` is the model in force at capture time (it may differ
-    /// from `config.noise` after a `SetNoise` event); `cursor` is the
-    /// number of one-shot events of the *compiled* timeline already
-    /// consumed (generators re-expand identically from the seed);
-    /// `trigger_states` is the captured runtime state of every trigger;
-    /// `scratch` carries mid-phase controller state (Precise Sigmoid,
-    /// Precise Adversarial, Proportional) for captures between phase
-    /// boundaries.
-    #[allow(clippy::too_many_arguments)] // checkpoint-internal plumbing
-    pub(crate) fn restore_parts_in(
-        &mut self,
-        config: &SimConfig,
-        demands: &[u64],
-        noise: &NoiseModel,
-        assignments: &[Assignment],
-        rng_states: &[[u64; 4]],
-        round: u64,
-        next_stream: u64,
-        cursor: u64,
-        members: &[u16],
-        trigger_states: &[TriggerState],
-        scratch: &[(u32, antalloc_core::ControllerScratch)],
-        arena_columns: Option<(&[u32], &[u32])>,
-    ) {
-        let n = assignments.len();
+    /// Rebuilds this engine in place from `snap`, reusing allocations
+    /// like [`SyncEngine::reset_from`]: the colony is recounted from the
+    /// task column, every bank is reset from it and takes the captured
+    /// RNG words and scratch, and the arena takes the captured columns.
+    ///
+    /// With `fork`, the state is rebased onto that config instead of the
+    /// snapshot's own (`Checkpoint::fork_into`): its demands and noise
+    /// replace the captured ones only where it changes them from the
+    /// snapshot's config, and the one-shot cursor is recomputed against
+    /// its compiled timeline.
+    pub(crate) fn restore_from(&mut self, snap: &Snapshot, fork: Option<&SimConfig>) {
+        let config = fork.unwrap_or(&snap.config);
+        let demands = if config.demands != snap.config.demands {
+            &config.demands
+        } else {
+            &snap.demands
+        };
+        let noise = if config.noise != snap.config.noise {
+            &config.noise
+        } else {
+            &snap.noise
+        };
+        let n = snap.tasks.len();
         let k = demands.len();
         self.config.clone_from(config);
-        self.colony.rebuild_in(n, demands);
-        for (i, &a) in assignments.iter().enumerate() {
-            self.colony.apply(i, a);
-        }
-        if members.is_empty() {
-            self.population
-                .rebuild_in(&config.controller, config.seed, k, n);
-        } else {
-            self.population
-                .rebuild_from_members_in(&config.controller, config.seed, k, members);
-        }
-        self.population.reset_to_colony(&self.colony);
-        self.population.set_rng_states(rng_states);
-        for (i, s) in scratch {
-            self.population.apply_scratch(*i as usize, s);
-        }
+        self.colony.restore_in(&snap.tasks, demands);
+        self.population
+            .restore_in(&config.controller, config.seed, &self.colony, &snap.ants);
         self.noise.clone_from(noise);
         self.seeder = StreamSeeder::new(config.seed);
         self.event_seeder = event_seeder(config.seed);
         self.init_rng = self.seeder.stream(reserved::INIT);
-        self.round = round;
-        self.cursor = cursor as usize;
+        self.round = snap.round;
         // The compiled stream is a pure function of (config, seed):
         // magnitudes scale off the *initial* n and demands, not the
         // possibly-shrunk captured colony.
         self.compiled = config
             .timeline
             .compile(config.seed, config.n, &config.demands);
-        self.trigger_states = if trigger_states.is_empty() {
-            self.compiled.initial_trigger_states()
-        } else {
-            debug_assert_eq!(trigger_states.len(), self.compiled.triggers.len());
-            trigger_states.to_vec()
+        self.cursor = match fork {
+            Some(_) => self.compiled.cursor_at(snap.round),
+            None => snap.cursor as usize,
         };
+        if snap.triggers.is_empty() {
+            self.trigger_states = self.compiled.initial_trigger_states();
+        } else {
+            debug_assert_eq!(snap.triggers.len(), self.compiled.triggers.len());
+            self.trigger_states.clone_from(&snap.triggers);
+        }
         self.pre_deficits.clear();
         self.pre_deficits.resize(k, 0);
         self.post_deficits.clear();
         self.post_deficits.resize(k, 0);
-        self.next_stream = next_stream;
-        self.next_column.reset(n);
+        self.next_stream = snap.next_stream;
+        // The spare column needs no reset: `run_scope` sizes it, and every
+        // round's kernels overwrite each slot before it is read.
         self.arena = config.arena.as_ref().map(|a| {
             let mut arena = self.take_arena(a, config.seed);
             let state = arena.get_mut();
-            match arena_columns {
-                Some((site, travel)) => state.restore(a, config.seed, site, travel),
-                // Defensive: a checkpoint that carries an arena config
-                // always carries its columns; re-derive from the colony
-                // if one somehow does not.
-                None => {
-                    state.reset(a, n, config.seed);
-                    state.sync_to_colony(&self.colony);
-                }
+            if snap.arena_site.is_empty() {
+                // Defensive: a snapshot of an arena config always
+                // carries its columns; re-derive from the colony if one
+                // somehow does not.
+                state.reset(a, n, config.seed);
+                state.sync_to_colony(&self.colony);
+            } else {
+                state.restore(a, config.seed, &snap.arena_site, &snap.arena_travel);
             }
             arena
         });

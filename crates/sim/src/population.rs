@@ -33,7 +33,10 @@
 //! stream keyed by their RNG stream id, so checkpoint + spawn replays
 //! bit-identically to an uninterrupted run.
 
-use antalloc_core::{AnyController, BankSliceMut, ControllerBank, ControllerScratch};
+use antalloc_core::{
+    AdversarialScratch, AnyController, BankSliceMut, ControllerBank, SigmoidPlanes,
+    SigmoidPlanesMut,
+};
 use antalloc_env::{Assignment, ColonyState};
 use antalloc_noise::PreparedRound;
 use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
@@ -43,6 +46,156 @@ use crate::config::ControllerSpec;
 /// One worker's share of the colony: disjoint (controller chunk, RNG
 /// chunk, global-id chunk) triples (see [`Population::partition_mut`]).
 pub(crate) type WorkerPart<'a> = Vec<(BankSliceMut<'a>, &'a mut [AntRng], &'a [u32])>;
+
+/// The population's checkpointed state as columns in ascending global
+/// ant id — what a checkpoint copies out of the banks and back in. The
+/// per-kind scratch columns hold only ants of kinds that carry
+/// mid-phase state.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct AntColumns {
+    /// Four xoshiro256++ state words per ant.
+    pub rng: Vec<u64>,
+    /// Bank (sub-spec) index per ant for mixed colonies; empty
+    /// otherwise.
+    pub members: Vec<u16>,
+    /// Precise Sigmoid counters, one row per ant of that kind.
+    pub sigmoid: SigmoidColumns,
+    /// Ids of the Precise Adversarial ants, one per `adversarial` entry.
+    pub adversarial_ids: Vec<u32>,
+    /// Precise Adversarial phase trackers.
+    pub adversarial: Vec<AdversarialScratch>,
+    /// Ids of the Proportional ants with a non-zero streak.
+    pub streak_ids: Vec<u32>,
+    /// Their deadband streaks.
+    pub streaks: Vec<u16>,
+}
+
+impl AntColumns {
+    /// Appends the scratch of ant `id`, slot `s` of `bank`.
+    fn capture_row(&mut self, bank: &Bank, id: u32, s: usize, k: usize) {
+        match &bank.controllers {
+            ControllerBank::PreciseSigmoid(b) => self.sigmoid.push(id, &b.planes(), s, k),
+            ControllerBank::PreciseAdversarial(v) => {
+                self.adversarial_ids.push(id);
+                self.adversarial.push(v[s].scratch());
+            }
+            // Zero streaks are the reset state; omitting them keeps
+            // checkpoints of settled colonies scratch-free.
+            ControllerBank::Proportional(b) if b.streak(s) != 0 => {
+                self.streak_ids.push(id);
+                self.streaks.push(b.streak(s));
+            }
+            _ => {}
+        }
+    }
+
+    /// Appends the scratch of every ant of `bank`, whose ants ascend.
+    fn capture_bank(&mut self, bank: &Bank) {
+        match &bank.controllers {
+            ControllerBank::PreciseSigmoid(b) => self.sigmoid.extend(&bank.ants, &b.planes()),
+            ControllerBank::PreciseAdversarial(v) => {
+                self.adversarial_ids.extend_from_slice(&bank.ants);
+                self.adversarial.extend(v.iter().map(|c| c.scratch()));
+            }
+            ControllerBank::Proportional(b) => {
+                // Branch-free compaction of the non-zero streaks.
+                let at = self.streaks.len();
+                self.streak_ids.resize(at + bank.len(), 0);
+                self.streaks.resize(at + bank.len(), 0);
+                let mut end = at;
+                for (&id, &streak) in bank.ants.iter().zip(b.streaks()) {
+                    self.streak_ids[end] = id;
+                    self.streaks[end] = streak;
+                    end += usize::from(streak != 0);
+                }
+                self.streak_ids.truncate(end);
+                self.streaks.truncate(end);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The checkpoint scratch tags of the kinds that carry mid-phase state
+/// (see `docs/CHECKPOINTS.md`).
+pub(crate) const TAG_SIGMOID: u8 = 0;
+pub(crate) const TAG_ADVERSARIAL: u8 = 1;
+pub(crate) const TAG_STREAK: u8 = 2;
+
+/// The scratch tag of a bank, if its controllers carry mid-phase state.
+fn scratch_kind(bank: &ControllerBank) -> Option<u8> {
+    match bank {
+        ControllerBank::PreciseSigmoid(_) => Some(TAG_SIGMOID),
+        ControllerBank::PreciseAdversarial(_) => Some(TAG_ADVERSARIAL),
+        ControllerBank::Proportional(_) => Some(TAG_STREAK),
+        _ => None,
+    }
+}
+
+/// Precise Sigmoid scratch as fixed-stride columns shaped like the
+/// bank's planes ([`SigmoidPlanes`]): entry `e` belongs to ant
+/// `ids[e]` and owns `k` entries of each counter and median column.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SigmoidColumns {
+    pub ids: Vec<u32>,
+    /// `currentTask`, raw.
+    pub current: Vec<u32>,
+    /// Phase-observed flag (0 or 1).
+    pub have_phase: Vec<u8>,
+    /// First-half `lack` counts.
+    pub count1: Vec<u16>,
+    /// Second-half `lack` counts.
+    pub count2: Vec<u16>,
+    /// Frozen first-half medians (1 = lack).
+    pub shat1: Vec<u8>,
+}
+
+impl SigmoidColumns {
+    /// Reserves room for `entries` more rows over `k` tasks.
+    pub fn reserve(&mut self, entries: usize, k: usize) {
+        self.ids.reserve_exact(entries);
+        self.current.reserve_exact(entries);
+        self.have_phase.reserve_exact(entries);
+        self.count1.reserve_exact(k * entries);
+        self.count2.reserve_exact(k * entries);
+        self.shat1.reserve_exact(k * entries);
+    }
+
+    /// Appends ant `id`'s row, slot `s` of `planes`.
+    fn push(&mut self, id: u32, planes: &SigmoidPlanes<'_>, s: usize, k: usize) {
+        let row = s * k..s * k + k;
+        self.ids.push(id);
+        self.current.push(planes.current[s]);
+        self.have_phase.push(planes.have_phase[s]);
+        // Copied element-wise: rows are a few entries long, too short
+        // for a `memcpy` call to pay.
+        self.count1
+            .extend(planes.count1[row.clone()].iter().copied());
+        self.count2
+            .extend(planes.count2[row.clone()].iter().copied());
+        self.shat1.extend(planes.shat1[row].iter().copied());
+    }
+
+    /// Appends every row of a bank whose ants are `ids`.
+    fn extend(&mut self, ids: &[u32], planes: &SigmoidPlanes<'_>) {
+        self.ids.extend_from_slice(ids);
+        self.current.extend_from_slice(planes.current);
+        self.have_phase.extend_from_slice(planes.have_phase);
+        self.count1.extend_from_slice(planes.count1);
+        self.count2.extend_from_slice(planes.count2);
+        self.shat1.extend_from_slice(planes.shat1);
+    }
+
+    /// Writes entry `e` into slot `s` of `planes`.
+    fn write(&self, e: usize, planes: &mut SigmoidPlanesMut<'_>, s: usize, k: usize) {
+        let (from, to) = (e * k..e * k + k, s * k..s * k + k);
+        planes.current[s] = self.current[e];
+        planes.have_phase[s] = self.have_phase[e];
+        planes.count1[to.clone()].copy_from_slice(&self.count1[from.clone()]);
+        planes.count2[to.clone()].copy_from_slice(&self.count2[from.clone()]);
+        planes.shat1[to].copy_from_slice(&self.shat1[from]);
+    }
+}
 
 /// One homogeneous sub-population: controllers plus their per-slot
 /// parallel arrays.
@@ -58,17 +211,6 @@ pub(crate) struct Bank {
 }
 
 impl Bank {
-    fn new(spec: ControllerSpec, num_tasks: usize, ids: Vec<u32>, seeder: &StreamSeeder) -> Self {
-        let controllers = spec.build_bank(num_tasks, &ids);
-        let rngs = ids.iter().map(|&i| seeder.ant(i as usize)).collect();
-        Self {
-            spec,
-            controllers,
-            rngs,
-            ants: ids,
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.ants.len()
     }
@@ -175,178 +317,171 @@ pub(crate) fn mix_members(seed: u64, weights: &[f64], n: usize) -> Vec<u16> {
 impl Population {
     /// Builds the population for `spec` with ants `0..n`.
     pub fn build(spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) -> Self {
-        match spec.mix_parts() {
-            None => {
-                let seeder = StreamSeeder::new(seed);
-                let ids: Vec<u32> = (0..n as u32).collect();
-                let bank = Bank::new(spec.clone(), num_tasks, ids, &seeder);
-                Self {
-                    index: (0..n as u32).map(|s| (0, s)).collect(),
-                    banks: vec![bank],
-                    mix: None,
-                }
-            }
-            Some(parts) => {
-                let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
-                let members = mix_members(seed, &weights, n);
-                Self::from_members(spec, seed, num_tasks, &members)
-            }
-        }
-    }
-
-    /// Rebuilds a population from an explicit membership vector (the
-    /// checkpoint-restore path; kills permute memberships, so they
-    /// cannot be recomputed from the seed).
-    pub fn from_members(
-        spec: &ControllerSpec,
-        seed: u64,
-        num_tasks: usize,
-        members: &[u16],
-    ) -> Self {
-        let seeder = StreamSeeder::new(seed);
-        match spec.mix_parts() {
-            None => Self::build(spec, seed, num_tasks, members.len()),
-            Some(parts) => {
-                let mut bank_ids: Vec<Vec<u32>> = vec![Vec::new(); parts.len()];
-                let mut index = vec![(0u32, 0u32); members.len()];
-                for (i, &b) in members.iter().enumerate() {
-                    let b = b as usize;
-                    assert!(b < parts.len(), "membership references unknown sub-spec");
-                    index[i] = (b as u32, bank_ids[b].len() as u32);
-                    bank_ids[b].push(i as u32);
-                }
-                let banks = parts
-                    .iter()
-                    .zip(bank_ids)
-                    .map(|((_, sub), ids)| Bank::new(sub.clone(), num_tasks, ids, &seeder))
-                    .collect();
-                let weights = parts.iter().map(|(w, _)| *w).collect();
-                Self {
-                    banks,
-                    index,
-                    mix: Some(MixMembership::new(seed, weights)),
-                }
-            }
-        }
+        let mut population = Self {
+            banks: Vec::new(),
+            index: Vec::new(),
+            mix: None,
+        };
+        population.rebuild_in(spec, seed, num_tasks, n);
+        population
     }
 
     /// Rebuilds this population in place to the state
     /// [`Population::build`] would produce, reusing bank, RNG and index
-    /// allocations whenever the bank structure carries over (the
-    /// engine-reuse fast path for sweeps; shrink keeps capacity, grow
-    /// reallocates). Falls back to a fresh build when the number of
-    /// banks changes (e.g. homogeneous ↔ mix, or a different mix
-    /// arity).
+    /// allocations (the engine-reuse fast path for sweeps; shrink keeps
+    /// capacity, grow reallocates, a changed bank kind is rebuilt).
     pub fn rebuild_in(&mut self, spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) {
-        match spec.mix_parts() {
-            None => self.rebuild_homogeneous(spec, seed, num_tasks, n),
-            Some(_) => {
-                // Membership is a pure function of (seed, weights, n);
-                // the O(n) vector is transient, unlike the banks.
-                let members = Self::initial_members(spec, seed, n);
-                self.rebuild_with_members(spec, seed, num_tasks, &members);
-            }
-        }
-    }
-
-    /// In-place counterpart of [`Population::from_members`] (the
-    /// checkpoint-restore-into-a-reused-engine path).
-    pub fn rebuild_from_members_in(
-        &mut self,
-        spec: &ControllerSpec,
-        seed: u64,
-        num_tasks: usize,
-        members: &[u16],
-    ) {
-        match spec.mix_parts() {
-            None => self.rebuild_homogeneous(spec, seed, num_tasks, members.len()),
-            Some(_) => self.rebuild_with_members(spec, seed, num_tasks, members),
-        }
-    }
-
-    /// The deterministic initial membership vector for a mix spec.
-    fn initial_members(spec: &ControllerSpec, seed: u64, n: usize) -> Vec<u16> {
-        let weights: Vec<f64> = match spec.mix_parts() {
-            Some(parts) => parts.iter().map(|(w, _)| *w).collect(),
-            None => Vec::new(),
-        };
-        assert!(!weights.is_empty(), "initial_members requires a mix spec");
-        mix_members(seed, &weights, n)
-    }
-
-    fn rebuild_homogeneous(
-        &mut self,
-        spec: &ControllerSpec,
-        seed: u64,
-        num_tasks: usize,
-        n: usize,
-    ) {
+        // Membership is a pure function of (seed, weights, n); the O(n)
+        // vector is transient, unlike the banks.
+        let members = spec.mix_parts().map(|parts| {
+            let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
+            mix_members(seed, &weights, n)
+        });
         let seeder = StreamSeeder::new(seed);
-        self.mix = None;
-        self.banks.truncate(1);
-        match self.banks.first_mut() {
-            Some(bank) => {
-                if bank.spec != *spec {
-                    bank.spec = spec.clone();
-                }
-                bank.ants.clear();
-                bank.ants.extend(0..n as u32);
-                spec.rebuild_bank(num_tasks, &bank.ants, &mut bank.controllers);
-                bank.rngs.clear();
-                bank.rngs.extend((0..n).map(|i| seeder.ant(i)));
-            }
-            None => {
-                let ids: Vec<u32> = (0..n as u32).collect();
-                self.banks
-                    .push(Bank::new(spec.clone(), num_tasks, ids, &seeder));
-            }
-        }
-        self.index.clear();
-        self.index.extend((0..n as u32).map(|s| (0, s)));
+        self.regroup(
+            spec,
+            seed,
+            num_tasks,
+            members.as_deref().unwrap_or_default(),
+            n,
+            |i| seeder.ant(i),
+        );
         debug_assert!(self.check_invariants());
     }
 
-    fn rebuild_with_members(
+    /// Rebuilds this population in place from checkpointed columns:
+    /// membership regroups the banks, every controller is reset to its
+    /// ant's assignment in `colony` (already restored), the captured RNG
+    /// words are copied in — no stream is derived — and the scratch
+    /// columns are scattered back. Reuses allocations like
+    /// [`Population::rebuild_in`].
+    pub fn restore_in(
+        &mut self,
+        spec: &ControllerSpec,
+        seed: u64,
+        colony: &ColonyState,
+        cols: &AntColumns,
+    ) {
+        let (k, n) = (colony.num_tasks(), colony.num_ants());
+        let (states, _) = cols.rng.as_chunks::<4>();
+        self.regroup(spec, seed, k, &cols.members, n, |i| {
+            AntRng::from_state(states[i])
+        });
+        self.reset_to_colony(colony);
+        let sigmoid = &cols.sigmoid;
+        let sole_bank = self.banks.iter_mut().find(|bank| bank.ants == sigmoid.ids);
+        if let Some(Bank {
+            controllers: ControllerBank::PreciseSigmoid(bank),
+            ..
+        }) = sole_bank
+        {
+            // One bank holds exactly the captured ants, in order: copy
+            // the planes whole.
+            let planes = bank.planes_mut();
+            planes.current.copy_from_slice(&sigmoid.current);
+            planes.have_phase.copy_from_slice(&sigmoid.have_phase);
+            planes.count1.copy_from_slice(&sigmoid.count1);
+            planes.count2.copy_from_slice(&sigmoid.count2);
+            planes.shat1.copy_from_slice(&sigmoid.shat1);
+        } else {
+            for (e, &id) in sigmoid.ids.iter().enumerate() {
+                match self.slot_mut(id) {
+                    (ControllerBank::PreciseSigmoid(bank), s) => {
+                        sigmoid.write(e, &mut bank.planes_mut(), s, k);
+                    }
+                    // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
+                    _ => unreachable!("Precise Sigmoid scratch for another kind"),
+                }
+            }
+        }
+        for (&id, scratch) in cols.adversarial_ids.iter().zip(&cols.adversarial) {
+            match self.slot_mut(id) {
+                (ControllerBank::PreciseAdversarial(v), s) => v[s].apply_scratch(scratch),
+                // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
+                _ => unreachable!("Precise Adversarial scratch for another kind"),
+            }
+        }
+        for (&id, &streak) in cols.streak_ids.iter().zip(&cols.streaks) {
+            match self.slot_mut(id) {
+                (ControllerBank::Proportional(bank), s) => bank.set_streak(s, streak),
+                // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
+                _ => unreachable!("Proportional scratch for another kind"),
+            }
+        }
+        debug_assert!(self.check_invariants());
+    }
+
+    /// Ant `id`'s bank controllers and slot.
+    fn slot_mut(&mut self, id: u32) -> (&mut ControllerBank, usize) {
+        let (b, s) = self.index[id as usize];
+        (&mut self.banks[b as usize].controllers, s as usize)
+    }
+
+    /// Regroups ants `0..n` into one bank per (sub-)spec — ant `i` of a
+    /// mix joins bank `members[i]`, a homogeneous colony's ants all
+    /// join bank 0 — with RNG stream `rng_of(i)`, and rebuilds every
+    /// bank's controllers fresh for its ants, reusing allocations.
+    fn regroup(
         &mut self,
         spec: &ControllerSpec,
         seed: u64,
         num_tasks: usize,
         members: &[u16],
+        n: usize,
+        rng_of: impl Fn(usize) -> AntRng,
     ) {
-        let Some(parts) = spec.mix_parts() else {
-            // audit:allow(panic-path): both callers route homogeneous specs to rebuild_homogeneous.
-            unreachable!("rebuild_with_members requires a mix spec");
-        };
-        if self.banks.len() != parts.len() {
-            // Bank structure changed wholesale; nothing worth salvaging.
-            *self = Self::from_members(spec, seed, num_tasks, members);
-            return;
-        }
-        let n = members.len();
-        let seeder = StreamSeeder::new(seed);
+        let parts = spec.mix_parts();
+        let sub = |b: usize| parts.map_or(spec, |parts| &parts[b].1);
+        let num_banks = parts.map_or(1, <[_]>::len);
+        self.banks.truncate(num_banks);
         for bank in &mut self.banks {
             bank.ants.clear();
+            bank.rngs.clear();
+        }
+        while self.banks.len() < num_banks {
+            let spec = sub(self.banks.len()).clone();
+            self.banks.push(Bank {
+                controllers: spec.build_bank(num_tasks, &[]),
+                spec,
+                rngs: Vec::new(),
+                ants: Vec::new(),
+            });
         }
         self.index.clear();
-        self.index.resize(n, (0, 0));
-        for (i, &b) in members.iter().enumerate() {
-            let b = b as usize;
-            assert!(b < parts.len(), "membership references unknown sub-spec");
-            self.index[i] = (b as u32, self.banks[b].ants.len() as u32);
-            self.banks[b].ants.push(i as u32);
+        let mut lens = vec![0u32; num_banks];
+        match parts {
+            Some(_) => {
+                assert_eq!(members.len(), n, "one membership per ant");
+                self.index.extend(members.iter().map(|&b| {
+                    let len = &mut lens[usize::from(b)];
+                    *len += 1;
+                    (u32::from(b), *len - 1)
+                }));
+            }
+            None => {
+                self.index.extend((0..n as u32).map(|s| (0, s)));
+                lens[0] = n as u32;
+            }
         }
-        for (bank, (_, sub)) in self.banks.iter_mut().zip(parts) {
+        for (bank, &len) in self.banks.iter_mut().zip(&lens) {
+            bank.ants.reserve_exact(len as usize);
+            bank.rngs.reserve_exact(len as usize);
+        }
+        // Slots fill in global ant order, so each bank's ids ascend.
+        for (i, &(b, _)) in self.index.iter().enumerate() {
+            let bank = &mut self.banks[b as usize];
+            bank.ants.push(i as u32);
+            bank.rngs.push(rng_of(i));
+        }
+        for (b, bank) in self.banks.iter_mut().enumerate() {
+            let sub = sub(b);
             if bank.spec != *sub {
                 bank.spec = sub.clone();
             }
             sub.rebuild_bank(num_tasks, &bank.ants, &mut bank.controllers);
-            bank.rngs.clear();
-            bank.rngs
-                .extend(bank.ants.iter().map(|&i| seeder.ant(i as usize)));
         }
-        let weights = parts.iter().map(|(w, _)| *w).collect();
-        self.mix = Some(MixMembership::new(seed, weights));
-        debug_assert!(self.check_invariants());
+        self.mix =
+            parts.map(|parts| MixMembership::new(seed, parts.iter().map(|(w, _)| *w).collect()));
     }
 
     /// Number of ants.
@@ -382,10 +517,8 @@ impl Population {
     /// configurations, scramble/stampede perturbations).
     pub fn reset_to_colony(&mut self, colony: &ColonyState) {
         for bank in &mut self.banks {
-            for s in 0..bank.len() {
-                let a = colony.assignment(bank.ants[s] as usize);
-                bank.controllers.reset_slot(s, a);
-            }
+            bank.controllers
+                .reset_to_column(&bank.ants, colony.task_column());
         }
     }
 
@@ -437,30 +570,66 @@ impl Population {
         debug_assert!(self.check_invariants());
     }
 
-    /// Every ant's mid-phase controller scratch, in global ant order —
-    /// only ants of kinds that carry scratch (Precise Sigmoid counters)
-    /// produce entries. This is what lets checkpoints capture *between*
-    /// those kinds' phase boundaries.
-    pub fn scratches(&self) -> Vec<(u32, ControllerScratch)> {
-        let mut out = Vec::new();
-        for (i, &(b, s)) in self.index.iter().enumerate() {
-            if let Some(scratch) = self.banks[b as usize].controllers.scratch(s as usize) {
-                out.push((i as u32, scratch));
+    /// The population's checkpointed columns over `num_tasks` tasks
+    /// (see [`AntColumns`]).
+    pub fn capture(&self, num_tasks: usize) -> AntColumns {
+        let mut cols = AntColumns {
+            rng: Vec::with_capacity(4 * self.index.len()),
+            ..AntColumns::default()
+        };
+        for &(b, s) in &self.index {
+            let state = self.banks[b as usize].rngs[s as usize].state();
+            cols.rng.extend_from_slice(&state);
+        }
+        if self.is_mixed() {
+            cols.members = self.members();
+        }
+        // Each kind's rows ascend by ant id. A kind living in one bank
+        // whose ants still ascend (no kill has reordered them) copies
+        // that bank's planes whole; otherwise one branch-free pass over
+        // the index picks the kind's ants in id order and their rows are
+        // gathered. The pass compares plain bytes: comparing `Option`s
+        // branched, and mispredicted, once per ant.
+        let kinds: Vec<u8> = self
+            .banks
+            .iter()
+            .map(|bank| scratch_kind(&bank.controllers).unwrap_or(u8::MAX))
+            .collect();
+        for kind in [TAG_SIGMOID, TAG_ADVERSARIAL, TAG_STREAK] {
+            let banks: Vec<&Bank> = (self.banks.iter().zip(&kinds))
+                .filter(|&(_, &of)| of == kind)
+                .map(|(bank, _)| bank)
+                .collect();
+            match banks[..] {
+                [] => continue,
+                [bank] if bank.ants.is_sorted() => {
+                    cols.capture_bank(bank);
+                    continue;
+                }
+                _ => {}
+            }
+            let len: usize = banks.iter().map(|bank| bank.len()).sum();
+            if kind == TAG_SIGMOID {
+                cols.sigmoid.reserve(len, num_tasks);
+            }
+            // Every ant is written at the cursor, which moves past picks
+            // only, so one spare slot suffices.
+            let mut picks = vec![(0, 0, 0); len + 1];
+            let mut end = 0;
+            for (id, &(b, s)) in self.index.iter().enumerate() {
+                picks[end] = (id as u32, b, s);
+                end += usize::from(kinds[b as usize] == kind);
+            }
+            for &(id, b, s) in &picks[..end] {
+                cols.capture_row(&self.banks[b as usize], id, s as usize, num_tasks);
             }
         }
-        out
+        cols
     }
 
-    /// Overwrites ant `i`'s mid-phase controller scratch (checkpoint
-    /// restore; apply after [`Population::reset_to_colony`]).
-    pub fn apply_scratch(&mut self, i: usize, scratch: &ControllerScratch) {
-        let (b, s) = self.index[i];
-        self.banks[b as usize]
-            .controllers
-            .apply_scratch(s as usize, scratch);
-    }
-
-    /// Every ant's RNG state, in global ant order (checkpoint capture).
+    /// Every ant's RNG state, in global ant order (the reference the
+    /// columnar capture is tested against).
+    #[cfg(test)]
     pub fn rng_states(&self) -> Vec<[u64; 4]> {
         self.index
             .iter()
@@ -468,14 +637,19 @@ impl Population {
             .collect()
     }
 
-    /// Overwrites every ant's RNG state, in global ant order
-    /// (checkpoint restore).
-    pub fn set_rng_states(&mut self, states: &[[u64; 4]]) {
-        assert_eq!(states.len(), self.index.len());
-        for (i, &st) in states.iter().enumerate() {
-            let (b, s) = self.index[i];
-            self.banks[b as usize].rngs[s as usize] = AntRng::from_state(st);
-        }
+    /// Every ant's mid-phase scratch through the per-slot accessor, in
+    /// global ant order (the reference the columnar capture is tested
+    /// against).
+    #[cfg(test)]
+    pub fn scratches(&self) -> Vec<(u32, antalloc_core::ControllerScratch)> {
+        self.index
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(b, s))| {
+                let scratch = self.banks[b as usize].controllers.scratch(s as usize)?;
+                Some((i as u32, scratch))
+            })
+            .collect()
     }
 
     /// Clones every controller into the per-ant dispatch enum, in
@@ -571,6 +745,15 @@ mod tests {
     use super::*;
     use antalloc_core::AntParams;
 
+    /// A population over an explicit membership vector, streams derived
+    /// from the seed.
+    fn from_members(spec: &ControllerSpec, seed: u64, k: usize, members: &[u16]) -> Population {
+        let mut p = Population::build(spec, seed, k, 0);
+        let seeder = StreamSeeder::new(seed);
+        p.regroup(spec, seed, k, members, members.len(), |i| seeder.ant(i));
+        p
+    }
+
     fn mix_spec() -> ControllerSpec {
         ControllerSpec::Mix(vec![
             (2.0, ControllerSpec::Ant(AntParams::default())),
@@ -644,7 +827,7 @@ mod tests {
             members.swap(i, uniform_index(&mut rng, i + 1));
         }
         let n = members.len();
-        let mut p = Population::from_members(&spec, 1, 2, &members);
+        let mut p = from_members(&spec, 1, 2, &members);
         let parts = p.partition_mut(workers);
         assert_eq!(parts.len(), workers);
         let mut seen = vec![0u32; n];
@@ -723,7 +906,7 @@ mod tests {
         let spec = mix_spec();
         let p = Population::build(&spec, 11, 2, 30);
         let members = p.members();
-        let q = Population::from_members(&spec, 11, 2, &members);
+        let q = from_members(&spec, 11, 2, &members);
         assert_eq!(q.members(), members);
         assert!(q.check_invariants());
     }

@@ -268,7 +268,7 @@ mod properties {
                 (ControllerSpec::Trivial, 2),
                 (ControllerSpec::ExactGreedy(ExactGreedyParams::default()), 2),
                 // Proportional contributes capture phase 1: its deadband
-                // streaks travel in the v7 scratch section, so the mix
+                // streaks travel in the v8 scratch section, so the mix
                 // checkpoints mid-streak across kills and scrambles.
                 (
                     ControllerSpec::Mix(vec![

@@ -6,16 +6,23 @@
 //! fast path leans on when it recycles one engine across a million
 //! runs.
 
-use antalloc_core::{AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams};
-use antalloc_env::{Condition, Event, GenShock, Timeline, TimelineGen, Trigger};
+use antalloc_core::{
+    AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
+    ProportionalParams,
+};
+use antalloc_env::{ArenaConfig, Condition, Event, GenShock, Timeline, TimelineGen, Trigger};
 use antalloc_noise::NoiseModel;
 use antalloc_sim::{
     Checkpoint, ControllerSpec, FnObserver, NullObserver, RoundRecord, SimConfig, Sweep, SyncEngine,
 };
 use proptest::prelude::*;
 
-/// Every banked controller kind, plus 2- and 4-way mixes — the full
-/// set of bank layouts `reset_from` has to rebuild in place.
+/// How many specs [`spec_for`] draws from.
+const KINDS: usize = 11;
+
+/// Every banked controller kind, plus 2- and 4-way mixes (the last is
+/// the benchmark's four-kind colony) — the full set of bank layouts
+/// `reset_from` has to rebuild in place.
 fn spec_for(which: usize) -> ControllerSpec {
     match which {
         0 => ControllerSpec::Ant(AntParams::new(1.0 / 16.0)),
@@ -32,7 +39,7 @@ fn spec_for(which: usize) -> ControllerSpec {
             (2.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
             (1.0, ControllerSpec::Trivial),
         ]),
-        _ => ControllerSpec::Mix(vec![
+        8 => ControllerSpec::Mix(vec![
             (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
             (
                 1.0,
@@ -44,7 +51,29 @@ fn spec_for(which: usize) -> ControllerSpec {
                 ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
             ),
         ]),
+        9 => proportional(),
+        _ => ControllerSpec::Mix(vec![
+            (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
+            (
+                1.0,
+                ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
+            ),
+            (1.0, proportional()),
+            (
+                1.0,
+                ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
+            ),
+        ]),
     }
+}
+
+/// A proportional controller whose deadband streaks stay non-zero often
+/// enough that captures carry them.
+fn proportional() -> ControllerSpec {
+    ControllerSpec::Proportional(ProportionalParams {
+        gain: 0.5,
+        deadband: 2,
+    })
 }
 
 fn cfg_for(which: usize, n: usize, k: usize, seed: u64) -> SimConfig {
@@ -86,17 +115,35 @@ fn trace(engine: &mut SyncEngine, rounds: u64) -> Trace {
 /// An engine left in a deliberately unrelated state: different shape,
 /// different controller, mid-run. `reset_from` must erase all of it.
 fn dirty_engine(which: usize) -> SyncEngine {
-    let decoy = cfg_for((which + 3) % 9, 173, 2, 0xDEC0);
+    decoy_engine(which, 173, false)
+}
+
+/// A decoy of another kind with `n` ants, in a two-site arena or
+/// well-mixed, left mid-run (ants in transit included).
+fn decoy_engine(which: usize, n: usize, arena: bool) -> SyncEngine {
+    let mut decoy = cfg_for((which + 3) % KINDS, n, 2, 0xDEC0);
+    if arena {
+        decoy.arena = Some(two_sites(decoy.demands.len()));
+    }
     let mut engine = decoy.build();
     engine.run(17, &mut NullObserver);
     engine
+}
+
+/// A two-site arena over `k` tasks (one site for a single task).
+fn two_sites(k: usize) -> ArenaConfig {
+    ArenaConfig {
+        site_of_task: (0..k as u32).map(|j| j % 2).collect(),
+        travel_rounds: 2,
+        wander_probability: 0.3,
+    }
 }
 
 proptest! {
     /// `reset_from` == fresh build, full-trace, for every bank layout.
     #[test]
     fn reset_matches_fresh_build_for_every_controller(
-        which in 0usize..9,
+        which in 0usize..KINDS,
         n in 60usize..200,
         seed: u64,
         rounds in 1u64..40,
@@ -113,13 +160,13 @@ proptest! {
     /// the reset engine's seed and shape.
     #[test]
     fn reset_matches_fresh_build_with_timelines(
-        pick in 0usize..8,
+        pick in 0usize..KINDS - 1,
         seed: u64,
         rounds in 50u64..120,
     ) {
         // All kinds except Hysteresis, whose single-task constraint is
         // incompatible with this timeline's 3-task demand step.
-        let which = [0, 1, 2, 3, 4, 5, 7, 8][pick];
+        let which = [0, 1, 2, 3, 4, 5, 7, 8, 9, 10][pick];
         let n = 240usize;
         let mut cfg = cfg_for(which, n, 3, seed);
         cfg.timeline = Timeline::new()
@@ -153,33 +200,42 @@ proptest! {
 
     /// Checkpoint-restore into a *reused* engine: `restore_into` on a
     /// dirty engine must land in exactly the state `restore` builds
-    /// from scratch, and both must continue bit-identically.
+    /// from scratch, and both must continue bit-identically — whatever
+    /// the decoy's size (smaller or larger than the captured colony, so
+    /// every reused column shrinks or grows) and whether either side has
+    /// an arena.
     #[test]
     fn restore_into_reused_engine_matches_restore(
-        pick in 0usize..6,
+        pick in 0usize..8,
         seed: u64,
-        boundary in 1u64..20,
+        round in 1u64..40,
         tail in 1u64..30,
+        decoy in 0usize..4,
+        arena in 0u8..2,
     ) {
-        // Specs whose capture phase is <= 2, so every even round is a
-        // capture point (Adversarial's 320-round phase and AntDesync's
-        // approximate restores are out of scope; Hysteresis is
-        // single-task, incompatible with this 3-task demand step).
-        let which = [0, 2, 4, 5, 7, 8][pick];
+        // Specs with exact restores (Adversarial's 320-round phase and
+        // AntDesync's approximate restores are out of scope; Hysteresis
+        // is single-task, incompatible with this 3-task demand step).
+        let which = [0, 2, 4, 5, 7, 8, 9, 10][pick];
         let mut cfg = cfg_for(which, 120, 3, seed);
         cfg.timeline = Timeline::new()
             .at(5, Event::Kill { count: 30 })
             .at(13, Event::SetDemands(vec![40, 20, 15]))
             .at(29, Event::Spawn { count: 20 });
-        // Capture on an even round: every spec here has phase <= 2.
-        let split = boundary * 2;
+        if arena == 1 {
+            cfg.arena = Some(two_sites(3));
+        }
+        // Kinds that carry their mid-phase state capture at any round,
+        // odd ones included; the rest at their phase boundaries.
+        let split = round - round % cfg.controller.capture_phase_len(3);
 
         let mut head = cfg.build();
         head.run(split, &mut NullObserver);
-        let cp = Checkpoint::capture(&head).expect("phase boundary");
+        let cp = Checkpoint::capture(&head).expect("capture round");
 
         let mut fresh = cp.restore();
-        let mut reused = dirty_engine(which);
+        let (n, with_arena) = [(40, false), (40, true), (400, false), (400, true)][decoy];
+        let mut reused = decoy_engine(which, n, with_arena);
         cp.restore_into(&mut reused);
         prop_assert_eq!(trace(&mut fresh, tail), trace(&mut reused, tail));
     }
