@@ -24,6 +24,7 @@ use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant::{AlgorithmAnt, AntBankState};
 use crate::params::AntParams;
+use crate::slot_map::SlotMap;
 
 /// `current`/`assignment` encoding: task index, or `IDLE`. Shared by
 /// every structure-of-arrays bank (see also [`crate::TrivialBank`],
@@ -214,19 +215,13 @@ impl AntBank {
         crate::memory::bits_for_states(self.num_tasks + 1) + k + 1
     }
 
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
-        let k = self.num_tasks;
-        let last = self.len() - 1;
-        self.current.swap_remove(slot);
-        self.assignment.swap_remove(slot);
-        self.s1_current.swap_remove(slot);
-        self.have_s1.swap_remove(slot);
-        if slot != last {
-            let (head, tail) = self.s1_all.split_at_mut(last * k);
-            head[slot * k..slot * k + k].copy_from_slice(&tail[..k]);
-        }
-        self.s1_all.truncate(last * k);
+    /// Reorders the ants' slots by `map`, every column alike.
+    pub fn apply_slot_map(&mut self, map: &SlotMap) {
+        map.apply(&mut self.current);
+        map.apply(&mut self.assignment);
+        map.apply(&mut self.s1_current);
+        map.apply(&mut self.have_s1);
+        map.apply_rows(&mut self.s1_all, self.num_tasks);
     }
 
     /// The whole bank as a splittable mutable slice.
@@ -533,7 +528,7 @@ mod tests {
         bank.reset_slot(0, Assignment::Task(0));
         bank.reset_slot(1, Assignment::Task(1));
         bank.reset_slot(2, Assignment::Idle);
-        bank.swap_remove(0);
+        bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
         assert_eq!(bank.assignment(0), Assignment::Idle); // old slot 2
         assert_eq!(bank.assignment(1), Assignment::Task(1));

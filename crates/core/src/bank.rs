@@ -57,6 +57,7 @@ use crate::precise_adversarial::{AdversarialScratch, PreciseAdversarial};
 use crate::precise_sigmoid::SigmoidScratch;
 use crate::proportional::{ProportionalBank, ProportionalSliceMut};
 use crate::sigmoid_bank::{PreciseSigmoidBank, SigmoidSliceMut};
+use crate::slot_map::SlotMap;
 use crate::table_fsm::TableFsm;
 
 /// Per-ant controller state beyond the assignment, extracted per kind —
@@ -295,13 +296,12 @@ impl ControllerBank {
         }
     }
 
-    /// Removes the ant at `slot` by swap-removal (the last ant moves
-    /// into `slot`). Callers must mirror the swap in any parallel
-    /// per-slot arrays (RNGs, ant-id maps).
-    pub fn swap_remove(&mut self, slot: usize) {
-        each_bank!(self, b => b.swap_remove(slot), v => {
-            v.swap_remove(slot);
-        })
+    /// Reorders the bank's slots by `map` (see [`SlotMap`]): structure-
+    /// of-arrays columns move as run copies, per-ant `Vec`s as clones.
+    /// Callers must apply the same map to any parallel per-slot arrays
+    /// (RNGs, ant-id maps).
+    pub fn apply_slot_map(&mut self, map: &SlotMap) {
+        each_bank!(self, b => b.apply_slot_map(map), v => map.apply_clone(v))
     }
 
     /// A clone of the ant at `slot`, boxed into the dispatch enum

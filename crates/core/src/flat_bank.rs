@@ -22,6 +22,7 @@ use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, refill, IDLE};
 use crate::controller::Controller;
 use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
+use crate::slot_map::SlotMap;
 use crate::trivial::Trivial;
 
 /// Row buffer for the > 64-task fallback paths; the bit-packed common
@@ -102,9 +103,9 @@ impl TrivialBank {
         crate::memory::bits_for_states(self.num_tasks + 1)
     }
 
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
-        self.assignment.swap_remove(slot);
+    /// Reorders the ants' slots by `map`.
+    pub fn apply_slot_map(&mut self, map: &SlotMap) {
+        map.apply(&mut self.assignment);
     }
 
     /// The whole bank as a splittable mutable slice.
@@ -323,9 +324,9 @@ impl ExactGreedyBank {
         crate::memory::bits_for_states(self.num_tasks + 1)
     }
 
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
-        self.assignment.swap_remove(slot);
+    /// Reorders the ants' slots by `map`.
+    pub fn apply_slot_map(&mut self, map: &SlotMap) {
+        map.apply(&mut self.assignment);
     }
 
     /// The whole bank as a splittable mutable slice.
@@ -546,7 +547,7 @@ mod tests {
         let mut bank = TrivialBank::new(1, 3);
         bank.reset_slot(0, Assignment::Task(0));
         bank.reset_slot(2, Assignment::Idle);
-        bank.swap_remove(0);
+        bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
         assert_eq!(bank.assignment(0), Assignment::Idle);
     }

@@ -45,6 +45,7 @@ mod precise_adversarial;
 mod precise_sigmoid;
 mod proportional;
 mod sigmoid_bank;
+mod slot_map;
 mod table_fsm;
 mod trivial;
 
@@ -62,5 +63,6 @@ pub use proportional::{
     ProportionalBank, ProportionalController, ProportionalParams, ProportionalSliceMut,
 };
 pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidPlanes, SigmoidPlanesMut, SigmoidSliceMut};
+pub use slot_map::SlotMap;
 pub use table_fsm::{FsmSpec, ReachabilityError, TableFsm};
 pub use trivial::Trivial;

@@ -30,6 +30,7 @@ use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, refill, IDLE};
 use crate::controller::Controller;
+use crate::slot_map::SlotMap;
 
 /// Parameters of the proportional controller.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -286,10 +287,10 @@ impl ProportionalBank {
             + crate::memory::bits_for_states(usize::from(self.params.deadband) + 2)
     }
 
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
-        self.assignment.swap_remove(slot);
-        self.streak.swap_remove(slot);
+    /// Reorders the ants' slots by `map`, both columns alike.
+    pub fn apply_slot_map(&mut self, map: &SlotMap) {
+        map.apply(&mut self.assignment);
+        map.apply(&mut self.streak);
     }
 
     /// The whole bank as a splittable mutable slice.
@@ -610,7 +611,7 @@ mod tests {
         bank.reset_slot(0, Assignment::Task(0));
         bank.reset_slot(2, Assignment::Idle);
         bank.set_streak(2, 5);
-        bank.swap_remove(0);
+        bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
         assert_eq!(bank.assignment(0), Assignment::Idle);
         assert_eq!(bank.streak(0), 5);

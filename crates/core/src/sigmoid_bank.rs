@@ -29,6 +29,7 @@ use crate::ant_bank::{dec, enc, refill, IDLE};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 use crate::precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
+use crate::slot_map::SlotMap;
 
 /// A [`PreciseSigmoidBank`]'s checkpointed planes, borrowed: one
 /// `currentTask` (raw, [`Assignment::to_raw`]) and phase-observed flag
@@ -224,25 +225,16 @@ impl PreciseSigmoidBank {
         crate::memory::sigmoid_memory_bits(self.num_tasks, self.m)
     }
 
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
+    /// Reorders the ants' slots by `map`, every column and plane
+    /// alike.
+    pub fn apply_slot_map(&mut self, map: &SlotMap) {
         let k = self.num_tasks;
-        let last = self.len() - 1;
-        self.current.swap_remove(slot);
-        self.assignment.swap_remove(slot);
-        self.have_phase.swap_remove(slot);
-        for plane in [&mut self.count1, &mut self.count2] {
-            if slot != last {
-                let (head, tail) = plane.split_at_mut(last * k);
-                head[slot * k..slot * k + k].copy_from_slice(&tail[..k]);
-            }
-            plane.truncate(last * k);
-        }
-        if slot != last {
-            let (head, tail) = self.shat1.split_at_mut(last * k);
-            head[slot * k..slot * k + k].copy_from_slice(&tail[..k]);
-        }
-        self.shat1.truncate(last * k);
+        map.apply(&mut self.current);
+        map.apply(&mut self.assignment);
+        map.apply(&mut self.have_phase);
+        map.apply_rows(&mut self.count1, k);
+        map.apply_rows(&mut self.count2, k);
+        map.apply_rows(&mut self.shat1, k);
     }
 
     /// The whole bank as a splittable mutable slice.
@@ -576,7 +568,7 @@ mod tests {
         bank.reset_slot(0, Assignment::Task(0));
         bank.reset_slot(2, Assignment::Task(1));
         bank.count1[2 * 2] = 7; // slot 2, task 0
-        bank.swap_remove(0);
+        bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
         assert_eq!(bank.assignment(0), Assignment::Task(1)); // old slot 2
         assert_eq!(bank.count1[0], 7, "slot 2's counter row moved into slot 0");

@@ -201,7 +201,8 @@ impl ArenaState {
         debug_assert!(self.sense_consistent());
     }
 
-    /// Mirrors `Population::remove` (swap-remove of global slot `i`).
+    /// Mirrors one removal of `Population::remove_batch` (swap-remove of
+    /// global slot `i`).
     pub(crate) fn remove(&mut self, i: usize) {
         self.site.swap_remove(i);
         self.travel.swap_remove(i);

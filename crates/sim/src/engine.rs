@@ -88,18 +88,15 @@ pub(crate) fn apply_perturbation(
     let swaps = p.apply(colony, rng);
     match p {
         Perturbation::KillRandom { .. } => {
-            for &(slot, _) in &swaps {
-                population.remove(slot);
-                if let Some(a) = arena.as_deref_mut() {
+            // Kills without swaps (victim was last) still shrink us: both
+            // remove the swaps' slots in order, then from the end.
+            population.remove_batch(swaps.iter().map(|&(slot, _)| slot), colony.num_ants());
+            if let Some(a) = arena.as_deref_mut() {
+                for &(slot, _) in &swaps {
                     a.remove(slot);
                 }
-            }
-            // Kills without swaps (victim was last) still shrink us.
-            while population.len() > colony.num_ants() {
-                let last = population.len() - 1;
-                population.remove(last);
-                if let Some(a) = arena.as_deref_mut() {
-                    a.remove(last);
+                while a.len() > colony.num_ants() {
+                    a.remove(a.len() - 1);
                 }
             }
         }

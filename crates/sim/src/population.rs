@@ -15,14 +15,19 @@
 //!   mutual inverses);
 //! * within a bank, `controllers`, `rngs` and `ants` all share one
 //!   length;
-//! * a homogeneous colony has exactly one bank and (absent kills that
-//!   are later refilled) `ants[s] == s`;
+//! * within a bank, `ants` ascends by slot — so a homogeneous colony's
+//!   single bank has `ants[s] == s`, and every kernel walks the
+//!   colony's per-ant columns front to back;
 //! * banks may be empty (a mix fraction can be killed off entirely) but
 //!   are never dropped, so spawns can always rejoin their sub-spec.
 //!
-//! Kills mirror the colony's swap-removal: the victim's bank slot is
-//! swap-removed, then the *global* last ant takes over the victim's
-//! global id — both maps are patched in O(1).
+//! Kills mirror the colony's swap-removal in global ids: each victim's
+//! id is taken over by the *global* last ant. A kill event applies all
+//! its removals to the two maps first — O(1) each — and then rewrites
+//! the index in one pass and repairs each bank in one streaming pass
+//! (see [`Population::remove_batch`]). Spawns append the largest id, and
+//! builds and restores fill slots in id order, so the order holds
+//! through every operation.
 //!
 //! ## Mixed-colony membership
 //!
@@ -35,7 +40,7 @@
 
 use antalloc_core::{
     AdversarialScratch, AnyController, BankSliceMut, ControllerBank, SigmoidPlanes,
-    SigmoidPlanesMut,
+    SigmoidPlanesMut, SlotMap,
 };
 use antalloc_env::{Assignment, ColonyState};
 use antalloc_noise::PreparedRound;
@@ -206,7 +211,7 @@ pub(crate) struct Bank {
     pub controllers: ControllerBank,
     /// Per-slot RNG streams (ant `ants[s]` owns `rngs[s]`).
     pub rngs: Vec<AntRng>,
-    /// Slot → global ant id.
+    /// Slot → global ant id, ascending.
     pub ants: Vec<u32>,
 }
 
@@ -279,6 +284,20 @@ pub(crate) fn mix_quotas(weights: &[f64], n: usize) -> Vec<usize> {
         quotas[order[i % order.len()]] += 1;
     }
     quotas
+}
+
+/// The set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                64 * w + b
+            })
+        })
+    })
 }
 
 /// Where participant `p` of `workers` starts its share of a bank of
@@ -528,14 +547,118 @@ impl Population {
         self.banks[b as usize].controllers.memory_bits(s as usize)
     }
 
-    /// Removes the ant with global id `victim`, mirroring the colony's
-    /// swap-removal: the global last ant takes over id `victim`.
-    pub fn remove(&mut self, victim: usize) {
+    /// Removes a kill event's victims: each `victims` entry is removed
+    /// in turn at the id it names at that moment, then ants are removed
+    /// from the end until `len` remain. Every removal mirrors the
+    /// colony's swap-removal — the global last ant takes over the
+    /// victim's id — so the result is the one a sequence of per-ant
+    /// swap-removals gives, but every bank keeps its ids ascending.
+    ///
+    /// The removals touch only the two maps, O(1) each: the victim's
+    /// bank slot is marked dead in a bitmap and the relocated ant
+    /// relabelled in place. Only ants with ids at or past `len` are
+    /// relocated, and they sit at the end of their banks (the *tail*).
+    /// Once the banks ascend again, an ant's slot is its rank among its
+    /// bank's ids, so one pass over the index in id order writes every
+    /// new slot and meets the relocated ants in the order they rejoin
+    /// their banks. One [`SlotMap`] per bank then keeps the live slots
+    /// before the tail in order and drops each relocated ant in at its
+    /// new slot — into a dead slot when one is there, as it always is in
+    /// a one-bank colony. Applied as run copies to the controller
+    /// columns, RNG streams and ids, it costs at most about one
+    /// `memmove` of the bank.
+    pub fn remove_batch(&mut self, victims: impl IntoIterator<Item = usize>, len: usize) {
+        if self.index.len() == len {
+            return;
+        }
+        let tails: Vec<usize> = (self.banks.iter())
+            .map(|bank| bank.ants.partition_point(|&id| (id as usize) < len))
+            .collect();
+        // The dead slots before each bank's tail.
+        let mut dead: Vec<Vec<u64>> = tails.iter().map(|&t| vec![0; t.div_ceil(64)]).collect();
+        let mut victims = victims.into_iter().fuse();
+        while self.index.len() > len {
+            let last = self.index.len() - 1;
+            let victim = victims.next().unwrap_or(last);
+            let (b, s) = self.index[victim];
+            let (b, s) = (b as usize, s as usize);
+            if s < tails[b] {
+                dead[b][s / 64] |= 1 << (s % 64);
+            }
+            let home = self.index[last];
+            self.index.pop();
+            if victim != last {
+                self.index[victim] = home;
+                self.banks[home.0 as usize].ants[home.1 as usize] = victim as u32;
+            }
+        }
+        debug_assert!(victims.next().is_none(), "more victims than removals");
+        // (new slot, old slot) of each bank's relocated ants, ascending.
+        let mut lifted: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.banks.len()];
+        let mut ranks = vec![0usize; self.banks.len()];
+        for (b, s) in &mut self.index {
+            let (bank, rank) = (*b as usize, ranks[*b as usize]);
+            if *s as usize >= tails[bank] {
+                lifted[bank].push((rank, *s as usize));
+            }
+            *s = rank as u32;
+            ranks[bank] = rank + 1;
+        }
+        let mut map = SlotMap::default();
+        let banks = self.banks.iter_mut().zip(tails).zip(&dead);
+        for (((bank, tail), dead), lifted) in banks.zip(&lifted) {
+            map.clear();
+            let mut dead_slots = set_bits(dead);
+            let mut next_dead = || dead_slots.next().unwrap_or(tail);
+            // Old slot, new slot, and the first dead slot at or past `at`.
+            let (mut at, mut next, mut dead) = (0, 0, next_dead());
+            for &(to, from) in lifted {
+                while next < to {
+                    let n = (dead - at).min(to - next);
+                    map.keep(at, n);
+                    (at, next) = (at + n, next + n);
+                    if at == dead && next < to {
+                        at += 1;
+                        dead = next_dead();
+                    }
+                }
+                if at == dead && dead < tail {
+                    map.fill(at, from);
+                    at += 1;
+                    dead = next_dead();
+                } else {
+                    map.lift(from);
+                }
+                next += 1;
+            }
+            loop {
+                map.keep(at, dead - at);
+                if dead == tail {
+                    break;
+                }
+                at = dead + 1;
+                dead = next_dead();
+            }
+            map.finish();
+            bank.controllers.apply_slot_map(&map);
+            map.apply_clone(&mut bank.rngs);
+            map.apply(&mut bank.ants);
+        }
+        debug_assert!(self.check_invariants());
+    }
+
+    /// Removes the ant with global id `victim` by swap-removal in its
+    /// bank and in global ids — the per-kill removal
+    /// [`Population::remove_batch`] replaced, kept as its reference. It
+    /// leaves the bank out of id order.
+    #[cfg(test)]
+    fn remove(&mut self, victim: usize) {
         let last = self.index.len() - 1;
         let (b, s) = self.index[victim];
         let (b, s) = (b as usize, s as usize);
         let bank = &mut self.banks[b];
-        bank.controllers.swap_remove(s);
+        let map = SlotMap::swap_remove(bank.len(), s);
+        bank.controllers.apply_slot_map(&map);
         bank.rngs.swap_remove(s);
         bank.ants.swap_remove(s);
         if s < bank.ants.len() {
@@ -548,7 +671,6 @@ impl Population {
             self.banks[home.0 as usize].ants[home.1 as usize] = victim as u32;
         }
         self.index.pop();
-        debug_assert!(self.check_invariants());
     }
 
     /// Appends a freshly spawned ant (global id `len()`) with RNG
@@ -585,9 +707,9 @@ impl Population {
             cols.members = self.members();
         }
         // Each kind's rows ascend by ant id. A kind living in one bank
-        // whose ants still ascend (no kill has reordered them) copies
-        // that bank's planes whole; otherwise one branch-free pass over
-        // the index picks the kind's ants in id order and their rows are
+        // copies that bank's planes whole, since its ants ascend; a kind
+        // spread over several banks takes one branch-free pass over the
+        // index that picks its ants in id order, and their rows are
         // gathered. The pass compares plain bytes: comparing `Option`s
         // branched, and mispredicted, once per ant.
         let kinds: Vec<u8> = self
@@ -602,7 +724,8 @@ impl Population {
                 .collect();
             match banks[..] {
                 [] => continue,
-                [bank] if bank.ants.is_sorted() => {
+                [bank] => {
+                    debug_assert!(bank.ants.is_sorted());
                     cols.capture_bank(bank);
                     continue;
                 }
@@ -678,12 +801,12 @@ impl Population {
     ///
     /// Per-bank shares keep every participant's mix of kinds — and so
     /// its per-round cost — equal, and each share is within one block
-    /// of `len / workers`. A homogeneous colony's slots are its ids
-    /// (absent kills), so its participants write contiguous stretches
-    /// of the next-state column; a mix's slots start out in id order
-    /// over shuffled members, so its participants write mostly, not
-    /// strictly, separate stretches. Parts of a bank smaller than
-    /// `16 · workers` may be empty.
+    /// of `len / workers`. Every bank's slots ascend by id, so a
+    /// homogeneous colony's participants write contiguous stretches of
+    /// the next-state column, and a mix's participants, whose banks
+    /// interleave over shuffled members, write mostly, not strictly,
+    /// separate stretches — before and after any number of kills.
+    /// Parts of a bank smaller than `16 · workers` may be empty.
     pub fn partition_mut(&mut self, workers: usize) -> Vec<WorkerPart<'_>> {
         assert!(workers >= 1);
         let num_banks = self.banks.len();
@@ -730,6 +853,9 @@ impl Population {
             if bank.controllers.len() != bank.ants.len() || bank.rngs.len() != bank.ants.len() {
                 return false;
             }
+            if !bank.ants.is_sorted_by(|a, b| a < b) {
+                return false;
+            }
             for (s, &id) in bank.ants.iter().enumerate() {
                 if self.index.get(id as usize) != Some(&(b as u32, s as u32)) {
                     return false;
@@ -743,7 +869,9 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antalloc_core::AntParams;
+    use antalloc_core::{AntParams, ControllerScratch, PreciseSigmoidParams, ProportionalParams};
+    use antalloc_env::{DemandVector, Perturbation};
+    use antalloc_noise::NoiseModel;
 
     /// A population over an explicit membership vector, streams derived
     /// from the seed.
@@ -792,9 +920,7 @@ mod tests {
         assert_eq!(p.banks().len(), 3);
         assert_eq!(p.len(), 40);
         // Kill a few ants from the middle and the end.
-        p.remove(5);
-        p.remove(30);
-        p.remove(p.len() - 1);
+        p.remove_batch([5, 30], 37);
         assert_eq!(p.len(), 37);
         assert!(p.check_invariants());
         // Spawn back; membership picks stay in range.
@@ -804,6 +930,16 @@ mod tests {
         }
         assert_eq!(p.len(), 42);
         assert!(p.check_invariants());
+    }
+
+    #[test]
+    fn invariants_reject_a_bank_out_of_id_order() {
+        let mut p = Population::build(&ControllerSpec::Trivial, 1, 2, 4);
+        assert!(p.check_invariants());
+        // The two maps stay mutual inverses; only the order breaks.
+        p.banks[0].ants.swap(1, 2);
+        p.index.swap(1, 2);
+        assert!(!p.check_invariants());
     }
 
     /// Partitions a population whose bank `b` holds `sizes[b]` ants
@@ -898,6 +1034,127 @@ mod tests {
             workers in 1usize..10,
         ) {
             check_partition(&sizes, workers);
+        }
+    }
+
+    /// Global id → (bank, controller scratch, RNG state, assignment).
+    type AntMap = Vec<(u32, Option<ControllerScratch>, [u64; 4], Assignment)>;
+
+    fn ant_map(p: &Population) -> AntMap {
+        (p.index.iter())
+            .map(|&(b, s)| {
+                let (bank, s) = (&p.banks[b as usize], s as usize);
+                let controllers = &bank.controllers;
+                let rng = bank.rngs[s].state();
+                (b, controllers.scratch(s), rng, controllers.assignment(s))
+            })
+            .collect()
+    }
+
+    /// Puts every bank of `p` back in id order by a plain gather through
+    /// the per-ant controllers, leaving the id → ant map as it was.
+    fn sort_banks(p: &mut Population) {
+        for (b, bank) in p.banks.iter_mut().enumerate() {
+            if bank.ants.is_empty() {
+                continue;
+            }
+            let mut order: Vec<usize> = (0..bank.len()).collect();
+            order.sort_by_key(|&s| bank.ants[s]);
+            bank.controllers = order.iter().map(|&s| bank.controllers.to_any(s)).collect();
+            bank.rngs = order.iter().map(|&s| bank.rngs[s].clone()).collect();
+            bank.ants = order.iter().map(|&s| bank.ants[s]).collect();
+            for (s, &id) in bank.ants.iter().enumerate() {
+                p.index[id as usize] = (b as u32, s as u32);
+            }
+        }
+    }
+
+    /// A homogeneous colony, the benchmark's four-kind mix, and a mix
+    /// with two banks of one kind.
+    fn kill_spec(which: usize) -> ControllerSpec {
+        let sigmoid = ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5));
+        let proportional = ControllerSpec::Proportional(ProportionalParams::default());
+        match which {
+            0 => sigmoid,
+            1 => ControllerSpec::Mix(vec![
+                (1.0, ControllerSpec::Ant(AntParams::default())),
+                (1.0, sigmoid),
+                (1.0, proportional),
+                (1.0, ControllerSpec::ExactGreedy(Default::default())),
+            ]),
+            _ => ControllerSpec::Mix(vec![
+                (1.0, sigmoid.clone()),
+                (1.0, proportional),
+                (1.0, sigmoid),
+            ]),
+        }
+    }
+
+    proptest::proptest! {
+        /// Over random kill, spawn, scramble and step sequences, one
+        /// `remove_batch` per kill event leaves every global id with the
+        /// bank, scratch, RNG stream and assignment that the per-kill
+        /// swap-removals give, and keeps every bank in id order.
+        #[test]
+        fn remove_batch_matches_sequential_swap_removal(
+            which in 0usize..3,
+            n in 2usize..300,
+            seed: u64,
+            events in proptest::collection::vec((0usize..4, 0usize..1000), 1..12),
+        ) {
+            let (spec, k) = (kill_spec(which), 3);
+            let mut batch = Population::build(&spec, seed, k, n);
+            let mut reference = Population::build(&spec, seed, k, n);
+            let demands = DemandVector::new(vec![(n / 6) as u64 + 1; k]);
+            let mut colony = ColonyState::new(n, demands);
+            let seeder = StreamSeeder::new(seed);
+            let mut rng = seeder.stream(reserved::EVENT);
+            let mut next_stream = n as u64;
+            let noise = NoiseModel::Sigmoid { lambda: 0.5 };
+            let mut deficits = Vec::new();
+            for (round, &(kind, size)) in events.iter().enumerate() {
+                match kind {
+                    0 => {
+                        let count = size % colony.num_ants();
+                        let swaps = Perturbation::KillRandom { count }.apply(&mut colony, &mut rng);
+                        batch.remove_batch(swaps.iter().map(|&(slot, _)| slot), colony.num_ants());
+                        for &(slot, _) in &swaps {
+                            reference.remove(slot);
+                        }
+                        while reference.len() > colony.num_ants() {
+                            reference.remove(reference.len() - 1);
+                        }
+                        sort_banks(&mut reference);
+                    }
+                    1 => {
+                        let count = size % 64;
+                        Perturbation::Spawn { count }.apply(&mut colony, &mut rng);
+                        for _ in 0..count {
+                            let stream = seeder.stream(next_stream);
+                            batch.spawn(k, next_stream, stream.clone());
+                            reference.spawn(k, next_stream, stream);
+                            next_stream += 1;
+                        }
+                    }
+                    2 => {
+                        Perturbation::Scramble.apply(&mut colony, &mut rng);
+                        batch.reset_to_colony(&colony);
+                        reference.reset_to_colony(&colony);
+                    }
+                    _ => {
+                        colony.deficits_into(&mut deficits);
+                        let prepared =
+                            noise.prepare(round as u64, &deficits, colony.demands().as_slice());
+                        for i in 0..colony.num_ants() {
+                            let a = batch.step_one(i, &prepared);
+                            proptest::prop_assert_eq!(a, reference.step_one(i, &prepared));
+                            colony.apply(i, a);
+                        }
+                    }
+                }
+                proptest::prop_assert!(batch.check_invariants(), "event {}", round);
+                proptest::prop_assert_eq!(ant_map(&batch), ant_map(&reference), "event {}", round);
+            }
         }
     }
 

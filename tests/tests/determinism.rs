@@ -3,7 +3,7 @@
 
 use antalloc_core::{AntParams, PreciseSigmoidParams};
 use antalloc_noise::NoiseModel;
-use antalloc_sim::{ControllerSpec, NullObserver, SimConfig};
+use antalloc_sim::{Checkpoint, ControllerSpec, NullObserver, SimConfig};
 
 fn config(seed: u64) -> SimConfig {
     SimConfig::builder(1500, vec![200, 300, 150])
@@ -292,4 +292,149 @@ fn sequential_engine_is_deterministic() {
     a.run(2000, &mut obs);
     b.run(2000, &mut obs);
     assert_eq!(a.colony().assignments(), b.colony().assignments());
+}
+
+/// A kill-heavy arena colony: generated kills (every ~6 rounds, 2–6% of
+/// the colony), spawns and scrambles, a population floor that respawns
+/// ants, and a mix with two banks of each of the four structure-of-
+/// arrays kinds, so relocated ants cross banks and kinds.
+const KILL_HEAVY_ARENA: &str = r#"
+name = "kill_heavy_arena"
+n = 3000
+demands = [420, 380, 300, 250]
+seed = 2024
+
+[controller]
+kind = "mix"
+parts = [
+    { weight = 1.0, controller = { kind = "ant", gamma = 0.0625 } },
+    { weight = 1.0, controller = { kind = "precise-sigmoid", gamma = 0.05, eps = 0.5 } },
+    { weight = 1.0, controller = { kind = "proportional", gain = 0.5 } },
+    { weight = 1.0, controller = { kind = "exact-greedy" } },
+    { weight = 0.5, controller = { kind = "ant", gamma = 0.0625 } },
+    { weight = 0.5, controller = { kind = "precise-sigmoid", gamma = 0.05, eps = 0.5 } },
+    { weight = 0.5, controller = { kind = "proportional", gain = 0.5 } },
+    { weight = 0.5, controller = { kind = "exact-greedy" } },
+]
+
+[noise]
+kind = "sigmoid"
+lambda = 0.05
+
+[arena]
+sites = [0, 1, 2, 3]
+travel_rounds = 2
+wander_probability = 0.02
+
+[[timeline.generate]]
+kind = "kill"
+start = 2
+until = 400
+mean_gap = 6.0
+min_frac = 0.02
+max_frac = 0.06
+
+[[timeline.generate]]
+kind = "spawn"
+start = 30
+until = 400
+mean_gap = 15.0
+min_frac = 0.005
+max_frac = 0.02
+
+[[timeline.generate]]
+kind = "scramble"
+start = 2
+until = 400
+mean_gap = 70.0
+
+[[timeline.trigger]]
+kind = "spawn"
+count = 300
+when = { kind = "population-below", threshold = 2400 }
+cooldown = 5
+max_firings = 0
+"#;
+
+/// Order-sensitive digest of every round record, then of the final
+/// assignments.
+#[derive(Default)]
+struct RecordDigest(u64);
+
+impl RecordDigest {
+    fn mix(&mut self, x: u64) {
+        self.0 = (self.0 ^ x)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29);
+    }
+
+    fn finish(mut self, engine: &antalloc_sim::SyncEngine) -> u64 {
+        for a in engine.colony().assignments() {
+            self.mix(match a {
+                antalloc_env::Assignment::Idle => u64::MAX,
+                antalloc_env::Assignment::Task(j) => u64::from(j),
+            });
+        }
+        self.0
+    }
+}
+
+impl antalloc_sim::Observer for RecordDigest {
+    fn on_round(&mut self, r: &antalloc_sim::RoundRecord<'_>) {
+        self.mix(r.round);
+        self.mix(r.instant_regret());
+        self.mix(r.switches);
+        self.mix(r.idle);
+        for &load in r.loads {
+            self.mix(u64::from(load));
+        }
+    }
+}
+
+/// Bank slot order is not an input to any draw or result: kills that
+/// keep every bank in id order must give the bits that per-kill
+/// swap-removal gave. The golden digest was recorded with swap-removal
+/// and pins serial, pooled at 2 and 3 participants, and a checkpoint
+/// split alike.
+#[test]
+fn kill_heavy_arena_mix_matches_its_golden_digest() {
+    const GOLDEN: u64 = 0xd2ff_28e0_178c_e206;
+    const ROUNDS: u64 = 400;
+    let cfg = antalloc_sim::Scenario::from_toml(KILL_HEAVY_ARENA)
+        .expect("valid scenario")
+        .config;
+
+    let mut serial = cfg.build();
+    let mut digest = RecordDigest::default();
+    serial.run(ROUNDS, &mut digest);
+    assert!(serial.colony().num_ants() < 3000, "kills outpace spawns");
+    let assignments = serial.colony().assignments();
+    assert_eq!(digest.finish(&serial), GOLDEN, "serial");
+
+    for threads in [2usize, 3] {
+        let mut pooled = cfg.build();
+        let mut digest = RecordDigest::default();
+        pooled.run_parallel_forced(ROUNDS, threads, &mut digest);
+        assert_eq!(
+            pooled.colony().assignments(),
+            assignments,
+            "threads = {threads}"
+        );
+        assert_eq!(digest.finish(&pooled), GOLDEN, "threads = {threads}");
+    }
+
+    let mut head = cfg.build();
+    let mut digest = RecordDigest::default();
+    head.run(ROUNDS / 2, &mut digest);
+    let bytes = Checkpoint::capture(&head)
+        .expect("phase boundary")
+        .to_bytes();
+    let mut resumed = Checkpoint::from_bytes(&bytes).expect("decodes").restore();
+    resumed.run(ROUNDS / 2, &mut digest);
+    assert_eq!(
+        resumed.colony().assignments(),
+        assignments,
+        "checkpoint split"
+    );
+    assert_eq!(digest.finish(&resumed), GOLDEN, "checkpoint split");
 }
