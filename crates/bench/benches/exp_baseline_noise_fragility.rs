@@ -17,7 +17,7 @@
 
 use antalloc_bench::{banner, fmt, worker_threads, Table};
 use antalloc_core::{AntParams, ExactGreedyParams};
-use antalloc_env::DemandSchedule;
+use antalloc_env::{Event, Timeline};
 use antalloc_noise::{GreyZonePolicy, NoiseModel};
 use antalloc_sim::{ControllerSpec, FnObserver, NullObserver, SimConfig};
 
@@ -34,10 +34,7 @@ fn run(spec: ControllerSpec, noise: NoiseModel) -> Outcome {
         .noise(noise)
         .controller(spec)
         .seed(0xBA5E)
-        .schedule(DemandSchedule::Step {
-            at: step_round,
-            demands: vec![260, 455, 195],
-        })
+        .timeline(Timeline::new().at(step_round, Event::SetDemands(vec![260, 455, 195])))
         .build()
         .expect("valid scenario");
     let mut engine = cfg.build();

@@ -12,7 +12,7 @@
 
 use antalloc_bench::{banner, fmt, worker_threads, Table};
 use antalloc_core::AntParams;
-use antalloc_env::{DemandSchedule, Event, Timeline};
+use antalloc_env::{Event, Timeline};
 use antalloc_metrics::SaturationDetector;
 use antalloc_noise::NoiseModel;
 use antalloc_sim::{ControllerSpec, FnObserver, SimConfig};
@@ -28,16 +28,16 @@ fn main() {
     let gamma = 1.0 / 16.0;
     let lambda = 2.0;
 
-    // Part 1: a demand schedule with two steps (the legacy schedule
-    // vocabulary compiles straight into the timeline).
+    // Part 1: two demand steps, scripted as timeline events.
     let cfg = SimConfig::builder(n, vec![800, 1200])
         .noise(NoiseModel::Sigmoid { lambda })
         .controller(ControllerSpec::Ant(AntParams::new(gamma)))
         .seed(0xD1A)
-        .schedule(DemandSchedule::Steps(vec![
-            (8_000, vec![1200, 800]),
-            (16_000, vec![500, 500]),
-        ]))
+        .timeline(
+            Timeline::new()
+                .at(8_000, Event::SetDemands(vec![1200, 800]))
+                .at(16_000, Event::SetDemands(vec![500, 500])),
+        )
         .build()
         .expect("valid scenario");
     let mut engine = cfg.build();

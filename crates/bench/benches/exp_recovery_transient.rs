@@ -117,9 +117,9 @@ kind = "scramble"
         // at the shock round, and the settled window ending the block.
         // Each window re-simulates from round 0 (warmup = window
         // start) — deliberately: every table cell is then bit-identical
-        // to a standalone `Batch` run of that window, at the cost of
-        // ~4× redundant warmup rounds over an observer that bins one
-        // long run (the pattern `exp_dynamic_demands` uses).
+        // to a standalone axis-less `Sweep` run of that window, at the
+        // cost of ~4× redundant warmup rounds over an observer that
+        // bins one long run (the pattern `exp_dynamic_demands` uses).
         let sweep = |warmup: u64, rounds: u64| {
             Sweep::new(scenario.config.clone())
                 .axis_labeled("controller", controllers.clone(), |cfg, spec| {

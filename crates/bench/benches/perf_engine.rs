@@ -648,11 +648,11 @@ fn banks_vs_seed(_c: &mut Criterion) {
 }
 
 /// Regression guard for the timeline cursor: consuming a long event
-/// script must cost O(1) per round, not O(events). The old
-/// `DemandSchedule::Steps::update` did a linear `find` over all steps
-/// every round; the cursor replaced it. With 50k pending events the
-/// linear scan would be orders of magnitude slower — assert the scripted
-/// run stays within 2× of the static run (generous noise margin).
+/// script must cost O(1) per round, not O(events). The engine-polled
+/// demand schedule the cursor replaced did a linear `find` over all
+/// steps every round. With 50k pending events a linear scan would be
+/// orders of magnitude slower — assert the scripted run stays within 2×
+/// of the static run (generous noise margin).
 fn timeline_cursor_scaling(_c: &mut Criterion) {
     use antalloc_env::{Event, Timeline};
 

@@ -150,10 +150,10 @@ pub fn worker_threads() -> usize {
     }
 }
 
-/// Renders [`Batch`](antalloc_sim::Batch)/[`Sweep`](antalloc_sim::Sweep)
-/// outcomes as a [`Table`]: one row per run, one column per sweep axis,
-/// plus the standard regret aggregates. Call [`Table::finish`] on the
-/// result to print and mirror it to CSV.
+/// Renders [`Sweep`](antalloc_sim::Sweep) outcomes as a [`Table`]: one
+/// row per run, one column per sweep axis, plus the standard regret
+/// aggregates. Call [`Table::finish`] on the result to print and mirror
+/// it to CSV.
 pub fn batch_table(name: &str, outcomes: &[RunOutcome]) -> Table {
     let axis_names: Vec<String> = outcomes
         .first()

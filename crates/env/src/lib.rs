@@ -55,7 +55,6 @@ mod colony;
 mod demand;
 mod gen;
 mod perturb;
-mod schedule;
 mod timeline;
 mod trigger;
 
@@ -66,6 +65,5 @@ pub use colony::ColonyState;
 pub use demand::{AssumptionReport, DemandVector};
 pub use gen::{GenShock, TimelineGen};
 pub use perturb::{InitialConfig, Perturbation};
-pub use schedule::DemandSchedule;
 pub use timeline::{Cycle, Event, TimedEvent, Timeline};
 pub use trigger::{ColonyView, Condition, Trigger, TriggerState};

@@ -8,19 +8,15 @@
 //! so a timeline-driven run stays a pure function of `(config, seed)`:
 //! serial, parallel and checkpoint-restored runs replay bit-identically.
 //!
-//! This subsumes the three ad-hoc dynamism mechanisms that used to live
-//! in separate places: the engine-polled `DemandSchedule` (kept as a
-//! thin constructor via `From<DemandSchedule>`), imperative
-//! `engine.perturb(..)` calls in bench code, and fixed-for-life noise
-//! parameters. Rounds are 1-based; events fire at the *start* of their
-//! round, before any ant observes feedback.
+//! This is the one way to script changing demands, population shocks
+//! and noise-regime switches. Rounds are 1-based; events fire at the
+//! *start* of their round, before any ant observes feedback.
 
 use antalloc_noise::NoiseModel;
 use antalloc_rng::{reserved, StreamSeeder};
 
 use crate::gen::TimelineGen;
 use crate::perturb::Perturbation;
-use crate::schedule::DemandSchedule;
 use crate::trigger::{ColonyView, Trigger, TriggerState};
 
 /// One typed mid-run change to the environment.
@@ -125,7 +121,9 @@ pub struct TimedEvent {
 /// A repeating generator: fires at rounds `start`, `start + period`,
 /// `start + 2·period`, …, cycling through `events` one per firing.
 ///
-/// The old `DemandSchedule::Alternating` is the two-event special case.
+/// Demands alternating between `a` and `b` every `h` rounds, starting
+/// on `a`, are the two-event special case
+/// `every(h, h, vec![SetDemands(b), SetDemands(a)])`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cycle {
     /// First firing round (must be ≥ 1).
@@ -463,33 +461,6 @@ impl Timeline {
     }
 }
 
-/// The legacy demand-schedule vocabulary compiles down to a timeline:
-/// `Step`/`Steps` become one-shot `SetDemands` events, `Alternating`
-/// becomes a two-event [`Cycle`]. Firing rounds are identical to the
-/// old engine-polled semantics.
-impl From<DemandSchedule> for Timeline {
-    fn from(schedule: DemandSchedule) -> Self {
-        match schedule {
-            DemandSchedule::Static => Timeline::new(),
-            DemandSchedule::Step { at, demands } => {
-                Timeline::new().at(at, Event::SetDemands(demands))
-            }
-            DemandSchedule::Steps(steps) => {
-                let mut t = Timeline::new();
-                for (at, demands) in steps {
-                    t = t.at(at, Event::SetDemands(demands));
-                }
-                t
-            }
-            DemandSchedule::Alternating { a, b, half_period } => Timeline::new().every(
-                half_period,
-                half_period,
-                vec![Event::SetDemands(b), Event::SetDemands(a)],
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,12 +491,11 @@ mod tests {
 
     #[test]
     fn cycles_repeat_and_alternate() {
-        let t: Timeline = DemandSchedule::Alternating {
-            a: vec![10],
-            b: vec![20],
-            half_period: 4,
-        }
-        .into();
+        let t = Timeline::new().every(
+            4,
+            4,
+            vec![Event::SetDemands(vec![20]), Event::SetDemands(vec![10])],
+        );
         let mut cursor = 0;
         assert!(fired(&t, 1, &mut cursor).is_empty());
         assert_eq!(fired(&t, 4, &mut cursor), vec![Event::SetDemands(vec![20])]);
@@ -759,37 +729,5 @@ mod tests {
             .validate(2, 100)
             .unwrap_err()
             .contains("generator 0"));
-    }
-
-    #[test]
-    fn schedule_conversions_preserve_firing_rounds() {
-        // Step fires once at `at`.
-        let t: Timeline = DemandSchedule::Step {
-            at: 10,
-            demands: vec![5, 6],
-        }
-        .into();
-        let mut cursor = 0;
-        assert!(fired(&t, 9, &mut cursor).is_empty());
-        assert_eq!(
-            fired(&t, 10, &mut cursor),
-            vec![Event::SetDemands(vec![5, 6])]
-        );
-        assert!(fired(&t, 11, &mut cursor).is_empty());
-        // Steps fire in order.
-        let t: Timeline = DemandSchedule::Steps(vec![(5, vec![1, 1]), (9, vec![2, 2])]).into();
-        let mut cursor = 0;
-        assert_eq!(
-            fired(&t, 5, &mut cursor),
-            vec![Event::SetDemands(vec![1, 1])]
-        );
-        assert!(fired(&t, 7, &mut cursor).is_empty());
-        assert_eq!(
-            fired(&t, 9, &mut cursor),
-            vec![Event::SetDemands(vec![2, 2])]
-        );
-        // Static is empty.
-        let t: Timeline = DemandSchedule::Static.into();
-        assert!(t.is_empty());
     }
 }

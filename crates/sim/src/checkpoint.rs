@@ -740,7 +740,7 @@ mod tests {
         AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
         ProportionalParams,
     };
-    use antalloc_env::{Condition, DemandSchedule, Event, InitialConfig, Timeline, Trigger};
+    use antalloc_env::{Condition, Event, InitialConfig, Timeline, Trigger};
     use antalloc_noise::{GreyZonePolicy, NoiseModel};
 
     /// The frozen fixture: a 3-site arena, a Precise Sigmoid +
@@ -1430,23 +1430,18 @@ mod tests {
             },
         ];
         let timelines: [Timeline; 3] = [
-            DemandSchedule::Step {
-                at: 5,
-                demands: vec![4, 4],
-            }
-            .into(),
+            Timeline::new().at(5, Event::SetDemands(vec![4, 4])),
             Timeline::new()
                 .at(3, Event::Kill { count: 2 })
                 .at(9, Event::SetNoise(NoiseModel::Exact))
                 .at(9, Event::StampedeTo(1))
                 .at(11, Event::Spawn { count: 4 })
                 .at(12, Event::Scramble),
-            DemandSchedule::Alternating {
-                a: vec![3, 3],
-                b: vec![4, 4],
-                half_period: 7,
-            }
-            .into(),
+            Timeline::new().every(
+                7,
+                7,
+                vec![Event::SetDemands(vec![4, 4]), Event::SetDemands(vec![3, 3])],
+            ),
         ];
         for (i, spec) in specs.iter().enumerate() {
             let k = match spec {

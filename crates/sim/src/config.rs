@@ -288,7 +288,7 @@ pub struct SimConfig {
     pub seed: u64,
     /// Scripted mid-run events: demand steps, population shocks,
     /// noise-regime switches (defaults to empty — a static
-    /// environment). Legacy `DemandSchedule`s convert via `.into()`.
+    /// environment).
     pub timeline: Timeline,
     /// Initial configuration (defaults to all-idle).
     pub initial: InitialConfig,
@@ -351,7 +351,7 @@ impl SimConfig {
 mod tests {
     use super::*;
     use antalloc_core::Controller as _;
-    use antalloc_env::Assignment;
+    use antalloc_env::{Assignment, Event};
 
     #[test]
     fn build_constructs_each_variant() {
@@ -388,11 +388,7 @@ mod tests {
             noise: NoiseModel::Exact,
             controller: ControllerSpec::Trivial,
             seed: 1,
-            timeline: antalloc_env::DemandSchedule::Step {
-                at: 3,
-                demands: vec![9],
-            }
-            .into(),
+            timeline: Timeline::new().at(3, Event::SetDemands(vec![9])),
             initial: InitialConfig::AllIdle,
             arena: None,
         };

@@ -23,7 +23,7 @@
 //! ```
 //!
 //! The same scenario is a declarative TOML (or JSON) document via
-//! [`Scenario`], and [`Batch`]/[`Sweep`] fan a scenario out over seed
+//! [`Scenario`], and [`Sweep`] fans a scenario out over seed
 //! lists and parameter grids on OS threads with per-seed results
 //! bit-identical to serial runs. See the [`scenario`] module docs.
 //!
@@ -63,7 +63,12 @@ pub use engine::{BankCensus, RoundRecord, SyncEngine};
 pub use observer::{BasicObserver, Both, FnObserver, NullObserver, Observer, RunSummary};
 pub use recorder::TraceRecorder;
 pub use scenario::{
-    AxisValue, Batch, CapturePolicy, ConfigError, CsvSink, JsonlSink, RunOutcome, RunSink,
-    Scenario, ScenarioBuilder, Sweep, UsePolicy, MAX_TASKS,
+    AxisValue, CapturePolicy, ConfigError, CsvSink, JsonlSink, RunOutcome, RunSink, Scenario,
+    ScenarioBuilder, Sweep, UsePolicy, MAX_TASKS,
 };
 pub use sequential::SequentialEngine;
+
+/// Compiles the README's Rust snippet, so it cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

@@ -1,13 +1,14 @@
-//! Multi-seed batches and parameter sweeps over OS threads.
+//! Multi-seed runs and parameter sweeps over OS threads.
 //!
-//! A [`Batch`] fans one scenario out over a seed list; a [`Sweep`] adds
-//! parameter axes (a full Cartesian grid). Runs execute on a pool of
-//! worker threads pulling jobs from a shared queue — the same
-//! fixed-thread discipline as the engine's `run_parallel` — but each
-//! *run* steps serially, so every per-seed result is bit-identical to
-//! running that seed alone. Results stream to the caller in completion
-//! order via [`Batch::run_with`] / [`Sweep::run_with`], or arrive
-//! sorted in job order from `run()`.
+//! A [`Sweep`] fans one scenario out over a seed list and, optionally,
+//! parameter axes (a full Cartesian grid); with no axes it is a plain
+//! multi-seed batch. Runs execute on a pool of worker threads pulling
+//! jobs from a shared queue — the same fixed-thread discipline as the
+//! engine's `run_parallel` — but each *run* steps serially, so every
+//! per-seed result is bit-identical to running that seed alone. Results
+//! stream to the caller in completion order via [`Sweep::run_with`],
+//! [`Sweep::run_while`] or [`Sweep::stream_into`], or arrive sorted in
+//! job order from [`Sweep::run`].
 //!
 //! ## The sweep fast path
 //!
@@ -105,15 +106,15 @@ impl From<&str> for AxisValue {
     }
 }
 
-/// The measured outcome of one run in a batch or sweep.
+/// The measured outcome of one run in a sweep.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
-    /// Position in the batch's job order (stable across thread counts).
+    /// Position in the sweep's job order (stable across thread counts).
     pub index: usize,
     /// The seed this run used.
     pub seed: u64,
-    /// Sweep-axis values applied to the base config (empty for plain
-    /// batches), as `(axis name, value)` pairs. Shared per grid point:
+    /// Sweep-axis values applied to the base config (empty for a sweep
+    /// with no axes), as `(axis name, value)` pairs. Shared per grid point:
     /// every outcome of the same grid point holds the same arc rather
     /// than its own clone of the label vector.
     pub params: Arc<[(String, AxisValue)]>,
@@ -128,157 +129,6 @@ pub struct RunOutcome {
     /// Whether this outcome was served from the durable store instead
     /// of being computed (always `false` without [`Sweep::store`]).
     pub cached: bool,
-}
-
-/// Runs one scenario across many seeds.
-#[derive(Clone)]
-pub struct Batch {
-    config: SimConfig,
-    seeds: Vec<u64>,
-    warmup: u64,
-    rounds: u64,
-    threads: usize,
-    threads_per_job: usize,
-    reuse_engines: bool,
-    store: Option<Arc<CheckpointStore>>,
-    use_policy: UsePolicy,
-    capture_policy: CapturePolicy,
-}
-
-impl Batch {
-    /// A batch measuring `rounds` rounds per run; seeds default to the
-    /// config's own seed, warmup to 0, threads to the available
-    /// parallelism.
-    pub fn new(config: SimConfig, rounds: u64) -> Self {
-        let seed = config.seed;
-        Self {
-            config,
-            seeds: vec![seed],
-            warmup: 0,
-            rounds,
-            threads: default_threads(),
-            threads_per_job: 1,
-            reuse_engines: true,
-            store: None,
-            use_policy: UsePolicy::default(),
-            capture_policy: CapturePolicy::default(),
-        }
-    }
-
-    /// Replaces the seed list (e.g. `0..32`).
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Attaches a durable result store; see [`Sweep::store`].
-    pub fn store(mut self, store: Arc<CheckpointStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// When to serve runs from the store; see [`Sweep::use_policy`].
-    pub fn use_policy(mut self, policy: UsePolicy) -> Self {
-        self.use_policy = policy;
-        self
-    }
-
-    /// When to write results back; see [`Sweep::capture_policy`].
-    pub fn capture_policy(mut self, policy: CapturePolicy) -> Self {
-        self.capture_policy = policy;
-        self
-    }
-
-    /// Unobserved rounds before measurement starts.
-    pub fn warmup(mut self, rounds: u64) -> Self {
-        self.warmup = rounds;
-        self
-    }
-
-    /// Worker threads for the batch (runs themselves stay serial unless
-    /// [`Batch::threads_per_job`] raises the per-job count).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Threads each *job* may use internally via the engine's
-    /// `run_parallel` (default 1: jobs step serially).
-    ///
-    /// **Thread-split policy.** Prefer batch-level parallelism first —
-    /// independent seeds scale embarrassingly and share nothing, so
-    /// `threads(t)` with serial jobs is the default and wins whenever
-    /// there are at least as many jobs as cores. Raise
-    /// `threads_per_job` only for huge single colonies (≫ 100k ants)
-    /// where per-run latency matters or where few jobs would leave
-    /// cores idle; keep `threads × threads_per_job` within the machine.
-    /// Per-seed results are bit-identical either way (the engine's
-    /// parallel path guarantees it), so this knob trades latency
-    /// against throughput, never reproducibility.
-    pub fn threads_per_job(mut self, threads: usize) -> Self {
-        self.threads_per_job = threads.max(1);
-        self
-    }
-
-    /// Whether workers reuse their engine across jobs (default `true`);
-    /// see [`Sweep::engine_reuse`].
-    pub fn engine_reuse(mut self, reuse: bool) -> Self {
-        self.reuse_engines = reuse;
-        self
-    }
-
-    /// Runs every seed; results are in seed-list order.
-    pub fn run(&self) -> Result<Vec<RunOutcome>, ConfigError> {
-        self.as_sweep().run()
-    }
-
-    /// Runs every seed, streaming each outcome (in completion order) to
-    /// `on_outcome` as it lands; returns the full sorted list.
-    pub fn run_with(
-        &self,
-        on_outcome: impl FnMut(&RunOutcome),
-    ) -> Result<Vec<RunOutcome>, ConfigError> {
-        self.as_sweep().run_with(on_outcome)
-    }
-
-    /// Runs every seed, streaming each outcome to `on_outcome` and
-    /// **dropping it afterwards** — memory stays flat however many
-    /// seeds run. Returns the number of runs completed.
-    pub fn for_each(&self, on_outcome: impl FnMut(&RunOutcome)) -> Result<usize, ConfigError> {
-        self.as_sweep().for_each(on_outcome)
-    }
-
-    /// Streams every outcome into `sink` (completion order) without
-    /// accumulating; sink IO failures surface as [`ConfigError::Io`].
-    pub fn stream_into(&self, sink: &mut dyn RunSink) -> Result<usize, ConfigError> {
-        self.as_sweep().stream_into(sink)
-    }
-
-    /// Runs seeds until `on_outcome` returns `false`; see
-    /// [`Sweep::run_while`].
-    pub fn run_while(
-        &self,
-        on_outcome: impl FnMut(&RunOutcome) -> bool,
-    ) -> Result<usize, ConfigError> {
-        self.as_sweep().run_while(on_outcome)
-    }
-
-    fn as_sweep(&self) -> Sweep {
-        Sweep {
-            base: self.config.clone(),
-            axes: Vec::new(),
-            seeds: self.seeds.clone(),
-            warmup: self.warmup,
-            rounds: self.rounds,
-            threads: self.threads,
-            threads_per_job: self.threads_per_job,
-            reuse_engines: self.reuse_engines,
-            store: self.store.clone(),
-            use_policy: self.use_policy,
-            capture_policy: self.capture_policy,
-            from_round: None,
-        }
-    }
 }
 
 /// A prepared grid point: the recorded coordinate plus a rewriter
@@ -297,7 +147,7 @@ struct Axis {
 /// Runs a scenario over a parameter grid × seed list.
 ///
 /// ```
-/// use antalloc_sim::{Batch, SimConfig, Sweep};
+/// use antalloc_sim::{SimConfig, Sweep};
 ///
 /// let base = SimConfig::builder(400, vec![60, 80]).build().unwrap();
 /// let outcomes = Sweep::new(base)
@@ -318,7 +168,6 @@ pub struct Sweep {
     warmup: u64,
     rounds: u64,
     threads: usize,
-    threads_per_job: usize,
     reuse_engines: bool,
     store: Option<Arc<CheckpointStore>>,
     use_policy: UsePolicy,
@@ -327,8 +176,10 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// A sweep with no axes yet (equivalent to a one-seed batch of 0
-    /// rounds until configured).
+    /// A sweep with no axes yet: the config's own seed, 0 warmup and 0
+    /// measured rounds, threads defaulting to the available
+    /// parallelism. With no axes added it runs the scenario once per
+    /// seed.
     pub fn new(base: SimConfig) -> Self {
         let seed = base.seed;
         Self {
@@ -338,7 +189,6 @@ impl Sweep {
             warmup: 0,
             rounds: 0,
             threads: default_threads(),
-            threads_per_job: 1,
             reuse_engines: true,
             store: None,
             use_policy: UsePolicy::default(),
@@ -488,16 +338,10 @@ impl Sweep {
         self
     }
 
-    /// Worker threads (see [`Batch::threads`]).
+    /// Worker threads (at least 1). Each run steps serially on its
+    /// worker, so per-seed results are bit-identical at any count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Threads each job may use internally; see
-    /// [`Batch::threads_per_job`] for the thread-split policy.
-    pub fn threads_per_job(mut self, threads: usize) -> Self {
-        self.threads_per_job = threads.max(1);
         self
     }
 
@@ -592,19 +436,11 @@ impl Sweep {
         Ok(collected)
     }
 
-    /// Streams every outcome to `on_outcome` (completion order) and
-    /// drops it afterwards — the constant-memory path for huge sweeps.
-    /// Returns the number of runs completed.
-    pub fn for_each(&self, mut on_outcome: impl FnMut(&RunOutcome)) -> Result<usize, ConfigError> {
-        self.run_pool(|outcome| {
-            on_outcome(&outcome);
-            true
-        })
-    }
-
     /// Streams outcomes (completion order) until `on_outcome` returns
     /// `false`, which aborts the pool: no further jobs are claimed and
     /// in-flight outcomes are discarded. Returns the number delivered.
+    /// Nothing is accumulated, so a callback that always returns `true`
+    /// is the constant-memory path for huge sweeps.
     /// This is the cancellation point a supervised sweep hangs its
     /// stop flag on — combined with [`Sweep::store`], a sweep stopped
     /// here resumes from where it left off.
@@ -782,7 +618,6 @@ impl Sweep {
                 worker.params.clone(),
                 self.warmup,
                 self.rounds,
-                self.threads_per_job,
                 &mut worker.engine,
             ),
         };
@@ -793,9 +628,9 @@ impl Sweep {
     /// The store key of one run: canonical scenario bytes (TOML
     /// re-emission normalizes key order), seed, and the measurement
     /// window. `from_round` folds in the fork round and the prefix
-    /// scenario, since those change what the run computes;
-    /// `threads`/`threads_per_job`/`engine_reuse` do not (bit-identity
-    /// contract) and are deliberately excluded.
+    /// scenario, since those change what the run computes; `threads`
+    /// and `engine_reuse` do not (bit-identity contract) and are
+    /// deliberately excluded.
     fn outcome_fingerprint(&self, cfg: &SimConfig) -> Fingerprint {
         let mut b = FingerprintBuilder::new(OUTCOME_DOMAIN)
             .bytes("scenario", cfg.to_toml().as_bytes())
@@ -955,8 +790,7 @@ impl Sweep {
             None => worker.scratch.build(),
         };
         ckpt.fork_into(&worker.scratch, &mut engine);
-        let (summary, final_regret, final_loads) =
-            measure(&mut engine, self.warmup, self.rounds, self.threads_per_job);
+        let (summary, final_regret, final_loads) = measure(&mut engine, self.warmup, self.rounds);
         worker.engine = Some(engine);
         Ok(RunOutcome {
             index,
@@ -1010,12 +844,7 @@ impl Sweep {
             }
             None => base.build(),
         };
-        let mut sink = NullObserver;
-        if self.threads_per_job > 1 {
-            engine.run_parallel(r, self.threads_per_job, &mut sink);
-        } else {
-            engine.run(r, &mut sink);
-        }
+        engine.run(r, &mut NullObserver);
         let ckpt = Checkpoint::capture(&engine).map_err(|e| {
             ConfigError::Fork(format!("capturing the shared prefix at round {r}: {e}"))
         })?;
@@ -1097,7 +926,6 @@ fn run_one(
     params: Arc<[(String, AxisValue)]>,
     warmup: u64,
     rounds: u64,
-    threads_per_job: usize,
     engine_slot: &mut Option<SyncEngine>,
 ) -> RunOutcome {
     // Reuse the worker's engine when one is parked in the slot —
@@ -1109,8 +937,7 @@ fn run_one(
         }
         None => config.build(),
     };
-    let (summary, final_regret, final_loads) =
-        measure(&mut engine, warmup, rounds, threads_per_job);
+    let (summary, final_regret, final_loads) = measure(&mut engine, warmup, rounds);
     let outcome = RunOutcome {
         index,
         seed: config.seed,
@@ -1125,24 +952,12 @@ fn run_one(
     outcome
 }
 
-/// Warmup + measured window on an already-positioned engine. Serial by
-/// default — and bit-identical when a job parallelizes internally,
-/// because the engine's parallel path guarantees it.
-fn measure(
-    engine: &mut SyncEngine,
-    warmup: u64,
-    rounds: u64,
-    threads_per_job: usize,
-) -> (RunSummary, u64, Vec<u64>) {
-    let mut sink = NullObserver;
+/// Warmup + measured window, stepped serially on an already-positioned
+/// engine.
+fn measure(engine: &mut SyncEngine, warmup: u64, rounds: u64) -> (RunSummary, u64, Vec<u64>) {
     let mut summary = RunSummary::new();
-    if threads_per_job > 1 {
-        engine.run_parallel(warmup, threads_per_job, &mut sink);
-        engine.run_parallel(rounds, threads_per_job, &mut summary);
-    } else {
-        engine.run(warmup, &mut sink);
-        engine.run(rounds, &mut summary);
-    }
+    engine.run(warmup, &mut NullObserver);
+    engine.run(rounds, &mut summary);
     let colony = engine.colony();
     let final_loads = (0..colony.num_tasks()).map(|j| colony.load(j)).collect();
     (summary, colony.instant_regret(), final_loads)
@@ -1257,7 +1072,9 @@ mod tests {
 
     #[test]
     fn batch_matches_individual_serial_runs() {
-        let outcomes = Batch::new(base(), 120)
+        // A sweep with no axes is a plain multi-seed batch.
+        let outcomes = Sweep::new(base())
+            .rounds(120)
             .seeds(0..8)
             .threads(4)
             .run()
@@ -1279,8 +1096,15 @@ mod tests {
 
     #[test]
     fn batch_is_thread_count_invariant() {
-        let one = Batch::new(base(), 80).seeds(0..6).threads(1).run().unwrap();
-        let many = Batch::new(base(), 80).seeds(0..6).threads(8).run().unwrap();
+        let batch = |threads| {
+            Sweep::new(base())
+                .rounds(80)
+                .seeds(0..6)
+                .threads(threads)
+                .run()
+                .unwrap()
+        };
+        let (one, many) = (batch(1), batch(8));
         for (a, b) in one.iter().zip(&many) {
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.summary.total_regret(), b.summary.total_regret());
@@ -1439,7 +1263,8 @@ mod tests {
     #[test]
     fn run_with_streams_every_outcome() {
         let mut streamed = 0usize;
-        let outcomes = Batch::new(base(), 30)
+        let outcomes = Sweep::new(base())
+            .rounds(30)
             .seeds(0..5)
             .threads(2)
             .run_with(|_o| streamed += 1)
@@ -1449,12 +1274,16 @@ mod tests {
     }
 
     #[test]
-    fn for_each_streams_without_accumulating() {
+    fn run_while_streams_without_accumulating() {
         let mut seen = Vec::new();
-        let count = Batch::new(base(), 25)
+        let count = Sweep::new(base())
+            .rounds(25)
             .seeds(0..6)
             .threads(3)
-            .for_each(|o| seen.push(o.seed))
+            .run_while(|o| {
+                seen.push(o.seed);
+                true
+            })
             .unwrap();
         assert_eq!(count, 6);
         seen.sort_unstable();
@@ -1465,7 +1294,8 @@ mod tests {
     fn stream_into_writes_one_row_per_run() {
         use crate::scenario::sink::CsvSink;
         let mut sink = CsvSink::new(Vec::new());
-        let count = Batch::new(base(), 20)
+        let count = Sweep::new(base())
+            .rounds(20)
             .seeds(0..4)
             .threads(2)
             .stream_into(&mut sink)
@@ -1492,7 +1322,8 @@ mod tests {
             }
         }
         let mut sink = FailingSink { rows: 0 };
-        let err = Batch::new(base(), 10)
+        let err = Sweep::new(base())
+            .rounds(10)
             .seeds(0..64)
             .threads(2)
             .stream_into(&mut sink)
@@ -1583,7 +1414,7 @@ mod tests {
     #[test]
     fn aborted_sweep_resumes_from_store_and_recomputes_only_the_rest() {
         let store = Arc::new(antalloc_store::CheckpointStore::in_memory());
-        let batch = || Batch::new(base(), 30).seeds(0..10).threads(2);
+        let batch = || Sweep::new(base()).rounds(30).seeds(0..10).threads(2);
         // Kill the sweep after 4 delivered outcomes.
         let mut seen = 0;
         let delivered = batch()
@@ -1611,7 +1442,7 @@ mod tests {
     fn corrupt_store_entries_degrade_to_recomputed_runs() {
         use antalloc_store::CheckpointStore;
         let store = Arc::new(CheckpointStore::in_memory());
-        let batch = || Batch::new(base(), 25).seeds(0..4).threads(2);
+        let batch = || Sweep::new(base()).rounds(25).seeds(0..4).threads(2);
         let cold = batch().store(store.clone()).run().unwrap();
         // Bit-flip every payload in place.
         for prefix in store.entries().unwrap() {
@@ -1676,7 +1507,8 @@ mod tests {
                 let mut cfg = base();
                 cfg.timeline =
                     Timeline::new().at(r + 1, Event::SetNoise(NoiseModel::Sigmoid { lambda }));
-                let scripted = Batch::new(cfg, 60)
+                let scripted = Sweep::new(cfg)
+                    .rounds(60)
                     .seeds([seed])
                     .warmup(r)
                     .threads(1)
@@ -1789,24 +1621,5 @@ mod tests {
         let mut sig = base();
         sig.controller = ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5));
         assert!(Sweep::new(sig).from_round(7).rounds(5).run().is_ok());
-    }
-
-    #[test]
-    fn threads_per_job_is_bit_identical_to_serial_jobs() {
-        // A job that parallelizes internally must produce the same
-        // per-seed results (the engine's parallel path guarantees it;
-        // this holds the Batch wiring down).
-        let serial = Batch::new(base(), 60).seeds(0..3).threads(1).run().unwrap();
-        let split = Batch::new(base(), 60)
-            .seeds(0..3)
-            .threads(1)
-            .threads_per_job(4)
-            .run()
-            .unwrap();
-        for (a, b) in serial.iter().zip(&split) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.summary.total_regret(), b.summary.total_regret());
-            assert_eq!(a.final_loads, b.final_loads);
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! The fluent, validating scenario builder.
 
-use antalloc_env::{ArenaConfig, DemandSchedule, Event, InitialConfig, Timeline};
+use antalloc_env::{ArenaConfig, Event, InitialConfig, Timeline};
 use antalloc_noise::NoiseModel;
 
 use crate::config::{ControllerSpec, SimConfig};
@@ -123,14 +123,6 @@ impl ScenarioBuilder {
     pub fn generate(mut self, generator: antalloc_env::TimelineGen) -> Self {
         let timeline = std::mem::take(&mut self.config.timeline);
         self.config.timeline = timeline.generate(generator);
-        self
-    }
-
-    /// Sets the timeline from a legacy demand schedule (thin
-    /// constructor: steps become `SetDemands` events, alternation a
-    /// two-event cycle). Replaces any previous timeline.
-    pub fn schedule(mut self, schedule: DemandSchedule) -> Self {
-        self.config.timeline = schedule.into();
         self
     }
 
@@ -361,10 +353,7 @@ mod tests {
     #[test]
     fn schedule_mismatch_is_rejected_at_build_time() {
         let err = base()
-            .schedule(DemandSchedule::Step {
-                at: 5,
-                demands: vec![1, 2, 3],
-            })
+            .event(5, Event::SetDemands(vec![1, 2, 3]))
             .build()
             .unwrap_err();
         assert!(matches!(err, ConfigError::Timeline(_)), "{err:?}");
@@ -394,14 +383,17 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, ConfigError::Timeline(_)), "{err:?}");
-        // Alternating with zero half-period compiles to a degenerate
+        // Demands alternating with a zero half-period are a degenerate
         // cycle, caught here instead of dividing by zero at run time.
         let err = base()
-            .schedule(DemandSchedule::Alternating {
-                a: vec![20, 30],
-                b: vec![30, 20],
-                half_period: 0,
-            })
+            .timeline(Timeline::new().every(
+                0,
+                0,
+                vec![
+                    Event::SetDemands(vec![30, 20]),
+                    Event::SetDemands(vec![20, 30]),
+                ],
+            ))
             .build()
             .unwrap_err();
         assert!(matches!(err, ConfigError::Timeline(_)), "{err:?}");

@@ -73,17 +73,15 @@
 //!
 //! Every enum uses a `kind` discriminant with kebab-case variant names;
 //! optional parameters fall back to the same defaults the Rust
-//! constructors use, so minimal files stay minimal. The legacy
-//! `[schedule]` section is still accepted on input (it compiles to the
-//! equivalent timeline); output always uses `[[timeline]]`.
+//! constructors use, so minimal files stay minimal.
 
 use antalloc_core::{
     AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
     ProportionalParams,
 };
 use antalloc_env::{
-    ArenaConfig, Condition, Cycle, DemandSchedule, Event, GenShock, InitialConfig, TimedEvent,
-    Timeline, TimelineGen, Trigger,
+    ArenaConfig, Condition, Cycle, Event, GenShock, InitialConfig, TimedEvent, Timeline,
+    TimelineGen, Trigger,
 };
 use antalloc_noise::{GreyZonePolicy, NoiseModel};
 
@@ -166,7 +164,6 @@ pub fn config_from_value(root: &Value) -> Result<(SimConfig, Option<String>, boo
             "noise",
             "arena",
             "timeline",
-            "schedule",
             "initial",
         ],
     )?;
@@ -178,17 +175,9 @@ pub fn config_from_value(root: &Value) -> Result<(SimConfig, Option<String>, boo
         Some(v) => v.as_bool("out_of_spec")?,
         None => false,
     };
-    let timeline = match (root.get("timeline"), root.get("schedule")) {
-        (Some(_), Some(_)) => {
-            return Err(bad(
-                "scenario",
-                "give either `timeline` or the legacy `schedule`, not both",
-            ));
-        }
-        (Some(v), None) => timeline_from_value(v)?,
-        // Legacy sugar: a demand schedule compiles to its timeline.
-        (None, Some(v)) => schedule_from_value(v)?.into(),
-        (None, None) => Timeline::new(),
+    let timeline = match root.get("timeline") {
+        Some(v) => timeline_from_value(v)?,
+        None => Timeline::new(),
     };
     let config = SimConfig {
         n: root.want("n")?.as_usize("n")?,
@@ -553,49 +542,6 @@ pub fn arena_from_value(v: &Value) -> Result<ArenaConfig, ConfigError> {
         travel_rounds,
         wander_probability,
     })
-}
-
-// ---- DemandSchedule (legacy input sugar) --------------------------------
-
-/// Decodes a legacy `[schedule]` section; callers compile the result to
-/// a [`Timeline`] immediately (output always uses `timeline`).
-pub fn schedule_from_value(v: &Value) -> Result<DemandSchedule, ConfigError> {
-    let kind = v.want("kind")?.as_str("schedule.kind")?;
-    let allowed: &[&str] = match kind {
-        "step" => &["kind", "at", "demands"],
-        "steps" => &["kind", "steps"],
-        "alternating" => &["kind", "a", "b", "half_period"],
-        _ => &["kind"],
-    };
-    check_keys(v, "schedule", allowed)?;
-    match kind {
-        "static" => Ok(DemandSchedule::Static),
-        "step" => Ok(DemandSchedule::Step {
-            at: v.want("at")?.as_u64("schedule.at")?,
-            demands: v.want("demands")?.as_u64_array("schedule.demands")?,
-        }),
-        "steps" => {
-            let steps = v
-                .want("steps")?
-                .as_array("schedule.steps")?
-                .iter()
-                .map(|s| {
-                    check_keys(s, "schedule.steps entry", &["at", "demands"])?;
-                    Ok((
-                        s.want("at")?.as_u64("step.at")?,
-                        s.want("demands")?.as_u64_array("step.demands")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, ConfigError>>()?;
-            Ok(DemandSchedule::Steps(steps))
-        }
-        "alternating" => Ok(DemandSchedule::Alternating {
-            a: v.want("a")?.as_u64_array("schedule.a")?,
-            b: v.want("b")?.as_u64_array("schedule.b")?,
-            half_period: v.want("half_period")?.as_u64("schedule.half_period")?,
-        }),
-        other => Err(bad("schedule", format!("unknown kind `{other}`"))),
-    }
 }
 
 // ---- InitialConfig ------------------------------------------------------
@@ -1464,39 +1410,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_schedules_decode_to_their_timeline() {
-        // `[schedule]` sections still load; the decoded config carries
-        // the compiled timeline.
-        let mut root = Value::table();
-        root.insert("n", Value::Int(100));
-        root.insert("demands", u64_array(&[20, 30]));
-        root.insert("controller", controller_to_value(&ControllerSpec::Trivial));
-        root.insert("noise", noise_to_value(&NoiseModel::Exact));
-        let mut schedule = Value::table();
-        schedule.insert("kind", Value::Str("step".into()));
-        schedule.insert("at", Value::Int(10));
-        schedule.insert("demands", u64_array(&[30, 20]));
-        root.insert("schedule", schedule.clone());
-        let (config, _, _) = config_from_value(&root).unwrap();
-        let expected: Timeline = DemandSchedule::Step {
-            at: 10,
-            demands: vec![30, 20],
-        }
-        .into();
-        assert_eq!(config.timeline, expected);
-        // ...but giving both forms at once is an error.
-        root.insert("timeline", timeline_to_value(&expected));
-        let err = config_from_value(&root).unwrap_err();
-        assert!(err.to_string().contains("not both"), "{err}");
-    }
-
-    #[test]
     fn unknown_kinds_are_parse_errors() {
         let mut t = Value::table();
         t.insert("kind", Value::Str("quantum".into()));
         assert!(controller_from_value(&t).is_err());
         assert!(noise_from_value(&t).is_err());
-        assert!(schedule_from_value(&t).is_err());
         assert!(initial_from_value(&t).is_err());
         assert!(event_from_value(&t).is_err());
         assert!(timeline_from_value(&Value::Array(vec![t])).is_err());

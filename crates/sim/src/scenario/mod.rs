@@ -1,8 +1,8 @@
 //! The scenario layer: validated construction, declarative files, and
-//! multi-seed batches.
+//! multi-seed sweeps.
 //!
 //! The paper's theorems are statements over *distributions* of runs —
-//! many seeds, many noise models, many demand schedules. This module
+//! many seeds, many noise models, many demand timelines. This module
 //! makes that the unit of work:
 //!
 //! * [`ScenarioBuilder`] — fluent, `Result`-returning construction of
@@ -11,12 +11,13 @@
 //! * [`Scenario`] — a named config that round-trips through TOML or
 //!   JSON text ([`Scenario::from_toml`], [`Scenario::to_toml`], …) and
 //!   files ([`Scenario::load`] / [`Scenario::save`]);
-//! * [`Batch`] / [`Sweep`] — fan a scenario out over seed lists and
-//!   parameter grids across OS threads, streaming [`RunOutcome`]s that
-//!   are bit-identical to individual serial runs.
+//! * [`Sweep`] — fans a scenario out over seed lists and parameter
+//!   grids across OS threads, streaming [`RunOutcome`]s that are
+//!   bit-identical to individual serial runs. A sweep with no axes is a
+//!   plain multi-seed batch.
 //!
 //! ```
-//! use antalloc_sim::{Batch, Scenario};
+//! use antalloc_sim::{Scenario, Sweep};
 //!
 //! let scenario = Scenario::from_toml(r#"
 //!     name = "smoke"
@@ -29,7 +30,7 @@
 //!     kind = "sigmoid"
 //!     lambda = 2.0
 //! "#).unwrap();
-//! let outcomes = Batch::new(scenario.config, 50).seeds(0..4).run().unwrap();
+//! let outcomes = Sweep::new(scenario.config).rounds(50).seeds(0..4).run().unwrap();
 //! assert_eq!(outcomes.len(), 4);
 //! ```
 
@@ -44,14 +45,13 @@ mod value;
 
 use std::path::Path;
 
-pub use batch::{AxisValue, Batch, CapturePolicy, RunOutcome, Sweep, UsePolicy};
+pub use batch::{AxisValue, CapturePolicy, RunOutcome, Sweep, UsePolicy};
 pub use builder::{ScenarioBuilder, MAX_TASKS};
 pub use codec::{
     condition_from_value, condition_to_value, config_from_value, config_to_value,
     controller_from_value, controller_to_value, event_from_value, event_to_value, gen_from_value,
     gen_to_value, initial_from_value, initial_to_value, noise_from_value, noise_to_value,
-    schedule_from_value, timeline_from_value, timeline_to_value, trigger_from_value,
-    trigger_to_value,
+    timeline_from_value, timeline_to_value, trigger_from_value, trigger_to_value,
 };
 pub use error::ConfigError;
 pub use sink::{CsvSink, JsonlSink, RunSink};
@@ -195,7 +195,7 @@ impl SimConfig {
 mod tests {
     use super::*;
     use antalloc_core::AntParams;
-    use antalloc_env::{Condition, DemandSchedule, Event, InitialConfig, Trigger};
+    use antalloc_env::{Condition, Event, InitialConfig, Trigger};
     use antalloc_noise::{GreyZonePolicy, NoiseModel};
 
     use crate::config::ControllerSpec;
@@ -209,10 +209,8 @@ mod tests {
             })
             .controller(ControllerSpec::Ant(AntParams::new(1.0 / 16.0)))
             .seed(0xC0FFEE)
-            .schedule(DemandSchedule::Steps(vec![
-                (4000, vec![700, 400, 300]),
-                (8000, vec![500, 500, 400]),
-            ]))
+            .event(4000, Event::SetDemands(vec![700, 400, 300]))
+            .event(8000, Event::SetDemands(vec![500, 500, 400]))
             .initial(InitialConfig::SaturatedPlus { extra: 7 })
             // 64 nested `and`s, the deepest condition validation
             // accepts, must fit under the parsers' nesting cap.
@@ -262,9 +260,9 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, ConfigError::EmptyColony);
-        // Schedule task-count mismatch (legacy section, timeline error).
+        // Demand-step task-count mismatch (timeline error).
         let err = Scenario::from_toml(
-            "n = 10\ndemands = [5, 5]\n[controller]\nkind = \"trivial\"\n[noise]\nkind = \"exact\"\n[schedule]\nkind = \"step\"\nat = 3\ndemands = [1]\n",
+            "n = 10\ndemands = [5, 5]\n[controller]\nkind = \"trivial\"\n[noise]\nkind = \"exact\"\n[[timeline]]\nat = 3\nkind = \"set-demands\"\ndemands = [1]\n",
         )
         .unwrap_err();
         assert!(matches!(err, ConfigError::Timeline(_)), "{err:?}");
@@ -335,13 +333,16 @@ mod tests {
         // study can have.
         let base =
             "n = 10\ndemands = [5]\n[controller]\nkind = \"trivial\"\n[noise]\nkind = \"exact\"\n";
+        let arena = "[arena]\nsites = [0]\ntravel_rounds = 2\nwander_probability = 0.01\n";
         assert!(Scenario::from_toml(base).is_ok());
+        assert!(Scenario::from_toml(&format!("{base}{arena}")).is_ok());
         for bad in [
             format!("{base}[schedul]\nkind = \"static\"\n"), // section typo
-            format!("{base}[schedule]\nkind = \"static\"\nperiods = 3\n"), // key typo
+            format!("{base}{}", arena.replace("travel_rounds", "travel_round")), // key typo
             base.replace("kind = \"trivial\"", "kind = \"trivial\"\nCd = 1e6"),
             base.replace("kind = \"exact\"", "kind = \"exact\"\nlambd = 2.0"),
             format!("sed = 4\n{base}"), // top-level typo of `seed`
+            format!("{base}[schedule]\nkind = \"static\"\n"), // retired section
         ] {
             let err = Scenario::from_toml(&bad).unwrap_err();
             assert!(
@@ -349,6 +350,13 @@ mod tests {
                 "`{bad}` should be rejected, got {err:?}"
             );
         }
+        // The retired `[schedule]` section is an ordinary unknown key in
+        // JSON too, and the error names it.
+        let json = r#"{"n": 10, "demands": [5], "controller": {"kind": "trivial"},
+            "noise": {"kind": "exact"}, "schedule": {"kind": "static"}}"#;
+        let err = Scenario::from_json(json).unwrap_err();
+        assert!(matches!(err, ConfigError::Parse(_)), "{err:?}");
+        assert!(err.to_string().contains("`schedule`"), "{err}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! completes, so million-run sweeps never accumulate in memory.
 //!
 //! A [`RunSink`] receives every [`RunOutcome`] in completion order
-//! (pair with [`crate::Batch::stream_into`] / [`crate::Sweep::stream_into`],
-//! which drop outcomes after the sink has seen them). Two formats ship:
+//! (pair with [`crate::Sweep::stream_into`], which drops outcomes after
+//! the sink has seen them). Two formats ship:
 //!
 //! * [`CsvSink`] — one header (derived from the first outcome's sweep
 //!   axes and task count) plus one row per run;

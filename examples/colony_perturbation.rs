@@ -9,7 +9,7 @@
 //! The whole shock sequence lives in the config as a [`Timeline`]: the
 //! engine fires each event at the start of its round, drawing from
 //! reserved per-round RNG streams, so the identical run replays from a
-//! scenario file, a checkpoint, or inside a `Batch` — no imperative
+//! scenario file, a checkpoint, or inside a `Sweep` — no imperative
 //! `engine.perturb(..)` stepping logic in sight.
 
 use antalloc_core::AntParams;

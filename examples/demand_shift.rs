@@ -16,8 +16,7 @@ use antalloc_sim::{ControllerSpec, FnObserver, SimConfig};
 fn main() {
     let gamma = 1.0 / 16.0;
     // Demand changes are ordinary timeline events (`set-demands` in
-    // scenario files); the legacy `DemandSchedule` survives only as a
-    // `From<>` shim onto the same events.
+    // scenario files).
     let config = SimConfig::builder(6000, vec![800, 1200])
         .noise(NoiseModel::Sigmoid { lambda: 2.0 })
         .controller(ControllerSpec::Ant(AntParams::new(gamma)))

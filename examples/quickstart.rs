@@ -27,7 +27,7 @@
 //! is bit-identical for a fixed config and seed.
 
 use antalloc_noise::critical_value_sigmoid;
-use antalloc_sim::{Batch, CsvSink, FnObserver, NullObserver, RunSink as _, Scenario};
+use antalloc_sim::{CsvSink, FnObserver, NullObserver, RunSink as _, Scenario, Sweep};
 use colony_examples::{bar, fmt_deficits};
 
 const SCENARIO: &str = r#"
@@ -108,10 +108,11 @@ fn main() {
     // run bit-identical to a serial run of that seed. Streaming each
     // outcome through a `RunSink` as it completes keeps memory flat —
     // the same call shape scales to million-run sweeps (there is a
-    // JSONL sink too, and `threads_per_job(t)` lets huge-colony jobs
-    // parallelize internally; batch-level parallelism comes first).
+    // JSONL sink too). A `Sweep` with no parameter axes is exactly this
+    // multi-seed batch.
     let mut sink = CsvSink::new(Vec::new());
-    let outcomes = Batch::new(config, 1000)
+    let outcomes = Sweep::new(config)
+        .rounds(1000)
         .seeds(0..8)
         .warmup(2000)
         .run_with(|o| sink.on_outcome(o).expect("csv write"))
@@ -178,7 +179,7 @@ fn main() {
     // demand steps, scrambles and noise-regime switches; the engine
     // fires each at the start of its round from reserved RNG streams,
     // so the run stays a pure function of (config, seed) — serial,
-    // `run_parallel`, `Batch` and checkpoint-restore all replay the
+    // `run_parallel`, `Sweep` and checkpoint-restore all replay the
     // shocks bit-identically. (`exp_recovery_transient` races every
     // controller through such a script and tabulates the transients.)
     let shocked = Scenario::from_toml(SHOCK_SCENARIO).expect("shock scenario validates");

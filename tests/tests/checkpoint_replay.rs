@@ -159,16 +159,19 @@ fn checkpoint_config_roundtrips_through_toml_and_rebuilds_identically() {
 #[test]
 fn checkpoint_config_roundtrip_covers_schedules_and_initials() {
     // The restore path must survive a config whose optional sections
-    // (schedule, initial) are all non-default.
+    // (a demand-alternating timeline, initial) are all non-default.
     let cfg = SimConfig::builder(500, vec![60, 90])
         .noise(NoiseModel::Sigmoid { lambda: 1.5 })
         .controller(ControllerSpec::Ant(AntParams::new(1.0 / 16.0)))
         .seed(0x5CEB)
-        .schedule(antalloc_env::DemandSchedule::Alternating {
-            a: vec![60, 90],
-            b: vec![90, 60],
-            half_period: 64,
-        })
+        .timeline(antalloc_env::Timeline::new().every(
+            64,
+            64,
+            vec![
+                antalloc_env::Event::SetDemands(vec![90, 60]),
+                antalloc_env::Event::SetDemands(vec![60, 90]),
+            ],
+        ))
         .initial(antalloc_env::InitialConfig::Inverted)
         .build()
         .expect("valid scenario");

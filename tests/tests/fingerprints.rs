@@ -9,11 +9,9 @@
 use std::sync::Arc;
 
 use antalloc_core::{AntParams, ExactGreedyParams, PreciseSigmoidParams};
-use antalloc_env::{
-    Condition, DemandSchedule, Event, GenShock, InitialConfig, TimelineGen, Trigger,
-};
+use antalloc_env::{Condition, Event, GenShock, InitialConfig, Timeline, TimelineGen, Trigger};
 use antalloc_noise::NoiseModel;
-use antalloc_sim::{Batch, ControllerSpec, Scenario, ScenarioBuilder, SimConfig};
+use antalloc_sim::{ControllerSpec, Scenario, ScenarioBuilder, SimConfig, Sweep};
 use antalloc_store::CheckpointStore;
 use proptest::prelude::*;
 
@@ -41,7 +39,7 @@ fn spec_for(which: usize) -> ControllerSpec {
 }
 
 /// A scenario exercising every input of the canonical form: mixes,
-/// one-shot events, cycles (via `Alternating`), a trigger, and a
+/// one-shot events, a demand-alternating cycle, a trigger, and a
 /// seeded shock generator.
 fn rich_config(which: usize, n: usize, seed: u64, shocks: bool) -> SimConfig {
     let demands = vec![(n / 6) as u64, (n / 4) as u64];
@@ -50,13 +48,16 @@ fn rich_config(which: usize, n: usize, seed: u64, shocks: bool) -> SimConfig {
         .controller(spec_for(which))
         .seed(seed)
         .initial(InitialConfig::SaturatedPlus { extra: 2 })
-        // `schedule` replaces the timeline, so it goes first; the
-        // one-shot event and trigger are appended onto its cycles.
-        .schedule(DemandSchedule::Alternating {
-            a: demands.clone(),
-            b: demands.iter().rev().copied().collect(),
-            half_period: 40,
-        })
+        // `timeline` replaces the timeline, so it goes first; the
+        // one-shot event and trigger are appended onto its cycle.
+        .timeline(Timeline::new().every(
+            40,
+            40,
+            vec![
+                Event::SetDemands(demands.iter().rev().copied().collect()),
+                Event::SetDemands(demands.clone()),
+            ],
+        ))
         .event(11, Event::Kill { count: 3 })
         .trigger(Trigger::once(
             Condition::RegretAbove {
@@ -204,13 +205,15 @@ kind = "ant"
     assert_eq!(a.config, b.config, "the spellings describe one scenario");
 
     let store = Arc::new(CheckpointStore::in_memory());
-    let cold = Batch::new(a.config, 40)
+    let cold = Sweep::new(a.config)
+        .rounds(40)
         .seeds(0..4)
         .store(store.clone())
         .run()
         .unwrap();
     assert!(cold.iter().all(|o| !o.cached));
-    let warm = Batch::new(b.config, 40)
+    let warm = Sweep::new(b.config)
+        .rounds(40)
         .seeds(0..4)
         .store(store)
         .run()
@@ -233,7 +236,8 @@ fn save_load_roundtrip_preserves_fingerprints() {
     let _ = std::fs::remove_dir_all(&root);
     let scenario = Scenario::new(rich_config(2, 120, 13, true));
     let store = Arc::new(CheckpointStore::in_memory());
-    let cold = Batch::new(scenario.config.clone(), 30)
+    let cold = Sweep::new(scenario.config.clone())
+        .rounds(30)
         .seeds(0..3)
         .store(store.clone())
         .run()
@@ -243,7 +247,8 @@ fn save_load_roundtrip_preserves_fingerprints() {
         scenario.save(&path).unwrap();
         let reloaded = Scenario::load(&path).unwrap();
         assert_eq!(reloaded.config, scenario.config, "{ext} round-trip drifted");
-        let warm = Batch::new(reloaded.config, 30)
+        let warm = Sweep::new(reloaded.config)
+            .rounds(30)
             .seeds(0..3)
             .store(store.clone())
             .run()
@@ -265,7 +270,8 @@ fn save_load_roundtrip_preserves_fingerprints() {
 fn round_budgets_are_part_of_the_fingerprint() {
     let store = Arc::new(CheckpointStore::in_memory());
     let batch = |rounds: u64, warmup: u64| {
-        Batch::new(rich_config(0, 100, 3, false), rounds)
+        Sweep::new(rich_config(0, 100, 3, false))
+            .rounds(rounds)
             .seeds(0..2)
             .warmup(warmup)
             .store(store.clone())

@@ -5,7 +5,7 @@
 use antalloc_core::AntParams;
 use antalloc_noise::NoiseModel;
 use antalloc_sim::{
-    Batch, ConfigError, ControllerSpec, NullObserver, RunSummary, Scenario, SimConfig, Sweep,
+    ConfigError, ControllerSpec, NullObserver, RunSummary, Scenario, SimConfig, Sweep,
 };
 use antalloc_tests::SmallColony;
 
@@ -34,7 +34,8 @@ fn toml_scenario_swept_over_8_seeds_matches_8_serial_runs() {
 
     let rounds = 300u64;
     let warmup = 100u64;
-    let outcomes = Batch::new(scenario.config.clone(), rounds)
+    let outcomes = Sweep::new(scenario.config.clone())
+        .rounds(rounds)
         .seeds(0..8)
         .warmup(warmup)
         .threads(4)
@@ -93,13 +94,7 @@ fn invalid_scenarios_yield_config_errors_not_panics() {
             "`{expect}` should have been rejected"
         );
     }
-    // Timeline/colony task-count mismatch (via the legacy section).
-    let text = format!("{SCENARIO_TOML}\n[schedule]\nkind = \"step\"\nat = 5\ndemands = [1, 2]\n");
-    assert!(matches!(
-        Scenario::from_toml(&text).unwrap_err(),
-        ConfigError::Timeline(_)
-    ));
-    // ...and via a [[timeline]] block directly.
+    // Timeline/colony task-count mismatch: a wrong-length demand step.
     let text = format!(
         "{SCENARIO_TOML}\n[[timeline]]\nat = 5\nkind = \"set-demands\"\ndemands = [1, 2]\n"
     );

@@ -1,7 +1,7 @@
 //! Self-stabilization under perturbations and changing demands.
 
 use antalloc_core::AntParams;
-use antalloc_env::{DemandSchedule, Perturbation};
+use antalloc_env::{Event, Perturbation, Timeline};
 use antalloc_noise::NoiseModel;
 use antalloc_sim::{ControllerSpec, NullObserver, RunSummary, SimConfig};
 
@@ -64,11 +64,7 @@ fn spawned_ants_integrate() {
 #[test]
 fn tracks_step_demand_changes() {
     let mut cfg = config(4);
-    cfg.timeline = DemandSchedule::Step {
-        at: 5000,
-        demands: vec![400, 300],
-    }
-    .into();
+    cfg.timeline = Timeline::new().at(5000, Event::SetDemands(vec![400, 300]));
     let mut engine = cfg.build();
     let before = steady_regret(&mut engine, 4000, 900); // rounds 1..4900
     let after = steady_regret(&mut engine, 4000, 1000); // past the step
@@ -83,12 +79,15 @@ fn tracks_step_demand_changes() {
 #[test]
 fn survives_alternating_demands() {
     let mut cfg = config(5);
-    cfg.timeline = DemandSchedule::Alternating {
-        a: vec![300, 400],
-        b: vec![400, 300],
-        half_period: 3000,
-    }
-    .into();
+    // Demands flip between the two vectors every 3000 rounds.
+    cfg.timeline = Timeline::new().every(
+        3000,
+        3000,
+        vec![
+            Event::SetDemands(vec![400, 300]),
+            Event::SetDemands(vec![300, 400]),
+        ],
+    );
     let mut engine = cfg.build();
     let mut warm = NullObserver;
     engine.run(3500, &mut warm);

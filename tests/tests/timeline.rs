@@ -1,23 +1,21 @@
 //! The timeline subsystem end to end: a pure-TOML shock script runs
-//! under the batch runner bit-identically to serial runs, survives
+//! under the sweep runner bit-identically to serial runs, survives
 //! checkpoint-restore mid-timeline, fires identically under both
 //! engines, and a frozen current-format checkpoint still loads and
 //! continues exactly.
 //!
 //! The second half pins the PR-4 adversarial layer: a pure-TOML
 //! scenario with a regret-*triggered* scramble and a *generated*
-//! Poisson kill schedule runs under `Batch` across 8 seeds bit-identical
+//! Poisson kill schedule runs under `Sweep` across 8 seeds bit-identical
 //! to serial, and survives mid-timeline checkpoint-restore (trigger
 //! state included).
 
 use antalloc_core::{AntParams, PreciseSigmoidParams, ProportionalParams};
-use antalloc_env::{
-    ArenaConfig, Condition, DemandSchedule, Event, GenShock, Timeline, TimelineGen, Trigger,
-};
+use antalloc_env::{ArenaConfig, Condition, Event, GenShock, Timeline, TimelineGen, Trigger};
 use antalloc_noise::{GreyZonePolicy, NoiseModel};
 use antalloc_sim::{
-    Batch, Checkpoint, ControllerSpec, FnObserver, NullObserver, RoundRecord, RunSummary, Scenario,
-    SimConfig,
+    Checkpoint, ControllerSpec, FnObserver, NullObserver, RoundRecord, RunSummary, Scenario,
+    SimConfig, Sweep,
 };
 
 /// A declarative shock script: kill-half → demand step → scramble →
@@ -81,10 +79,11 @@ fn toml_timeline_roundtrips_with_array_of_tables_syntax() {
 #[test]
 fn toml_timeline_batch_across_8_seeds_is_bit_identical_to_serial_runs() {
     // The acceptance scenario: a pure-TOML timeline with population
-    // changes, fanned over 8 seeds by the batch runner; every per-seed
+    // changes, fanned over 8 seeds by the sweep runner; every per-seed
     // result must equal a by-hand serial run of that seed.
     let rounds = 260u64;
-    let outcomes = Batch::new(shock_config(), rounds)
+    let outcomes = Sweep::new(shock_config())
+        .rounds(rounds)
         .seeds(0..8)
         .threads(4)
         .run()
@@ -215,15 +214,18 @@ fn sequential_engine_consumes_the_same_timeline() {
 
 #[test]
 fn cycles_subsume_alternating_demands() {
-    // An alternating schedule and its compiled cycle must be the same
-    // timeline, and the engine must flip demands at every half-period.
-    let schedule = DemandSchedule::Alternating {
-        a: vec![60, 90],
-        b: vec![90, 60],
-        half_period: 50,
-    };
-    let timeline: Timeline = schedule.into();
+    // Demands alternating between two vectors are one two-event cycle,
+    // and the engine must flip demands at every half-period.
+    let timeline = Timeline::new().every(
+        50,
+        50,
+        vec![
+            Event::SetDemands(vec![90, 60]),
+            Event::SetDemands(vec![60, 90]),
+        ],
+    );
     assert_eq!(timeline.cycles.len(), 1);
+    assert!(timeline.events.is_empty());
     let cfg = SimConfig::builder(600, vec![60, 90])
         .noise(NoiseModel::Sigmoid { lambda: 2.0 })
         .controller(ControllerSpec::Ant(AntParams::new(1.0 / 16.0)))
@@ -315,10 +317,11 @@ fn adversarial_toml_roundtrips_with_trigger_and_generate_tables() {
 #[test]
 fn adversarial_toml_batch_across_8_seeds_is_bit_identical_to_serial_runs() {
     // The acceptance criterion: triggered + generated timelines, fanned
-    // over 8 seeds by the batch runner; every per-seed result must
+    // over 8 seeds by the sweep runner; every per-seed result must
     // equal a by-hand serial run of that seed.
     let rounds = 260u64;
-    let outcomes = Batch::new(adversarial_config(), rounds)
+    let outcomes = Sweep::new(adversarial_config())
+        .rounds(rounds)
         .seeds(0..8)
         .threads(4)
         .run()
@@ -544,30 +547,38 @@ fn imperative_perturb_still_works_for_programmatic_use() {
 
 #[test]
 fn event_rounds_match_between_timeline_and_legacy_schedule_semantics() {
-    // A Steps schedule and the equivalent explicit timeline must
-    // produce bit-identical runs (the conversion is exact, and demand
-    // events consume no randomness).
-    let base = |timeline: Timeline| {
-        SimConfig::builder(500, vec![80, 120])
-            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-            .controller(ControllerSpec::Ant(AntParams::new(1.0 / 16.0)))
-            .seed(11)
-            .timeline(timeline)
-            .build()
-            .unwrap()
-    };
-    let via_schedule =
-        base(DemandSchedule::Steps(vec![(30, vec![120, 80]), (60, vec![100, 100])]).into());
-    let via_events = base(
-        Timeline::new()
-            .at(30, Event::SetDemands(vec![120, 80]))
-            .at(60, Event::SetDemands(vec![100, 100])),
+    // A demand step at round `r` takes effect at the start of round `r`,
+    // the firing round the retired `[schedule]` steps had, so an old
+    // `{ at, demands }` step ports to a `set-demands` entry with the
+    // same `at`.
+    let cfg = SimConfig::builder(500, vec![80, 120])
+        .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+        .controller(ControllerSpec::Ant(AntParams::new(1.0 / 16.0)))
+        .seed(11)
+        .timeline(
+            Timeline::new()
+                .at(30, Event::SetDemands(vec![120, 80]))
+                .at(60, Event::SetDemands(vec![100, 100])),
+        )
+        .build()
+        .unwrap();
+    let mut engine = cfg.build();
+    let mut demand_trace = Vec::new();
+    let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
+        if [1, 29, 30, 59, 60, 100].contains(&r.round) {
+            demand_trace.push((r.round, r.demands.to_vec()));
+        }
+    });
+    engine.run(100, &mut obs);
+    assert_eq!(
+        demand_trace,
+        vec![
+            (1, vec![80, 120]),
+            (29, vec![80, 120]),
+            (30, vec![120, 80]),
+            (59, vec![120, 80]),
+            (60, vec![100, 100]),
+            (100, vec![100, 100]),
+        ]
     );
-    assert_eq!(via_schedule, via_events);
-    let mut a = via_schedule.build();
-    let mut b = via_events.build();
-    let mut obs = NullObserver;
-    a.run(100, &mut obs);
-    b.run(100, &mut obs);
-    assert_eq!(a.colony().assignments(), b.colony().assignments());
 }
