@@ -14,7 +14,7 @@ use antalloc_bench::{banner, fmt, Table};
 use antalloc_noise::{
     critical_value_sigmoid, lack_probability, GreyZone, GreyZonePolicy, NoiseModel,
 };
-use antalloc_rng::Xoshiro256pp;
+use antalloc_rng::AntRng;
 
 fn main() {
     let n = 4000;
@@ -44,7 +44,7 @@ fn main() {
         gamma_ad: cv2.gamma_star,
         policy: GreyZonePolicy::AlternateByRound,
     };
-    let mut rng = Xoshiro256pp::seed_from_u64(0xF161);
+    let mut rng = AntRng::seed_from_u64(0xF161);
 
     let mut table = Table::new(
         "fig1_feedback_curve",

@@ -127,11 +127,12 @@ fn algorithm_step_cost(c: &mut Criterion) {
 
 /// A faithful replica of the pre-bank engine loop: `Vec<AnyController>`
 /// with one enum dispatch and one probe per ant per round, decisions
-/// applied in ant order as they are made. The controllers are cloned
-/// out of a banked engine so the initial state matches exactly.
+/// applied in ant order as they are made, each ant drawing from its
+/// stream for the round. The controllers are cloned out of a banked
+/// engine so the initial state matches exactly.
 struct SeedReplica {
     controllers: Vec<AnyController>,
-    rngs: Vec<AntRng>,
+    seeder: StreamSeeder,
     colony: ColonyState,
     noise: NoiseModel,
     round: u64,
@@ -142,14 +143,12 @@ impl SeedReplica {
     fn new(cfg: &SimConfig) -> Self {
         let engine = cfg.build();
         let controllers = engine.reference_controllers();
-        let seeder = StreamSeeder::new(cfg.seed);
-        let rngs = (0..cfg.n).map(|i| seeder.ant(i)).collect();
         let colony = ColonyState::new(cfg.n, antalloc_env::DemandVector::new(cfg.demands.clone()));
         // cfg.initial is AllIdle here; the fresh colony already is.
         let k = colony.num_tasks();
         Self {
             controllers,
-            rngs,
+            seeder: StreamSeeder::new(cfg.seed),
             colony,
             noise: cfg.noise.clone(),
             round: 0,
@@ -164,8 +163,10 @@ impl SeedReplica {
             let prepared =
                 self.noise
                     .prepare(self.round, &self.deficits, self.colony.demands().as_slice());
+            let key = self.seeder.round_key(self.round);
             for i in 0..self.controllers.len() {
-                let mut probe = FeedbackProbe::new(&prepared, &mut self.rngs[i]);
+                let mut rng = AntRng::keyed(key, i as u64);
+                let mut probe = FeedbackProbe::new(&prepared, &mut rng);
                 let next = self.controllers[i].step(&mut probe);
                 if next != self.colony.assignment(i) {
                     self.colony.apply(i, next);
@@ -213,8 +214,9 @@ const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Like-for-like kernel race: the SoA bank's `step_batch` against the
 /// generic monomorphic per-ant loop (`step_slice` over a `Vec` of
 /// controllers — the exact layout the SoA banks replaced), same rounds,
-/// same per-ant RNG streams, no engine around either. Asserts
-/// bit-identity and returns (generic, soa) ant-rounds/second.
+/// same per-ant RNG streams, keyed afresh every round as the engine
+/// keys them, no engine around either. Asserts bit-identity and returns
+/// (generic, soa) ant-rounds/second.
 fn kernel_race<C>(n: usize, rounds: u64, samples: usize, make: impl Fn() -> C) -> (f64, f64)
 where
     C: Controller + Clone + Into<AnyController>,
@@ -227,8 +229,15 @@ where
     let seeder = StreamSeeder::new(5);
     let mut generic: Vec<C> = (0..n).map(|_| make()).collect();
     let mut soa: antalloc_core::ControllerBank = (0..n).map(|_| make().into()).collect();
-    let mut generic_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-    let mut soa_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
+    let mut generic_rngs = vec![AntRng::seed_from_u64(0); n];
+    let mut soa_rngs = generic_rngs.clone();
+    // Every ant's stream for `round`, written over last round's.
+    let key_round = |rngs: &mut [AntRng], round: u64| {
+        let key = seeder.round_key(round);
+        for (i, rng) in rngs.iter_mut().enumerate() {
+            *rng = AntRng::keyed(key, i as u64);
+        }
+    };
     let mut out_a = vec![antalloc_env::Assignment::Idle; n];
     let mut out_b = vec![antalloc_env::Assignment::Idle; n];
     // Small rotating deficits keep every signal stochastic (saturated
@@ -245,6 +254,8 @@ where
     for _ in 0..16 {
         round += 1;
         let prep = noise.prepare(round, &deficits(round), &demands);
+        key_round(&mut generic_rngs, round);
+        key_round(&mut soa_rngs, round);
         antalloc_core::step_slice(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
         soa.step_batch(prep.view(), &mut soa_rngs, &mut out_b);
         assert_eq!(out_a, out_b, "kernel outputs diverged in warmup");
@@ -257,6 +268,7 @@ where
         for _ in 0..rounds {
             round += 1;
             let prep = noise.prepare(round, &deficits(round), &demands);
+            key_round(&mut generic_rngs, round);
             antalloc_core::step_slice(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
         }
         generic_best = generic_best.max(n as f64 * rounds as f64 / t0.elapsed().as_secs_f64());
@@ -265,6 +277,7 @@ where
         for _ in 0..rounds {
             round += 1;
             let prep = noise.prepare(round, &deficits(round), &demands);
+            key_round(&mut soa_rngs, round);
             soa.step_batch(prep.view(), &mut soa_rngs, &mut out_b);
         }
         soa_best = soa_best.max(n as f64 * rounds as f64 / t0.elapsed().as_secs_f64());

@@ -4,22 +4,22 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use antalloc_noise::NoiseModel;
-use antalloc_rng::{uniform_index, Bernoulli, StreamSeeder, Xoshiro256pp};
+use antalloc_rng::{uniform_index, AntRng, Bernoulli, StreamSeeder};
 
 fn rng_core(c: &mut Criterion) {
     let mut group = c.benchmark_group("rng");
     group.throughput(Throughput::Elements(1));
-    group.bench_function("xoshiro_next_u64", |b| {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+    group.bench_function("next_u64", |b| {
+        let mut rng = AntRng::seed_from_u64(1);
         b.iter(|| black_box(rng.next_u64()));
     });
     group.bench_function("bernoulli_sample", |b| {
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
+        let mut rng = AntRng::seed_from_u64(2);
         let bern = Bernoulli::new(0.15625);
         b.iter(|| black_box(bern.sample(&mut rng)));
     });
     group.bench_function("uniform_index_7", |b| {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let mut rng = AntRng::seed_from_u64(3);
         b.iter(|| black_box(uniform_index(&mut rng, 7)));
     });
     group.bench_function("stream_derivation", |b| {
@@ -28,6 +28,14 @@ fn rng_core(c: &mut Criterion) {
         b.iter(|| {
             i = i.wrapping_add(1);
             black_box(seeder.stream(i))
+        });
+    });
+    group.bench_function("keyed_ant_stream", |b| {
+        let key = StreamSeeder::new(5).round_key(1);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            black_box(AntRng::keyed(key, i).next_u64())
         });
     });
     group.finish();
@@ -64,7 +72,7 @@ fn noise_paths(c: &mut Criterion) {
     group.bench_function("sample_one_signal", |b| {
         let model = NoiseModel::Sigmoid { lambda: 2.0 };
         let prep = model.prepare(1, &deficits, &demands);
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let mut rng = AntRng::seed_from_u64(5);
         let mut j = 0usize;
         b.iter(|| {
             j = (j + 1) % k;

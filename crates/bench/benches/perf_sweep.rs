@@ -15,11 +15,11 @@
 //!   where amortizing the build is the whole game.
 //!
 //! An honest ceiling on the reuse win: every job runs under its own
-//! seed, so the O(n) per-ant RNG stream derivation — over half of a
-//! warm-allocator engine build — must be redone on reset. Reuse
-//! eliminates the allocations and the rest of construction, which on a
-//! warm single-thread allocator is a ~5–10% win on the churn shape
-//! (more where allocation is pricier). The guards therefore enforce
+//! seed, so the O(n) bank and membership rebuild must be redone on
+//! reset (ants carry no RNG state, so no per-ant stream is derived).
+//! Reuse eliminates the allocations and the rest of construction,
+//! which on a warm single-thread allocator is a ~5–10% win on the churn
+//! shape (more where allocation is pricier). The guards therefore enforce
 //! "reuse always wins on the setup-bound shape, never costs at paper
 //! scale", not a fantasy multiple.
 //!

@@ -259,7 +259,7 @@ impl Controller for AlgorithmAnt {
 mod tests {
     use super::*;
     use antalloc_noise::{GreyZonePolicy, NoiseModel, PreparedRound};
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     /// A prepared round where every task's signal is fixed.
     fn fixed_round(round: u64, signals: &[Feedback]) -> PreparedRound {
@@ -286,7 +286,7 @@ mod tests {
         ant: &mut AlgorithmAnt,
         round: u64,
         signals: &[Feedback],
-        rng: &mut Xoshiro256pp,
+        rng: &mut AntRng,
     ) -> Assignment {
         let prep = fixed_round(round, signals);
         let mut probe = FeedbackProbe::new(&prep, rng);
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn idle_ant_joins_doubly_lacking_task() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut ant = AlgorithmAnt::new(3, det_params(false, false));
         // Phase: only task 2 is lacking in both samples.
         step_with(&mut ant, 1, &[O, O, L], &mut rng);
@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn idle_ant_needs_both_samples_lacking() {
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
+        let mut rng = AntRng::seed_from_u64(2);
         let mut ant = AlgorithmAnt::new(2, det_params(false, false));
         // lack then overload → no join.
         step_with(&mut ant, 1, &[L, O], &mut rng);
@@ -321,7 +321,7 @@ mod tests {
         // doubly-lacking tasks.
         let mut counts = [0u32; 2];
         for seed in 0..4000u64 {
-            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let mut rng = AntRng::seed_from_u64(seed);
             let mut ant = AlgorithmAnt::new(2, det_params(false, false));
             step_with(&mut ant, 1, &[L, L], &mut rng);
             match step_with(&mut ant, 2, &[L, L], &mut rng) {
@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn worker_leaves_on_double_overload() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let mut rng = AntRng::seed_from_u64(3);
         let mut ant = AlgorithmAnt::new(2, det_params(false, true));
         ant.reset_to(Assignment::Task(0));
         step_with(&mut ant, 1, &[O, L], &mut rng);
@@ -349,7 +349,7 @@ mod tests {
 
     #[test]
     fn worker_stays_on_mixed_samples() {
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        let mut rng = AntRng::seed_from_u64(4);
         for (f1, f2) in [(O, L), (L, O), (L, L)] {
             let mut ant = AlgorithmAnt::new(1, det_params(false, true));
             ant.reset_to(Assignment::Task(0));
@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn pause_is_temporary() {
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let mut rng = AntRng::seed_from_u64(5);
         let mut ant = AlgorithmAnt::new(1, det_params(true, false));
         ant.reset_to(Assignment::Task(0));
         // Pause probability 1 → assignment drops to idle for the odd round.
@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn paused_ant_still_leaves_on_double_overload() {
-        let mut rng = Xoshiro256pp::seed_from_u64(6);
+        let mut rng = AntRng::seed_from_u64(6);
         let mut ant = AlgorithmAnt::new(1, det_params(true, true));
         ant.reset_to(Assignment::Task(0));
         step_with(&mut ant, 1, &[O], &mut rng);
@@ -386,7 +386,7 @@ mod tests {
     fn reset_mid_phase_is_conservative() {
         // A scramble lands the ant on a task just before an even round;
         // without a first sample it must not leave or join.
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        let mut rng = AntRng::seed_from_u64(7);
         let mut ant = AlgorithmAnt::new(2, det_params(false, true));
         ant.reset_to(Assignment::Task(1));
         let a = step_with(&mut ant, 2, &[O, O], &mut rng);
@@ -410,7 +410,7 @@ mod tests {
         let trials = 40_000u32;
         let mut left = 0u32;
         for seed in 0..trials {
-            let mut rng = Xoshiro256pp::seed_from_u64(u64::from(seed) + 10_000);
+            let mut rng = AntRng::seed_from_u64(u64::from(seed) + 10_000);
             let mut ant = AlgorithmAnt::new(1, params);
             ant.reset_to(Assignment::Task(0));
             step_with(&mut ant, 1, &[O], &mut rng);
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn phase_offset_shifts_the_sample_schedule() {
         // An offset-1 ant takes its FIRST sample at even rounds.
-        let mut rng = Xoshiro256pp::seed_from_u64(21);
+        let mut rng = AntRng::seed_from_u64(21);
         let mut ant = AlgorithmAnt::with_phase_offset(2, det_params(false, false), 1);
         assert_eq!(ant.phase_offset(), 1);
         // Round 2 (+1 → odd): first sample; round 3 (+1 → even): second.
@@ -439,7 +439,7 @@ mod tests {
         assert!(!a.is_idle(), "offset ant decides at shifted rounds");
         // A synchronized ant with the same inputs is still mid-phase at
         // round 3 and cannot have joined at round 2.
-        let mut rng = Xoshiro256pp::seed_from_u64(21);
+        let mut rng = AntRng::seed_from_u64(21);
         let mut synced = AlgorithmAnt::new(2, det_params(false, false));
         let a2 = step_with(&mut synced, 2, &[L, L], &mut rng);
         assert!(a2.is_idle(), "round 2 is a second-sample round with no s1");
@@ -461,7 +461,7 @@ mod tests {
             gamma_ad: 0.1,
             policy: GreyZonePolicy::AlternateByRound,
         };
-        let mut rng = Xoshiro256pp::seed_from_u64(8);
+        let mut rng = AntRng::seed_from_u64(8);
         let mut ant = AlgorithmAnt::new(3, AntParams::default());
         for t in 1..=1000u64 {
             let prep = model.prepare(t, &[5, -5, 0], &[60, 60, 60]);

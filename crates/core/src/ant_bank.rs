@@ -2,9 +2,9 @@
 //!
 //! A million-ant Ant colony is memory-bound: stepping a `Vec` of
 //! per-ant structs streams ~200 bytes per ant per round (struct, two
-//! heap sample buffers, RNG). This bank transposes the persistent state
-//! into flat arrays — ~13 bytes per ant plus the RNG — and hoists the
-//! phase-parity branch and the shared pause/leave samplers out of the
+//! heap sample buffers). This bank transposes the persistent state into
+//! flat arrays — ~13 bytes per ant, with the ant's draws built on the
+//! stack from its round stream — and hoists the phase-parity branch and the shared pause/leave samplers out of the
 //! loop.
 //!
 //! **Reference semantics.** [`crate::AlgorithmAnt`] is the truth;
@@ -335,8 +335,9 @@ impl<'a> AntSliceMut<'a> {
     }
 
     /// Fused-apply variant of [`AntSliceMut::step_batch`]: steps every
-    /// ant (same draws, same order) and routes each transition through
-    /// `writer` — storing the next assignment into the shared column at
+    /// ant (the same code, drawing from its stream for the round,
+    /// `AntRng::keyed(round_key, ids[i])`) and routes each transition
+    /// through `writer` — storing the next assignment into the shared column at
     /// the ant's colony id (`ids[i]`) and folding the switch/load/idle
     /// change into the writer's local delta. The previous assignment is
     /// read from the bank's own column (banks mirror the colony), so
@@ -350,38 +351,41 @@ impl<'a> AntSliceMut<'a> {
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
-        rngs: &mut [AntRng],
+        round_key: u64,
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
         assert_eq!(n, ids.len(), "one colony id per ant");
         let first = sensed.round() % 2 == 1;
         match sensed.shared_view() {
             Some(view) => {
                 if first {
-                    for i in 0..n {
-                        self.first_sample_round(i, view, &mut rngs[i]);
-                        writer.write(ids[i], self.assignment[i]);
+                    for (i, &id) in ids.iter().enumerate() {
+                        let rng = &mut AntRng::keyed(round_key, id.into());
+                        self.first_sample_round(i, view, rng);
+                        writer.write(id, self.assignment[i]);
                     }
                 } else {
-                    for i in 0..n {
-                        self.second_sample_round(i, view, &mut rngs[i]);
-                        writer.write(ids[i], self.assignment[i]);
+                    for (i, &id) in ids.iter().enumerate() {
+                        let rng = &mut AntRng::keyed(round_key, id.into());
+                        self.second_sample_round(i, view, rng);
+                        writer.write(id, self.assignment[i]);
                     }
                 }
             }
             None => {
                 if first {
-                    for i in 0..n {
-                        self.first_sample_round(i, sensed.view_for(ids[i]), &mut rngs[i]);
-                        writer.write(ids[i], self.assignment[i]);
+                    for (i, &id) in ids.iter().enumerate() {
+                        let rng = &mut AntRng::keyed(round_key, id.into());
+                        self.first_sample_round(i, sensed.view_for(id), rng);
+                        writer.write(id, self.assignment[i]);
                     }
                 } else {
-                    for i in 0..n {
-                        self.second_sample_round(i, sensed.view_for(ids[i]), &mut rngs[i]);
-                        writer.write(ids[i], self.assignment[i]);
+                    for (i, &id) in ids.iter().enumerate() {
+                        let rng = &mut AntRng::keyed(round_key, id.into());
+                        self.second_sample_round(i, sensed.view_for(id), rng);
+                        writer.write(id, self.assignment[i]);
                     }
                 }
             }
@@ -494,12 +498,12 @@ mod tests {
         let mut bank = AntBank::new(k, params, n);
         let mut reference: Vec<AlgorithmAnt> =
             (0..n).map(|_| AlgorithmAnt::new(k, params)).collect();
-        let mut bank_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
         let model = NoiseModel::Sigmoid { lambda: 1.0 };
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=40u64 {
             let prepared = model.prepare(round, &[4, 0, -4], &[20, 20, 20]);
+            let mut bank_rngs = crate::round_streams(&seeder, round, n);
+            let mut ref_rngs = bank_rngs.clone();
             bank.as_slice_mut()
                 .step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {
@@ -511,9 +515,10 @@ mod tests {
         // Conversion out matches the reference controllers' behaviour on
         // the next round too (persistent state is lossless).
         let prepared = model.prepare(41, &[4, 0, -4], &[20, 20, 20]);
+        let mut ref_rngs = crate::round_streams(&seeder, 41, n);
         for i in 0..n {
             let mut rebuilt = bank.to_controller(i);
-            let mut rng_a = bank_rngs[i].clone();
+            let mut rng_a = ref_rngs[i].clone();
             let mut probe = FeedbackProbe::new(&prepared, &mut rng_a);
             let a = rebuilt.step(&mut probe);
             let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);

@@ -7,7 +7,8 @@
 //! shared [`RoundView`] — with the per-ant [`Controller`] impls as the
 //! reference semantics (bank-stepping is bit-identical to per-ant
 //! stepping because every ant consumes only its own RNG stream, in the
-//! same order).
+//! same order; the engine's stream for ant `id` in a round is
+//! `AntRng::keyed(round_key, id)`, built inside the kernel).
 //!
 //! Every shipped homogeneous kind has a **structure-of-arrays fast
 //! layout**: [`AntBank`] for synchronized §4 Ant colonies,
@@ -178,7 +179,8 @@ impl ControllerBank {
     /// every ant and routes each transition through `writer` — the
     /// engine's shared next-state column plus a local
     /// [`antalloc_env::RoundDelta`] — at the ants' colony ids (`ids`,
-    /// one per ant, bank order). Same draws, same streams; see
+    /// one per ant, bank order). Ant `ids[i]` draws from its stream for
+    /// the round, `AntRng::keyed(round_key, ids[i])`; see
     /// [`BankSliceMut::step_batch_fused`].
     ///
     /// Takes the round as a [`SensedRound`]; a shared (well-mixed)
@@ -186,12 +188,12 @@ impl ControllerBank {
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
-        rngs: &mut [AntRng],
+        round_key: u64,
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
         self.as_slice_mut()
-            .step_batch_fused(sensed, rngs, ids, writer)
+            .step_batch_fused(sensed, round_key, ids, writer)
     }
 
     /// The whole bank as a splittable mutable slice (for partitioning
@@ -299,7 +301,7 @@ impl ControllerBank {
     /// Reorders the bank's slots by `map` (see [`SlotMap`]): structure-
     /// of-arrays columns move as run copies, per-ant `Vec`s as clones.
     /// Callers must apply the same map to any parallel per-slot arrays
-    /// (RNGs, ant-id maps).
+    /// (ant-id maps).
     pub fn apply_slot_map(&mut self, map: &SlotMap) {
         each_bank!(self, b => b.apply_slot_map(map), v => map.apply_clone(v))
     }
@@ -315,7 +317,8 @@ impl ControllerBank {
 ///
 /// Parallel engines split each bank's population once per run and hand
 /// every worker its own set of chunks; bit-identity is unconditional
-/// because each ant still consumes only its own RNG stream.
+/// because each ant still consumes only its own RNG stream, keyed by
+/// its colony id.
 #[derive(Debug)]
 pub enum BankSliceMut<'a> {
     /// Chunk of a structure-of-arrays Ant bank.
@@ -428,10 +431,11 @@ impl<'a> BankSliceMut<'a> {
     /// Fused-apply stepping: every ant's next assignment goes straight
     /// into the engine's shared next-state column (at `ids[i]`, the
     /// ant's colony id) and its transition into the writer's local
-    /// delta — no decisions buffer, no apply sweep. Draw-for-draw
-    /// identical to [`BankSliceMut::step_batch`]: the fused kernels run
-    /// the same per-ant code and only change where the result is
-    /// stored.
+    /// delta — no decisions buffer, no apply sweep. The fused kernels
+    /// run the same per-ant code as [`BankSliceMut::step_batch`]; they
+    /// change only where each ant's draws come from (its stream for the
+    /// round, `AntRng::keyed(round_key, ids[i])`, built on the stack)
+    /// and where the result is stored.
     ///
     /// Takes the round as a [`SensedRound`]; every kernel dispatches on
     /// [`SensedRound::shared_view`] so well-mixed rounds run the exact
@@ -439,19 +443,21 @@ impl<'a> BankSliceMut<'a> {
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
-        rngs: &mut [AntRng],
+        round_key: u64,
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
         match self {
-            BankSliceMut::AntSoA(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::Ant(v) => step_slice_fused(v, sensed, rngs, ids, writer),
-            BankSliceMut::PreciseSigmoid(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::PreciseAdversarial(v) => step_slice_fused(v, sensed, rngs, ids, writer),
-            BankSliceMut::Trivial(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::ExactGreedy(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::Proportional(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::Table(v) => step_slice_fused(v, sensed, rngs, ids, writer),
+            BankSliceMut::AntSoA(v) => v.step_batch_fused(sensed, round_key, ids, writer),
+            BankSliceMut::Ant(v) => step_slice_fused(v, sensed, round_key, ids, writer),
+            BankSliceMut::PreciseSigmoid(v) => v.step_batch_fused(sensed, round_key, ids, writer),
+            BankSliceMut::PreciseAdversarial(v) => {
+                step_slice_fused(v, sensed, round_key, ids, writer)
+            }
+            BankSliceMut::Trivial(v) => v.step_batch_fused(sensed, round_key, ids, writer),
+            BankSliceMut::ExactGreedy(v) => v.step_batch_fused(sensed, round_key, ids, writer),
+            BankSliceMut::Proportional(v) => v.step_batch_fused(sensed, round_key, ids, writer),
+            BankSliceMut::Table(v) => step_slice_fused(v, sensed, round_key, ids, writer),
         }
     }
 }
@@ -494,12 +500,12 @@ mod tests {
         let mut reference: Vec<AnyController> = (0..n)
             .map(|_| AlgorithmAnt::new(2, AntParams::default()).into())
             .collect();
-        let mut bank_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
         let model = NoiseModel::Sigmoid { lambda: 1.0 };
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=20u64 {
             let prepared = model.prepare(round, &[3, -2], &[10, 10]);
+            let mut bank_rngs = crate::round_streams(&seeder, round, n);
+            let mut ref_rngs = bank_rngs.clone();
             bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, c) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);

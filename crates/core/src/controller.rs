@@ -64,12 +64,14 @@ pub fn step_slice<C: Controller>(
     }
 }
 
-/// Fused-apply variant of [`step_slice`]: same draws, same order, with
-/// each ant's decision routed through `writer` — storing the next
-/// assignment into the shared next-state column at the ant's colony id
-/// (`ids[i]`) and folding the switch/load/idle change into the writer's
-/// local delta against the authoritative previous column. The loop
-/// never touches `ColonyState` itself.
+/// Fused-apply variant of [`step_slice`]: the same per-ant step, with
+/// ant `i` drawing from its stream for the round,
+/// `AntRng::keyed(round_key, ids[i])`, and its decision routed through
+/// `writer` — storing the next assignment into the shared next-state
+/// column at the ant's colony id (`ids[i]`) and folding the
+/// switch/load/idle change into the writer's local delta against the
+/// authoritative previous column. The loop never touches `ColonyState`
+/// itself.
 ///
 /// Takes the round as a [`SensedRound`]: the well-mixed (shared) form
 /// hoists one view out of the loop as before; the per-ant form builds
@@ -77,22 +79,23 @@ pub fn step_slice<C: Controller>(
 pub fn step_slice_fused<C: Controller>(
     ants: &mut [C],
     sensed: SensedRound<'_>,
-    rngs: &mut [AntRng],
+    round_key: u64,
     ids: &[u32],
     writer: &mut ColumnWriter<'_>,
 ) {
-    assert_eq!(ants.len(), rngs.len(), "one RNG stream per ant");
     assert_eq!(ants.len(), ids.len(), "one colony id per ant");
     match sensed.shared_view() {
         Some(view) => {
-            for ((ant, rng), &id) in ants.iter_mut().zip(rngs.iter_mut()).zip(ids.iter()) {
+            for (ant, &id) in ants.iter_mut().zip(ids) {
+                let rng = &mut AntRng::keyed(round_key, id.into());
                 let mut probe = FeedbackProbe::from_view(view, rng);
                 let next = ant.step(&mut probe).to_raw();
                 writer.write(id, next);
             }
         }
         None => {
-            for ((ant, rng), &id) in ants.iter_mut().zip(rngs.iter_mut()).zip(ids.iter()) {
+            for (ant, &id) in ants.iter_mut().zip(ids) {
+                let rng = &mut AntRng::keyed(round_key, id.into());
                 let mut probe = FeedbackProbe::from_view(sensed.view_for(id), rng);
                 let next = ant.step(&mut probe).to_raw();
                 writer.write(id, next);

@@ -139,7 +139,7 @@ impl Controller for ExactGreedy {
 mod tests {
     use super::*;
     use antalloc_noise::{Feedback, NoiseModel, PreparedRound};
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     use Feedback::{Lack as L, Overload as O};
 
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn deterministic_extremes() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut ant = ExactGreedy::new(
             2,
             ExactGreedyParams {
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn zero_probabilities_freeze() {
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
+        let mut rng = AntRng::seed_from_u64(2);
         let mut ant = ExactGreedy::new(
             1,
             ExactGreedyParams {
@@ -193,7 +193,7 @@ mod tests {
         let trials = 20_000u32;
         let mut joined = 0u32;
         for seed in 0..trials {
-            let mut rng = Xoshiro256pp::seed_from_u64(u64::from(seed));
+            let mut rng = AntRng::seed_from_u64(u64::from(seed));
             let mut ant = ExactGreedy::new(1, ExactGreedyParams::default());
             let prep = fixed_round(1, &[L]);
             let mut probe = FeedbackProbe::new(&prep, &mut rng);

@@ -174,9 +174,11 @@ impl<'a> TrivialSliceMut<'a> {
         }
     }
 
-    /// Fused-apply variant of [`TrivialSliceMut::step_batch`]: same
-    /// draws, with each transition routed through `writer` (shared next
-    /// column + local delta) at the ant's colony id (`ids[i]`).
+    /// Fused-apply variant of [`TrivialSliceMut::step_batch`]: the same
+    /// code, with ant `i` drawing from its stream for the round
+    /// (`AntRng::keyed(round_key, ids[i])`) and each transition routed
+    /// through `writer` (shared next column + local delta) at its
+    /// colony id (`ids[i]`).
     ///
     /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
     /// form runs the pre-existing hoisted-view loop; the per-ant form
@@ -184,25 +186,26 @@ impl<'a> TrivialSliceMut<'a> {
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
-        rngs: &mut [AntRng],
+        round_key: u64,
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
         assert_eq!(n, ids.len(), "one colony id per ant");
         let mut row = scratch_row(self.num_tasks);
         match sensed.shared_view() {
             Some(view) => {
-                for i in 0..n {
-                    self.step_one(i, view, &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
+                for (i, &id) in ids.iter().enumerate() {
+                    let rng = &mut AntRng::keyed(round_key, id.into());
+                    self.step_one(i, view, rng, &mut row);
+                    writer.write(id, self.assignment[i]);
                 }
             }
             None => {
-                for i in 0..n {
-                    self.step_one(i, sensed.view_for(ids[i]), &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
+                for (i, &id) in ids.iter().enumerate() {
+                    let rng = &mut AntRng::keyed(round_key, id.into());
+                    self.step_one(i, sensed.view_for(id), rng, &mut row);
+                    writer.write(id, self.assignment[i]);
                 }
             }
         }
@@ -404,9 +407,11 @@ impl<'a> ExactGreedySliceMut<'a> {
         }
     }
 
-    /// Fused-apply variant of [`ExactGreedySliceMut::step_batch`]: same
-    /// draws, with each transition routed through `writer` (shared next
-    /// column + local delta) at the ant's colony id (`ids[i]`).
+    /// Fused-apply variant of [`ExactGreedySliceMut::step_batch`]: the same
+    /// code, with ant `i` drawing from its stream for the round
+    /// (`AntRng::keyed(round_key, ids[i])`) and each transition routed
+    /// through `writer` (shared next column + local delta) at its
+    /// colony id (`ids[i]`).
     ///
     /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
     /// form runs the pre-existing hoisted-view loop; the per-ant form
@@ -414,25 +419,26 @@ impl<'a> ExactGreedySliceMut<'a> {
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
-        rngs: &mut [AntRng],
+        round_key: u64,
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
         assert_eq!(n, ids.len(), "one colony id per ant");
         let mut row = scratch_row(self.num_tasks);
         match sensed.shared_view() {
             Some(view) => {
-                for i in 0..n {
-                    self.step_one(i, view, &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
+                for (i, &id) in ids.iter().enumerate() {
+                    let rng = &mut AntRng::keyed(round_key, id.into());
+                    self.step_one(i, view, rng, &mut row);
+                    writer.write(id, self.assignment[i]);
                 }
             }
             None => {
-                for i in 0..n {
-                    self.step_one(i, sensed.view_for(ids[i]), &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
+                for (i, &id) in ids.iter().enumerate() {
+                    let rng = &mut AntRng::keyed(round_key, id.into());
+                    self.step_one(i, sensed.view_for(id), rng, &mut row);
+                    writer.write(id, self.assignment[i]);
                 }
             }
         }
@@ -496,11 +502,11 @@ mod tests {
             .map(|_| ExactGreedy::new(k, ExactGreedyParams::default()))
             .collect();
 
-        let mut bank_rngs: Vec<AntRng> = (0..2 * n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..2 * n).map(|i| seeder.ant(i)).collect();
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=50u64 {
             let prepared = model.prepare(round, &[2, 0, -3], &[15, 15, 15]);
+            let mut bank_rngs = crate::round_streams(&seeder, round, 2 * n);
+            let mut ref_rngs = bank_rngs.clone();
             trivial_bank
                 .as_slice_mut()
                 .step_batch(prepared.view(), &mut bank_rngs[..n], &mut out);

@@ -66,3 +66,17 @@ pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidPlanes, SigmoidPlanesMut, Sigm
 pub use slot_map::SlotMap;
 pub use table_fsm::{FsmSpec, ReachabilityError, TableFsm};
 pub use trivial::Trivial;
+
+/// Every ant's stream for `round`, keyed as the engine keys them: the
+/// bank tests drive `step_batch` and the per-ant reference with these.
+#[cfg(test)]
+pub(crate) fn round_streams(
+    seeder: &antalloc_rng::StreamSeeder,
+    round: u64,
+    n: usize,
+) -> Vec<antalloc_rng::AntRng> {
+    let key = seeder.round_key(round);
+    (0..n as u64)
+        .map(|i| antalloc_rng::AntRng::keyed(key, i))
+        .collect()
+}

@@ -291,7 +291,7 @@ impl Controller for PreciseAdversarial {
 mod tests {
     use super::*;
     use antalloc_noise::{Feedback, NoiseModel, PreparedRound};
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     use Feedback::{Lack as L, Overload as O};
 
@@ -323,7 +323,7 @@ mod tests {
         signals_fn: impl Fn(u64) -> Vec<Feedback>,
         seed: u64,
     ) -> Assignment {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut rng = AntRng::seed_from_u64(seed);
         let mut last = ant.assignment();
         for t in rounds {
             let prep = fixed_round(t, &signals_fn(t));
@@ -386,7 +386,7 @@ mod tests {
         // through the rest of the ramp.
         let mut ant = controller(true);
         ant.reset_to(Assignment::Task(0));
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let mut rng = AntRng::seed_from_u64(5);
         let mut assignments = Vec::new();
         for t in 1..=63u64 {
             let prep = fixed_round(t, &[O, O]);

@@ -264,7 +264,7 @@ impl Controller for PreciseSigmoid {
 mod tests {
     use super::*;
     use antalloc_noise::{Feedback, NoiseModel, PreparedRound};
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     use Feedback::{Lack as L, Overload as O};
 
@@ -296,7 +296,7 @@ mod tests {
         start: u64,
         signals_fn: impl Fn(u64) -> Vec<Feedback>,
     ) -> Assignment {
-        let mut rng = Xoshiro256pp::seed_from_u64(start ^ 0xABCD);
+        let mut rng = AntRng::seed_from_u64(start ^ 0xABCD);
         let phase = ant.m * 2;
         let mut last = ant.assignment();
         for t in start..start + phase {
@@ -369,7 +369,7 @@ mod tests {
         let mut ant = PreciseSigmoid::new(1, det_params(0.5, true, false));
         ant.reset_to(Assignment::Task(0));
         let m = ant.m;
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let mut rng = AntRng::seed_from_u64(3);
         let mut paused_at_half = false;
         for t in 1..=(2 * m) {
             let prep = fixed_round(t, &[L]);
@@ -392,7 +392,7 @@ mod tests {
         let mut ant = PreciseSigmoid::new(1, det_params(0.5, false, true));
         ant.reset_to(Assignment::Task(0));
         let m = ant.m;
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        let mut rng = AntRng::seed_from_u64(4);
         // Start stepping from the middle of a phase: no decision should
         // fire at the next r = 0 because the phase was partial.
         for t in (m + 2)..=(2 * m) {

@@ -375,8 +375,10 @@ impl<'a> ProportionalSliceMut<'a> {
     }
 
     /// Fused-apply variant of [`ProportionalSliceMut::step_batch`]:
-    /// same draws, with each transition routed through `writer` (shared
-    /// next column + local delta) at the ant's colony id (`ids[i]`).
+    /// the same code, with ant `i` drawing from its stream for the round
+    /// (`AntRng::keyed(round_key, ids[i])`) and each transition routed
+    /// through `writer` (shared next column + local delta) at its colony
+    /// id (`ids[i]`).
     ///
     /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
     /// form runs the hoisted-view loop; the per-ant form re-selects the
@@ -384,25 +386,26 @@ impl<'a> ProportionalSliceMut<'a> {
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
-        rngs: &mut [AntRng],
+        round_key: u64,
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
         assert_eq!(n, ids.len(), "one colony id per ant");
         let mut row = crate::flat_bank::scratch_row(self.num_tasks);
         match sensed.shared_view() {
             Some(view) => {
-                for i in 0..n {
-                    self.step_one(i, view, &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
+                for (i, &id) in ids.iter().enumerate() {
+                    let rng = &mut AntRng::keyed(round_key, id.into());
+                    self.step_one(i, view, rng, &mut row);
+                    writer.write(id, self.assignment[i]);
                 }
             }
             None => {
-                for i in 0..n {
-                    self.step_one(i, sensed.view_for(ids[i]), &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
+                for (i, &id) in ids.iter().enumerate() {
+                    let rng = &mut AntRng::keyed(round_key, id.into());
+                    self.step_one(i, sensed.view_for(id), rng, &mut row);
+                    writer.write(id, self.assignment[i]);
                 }
             }
         }
@@ -469,7 +472,7 @@ impl<'a> ProportionalSliceMut<'a> {
 mod tests {
     use super::*;
     use antalloc_noise::{Feedback, NoiseModel, PreparedRound};
-    use antalloc_rng::{StreamSeeder, Xoshiro256pp};
+    use antalloc_rng::{AntRng, StreamSeeder};
 
     use Feedback::{Lack as L, Overload as O};
 
@@ -485,7 +488,7 @@ mod tests {
         ant: &mut ProportionalController,
         round: u64,
         signals: &[Feedback],
-        rng: &mut Xoshiro256pp,
+        rng: &mut AntRng,
     ) -> Assignment {
         let prep = fixed_round(round, signals);
         let mut probe = FeedbackProbe::new(&prep, rng);
@@ -494,7 +497,7 @@ mod tests {
 
     #[test]
     fn unit_gain_zero_deadband_joins_immediately() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let params = ProportionalParams {
             gain: 1.0,
             deadband: 0,
@@ -506,7 +509,7 @@ mod tests {
 
     #[test]
     fn deadband_delays_action_by_its_depth() {
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
+        let mut rng = AntRng::seed_from_u64(2);
         let params = ProportionalParams {
             gain: 1.0,
             deadband: 2,
@@ -522,7 +525,7 @@ mod tests {
 
     #[test]
     fn lack_resets_the_deadband_streak() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let mut rng = AntRng::seed_from_u64(3);
         let params = ProportionalParams {
             gain: 1.0,
             deadband: 1,
@@ -545,7 +548,7 @@ mod tests {
         let mut leaves = 0u32;
         let trials = 20_000u64;
         for seed in 0..trials {
-            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let mut rng = AntRng::seed_from_u64(seed);
             let mut ant = ProportionalController::new(1, params);
             ant.reset_to(Assignment::Task(0));
             if step_with(&mut ant, 1, &[O], &mut rng) == Assignment::Idle {
@@ -572,11 +575,11 @@ mod tests {
         let mut reference: Vec<ProportionalController> = (0..n)
             .map(|_| ProportionalController::new(k, params))
             .collect();
-        let mut bank_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=60u64 {
             let prepared = model.prepare(round, &[2, 0, -3], &[15, 15, 15]);
+            let mut bank_rngs = crate::round_streams(&seeder, round, n);
+            let mut ref_rngs = bank_rngs.clone();
             bank.as_slice_mut()
                 .step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {

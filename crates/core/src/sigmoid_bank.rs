@@ -371,9 +371,11 @@ impl<'a> SigmoidSliceMut<'a> {
         }
     }
 
-    /// Fused-apply variant of [`SigmoidSliceMut::step_batch`]: same
-    /// draws, with each transition routed through `writer` (shared next
-    /// column + local delta) at the ant's colony id (`ids[i]`).
+    /// Fused-apply variant of [`SigmoidSliceMut::step_batch`]: the same
+    /// code, with ant `i` drawing from its stream for the round
+    /// (`AntRng::keyed(round_key, ids[i])`) and each transition routed
+    /// through `writer` (shared next column + local delta) at its
+    /// colony id (`ids[i]`).
     ///
     /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
     /// form runs the pre-existing hoisted-view loop; the per-ant form
@@ -381,12 +383,11 @@ impl<'a> SigmoidSliceMut<'a> {
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
-        rngs: &mut [AntRng],
+        round_key: u64,
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
         assert_eq!(n, ids.len(), "one colony id per ant");
         let r = sensed.round() % (2 * self.m);
         let mut stack = [0u8; 64];
@@ -399,15 +400,17 @@ impl<'a> SigmoidSliceMut<'a> {
         };
         match sensed.shared_view() {
             Some(view) => {
-                for i in 0..n {
-                    self.step_one(i, r, view, &mut rngs[i], row);
-                    writer.write(ids[i], self.assignment[i]);
+                for (i, &id) in ids.iter().enumerate() {
+                    let rng = &mut AntRng::keyed(round_key, id.into());
+                    self.step_one(i, r, view, rng, row);
+                    writer.write(id, self.assignment[i]);
                 }
             }
             None => {
-                for i in 0..n {
-                    self.step_one(i, r, sensed.view_for(ids[i]), &mut rngs[i], row);
-                    writer.write(ids[i], self.assignment[i]);
+                for (i, &id) in ids.iter().enumerate() {
+                    let rng = &mut AntRng::keyed(round_key, id.into());
+                    self.step_one(i, r, sensed.view_for(id), rng, row);
+                    writer.write(id, self.assignment[i]);
                 }
             }
         }
@@ -518,12 +521,12 @@ mod tests {
         let mut bank = PreciseSigmoidBank::new(k, params, n);
         let mut reference: Vec<PreciseSigmoid> =
             (0..n).map(|_| PreciseSigmoid::new(k, params)).collect();
-        let mut bank_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
         let model = NoiseModel::Sigmoid { lambda: 1.0 };
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=200u64 {
             let prepared = model.prepare(round, &[5, -5], &[25, 25]);
+            let mut bank_rngs = crate::round_streams(&seeder, round, n);
+            let mut ref_rngs = bank_rngs.clone();
             bank.as_slice_mut()
                 .step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {

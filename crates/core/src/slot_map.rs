@@ -166,8 +166,8 @@ impl SlotMap {
         col.truncate(self.len * width);
     }
 
-    /// Applies the map to a column of `Clone` values (RNG streams,
-    /// per-ant controllers): each run moves as non-overlapping chunks of
+    /// Applies the map to a column of `Clone` values (per-ant
+    /// controllers): each run moves as non-overlapping chunks of
     /// its shift, cloned front to back when it moves left and back to
     /// front when it moves right.
     pub fn apply_clone<T: Clone>(&self, col: &mut Vec<T>) {

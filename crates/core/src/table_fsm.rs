@@ -298,13 +298,13 @@ impl Controller for TableFsm {
 mod tests {
     use super::*;
     use antalloc_noise::NoiseModel;
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     fn probe_round(round: u64, lack: bool) -> antalloc_noise::PreparedRound {
         NoiseModel::Exact.prepare(round, &[if lack { 1 } else { -1 }], &[10])
     }
 
-    fn step(fsm: &mut TableFsm, round: u64, lack: bool, rng: &mut Xoshiro256pp) -> Assignment {
+    fn step(fsm: &mut TableFsm, round: u64, lack: bool, rng: &mut AntRng) -> Assignment {
         let prep = probe_round(round, lack);
         let mut probe = FeedbackProbe::new(&prep, rng);
         fsm.step(&mut probe)
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn hysteresis_needs_depth_consecutive_signals() {
         let spec = Arc::new(FsmSpec::hysteresis(3));
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut fsm = TableFsm::new(spec);
         assert_eq!(fsm.assignment(), Assignment::Task(0));
         // Two overloads then a lack: stays working.
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn hysteresis_depth_one_is_trivial_algorithm() {
         let spec = Arc::new(FsmSpec::hysteresis(1));
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
+        let mut rng = AntRng::seed_from_u64(2);
         let mut fsm = TableFsm::new(spec);
         assert_eq!(step(&mut fsm, 1, false, &mut rng), Assignment::Idle);
         assert_eq!(step(&mut fsm, 2, true, &mut rng), Assignment::Task(0));
@@ -399,7 +399,7 @@ mod tests {
         let trials = 40_000u32;
         let mut moved = 0u32;
         for seed in 0..trials {
-            let mut rng = Xoshiro256pp::seed_from_u64(u64::from(seed));
+            let mut rng = AntRng::seed_from_u64(u64::from(seed));
             let mut fsm = TableFsm::new(spec.clone());
             if step(&mut fsm, 1, false, &mut rng).is_idle() {
                 moved += 1;

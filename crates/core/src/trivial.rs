@@ -105,7 +105,7 @@ impl Controller for Trivial {
 mod tests {
     use super::*;
     use antalloc_noise::{Feedback, NoiseModel, PreparedRound};
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     use Feedback::{Lack as L, Overload as O};
 
@@ -121,7 +121,7 @@ mod tests {
         ant: &mut Trivial,
         round: u64,
         signals: &[Feedback],
-        rng: &mut Xoshiro256pp,
+        rng: &mut AntRng,
     ) -> Assignment {
         let prep = fixed_round(round, signals);
         let mut probe = FeedbackProbe::new(&prep, rng);
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn joins_immediately_on_lack() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut ant = Trivial::new(3);
         let a = step_with(&mut ant, 1, &[O, L, O], &mut rng);
         assert_eq!(a, Assignment::Task(1));
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn leaves_immediately_on_overload() {
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
+        let mut rng = AntRng::seed_from_u64(2);
         let mut ant = Trivial::new(1);
         ant.reset_to(Assignment::Task(0));
         let a = step_with(&mut ant, 1, &[O], &mut rng);
@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn stays_while_lacking() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let mut rng = AntRng::seed_from_u64(3);
         let mut ant = Trivial::new(1);
         ant.reset_to(Assignment::Task(0));
         for t in 1..=10 {
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn idle_stays_idle_without_lack() {
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        let mut rng = AntRng::seed_from_u64(4);
         let mut ant = Trivial::new(2);
         assert_eq!(step_with(&mut ant, 1, &[O, O], &mut rng), Assignment::Idle);
     }
@@ -166,7 +166,7 @@ mod tests {
     fn join_choice_is_uniform() {
         let mut counts = [0u32; 3];
         for seed in 0..6000u64 {
-            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let mut rng = AntRng::seed_from_u64(seed);
             let mut ant = Trivial::new(3);
             match step_with(&mut ant, 1, &[L, L, L], &mut rng) {
                 Assignment::Task(j) => counts[j as usize] += 1,

@@ -281,7 +281,8 @@ impl ColonyState {
 
     /// Removes ant `i` by swap-removal; returns the index of the ant that
     /// moved into slot `i` (the previous last ant), if any. Callers must
-    /// mirror the swap in any parallel per-ant arrays (controllers, RNGs).
+    /// mirror the swap in any parallel per-ant arrays (controllers, arena
+    /// positions).
     pub fn kill_ant(&mut self, i: usize) -> Option<usize> {
         match self.assignment(i) {
             Assignment::Idle => self.idle -= 1,

@@ -191,10 +191,10 @@ fn exponential_gap(rng: &mut AntRng, mean: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     fn expand(gen: &TimelineGen, seed: u64) -> Vec<TimedEvent> {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut rng = AntRng::seed_from_u64(seed);
         let mut out = Vec::new();
         gen.events_into(&mut rng, 1000, &[100, 200], &mut out);
         out

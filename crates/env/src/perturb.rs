@@ -123,24 +123,25 @@ pub enum Perturbation {
 impl Perturbation {
     /// Applies the perturbation to the colony.
     ///
-    /// Returns the list of swap-moves performed by kills, as
-    /// `(removed_slot, moved_from)` pairs: the engine must mirror these
-    /// swaps in its per-ant controller and RNG arrays.
-    pub fn apply(&self, colony: &mut ColonyState, rng: &mut AntRng) -> Vec<(usize, usize)> {
+    /// Returns a kill's victims in kill order, each as the id it had
+    /// when it was swap-removed (the colony's last ant took that id, or
+    /// the victim was the last ant): the engine must mirror every one of
+    /// these removals, in this order, in its per-ant state. Other
+    /// perturbations return no victims.
+    pub fn apply(&self, colony: &mut ColonyState, rng: &mut AntRng) -> Vec<usize> {
         match self {
             Perturbation::KillRandom { count } => {
-                let mut swaps = Vec::with_capacity(*count);
+                let mut victims = Vec::with_capacity(*count);
                 for _ in 0..*count {
                     let n = colony.num_ants();
                     if n <= 1 {
                         break;
                     }
                     let victim = uniform_index(rng, n);
-                    if let Some(moved) = colony.kill_ant(victim) {
-                        swaps.push((victim, moved));
-                    }
+                    colony.kill_ant(victim);
+                    victims.push(victim);
                 }
-                swaps
+                victims
             }
             Perturbation::Spawn { count } => {
                 for _ in 0..*count {
@@ -177,7 +178,7 @@ impl Perturbation {
 mod tests {
     use super::*;
     use crate::demand::DemandVector;
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     fn colony() -> ColonyState {
         ColonyState::new(100, DemandVector::new(vec![20, 30]))
@@ -185,7 +186,7 @@ mod tests {
 
     #[test]
     fn initial_configs_are_consistent() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         for config in [
             InitialConfig::AllIdle,
             InitialConfig::AllOnTask(1),
@@ -203,7 +204,7 @@ mod tests {
 
     #[test]
     fn saturated_hits_demands_exactly() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut c = colony();
         InitialConfig::Saturated.apply(&mut c, &mut rng);
         assert_eq!(c.load(0), 20);
@@ -213,7 +214,7 @@ mod tests {
 
     #[test]
     fn saturated_plus_overfills_uniformly() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut c = colony();
         InitialConfig::SaturatedPlus { extra: 5 }.apply(&mut c, &mut rng);
         assert_eq!(c.load(0), 25);
@@ -229,7 +230,7 @@ mod tests {
 
     #[test]
     fn inverted_crosses_demands() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut c = colony();
         InitialConfig::Inverted.apply(&mut c, &mut rng);
         // Task 0 gets demand of task 1 (30) and vice versa.
@@ -240,7 +241,7 @@ mod tests {
 
     #[test]
     fn all_on_task_overloads() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut c = colony();
         InitialConfig::AllOnTask(0).apply(&mut c, &mut rng);
         assert_eq!(c.load(0), 100);
@@ -249,21 +250,23 @@ mod tests {
 
     #[test]
     fn kills_shrink_population_and_report_swaps() {
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
+        let mut rng = AntRng::seed_from_u64(2);
         let mut c = colony();
         InitialConfig::Saturated.apply(&mut c, &mut rng);
-        let swaps = Perturbation::KillRandom { count: 40 }.apply(&mut c, &mut rng);
+        let victims = Perturbation::KillRandom { count: 40 }.apply(&mut c, &mut rng);
         assert_eq!(c.num_ants(), 60);
         assert!(c.recount_consistent());
-        // Every reported swap source index was a valid pre-kill last slot.
-        for (slot, from) in swaps {
-            assert!(slot < from);
+        // One victim per kill, each a live id at its kill: the k-th
+        // removal happened in a colony of 100 - k ants.
+        assert_eq!(victims.len(), 40);
+        for (k, victim) in victims.into_iter().enumerate() {
+            assert!(victim < 100 - k);
         }
     }
 
     #[test]
     fn spawn_grows_idle() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let mut rng = AntRng::seed_from_u64(3);
         let mut c = colony();
         Perturbation::Spawn { count: 5 }.apply(&mut c, &mut rng);
         assert_eq!(c.num_ants(), 105);
@@ -272,7 +275,7 @@ mod tests {
 
     #[test]
     fn scramble_and_stampede() {
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        let mut rng = AntRng::seed_from_u64(4);
         let mut c = colony();
         Perturbation::Scramble.apply(&mut c, &mut rng);
         assert!(c.recount_consistent());

@@ -495,10 +495,10 @@ impl PreparedRound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     fn count_lack(prep: &PreparedRound, task: usize, draws: u32, seed: u64) -> f64 {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut rng = AntRng::seed_from_u64(seed);
         let hits = (0..draws)
             .filter(|_| prep.sample(task, &mut rng).is_lack())
             .count();
@@ -591,7 +591,7 @@ mod tests {
         };
         let delta = 3i64;
         let want = lack_probability(0.2, delta);
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        let mut rng = AntRng::seed_from_u64(11);
         let rounds = 40_000u64;
         let mut lacks = 0u64;
         for r in 0..rounds {

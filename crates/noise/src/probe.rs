@@ -109,7 +109,7 @@ impl<'a> FeedbackProbe<'a> {
 mod tests {
     use super::*;
     use crate::model::NoiseModel;
-    use antalloc_rng::Xoshiro256pp;
+    use antalloc_rng::AntRng;
 
     fn prep() -> PreparedRound {
         NoiseModel::Sigmoid { lambda: 0.5 }.prepare(7, &[0, 0, 0], &[10, 10, 10])
@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn samples_all_tasks() {
         let p = prep();
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut probe = FeedbackProbe::new(&p, &mut rng);
         assert_eq!(probe.round(), 7);
         let mut out = Vec::new();
@@ -131,7 +131,7 @@ mod tests {
     #[should_panic(expected = "sampled twice")]
     fn double_sampling_panics_in_debug() {
         let p = prep();
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut probe = FeedbackProbe::new(&p, &mut rng);
         probe.sample(1);
         probe.sample(1);
@@ -144,7 +144,7 @@ mod tests {
         let deficits = vec![0i64; 200];
         let demands = vec![10u64; 200];
         let p = NoiseModel::Exact.prepare(0, &deficits, &demands);
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut probe = FeedbackProbe::new(&p, &mut rng);
         probe.sample(150);
         probe.sample(150);
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn distinct_tasks_do_not_trip_guard() {
         let p = prep();
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut rng = AntRng::seed_from_u64(1);
         let mut probe = FeedbackProbe::new(&p, &mut rng);
         probe.sample(0);
         probe.sample(1);

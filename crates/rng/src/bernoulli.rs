@@ -8,7 +8,7 @@
 //! overhead by drawing a whole batch against one threshold (the
 //! SIMD-width sampling step the bank loops build on).
 
-use crate::xoshiro::Xoshiro256pp;
+use crate::wyrand::AntRng;
 
 /// A Bernoulli distribution with precomputed integer threshold.
 ///
@@ -23,8 +23,8 @@ use crate::xoshiro::Xoshiro256pp;
 /// `p < 1` quantizes to "always".
 ///
 /// ```
-/// use antalloc_rng::{Bernoulli, Xoshiro256pp};
-/// let mut rng = Xoshiro256pp::seed_from_u64(1);
+/// use antalloc_rng::{AntRng, Bernoulli};
+/// let mut rng = AntRng::seed_from_u64(1);
 /// let fair = Bernoulli::new(0.5);
 /// let heads = (0..10_000).filter(|_| fair.sample(&mut rng)).count();
 /// assert!((4_700..5_300).contains(&heads));
@@ -95,7 +95,7 @@ impl Bernoulli {
 
     /// Draws one variate.
     #[inline(always)]
-    pub fn sample(&self, rng: &mut Xoshiro256pp) -> bool {
+    pub fn sample(&self, rng: &mut AntRng) -> bool {
         self.always || rng.next_u64() < self.threshold
     }
 
@@ -107,9 +107,9 @@ impl Bernoulli {
     /// which per-call sampling defeats.
     ///
     /// ```
-    /// use antalloc_rng::{Bernoulli, Xoshiro256pp};
+    /// use antalloc_rng::{AntRng, Bernoulli};
     /// let b = Bernoulli::new(0.25);
-    /// let mut a = Xoshiro256pp::seed_from_u64(7);
+    /// let mut a = AntRng::seed_from_u64(7);
     /// let mut c = a.clone();
     /// let mut batch = [false; 32];
     /// b.fill(&mut a, &mut batch);
@@ -118,7 +118,7 @@ impl Bernoulli {
     /// }
     /// ```
     #[inline]
-    pub fn fill(&self, rng: &mut Xoshiro256pp, out: &mut [bool]) {
+    pub fn fill(&self, rng: &mut AntRng, out: &mut [bool]) {
         if self.always {
             out.fill(true);
             return;
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn degenerate_probabilities() {
-        let mut rng = Xoshiro256pp::seed_from_u64(0);
+        let mut rng = AntRng::seed_from_u64(0);
         let zero = Bernoulli::new(0.0);
         let one = Bernoulli::new(1.0);
         for _ in 0..1000 {
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn empirical_frequency_tracks_p() {
-        let mut rng = Xoshiro256pp::seed_from_u64(99);
+        let mut rng = AntRng::seed_from_u64(99);
         for &p in &[0.01, 0.1, 0.25, 0.5, 0.9] {
             let b = Bernoulli::new(p);
             let n = 200_000u32;
@@ -222,7 +222,7 @@ mod tests {
             seed: u64,
         ) {
             let b = Bernoulli::new(p);
-            let mut batched = Xoshiro256pp::seed_from_u64(seed);
+            let mut batched = AntRng::seed_from_u64(seed);
             let mut single = batched.clone();
             let mut out = vec![false; n];
             b.fill(&mut batched, &mut out);
@@ -238,8 +238,8 @@ mod tests {
             // With a shared random source, a draw that succeeds under the
             // smaller p must succeed under the larger p.
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            let mut r1 = Xoshiro256pp::seed_from_u64(seed);
-            let mut r2 = Xoshiro256pp::seed_from_u64(seed);
+            let mut r1 = AntRng::seed_from_u64(seed);
+            let mut r2 = AntRng::seed_from_u64(seed);
             let s_lo = Bernoulli::new(lo).sample(&mut r1);
             let s_hi = Bernoulli::new(hi).sample(&mut r2);
             prop_assert!(!s_lo || s_hi);

@@ -3,12 +3,18 @@
 //! The simulator needs randomness with three properties that `rand`'s
 //! default generators do not provide out of the box:
 //!
-//! 1. **Per-agent streams.** Every ant owns an independent generator so the
-//!    simulation is bit-reproducible regardless of how ants are partitioned
-//!    across threads (see `antalloc-sim::parallel`).
-//! 2. **Cheap seeding.** Colonies have up to millions of ants; stream
-//!    derivation is a handful of multiplies ([`StreamSeeder`]), not a
-//!    cryptographic expansion.
+//! 1. **Per-agent streams without per-agent state.** In the paper's
+//!    model each ant's feedback is an independent coin per (ant, round),
+//!    so an ant needs no generator state that survives a round. Its
+//!    draws in round `t` are the stream [`AntRng::keyed`] builds on the
+//!    stack from the round's key ([`StreamSeeder::round_key`]) and the
+//!    ant's id: a pure function of `(master seed, round, ant id)`. The
+//!    simulation is therefore bit-reproducible however ants are
+//!    partitioned across threads, and nothing about randomness has to
+//!    follow an ant through kills, spawns, resets or checkpoints.
+//! 2. **Cheap seeding.** A stream start is one 128-bit multiply
+//!    ([`AntRng::keyed`]); subsystem streams ([`StreamSeeder::stream`])
+//!    are two SplitMix64 mixes, not a cryptographic expansion.
 //! 3. **Branch-light sampling.** The hot loop draws one Bernoulli variate
 //!    per (ant, task) pair per round; [`Bernoulli`] reduces that to a
 //!    64-bit compare against a precomputed threshold, quantized
@@ -18,11 +24,10 @@
 //!    to repeated `sample` calls — which the structure-of-arrays bank
 //!    loops in `antalloc-core` build their full-vector sampling step on.
 //!
-//! The generators are the public-domain reference designs:
-//! [`SplitMix64`] (stream derivation / state expansion) and
-//! [`Xoshiro256pp`] (the workhorse generator, with `jump`/`long_jump`).
-//! [`Xoshiro256pp`] also implements [`rand_core::RngCore`] so it can drive
-//! any `rand` distribution in tests and examples.
+//! The generators are public-domain reference designs: [`AntRng`] is
+//! wyrand (8 bytes of state, one multiply per draw), the one generator
+//! every stream runs on, and [`SplitMix64`] mixes seeds and stream ids
+//! into starting states.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,17 +36,10 @@ mod bernoulli;
 mod splitmix;
 mod stream;
 mod uniform;
-mod xoshiro;
+mod wyrand;
 
 pub use bernoulli::Bernoulli;
 pub use splitmix::SplitMix64;
 pub use stream::{reserved, StreamSeeder};
 pub use uniform::{uniform_f64, uniform_index, UniformRange};
-pub use xoshiro::Xoshiro256pp;
-
-/// The RNG type carried by every simulated ant.
-///
-/// A plain alias so call sites say what they mean; the concrete generator
-/// is an implementation detail that has changed once already during
-/// development and may change again.
-pub type AntRng = Xoshiro256pp;
+pub use wyrand::AntRng;

@@ -1,13 +1,14 @@
-//! Per-agent stream derivation.
+//! Stream derivation.
 //!
-//! Each ant (and each engine subsystem) gets its own [`Xoshiro256pp`]
-//! derived from `(master_seed, stream_id)`. Because the derivation is a
-//! pure function of the pair, the simulation is reproducible no matter how
-//! ants are sharded across threads, and a checkpoint only has to store the
-//! generator states, not any global RNG position.
+//! Each engine subsystem gets its own [`AntRng`] stream derived from
+//! `(master_seed, stream_id)`, and each round gets a key from which
+//! every ant's stream for that round is built ([`AntRng::keyed`]).
+//! Because both derivations are pure functions of their inputs, the
+//! simulation is reproducible no matter how ants are sharded across
+//! threads, and a checkpoint stores no per-ant generator state at all.
 
-use crate::splitmix::{mix, SplitMix64};
-use crate::xoshiro::Xoshiro256pp;
+use crate::splitmix::mix;
+use crate::wyrand::AntRng;
 
 /// Derives independent generator streams from a single master seed.
 ///
@@ -63,6 +64,11 @@ pub mod reserved {
     /// movement between sites replays bit-identically across serial,
     /// parallel and checkpoint-restored runs).
     pub const ARENA: u64 = u64::MAX - 6;
+    /// Ant decisions: the stream whose first output re-seeds the
+    /// dedicated sub-seeder that hands each round its key
+    /// ([`crate::StreamSeeder::round_key`]), from which every ant's
+    /// draws for that round are built.
+    pub const ANTS: u64 = u64::MAX - 7;
 }
 
 impl StreamSeeder {
@@ -80,25 +86,33 @@ impl StreamSeeder {
 
     /// Derives the generator for `stream`.
     ///
-    /// The state words come from a SplitMix64 run seeded with a bijective
-    /// mix of `(master, stream)`; distinct pairs therefore yield distinct
-    /// SplitMix64 counters and (with overwhelming probability over the
-    /// mixes) unrelated xoshiro states.
+    /// The starting state is a bijective mix of `(master, stream)`: for a
+    /// fixed master, distinct streams start at distinct states, and (with
+    /// overwhelming probability over the mixes) far apart on the cycle.
     #[inline]
-    pub fn stream(&self, stream: u64) -> Xoshiro256pp {
-        // Mix the pair into a single 64-bit seed. `mix` is bijective, so
-        // for a fixed master all streams get distinct seeds.
-        let seed = mix(self.master ^ mix(stream));
-        let mut sm = SplitMix64::new(seed);
-        let mut s = [0u64; 4];
-        sm.fill(&mut s);
-        Xoshiro256pp::from_state(s)
+    pub fn stream(&self, stream: u64) -> AntRng {
+        AntRng::from_state(mix(self.master ^ mix(stream)))
     }
 
-    /// Convenience: the stream for ant `index`.
+    /// The stream for index `index` — a persistent per-index stream, for
+    /// callers that step a bank by hand
+    /// (`antalloc_core::ControllerBank::step_batch`). Engines draw from
+    /// [`StreamSeeder::round_key`] instead.
     #[inline]
-    pub fn ant(&self, index: usize) -> Xoshiro256pp {
+    pub fn ant(&self, index: usize) -> AntRng {
         self.stream(index as u64)
+    }
+
+    /// The key of every ant's draws in `round`: ant `i` draws from
+    /// `AntRng::keyed(round_key(round), i)`. It is the first output of
+    /// stream `round` of the sub-seeder the reserved [`reserved::ANTS`]
+    /// stream seeds, so a pure function of `(master seed, round)`.
+    /// Engines derive it once per round.
+    #[inline]
+    pub fn round_key(&self, round: u64) -> u64 {
+        StreamSeeder::new(self.stream(reserved::ANTS).next_u64())
+            .stream(round)
+            .next_u64()
     }
 }
 

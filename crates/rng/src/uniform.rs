@@ -4,7 +4,7 @@
 //! place in the paper's algorithms where a uniform choice over a dynamic
 //! set is required, so bias here would directly skew load distributions.
 
-use crate::xoshiro::Xoshiro256pp;
+use crate::wyrand::AntRng;
 
 /// Draws a uniform index in `[0, bound)`. Panics if `bound == 0`.
 ///
@@ -15,7 +15,7 @@ use crate::xoshiro::Xoshiro256pp;
 /// cannot drift apart (they must consume identical draws and return
 /// identical indices for bit-identity to hold across call sites).
 #[inline]
-pub fn uniform_index(rng: &mut Xoshiro256pp, bound: usize) -> usize {
+pub fn uniform_index(rng: &mut AntRng, bound: usize) -> usize {
     assert!(bound > 0, "uniform_index: empty range");
     // audit:allow(cast): usize → u64 is lossless on every supported (≤64-bit) target.
     let bound = bound as u64;
@@ -61,7 +61,7 @@ impl UniformRange {
 
     /// Draws one index.
     #[inline]
-    pub fn sample(&self, rng: &mut Xoshiro256pp) -> usize {
+    pub fn sample(&self, rng: &mut AntRng) -> usize {
         loop {
             let m = u128::from(rng.next_u64()).wrapping_mul(u128::from(self.bound));
             // audit:allow(cast): intentional — the low 64 bits of the 128-bit product select the rejection zone (Lemire).
@@ -75,7 +75,7 @@ impl UniformRange {
 
 /// Draws a uniform `f64` in `[lo, hi)`.
 #[inline]
-pub fn uniform_f64(rng: &mut Xoshiro256pp, lo: f64, hi: f64) -> f64 {
+pub fn uniform_f64(rng: &mut AntRng, lo: f64, hi: f64) -> f64 {
     lo + (hi - lo) * rng.next_f64()
 }
 
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn respects_bounds() {
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        let mut rng = AntRng::seed_from_u64(4);
         for bound in [1usize, 2, 3, 7, 100, 1 << 20] {
             for _ in 0..200 {
                 assert!(uniform_index(&mut rng, bound) < bound);
@@ -97,7 +97,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty range")]
     fn zero_bound_panics() {
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        let mut rng = AntRng::seed_from_u64(4);
         uniform_index(&mut rng, 0);
     }
 
@@ -105,7 +105,7 @@ mod tests {
     fn is_close_to_uniform() {
         // Chi-square over 7 buckets (7 doesn't divide 2^64, exercising the
         // rejection path).
-        let mut rng = Xoshiro256pp::seed_from_u64(17);
+        let mut rng = AntRng::seed_from_u64(17);
         let bound = 7usize;
         let draws = 70_000;
         let mut counts = vec![0u32; bound];
@@ -126,8 +126,8 @@ mod tests {
 
     #[test]
     fn range_struct_matches_free_function_distributionally() {
-        let mut a = Xoshiro256pp::seed_from_u64(5);
-        let mut b = Xoshiro256pp::seed_from_u64(5);
+        let mut a = AntRng::seed_from_u64(5);
+        let mut b = AntRng::seed_from_u64(5);
         let range = UniformRange::new(13);
         for _ in 0..1000 {
             assert_eq!(range.sample(&mut a), uniform_index(&mut b, 13));
@@ -137,7 +137,7 @@ mod tests {
     proptest! {
         #[test]
         fn uniform_f64_in_bounds(seed: u64, lo in -1e6f64..1e6, width in 1e-6f64..1e6) {
-            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let mut rng = AntRng::seed_from_u64(seed);
             let hi = lo + width;
             let x = uniform_f64(&mut rng, lo, hi);
             prop_assert!(x >= lo && x < hi);
@@ -145,7 +145,7 @@ mod tests {
 
         #[test]
         fn uniform_index_in_bounds(seed: u64, bound in 1usize..1_000_000) {
-            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let mut rng = AntRng::seed_from_u64(seed);
             prop_assert!(uniform_index(&mut rng, bound) < bound);
         }
 
@@ -170,12 +170,12 @@ mod tests {
                 usize::MAX / 2 + 2, // huge rejection zone
                 usize::MAX,
             ][pick];
-            let mut a = Xoshiro256pp::seed_from_u64(seed);
+            let mut a = AntRng::seed_from_u64(seed);
             let mut b = a.clone();
             let range = UniformRange::new(bound);
             for _ in 0..32 {
                 prop_assert_eq!(uniform_index(&mut a, bound), range.sample(&mut b));
-                prop_assert_eq!(a.state(), b.state());
+                prop_assert_eq!(&a, &b);
             }
         }
     }

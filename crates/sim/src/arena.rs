@@ -375,7 +375,7 @@ mod tests {
         let sensed = a.sensed(&prep);
         assert!(sensed.shared_view().is_none());
         // Ant 0 sits at site 0: task 0 real, task 1 masked.
-        let mut rng = antalloc_rng::Xoshiro256pp::seed_from_u64(0);
+        let mut rng = antalloc_rng::AntRng::seed_from_u64(0);
         let v0 = sensed.view_for(0);
         assert!(v0.sample(0, &mut rng).is_lack());
         assert!(!v0.sample(1, &mut rng).is_lack());
@@ -394,7 +394,7 @@ mod tests {
         let prep = prepared(2);
         a.build_round(&prep);
         let sensed = a.sensed(&prep);
-        let mut rng = antalloc_rng::Xoshiro256pp::seed_from_u64(0);
+        let mut rng = antalloc_rng::AntRng::seed_from_u64(0);
         for ant in 0..2 {
             let v = sensed.view_for(ant);
             assert!(!v.sample(0, &mut rng).is_lack());
@@ -474,7 +474,7 @@ mod tests {
 
     #[test]
     fn two_pass_wander_matches_the_single_pass_reference() {
-        let mut gen = antalloc_rng::Xoshiro256pp::seed_from_u64(42);
+        let mut gen = antalloc_rng::AntRng::seed_from_u64(42);
         // Spans two full blocks and a ragged third.
         let n = 2 * WANDER_BLOCK + 333;
         for sites in 2..=4u32 {
@@ -519,7 +519,7 @@ mod tests {
                             format!("sites {sites}, travel {travel_rounds}, p {p}, round {round}");
                         assert_eq!(a.site(), ref_site.as_slice(), "{case}");
                         assert_eq!(a.travel(), ref_travel.as_slice(), "{case}");
-                        assert_eq!(rng.state(), ref_rng.state(), "{case}");
+                        assert_eq!(rng, ref_rng, "{case}");
                         assert!(a.sense_consistent(), "{case}");
                     }
                 }

@@ -6,10 +6,9 @@
 //! spec and the full event timeline — triggers and generators
 //! included), the current demands, the noise model currently in force,
 //! the timeline cursor, the runtime state of every trigger, every
-//! ant's assignment and RNG state, and the round counter — so a
-//! capture taken *mid-timeline* (after kills, spawns, demand steps,
-//! noise switches or trigger firings) resumes exactly where the script
-//! left off.
+//! ant's assignment, and the round counter — so a capture taken
+//! *mid-timeline* (after kills, spawns, demand steps, noise switches or
+//! trigger firings) resumes exactly where the script left off.
 //!
 //! The config and the live noise model travel as the same canonical
 //! TOML the scenario files and store fingerprints use
@@ -18,12 +17,17 @@
 //! binary layout. The layout and the read-compat policy (current
 //! version only) live in `docs/CHECKPOINTS.md`.
 //!
+//! No ant carries generator state: an ant's draws in a round are a pure
+//! function of `(seed, round, ant id)` (see [`antalloc_rng::AntRng::keyed`]),
+//! so the round counter and the ids are all the randomness a restore
+//! needs.
+//!
 //! **Codec.** A checkpoint holds the engine's state as columns in
 //! global ant order (the engine's `Snapshot`): the raw task column, the
-//! RNG words, the membership, fixed-stride per-kind scratch columns and
-//! the arena columns. Capture copies them out of the colony and the
-//! banks, restore copies them back, and every fixed-width section
-//! encodes and decodes as one little-endian run that is validated once
+//! membership, fixed-stride per-kind scratch columns and the arena
+//! columns. Capture copies them out of the colony and the banks,
+//! restore copies them back, and every fixed-width section encodes and
+//! decodes as one little-endian run that is validated once
 //! (`docs/CHECKPOINTS.md`, "Codec").
 //!
 //! **Exactness contract.** Controllers are rebuilt from their spec and
@@ -63,7 +67,7 @@ const MAGIC: u32 = 0x414E_5441; // "ANTA"
 /// The format version: writers emit it and readers accept only it
 /// (`docs/CHECKPOINTS.md` documents the layout and why older versions
 /// are rejected rather than migrated).
-const VERSION: u32 = 8;
+const VERSION: u32 = 9;
 
 /// Wire bytes of one scratch entry with tag `tag` over `k` tasks, ant
 /// id and tag included.
@@ -180,9 +184,9 @@ impl Checkpoint {
     }
 
     /// The byte length of each binary runtime section, in stream order:
-    /// current demands, cursor, trigger states, assignments, RNG states,
-    /// membership, scratch and arena columns (0 when absent).
-    fn runtime_section_lens(&self) -> [usize; 8] {
+    /// current demands, cursor, trigger states, assignments, membership,
+    /// scratch and arena columns (0 when absent).
+    fn runtime_section_lens(&self) -> [usize; 7] {
         let s = &self.state;
         let (ants, k) = (s.tasks.len(), s.demands.len());
         let triggers: usize = s
@@ -207,7 +211,6 @@ impl Checkpoint {
             8,
             8 + triggers,
             8 + 4 * ants,
-            8 * cols.rng.len(),
             members,
             8 + scratch,
             arena,
@@ -244,7 +247,6 @@ impl Checkpoint {
         }
         out.put_u64_le(s.tasks.len() as u64);
         put_le(&mut out, &s.tasks, u32::to_le_bytes);
-        put_le(&mut out, &s.ants.rng, u64::to_le_bytes);
         // Per-ant bank membership, present iff the spec is a Mix.
         if matches!(s.config.controller, ControllerSpec::Mix(_)) {
             out.put_u64_le(s.ants.members.len() as u64);
@@ -342,20 +344,17 @@ impl Checkpoint {
         }
         let ants = get_u64(buf)? as usize;
         // Validate the claimed count against the bytes actually present
-        // (4 per assignment + 32 per RNG state) before any allocation —
-        // a corrupted count must not drive an allocation to OOM. A live
-        // colony never drops below one ant.
-        if ants == 0 || buf.len() / 36 < ants {
+        // (4 per assignment) before any allocation — a corrupted count
+        // must not drive an allocation to OOM. A live colony never drops
+        // below one ant.
+        if ants == 0 || buf.len() / 4 < ants {
             return Err(corrupt(format!(
                 "ant count {ants} is zero or exceeds remaining payload"
             )));
         }
         let tasks = get_le(buf, ants, u32::from_le_bytes)?;
         check_tasks(&tasks, k)?;
-        let mut cols = AntColumns {
-            rng: get_le(buf, 4 * ants, u64::from_le_bytes)?,
-            ..AntColumns::default()
-        };
+        let mut cols = AntColumns::default();
         if let ControllerSpec::Mix(parts) = &config.controller {
             let len = get_u64(buf)? as usize;
             if len != ants {
@@ -747,7 +746,7 @@ mod tests {
     /// Proportional mix captured mid-phase, a `deficit-rate-above`
     /// trigger, a generator and a `set-noise` switch — a stream with
     /// every section populated.
-    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint_v8.ckpt");
+    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint_v9.ckpt");
 
     fn config() -> SimConfig {
         SimConfig::builder(200, vec![30, 40])
@@ -789,14 +788,13 @@ mod tests {
 
     /// The array-of-structs encoder the columnar codec replaced, kept as
     /// the reference `to_bytes` must match byte for byte. It gathers the
-    /// per-ant state through the per-ant accessors (decoded assignments,
-    /// one RNG state and one `ControllerScratch` per ant) and writes it
-    /// one integer at a time; the scalar fields come from the snapshot.
+    /// per-ant state through the per-ant accessors (decoded assignments
+    /// and one `ControllerScratch` per ant) and writes it one integer at
+    /// a time; the scalar fields come from the snapshot.
     fn reference_bytes(engine: &SyncEngine) -> Vec<u8> {
         let snap = engine.snapshot();
         let population = engine.population();
         let assignments = engine.colony().assignments();
-        let rng_states = population.rng_states();
         let members = population.members();
         let scratch = population.scratches();
         let put_task = |out: &mut Vec<u8>, a: Assignment| {
@@ -834,11 +832,6 @@ mod tests {
         out.put_u64_le(assignments.len() as u64);
         for &a in &assignments {
             put_task(&mut out, a);
-        }
-        for s in &rng_states {
-            for &w in s {
-                out.put_u64_le(w);
-            }
         }
         if matches!(snap.config.controller, ControllerSpec::Mix(_)) {
             out.put_u64_le(members.len() as u64);
@@ -1064,7 +1057,7 @@ mod tests {
         assert!(Checkpoint::from_bytes(&long).is_err());
         // Any version but the current one, named in the error.
         assert_eq!(bytes[4..8], VERSION.to_le_bytes());
-        for other in [2u32, 7, 9] {
+        for other in [2u32, 8, 10] {
             let mut stale = bytes.clone();
             stale[4..8].copy_from_slice(&other.to_le_bytes());
             let Err(CheckpointError::Corrupt(msg)) = Checkpoint::from_bytes(&stale) else {

@@ -25,6 +25,14 @@
 //! * a checkpoint captured at a phase boundary, restored and resumed,
 //!   versus the uninterrupted run.
 //!
+//! No ant carries generator state. Ant `id`'s stream in round `t` is
+//! `AntRng::keyed(key, id)`, built on the stack inside the kernel from
+//! the round's key (`key` = [`antalloc_rng::StreamSeeder::round_key`]
+//! of `t`, derived once per round) — a pure function of
+//! `(seed, round, id)`, the same on every path because every path
+//! numbers the ants alike. Kills, spawns, resets and restores therefore
+//! move no randomness, and checkpoints store none per ant.
+//!
 //! Rounds are double-buffered through a fused apply: sub-round 1 steps
 //! kernels that write every ant's next assignment straight into the
 //! next-state half of a pair of [`antalloc_env::TaskColumn`]s
@@ -72,8 +80,8 @@ pub(crate) fn event_seeder(seed: u64) -> StreamSeeder {
     StreamSeeder::new(StreamSeeder::new(seed).stream(reserved::EVENT).next_u64())
 }
 
-/// Applies a colony-level perturbation, keeping controllers, RNG
-/// streams and the environment mutually consistent. Shared by
+/// Applies a colony-level perturbation, keeping controllers, arena
+/// positions and the environment mutually consistent. Shared by
 /// [`SyncEngine::perturb`], the timeline event executor, and the
 /// sequential engine.
 pub(crate) fn apply_perturbation(
@@ -82,29 +90,25 @@ pub(crate) fn apply_perturbation(
     population: &mut Population,
     mut arena: Option<&mut ArenaState>,
     rng: &mut AntRng,
-    seeder: &StreamSeeder,
     next_stream: &mut u64,
 ) {
-    let swaps = p.apply(colony, rng);
+    let victims = p.apply(colony, rng);
     match p {
         Perturbation::KillRandom { .. } => {
-            // Kills without swaps (victim was last) still shrink us: both
-            // remove the swaps' slots in order, then from the end.
-            population.remove_batch(swaps.iter().map(|&(slot, _)| slot), colony.num_ants());
+            // Every removal in the colony's kill order, a victim that was
+            // the last ant included: deferring those to the end would let
+            // a later swap move the dead ant into a live ant's id.
+            population.remove_batch(&victims);
             if let Some(a) = arena.as_deref_mut() {
-                for &(slot, _) in &swaps {
-                    a.remove(slot);
-                }
-                while a.len() > colony.num_ants() {
-                    a.remove(a.len() - 1);
+                for &victim in &victims {
+                    a.remove(victim);
                 }
             }
         }
         Perturbation::Spawn { count } => {
             let k = colony.num_tasks();
             for _ in 0..*count {
-                let stream = seeder.stream(*next_stream);
-                population.spawn(k, *next_stream, stream);
+                population.spawn(k, *next_stream);
                 *next_stream += 1;
                 if let Some(a) = arena.as_deref_mut() {
                     a.spawn();
@@ -155,7 +159,6 @@ pub(crate) fn apply_event(
     arena: Option<&mut ArenaState>,
     noise: &mut NoiseModel,
     rng: &mut AntRng,
-    seeder: &StreamSeeder,
     next_stream: &mut u64,
 ) {
     match event {
@@ -169,17 +172,19 @@ pub(crate) fn apply_event(
                 .as_perturbation()
                 // audit:allow(panic-path): exhaustive by construction — the match above consumed every pure event kind.
                 .expect("non-pure events are perturbations");
-            apply_perturbation(&p, colony, population, arena, rng, seeder, next_stream);
+            apply_perturbation(&p, colony, population, arena, rng, next_stream);
         }
     }
 }
 
 /// One participant's share of a round: steps its part of the
-/// population against the frozen feedback, writing next assignments
+/// population against the frozen feedback, each ant drawing from its
+/// stream for the round keyed `round_key`, writing next assignments
 /// into `columns[parity ^ 1]` and folding the transitions into `delta`.
 fn step_part(
     part: &mut WorkerPart<'_>,
     prepared: &PreparedRound,
+    round_key: u64,
     arena: Option<&parking_lot::RwLock<ArenaState>>,
     columns: &[TaskColumn; 2],
     parity: usize,
@@ -194,8 +199,8 @@ fn step_part(
         None => SensedRound::shared(prepared),
     };
     let mut writer = ColumnWriter::new(&columns[parity], &columns[parity ^ 1], delta);
-    for (slice, rngs, ids) in part.iter_mut() {
-        slice.step_batch_fused(sensed, rngs, ids, &mut writer);
+    for (slice, ids) in part.iter_mut() {
+        slice.step_batch_fused(sensed, round_key, ids, &mut writer);
     }
 }
 
@@ -238,7 +243,7 @@ pub(crate) struct Snapshot {
     pub noise: NoiseModel,
     /// The current round.
     pub round: u64,
-    /// Next RNG stream id for spawned ants.
+    /// Next spawn stream id (picks a spawned ant's mix sub-spec).
     pub next_stream: u64,
     /// One-shot timeline events already consumed (indexes the
     /// *compiled* timeline: scripted plus generated events).
@@ -248,7 +253,7 @@ pub(crate) struct Snapshot {
     /// Every ant's assignment, raw ([`antalloc_env::Assignment::RAW_IDLE`]
     /// = idle).
     pub tasks: Vec<u32>,
-    /// RNG words, membership and controller scratch.
+    /// Membership and controller scratch.
     pub ants: AntColumns,
     /// Arena site per ant; empty for well-mixed scenarios.
     pub arena_site: Vec<u32>,
@@ -295,7 +300,8 @@ pub struct SyncEngine {
     pre_deficits: Vec<i64>,
     /// Deficits after this round's decisions (observation output).
     post_deficits: Vec<i64>,
-    /// Stream ids handed out so far (spawned ants get fresh streams).
+    /// Spawn stream ids handed out so far (each spawned ant draws its
+    /// mix sub-spec from a fresh one).
     next_stream: u64,
     /// The spare half of the double-buffered assignment column: lent
     /// into every scope next to the colony's own column, and handed
@@ -485,7 +491,6 @@ impl SyncEngine {
                 arena.as_deref_mut(),
                 &mut self.noise,
                 &mut rng,
-                &self.seeder,
                 &mut self.next_stream,
             );
         }
@@ -587,18 +592,19 @@ impl SyncEngine {
             self.colony.take_column(),
             core::mem::replace(&mut self.next_column, TaskColumn::new(0)),
         ];
-        // The coordinator publishes each round's prepared feedback and
-        // parity here — one Arc bump per round, no deep clone; workers
-        // read it only between the two barriers of a round.
-        let shared: parking_lot::RwLock<Option<(Arc<PreparedRound>, usize)>> =
+        // The coordinator publishes each round's prepared feedback,
+        // parity and round key here — one Arc bump per round, no deep
+        // clone; workers read it only between the two barriers of a
+        // round.
+        let shared: parking_lot::RwLock<Option<(Arc<PreparedRound>, usize, u64)>> =
             parking_lot::RwLock::new(None);
         let start = std::sync::Barrier::new(workers);
         let done = std::sync::Barrier::new(workers);
         let stop = AtomicBool::new(false);
 
         // Each participant owns an equal, 16-ant-aligned share of every
-        // bank as (bank chunk, RNG chunk, ant-id chunk) triples (parts
-        // of a small colony may be empty), and one delta slot: the
+        // bank as (bank chunk, ant-id chunk) pairs (parts of a small
+        // colony may be empty), and one delta slot: the
         // coordinator's without a lock, each worker's behind an
         // uncontended one.
         let mut parts = self.population.partition_mut(workers).into_iter();
@@ -624,10 +630,11 @@ impl SyncEngine {
                         // wait on them.
                         let published = shared.read();
                         // audit:allow(panic-path): the coordinator publishes the round before releasing the start barrier.
-                        let (prepared, parity) = published.as_ref().expect("round published");
+                        let (prepared, parity, key) = published.as_ref().expect("round published");
                         step_part(
                             &mut part,
                             prepared,
+                            *key,
                             arena,
                             columns_ref,
                             *parity,
@@ -654,10 +661,11 @@ impl SyncEngine {
                 if let Some(l) = arena {
                     l.write().build_round(&prepared);
                 }
+                let round_key = self.seeder.round_key(self.round);
                 let published;
                 let prepared = if workers > 1 {
                     published = Arc::new(prepared);
-                    *shared.write() = Some((Arc::clone(&published), parity));
+                    *shared.write() = Some((Arc::clone(&published), parity, round_key));
                     start.wait();
                     &*published
                 } else {
@@ -666,6 +674,7 @@ impl SyncEngine {
                 step_part(
                     &mut own_part,
                     prepared,
+                    round_key,
                     arena,
                     columns_ref,
                     parity,
@@ -727,8 +736,8 @@ impl SyncEngine {
         completed
     }
 
-    /// Applies a mid-run perturbation, keeping controllers, RNG streams
-    /// and the environment mutually consistent.
+    /// Applies a mid-run perturbation, keeping controllers, arena
+    /// positions and the environment mutually consistent.
     ///
     /// Imperative shocks draw from the engine's init stream; prefer
     /// scripting shocks in the config's [`antalloc_env::Timeline`],
@@ -741,7 +750,6 @@ impl SyncEngine {
             &mut self.population,
             self.arena.as_mut().map(|l| l.get_mut()),
             &mut self.init_rng,
-            &self.seeder,
             &mut self.next_stream,
         );
     }
@@ -779,7 +787,7 @@ impl SyncEngine {
     /// Rebuilds this engine in place from `snap`, reusing allocations
     /// like [`SyncEngine::reset_from`]: the colony is recounted from the
     /// task column, every bank is reset from it and takes the captured
-    /// RNG words and scratch, and the arena takes the captured columns.
+    /// scratch, and the arena takes the captured columns.
     ///
     /// With `fork`, the state is rebased onto that config instead of the
     /// snapshot's own (`Checkpoint::fork_into`): its demands and noise

@@ -13,8 +13,7 @@
 //! * `index.len()` equals the colony population `n`;
 //! * `index[i] == (b, s)`  ⇔  `banks[b].ants[s] == i` (the two maps are
 //!   mutual inverses);
-//! * within a bank, `controllers`, `rngs` and `ants` all share one
-//!   length;
+//! * within a bank, `controllers` and `ants` share one length;
 //! * within a bank, `ants` ascends by slot — so a homogeneous colony's
 //!   single bank has `ants[s] == s`, and every kernel walks the
 //!   colony's per-ant columns front to back;
@@ -23,11 +22,15 @@
 //!
 //! Kills mirror the colony's swap-removal in global ids: each victim's
 //! id is taken over by the *global* last ant. A kill event applies all
-//! its removals to the two maps first — O(1) each — and then rewrites
-//! the index in one pass and repairs each bank in one streaming pass
-//! (see [`Population::remove_batch`]). Spawns append the largest id, and
-//! builds and restores fill slots in id order, so the order holds
-//! through every operation.
+//! its removals to the two maps first, in the colony's kill order —
+//! O(1) each — and then rewrites the index in one pass and repairs each
+//! bank in one streaming pass (see [`Population::remove_batch`]).
+//! Spawns append the largest id, and builds and restores fill slots in
+//! id order, so the order holds through every operation.
+//!
+//! No ant carries generator state: ant `i`'s draws in a round are
+//! `AntRng::keyed(round_key, i)`, built inside the kernels, so kills,
+//! spawns, resets and restores move no randomness around.
 //!
 //! ## Mixed-colony membership
 //!
@@ -35,8 +38,9 @@
 //! from the master seed: exact largest-remainder quotas of the weights,
 //! interleaved by a seeded Fisher–Yates shuffle (the dedicated
 //! [`reserved::MIX`] stream). Spawned ants draw their sub-spec from a
-//! stream keyed by their RNG stream id, so checkpoint + spawn replays
-//! bit-identically to an uninterrupted run.
+//! stream keyed by their spawn stream id (the engine's checkpointed
+//! `next_stream` counter), so checkpoint + spawn replays bit-identically
+//! to an uninterrupted run.
 
 use antalloc_core::{
     AdversarialScratch, AnyController, BankSliceMut, ControllerBank, SigmoidPlanes,
@@ -48,9 +52,9 @@ use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
 
 use crate::config::ControllerSpec;
 
-/// One worker's share of the colony: disjoint (controller chunk, RNG
-/// chunk, global-id chunk) triples (see [`Population::partition_mut`]).
-pub(crate) type WorkerPart<'a> = Vec<(BankSliceMut<'a>, &'a mut [AntRng], &'a [u32])>;
+/// One worker's share of the colony: disjoint (controller chunk,
+/// global-id chunk) pairs (see [`Population::partition_mut`]).
+pub(crate) type WorkerPart<'a> = Vec<(BankSliceMut<'a>, &'a [u32])>;
 
 /// The population's checkpointed state as columns in ascending global
 /// ant id — what a checkpoint copies out of the banks and back in. The
@@ -58,8 +62,6 @@ pub(crate) type WorkerPart<'a> = Vec<(BankSliceMut<'a>, &'a mut [AntRng], &'a [u
 /// mid-phase state.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct AntColumns {
-    /// Four xoshiro256++ state words per ant.
-    pub rng: Vec<u64>,
     /// Bank (sub-spec) index per ant for mixed colonies; empty
     /// otherwise.
     pub members: Vec<u16>,
@@ -202,15 +204,12 @@ impl SigmoidColumns {
     }
 }
 
-/// One homogeneous sub-population: controllers plus their per-slot
-/// parallel arrays.
+/// One homogeneous sub-population: controllers plus their ant ids.
 pub(crate) struct Bank {
     /// The (non-`Mix`) spec this bank runs; used for spawns and census.
     pub spec: ControllerSpec,
     /// The controllers, in slot order.
     pub controllers: ControllerBank,
-    /// Per-slot RNG streams (ant `ants[s]` owns `rngs[s]`).
-    pub rngs: Vec<AntRng>,
     /// Slot → global ant id, ascending.
     pub ants: Vec<u32>,
 }
@@ -245,7 +244,7 @@ impl MixMembership {
         }
     }
 
-    /// The sub-spec a *spawned* ant with RNG stream id `stream` joins:
+    /// The sub-spec a *spawned* ant with spawn stream id `stream` joins:
     /// one weighted draw from a stream keyed by `(master seed, stream)`,
     /// so the pick depends on nothing but checkpointed state.
     fn pick_spawn(&self, stream: u64) -> usize {
@@ -346,7 +345,7 @@ impl Population {
     }
 
     /// Rebuilds this population in place to the state
-    /// [`Population::build`] would produce, reusing bank, RNG and index
+    /// [`Population::build`] would produce, reusing bank and index
     /// allocations (the engine-reuse fast path for sweeps; shrink keeps
     /// capacity, grow reallocates, a changed bank kind is rebuilt).
     pub fn rebuild_in(&mut self, spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) {
@@ -356,22 +355,19 @@ impl Population {
             let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
             mix_members(seed, &weights, n)
         });
-        let seeder = StreamSeeder::new(seed);
         self.regroup(
             spec,
             seed,
             num_tasks,
             members.as_deref().unwrap_or_default(),
             n,
-            |i| seeder.ant(i),
         );
         debug_assert!(self.check_invariants());
     }
 
     /// Rebuilds this population in place from checkpointed columns:
     /// membership regroups the banks, every controller is reset to its
-    /// ant's assignment in `colony` (already restored), the captured RNG
-    /// words are copied in — no stream is derived — and the scratch
+    /// ant's assignment in `colony` (already restored), and the scratch
     /// columns are scattered back. Reuses allocations like
     /// [`Population::rebuild_in`].
     pub fn restore_in(
@@ -382,10 +378,7 @@ impl Population {
         cols: &AntColumns,
     ) {
         let (k, n) = (colony.num_tasks(), colony.num_ants());
-        let (states, _) = cols.rng.as_chunks::<4>();
-        self.regroup(spec, seed, k, &cols.members, n, |i| {
-            AntRng::from_state(states[i])
-        });
+        self.regroup(spec, seed, k, &cols.members, n);
         self.reset_to_colony(colony);
         let sigmoid = &cols.sigmoid;
         let sole_bank = self.banks.iter_mut().find(|bank| bank.ants == sigmoid.ids);
@@ -438,8 +431,8 @@ impl Population {
 
     /// Regroups ants `0..n` into one bank per (sub-)spec — ant `i` of a
     /// mix joins bank `members[i]`, a homogeneous colony's ants all
-    /// join bank 0 — with RNG stream `rng_of(i)`, and rebuilds every
-    /// bank's controllers fresh for its ants, reusing allocations.
+    /// join bank 0 — and rebuilds every bank's controllers fresh for its
+    /// ants, reusing allocations.
     fn regroup(
         &mut self,
         spec: &ControllerSpec,
@@ -447,7 +440,6 @@ impl Population {
         num_tasks: usize,
         members: &[u16],
         n: usize,
-        rng_of: impl Fn(usize) -> AntRng,
     ) {
         let parts = spec.mix_parts();
         let sub = |b: usize| parts.map_or(spec, |parts| &parts[b].1);
@@ -455,14 +447,12 @@ impl Population {
         self.banks.truncate(num_banks);
         for bank in &mut self.banks {
             bank.ants.clear();
-            bank.rngs.clear();
         }
         while self.banks.len() < num_banks {
             let spec = sub(self.banks.len()).clone();
             self.banks.push(Bank {
                 controllers: spec.build_bank(num_tasks, &[]),
                 spec,
-                rngs: Vec::new(),
                 ants: Vec::new(),
             });
         }
@@ -484,13 +474,10 @@ impl Population {
         }
         for (bank, &len) in self.banks.iter_mut().zip(&lens) {
             bank.ants.reserve_exact(len as usize);
-            bank.rngs.reserve_exact(len as usize);
         }
         // Slots fill in global ant order, so each bank's ids ascend.
         for (i, &(b, _)) in self.index.iter().enumerate() {
-            let bank = &mut self.banks[b as usize];
-            bank.ants.push(i as u32);
-            bank.rngs.push(rng_of(i));
+            self.banks[b as usize].ants.push(i as u32);
         }
         for (b, bank) in self.banks.iter_mut().enumerate() {
             let sub = sub(b);
@@ -524,12 +511,14 @@ impl Population {
         self.mix.is_some()
     }
 
-    /// Steps the single ant `i` (the sequential model's round).
-    pub fn step_one(&mut self, i: usize, prepared: &PreparedRound) -> Assignment {
+    /// Steps the single ant `i` (the sequential model's round), drawing
+    /// from its stream for the round keyed `round_key`.
+    pub fn step_one(&mut self, i: usize, prepared: &PreparedRound, round_key: u64) -> Assignment {
         let (b, s) = self.index[i];
-        let bank = &mut self.banks[b as usize];
-        bank.controllers
-            .step_slot(s as usize, prepared.view(), &mut bank.rngs[s as usize])
+        let rng = &mut AntRng::keyed(round_key, i as u64);
+        self.banks[b as usize]
+            .controllers
+            .step_slot(s as usize, prepared.view(), rng)
     }
 
     /// Forces every controller to its colony assignment (initial
@@ -547,11 +536,11 @@ impl Population {
         self.banks[b as usize].controllers.memory_bits(s as usize)
     }
 
-    /// Removes a kill event's victims: each `victims` entry is removed
-    /// in turn at the id it names at that moment, then ants are removed
-    /// from the end until `len` remain. Every removal mirrors the
-    /// colony's swap-removal — the global last ant takes over the
-    /// victim's id — so the result is the one a sequence of per-ant
+    /// Removes a kill event's victims in the colony's kill order: each
+    /// `victims` entry is removed in turn at the id it names at that
+    /// moment. Every removal mirrors the colony's swap-removal — the
+    /// global last ant takes over the victim's id, unless the victim is
+    /// the last ant — so the result is the one a sequence of per-ant
     /// swap-removals gives, but every bank keeps its ids ascending.
     ///
     /// The removals touch only the two maps, O(1) each: the victim's
@@ -565,21 +554,20 @@ impl Population {
     /// before the tail in order and drops each relocated ant in at its
     /// new slot — into a dead slot when one is there, as it always is in
     /// a one-bank colony. Applied as run copies to the controller
-    /// columns, RNG streams and ids, it costs at most about one
-    /// `memmove` of the bank.
-    pub fn remove_batch(&mut self, victims: impl IntoIterator<Item = usize>, len: usize) {
-        if self.index.len() == len {
+    /// columns and ids, it costs at most about one `memmove` of the
+    /// bank.
+    pub fn remove_batch(&mut self, victims: &[usize]) {
+        if victims.is_empty() {
             return;
         }
+        let len = self.index.len() - victims.len();
         let tails: Vec<usize> = (self.banks.iter())
             .map(|bank| bank.ants.partition_point(|&id| (id as usize) < len))
             .collect();
         // The dead slots before each bank's tail.
         let mut dead: Vec<Vec<u64>> = tails.iter().map(|&t| vec![0; t.div_ceil(64)]).collect();
-        let mut victims = victims.into_iter().fuse();
-        while self.index.len() > len {
+        for &victim in victims {
             let last = self.index.len() - 1;
-            let victim = victims.next().unwrap_or(last);
             let (b, s) = self.index[victim];
             let (b, s) = (b as usize, s as usize);
             if s < tails[b] {
@@ -592,7 +580,6 @@ impl Population {
                 self.banks[home.0 as usize].ants[home.1 as usize] = victim as u32;
             }
         }
-        debug_assert!(victims.next().is_none(), "more victims than removals");
         // (new slot, old slot) of each bank's relocated ants, ascending.
         let mut lifted: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.banks.len()];
         let mut ranks = vec![0usize; self.banks.len()];
@@ -641,7 +628,6 @@ impl Population {
             }
             map.finish();
             bank.controllers.apply_slot_map(&map);
-            map.apply_clone(&mut bank.rngs);
             map.apply(&mut bank.ants);
         }
         debug_assert!(self.check_invariants());
@@ -659,7 +645,6 @@ impl Population {
         let bank = &mut self.banks[b];
         let map = SlotMap::swap_remove(bank.len(), s);
         bank.controllers.apply_slot_map(&map);
-        bank.rngs.swap_remove(s);
         bank.ants.swap_remove(s);
         if s < bank.ants.len() {
             // The bank's last ant moved into slot `s`.
@@ -673,10 +658,10 @@ impl Population {
         self.index.pop();
     }
 
-    /// Appends a freshly spawned ant (global id `len()`) with RNG
-    /// stream `stream`. Homogeneous colonies spawn into their single
+    /// Appends a freshly spawned ant (global id `len()`) with spawn
+    /// stream id `stream`. Homogeneous colonies spawn into their single
     /// bank; mixes draw the sub-spec deterministically from `stream`.
-    pub fn spawn(&mut self, num_tasks: usize, stream: u64, rng: AntRng) {
+    pub fn spawn(&mut self, num_tasks: usize, stream: u64) {
         let b = match &self.mix {
             None => 0,
             Some(mix) => mix.pick_spawn(stream),
@@ -686,7 +671,6 @@ impl Population {
         // Spawns use the spec's plain single-ant build (desync spawns
         // get offset 0, matching the pre-bank engines).
         bank.controllers.push(bank.spec.build(num_tasks));
-        bank.rngs.push(rng);
         self.index.push((b as u32, bank.ants.len() as u32));
         bank.ants.push(id);
         debug_assert!(self.check_invariants());
@@ -695,14 +679,7 @@ impl Population {
     /// The population's checkpointed columns over `num_tasks` tasks
     /// (see [`AntColumns`]).
     pub fn capture(&self, num_tasks: usize) -> AntColumns {
-        let mut cols = AntColumns {
-            rng: Vec::with_capacity(4 * self.index.len()),
-            ..AntColumns::default()
-        };
-        for &(b, s) in &self.index {
-            let state = self.banks[b as usize].rngs[s as usize].state();
-            cols.rng.extend_from_slice(&state);
-        }
+        let mut cols = AntColumns::default();
         if self.is_mixed() {
             cols.members = self.members();
         }
@@ -750,16 +727,6 @@ impl Population {
         cols
     }
 
-    /// Every ant's RNG state, in global ant order (the reference the
-    /// columnar capture is tested against).
-    #[cfg(test)]
-    pub fn rng_states(&self) -> Vec<[u64; 4]> {
-        self.index
-            .iter()
-            .map(|&(b, s)| self.banks[b as usize].rngs[s as usize].state())
-            .collect()
-    }
-
     /// Every ant's mid-phase scratch through the per-slot accessor, in
     /// global ant order (the reference the columnar capture is tested
     /// against).
@@ -790,10 +757,10 @@ impl Population {
     /// slots `[b(p), b(p + 1))` of a bank of `len` ants, where `b(p)`
     /// is `p · len / workers` rounded up to a 16-ant block and capped at
     /// `len` (see [`part_boundary`]). Each part is a list of
-    /// (controller chunk, RNG chunk, global-id chunk) triples; the round
-    /// driver hands one part to each participant for a whole scope.
+    /// (controller chunk, global-id chunk) pairs; the round driver hands
+    /// one part to each participant for a whole scope.
     ///
-    /// Each part lists its triples starting from a different bank
+    /// Each part lists its pairs starting from a different bank
     /// (participant `p` from bank `⌊p · banks / workers⌋`, wrapping
     /// around), so participants step different kinds at the same
     /// moment: on a 2-vCPU host, two participants stepping the same
@@ -813,13 +780,12 @@ impl Population {
         let mut parts: Vec<WorkerPart<'_>> = (0..workers)
             .map(|_| Vec::with_capacity(num_banks))
             .collect();
-        // Triples of banks before participant `p`'s first bank, rotated
-        // to the back of its list below.
+        // Pairs of banks before participant `p`'s first bank, rotated to
+        // the back of its list below.
         let mut lead = vec![0usize; workers];
         for (b, bank) in self.banks.iter_mut().enumerate() {
             let len = bank.len();
             let mut slice = bank.controllers.as_slice_mut();
-            let mut rngs: &mut [AntRng] = &mut bank.rngs;
             let mut ids: &[u32] = &bank.ants;
             let mut from = 0;
             for (p, part) in parts.iter_mut().enumerate() {
@@ -828,12 +794,10 @@ impl Population {
                     continue;
                 }
                 let (head, tail) = slice.split_at_mut(to - from);
-                let (rng_head, rng_tail) = rngs.split_at_mut(to - from);
                 let (id_head, id_tail) = ids.split_at(to - from);
-                part.push((head, rng_head, id_head));
+                part.push((head, id_head));
                 lead[p] += usize::from(b < first_bank(p, num_banks, workers));
                 slice = tail;
-                rngs = rng_tail;
                 ids = id_tail;
                 from = to;
             }
@@ -850,7 +814,7 @@ impl Population {
             return false;
         }
         for (b, bank) in self.banks.iter().enumerate() {
-            if bank.controllers.len() != bank.ants.len() || bank.rngs.len() != bank.ants.len() {
+            if bank.controllers.len() != bank.ants.len() {
                 return false;
             }
             if !bank.ants.is_sorted_by(|a, b| a < b) {
@@ -873,12 +837,10 @@ mod tests {
     use antalloc_env::{DemandVector, Perturbation};
     use antalloc_noise::NoiseModel;
 
-    /// A population over an explicit membership vector, streams derived
-    /// from the seed.
+    /// A population over an explicit membership vector.
     fn from_members(spec: &ControllerSpec, seed: u64, k: usize, members: &[u16]) -> Population {
         let mut p = Population::build(spec, seed, k, 0);
-        let seeder = StreamSeeder::new(seed);
-        p.regroup(spec, seed, k, members, members.len(), |i| seeder.ant(i));
+        p.regroup(spec, seed, k, members, members.len());
         p
     }
 
@@ -920,13 +882,12 @@ mod tests {
         assert_eq!(p.banks().len(), 3);
         assert_eq!(p.len(), 40);
         // Kill a few ants from the middle and the end.
-        p.remove_batch([5, 30], 37);
+        p.remove_batch(&[5, 30, 37]);
         assert_eq!(p.len(), 37);
         assert!(p.check_invariants());
         // Spawn back; membership picks stay in range.
-        let seeder = StreamSeeder::new(3);
         for stream in 40..45u64 {
-            p.spawn(2, stream, seeder.stream(stream));
+            p.spawn(2, stream);
         }
         assert_eq!(p.len(), 42);
         assert!(p.check_invariants());
@@ -970,7 +931,7 @@ mod tests {
         for (w, part) in parts.iter().enumerate() {
             // Participants start on different banks where they can.
             let first = first_bank(w, sizes.len(), workers);
-            if let Some((_, _, ids)) = part.first() {
+            if let Some((_, ids)) = part.first() {
                 let bank = members[ids[0] as usize] as usize;
                 assert!(
                     bank == first
@@ -979,10 +940,9 @@ mod tests {
                 );
             }
             let mut share = vec![0usize; sizes.len()];
-            for (slice, rngs, ids) in part {
-                assert!(!ids.is_empty(), "empty triple in part {w}");
+            for (slice, ids) in part {
+                assert!(!ids.is_empty(), "empty pair in part {w}");
                 assert_eq!(slice.len(), ids.len());
-                assert_eq!(rngs.len(), ids.len());
                 for &id in *ids {
                     seen[id as usize] += 1;
                     share[members[id as usize] as usize] += 1;
@@ -1016,12 +976,12 @@ mod tests {
         for n in [0, 1, 15, 16, 17, 33, 1000, 200_001] {
             let mut p = Population::build(&ControllerSpec::Trivial, 1, 2, n);
             let parts = p.partition_mut(2);
-            let first: usize = parts[0].iter().map(|(_, _, ids)| ids.len()).sum();
+            let first: usize = parts[0].iter().map(|(_, ids)| ids.len()).sum();
             assert_eq!(first, n.div_ceil(2).next_multiple_of(16).min(n), "n = {n}");
             // A homogeneous colony's slots are its ids: contiguous halves.
             let ids: Vec<u32> = parts
                 .iter()
-                .flat_map(|part| part.iter().flat_map(|(_, _, ids)| ids.iter().copied()))
+                .flat_map(|part| part.iter().flat_map(|(_, ids)| ids.iter().copied()))
                 .collect();
             assert_eq!(ids, (0..n as u32).collect::<Vec<_>>());
         }
@@ -1037,16 +997,15 @@ mod tests {
         }
     }
 
-    /// Global id → (bank, controller scratch, RNG state, assignment).
-    type AntMap = Vec<(u32, Option<ControllerScratch>, [u64; 4], Assignment)>;
+    /// Global id → (bank, controller scratch, assignment).
+    type AntMap = Vec<(u32, Option<ControllerScratch>, Assignment)>;
 
     fn ant_map(p: &Population) -> AntMap {
         (p.index.iter())
             .map(|&(b, s)| {
-                let (bank, s) = (&p.banks[b as usize], s as usize);
-                let controllers = &bank.controllers;
-                let rng = bank.rngs[s].state();
-                (b, controllers.scratch(s), rng, controllers.assignment(s))
+                let controllers = &p.banks[b as usize].controllers;
+                let s = s as usize;
+                (b, controllers.scratch(s), controllers.assignment(s))
             })
             .collect()
     }
@@ -1061,7 +1020,6 @@ mod tests {
             let mut order: Vec<usize> = (0..bank.len()).collect();
             order.sort_by_key(|&s| bank.ants[s]);
             bank.controllers = order.iter().map(|&s| bank.controllers.to_any(s)).collect();
-            bank.rngs = order.iter().map(|&s| bank.rngs[s].clone()).collect();
             bank.ants = order.iter().map(|&s| bank.ants[s]).collect();
             for (s, &id) in bank.ants.iter().enumerate() {
                 p.index[id as usize] = (b as u32, s as u32);
@@ -1093,8 +1051,8 @@ mod tests {
     proptest::proptest! {
         /// Over random kill, spawn, scramble and step sequences, one
         /// `remove_batch` per kill event leaves every global id with the
-        /// bank, scratch, RNG stream and assignment that the per-kill
-        /// swap-removals give, and keeps every bank in id order.
+        /// bank, scratch and assignment that the per-kill swap-removals
+        /// give, and keeps every bank in id order.
         #[test]
         fn remove_batch_matches_sequential_swap_removal(
             which in 0usize..3,
@@ -1116,13 +1074,10 @@ mod tests {
                 match kind {
                     0 => {
                         let count = size % colony.num_ants();
-                        let swaps = Perturbation::KillRandom { count }.apply(&mut colony, &mut rng);
-                        batch.remove_batch(swaps.iter().map(|&(slot, _)| slot), colony.num_ants());
-                        for &(slot, _) in &swaps {
-                            reference.remove(slot);
-                        }
-                        while reference.len() > colony.num_ants() {
-                            reference.remove(reference.len() - 1);
+                        let victims = Perturbation::KillRandom { count }.apply(&mut colony, &mut rng);
+                        batch.remove_batch(&victims);
+                        for &victim in &victims {
+                            reference.remove(victim);
                         }
                         sort_banks(&mut reference);
                     }
@@ -1130,9 +1085,8 @@ mod tests {
                         let count = size % 64;
                         Perturbation::Spawn { count }.apply(&mut colony, &mut rng);
                         for _ in 0..count {
-                            let stream = seeder.stream(next_stream);
-                            batch.spawn(k, next_stream, stream.clone());
-                            reference.spawn(k, next_stream, stream);
+                            batch.spawn(k, next_stream);
+                            reference.spawn(k, next_stream);
                             next_stream += 1;
                         }
                     }
@@ -1145,9 +1099,10 @@ mod tests {
                         colony.deficits_into(&mut deficits);
                         let prepared =
                             noise.prepare(round as u64, &deficits, colony.demands().as_slice());
+                        let key = seeder.round_key(round as u64);
                         for i in 0..colony.num_ants() {
-                            let a = batch.step_one(i, &prepared);
-                            proptest::prop_assert_eq!(a, reference.step_one(i, &prepared));
+                            let a = batch.step_one(i, &prepared, key);
+                            proptest::prop_assert_eq!(a, reference.step_one(i, &prepared, key));
                             colony.apply(i, a);
                         }
                     }

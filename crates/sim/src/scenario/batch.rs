@@ -64,7 +64,7 @@ const OUTCOME_DOMAIN: &str = "antalloc.outcome.v1";
 /// Domain tag of shared-prefix checkpoint fingerprints; bump when the
 /// checkpoint format changes (or the key's inputs change meaning), so
 /// entries in an older format become misses before they are decoded.
-const PREFIX_DOMAIN: &str = "antalloc.prefix-checkpoint.v2";
+const PREFIX_DOMAIN: &str = "antalloc.prefix-checkpoint.v3";
 
 /// One sweep-axis coordinate as recorded in a [`RunOutcome`].
 ///

@@ -118,7 +118,6 @@ impl SequentialEngine {
                     None,
                     &mut self.noise,
                     &mut rng,
-                    &self.seeder,
                     &mut self.next_stream,
                 );
             }
@@ -128,7 +127,9 @@ impl SequentialEngine {
             self.noise
                 .prepare(self.round, &self.deficits, self.colony.demands().as_slice());
         let i = uniform_index(&mut self.scheduler_rng, self.population.len());
-        let next = self.population.step_one(i, &prepared);
+        let next = self
+            .population
+            .step_one(i, &prepared, self.seeder.round_key(self.round));
         let switches = u64::from(next != self.colony.assignment(i));
         self.colony.apply(i, next);
         self.colony.deficits_into(&mut self.post_deficits);

@@ -43,7 +43,11 @@ pub const STORE_MAGIC: u32 = 0x414E_5453;
 
 /// On-disk manifest format version. Entries written by any other
 /// version are misses ([`StoreMiss::VersionSkew`]), never errors.
-pub const STORE_VERSION: u32 = 1;
+///
+/// Bumped to 2 when the simulator's per-ant randomness became
+/// counter-keyed: every seed's output changed, so outcomes archived
+/// under version 1 would be wrong hits.
+pub const STORE_VERSION: u32 = 2;
 
 /// Exact manifest size: magic(4) + version(4) + kind(1) +
 /// fingerprint(32) + payload len(8) + payload SHA-256(32).

@@ -181,8 +181,8 @@ fn multi_site_arena_serial_equals_parallel() {
 #[test]
 fn multi_site_arena_checkpoint_restore_is_exact() {
     // Capture mid-run with travelers in flight (travel_rounds = 3,
-    // wander on): the position and travel columns travel in the v8
-    // stream, so the continuation must be bit-identical.
+    // wander on): the position and travel columns travel in the
+    // checkpoint, so the continuation must be bit-identical.
     let spec = ControllerSpec::Mix(vec![
         (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
         (
@@ -328,8 +328,9 @@ fn deficit_triggers_fire_identically_on_every_path() {
     assert_eq!(serial.colony().assignments(), par.colony().assignments());
     assert_eq!(serial.trigger_states(), par.trigger_states());
 
-    // Mid-window capture: the previous-round deficits travel in v8, so
-    // a restore inside a rate trigger's streak continues exactly.
+    // Mid-window capture: the previous-round deficits travel in the
+    // checkpoint, so a restore inside a rate trigger's streak continues
+    // exactly.
     for split in [10u64, 17, 30] {
         let mut head = cfg.build();
         head.run(split, &mut obs);

@@ -18,10 +18,11 @@ use antalloc_core::{
 type Trace = Vec<(u64, Vec<u32>, u64, u64)>; // (round, loads, idle, switches)
 
 /// Replays `cfg` with the pre-bank semantics: a flat `Vec<AnyController>`
-/// stepped per ant, each through its own probe, decisions applied in ant
-/// order as they are made. The controllers themselves are cloned out of
-/// a freshly built engine (`reference_controllers`), so mixed-colony
-/// membership matches by construction.
+/// stepped per ant, each through its own probe on its stream for the
+/// round, decisions applied in ant order as they are made. The
+/// controllers themselves are cloned out of a freshly built engine
+/// (`reference_controllers`), so mixed-colony membership matches by
+/// construction.
 fn reference_trace(cfg: &SimConfig, rounds: u64) -> (Trace, Vec<u32>) {
     let demands = DemandVector::new(cfg.demands.clone());
     let seeder = StreamSeeder::new(cfg.seed);
@@ -32,7 +33,6 @@ fn reference_trace(cfg: &SimConfig, rounds: u64) -> (Trace, Vec<u32>) {
         let engine = cfg.build();
         engine.reference_controllers()
     };
-    let mut rngs: Vec<AntRng> = (0..cfg.n).map(|i| seeder.ant(i)).collect();
     let mut deficits = vec![0i64; colony.num_tasks()];
     let mut trace = Trace::new();
     let mut cursor = 0usize;
@@ -54,9 +54,11 @@ fn reference_trace(cfg: &SimConfig, rounds: u64) -> (Trace, Vec<u32>) {
             .noise
             .prepare(round, &deficits, colony.demands().as_slice());
         let mut switches = 0u64;
-        for i in 0..controllers.len() {
-            let mut probe = FeedbackProbe::new(&prepared, &mut rngs[i]);
-            let next = controllers[i].step(&mut probe);
+        let key = seeder.round_key(round);
+        for (i, controller) in controllers.iter_mut().enumerate() {
+            let mut rng = AntRng::keyed(key, i as u64);
+            let mut probe = FeedbackProbe::new(&prepared, &mut rng);
+            let next = controller.step(&mut probe);
             if next != colony.assignment(i) {
                 switches += 1;
                 colony.apply(i, next);
@@ -268,8 +270,8 @@ mod properties {
                 (ControllerSpec::Trivial, 2),
                 (ControllerSpec::ExactGreedy(ExactGreedyParams::default()), 2),
                 // Proportional contributes capture phase 1: its deadband
-                // streaks travel in the v8 scratch section, so the mix
-                // checkpoints mid-streak across kills and scrambles.
+                // streaks travel in the checkpoint scratch section, so the
+                // mix checkpoints mid-streak across kills and scrambles.
                 (
                     ControllerSpec::Mix(vec![
                         (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),

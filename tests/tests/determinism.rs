@@ -398,7 +398,7 @@ impl antalloc_sim::Observer for RecordDigest {
 /// split alike.
 #[test]
 fn kill_heavy_arena_mix_matches_its_golden_digest() {
-    const GOLDEN: u64 = 0xd2ff_28e0_178c_e206;
+    const GOLDEN: u64 = 0x15da_7042_5bab_35c7;
     const ROUNDS: u64 = 400;
     let cfg = antalloc_sim::Scenario::from_toml(KILL_HEAVY_ARENA)
         .expect("valid scenario")
@@ -437,4 +437,33 @@ fn kill_heavy_arena_mix_matches_its_golden_digest() {
         "checkpoint split"
     );
     assert_eq!(digest.finish(&resumed), GOLDEN, "checkpoint split");
+}
+
+#[test]
+fn a_kill_event_leaves_every_controller_on_its_ants_assignment() {
+    // A kill event removes its victims one by one, each by swap-removal.
+    // When a victim is the colony's last ant, a later swap in the same
+    // event must not carry the dead ant's controller into a live ant's
+    // id: after the kill every controller still holds its own ant's
+    // assignment.
+    use antalloc_core::Controller as _;
+    use antalloc_env::Perturbation;
+
+    for seed in 0..200 {
+        let cfg = SimConfig::builder(12, vec![3, 3])
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .controller(ControllerSpec::Ant(AntParams::default()))
+            .seed(seed)
+            .build()
+            .expect("valid scenario");
+        let mut engine = cfg.build();
+        engine.perturb(&Perturbation::Scramble);
+        engine.perturb(&Perturbation::KillRandom { count: 6 });
+        let controllers: Vec<_> = engine
+            .reference_controllers()
+            .iter()
+            .map(|c| c.assignment())
+            .collect();
+        assert_eq!(controllers, engine.colony().assignments(), "seed {seed}");
+    }
 }

@@ -396,8 +396,8 @@ fn adversarial_mid_timeline_checkpoint_restore_replays_bit_identically() {
     let bytes = cp.to_bytes();
     assert_eq!(
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        8,
-        "current checkpoints are format v8"
+        9,
+        "current checkpoints are format v9"
     );
     let restored = Checkpoint::from_bytes(&bytes).expect("decodes");
     assert_eq!(cp, restored);
@@ -438,11 +438,11 @@ fn sequential_engine_consumes_triggers_and_generators_deterministically() {
     assert!(a.colony().recount_consistent());
 }
 
-/// The scenario frozen in `fixtures/checkpoint_v8.ckpt`: a mixed Precise
+/// The scenario frozen in `fixtures/checkpoint_v9.ckpt`: a mixed Precise
 /// Sigmoid + Proportional colony in a 3-site arena, with a
 /// `deficit-rate-above` trigger, a generated kill schedule, and
 /// `set-noise` switches on both sides of the captured round.
-fn v8_fixture_config() -> SimConfig {
+fn fixture_config() -> SimConfig {
     SimConfig::builder(150, vec![20, 25, 30])
         .noise(NoiseModel::Sigmoid { lambda: 2.0 })
         .controller(ControllerSpec::Mix(vec![
@@ -496,17 +496,17 @@ fn v8_fixture_config() -> SimConfig {
 }
 
 #[test]
-fn v8_checkpoint_fixture_loads_and_continues_exactly() {
-    // A frozen v8 stream captured at round 37: mid-phase for Precise
+fn checkpoint_fixture_loads_and_continues_exactly() {
+    // A frozen v9 stream captured at round 37: mid-phase for Precise
     // Sigmoid, after the first noise switch. It must decode to the same
     // config, re-encode to the same bytes (so a silent layout change
     // fails here), and continue bit-identically to an uninterrupted run
     // across later generated kills, trigger firings and the second
     // noise switch.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/checkpoint_v8.ckpt");
-    let bytes = std::fs::read(&path).expect("v8 fixture present");
-    let cp = Checkpoint::from_bytes(&bytes).expect("v8 fixture decodes");
-    let config = v8_fixture_config();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/checkpoint_v9.ckpt");
+    let bytes = std::fs::read(&path).expect("v9 fixture present");
+    let cp = Checkpoint::from_bytes(&bytes).expect("v9 fixture decodes");
+    let config = fixture_config();
     assert_eq!(cp.round(), 37);
     assert_eq!(cp.config(), &config);
     assert_eq!(cp.to_bytes(), bytes, "the writer's layout drifted");
