@@ -4,8 +4,9 @@
 //! schedules breaks the bit-identity contract if it reaches a
 //! simulation decision: default-hasher collections iterate in a
 //! per-process-random order, wall clocks and environment variables
-//! differ between hosts, and a raw `thread::spawn` escapes the
-//! engine's deterministic partitioning. Test modules and relaxed
+//! differ between hosts, and a raw `thread::spawn` or
+//! `thread::Builder` spawn escapes the engine's deterministic
+//! partitioning (scoped spawns through `std::thread::scope` are fine). Test modules and relaxed
 //! crates (tests/benches/examples/shims) are exempt.
 
 use super::find_word;
@@ -47,6 +48,11 @@ const PATTERNS: &[(&str, &str, &str)] = &[
     ),
     (
         "thread::spawn",
+        "nondet-thread",
+        "raw thread spawns escape the engine's deterministic partitioning — use the scoped worker pool",
+    ),
+    (
+        "thread::Builder",
         "nondet-thread",
         "raw thread spawns escape the engine's deterministic partitioning — use the scoped worker pool",
     ),

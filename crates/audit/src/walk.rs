@@ -9,7 +9,7 @@ use crate::config::Config;
 pub struct FileInfo {
     /// Workspace-relative path with forward slashes.
     pub rel: String,
-    /// Crate the file belongs to (`core`, `shims/bytes`, `tests`, …).
+    /// Crate the file belongs to (`core`, `shims/proptest`, `tests`, …).
     pub crate_name: String,
     /// Relaxed profile: test/bench/example/shim code. Path rules
     /// (nondeterminism, streams, casts, panics) are skipped; crate-root

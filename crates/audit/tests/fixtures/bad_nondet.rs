@@ -21,6 +21,10 @@ fn escape_the_pool() {
     std::thread::spawn(|| {});
 }
 
+fn escape_the_pool_by_builder() {
+    let _ = std::thread::Builder::new().spawn(|| {});
+}
+
 // In a string or comment the same tokens must NOT fire:
 // HashMap, Instant::now, thread::spawn
 const PROSE: &str = "HashMap Instant::now env::var thread::spawn";

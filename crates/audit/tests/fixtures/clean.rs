@@ -22,6 +22,13 @@ pub fn to_wide(n: usize) -> u64 {
     n as u64
 }
 
+/// Scoped threads are joined before the scope returns: allowed.
+pub fn scoped_fan_out() {
+    std::thread::scope(|s| {
+        s.spawn(|| {});
+    });
+}
+
 /// Errors propagate instead of panicking on the engine path.
 pub fn safe_lookup(xs: &[u32], i: usize) -> Result<u32, String> {
     xs.get(i).copied().ok_or_else(|| format!("no slot {i}"))

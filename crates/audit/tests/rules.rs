@@ -87,6 +87,18 @@ fn bad_nondet_is_flagged() {
     let prose_line = text.lines().position(|l| l.contains("PROSE")).unwrap() + 1;
     assert!(diags.iter().all(|d| d.line < cfg_test_line), "{diags:?}");
     assert!(diags.iter().all(|d| d.line != prose_line), "{diags:?}");
+    // A `thread::Builder` spawn is as raw as `thread::spawn`.
+    let builder_line = text
+        .lines()
+        .position(|l| l.contains("Builder::new"))
+        .unwrap()
+        + 1;
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.line == builder_line && d.rule == "nondet-thread"),
+        "{diags:?}"
+    );
 }
 
 #[test]

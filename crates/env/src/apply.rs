@@ -145,15 +145,25 @@ pub struct RoundDelta {
     pub(crate) idle_flips: Vec<u32>,
 }
 
+/// Spare `load_deltas` capacity past the `k` counters in use: one
+/// 128-byte block (the adjacent-line prefetch pair on x86-64). The
+/// pooled engine keeps one delta per participant, each written from its
+/// own core every round; with this slack after every buffer, the
+/// counters in use of two deltas never share a 128-byte block, wherever
+/// the allocator places the buffers.
+const LOAD_DELTA_SLACK: usize = 128 / core::mem::size_of::<i64>();
+
 impl RoundDelta {
     /// An empty delta over `k` tasks.
     pub fn new(k: usize) -> Self {
-        Self {
+        let mut delta = Self {
             switches: 0,
             idle_delta: 0,
-            load_deltas: vec![0; k],
+            load_deltas: Vec::new(),
             idle_flips: Vec::new(),
-        }
+        };
+        delta.reset(k);
+        delta
     }
 
     /// Clears all accumulators, resizing to `k` tasks.
@@ -161,6 +171,7 @@ impl RoundDelta {
         self.switches = 0;
         self.idle_delta = 0;
         self.load_deltas.clear();
+        self.load_deltas.reserve_exact(k + LOAD_DELTA_SLACK);
         self.load_deltas.resize(k, 0);
         self.idle_flips.clear();
     }
@@ -195,6 +206,11 @@ impl RoundDelta {
     #[inline]
     pub fn switches(&self) -> u64 {
         self.switches
+    }
+
+    /// Net load change per task.
+    pub fn load_deltas(&self) -> &[i64] {
+        &self.load_deltas
     }
 }
 

@@ -33,14 +33,6 @@ impl SplitMix64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         mix(self.state)
     }
-
-    /// Fills `out` with successive outputs.
-    #[inline]
-    pub fn fill(&mut self, out: &mut [u64]) {
-        for slot in out {
-            *slot = self.next_u64();
-        }
-    }
 }
 
 /// The finalizer of SplitMix64: a bijective avalanche mix of `z`.
@@ -78,17 +70,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), outs.len());
-    }
-
-    #[test]
-    fn fill_matches_next() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        let mut buf = [0u64; 8];
-        a.fill(&mut buf);
-        for &word in &buf {
-            assert_eq!(word, b.next_u64());
-        }
     }
 
     #[test]

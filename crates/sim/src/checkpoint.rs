@@ -56,7 +56,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use antalloc_core::AdversarialScratch;
 use antalloc_env::{Assignment, DemandVector, TriggerState};
-use bytes::BufMut;
 
 use crate::config::{ControllerSpec, SimConfig};
 use crate::engine::{Snapshot, SyncEngine};
@@ -226,30 +225,30 @@ impl Checkpoint {
         // measurably raised peak RSS on 200k-ant colonies.
         let runtime: usize = self.runtime_section_lens().iter().sum();
         let mut out = Vec::with_capacity(40 + config.len() + noise.len() + runtime);
-        out.put_u32_le(MAGIC);
-        out.put_u32_le(VERSION);
-        out.put_u64_le(s.round);
-        out.put_u64_le(s.next_stream);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&s.round.to_le_bytes());
+        out.extend_from_slice(&s.next_stream.to_le_bytes());
         put_text(&mut out, &config);
         put_text(&mut out, &noise);
-        out.put_u64_le(s.demands.len() as u64);
+        out.extend_from_slice(&(s.demands.len() as u64).to_le_bytes());
         put_le(&mut out, &s.demands, u64::to_le_bytes);
-        out.put_u64_le(s.cursor);
-        out.put_u64_le(s.triggers.len() as u64);
+        out.extend_from_slice(&s.cursor.to_le_bytes());
+        out.extend_from_slice(&(s.triggers.len() as u64).to_le_bytes());
         for state in &s.triggers {
-            out.put_u64_le(u64::from(state.firings));
-            out.put_u64_le(state.last_fired);
-            out.put_u8(u8::from(state.pending));
-            out.put_u64_le(state.streaks.len() as u64);
+            out.extend_from_slice(&u64::from(state.firings).to_le_bytes());
+            out.extend_from_slice(&state.last_fired.to_le_bytes());
+            out.push(u8::from(state.pending));
+            out.extend_from_slice(&(state.streaks.len() as u64).to_le_bytes());
             put_le(&mut out, &state.streaks, u32::to_le_bytes);
-            out.put_u64_le(state.prev_deficits.len() as u64);
+            out.extend_from_slice(&(state.prev_deficits.len() as u64).to_le_bytes());
             put_le(&mut out, &state.prev_deficits, i64::to_le_bytes);
         }
-        out.put_u64_le(s.tasks.len() as u64);
+        out.extend_from_slice(&(s.tasks.len() as u64).to_le_bytes());
         put_le(&mut out, &s.tasks, u32::to_le_bytes);
         // Per-ant bank membership, present iff the spec is a Mix.
         if matches!(s.config.controller, ControllerSpec::Mix(_)) {
-            out.put_u64_le(s.ants.members.len() as u64);
+            out.extend_from_slice(&(s.ants.members.len() as u64).to_le_bytes());
             put_le(&mut out, &s.ants.members, u16::to_le_bytes);
         }
         put_scratch(&mut out, &s.ants, s.demands.len());
@@ -450,7 +449,7 @@ fn put_scratch(out: &mut Vec<u8>, cols: &AntColumns, k: usize) {
     // Indexed by tag.
     let ids = [&cols.sigmoid.ids, &cols.adversarial_ids, &cols.streak_ids];
     let total: usize = ids.iter().map(|ids| ids.len()).sum();
-    out.put_u64_le(total as u64);
+    out.extend_from_slice(&(total as u64).to_le_bytes());
     let mut next = [0usize; 3];
     for _ in 0..total {
         // Ids are distinct across kinds; an exhausted list never wins.
@@ -465,33 +464,33 @@ fn put_scratch(out: &mut Vec<u8>, cols: &AntColumns, k: usize) {
         };
         let e = next[tag];
         next[tag] += 1;
-        out.put_u32_le(ids[tag][e]);
-        out.put_u8(tag as u8);
+        out.extend_from_slice(&ids[tag][e].to_le_bytes());
+        out.push(tag as u8);
         match tag as u8 {
             TAG_SIGMOID => {
                 let (s, row) = (&cols.sigmoid, e * k..e * k + k);
-                out.put_u32_le(s.current[e]);
-                out.put_u8(s.have_phase[e]);
+                out.extend_from_slice(&s.current[e].to_le_bytes());
+                out.push(s.have_phase[e]);
                 for &c in s.count1[row.clone()].iter().chain(&s.count2[row.clone()]) {
-                    out.put_u16_le(c);
+                    out.extend_from_slice(&c.to_le_bytes());
                 }
                 out.extend_from_slice(&s.shat1[row]);
             }
             TAG_ADVERSARIAL => {
                 let s = &cols.adversarial[e];
-                out.put_u32_le(s.current_task.to_raw());
-                out.put_u8(u8::from(s.have_phase));
-                out.put_u8(u8::from(s.all_overload));
-                out.put_u8(u8::from(s.frozen_working));
-                out.put_u8(u8::from(s.pending_first_lack));
-                out.put_u8(match s.working_at_first_lack {
+                out.extend_from_slice(&s.current_task.to_raw().to_le_bytes());
+                out.push(u8::from(s.have_phase));
+                out.push(u8::from(s.all_overload));
+                out.push(u8::from(s.frozen_working));
+                out.push(u8::from(s.pending_first_lack));
+                out.push(match s.working_at_first_lack {
                     None => 0,
                     Some(false) => 1,
                     Some(true) => 2,
                 });
                 out.extend(s.all_lack.iter().map(|&l| u8::from(l)));
             }
-            _ => out.put_u16_le(cols.streaks[e]),
+            _ => out.extend_from_slice(&cols.streaks[e].to_le_bytes()),
         }
     }
 }
@@ -624,7 +623,7 @@ fn corrupt(msg: impl Into<String>) -> CheckpointError {
 // ---- text sections -------------------------------------------------------
 
 fn put_text(out: &mut Vec<u8>, text: &str) {
-    out.put_u64_le(text.len() as u64);
+    out.extend_from_slice(&(text.len() as u64).to_le_bytes());
     out.extend_from_slice(text.as_bytes());
 }
 
@@ -798,87 +797,88 @@ mod tests {
         let members = population.members();
         let scratch = population.scratches();
         let put_task = |out: &mut Vec<u8>, a: Assignment| {
-            out.put_u32_le(match a {
+            let raw = match a {
                 Assignment::Idle => u32::MAX,
                 Assignment::Task(j) => j,
-            })
+            };
+            out.extend_from_slice(&raw.to_le_bytes());
         };
         let mut out = Vec::new();
-        out.put_u32_le(MAGIC);
-        out.put_u32_le(VERSION);
-        out.put_u64_le(snap.round);
-        out.put_u64_le(snap.next_stream);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&snap.round.to_le_bytes());
+        out.extend_from_slice(&snap.next_stream.to_le_bytes());
         put_text(&mut out, &snap.config.to_toml());
         put_text(&mut out, &toml::write(&noise_to_value(&snap.noise)));
-        out.put_u64_le(snap.demands.len() as u64);
+        out.extend_from_slice(&(snap.demands.len() as u64).to_le_bytes());
         for &d in &snap.demands {
-            out.put_u64_le(d);
+            out.extend_from_slice(&d.to_le_bytes());
         }
-        out.put_u64_le(snap.cursor);
-        out.put_u64_le(snap.triggers.len() as u64);
+        out.extend_from_slice(&snap.cursor.to_le_bytes());
+        out.extend_from_slice(&(snap.triggers.len() as u64).to_le_bytes());
         for state in &snap.triggers {
-            out.put_u64_le(u64::from(state.firings));
-            out.put_u64_le(state.last_fired);
-            out.put_u8(u8::from(state.pending));
-            out.put_u64_le(state.streaks.len() as u64);
+            out.extend_from_slice(&u64::from(state.firings).to_le_bytes());
+            out.extend_from_slice(&state.last_fired.to_le_bytes());
+            out.push(u8::from(state.pending));
+            out.extend_from_slice(&(state.streaks.len() as u64).to_le_bytes());
             for &streak in &state.streaks {
-                out.put_u32_le(streak);
+                out.extend_from_slice(&streak.to_le_bytes());
             }
-            out.put_u64_le(state.prev_deficits.len() as u64);
+            out.extend_from_slice(&(state.prev_deficits.len() as u64).to_le_bytes());
             for &prev in &state.prev_deficits {
-                out.put_i64_le(prev);
+                out.extend_from_slice(&prev.to_le_bytes());
             }
         }
-        out.put_u64_le(assignments.len() as u64);
+        out.extend_from_slice(&(assignments.len() as u64).to_le_bytes());
         for &a in &assignments {
             put_task(&mut out, a);
         }
         if matches!(snap.config.controller, ControllerSpec::Mix(_)) {
-            out.put_u64_le(members.len() as u64);
+            out.extend_from_slice(&(members.len() as u64).to_le_bytes());
             for &m in &members {
-                out.put_u16_le(m);
+                out.extend_from_slice(&m.to_le_bytes());
             }
         }
-        out.put_u64_le(scratch.len() as u64);
+        out.extend_from_slice(&(scratch.len() as u64).to_le_bytes());
         for (ant, scratch) in &scratch {
-            out.put_u32_le(*ant);
+            out.extend_from_slice(&ant.to_le_bytes());
             match scratch {
                 ControllerScratch::PreciseSigmoid(s) => {
-                    out.put_u8(0);
+                    out.push(0);
                     put_task(&mut out, s.current_task);
-                    out.put_u8(u8::from(s.have_phase));
+                    out.push(u8::from(s.have_phase));
                     for &c in s.count1.iter().chain(&s.count2) {
-                        out.put_u16_le(c);
+                        out.extend_from_slice(&c.to_le_bytes());
                     }
                     for &l in &s.shat1_lack {
-                        out.put_u8(u8::from(l));
+                        out.push(u8::from(l));
                     }
                 }
                 ControllerScratch::PreciseAdversarial(s) => {
-                    out.put_u8(1);
+                    out.push(1);
                     put_task(&mut out, s.current_task);
-                    out.put_u8(u8::from(s.have_phase));
-                    out.put_u8(u8::from(s.all_overload));
-                    out.put_u8(u8::from(s.frozen_working));
-                    out.put_u8(u8::from(s.pending_first_lack));
-                    out.put_u8(match s.working_at_first_lack {
+                    out.push(u8::from(s.have_phase));
+                    out.push(u8::from(s.all_overload));
+                    out.push(u8::from(s.frozen_working));
+                    out.push(u8::from(s.pending_first_lack));
+                    out.push(match s.working_at_first_lack {
                         None => 0,
                         Some(false) => 1,
                         Some(true) => 2,
                     });
                     for &l in &s.all_lack {
-                        out.put_u8(u8::from(l));
+                        out.push(u8::from(l));
                     }
                 }
                 ControllerScratch::Proportional(streak) => {
-                    out.put_u8(2);
-                    out.put_u16_le(*streak);
+                    out.push(2);
+                    out.extend_from_slice(&streak.to_le_bytes());
                 }
             }
         }
         if snap.config.arena.is_some() {
             for &x in snap.arena_site.iter().chain(&snap.arena_travel) {
-                out.put_u32_le(x);
+                out.extend_from_slice(&x.to_le_bytes());
             }
         }
         out

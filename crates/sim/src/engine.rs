@@ -58,7 +58,7 @@
 //! event rounds step on every participant. A trigger that arms ends its
 //! scope the same way.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use antalloc_core::AnyController;
 use antalloc_env::{
@@ -185,7 +185,7 @@ fn step_part(
     part: &mut WorkerPart<'_>,
     prepared: &PreparedRound,
     round_key: u64,
-    arena: Option<&parking_lot::RwLock<ArenaState>>,
+    arena: Option<&RwLock<ArenaState>>,
     columns: &[TaskColumn; 2],
     parity: usize,
     delta: &mut RoundDelta,
@@ -193,7 +193,7 @@ fn step_part(
     delta.reset(prepared.num_tasks());
     // The coordinator rebuilt the sense rows before this pass and
     // rewrites them only after it, so the read guard is uncontended.
-    let arena = arena.map(|l| l.read());
+    let arena = arena.map(|l| l.read().unwrap_or_else(PoisonError::into_inner));
     let sensed = match &arena {
         Some(a) => a.sensed(prepared),
         None => SensedRound::shared(prepared),
@@ -309,16 +309,23 @@ pub struct SyncEngine {
     next_column: TaskColumn,
     /// Round-delta scratch, one slot per participant, slot 0 being the
     /// coordinator's. Grown on demand and reused across rounds and
-    /// scopes; each worker locks only its own slot between the round
-    /// barriers, the coordinator merges in its exclusive window.
-    deltas: Vec<parking_lot::Mutex<RoundDelta>>,
+    /// scopes (serial stepping opens a scope per round, so scope-local
+    /// slots would allocate every round); each worker locks only its own
+    /// slot between the round barriers, the coordinator merges in its
+    /// exclusive window.
+    deltas: Vec<DeltaSlot>,
     /// Spatial runtime for arena scenarios (`None` for well-mixed).
-    /// Behind a lock because workers read the frozen sense rows between
-    /// the round barriers while the coordinator writes them (sense-row
-    /// rebuild, wander pass) in its exclusive windows — the lock is
-    /// never contended.
-    arena: Option<parking_lot::RwLock<ArenaState>>,
+    /// Unlocked outside a scope; `run_scope` moves it behind an
+    /// `RwLock` for the scope's duration, see there.
+    arena: Option<ArenaState>,
 }
+
+/// One participant's delta slot, alone on its 128-byte block (the
+/// adjacent-line prefetch pair on x86-64): the coordinator and the
+/// workers write their slots on every assignment change, so slots that
+/// shared a line would ping-pong it between cores.
+#[repr(align(128))]
+struct DeltaSlot(Mutex<RoundDelta>);
 
 impl SyncEngine {
     pub(crate) fn new(config: SimConfig, demands: DemandVector) -> Self {
@@ -346,7 +353,7 @@ impl SyncEngine {
             arena: config
                 .arena
                 .as_ref()
-                .map(|a| parking_lot::RwLock::new(ArenaState::new(a, n, config.seed))),
+                .map(|a| ArenaState::new(a, n, config.seed)),
             compiled,
             config,
         };
@@ -390,7 +397,7 @@ impl SyncEngine {
         // stale capacity cannot leak state.
         self.arena = config.arena.as_ref().map(|a| {
             let mut arena = self.take_arena(a, config.seed);
-            arena.get_mut().reset(a, n, config.seed);
+            arena.reset(a, n, config.seed);
             arena
         });
         let initial = self.config.initial.clone();
@@ -403,7 +410,7 @@ impl SyncEngine {
         initial.apply(&mut self.colony, &mut self.init_rng);
         self.population.reset_to_colony(&self.colony);
         if let Some(arena) = &mut self.arena {
-            arena.get_mut().sync_to_colony(&self.colony);
+            arena.sync_to_colony(&self.colony);
         }
     }
 
@@ -482,13 +489,12 @@ impl SyncEngine {
             return;
         }
         let mut rng = self.event_seeder.stream(round);
-        let mut arena = self.arena.as_mut().map(|l| l.get_mut());
         for event in &fired {
             apply_event(
                 event,
                 &mut self.colony,
                 &mut self.population,
-                arena.as_deref_mut(),
+                self.arena.as_mut(),
                 &mut self.noise,
                 &mut rng,
                 &mut self.next_stream,
@@ -571,6 +577,10 @@ impl SyncEngine {
     /// Returns the rounds completed — fewer than `rounds` when a
     /// trigger arms, since its event mutates the population the parts
     /// borrow and must fire in the driver's exclusive window.
+    ///
+    /// `std::thread::scope` re-raises a worker's panic when the scope
+    /// ends, not mid-round: the coordinator still waits at the round's
+    /// `done` barrier, which a panicked worker never reaches.
     fn run_scope(&mut self, rounds: u64, workers: usize, observer: &mut impl Observer) -> u64 {
         use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -578,7 +588,7 @@ impl SyncEngine {
         if self.deltas.len() < workers {
             let k = self.colony.num_tasks();
             self.deltas
-                .resize_with(workers, || parking_lot::Mutex::new(RoundDelta::new(k)));
+                .resize_with(workers, || DeltaSlot(Mutex::new(RoundDelta::new(k))));
         }
         self.next_column.resize(n);
         // The double buffer, shared immutably with every participant: on
@@ -596,8 +606,7 @@ impl SyncEngine {
         // parity and round key here — one Arc bump per round, no deep
         // clone; workers read it only between the two barriers of a
         // round.
-        let shared: parking_lot::RwLock<Option<(Arc<PreparedRound>, usize, u64)>> =
-            parking_lot::RwLock::new(None);
+        let shared: RwLock<Option<(Arc<PreparedRound>, usize, u64)>> = RwLock::new(None);
         let start = std::sync::Barrier::new(workers);
         let done = std::sync::Barrier::new(workers);
         let stop = AtomicBool::new(false);
@@ -611,15 +620,24 @@ impl SyncEngine {
         // audit:allow(panic-path): the partitioner emits exactly `workers` >= 1 parts.
         let mut own_part = parts.next().expect("one part per participant");
         let (own_delta, worker_deltas) = self.deltas[..workers].split_at_mut(1);
-        let own_delta = own_delta[0].get_mut();
+        let own_delta = own_delta[0]
+            .0
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         let worker_deltas = &*worker_deltas;
-        let arena = self.arena.as_ref();
+        // The arena is locked only for the scope: workers read the
+        // frozen sense rows between the round barriers while the
+        // coordinator writes them (sense-row rebuild, wander pass) in
+        // its exclusive windows, so the lock is never contended. Moving
+        // it in and out is O(1).
+        let arena_lock = self.arena.take().map(RwLock::new);
+        let arena = arena_lock.as_ref();
         let columns_ref = &columns;
 
-        let (completed, parity) = crossbeam::thread::scope(|scope| {
+        let (completed, parity) = std::thread::scope(|scope| {
             for (mut part, slot) in parts.zip(worker_deltas) {
                 let (shared, start, done, stop) = (&shared, &start, &done, &stop);
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     start.wait();
                     if stop.load(Ordering::Acquire) {
                         return;
@@ -628,7 +646,7 @@ impl SyncEngine {
                         // Both guards drop before `done`, so the
                         // coordinator's merge and next publish never
                         // wait on them.
-                        let published = shared.read();
+                        let published = shared.read().unwrap_or_else(PoisonError::into_inner);
                         // audit:allow(panic-path): the coordinator publishes the round before releasing the start barrier.
                         let (prepared, parity, key) = published.as_ref().expect("round published");
                         step_part(
@@ -638,7 +656,7 @@ impl SyncEngine {
                             arena,
                             columns_ref,
                             *parity,
-                            &mut slot.lock(),
+                            &mut slot.0.lock().unwrap_or_else(PoisonError::into_inner),
                         );
                     }
                     done.wait();
@@ -659,13 +677,16 @@ impl SyncEngine {
                     self.colony.demands().as_slice(),
                 );
                 if let Some(l) = arena {
-                    l.write().build_round(&prepared);
+                    l.write()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .build_round(&prepared);
                 }
                 let round_key = self.seeder.round_key(self.round);
                 let published;
                 let prepared = if workers > 1 {
                     published = Arc::new(prepared);
-                    *shared.write() = Some((Arc::clone(&published), parity, round_key));
+                    *shared.write().unwrap_or_else(PoisonError::into_inner) =
+                        Some((Arc::clone(&published), parity, round_key));
                     start.wait();
                     &*published
                 } else {
@@ -689,13 +710,15 @@ impl SyncEngine {
                 let mut switches = own_delta.switches();
                 self.colony.apply_round_delta(own_delta);
                 for slot in worker_deltas {
-                    let delta = slot.lock();
+                    let delta = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
                     switches += delta.switches();
                     self.colony.apply_round_delta(&delta);
                 }
                 parity ^= 1;
                 if let Some(l) = arena {
-                    l.write().wander(self.round, self.colony.idle_mask());
+                    l.write()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .wander(self.round, self.colony.idle_mask());
                 }
                 self.colony.deficits_into(&mut self.post_deficits);
                 observer.on_round(&RoundRecord {
@@ -722,9 +745,8 @@ impl SyncEngine {
                 start.wait();
             }
             (completed, parity)
-        })
-        // audit:allow(panic-path): propagating a worker panic is the only sane response — the round state is torn.
-        .expect("worker thread panicked");
+        });
+        self.arena = arena_lock.map(|l| l.into_inner().unwrap_or_else(PoisonError::into_inner));
         // Return the lent buffers: the parity-current one becomes the
         // colony's authoritative column again (an O(1) move — the flips
         // already applied every round), the other the next scope's
@@ -748,7 +770,7 @@ impl SyncEngine {
             p,
             &mut self.colony,
             &mut self.population,
-            self.arena.as_mut().map(|l| l.get_mut()),
+            self.arena.as_mut(),
             &mut self.init_rng,
             &mut self.next_stream,
         );
@@ -763,10 +785,7 @@ impl SyncEngine {
     /// Copies the engine's state out as columns (checkpoint capture).
     pub(crate) fn snapshot(&self) -> Snapshot {
         let (arena_site, arena_travel) = match &self.arena {
-            Some(l) => {
-                let a = l.read();
-                (a.site().to_vec(), a.travel().to_vec())
-            }
+            Some(a) => (a.site().to_vec(), a.travel().to_vec()),
             None => (Vec::new(), Vec::new()),
         };
         Snapshot {
@@ -842,15 +861,14 @@ impl SyncEngine {
         // round's kernels overwrite each slot before it is read.
         self.arena = config.arena.as_ref().map(|a| {
             let mut arena = self.take_arena(a, config.seed);
-            let state = arena.get_mut();
             if snap.arena_site.is_empty() {
                 // Defensive: a snapshot of an arena config always
                 // carries its columns; re-derive from the colony if one
                 // somehow does not.
-                state.reset(a, n, config.seed);
-                state.sync_to_colony(&self.colony);
+                arena.reset(a, n, config.seed);
+                arena.sync_to_colony(&self.colony);
             } else {
-                state.restore(a, config.seed, &snap.arena_site, &snap.arena_travel);
+                arena.restore(a, config.seed, &snap.arena_site, &snap.arena_travel);
             }
             arena
         });
@@ -859,10 +877,10 @@ impl SyncEngine {
     /// The engine's arena, taken out for an in-place reset or restore
     /// that reuses its column allocations, or an empty one if the
     /// engine had none.
-    fn take_arena(&mut self, config: &ArenaConfig, seed: u64) -> parking_lot::RwLock<ArenaState> {
+    fn take_arena(&mut self, config: &ArenaConfig, seed: u64) -> ArenaState {
         self.arena
             .take()
-            .unwrap_or_else(|| parking_lot::RwLock::new(ArenaState::new(config, 0, seed)))
+            .unwrap_or_else(|| ArenaState::new(config, 0, seed))
     }
 }
 
@@ -996,6 +1014,35 @@ mod tests {
         pooled.run_parallel(20, 8, &mut obs);
         assert_eq!(serial.colony().loads(), pooled.colony().loads());
         assert_eq!(serial.colony().assignments(), pooled.colony().assignments());
+    }
+
+    #[test]
+    fn pooled_delta_slots_share_no_128_byte_block() {
+        let mut e = config().build();
+        e.run_parallel_forced(20, 3, &mut NullObserver);
+        assert_eq!(e.deltas.len(), 3);
+        // Per slot: the 128-byte blocks its inline bytes and its load
+        // counters in use touch, as inclusive block-index ranges.
+        let blocks = |addr: usize, len: usize| (addr / 128, (addr + len - 1) / 128);
+        let touched: Vec<[(usize, usize); 2]> = e
+            .deltas
+            .iter_mut()
+            .map(|slot| {
+                let inline = blocks(std::ptr::from_ref(&*slot).addr(), size_of::<DeltaSlot>());
+                let loads = slot.0.get_mut().unwrap().load_deltas();
+                assert!(!loads.is_empty());
+                [inline, blocks(loads.as_ptr().addr(), size_of_val(loads))]
+            })
+            .collect();
+        for (i, a) in touched.iter().enumerate() {
+            for (j, b) in touched.iter().enumerate().skip(i + 1) {
+                for &(a0, a1) in a {
+                    for &(b0, b1) in b {
+                        assert!(a1 < b0 || b1 < a0, "slots {i} and {j} share a block");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

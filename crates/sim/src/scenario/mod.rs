@@ -34,18 +34,17 @@
 //! assert_eq!(outcomes.len(), 4);
 //! ```
 
-mod batch;
 mod builder;
 mod codec;
 mod error;
 pub mod json;
 mod sink;
+mod sweep;
 pub mod toml;
 mod value;
 
 use std::path::Path;
 
-pub use batch::{AxisValue, CapturePolicy, RunOutcome, Sweep, UsePolicy};
 pub use builder::{ScenarioBuilder, MAX_TASKS};
 pub use codec::{
     condition_from_value, condition_to_value, config_from_value, config_to_value,
@@ -55,6 +54,7 @@ pub use codec::{
 };
 pub use error::ConfigError;
 pub use sink::{CsvSink, JsonlSink, RunSink};
+pub use sweep::{AxisValue, CapturePolicy, RunOutcome, Sweep, UsePolicy};
 pub use value::Value;
 
 use crate::config::SimConfig;

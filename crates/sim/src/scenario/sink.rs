@@ -13,7 +13,7 @@
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::scenario::batch::RunOutcome;
+use crate::scenario::sweep::RunOutcome;
 
 /// A consumer of per-run outcomes, fed in completion order.
 pub trait RunSink {
@@ -181,10 +181,10 @@ impl<W: Write> RunSink for JsonlSink<W> {
                     write!(self.out, ",")?;
                 }
                 match value {
-                    crate::scenario::batch::AxisValue::Float(x) => {
+                    crate::scenario::sweep::AxisValue::Float(x) => {
                         write!(self.out, "\"{}\":{x}", json_escape(name))?;
                     }
-                    crate::scenario::batch::AxisValue::Text(s) => {
+                    crate::scenario::sweep::AxisValue::Text(s) => {
                         write!(self.out, "\"{}\":\"{}\"", json_escape(name), json_escape(s))?;
                     }
                 }

@@ -44,11 +44,10 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 pub use antalloc_store::{CapturePolicy, UsePolicy};
 use antalloc_store::{CheckpointStore, EntryKind, Fingerprint, FingerprintBuilder};
-use parking_lot::Mutex;
 
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
@@ -773,7 +772,11 @@ impl Sweep {
         prefixes: &Mutex<BTreeMap<u64, Arc<Checkpoint>>>,
     ) -> Result<RunOutcome, ConfigError> {
         let seed = worker.scratch.seed;
-        let memo = prefixes.lock().get(&seed).cloned();
+        let memo = prefixes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&seed)
+            .cloned();
         let ckpt = match memo {
             Some(c) => c,
             None => {
@@ -781,7 +784,10 @@ impl Sweep {
                 // prefix run; both compute identical checkpoints, so
                 // last-insert-wins is benign.
                 let c = self.prefix_checkpoint(seed, r, &mut worker.engine)?;
-                prefixes.lock().insert(seed, c.clone());
+                prefixes
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(seed, c.clone());
                 c
             }
         };
