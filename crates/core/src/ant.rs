@@ -17,8 +17,8 @@
 //! parks there (Theorem 3.1).
 
 use antalloc_env::Assignment;
-use antalloc_noise::{Feedback, FeedbackProbe, RoundView};
-use antalloc_rng::{uniform_index, AntRng, Bernoulli};
+use antalloc_noise::{Feedback, FeedbackProbe};
+use antalloc_rng::{uniform_index, Bernoulli};
 
 use crate::controller::Controller;
 use crate::params::AntParams;
@@ -91,22 +91,6 @@ impl AlgorithmAnt {
     /// Number of tasks this controller observes.
     pub fn num_tasks(&self) -> usize {
         self.s1_all.len()
-    }
-
-    /// Bank-loop entry point: steps a homogeneous slice of Algorithm Ant
-    /// controllers against one shared [`RoundView`].
-    ///
-    /// Bit-identical to per-ant [`Controller::step`] (the reference
-    /// semantics); phase offsets are honoured per ant, so desynchronized
-    /// banks work too. Offset-0 colonies get the structure-of-arrays
-    /// fast path instead — see [`crate::AntBank`].
-    pub fn step_bank(
-        ants: &mut [Self],
-        view: RoundView<'_>,
-        rngs: &mut [AntRng],
-        out: &mut [Assignment],
-    ) {
-        crate::controller::step_slice(ants, view, rngs, out)
     }
 
     /// Copies the persistent per-ant state out, for transposition into

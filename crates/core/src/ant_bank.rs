@@ -18,11 +18,12 @@
 //! Only phase-offset-0 ants live here; desynchronized (`AntDesync`)
 //! colonies keep the per-ant layout.
 
-use antalloc_env::{Assignment, ColumnWriter};
-use antalloc_noise::{RoundView, SensedRound};
+use antalloc_env::Assignment;
+use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant::{AlgorithmAnt, AntBankState};
+use crate::bank::Stepping;
 use crate::params::AntParams;
 use crate::slot_map::SlotMap;
 
@@ -237,27 +238,6 @@ impl AntBank {
             s1_all: &mut self.s1_all,
         }
     }
-
-    /// Steps the single ant at `slot` (the sequential model's path) —
-    /// the same kernel as the bank loop, on a one-ant chunk.
-    pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
-        let k = self.num_tasks;
-        let mut slice = AntSliceMut {
-            pause: self.pause,
-            leave: self.leave,
-            num_tasks: k,
-            current: &mut self.current[slot..slot + 1],
-            assignment: &mut self.assignment[slot..slot + 1],
-            s1_current: &mut self.s1_current[slot..slot + 1],
-            have_s1: &mut self.have_s1[slot..slot + 1],
-            s1_all: &mut self.s1_all[slot * k..slot * k + k],
-        };
-        if view.round() % 2 == 1 {
-            slice.first_sample_round(0, view, rng)
-        } else {
-            slice.second_sample_round(0, view, rng)
-        }
-    }
 }
 
 /// A disjoint mutable chunk of an [`AntBank`].
@@ -316,79 +296,24 @@ impl<'a> AntSliceMut<'a> {
         )
     }
 
-    /// Steps every ant in the chunk. Bit-identical to per-ant
-    /// [`crate::Controller::step`] on [`AlgorithmAnt`]: same samples,
-    /// same coins, same short-circuits, per ant in slot order.
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
+    /// Steps every ant in the chunk through `stepping`. Bit-identical to
+    /// per-ant [`crate::Controller::step`] on [`AlgorithmAnt`]: same
+    /// samples, same coins, same short-circuits, per ant in slot order.
+    /// The sub-round parity picks the whole loop, not a branch per ant.
+    pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
-        if view.round() % 2 == 1 {
-            for i in 0..n {
-                out[i] = self.first_sample_round(i, view, &mut rngs[i]);
-            }
+        if stepping.round() % 2 == 1 {
+            stepping.run(
+                n,
+                #[inline(always)]
+                |i, view, rng| self.first_sample_round(i, view, rng),
+            );
         } else {
-            for i in 0..n {
-                out[i] = self.second_sample_round(i, view, &mut rngs[i]);
-            }
-        }
-    }
-
-    /// Fused-apply variant of [`AntSliceMut::step_batch`]: steps every
-    /// ant (the same code, drawing from its stream for the round,
-    /// `AntRng::keyed(round_key, ids[i])`) and routes each transition
-    /// through `writer` — storing the next assignment into the shared column at
-    /// the ant's colony id (`ids[i]`) and folding the switch/load/idle
-    /// change into the writer's local delta. The previous assignment is
-    /// read from the bank's own column (banks mirror the colony), so
-    /// the kernel never touches `ColonyState`.
-    ///
-    /// Takes the round as a [`SensedRound`]: when every ant senses the
-    /// shared table (well-mixed) this dispatches to the same loops as
-    /// before; otherwise each ant steps against its own sensed view
-    /// (`sensed.view_for(ids[i])`), with the per-ant draw order
-    /// unchanged either way.
-    pub fn step_batch_fused(
-        &mut self,
-        sensed: SensedRound<'_>,
-        round_key: u64,
-        ids: &[u32],
-        writer: &mut ColumnWriter<'_>,
-    ) {
-        let n = self.len();
-        assert_eq!(n, ids.len(), "one colony id per ant");
-        let first = sensed.round() % 2 == 1;
-        match sensed.shared_view() {
-            Some(view) => {
-                if first {
-                    for (i, &id) in ids.iter().enumerate() {
-                        let rng = &mut AntRng::keyed(round_key, id.into());
-                        self.first_sample_round(i, view, rng);
-                        writer.write(id, self.assignment[i]);
-                    }
-                } else {
-                    for (i, &id) in ids.iter().enumerate() {
-                        let rng = &mut AntRng::keyed(round_key, id.into());
-                        self.second_sample_round(i, view, rng);
-                        writer.write(id, self.assignment[i]);
-                    }
-                }
-            }
-            None => {
-                if first {
-                    for (i, &id) in ids.iter().enumerate() {
-                        let rng = &mut AntRng::keyed(round_key, id.into());
-                        self.first_sample_round(i, sensed.view_for(id), rng);
-                        writer.write(id, self.assignment[i]);
-                    }
-                } else {
-                    for (i, &id) in ids.iter().enumerate() {
-                        let rng = &mut AntRng::keyed(round_key, id.into());
-                        self.second_sample_round(i, sensed.view_for(id), rng);
-                        writer.write(id, self.assignment[i]);
-                    }
-                }
-            }
+            stepping.run(
+                n,
+                #[inline(always)]
+                |i, view, rng| self.second_sample_round(i, view, rng),
+            );
         }
     }
 
@@ -486,38 +411,54 @@ impl<'a> AntSliceMut<'a> {
 mod tests {
     use super::*;
     use crate::controller::Controller;
+    use crate::ControllerBank;
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
+    /// The SoA bank against the per-ant reference, round for round,
+    /// through the chunk loop (`step_batch`) and, on a twin bank, one
+    /// slot at a time (`step_slot`, the sequential model's path) — at 3
+    /// tasks and at 65, past the bit-packed 64-task join into the
+    /// row-buffer fallback.
     #[test]
     fn soa_bank_matches_per_ant_stepping() {
+        for k in [3, 65] {
+            soa_bank_matches_per_ant_stepping_at(k);
+        }
+    }
+
+    fn soa_bank_matches_per_ant_stepping_at(k: usize) {
         let n = 200;
-        let k = 3;
         let params = AntParams::new(1.0 / 16.0);
         let seeder = StreamSeeder::new(9);
-        let mut bank = AntBank::new(k, params, n);
+        let mut bank = ControllerBank::AntSoA(AntBank::new(k, params, n));
+        let mut twin = bank.clone();
         let mut reference: Vec<AlgorithmAnt> =
             (0..n).map(|_| AlgorithmAnt::new(k, params)).collect();
         let model = NoiseModel::Sigmoid { lambda: 1.0 };
+        let deficits: Vec<i64> = (0..k).map(|j| [4, 0, -4][j % 3]).collect();
+        let loads = vec![20; k];
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=40u64 {
-            let prepared = model.prepare(round, &[4, 0, -4], &[20, 20, 20]);
+            let prepared = model.prepare(round, &deficits, &loads);
             let mut bank_rngs = crate::round_streams(&seeder, round, n);
             let mut ref_rngs = bank_rngs.clone();
-            bank.as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs, &mut out);
+            let mut slot_rngs = bank_rngs.clone();
+            bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round}");
+                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round} k {k}");
                 assert_eq!(ant.assignment(), bank.assignment(i), "ant {i}");
+                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                assert_eq!(slot, out[i], "slot {i} round {round} k {k}");
             }
         }
         // Conversion out matches the reference controllers' behaviour on
         // the next round too (persistent state is lossless).
-        let prepared = model.prepare(41, &[4, 0, -4], &[20, 20, 20]);
+        let prepared = model.prepare(41, &deficits, &loads);
         let mut ref_rngs = crate::round_streams(&seeder, 41, n);
         for i in 0..n {
-            let mut rebuilt = bank.to_controller(i);
+            let mut rebuilt = bank.to_any(i);
             let mut rng_a = ref_rngs[i].clone();
             let mut probe = FeedbackProbe::new(&prepared, &mut rng_a);
             let a = rebuilt.step(&mut probe);

@@ -2,13 +2,15 @@
 //!
 //! A colony that runs one algorithm should pay its dispatch once per
 //! **bank** per round, not once per ant. A [`ControllerBank`] stores all
-//! ants of one controller kind contiguously and steps them through the
-//! kind's `step_bank` entry point — a tight monomorphic loop over a
-//! shared [`RoundView`] — with the per-ant [`Controller`] impls as the
-//! reference semantics (bank-stepping is bit-identical to per-ant
-//! stepping because every ant consumes only its own RNG stream, in the
-//! same order; the engine's stream for ant `id` in a round is
-//! `AntRng::keyed(round_key, id)`, built inside the kernel).
+//! ants of one controller kind contiguously. Each kind writes only its
+//! per-ant step (plus a per-chunk prelude such as a scratch row); one
+//! pair of generic drivers in this module runs that step over a chunk,
+//! monomorphised per kind, on every stepping path. The per-ant
+//! [`Controller`] impls are the reference semantics: bank-stepping is
+//! bit-identical to per-ant stepping because every ant consumes only
+//! its own RNG stream, in the same order. The engine's stream for ant
+//! `id` in a round is `AntRng::keyed(round_key, id)`, built by the
+//! fused driver.
 //!
 //! Every shipped homogeneous kind has a **structure-of-arrays fast
 //! layout**: [`AntBank`] for synchronized §4 Ant colonies,
@@ -47,12 +49,12 @@
 //! ```
 
 use antalloc_env::{Assignment, ColumnWriter, TaskColumn};
-use antalloc_noise::{FeedbackProbe, RoundView, SensedRound};
+use antalloc_noise::{RoundView, SensedRound};
 use antalloc_rng::AntRng;
 
 use crate::ant::AlgorithmAnt;
 use crate::ant_bank::{AntBank, AntSliceMut};
-use crate::controller::{step_slice_fused, AnyController, Controller};
+use crate::controller::{step_controllers, AnyController, Controller};
 use crate::flat_bank::{ExactGreedyBank, ExactGreedySliceMut, TrivialBank, TrivialSliceMut};
 use crate::precise_adversarial::{AdversarialScratch, PreciseAdversarial};
 use crate::precise_sigmoid::SigmoidScratch;
@@ -175,27 +177,6 @@ impl ControllerBank {
         self.as_slice_mut().step_batch(view, rngs, out)
     }
 
-    /// Fused-apply variant of [`ControllerBank::step_batch`]: steps
-    /// every ant and routes each transition through `writer` — the
-    /// engine's shared next-state column plus a local
-    /// [`antalloc_env::RoundDelta`] — at the ants' colony ids (`ids`,
-    /// one per ant, bank order). Ant `ids[i]` draws from its stream for
-    /// the round, `AntRng::keyed(round_key, ids[i])`; see
-    /// [`BankSliceMut::step_batch_fused`].
-    ///
-    /// Takes the round as a [`SensedRound`]; a shared (well-mixed)
-    /// round runs the same code as before the sensing layer existed.
-    pub fn step_batch_fused(
-        &mut self,
-        sensed: SensedRound<'_>,
-        round_key: u64,
-        ids: &[u32],
-        writer: &mut ColumnWriter<'_>,
-    ) {
-        self.as_slice_mut()
-            .step_batch_fused(sensed, round_key, ids, writer)
-    }
-
     /// The whole bank as a splittable mutable slice (for partitioning
     /// across workers).
     pub fn as_slice_mut(&mut self) -> BankSliceMut<'_> {
@@ -211,14 +192,17 @@ impl ControllerBank {
         }
     }
 
-    /// Steps the single ant at `slot` (sequential-model engines).
+    /// Steps the single ant at `slot` (sequential-model engines): the
+    /// bank's own kernel on a one-ant chunk.
     pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
-        each_bank!(self,
-        b => b.step_slot(slot, view, rng),
-        v => {
-            let mut probe = FeedbackProbe::from_view(view, rng);
-            v[slot].step(&mut probe)
-        })
+        let mut out = Assignment::Idle;
+        let (_, rest) = self.as_slice_mut().split_at_mut(slot);
+        rest.split_at_mut(1).0.step_batch(
+            view,
+            std::slice::from_mut(rng),
+            std::slice::from_mut(&mut out),
+        );
+        out
     }
 
     /// The assignment of the ant at `slot`.
@@ -414,32 +398,21 @@ impl<'a> BankSliceMut<'a> {
     /// Steps every ant in the chunk (same contract as
     /// [`ControllerBank::step_batch`]).
     pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
-        match self {
-            BankSliceMut::AntSoA(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::Ant(v) => AlgorithmAnt::step_bank(v, view, rngs, out),
-            BankSliceMut::PreciseSigmoid(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::PreciseAdversarial(v) => {
-                PreciseAdversarial::step_bank(v, view, rngs, out)
-            }
-            BankSliceMut::Trivial(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::ExactGreedy(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::Proportional(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::Table(v) => TableFsm::step_bank(v, view, rngs, out),
-        }
+        self.step(Stepping::Streams { view, rngs, out })
     }
 
     /// Fused-apply stepping: every ant's next assignment goes straight
     /// into the engine's shared next-state column (at `ids[i]`, the
     /// ant's colony id) and its transition into the writer's local
-    /// delta — no decisions buffer, no apply sweep. The fused kernels
-    /// run the same per-ant code as [`BankSliceMut::step_batch`]; they
-    /// change only where each ant's draws come from (its stream for the
-    /// round, `AntRng::keyed(round_key, ids[i])`, built on the stack)
-    /// and where the result is stored.
+    /// delta — no decisions buffer, no apply sweep. The per-ant step is
+    /// the one [`BankSliceMut::step_batch`] runs; only where each ant's
+    /// draws come from (its stream for the round,
+    /// `AntRng::keyed(round_key, ids[i])`, built on the stack) and where
+    /// the result is stored differ.
     ///
-    /// Takes the round as a [`SensedRound`]; every kernel dispatches on
-    /// [`SensedRound::shared_view`] so well-mixed rounds run the exact
-    /// pre-sensing-layer loops.
+    /// Takes the round as a [`SensedRound`]: a well-mixed round hoists
+    /// its one shared view out of the loop, a per-ant round steps each
+    /// ant against `sensed.view_for(ids[i])`.
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
@@ -447,18 +420,136 @@ impl<'a> BankSliceMut<'a> {
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
+        self.step(Stepping::Fused {
+            sensed,
+            round_key,
+            ids,
+            writer,
+        })
+    }
+
+    fn step(&mut self, stepping: Stepping<'_, '_>) {
         match self {
-            BankSliceMut::AntSoA(v) => v.step_batch_fused(sensed, round_key, ids, writer),
-            BankSliceMut::Ant(v) => step_slice_fused(v, sensed, round_key, ids, writer),
-            BankSliceMut::PreciseSigmoid(v) => v.step_batch_fused(sensed, round_key, ids, writer),
-            BankSliceMut::PreciseAdversarial(v) => {
-                step_slice_fused(v, sensed, round_key, ids, writer)
-            }
-            BankSliceMut::Trivial(v) => v.step_batch_fused(sensed, round_key, ids, writer),
-            BankSliceMut::ExactGreedy(v) => v.step_batch_fused(sensed, round_key, ids, writer),
-            BankSliceMut::Proportional(v) => v.step_batch_fused(sensed, round_key, ids, writer),
-            BankSliceMut::Table(v) => step_slice_fused(v, sensed, round_key, ids, writer),
+            BankSliceMut::AntSoA(v) => v.step_chunk(stepping),
+            BankSliceMut::Ant(v) => step_controllers(v, stepping),
+            BankSliceMut::PreciseSigmoid(v) => v.step_chunk(stepping),
+            BankSliceMut::PreciseAdversarial(v) => step_controllers(v, stepping),
+            BankSliceMut::Trivial(v) => v.step_chunk(stepping),
+            BankSliceMut::ExactGreedy(v) => v.step_chunk(stepping),
+            BankSliceMut::Proportional(v) => v.step_chunk(stepping),
+            BankSliceMut::Table(v) => step_controllers(v, stepping),
         }
+    }
+}
+
+/// Where a chunk's per-ant steps draw from and write to. Every kind
+/// hands its per-ant step, `(slot, view, rng) -> next assignment`, to
+/// [`Stepping::run`]; the two drivers behind it are the only loops
+/// over ants in the crate.
+pub(crate) enum Stepping<'a, 'w> {
+    /// Ant `i` draws from `rngs[i]`; its decision lands in `out[i]`.
+    Streams {
+        view: RoundView<'a>,
+        rngs: &'a mut [AntRng],
+        out: &'a mut [Assignment],
+    },
+    /// Ant `i` draws from `AntRng::keyed(round_key, ids[i])`; its
+    /// decision goes through `writer` at colony id `ids[i]`.
+    Fused {
+        sensed: SensedRound<'a>,
+        round_key: u64,
+        ids: &'a [u32],
+        writer: &'a mut ColumnWriter<'w>,
+    },
+}
+
+impl Stepping<'_, '_> {
+    /// The round being stepped (the global clock every ant shares).
+    pub(crate) fn round(&self) -> u64 {
+        match self {
+            Stepping::Streams { view, .. } => view.round(),
+            Stepping::Fused { sensed, .. } => sensed.round(),
+        }
+    }
+
+    /// Runs `step` for slots `0..n` of the chunk, in slot order. A kind
+    /// whose per-chunk branch picks a whole loop (Ant's sub-round
+    /// parity) calls this once per branch, so each branch compiles to
+    /// its own monomorphic loop.
+    #[inline(always)]
+    pub(crate) fn run<F>(self, n: usize, step: F)
+    where
+        F: FnMut(usize, RoundView<'_>, &mut AntRng) -> Assignment,
+    {
+        match self {
+            Stepping::Streams { view, rngs, out } => drive_streams(n, view, rngs, out, step),
+            Stepping::Fused {
+                sensed,
+                round_key,
+                ids,
+                writer,
+            } => drive_fused(n, sensed, round_key, ids, writer, step),
+        }
+    }
+}
+
+/// The RNG-slice driver: ant `i` steps against `view` with `rngs[i]`,
+/// its decision stored in `out[i]`.
+#[inline(always)]
+fn drive_streams<F>(
+    n: usize,
+    view: RoundView<'_>,
+    rngs: &mut [AntRng],
+    out: &mut [Assignment],
+    mut step: F,
+) where
+    F: FnMut(usize, RoundView<'_>, &mut AntRng) -> Assignment,
+{
+    assert_eq!(n, rngs.len(), "one RNG stream per ant");
+    assert_eq!(n, out.len(), "one decision slot per ant");
+    for (i, (rng, slot)) in rngs.iter_mut().zip(out.iter_mut()).enumerate() {
+        *slot = step(i, view, rng);
+    }
+}
+
+/// The fused driver: ant `i` steps with its stream for the round,
+/// `AntRng::keyed(round_key, ids[i])`, and its decision goes through
+/// `writer` at `ids[i]`. A well-mixed round hoists its shared view out
+/// of the loop; otherwise each ant senses `sensed.view_for(ids[i])`.
+/// The per-ant draw order is the same either way.
+#[inline(always)]
+fn drive_fused<F>(
+    n: usize,
+    sensed: SensedRound<'_>,
+    round_key: u64,
+    ids: &[u32],
+    writer: &mut ColumnWriter<'_>,
+    step: F,
+) where
+    F: FnMut(usize, RoundView<'_>, &mut AntRng) -> Assignment,
+{
+    assert_eq!(n, ids.len(), "one colony id per ant");
+    match sensed.shared_view() {
+        Some(view) => keyed_loop(round_key, ids, writer, step, |_| view),
+        None => keyed_loop(round_key, ids, writer, step, |id| sensed.view_for(id)),
+    }
+}
+
+/// The fused driver's loop, once per view source.
+#[inline(always)]
+fn keyed_loop<'v, F, V>(
+    round_key: u64,
+    ids: &[u32],
+    writer: &mut ColumnWriter<'_>,
+    mut step: F,
+    view_of: V,
+) where
+    F: FnMut(usize, RoundView<'_>, &mut AntRng) -> Assignment,
+    V: Fn(u32) -> RoundView<'v>,
+{
+    for (i, &id) in ids.iter().enumerate() {
+        let next = step(i, view_of(id), &mut AntRng::keyed(round_key, id.into()));
+        writer.write(id, next.to_raw());
     }
 }
 
@@ -487,7 +578,7 @@ mod tests {
     use crate::params::{AntParams, PreciseSigmoidParams};
     use crate::precise_sigmoid::SigmoidScratch;
     use crate::trivial::Trivial;
-    use antalloc_noise::NoiseModel;
+    use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
     #[test]

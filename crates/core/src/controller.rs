@@ -5,6 +5,7 @@ use antalloc_noise::{FeedbackProbe, RoundView, SensedRound};
 use antalloc_rng::AntRng;
 
 use crate::ant::AlgorithmAnt;
+use crate::bank::Stepping;
 use crate::exact_greedy::ExactGreedy;
 use crate::precise_adversarial::PreciseAdversarial;
 use crate::precise_sigmoid::PreciseSigmoid;
@@ -42,7 +43,8 @@ pub trait Controller {
 }
 
 /// Steps a homogeneous slice of controllers in one tight monomorphic
-/// loop — the bank-stepping primitive behind [`crate::ControllerBank`].
+/// loop — the bank-stepping primitive behind the per-ant `Vec` banks of
+/// [`crate::ControllerBank`].
 ///
 /// Semantically identical to calling [`Controller::step`] per ant with a
 /// fresh probe: ant `i` of the slice consumes exactly the draws it would
@@ -56,12 +58,7 @@ pub fn step_slice<C: Controller>(
     rngs: &mut [AntRng],
     out: &mut [Assignment],
 ) {
-    assert_eq!(ants.len(), rngs.len(), "one RNG stream per ant");
-    assert_eq!(ants.len(), out.len(), "one decision slot per ant");
-    for ((ant, rng), slot) in ants.iter_mut().zip(rngs.iter_mut()).zip(out.iter_mut()) {
-        let mut probe = FeedbackProbe::from_view(view, rng);
-        *slot = ant.step(&mut probe);
-    }
+    step_controllers(ants, Stepping::Streams { view, rngs, out })
 }
 
 /// Fused-apply variant of [`step_slice`]: the same per-ant step, with
@@ -74,8 +71,8 @@ pub fn step_slice<C: Controller>(
 /// itself.
 ///
 /// Takes the round as a [`SensedRound`]: the well-mixed (shared) form
-/// hoists one view out of the loop as before; the per-ant form builds
-/// each ant's probe from its own sensed view.
+/// hoists one view out of the loop; the per-ant form builds each ant's
+/// probe from its own sensed view.
 pub fn step_slice_fused<C: Controller>(
     ants: &mut [C],
     sensed: SensedRound<'_>,
@@ -83,25 +80,22 @@ pub fn step_slice_fused<C: Controller>(
     ids: &[u32],
     writer: &mut ColumnWriter<'_>,
 ) {
-    assert_eq!(ants.len(), ids.len(), "one colony id per ant");
-    match sensed.shared_view() {
-        Some(view) => {
-            for (ant, &id) in ants.iter_mut().zip(ids) {
-                let rng = &mut AntRng::keyed(round_key, id.into());
-                let mut probe = FeedbackProbe::from_view(view, rng);
-                let next = ant.step(&mut probe).to_raw();
-                writer.write(id, next);
-            }
-        }
-        None => {
-            for (ant, &id) in ants.iter_mut().zip(ids) {
-                let rng = &mut AntRng::keyed(round_key, id.into());
-                let mut probe = FeedbackProbe::from_view(sensed.view_for(id), rng);
-                let next = ant.step(&mut probe).to_raw();
-                writer.write(id, next);
-            }
-        }
-    }
+    step_controllers(
+        ants,
+        Stepping::Fused {
+            sensed,
+            round_key,
+            ids,
+            writer,
+        },
+    )
+}
+
+/// Runs [`Controller::step`] as the per-ant step of `stepping`.
+pub(crate) fn step_controllers<C: Controller>(ants: &mut [C], stepping: Stepping<'_, '_>) {
+    stepping.run(ants.len(), |i, view, rng| {
+        ants[i].step(&mut FeedbackProbe::from_view(view, rng))
+    })
 }
 
 /// Static-dispatch union of every shipped controller.

@@ -13,8 +13,8 @@
 //! `exp_baseline_noise_fragility`).
 
 use antalloc_env::Assignment;
-use antalloc_noise::{FeedbackProbe, RoundView};
-use antalloc_rng::{uniform_index, AntRng, Bernoulli};
+use antalloc_noise::FeedbackProbe;
+use antalloc_rng::{uniform_index, Bernoulli};
 
 use crate::controller::Controller;
 
@@ -71,21 +71,6 @@ impl ExactGreedy {
     /// Number of tasks this controller observes.
     pub fn num_tasks(&self) -> usize {
         self.num_tasks
-    }
-
-    /// Bank-loop entry point: steps a homogeneous slice of baseline
-    /// controllers against one shared [`RoundView`]. Bit-identical to
-    /// per-ant [`Controller::step`]. Colonies use the flat
-    /// structure-of-arrays layout instead — see
-    /// [`crate::ExactGreedyBank`]; this per-ant loop remains as the
-    /// reference semantics.
-    pub fn step_bank(
-        ants: &mut [Self],
-        view: RoundView<'_>,
-        rngs: &mut [AntRng],
-        out: &mut [Assignment],
-    ) {
-        crate::controller::step_slice(ants, view, rngs, out)
     }
 }
 

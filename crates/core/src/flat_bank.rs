@@ -15,11 +15,12 @@
 //! bit-identical to per-ant runs — pinned by the parity property tests
 //! in `tests/banks.rs`.
 
-use antalloc_env::{Assignment, ColumnWriter};
-use antalloc_noise::{RoundView, SensedRound};
+use antalloc_env::Assignment;
+use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, refill, IDLE};
+use crate::bank::Stepping;
 use crate::controller::Controller;
 use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
 use crate::slot_map::SlotMap;
@@ -115,18 +116,6 @@ impl TrivialBank {
             assignment: &mut self.assignment,
         }
     }
-
-    /// Steps the single ant at `slot` (the sequential model's path).
-    pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
-        // The row buffer backs only the > 64-task fallback; the common
-        // bit-packed path must not allocate per sequential round.
-        let mut row = scratch_row(self.num_tasks);
-        TrivialSliceMut {
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment[slot..slot + 1],
-        }
-        .step_one(0, view, rng, &mut row)
-    }
 }
 
 /// A disjoint mutable chunk of a [`TrivialBank`].
@@ -162,53 +151,16 @@ impl<'a> TrivialSliceMut<'a> {
         )
     }
 
-    /// Steps every ant in the chunk; bit-identical to per-ant
-    /// [`Controller::step`] on [`Trivial`].
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
+    /// Steps every ant in the chunk through `stepping`; bit-identical
+    /// to per-ant [`Controller::step`] on [`Trivial`].
+    pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
         let mut row = scratch_row(self.num_tasks);
-        for i in 0..n {
-            out[i] = self.step_one(i, view, &mut rngs[i], &mut row);
-        }
-    }
-
-    /// Fused-apply variant of [`TrivialSliceMut::step_batch`]: the same
-    /// code, with ant `i` drawing from its stream for the round
-    /// (`AntRng::keyed(round_key, ids[i])`) and each transition routed
-    /// through `writer` (shared next column + local delta) at its
-    /// colony id (`ids[i]`).
-    ///
-    /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
-    /// form runs the pre-existing hoisted-view loop; the per-ant form
-    /// re-selects the view per ant (`sensed.view_for(ids[i])`).
-    pub fn step_batch_fused(
-        &mut self,
-        sensed: SensedRound<'_>,
-        round_key: u64,
-        ids: &[u32],
-        writer: &mut ColumnWriter<'_>,
-    ) {
-        let n = self.len();
-        assert_eq!(n, ids.len(), "one colony id per ant");
-        let mut row = scratch_row(self.num_tasks);
-        match sensed.shared_view() {
-            Some(view) => {
-                for (i, &id) in ids.iter().enumerate() {
-                    let rng = &mut AntRng::keyed(round_key, id.into());
-                    self.step_one(i, view, rng, &mut row);
-                    writer.write(id, self.assignment[i]);
-                }
-            }
-            None => {
-                for (i, &id) in ids.iter().enumerate() {
-                    let rng = &mut AntRng::keyed(round_key, id.into());
-                    self.step_one(i, sensed.view_for(id), rng, &mut row);
-                    writer.write(id, self.assignment[i]);
-                }
-            }
-        }
+        stepping.run(
+            n,
+            #[inline(always)]
+            |i, view, rng| self.step_one(i, view, rng, &mut row),
+        );
     }
 
     /// One ant's round: idle → sample all tasks, join a uniformly random
@@ -341,19 +293,6 @@ impl ExactGreedyBank {
             assignment: &mut self.assignment,
         }
     }
-
-    /// Steps the single ant at `slot` (the sequential model's path).
-    pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
-        // See TrivialBank::step_slot: no allocation on the ≤ 64 path.
-        let mut row = scratch_row(self.num_tasks);
-        ExactGreedySliceMut {
-            join: self.join,
-            leave: self.leave,
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment[slot..slot + 1],
-        }
-        .step_one(0, view, rng, &mut row)
-    }
 }
 
 /// A disjoint mutable chunk of an [`ExactGreedyBank`].
@@ -395,53 +334,16 @@ impl<'a> ExactGreedySliceMut<'a> {
         )
     }
 
-    /// Steps every ant in the chunk; bit-identical to per-ant
-    /// [`Controller::step`] on [`ExactGreedy`].
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
+    /// Steps every ant in the chunk through `stepping`; bit-identical
+    /// to per-ant [`Controller::step`] on [`ExactGreedy`].
+    pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
         let mut row = scratch_row(self.num_tasks);
-        for i in 0..n {
-            out[i] = self.step_one(i, view, &mut rngs[i], &mut row);
-        }
-    }
-
-    /// Fused-apply variant of [`ExactGreedySliceMut::step_batch`]: the same
-    /// code, with ant `i` drawing from its stream for the round
-    /// (`AntRng::keyed(round_key, ids[i])`) and each transition routed
-    /// through `writer` (shared next column + local delta) at its
-    /// colony id (`ids[i]`).
-    ///
-    /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
-    /// form runs the pre-existing hoisted-view loop; the per-ant form
-    /// re-selects the view per ant (`sensed.view_for(ids[i])`).
-    pub fn step_batch_fused(
-        &mut self,
-        sensed: SensedRound<'_>,
-        round_key: u64,
-        ids: &[u32],
-        writer: &mut ColumnWriter<'_>,
-    ) {
-        let n = self.len();
-        assert_eq!(n, ids.len(), "one colony id per ant");
-        let mut row = scratch_row(self.num_tasks);
-        match sensed.shared_view() {
-            Some(view) => {
-                for (i, &id) in ids.iter().enumerate() {
-                    let rng = &mut AntRng::keyed(round_key, id.into());
-                    self.step_one(i, view, rng, &mut row);
-                    writer.write(id, self.assignment[i]);
-                }
-            }
-            None => {
-                for (i, &id) in ids.iter().enumerate() {
-                    let rng = &mut AntRng::keyed(round_key, id.into());
-                    self.step_one(i, sensed.view_for(id), rng, &mut row);
-                    writer.write(id, self.assignment[i]);
-                }
-            }
-        }
+        stepping.run(
+            n,
+            #[inline(always)]
+            |i, view, rng| self.step_one(i, view, rng, &mut row),
+        );
     }
 
     /// One ant's round. The coin order is the reference's: samples in
@@ -482,53 +384,73 @@ impl<'a> ExactGreedySliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnyController, ControllerBank};
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
     /// Both flat banks against their per-ant references, round for
     /// round, under sigmoid noise (every code path: joins, leaves,
-    /// coins, rejections).
+    /// coins, rejections), through the chunk loop (`step_batch`) and,
+    /// on twin banks, one slot at a time (`step_slot`, the sequential
+    /// model's path) — at 3 tasks and at 65, past the bit-packed 64-task
+    /// `lack_mask` into the row-buffer fallback.
     #[test]
     fn flat_banks_match_per_ant_stepping() {
+        for k in [3, 65] {
+            flat_banks_match_per_ant_stepping_at(k);
+        }
+    }
+
+    fn flat_banks_match_per_ant_stepping_at(k: usize) {
         let n = 150;
-        let k = 3;
         let seeder = StreamSeeder::new(11);
         let model = NoiseModel::Sigmoid { lambda: 1.5 };
+        let params = ExactGreedyParams::default();
+        let deficits: Vec<i64> = (0..k).map(|j| [2, 0, -3][j % 3]).collect();
+        let loads = vec![15; k];
 
-        let mut trivial_bank = TrivialBank::new(k, n);
-        let mut trivial_ref: Vec<Trivial> = (0..n).map(|_| Trivial::new(k)).collect();
-        let mut greedy_bank = ExactGreedyBank::new(k, ExactGreedyParams::default(), n);
-        let mut greedy_ref: Vec<ExactGreedy> = (0..n)
-            .map(|_| ExactGreedy::new(k, ExactGreedyParams::default()))
-            .collect();
+        let mut banks = [
+            ControllerBank::Trivial(TrivialBank::new(k, n)),
+            ControllerBank::ExactGreedy(ExactGreedyBank::new(k, params, n)),
+        ];
+        let mut twins = banks.clone();
+        let mut references: [Vec<AnyController>; 2] = [
+            (0..n).map(|_| Trivial::new(k).into()).collect(),
+            (0..n).map(|_| ExactGreedy::new(k, params).into()).collect(),
+        ];
 
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=50u64 {
-            let prepared = model.prepare(round, &[2, 0, -3], &[15, 15, 15]);
+            let prepared = model.prepare(round, &deficits, &loads);
             let mut bank_rngs = crate::round_streams(&seeder, round, 2 * n);
             let mut ref_rngs = bank_rngs.clone();
-            trivial_bank
-                .as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs[..n], &mut out);
-            for (i, ant) in trivial_ref.iter_mut().enumerate() {
-                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-                assert_eq!(
-                    ant.step(&mut probe),
-                    out[i],
-                    "trivial ant {i} round {round}"
-                );
-            }
-            greedy_bank
-                .as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs[n..], &mut out);
-            for (i, ant) in greedy_ref.iter_mut().enumerate() {
-                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[n + i]);
-                assert_eq!(ant.step(&mut probe), out[i], "greedy ant {i} round {round}");
+            let mut slot_rngs = bank_rngs.clone();
+            for (b, ((bank, twin), reference)) in banks
+                .iter_mut()
+                .zip(&mut twins)
+                .zip(&mut references)
+                .enumerate()
+            {
+                let streams = b * n..(b + 1) * n;
+                bank.step_batch(prepared.view(), &mut bank_rngs[streams.clone()], &mut out);
+                let ref_rngs = &mut ref_rngs[streams.clone()];
+                let slot_rngs = &mut slot_rngs[streams];
+                for (i, ant) in reference.iter_mut().enumerate() {
+                    let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
+                    assert_eq!(
+                        ant.step(&mut probe),
+                        out[i],
+                        "bank {b} ant {i} round {round}"
+                    );
+                    let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                    assert_eq!(slot, out[i], "bank {b} slot {i} round {round} k {k}");
+                }
             }
         }
-        for i in 0..n {
-            assert_eq!(trivial_bank.assignment(i), trivial_ref[i].assignment());
-            assert_eq!(greedy_bank.assignment(i), greedy_ref[i].assignment());
+        for (bank, reference) in banks.iter().zip(&references) {
+            for (i, ant) in reference.iter().enumerate() {
+                assert_eq!(bank.assignment(i), ant.assignment());
+            }
         }
     }
 

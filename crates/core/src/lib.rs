@@ -24,10 +24,10 @@
 //!
 //! All controllers implement [`Controller`]. Engines store ants in
 //! homogeneous [`ControllerBank`]s — one bank per controller kind,
-//! stepped in a tight monomorphic loop ([`step_slice`]) that is
-//! bit-identical to per-ant stepping; [`AnyController`] is the
-//! per-ant dispatch enum used for spawning, reference replays, and
-//! tests.
+//! whose per-ant step one generic driver runs in a tight monomorphic
+//! loop (for the per-ant `Vec` kinds, [`step_slice`]), bit-identical to
+//! per-ant stepping; [`AnyController`] is the per-ant dispatch enum
+//! used for spawning, reference replays, and tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

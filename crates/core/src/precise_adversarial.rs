@@ -20,8 +20,8 @@
 //! state at `r_1`, which is what the regret argument uses.
 
 use antalloc_env::Assignment;
-use antalloc_noise::{FeedbackProbe, RoundView};
-use antalloc_rng::{uniform_index, AntRng, Bernoulli};
+use antalloc_noise::FeedbackProbe;
+use antalloc_rng::{uniform_index, Bernoulli};
 
 use crate::controller::Controller;
 use crate::params::PreciseAdversarialParams;
@@ -103,18 +103,6 @@ impl PreciseAdversarial {
     /// The parameters in use.
     pub fn params(&self) -> &PreciseAdversarialParams {
         &self.params
-    }
-
-    /// Bank-loop entry point: steps a homogeneous slice of Precise
-    /// Adversarial controllers against one shared [`RoundView`].
-    /// Bit-identical to per-ant [`Controller::step`].
-    pub fn step_bank(
-        ants: &mut [Self],
-        view: RoundView<'_>,
-        rngs: &mut [AntRng],
-        out: &mut [Assignment],
-    ) {
-        crate::controller::step_slice(ants, view, rngs, out)
     }
 
     /// Samples the feedback relevant to this ant and folds it into the

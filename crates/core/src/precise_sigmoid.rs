@@ -10,8 +10,8 @@
 //! `O(log 1/ε)` extra memory for the counters.
 
 use antalloc_env::Assignment;
-use antalloc_noise::{FeedbackProbe, RoundView};
-use antalloc_rng::{uniform_index, AntRng, Bernoulli};
+use antalloc_noise::FeedbackProbe;
+use antalloc_rng::{uniform_index, Bernoulli};
 
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
@@ -86,21 +86,6 @@ impl PreciseSigmoid {
     /// Number of tasks this controller observes.
     pub fn num_tasks(&self) -> usize {
         self.count1.len()
-    }
-
-    /// Bank-loop entry point: steps a homogeneous slice of Precise
-    /// Sigmoid controllers against one shared [`RoundView`].
-    /// Bit-identical to per-ant [`Controller::step`]. Colonies use the
-    /// structure-of-arrays layout instead — see
-    /// [`crate::PreciseSigmoidBank`]; this per-ant loop remains as the
-    /// reference semantics.
-    pub fn step_bank(
-        ants: &mut [Self],
-        view: RoundView<'_>,
-        rngs: &mut [AntRng],
-        out: &mut [Assignment],
-    ) {
-        crate::controller::step_slice(ants, view, rngs, out)
     }
 
     /// Copies the mid-phase counter state out — for transposition into

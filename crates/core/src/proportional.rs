@@ -24,11 +24,12 @@
 //! samples in task order, then the uniform pick, then the gain coin —
 //! pinned bit-identical by the parity tests in `tests/banks.rs`.
 
-use antalloc_env::{Assignment, ColumnWriter};
-use antalloc_noise::{FeedbackProbe, RoundView, SensedRound};
+use antalloc_env::Assignment;
+use antalloc_noise::{FeedbackProbe, RoundView};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, refill, IDLE};
+use crate::bank::Stepping;
 use crate::controller::Controller;
 use crate::slot_map::SlotMap;
 
@@ -303,20 +304,6 @@ impl ProportionalBank {
             streak: &mut self.streak,
         }
     }
-
-    /// Steps the single ant at `slot` (the sequential model's path).
-    pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
-        // See TrivialBank::step_slot: no allocation on the ≤ 64 path.
-        let mut row = crate::flat_bank::scratch_row(self.num_tasks);
-        ProportionalSliceMut {
-            gain: self.gain,
-            deadband: self.params.deadband,
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment[slot..slot + 1],
-            streak: &mut self.streak[slot..slot + 1],
-        }
-        .step_one(0, view, rng, &mut row)
-    }
 }
 
 /// A disjoint mutable chunk of a [`ProportionalBank`].
@@ -362,53 +349,16 @@ impl<'a> ProportionalSliceMut<'a> {
         )
     }
 
-    /// Steps every ant in the chunk; bit-identical to per-ant
-    /// [`Controller::step`] on [`ProportionalController`].
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
+    /// Steps every ant in the chunk through `stepping`; bit-identical
+    /// to per-ant [`Controller::step`] on [`ProportionalController`].
+    pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
         let mut row = crate::flat_bank::scratch_row(self.num_tasks);
-        for i in 0..n {
-            out[i] = self.step_one(i, view, &mut rngs[i], &mut row);
-        }
-    }
-
-    /// Fused-apply variant of [`ProportionalSliceMut::step_batch`]:
-    /// the same code, with ant `i` drawing from its stream for the round
-    /// (`AntRng::keyed(round_key, ids[i])`) and each transition routed
-    /// through `writer` (shared next column + local delta) at its colony
-    /// id (`ids[i]`).
-    ///
-    /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
-    /// form runs the hoisted-view loop; the per-ant form re-selects the
-    /// view per ant (`sensed.view_for(ids[i])`).
-    pub fn step_batch_fused(
-        &mut self,
-        sensed: SensedRound<'_>,
-        round_key: u64,
-        ids: &[u32],
-        writer: &mut ColumnWriter<'_>,
-    ) {
-        let n = self.len();
-        assert_eq!(n, ids.len(), "one colony id per ant");
-        let mut row = crate::flat_bank::scratch_row(self.num_tasks);
-        match sensed.shared_view() {
-            Some(view) => {
-                for (i, &id) in ids.iter().enumerate() {
-                    let rng = &mut AntRng::keyed(round_key, id.into());
-                    self.step_one(i, view, rng, &mut row);
-                    writer.write(id, self.assignment[i]);
-                }
-            }
-            None => {
-                for (i, &id) in ids.iter().enumerate() {
-                    let rng = &mut AntRng::keyed(round_key, id.into());
-                    self.step_one(i, sensed.view_for(id), rng, &mut row);
-                    writer.write(id, self.assignment[i]);
-                }
-            }
-        }
+        stepping.run(
+            n,
+            #[inline(always)]
+            |i, view, rng| self.step_one(i, view, rng, &mut row),
+        );
     }
 
     /// One ant's round. Draw order matches the reference: samples in
@@ -471,6 +421,7 @@ impl<'a> ProportionalSliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ControllerBank, ControllerScratch};
     use antalloc_noise::{Feedback, NoiseModel, PreparedRound};
     use antalloc_rng::{AntRng, StreamSeeder};
 
@@ -560,32 +511,51 @@ mod tests {
     }
 
     /// The flat bank against the per-ant reference, round for round,
-    /// under sigmoid noise (joins, leaves, deadband streaks, coins).
+    /// under sigmoid noise (joins, leaves, deadband streaks, coins),
+    /// through the chunk loop (`step_batch`) and, on a twin bank, one
+    /// slot at a time (`step_slot`, the sequential model's path) — at 3
+    /// tasks and at 65, past the bit-packed 64-task `lack_mask` into the
+    /// row-buffer fallback.
     #[test]
     fn bank_matches_per_ant_stepping() {
+        for k in [3, 65] {
+            bank_matches_per_ant_stepping_at(k);
+        }
+    }
+
+    fn bank_matches_per_ant_stepping_at(k: usize) {
         let n = 150;
-        let k = 3;
         let params = ProportionalParams {
             gain: 0.4,
             deadband: 1,
         };
         let seeder = StreamSeeder::new(17);
         let model = NoiseModel::Sigmoid { lambda: 1.5 };
-        let mut bank = ProportionalBank::new(k, params, n);
+        let deficits: Vec<i64> = (0..k).map(|j| [2, 0, -3][j % 3]).collect();
+        let loads = vec![15; k];
+        let mut bank = ControllerBank::Proportional(ProportionalBank::new(k, params, n));
+        let mut twin = bank.clone();
         let mut reference: Vec<ProportionalController> = (0..n)
             .map(|_| ProportionalController::new(k, params))
             .collect();
+        let streak = |bank: &ControllerBank, i: usize| match bank.scratch(i) {
+            Some(ControllerScratch::Proportional(s)) => s,
+            _ => 0,
+        };
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=60u64 {
-            let prepared = model.prepare(round, &[2, 0, -3], &[15, 15, 15]);
+            let prepared = model.prepare(round, &deficits, &loads);
             let mut bank_rngs = crate::round_streams(&seeder, round, n);
             let mut ref_rngs = bank_rngs.clone();
-            bank.as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs, &mut out);
+            let mut slot_rngs = bank_rngs.clone();
+            bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round}");
-                assert_eq!(ant.streak(), bank.streak(i), "ant {i} streak");
+                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round} k {k}");
+                assert_eq!(ant.streak(), streak(&bank, i), "ant {i} streak");
+                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                assert_eq!(slot, out[i], "slot {i} round {round} k {k}");
+                assert_eq!(ant.streak(), streak(&twin, i), "slot {i} streak");
             }
         }
         for (i, ant) in reference.iter().enumerate() {

@@ -21,11 +21,12 @@
 //! boundaries — phases are `2m = O(1/ε)` rounds long — resumes
 //! mid-phase bit-identically.
 
-use antalloc_env::{Assignment, ColumnWriter};
-use antalloc_noise::{RoundView, SensedRound};
+use antalloc_env::Assignment;
+use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{dec, enc, refill, IDLE};
+use crate::bank::Stepping;
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 use crate::precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
@@ -252,36 +253,6 @@ impl PreciseSigmoidBank {
             shat1: &mut self.shat1,
         }
     }
-
-    /// Steps the single ant at `slot` (the sequential model's path) —
-    /// the same kernel as the bank loop, on a one-ant chunk.
-    pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
-        let k = self.num_tasks;
-        // Stack scratch for the common ≤ 64-task case: this is the
-        // sequential model's per-round path, so no per-call allocation.
-        let mut stack = [0u8; 64];
-        let mut heap = Vec::new();
-        let row: &mut [u8] = if k <= 64 {
-            &mut stack[..k]
-        } else {
-            heap.resize(k, 0);
-            &mut heap
-        };
-        let mut slice = SigmoidSliceMut {
-            m: self.m,
-            pause: self.pause,
-            leave: self.leave,
-            num_tasks: k,
-            current: &mut self.current[slot..slot + 1],
-            assignment: &mut self.assignment[slot..slot + 1],
-            have_phase: &mut self.have_phase[slot..slot + 1],
-            count1: &mut self.count1[slot * k..slot * k + k],
-            count2: &mut self.count2[slot * k..slot * k + k],
-            shat1: &mut self.shat1[slot * k..slot * k + k],
-        };
-        let r = view.round() % (2 * slice.m);
-        slice.step_one(0, r, view, rng, row)
-    }
 }
 
 /// A disjoint mutable chunk of a [`PreciseSigmoidBank`].
@@ -347,17 +318,15 @@ impl<'a> SigmoidSliceMut<'a> {
         )
     }
 
-    /// Steps every ant in the chunk; bit-identical to per-ant
-    /// [`Controller::step`] on [`PreciseSigmoid`]. The phase position is
-    /// computed once for the whole chunk (all ants share the global
-    /// clock).
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
+    /// Steps every ant in the chunk through `stepping`; bit-identical to
+    /// per-ant [`Controller::step`] on [`PreciseSigmoid`]. The phase
+    /// position is computed once for the whole chunk (all ants share
+    /// the global clock).
+    pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
         let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
-        let r = view.round() % (2 * self.m);
+        let r = stepping.round() % (2 * self.m);
         // Stack scratch for the common ≤ 64-task case; one heap buffer
-        // per bank-round beyond that.
+        // per chunk beyond that.
         let mut stack = [0u8; 64];
         let mut heap = Vec::new();
         let row: &mut [u8] = if self.num_tasks <= 64 {
@@ -366,54 +335,11 @@ impl<'a> SigmoidSliceMut<'a> {
             heap.resize(self.num_tasks, 0);
             &mut heap
         };
-        for i in 0..n {
-            out[i] = self.step_one(i, r, view, &mut rngs[i], row);
-        }
-    }
-
-    /// Fused-apply variant of [`SigmoidSliceMut::step_batch`]: the same
-    /// code, with ant `i` drawing from its stream for the round
-    /// (`AntRng::keyed(round_key, ids[i])`) and each transition routed
-    /// through `writer` (shared next column + local delta) at its
-    /// colony id (`ids[i]`).
-    ///
-    /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
-    /// form runs the pre-existing hoisted-view loop; the per-ant form
-    /// re-selects the view per ant (`sensed.view_for(ids[i])`).
-    pub fn step_batch_fused(
-        &mut self,
-        sensed: SensedRound<'_>,
-        round_key: u64,
-        ids: &[u32],
-        writer: &mut ColumnWriter<'_>,
-    ) {
-        let n = self.len();
-        assert_eq!(n, ids.len(), "one colony id per ant");
-        let r = sensed.round() % (2 * self.m);
-        let mut stack = [0u8; 64];
-        let mut heap = Vec::new();
-        let row: &mut [u8] = if self.num_tasks <= 64 {
-            &mut stack[..self.num_tasks]
-        } else {
-            heap.resize(self.num_tasks, 0);
-            &mut heap
-        };
-        match sensed.shared_view() {
-            Some(view) => {
-                for (i, &id) in ids.iter().enumerate() {
-                    let rng = &mut AntRng::keyed(round_key, id.into());
-                    self.step_one(i, r, view, rng, row);
-                    writer.write(id, self.assignment[i]);
-                }
-            }
-            None => {
-                for (i, &id) in ids.iter().enumerate() {
-                    let rng = &mut AntRng::keyed(round_key, id.into());
-                    self.step_one(i, r, sensed.view_for(id), rng, row);
-                    writer.write(id, self.assignment[i]);
-                }
-            }
-        }
+        stepping.run(
+            n,
+            #[inline(always)]
+            |i, view, rng| self.step_one(i, r, view, rng, row),
+        );
     }
 
     /// One ant's round at phase position `r = round mod 2m`, mirroring
@@ -506,41 +432,59 @@ impl<'a> SigmoidSliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnyController, ControllerBank, ControllerScratch};
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
     /// The SoA bank against the per-ant reference, round for round,
     /// across several full phases (joins, leaves, pauses, mid-phase
-    /// resets) — including reconstruction losslessness mid-phase.
+    /// resets) — including reconstruction losslessness mid-phase —
+    /// through the chunk loop (`step_batch`) and, on a twin bank, one
+    /// slot at a time (`step_slot`, the sequential model's path), at 2
+    /// tasks and at 65 (past the 64-entry stack row).
     #[test]
     fn soa_bank_matches_per_ant_stepping() {
+        for k in [2, 65] {
+            soa_bank_matches_per_ant_stepping_at(k);
+        }
+    }
+
+    fn soa_bank_matches_per_ant_stepping_at(k: usize) {
         let n = 80;
-        let k = 2;
         let params = PreciseSigmoidParams::new(0.05, 0.5); // phase 82
         let seeder = StreamSeeder::new(23);
-        let mut bank = PreciseSigmoidBank::new(k, params, n);
+        let mut bank = ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(k, params, n));
+        let mut twin = bank.clone();
         let mut reference: Vec<PreciseSigmoid> =
             (0..n).map(|_| PreciseSigmoid::new(k, params)).collect();
         let model = NoiseModel::Sigmoid { lambda: 1.0 };
+        let deficits: Vec<i64> = (0..k).map(|j| [5, -5][j % 2]).collect();
+        let loads = vec![25; k];
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=200u64 {
-            let prepared = model.prepare(round, &[5, -5], &[25, 25]);
+            let prepared = model.prepare(round, &deficits, &loads);
             let mut bank_rngs = crate::round_streams(&seeder, round, n);
             let mut ref_rngs = bank_rngs.clone();
-            bank.as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs, &mut out);
+            let mut slot_rngs = bank_rngs.clone();
+            bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round}");
+                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round} k {k}");
                 assert_eq!(ant.assignment(), bank.assignment(i), "ant {i}");
+                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                assert_eq!(slot, out[i], "slot {i} round {round} k {k}");
             }
             if round == 137 {
                 // Mid-phase reconstruction: counters must come out
                 // losslessly, so a rebuilt ant continues in lockstep.
                 for (i, ant) in reference.iter().enumerate() {
-                    let rebuilt = bank.to_controller(i);
+                    let AnyController::PreciseSigmoid(rebuilt) = bank.to_any(i) else {
+                        unreachable!("a Precise Sigmoid bank rebuilds Precise Sigmoid ants");
+                    };
                     assert_eq!(rebuilt.scratch(), ant.scratch(), "ant {i}");
                     assert_eq!(rebuilt.assignment(), ant.assignment());
+                    let scratch = Some(ControllerScratch::PreciseSigmoid(ant.scratch()));
+                    assert_eq!(twin.scratch(i), scratch, "slot {i}");
                 }
             }
         }

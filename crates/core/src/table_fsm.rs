@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use antalloc_env::Assignment;
-use antalloc_noise::{Feedback, FeedbackProbe, RoundView};
+use antalloc_noise::{Feedback, FeedbackProbe};
 use antalloc_rng::AntRng;
 
 use crate::controller::Controller;
@@ -225,18 +225,6 @@ impl TableFsm {
     /// The machine's current state.
     pub fn state(&self) -> u16 {
         self.state
-    }
-
-    /// Bank-loop entry point: steps a homogeneous slice of table
-    /// machines against one shared [`RoundView`]. Bit-identical to
-    /// per-ant [`Controller::step`].
-    pub fn step_bank(
-        ants: &mut [Self],
-        view: RoundView<'_>,
-        rngs: &mut [AntRng],
-        out: &mut [Assignment],
-    ) {
-        crate::controller::step_slice(ants, view, rngs, out)
     }
 
     fn transition(&mut self, obs: Feedback, rng: &mut AntRng) {

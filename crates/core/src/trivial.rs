@@ -9,8 +9,8 @@
 //! (D.2) — the motivating failure for the two-sample design of §4.
 
 use antalloc_env::Assignment;
-use antalloc_noise::{FeedbackProbe, RoundView};
-use antalloc_rng::{uniform_index, AntRng};
+use antalloc_noise::FeedbackProbe;
+use antalloc_rng::uniform_index;
 
 use crate::controller::Controller;
 
@@ -37,20 +37,6 @@ impl Trivial {
     /// Number of tasks this controller observes.
     pub fn num_tasks(&self) -> usize {
         self.num_tasks
-    }
-
-    /// Bank-loop entry point: steps a homogeneous slice of trivial
-    /// controllers against one shared [`RoundView`]. Bit-identical to
-    /// per-ant [`Controller::step`]. Colonies use the flat
-    /// structure-of-arrays layout instead — see [`crate::TrivialBank`];
-    /// this per-ant loop remains as the reference semantics.
-    pub fn step_bank(
-        ants: &mut [Self],
-        view: RoundView<'_>,
-        rngs: &mut [AntRng],
-        out: &mut [Assignment],
-    ) {
-        crate::controller::step_slice(ants, view, rngs, out)
     }
 }
 

@@ -55,7 +55,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use antalloc_core::AdversarialScratch;
-use antalloc_env::{Assignment, DemandVector, TriggerState};
+use antalloc_env::{Assignment, TriggerState};
 
 use crate::config::{ControllerSpec, SimConfig};
 use crate::engine::{Snapshot, SyncEngine};
@@ -133,8 +133,7 @@ impl Checkpoint {
 
     /// Rebuilds a running engine.
     pub fn restore(&self) -> SyncEngine {
-        let config = &self.state.config;
-        let mut engine = SyncEngine::new(config.clone(), DemandVector::new(config.demands.clone()));
+        let mut engine = SyncEngine::empty();
         self.restore_into(&mut engine);
         engine
     }

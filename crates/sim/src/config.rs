@@ -315,8 +315,7 @@ impl SimConfig {
     /// [`crate::ConfigError`] instead of panicking.
     pub fn try_build(&self) -> Result<SyncEngine, crate::ConfigError> {
         self.validate_structure()?;
-        let demands = DemandVector::new(self.demands.clone());
-        Ok(SyncEngine::new(self.clone(), demands))
+        Ok(SyncEngine::new(self))
     }
 
     /// Builds the sequential-model engine (Appendix D.1) after the same

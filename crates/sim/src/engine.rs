@@ -19,14 +19,19 @@
 //!
 //! * serial [`SyncEngine::run`] versus multi-threaded
 //!   [`SyncEngine::run_parallel`] at any thread count,
-//! * bank-wise stepping versus per-ant reference stepping (each ant
-//!   consumes only its own RNG stream, in the same order; see
-//!   [`antalloc_core::step_slice`]),
+//! * bank-wise stepping versus per-ant reference stepping: every kind
+//!   writes its per-ant step once, and one generic driver in
+//!   `antalloc_core`'s bank module runs it on the fused, RNG-slice and
+//!   sequential one-ant paths alike (each ant consumes only its own
+//!   RNG stream, in the same order; see [`antalloc_core::step_slice`]),
+//! * a fresh engine versus one reused through
+//!   [`SyncEngine::reset_from`] (a fresh engine *is* an empty engine
+//!   reset from its config),
 //! * a checkpoint captured at a phase boundary, restored and resumed,
 //!   versus the uninterrupted run.
 //!
 //! No ant carries generator state. Ant `id`'s stream in round `t` is
-//! `AntRng::keyed(key, id)`, built on the stack inside the kernel from
+//! `AntRng::keyed(key, id)`, built on the stack by the fused driver from
 //! the round's key (`key` = [`antalloc_rng::StreamSeeder::round_key`]
 //! of `t`, derived once per round) — a pure function of
 //! `(seed, round, id)`, the same on every path because every path
@@ -328,38 +333,48 @@ pub struct SyncEngine {
 struct DeltaSlot(Mutex<RoundDelta>);
 
 impl SyncEngine {
-    pub(crate) fn new(config: SimConfig, demands: DemandVector) -> Self {
-        let n = config.n;
-        let k = demands.num_tasks();
-        let seeder = StreamSeeder::new(config.seed);
-        let population = Population::build(&config.controller, config.seed, k, n);
-        let compiled = config.timeline.compile(config.seed, n, demands.as_slice());
-        let trigger_states = compiled.initial_trigger_states();
-        let mut engine = Self {
-            colony: ColonyState::new(n, demands),
-            population,
-            noise: config.noise.clone(),
-            seeder,
-            event_seeder: event_seeder(config.seed),
-            init_rng: seeder.stream(reserved::INIT),
+    /// A fresh engine for `config`: the empty engine rebuilt by
+    /// [`SyncEngine::reset_from`], so fresh and reused engines share one
+    /// construction path.
+    pub(crate) fn new(config: &SimConfig) -> Self {
+        let mut engine = Self::empty();
+        engine.reset_from(config);
+        engine
+    }
+
+    /// An engine holding no colony yet: placeholder values for
+    /// [`SyncEngine::reset_from`] or [`SyncEngine::restore_from`] to
+    /// overwrite.
+    pub(crate) fn empty() -> Self {
+        let config = SimConfig {
+            n: 0,
+            demands: Vec::new(),
+            noise: NoiseModel::Exact,
+            controller: ControllerSpec::Trivial,
+            seed: 0,
+            timeline: Timeline::new(),
+            initial: InitialConfig::AllIdle,
+            arena: None,
+        };
+        Self {
+            compiled: Timeline::new(),
+            colony: ColonyState::new(1, DemandVector::uniform(1, 1)),
+            population: Population::build(&config.controller, 0, 1, 0),
+            noise: NoiseModel::Exact,
+            seeder: StreamSeeder::new(0),
+            event_seeder: StreamSeeder::new(0),
+            init_rng: AntRng::seed_from_u64(0),
             round: 0,
             cursor: 0,
-            trigger_states,
-            pre_deficits: vec![0; k],
-            post_deficits: vec![0; k],
-            next_stream: n as u64,
-            next_column: TaskColumn::new(n),
+            trigger_states: Vec::new(),
+            pre_deficits: Vec::new(),
+            post_deficits: Vec::new(),
+            next_stream: 0,
+            next_column: TaskColumn::new(0),
             deltas: Vec::new(),
-            arena: config
-                .arena
-                .as_ref()
-                .map(|a| ArenaState::new(a, n, config.seed)),
-            compiled,
+            arena: None,
             config,
-        };
-        let initial = engine.config.initial.clone();
-        engine.set_initial(&initial);
-        engine
+        }
     }
 
     /// Rebuilds this engine in place to the state `config.build()`
