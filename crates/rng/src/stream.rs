@@ -35,11 +35,12 @@ pub struct StreamSeeder {
 /// Reserved stream ids for engine subsystems, far above any ant index so
 /// the two namespaces cannot collide (ants are indexed from 0).
 pub mod reserved {
-    /// Engine-level decisions (sequential-model scheduling, perturbations).
+    /// Sequential-model scheduling: which ant acts each round.
     pub const ENGINE: u64 = u64::MAX;
-    /// Noise-model internal randomness (e.g. correlated feedback coins).
-    pub const NOISE: u64 = u64::MAX - 1;
-    /// Initial-configuration scrambling.
+    // `u64::MAX - 1` named a noise stream nothing drew from. It stays
+    // unassigned: renumbering the ids below it would change their bits.
+    /// Initial-configuration scrambling and imperative perturbations
+    /// (`SyncEngine::perturb`).
     pub const INIT: u64 = u64::MAX - 2;
     /// Mixed-colony membership: the stream whose first output re-seeds
     /// the dedicated sub-seeder that assigns ants to controller

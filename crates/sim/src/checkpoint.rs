@@ -154,9 +154,9 @@ impl Checkpoint {
     /// round onward.
     ///
     /// Callers must have prechecked the fork (the sweep does): same
-    /// controller, colony size, initial configuration and task count,
-    /// same triggers and generators, identical timeline prefix through
-    /// the captured round, and the same seed as the prefix run. Within
+    /// controller, colony size, initial configuration, task count and
+    /// arena, same triggers and generators, identical timeline prefix
+    /// through the captured round, and the same seed as the prefix run. Within
     /// that envelope the rebase is mechanical: swept `demands`/`noise`
     /// replace the captured values only when the fork config actually
     /// changes them from the *base* config (a prefix timeline event
@@ -164,7 +164,15 @@ impl Checkpoint {
     /// in an uninterrupted run), and the one-shot cursor is recomputed
     /// against the fork's compiled timeline. With an unchanged config
     /// this is [`Checkpoint::restore_into`] bit for bit.
+    ///
+    /// # Panics
+    /// If `config`'s arena differs from the captured one: the captured
+    /// positions belong to the captured arena.
     pub fn fork_into(&self, config: &SimConfig, engine: &mut SyncEngine) {
+        assert!(
+            config.arena == self.state.config.arena,
+            "a fork must keep the captured arena"
+        );
         engine.restore_from(&self.state, Some(config));
     }
 
@@ -1024,6 +1032,22 @@ mod tests {
         ));
         e.step(&mut obs); // round 2 → boundary.
         assert!(Checkpoint::capture(&e).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "a fork must keep the captured arena")]
+    fn fork_into_rejects_a_changed_arena() {
+        // The captured colony has no positions to give a new arena.
+        let mut e = config().build();
+        e.run(2, &mut NullObserver);
+        let cp = Checkpoint::capture(&e).unwrap();
+        let mut fork = config();
+        fork.arena = Some(antalloc_env::ArenaConfig {
+            site_of_task: vec![0, 1],
+            travel_rounds: 1,
+            wander_probability: 0.1,
+        });
+        cp.fork_into(&fork, &mut e);
     }
 
     #[test]

@@ -8,8 +8,9 @@ use antalloc_core::{
     PreciseSigmoidBank, PreciseSigmoidParams, ProportionalBank, ProportionalController,
     ProportionalParams, TableFsm, Trivial, TrivialBank,
 };
-use antalloc_env::{ArenaConfig, DemandVector, InitialConfig, Timeline};
+use antalloc_env::{ArenaConfig, InitialConfig, Timeline};
 use antalloc_noise::NoiseModel;
+use antalloc_rng::{reserved, StreamSeeder};
 
 use crate::engine::SyncEngine;
 use crate::sequential::SequentialEngine;
@@ -341,8 +342,10 @@ impl SimConfig {
                 "the sequential model does not support spatial arenas".into(),
             ));
         }
-        let demands = DemandVector::new(self.demands.clone());
-        Ok(SequentialEngine::new(self.clone(), demands))
+        Ok(SequentialEngine {
+            engine: SyncEngine::new(self),
+            scheduler_rng: StreamSeeder::new(self.seed).stream(reserved::ENGINE),
+        })
     }
 }
 

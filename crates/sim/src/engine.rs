@@ -62,6 +62,15 @@
 //! whole population, then the population is partitioned afresh, so
 //! event rounds step on every participant. A trigger that arms ends its
 //! scope the same way.
+//!
+//! ## The sequential model
+//!
+//! Appendix D.1's model differs from §2.1's only in which ants step, so
+//! [`crate::SequentialEngine`] is a `SyncEngine` plus the scheduler
+//! stream that picks the acting ant. Its rounds go through the same
+//! event firing, round record and trigger tail as the synchronous
+//! driver's (`step_one_ant` next to `run_scope`), and both engines are
+//! built by the same [`SyncEngine::reset_from`].
 
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -71,7 +80,7 @@ use antalloc_env::{
     Perturbation, RoundDelta, TaskColumn, Timeline, TriggerState,
 };
 use antalloc_noise::{NoiseModel, PreparedRound, SensedRound};
-use antalloc_rng::{reserved, AntRng, StreamSeeder};
+use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
 
 use crate::arena::ArenaState;
 use crate::config::{ControllerSpec, SimConfig};
@@ -81,15 +90,15 @@ use crate::population::{AntColumns, Population, WorkerPart};
 /// The sub-seeder every timeline-event draw derives from: a pure
 /// function of the master seed, keyed per firing round, so scripted
 /// shocks consume identical randomness on every stepping path.
-pub(crate) fn event_seeder(seed: u64) -> StreamSeeder {
+fn event_seeder(seed: u64) -> StreamSeeder {
     StreamSeeder::new(StreamSeeder::new(seed).stream(reserved::EVENT).next_u64())
 }
 
 /// Applies a colony-level perturbation, keeping controllers, arena
 /// positions and the environment mutually consistent. Shared by
-/// [`SyncEngine::perturb`], the timeline event executor, and the
-/// sequential engine.
-pub(crate) fn apply_perturbation(
+/// [`SyncEngine::perturb`] and the timeline event executor; a free
+/// function because `perturb` lends it the engine's own init stream.
+fn apply_perturbation(
     p: &Perturbation,
     colony: &mut ColonyState,
     population: &mut Population,
@@ -133,53 +142,6 @@ pub(crate) fn apply_perturbation(
     debug_assert_eq!(population.len(), colony.num_ants());
     debug_assert!(population.check_invariants());
     debug_assert!(arena.is_none_or(|a| a.len() == colony.num_ants()));
-}
-
-/// The end-of-round summary timeline triggers are evaluated over,
-/// shared by both engines so triggered scenarios are model-portable.
-/// `population` is passed in because the synchronous engine lends the
-/// colony's task column out while a scope runs.
-pub(crate) fn colony_view<'a>(
-    round: u64,
-    post_deficits: &'a [i64],
-    population: usize,
-    colony: &ColonyState,
-) -> ColonyView<'a> {
-    ColonyView {
-        round,
-        regret: post_deficits.iter().map(|d| d.unsigned_abs()).sum(),
-        population,
-        idle: colony.idle_count(),
-        deficits: post_deficits,
-    }
-}
-
-/// Applies one timeline event. Population shocks route through
-/// [`apply_perturbation`]; demand and noise rewrites are pure.
-#[allow(clippy::too_many_arguments)] // engine-internal plumbing
-pub(crate) fn apply_event(
-    event: &Event,
-    colony: &mut ColonyState,
-    population: &mut Population,
-    arena: Option<&mut ArenaState>,
-    noise: &mut NoiseModel,
-    rng: &mut AntRng,
-    next_stream: &mut u64,
-) {
-    match event {
-        Event::SetDemands(demands) => colony.demands_mut().set(demands),
-        Event::SetTaskDemand { task, demand } => {
-            colony.demands_mut().set_task(*task, *demand);
-        }
-        Event::SetNoise(model) => *noise = model.clone(),
-        shock => {
-            let p = shock
-                .as_perturbation()
-                // audit:allow(panic-path): exhaustive by construction — the match above consumed every pure event kind.
-                .expect("non-pure events are perturbations");
-            apply_perturbation(&p, colony, population, arena, rng, next_stream);
-        }
-    }
 }
 
 /// One participant's share of a round: steps its part of the
@@ -359,7 +321,7 @@ impl SyncEngine {
         Self {
             compiled: Timeline::new(),
             colony: ColonyState::new(1, DemandVector::uniform(1, 1)),
-            population: Population::build(&config.controller, 0, 1, 0),
+            population: Population::default(),
             noise: NoiseModel::Exact,
             seeder: StreamSeeder::new(0),
             event_seeder: StreamSeeder::new(0),
@@ -389,23 +351,13 @@ impl SyncEngine {
     /// validated `config` already.
     pub fn reset_from(&mut self, config: &SimConfig) {
         let n = config.n;
-        let k = config.demands.len();
-        self.config.clone_from(config);
+        self.adopt(config);
         self.colony.rebuild_in(n, &config.demands);
         self.population
-            .rebuild_in(&config.controller, config.seed, k, n);
+            .rebuild_in(&config.controller, config.seed, config.demands.len(), n);
         self.noise.clone_from(&config.noise);
-        self.seeder = StreamSeeder::new(config.seed);
-        self.event_seeder = event_seeder(config.seed);
-        self.init_rng = self.seeder.stream(reserved::INIT);
         self.round = 0;
         self.cursor = 0;
-        self.compiled = config.timeline.compile(config.seed, n, &config.demands);
-        self.trigger_states = self.compiled.initial_trigger_states();
-        self.pre_deficits.clear();
-        self.pre_deficits.resize(k, 0);
-        self.post_deficits.clear();
-        self.post_deficits.resize(k, 0);
         self.next_stream = n as u64;
         self.next_column.reset(n);
         // The delta slots are pure scratch, reset before every use, so
@@ -417,6 +369,28 @@ impl SyncEngine {
         });
         let initial = self.config.initial.clone();
         self.set_initial(&initial);
+    }
+
+    /// The rebuild steps [`SyncEngine::reset_from`] and
+    /// [`SyncEngine::restore_from`] share: takes `config` on, derives
+    /// its seeders and init stream, compiles its timeline (a pure
+    /// function of the config and seed: magnitudes scale off the
+    /// *initial* colony size and demands) with fresh trigger states,
+    /// and sizes the deficit scratch.
+    fn adopt(&mut self, config: &SimConfig) {
+        let k = config.demands.len();
+        self.config.clone_from(config);
+        self.seeder = StreamSeeder::new(config.seed);
+        self.event_seeder = event_seeder(config.seed);
+        self.init_rng = self.seeder.stream(reserved::INIT);
+        self.compiled = config
+            .timeline
+            .compile(config.seed, config.n, &config.demands);
+        self.trigger_states = self.compiled.initial_trigger_states();
+        self.pre_deficits.clear();
+        self.pre_deficits.resize(k, 0);
+        self.post_deficits.clear();
+        self.post_deficits.resize(k, 0);
     }
 
     /// Applies an initial configuration (Theorem 3.1's "arbitrary
@@ -505,15 +479,33 @@ impl SyncEngine {
         }
         let mut rng = self.event_seeder.stream(round);
         for event in &fired {
-            apply_event(
-                event,
-                &mut self.colony,
-                &mut self.population,
-                self.arena.as_mut(),
-                &mut self.noise,
-                &mut rng,
-                &mut self.next_stream,
-            );
+            self.apply_event(event, &mut rng);
+        }
+    }
+
+    /// Applies one timeline event. Population shocks route through
+    /// [`apply_perturbation`]; demand and noise rewrites are pure.
+    fn apply_event(&mut self, event: &Event, rng: &mut AntRng) {
+        match event {
+            Event::SetDemands(demands) => self.colony.demands_mut().set(demands),
+            Event::SetTaskDemand { task, demand } => {
+                self.colony.demands_mut().set_task(*task, *demand);
+            }
+            Event::SetNoise(model) => self.noise = model.clone(),
+            shock => {
+                let p = shock
+                    .as_perturbation()
+                    // audit:allow(panic-path): exhaustive by construction — the match above consumed every pure event kind.
+                    .expect("non-pure events are perturbations");
+                apply_perturbation(
+                    &p,
+                    &mut self.colony,
+                    &mut self.population,
+                    self.arena.as_mut(),
+                    rng,
+                    &mut self.next_stream,
+                );
+            }
         }
     }
 
@@ -606,6 +598,12 @@ impl SyncEngine {
                 .resize_with(workers, || DeltaSlot(Mutex::new(RoundDelta::new(k))));
         }
         self.next_column.resize(n);
+        // The population and the delta slots are lent to the participants
+        // for the scope, like the columns and the arena below, so the
+        // coordinator's window may call the engine's own methods. Each
+        // move is O(1).
+        let mut population = core::mem::take(&mut self.population);
+        let mut deltas = core::mem::take(&mut self.deltas);
         // The double buffer, shared immutably with every participant: on
         // a round with parity `p` kernels read prior assignments from
         // `columns[p]` and write next assignments into `columns[p ^ 1]`
@@ -631,10 +629,10 @@ impl SyncEngine {
         // colony may be empty), and one delta slot: the
         // coordinator's without a lock, each worker's behind an
         // uncontended one.
-        let mut parts = self.population.partition_mut(workers).into_iter();
+        let mut parts = population.partition_mut(workers).into_iter();
         // audit:allow(panic-path): the partitioner emits exactly `workers` >= 1 parts.
         let mut own_part = parts.next().expect("one part per participant");
-        let (own_delta, worker_deltas) = self.deltas[..workers].split_at_mut(1);
+        let (own_delta, worker_deltas) = deltas[..workers].split_at_mut(1);
         let own_delta = own_delta[0]
             .0
             .get_mut()
@@ -735,24 +733,9 @@ impl SyncEngine {
                         .unwrap_or_else(PoisonError::into_inner)
                         .wander(self.round, self.colony.idle_mask());
                 }
-                self.colony.deficits_into(&mut self.post_deficits);
-                observer.on_round(&RoundRecord {
-                    round: self.round,
-                    deficits: &self.post_deficits,
-                    demands: self.colony.demands().as_slice(),
-                    loads: self.colony.loads(),
-                    idle: self.colony.idle_count(),
-                    switches,
-                });
                 completed += 1;
-                if self.compiled.has_triggers() {
-                    let view = colony_view(self.round, &self.post_deficits, n, &self.colony);
-                    if self
-                        .compiled
-                        .observe_triggers(&mut self.trigger_states, &view)
-                    {
-                        break;
-                    }
+                if self.end_round(n, switches, observer) {
+                    break;
                 }
             }
             if workers > 1 {
@@ -762,6 +745,8 @@ impl SyncEngine {
             (completed, parity)
         });
         self.arena = arena_lock.map(|l| l.into_inner().unwrap_or_else(PoisonError::into_inner));
+        self.population = population;
+        self.deltas = deltas;
         // Return the lent buffers: the parity-current one becomes the
         // colony's authoritative column again (an O(1) move — the flips
         // already applied every round), the other the next scope's
@@ -771,6 +756,63 @@ impl SyncEngine {
         self.colony.restore_column(current);
         self.next_column = scratch;
         completed
+    }
+
+    /// One round of Appendix D.1's sequential model: the round's
+    /// timeline events fire, then the one ant `scheduler` picks
+    /// uniformly observes the live feedback and acts.
+    pub(crate) fn step_one_ant(&mut self, scheduler: &mut AntRng, observer: &mut impl Observer) {
+        self.round += 1;
+        self.fire_events(self.round);
+        self.colony.deficits_into(&mut self.pre_deficits);
+        let prepared = self.noise.prepare(
+            self.round,
+            &self.pre_deficits,
+            self.colony.demands().as_slice(),
+        );
+        let n = self.population.len();
+        let i = uniform_index(scheduler, n);
+        let next = self
+            .population
+            .step_one(i, &prepared, self.seeder.round_key(self.round));
+        let switches = u64::from(next != self.colony.assignment(i));
+        self.colony.apply(i, next);
+        // A trigger that arms fires at the start of the next step.
+        self.end_round(n, switches, observer);
+    }
+
+    /// Closes the round just stepped, on every stepping path: records
+    /// the post-decision deficits, shows the round to `observer`, and
+    /// evaluates the timeline triggers over the colony's summary.
+    /// Returns whether a trigger armed. `population` is passed in
+    /// because a pooled scope lends the colony's task column out.
+    fn end_round(
+        &mut self,
+        population: usize,
+        switches: u64,
+        observer: &mut impl Observer,
+    ) -> bool {
+        self.colony.deficits_into(&mut self.post_deficits);
+        observer.on_round(&RoundRecord {
+            round: self.round,
+            deficits: &self.post_deficits,
+            demands: self.colony.demands().as_slice(),
+            loads: self.colony.loads(),
+            idle: self.colony.idle_count(),
+            switches,
+        });
+        if !self.compiled.has_triggers() {
+            return false;
+        }
+        let view = ColonyView {
+            round: self.round,
+            regret: self.post_deficits.iter().map(|d| d.unsigned_abs()).sum(),
+            population,
+            idle: self.colony.idle_count(),
+            deficits: &self.post_deficits,
+        };
+        self.compiled
+            .observe_triggers(&mut self.trigger_states, &view)
     }
 
     /// Applies a mid-run perturbation, keeping controllers, arena
@@ -840,51 +882,28 @@ impl SyncEngine {
         } else {
             &snap.noise
         };
-        let n = snap.tasks.len();
-        let k = demands.len();
-        self.config.clone_from(config);
+        self.adopt(config);
         self.colony.restore_in(&snap.tasks, demands);
         self.population
             .restore_in(&config.controller, config.seed, &self.colony, &snap.ants);
         self.noise.clone_from(noise);
-        self.seeder = StreamSeeder::new(config.seed);
-        self.event_seeder = event_seeder(config.seed);
-        self.init_rng = self.seeder.stream(reserved::INIT);
         self.round = snap.round;
-        // The compiled stream is a pure function of (config, seed):
-        // magnitudes scale off the *initial* n and demands, not the
-        // possibly-shrunk captured colony.
-        self.compiled = config
-            .timeline
-            .compile(config.seed, config.n, &config.demands);
         self.cursor = match fork {
             Some(_) => self.compiled.cursor_at(snap.round),
             None => snap.cursor as usize,
         };
-        if snap.triggers.is_empty() {
-            self.trigger_states = self.compiled.initial_trigger_states();
-        } else {
+        if !snap.triggers.is_empty() {
             debug_assert_eq!(snap.triggers.len(), self.compiled.triggers.len());
             self.trigger_states.clone_from(&snap.triggers);
         }
-        self.pre_deficits.clear();
-        self.pre_deficits.resize(k, 0);
-        self.post_deficits.clear();
-        self.post_deficits.resize(k, 0);
         self.next_stream = snap.next_stream;
         // The spare column needs no reset: `run_scope` sizes it, and every
-        // round's kernels overwrite each slot before it is read.
+        // round's kernels overwrite each slot before it is read. A fork
+        // keeps the snapshot's arena (the sweep prechecks it), so the
+        // captured columns always fit.
         self.arena = config.arena.as_ref().map(|a| {
             let mut arena = self.take_arena(a, config.seed);
-            if snap.arena_site.is_empty() {
-                // Defensive: a snapshot of an arena config always
-                // carries its columns; re-derive from the colony if one
-                // somehow does not.
-                arena.reset(a, n, config.seed);
-                arena.sync_to_colony(&self.colony);
-            } else {
-                arena.restore(a, config.seed, &snap.arena_site, &snap.arena_travel);
-            }
+            arena.restore(a, config.seed, &snap.arena_site, &snap.arena_travel);
             arena
         });
     }

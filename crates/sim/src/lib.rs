@@ -35,7 +35,8 @@
 //!   stepping ([`SyncEngine::run_parallel`]) whose results are
 //!   bit-identical to the serial path for any thread count.
 //! * [`SequentialEngine`] — Appendix D.1's model: one uniformly random
-//!   ant acts per round.
+//!   ant acts per round. It is a [`SyncEngine`] plus the stream that
+//!   picks the acting ant, built and stepped by the same code.
 //! * [`Observer`] — per-round measurement hook; [`BasicObserver`]
 //!   bundles the standard metrics, [`TraceRecorder`] stores downsampled
 //!   series and writes CSV.

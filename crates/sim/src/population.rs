@@ -221,6 +221,7 @@ impl Bank {
 }
 
 /// The banked population: banks plus the stable two-way ant index.
+#[derive(Default)]
 pub(crate) struct Population {
     banks: Vec<Bank>,
     /// Global ant id → (bank, slot).
@@ -333,19 +334,17 @@ pub(crate) fn mix_members(seed: u64, weights: &[f64], n: usize) -> Vec<u16> {
 }
 
 impl Population {
-    /// Builds the population for `spec` with ants `0..n`.
+    /// Builds the population for `spec` with ants `0..n` (tests; engines
+    /// rebuild theirs in place).
+    #[cfg(test)]
     pub fn build(spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) -> Self {
-        let mut population = Self {
-            banks: Vec::new(),
-            index: Vec::new(),
-            mix: None,
-        };
+        let mut population = Self::default();
         population.rebuild_in(spec, seed, num_tasks, n);
         population
     }
 
-    /// Rebuilds this population in place to the state
-    /// [`Population::build`] would produce, reusing bank and index
+    /// Rebuilds this population in place for `spec` with ants `0..n` —
+    /// the same state whatever it held before — reusing bank and index
     /// allocations (the engine-reuse fast path for sweeps; shrink keeps
     /// capacity, grow reallocates, a changed bank kind is rebuilt).
     pub fn rebuild_in(&mut self, spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) {

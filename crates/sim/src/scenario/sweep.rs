@@ -19,7 +19,8 @@
 //! its grid point changes), one shared per-grid-point `params` arc, and
 //! one [`SyncEngine`] reused across jobs via
 //! [`SyncEngine::reset_from`] — bit-identical to building a fresh
-//! engine per job, which [`Sweep::engine_reuse`] can force for A/B
+//! engine per job (a fresh engine *is* an empty one reset from its
+//! config), which [`Sweep::engine_reuse`] can force for A/B
 //! measurement. Setter-broken configs are caught by a
 //! one-pass-per-grid-point structural precheck before any worker
 //! starts.
@@ -347,9 +348,10 @@ impl Sweep {
     /// Whether each worker reuses its engine across jobs via
     /// [`SyncEngine::reset_from`] (default `true`). Reused engines are
     /// bit-identical to freshly built ones under the determinism
-    /// contract; `false` forces a fresh build per job — the `perf_sweep`
-    /// bench's baseline, kept as a knob so any reuse suspicion can be
-    /// A/B-tested in place.
+    /// contract; `false` replaces the worker's engine with an empty one
+    /// before every job, so each job allocates afresh — the
+    /// `perf_sweep` bench's baseline, kept as a knob so any reuse
+    /// suspicion can be A/B-tested in place.
     pub fn engine_reuse(mut self, reuse: bool) -> Self {
         self.reuse_engines = reuse;
         self
@@ -395,7 +397,7 @@ impl Sweep {
     /// pays for its common prefix once instead of `g` times. Grid
     /// parameters take effect from round `r`; the prefix itself must
     /// be shared, which [`Sweep::run`] prechecks — the controller,
-    /// colony size, task count, initial configuration, triggers,
+    /// colony size, task count, initial configuration, arena, triggers,
     /// generators, and every timeline entry at or before `r` must be
     /// constant across the grid, and `r` must be a capture boundary of
     /// the base controller. With no axes this is bit-identical to a
@@ -607,19 +609,13 @@ impl Sweep {
             return Ok(hit);
         }
         if !self.reuse_engines {
-            worker.engine = None; // drop before building, like the old per-job path
+            worker.engine = SyncEngine::empty();
         }
-        let outcome = match self.from_round {
-            Some(r) => self.run_forked(i, r, worker, prefixes)?,
-            None => run_one(
-                i,
-                &worker.scratch,
-                worker.params.clone(),
-                self.warmup,
-                self.rounds,
-                &mut worker.engine,
-            ),
-        };
+        match self.from_round {
+            Some(r) => self.fork_prefix(r, worker, prefixes)?,
+            None => worker.engine.reset_from(&worker.scratch),
+        }
+        let outcome = worker.measure(i, self.warmup, self.rounds);
         self.store_outcome(fp.as_ref(), &outcome)?;
         Ok(outcome)
     }
@@ -750,6 +746,9 @@ impl Sweep {
             if probe.initial != self.base.initial {
                 return fail("the initial configuration changes the prefix");
             }
+            if probe.arena != self.base.arena {
+                return fail("the arena changes the prefix");
+            }
             if let Some(why) = self.base.timeline.prefix_divergence(&probe.timeline, r) {
                 return fail(&why);
             }
@@ -762,15 +761,15 @@ impl Sweep {
         Ok(())
     }
 
-    /// Runs job `i` by forking the shared prefix at round `r` into the
-    /// job's config — the compute path of [`Sweep::from_round`].
-    fn run_forked(
+    /// Positions the worker's engine at round `r` of its job by forking
+    /// the shared prefix into the job's config — the compute path of
+    /// [`Sweep::from_round`].
+    fn fork_prefix(
         &self,
-        index: usize,
         r: u64,
         worker: &mut WorkerState,
         prefixes: &Mutex<BTreeMap<u64, Arc<Checkpoint>>>,
-    ) -> Result<RunOutcome, ConfigError> {
+    ) -> Result<(), ConfigError> {
         let seed = worker.scratch.seed;
         let memo = prefixes
             .lock()
@@ -791,33 +790,19 @@ impl Sweep {
                 c
             }
         };
-        let mut engine = match worker.engine.take() {
-            Some(e) => e,
-            None => worker.scratch.build(),
-        };
-        ckpt.fork_into(&worker.scratch, &mut engine);
-        let (summary, final_regret, final_loads) = measure(&mut engine, self.warmup, self.rounds);
-        worker.engine = Some(engine);
-        Ok(RunOutcome {
-            index,
-            seed,
-            params: worker.params.clone(),
-            rounds: self.rounds,
-            summary,
-            final_regret,
-            final_loads,
-            cached: false,
-        })
+        ckpt.fork_into(&worker.scratch, &mut worker.engine);
+        Ok(())
     }
 
     /// The shared prefix state for `seed`: loaded from the store when
     /// a verified checkpoint entry exists, else computed by running
-    /// the base scenario `r` rounds and captured back per policy.
+    /// the base scenario `r` rounds on `engine` and captured back per
+    /// policy.
     fn prefix_checkpoint(
         &self,
         seed: u64,
         r: u64,
-        engine_slot: &mut Option<SyncEngine>,
+        engine: &mut SyncEngine,
     ) -> Result<Arc<Checkpoint>, ConfigError> {
         let mut base = self.base.clone();
         base.seed = seed;
@@ -843,18 +828,11 @@ impl Sweep {
                 }
             }
         }
-        let mut engine = match engine_slot.take() {
-            Some(mut e) => {
-                e.reset_from(&base);
-                e
-            }
-            None => base.build(),
-        };
+        engine.reset_from(&base);
         engine.run(r, &mut NullObserver);
-        let ckpt = Checkpoint::capture(&engine).map_err(|e| {
+        let ckpt = Checkpoint::capture(engine).map_err(|e| {
             ConfigError::Fork(format!("capturing the shared prefix at round {r}: {e}"))
         })?;
-        *engine_slot = Some(engine);
         if let (Some(store), Some(fp)) = (self.store.as_deref(), fp.as_ref()) {
             let write = match self.capture_policy {
                 CapturePolicy::Never => false,
@@ -907,12 +885,12 @@ fn point_index(lens: &[usize], a: usize, g: usize) -> usize {
 
 /// One worker's job-streaming state: a scratch config re-derived per
 /// grid point, the grid point's shared params, and the engine reused
-/// across jobs.
+/// across jobs (empty until the first job resets it).
 struct WorkerState {
     scratch: SimConfig,
     grid_point: Option<usize>,
     params: Arc<[(String, AxisValue)]>,
-    engine: Option<SyncEngine>,
+    engine: SyncEngine,
 }
 
 impl WorkerState {
@@ -921,52 +899,28 @@ impl WorkerState {
             scratch: base.clone(),
             grid_point: None,
             params: Arc::from(Vec::new()),
-            engine: None,
+            engine: SyncEngine::empty(),
         }
     }
-}
 
-fn run_one(
-    index: usize,
-    config: &SimConfig,
-    params: Arc<[(String, AxisValue)]>,
-    warmup: u64,
-    rounds: u64,
-    engine_slot: &mut Option<SyncEngine>,
-) -> RunOutcome {
-    // Reuse the worker's engine when one is parked in the slot —
-    // `reset_from` is bit-identical to a fresh build — else build one.
-    let mut engine = match engine_slot.take() {
-        Some(mut engine) => {
-            engine.reset_from(config);
-            engine
+    /// Steps the positioned engine through the warmup and the measured
+    /// window, serially, and reports them as job `index`'s outcome.
+    fn measure(&mut self, index: usize, warmup: u64, rounds: u64) -> RunOutcome {
+        let mut summary = RunSummary::new();
+        self.engine.run(warmup, &mut NullObserver);
+        self.engine.run(rounds, &mut summary);
+        let colony = self.engine.colony();
+        RunOutcome {
+            index,
+            seed: self.scratch.seed,
+            params: self.params.clone(),
+            rounds,
+            summary,
+            final_regret: colony.instant_regret(),
+            final_loads: (0..colony.num_tasks()).map(|j| colony.load(j)).collect(),
+            cached: false,
         }
-        None => config.build(),
-    };
-    let (summary, final_regret, final_loads) = measure(&mut engine, warmup, rounds);
-    let outcome = RunOutcome {
-        index,
-        seed: config.seed,
-        params,
-        rounds,
-        final_regret,
-        final_loads,
-        summary,
-        cached: false,
-    };
-    *engine_slot = Some(engine);
-    outcome
-}
-
-/// Warmup + measured window, stepped serially on an already-positioned
-/// engine.
-fn measure(engine: &mut SyncEngine, warmup: u64, rounds: u64) -> (RunSummary, u64, Vec<u64>) {
-    let mut summary = RunSummary::new();
-    engine.run(warmup, &mut NullObserver);
-    engine.run(rounds, &mut summary);
-    let colony = engine.colony();
-    let final_loads = (0..colony.num_tasks()).map(|j| colony.load(j)).collect();
-    (summary, colony.instant_regret(), final_loads)
+    }
 }
 
 /// One decoded outcome entry, before the live sweep re-attaches its
@@ -1570,7 +1524,7 @@ mod tests {
 
     #[test]
     fn fork_precheck_rejects_prefix_divergence() {
-        use antalloc_env::{Event, Timeline};
+        use antalloc_env::{ArenaConfig, Event, Timeline};
         // A controller axis changes the prefix.
         let err = Sweep::new(base())
             .axis("gamma", [0.03125, 0.0625], |cfg, g| {
@@ -1610,6 +1564,33 @@ mod tests {
             .rounds(30)
             .run();
         assert!(ok.is_ok(), "{ok:?}");
+        // Sites sense different rows from round 1, so any arena change
+        // reshapes the prefix: a 4-site base swept to 2 sites, and a
+        // well-mixed base swept into an arena.
+        let arena = |site_of_task: Vec<u32>| ArenaConfig {
+            site_of_task,
+            travel_rounds: 2,
+            wander_probability: 0.05,
+        };
+        let mut four_sites = SimConfig::builder(400, vec![40, 50, 60, 30])
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .controller(ControllerSpec::Ant(AntParams::new(1.0 / 16.0)))
+            .build()
+            .unwrap();
+        let well_mixed = four_sites.clone();
+        four_sites.arena = Some(arena(vec![0, 1, 2, 3]));
+        for base in [four_sites, well_mixed] {
+            let err = Sweep::new(base)
+                .axis("sites", [4.0, 2.0], move |cfg, sites| {
+                    let site_of_task = (0..4).map(|j| j * sites as u32 / 4).collect();
+                    cfg.arena = Some(arena(site_of_task));
+                })
+                .from_round(10)
+                .rounds(10)
+                .run()
+                .unwrap_err();
+            assert!(matches!(err, ConfigError::Fork(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -292,6 +292,40 @@ fn sequential_engine_is_deterministic() {
     a.run(2000, &mut obs);
     b.run(2000, &mut obs);
     assert_eq!(a.colony().assignments(), b.colony().assignments());
+
+    // A three-kind mix under scripted kills, spawns and a demand step,
+    // plus a scramble trigger: the golden digest pins the sequential
+    // model's round trace and final assignments bit for bit.
+    use antalloc_env::{Condition, Event, Trigger};
+    const GOLDEN: u64 = 0xc41f_3997_504c_32bc;
+    let cfg = SimConfig::builder(300, vec![60, 90])
+        .noise(NoiseModel::Sigmoid { lambda: 1.0 })
+        .controller(ControllerSpec::Mix(vec![
+            (1.0, ControllerSpec::Trivial),
+            (1.0, ControllerSpec::Ant(AntParams::default())),
+            (1.0, ControllerSpec::ExactGreedy(Default::default())),
+        ]))
+        .seed(31)
+        .event(400, Event::Kill { count: 60 })
+        .event(900, Event::SetDemands(vec![80, 50]))
+        .event(1400, Event::Spawn { count: 90 })
+        .trigger(Trigger {
+            when: Condition::RegretBelow {
+                threshold: 40,
+                for_rounds: 50,
+            },
+            event: Event::Scramble,
+            cooldown: 300,
+            max_firings: 3,
+        })
+        .build()
+        .expect("valid scenario");
+    let mut engine = cfg.build_sequential();
+    let mut digest = RecordDigest::default();
+    engine.run(3000, &mut digest);
+    assert_eq!(engine.colony().num_ants(), 330);
+    assert_eq!(engine.trigger_states()[0].firings, 3);
+    assert_eq!(digest.finish(engine.colony()), GOLDEN);
 }
 
 /// A kill-heavy arena colony: generated kills (every ~6 rounds, 2–6% of
@@ -368,8 +402,8 @@ impl RecordDigest {
             .rotate_left(29);
     }
 
-    fn finish(mut self, engine: &antalloc_sim::SyncEngine) -> u64 {
-        for a in engine.colony().assignments() {
+    fn finish(mut self, colony: &antalloc_env::ColonyState) -> u64 {
+        for a in colony.assignments() {
             self.mix(match a {
                 antalloc_env::Assignment::Idle => u64::MAX,
                 antalloc_env::Assignment::Task(j) => u64::from(j),
@@ -409,7 +443,7 @@ fn kill_heavy_arena_mix_matches_its_golden_digest() {
     serial.run(ROUNDS, &mut digest);
     assert!(serial.colony().num_ants() < 3000, "kills outpace spawns");
     let assignments = serial.colony().assignments();
-    assert_eq!(digest.finish(&serial), GOLDEN, "serial");
+    assert_eq!(digest.finish(serial.colony()), GOLDEN, "serial");
 
     for threads in [2usize, 3] {
         let mut pooled = cfg.build();
@@ -420,7 +454,11 @@ fn kill_heavy_arena_mix_matches_its_golden_digest() {
             assignments,
             "threads = {threads}"
         );
-        assert_eq!(digest.finish(&pooled), GOLDEN, "threads = {threads}");
+        assert_eq!(
+            digest.finish(pooled.colony()),
+            GOLDEN,
+            "threads = {threads}"
+        );
     }
 
     let mut head = cfg.build();
@@ -436,7 +474,7 @@ fn kill_heavy_arena_mix_matches_its_golden_digest() {
         assignments,
         "checkpoint split"
     );
-    assert_eq!(digest.finish(&resumed), GOLDEN, "checkpoint split");
+    assert_eq!(digest.finish(resumed.colony()), GOLDEN, "checkpoint split");
 }
 
 #[test]
