@@ -189,6 +189,55 @@ impl SimConfig {
     pub fn from_json(text: &str) -> Result<Self, ConfigError> {
         Scenario::from_json(text).map(|s| s.config)
     }
+
+    /// Renders [`SimConfig::to_toml`] once, split around the top-level
+    /// `seed` value, so the canonical text of this config under any
+    /// seed is a splice instead of a fresh render.
+    pub(crate) fn to_toml_around_seed(&self) -> SeedSplitToml {
+        let text = self.to_toml();
+        // The writer puts every top-level scalar first, one
+        // `key = value` line each (strings escape their newlines), so
+        // the seed's line is found before the first blank line or
+        // section header; a `[noise]` seed can never match.
+        let mut start = 0;
+        for line in text.split_inclusive('\n') {
+            if line.starts_with('[') || line == "\n" {
+                break;
+            }
+            if let Some(digits) = line.strip_prefix("seed = ") {
+                let head = start + "seed = ".len();
+                let tail = head + digits.trim_end_matches('\n').len();
+                return SeedSplitToml {
+                    head: text[..head].to_string(),
+                    tail: text[tail..].to_string(),
+                };
+            }
+            start += line.len();
+        }
+        unreachable!("the canonical text has a top-level seed line:\n{text}")
+    }
+}
+
+/// A config's canonical TOML with its top-level seed value cut out
+/// (see [`SimConfig::to_toml_around_seed`]). Nothing else in the text
+/// depends on the seed, so `head ‖ seed digits ‖ tail` is the
+/// config's `to_toml()` under any seed, byte for byte.
+pub(crate) struct SeedSplitToml {
+    head: String,
+    tail: String,
+}
+
+impl SeedSplitToml {
+    /// The canonical text under `seed`, written into `buf`.
+    pub(crate) fn splice<'b>(&self, seed: u64, buf: &'b mut Vec<u8>) -> &'b [u8] {
+        use std::io::Write as _;
+        buf.clear();
+        buf.extend_from_slice(self.head.as_bytes());
+        // A `Vec` write cannot fail.
+        let _ = write!(buf, "{seed}");
+        buf.extend_from_slice(self.tail.as_bytes());
+        buf
+    }
 }
 
 #[cfg(test)]
@@ -373,5 +422,112 @@ mod tests {
         assert_eq!(back, config);
         let back = SimConfig::from_toml(&config.to_toml()).unwrap();
         assert_eq!(back, config);
+    }
+
+    /// Every shape the seed split must survive: `fingerprints.rs`'s
+    /// rich mixes (cycle, one-shot kill, trigger, spawn generator), an
+    /// arena, correlated noise whose own `[noise]` seed (9) is one of
+    /// the split seeds, the 64-deep adversarial scenario, and an
+    /// out-of-spec config (its `out_of_spec` line follows the seed).
+    fn split_shape(which: usize, seed: u64) -> SimConfig {
+        let demands = vec![20, 30];
+        let base = SimConfig::builder(120, demands.clone())
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .seed(seed);
+        let built = match which % 6 {
+            mix @ (0 | 1) => {
+                let spec = if mix == 0 {
+                    ControllerSpec::Ant(AntParams::new(1.0 / 16.0))
+                } else {
+                    ControllerSpec::Mix(vec![
+                        (2.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
+                        (1.0, ControllerSpec::Trivial),
+                    ])
+                };
+                base.controller(spec)
+                    .initial(InitialConfig::SaturatedPlus { extra: 2 })
+                    .timeline(antalloc_env::Timeline::new().every(
+                        40,
+                        40,
+                        vec![Event::SetDemands(vec![30, 20]), Event::SetDemands(demands)],
+                    ))
+                    .event(11, Event::Kill { count: 3 })
+                    .trigger(Trigger::once(
+                        Condition::RegretAbove {
+                            threshold: 60,
+                            for_rounds: 3,
+                        },
+                        Event::Scramble,
+                    ))
+                    .generate(antalloc_env::TimelineGen {
+                        start: 5,
+                        until: 90,
+                        mean_gap: 30.0,
+                        shock: antalloc_env::GenShock::Spawn {
+                            min_frac: 0.01,
+                            max_frac: 0.05,
+                        },
+                    })
+                    .build()
+            }
+            2 => base
+                .arena(antalloc_env::ArenaConfig {
+                    site_of_task: vec![0, 1],
+                    travel_rounds: 3,
+                    wander_probability: 0.05,
+                })
+                .build(),
+            3 => base
+                .noise(NoiseModel::CorrelatedSigmoid {
+                    lambda: 2.0,
+                    rho: 0.5,
+                    seed: 9,
+                })
+                .build(),
+            4 => {
+                let mut config = rich_scenario().config;
+                config.seed = seed;
+                Ok(config)
+            }
+            _ => base
+                .controller(ControllerSpec::Ant(AntParams::new(1.0 / 8.0)))
+                .out_of_spec_params()
+                .build(),
+        };
+        built.expect("valid shape")
+    }
+
+    /// `head ‖ digits ‖ tail` of a split taken at one seed is
+    /// `to_toml()` of the same config at another, byte for byte.
+    fn check_seed_split(which: usize, split_seed: u64, seed: u64) {
+        let split = split_shape(which, split_seed).to_toml_around_seed();
+        let mut buf = Vec::new();
+        let want = split_shape(which, seed).to_toml();
+        assert_eq!(
+            std::str::from_utf8(split.splice(seed, &mut buf)).unwrap(),
+            want,
+            "shape {which}, split at seed {split_seed}"
+        );
+    }
+
+    #[test]
+    fn seed_split_splices_edge_seeds() {
+        let edges = [0, 9, 10, 1 << 32, u64::MAX];
+        for which in 0..6 {
+            for split_seed in edges {
+                for seed in edges {
+                    check_seed_split(which, split_seed, seed);
+                }
+            }
+        }
+        let text = split_shape(5, 3).to_toml();
+        assert!(text.contains("seed = 3\nout_of_spec = true\n"), "{text}");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn seed_split_splices_random_seeds(which in 0usize..6, split_seed: u64, seed: u64) {
+            check_seed_split(which, split_seed, seed);
+        }
     }
 }

@@ -16,7 +16,8 @@
 //! *derived on demand* from (base config, axis setters, seed list), so
 //! a million-run sweep holds O(workers) configs, not a million clones.
 //! Each worker keeps one scratch [`SimConfig`] (re-derived only when
-//! its grid point changes), one shared per-grid-point `params` arc, and
+//! its grid point changes, together with its store-key text when a
+//! store is attached), one shared per-grid-point `params` arc, and
 //! one [`SyncEngine`] reused across jobs via
 //! [`SyncEngine::reset_from`] — bit-identical to building a fresh
 //! engine per job (a fresh engine *is* an empty one reset from its
@@ -55,7 +56,7 @@ use crate::config::SimConfig;
 use crate::engine::SyncEngine;
 use crate::observer::{NullObserver, RunSummary};
 use crate::scenario::sink::RunSink;
-use crate::scenario::ConfigError;
+use crate::scenario::{ConfigError, SeedSplitToml};
 
 /// Domain tag of outcome fingerprints; bump when the outcome payload
 /// layout changes so stale entries become misses, not misreads.
@@ -514,20 +515,20 @@ impl Sweep {
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let (tx, rx) = mpsc::channel::<Result<RunOutcome, ConfigError>>();
-        // Shared-prefix checkpoints by seed: the in-process half of the
-        // `from_round` amortization (the durable store, when attached,
-        // is the cross-process half).
-        let prefixes: Mutex<BTreeMap<u64, Arc<Checkpoint>>> = Mutex::new(BTreeMap::new());
+        let pool = Pool {
+            lens,
+            prefixes: Mutex::new(BTreeMap::new()),
+            base_text: self.store.as_ref().map(|_| self.base.to_toml_around_seed()),
+        };
         let workers = self.threads.min(total).max(1);
         let mut delivered = 0usize;
         let mut first_error: Option<ConfigError> = None;
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let lens = &lens;
                 let next = &next;
                 let stop = &stop;
-                let prefixes = &prefixes;
+                let pool = &pool;
                 let tx = tx.clone();
                 scope.spawn(move || {
                     let mut worker = WorkerState::new(&self.base);
@@ -539,7 +540,7 @@ impl Sweep {
                         if i >= total {
                             return;
                         }
-                        let result = self.run_job(i, lens, &mut worker, prefixes);
+                        let result = self.run_job(i, pool, &mut worker);
                         let failed = result.is_err();
                         if tx.send(result).is_err() || failed {
                             return;
@@ -581,30 +582,39 @@ impl Sweep {
     }
 
     /// Runs job `i` on a worker's local state: re-derives the scratch
-    /// config when the grid point changed, overwrites the seed, checks
-    /// the store, and reuses the worker's engine unless
-    /// [`Sweep::engine_reuse`] turned that off.
+    /// config (and, with a store, its key text) when the grid point
+    /// changed, overwrites the seed, checks the store, and reuses the
+    /// worker's engine unless [`Sweep::engine_reuse`] turned that off.
     fn run_job(
         &self,
         i: usize,
-        lens: &[usize],
+        pool: &Pool,
         worker: &mut WorkerState,
-        prefixes: &Mutex<BTreeMap<u64, Arc<Checkpoint>>>,
     ) -> Result<RunOutcome, ConfigError> {
         let g = i / self.seeds.len();
         let s = i % self.seeds.len();
         if worker.grid_point != Some(g) {
             worker.scratch.clone_from(&self.base);
-            self.apply_point(g, lens, &mut worker.scratch);
-            worker.params = self.point_params(g, lens);
+            self.apply_point(g, &pool.lens, &mut worker.scratch);
+            worker.params = self.point_params(g, &pool.lens);
             worker.grid_point = Some(g);
+            // Jobs of one grid point differ only in the seed, so the
+            // canonical text is rendered here once and spliced per job.
+            worker.scenario_text = self
+                .store
+                .as_ref()
+                .map(|_| worker.scratch.to_toml_around_seed());
         }
         worker.scratch.seed = self.seeds[s];
-        // Fingerprinting costs a TOML render, so only with a store.
-        let fp = self
-            .store
-            .as_ref()
-            .map(|_| self.outcome_fingerprint(&worker.scratch));
+        let fp = match (&worker.scenario_text, &pool.base_text) {
+            (Some(scenario), Some(base)) => Some(self.outcome_fingerprint(
+                worker.scratch.seed,
+                scenario,
+                base,
+                &mut worker.key_buf,
+            )),
+            _ => None,
+        };
         if let Some(hit) = self.cached_outcome(i, fp.as_ref(), &worker.scratch, &worker.params)? {
             return Ok(hit);
         }
@@ -612,7 +622,7 @@ impl Sweep {
             worker.engine = SyncEngine::empty();
         }
         match self.from_round {
-            Some(r) => self.fork_prefix(r, worker, prefixes)?,
+            Some(r) => self.fork_prefix(r, pool, worker)?,
             None => worker.engine.reset_from(&worker.scratch),
         }
         let outcome = worker.measure(i, self.warmup, self.rounds);
@@ -625,19 +635,26 @@ impl Sweep {
     /// window. `from_round` folds in the fork round and the prefix
     /// scenario, since those change what the run computes; `threads`
     /// and `engine_reuse` do not (bit-identity contract) and are
-    /// deliberately excluded.
-    fn outcome_fingerprint(&self, cfg: &SimConfig) -> Fingerprint {
+    /// deliberately excluded. Both scenario texts are spliced from
+    /// their seed-split renders into `buf`: the same bytes as
+    /// `to_toml()` of the job's config and of the base config under
+    /// the job's seed.
+    fn outcome_fingerprint(
+        &self,
+        seed: u64,
+        scenario: &SeedSplitToml,
+        base: &SeedSplitToml,
+        buf: &mut Vec<u8>,
+    ) -> Fingerprint {
         let mut b = FingerprintBuilder::new(OUTCOME_DOMAIN)
-            .bytes("scenario", cfg.to_toml().as_bytes())
-            .u64("seed", cfg.seed)
+            .bytes("scenario", scenario.splice(seed, buf))
+            .u64("seed", seed)
             .u64("warmup", self.warmup)
             .u64("rounds", self.rounds);
         if let Some(r) = self.from_round {
-            let mut base = self.base.clone();
-            base.seed = cfg.seed;
             b = b
                 .u64("from-round", r)
-                .bytes("prefix-scenario", base.to_toml().as_bytes());
+                .bytes("prefix-scenario", base.splice(seed, buf));
         }
         b.finish()
     }
@@ -665,15 +682,21 @@ impl Sweep {
         if matches!(self.use_policy, UsePolicy::Never) {
             return Ok(None);
         }
-        let reason = match store.load(fp, EntryKind::Outcome) {
+        // The reason is only formatted on the `Require` error path; a
+        // cold pass under `IfFresh` misses on every job.
+        let miss;
+        let reason: &dyn core::fmt::Display = match store.load(fp, EntryKind::Outcome) {
             Ok(bytes) => match decode_outcome(&bytes) {
                 Some(row) if row.seed == cfg.seed && row.rounds == self.rounds => {
                     return Ok(Some(row.into_outcome(index, params.clone())));
                 }
-                Some(_) => "entry disagrees with the requested seed/rounds".to_string(),
-                None => "outcome payload failed to decode (layout skew)".to_string(),
+                Some(_) => &"entry disagrees with the requested seed/rounds",
+                None => &"outcome payload failed to decode (layout skew)",
             },
-            Err(miss) => miss.to_string(),
+            Err(e) => {
+                miss = e;
+                &miss
+            }
         };
         if require {
             return Err(ConfigError::Store(format!(
@@ -767,11 +790,12 @@ impl Sweep {
     fn fork_prefix(
         &self,
         r: u64,
+        pool: &Pool,
         worker: &mut WorkerState,
-        prefixes: &Mutex<BTreeMap<u64, Arc<Checkpoint>>>,
     ) -> Result<(), ConfigError> {
         let seed = worker.scratch.seed;
-        let memo = prefixes
+        let memo = pool
+            .prefixes
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&seed)
@@ -782,8 +806,15 @@ impl Sweep {
                 // Workers racing on the same fresh seed duplicate the
                 // prefix run; both compute identical checkpoints, so
                 // last-insert-wins is benign.
-                let c = self.prefix_checkpoint(seed, r, &mut worker.engine)?;
-                prefixes
+                let fp = pool.base_text.as_ref().map(|base| {
+                    FingerprintBuilder::new(PREFIX_DOMAIN)
+                        .bytes("scenario", base.splice(seed, &mut worker.key_buf))
+                        .u64("seed", seed)
+                        .u64("round", r)
+                        .finish()
+                });
+                let c = self.prefix_checkpoint(seed, r, fp, &mut worker.engine)?;
+                pool.prefixes
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .insert(seed, c.clone());
@@ -794,25 +825,20 @@ impl Sweep {
         Ok(())
     }
 
-    /// The shared prefix state for `seed`: loaded from the store when
-    /// a verified checkpoint entry exists, else computed by running
-    /// the base scenario `r` rounds on `engine` and captured back per
-    /// policy.
+    /// The shared prefix state for `seed`: loaded from the store under
+    /// key `fp` (the base scenario's text under `seed`, the seed and
+    /// `r`) when a verified checkpoint entry exists, else computed by
+    /// running the base scenario `r` rounds on `engine` and captured
+    /// back per policy.
     fn prefix_checkpoint(
         &self,
         seed: u64,
         r: u64,
+        fp: Option<Fingerprint>,
         engine: &mut SyncEngine,
     ) -> Result<Arc<Checkpoint>, ConfigError> {
         let mut base = self.base.clone();
         base.seed = seed;
-        let fp = self.store.as_ref().map(|_| {
-            FingerprintBuilder::new(PREFIX_DOMAIN)
-                .bytes("scenario", base.to_toml().as_bytes())
-                .u64("seed", seed)
-                .u64("round", r)
-                .finish()
-        });
         let mut known_missing = false;
         if let (Some(store), Some(fp)) = (self.store.as_deref(), fp.as_ref()) {
             if !matches!(self.use_policy, UsePolicy::Never) {
@@ -883,14 +909,31 @@ fn point_index(lens: &[usize], a: usize, g: usize) -> usize {
     (g / stride) % lens[a]
 }
 
+/// What every worker of one pool shares.
+struct Pool {
+    /// Points per axis.
+    lens: Vec<usize>,
+    /// Shared-prefix checkpoints by seed: the in-process half of the
+    /// `from_round` amortization (the durable store, when attached, is
+    /// the cross-process half).
+    prefixes: Mutex<BTreeMap<u64, Arc<Checkpoint>>>,
+    /// With a store: the base config's canonical text split around its
+    /// seed, rendered once per sweep for the prefix key parts.
+    base_text: Option<SeedSplitToml>,
+}
+
 /// One worker's job-streaming state: a scratch config re-derived per
-/// grid point, the grid point's shared params, and the engine reused
-/// across jobs (empty until the first job resets it).
+/// grid point, the grid point's shared params, the engine reused
+/// across jobs (empty until the first job resets it), and, with a
+/// store, the scratch config's seed-split key text plus the buffer
+/// each job's key text is spliced into.
 struct WorkerState {
     scratch: SimConfig,
     grid_point: Option<usize>,
     params: Arc<[(String, AxisValue)]>,
     engine: SyncEngine,
+    scenario_text: Option<SeedSplitToml>,
+    key_buf: Vec<u8>,
 }
 
 impl WorkerState {
@@ -900,6 +943,8 @@ impl WorkerState {
             grid_point: None,
             params: Arc::from(Vec::new()),
             engine: SyncEngine::empty(),
+            scenario_text: None,
+            key_buf: Vec::new(),
         }
     }
 

@@ -9,10 +9,14 @@
 use std::sync::Arc;
 
 use antalloc_core::{AntParams, ExactGreedyParams, PreciseSigmoidParams};
-use antalloc_env::{Condition, Event, GenShock, InitialConfig, Timeline, TimelineGen, Trigger};
+use antalloc_env::{
+    ArenaConfig, Condition, Event, GenShock, InitialConfig, Timeline, TimelineGen, Trigger,
+};
 use antalloc_noise::NoiseModel;
-use antalloc_sim::{ControllerSpec, Scenario, ScenarioBuilder, SimConfig, Sweep};
-use antalloc_store::CheckpointStore;
+use antalloc_sim::{
+    AxisValue, ControllerSpec, RunOutcome, Scenario, ScenarioBuilder, SimConfig, Sweep,
+};
+use antalloc_store::{CheckpointStore, EntryKind, Fingerprint, FingerprintBuilder};
 use proptest::prelude::*;
 
 /// Homogeneous and mixed controller populations.
@@ -290,4 +294,243 @@ fn round_budgets_are_part_of_the_fingerprint() {
     // now replay as hits.
     assert!(batch(31, 10).run().unwrap().iter().all(|o| o.cached));
     assert!(batch(30, 11).run().unwrap().iter().all(|o| o.cached));
+}
+
+/// The scenario whose store keys are pinned below. It carries a
+/// correlated-noise `seed` of its own, which must stay part of the
+/// scenario text and never be mistaken for the run's seed.
+const PINNED_SCENARIO: &str = r#"
+n = 200
+demands = [30, 50]
+seed = 41
+
+[controller]
+kind = "ant"
+gamma = 0.0625
+
+[noise]
+kind = "correlated-sigmoid"
+lambda = 2.0
+rho = 0.5
+seed = 99
+
+[[timeline]]
+at = 25
+kind = "kill"
+count = 4
+"#;
+
+/// Key hexes recorded before `Sweep` stopped rendering the scenario
+/// text per job. Archives written since then are keyed by exactly
+/// these bytes; if one of them moves, every existing archive turns
+/// into misses, so change it only together with a key domain.
+const PINNED_OUTCOME: &str = "9e462ef8b950ddda200badf2faf3ea4012c88db96541f80336bba4de5cd9ef29";
+const PINNED_OUTCOME_FROM_20: &str =
+    "162070d54db712f1f04a80a2a3185099b762bd372c8f9cb09a40a9329dbaf403";
+const PINNED_PREFIX_AT_20: &str =
+    "9b903648c12893d45cc2d0a27057c3bfdd5576296f98bfc41c8a99a5ee9034a9";
+
+fn fingerprint_from_hex(hex: &str) -> Fingerprint {
+    assert_eq!(hex.len(), 64, "a full key is 64 hex digits");
+    let mut bytes = [0u8; 32];
+    for (i, byte) in bytes.iter_mut().enumerate() {
+        *byte = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex digit");
+    }
+    Fingerprint(bytes)
+}
+
+/// The outcome key `Sweep` documents, rebuilt from public parts.
+fn outcome_key(
+    cfg: &SimConfig,
+    warmup: u64,
+    rounds: u64,
+    from: Option<(u64, &SimConfig)>,
+) -> Fingerprint {
+    let b = FingerprintBuilder::new("antalloc.outcome.v1")
+        .bytes("scenario", cfg.to_toml().as_bytes())
+        .u64("seed", cfg.seed)
+        .u64("warmup", warmup)
+        .u64("rounds", rounds);
+    match from {
+        Some((r, base)) => {
+            let mut base = base.clone();
+            base.seed = cfg.seed;
+            b.u64("from-round", r)
+                .bytes("prefix-scenario", base.to_toml().as_bytes())
+                .finish()
+        }
+        None => b.finish(),
+    }
+}
+
+/// The shared-prefix checkpoint key `Sweep` documents, rebuilt from
+/// public parts.
+fn prefix_key(base: &SimConfig, seed: u64, r: u64) -> Fingerprint {
+    let mut base = base.clone();
+    base.seed = seed;
+    FingerprintBuilder::new("antalloc.prefix-checkpoint.v3")
+        .bytes("scenario", base.to_toml().as_bytes())
+        .u64("seed", seed)
+        .u64("round", r)
+        .finish()
+}
+
+/// Store keys are a file format: the recipe reproduces the recorded
+/// hexes, and a real sweep writes its entries under exactly them.
+#[test]
+fn pinned_store_keys_are_stable() {
+    let cfg = SimConfig::from_toml(PINNED_SCENARIO).unwrap();
+    let (warmup, rounds, r) = (5, 30, 20);
+    let outcome = outcome_key(&cfg, warmup, rounds, None);
+    let outcome_from = outcome_key(&cfg, warmup, rounds, Some((r, &cfg)));
+    let prefix = prefix_key(&cfg, cfg.seed, r);
+    assert_eq!(outcome.hex(), PINNED_OUTCOME);
+    assert_eq!(outcome_from.hex(), PINNED_OUTCOME_FROM_20);
+    assert_eq!(prefix.hex(), PINNED_PREFIX_AT_20);
+
+    let sweep = || {
+        Sweep::new(cfg.clone())
+            .warmup(warmup)
+            .rounds(rounds)
+            .seeds([cfg.seed])
+    };
+    let store = Arc::new(CheckpointStore::in_memory());
+    sweep().store(store.clone()).run().unwrap();
+    sweep().store(store.clone()).from_round(r).run().unwrap();
+    for (hex, kind) in [
+        (PINNED_OUTCOME, EntryKind::Outcome),
+        (PINNED_OUTCOME_FROM_20, EntryKind::Outcome),
+        (PINNED_PREFIX_AT_20, EntryKind::Checkpoint),
+    ] {
+        let fp = fingerprint_from_hex(hex);
+        assert!(
+            store.load(&fp, kind).is_ok(),
+            "the sweep wrote no {kind:?} entry under the pinned key {hex}"
+        );
+    }
+    assert_eq!(
+        store.entries().unwrap().len(),
+        3,
+        "unexpected extra entries"
+    );
+}
+
+/// `fingerprints.rs`'s rich shapes (0–3), one of them in an arena (4),
+/// and one under correlated noise whose own `[noise]` seed, 9, is also
+/// one of the swept seeds (5).
+fn key_shape(which: usize, n: usize) -> SimConfig {
+    let mut cfg = rich_config(which % 4, n, 0, which.is_multiple_of(2));
+    match which {
+        4 => {
+            cfg.arena = Some(ArenaConfig {
+                site_of_task: vec![0, 1],
+                travel_rounds: 2,
+                wander_probability: 0.05,
+            });
+        }
+        5 => {
+            cfg.noise = NoiseModel::CorrelatedSigmoid {
+                lambda: 2.0,
+                rho: 0.5,
+                seed: 9,
+            };
+        }
+        _ => {}
+    }
+    cfg
+}
+
+/// The first grid axis: the noise steepness, whatever the model.
+fn set_lambda(cfg: &mut SimConfig, lambda: f64) {
+    match &mut cfg.noise {
+        NoiseModel::Sigmoid { lambda: l } | NoiseModel::CorrelatedSigmoid { lambda: l, .. } => {
+            *l = lambda;
+        }
+        other => panic!("no steepness to sweep in {other:?}"),
+    }
+}
+
+/// The second grid axis: a kill after every fork round, so a
+/// `from_round` sweep still shares its prefix.
+fn set_late_kill(cfg: &mut SimConfig, count: f64) {
+    let timeline = std::mem::take(&mut cfg.timeline);
+    cfg.timeline = timeline.at(
+        30,
+        Event::Kill {
+            count: count as usize,
+        },
+    );
+}
+
+/// Job `outcome`'s config, rebuilt from the base and its axis values.
+fn job_config(base: &SimConfig, outcome: &RunOutcome) -> SimConfig {
+    let value = |a: usize| match outcome.params[a].1 {
+        AxisValue::Float(x) => x,
+        AxisValue::Text(_) => unreachable!("numeric axes"),
+    };
+    let mut cfg = base.clone();
+    set_lambda(&mut cfg, value(0));
+    set_late_kill(&mut cfg, value(1));
+    cfg.seed = outcome.seed;
+    cfg
+}
+
+proptest! {
+    /// Every entry a two-axis sweep writes sits under the key rebuilt
+    /// from scratch (`to_toml()` of the job's config and of the base
+    /// config under the job's seed), with and without `from_round`, at
+    /// 1 and 2 workers — and no other entry exists.
+    #[test]
+    fn sweep_keys_equal_from_scratch_keys(
+        which in 0usize..6,
+        n in 60usize..120,
+        random_seed: u64,
+    ) {
+        let base = key_shape(which, n);
+        let (warmup, rounds, r) = (2, 6, 20);
+        let seeds = [0, 9, 10, 1 << 32, u64::MAX, random_seed];
+        for from in [None, Some(r)] {
+            for threads in [1, 2] {
+                let store = Arc::new(CheckpointStore::in_memory());
+                let sweep = Sweep::new(base.clone())
+                    .axis("lambda", [1.5, 2.5], set_lambda)
+                    .axis("late_kill", [1.0, 2.0], set_late_kill)
+                    .seeds(seeds)
+                    .warmup(warmup)
+                    .rounds(rounds)
+                    .threads(threads)
+                    .store(store.clone());
+                let sweep = match from {
+                    Some(r) => sweep.from_round(r),
+                    None => sweep,
+                };
+                let outcomes = sweep.run().unwrap();
+                prop_assert_eq!(outcomes.len(), 4 * seeds.len());
+                let mut want = Vec::new();
+                for outcome in &outcomes {
+                    let cfg = job_config(&base, outcome);
+                    let fp = outcome_key(&cfg, warmup, rounds, from.map(|r| (r, &base)));
+                    prop_assert!(
+                        store.load(&fp, EntryKind::Outcome).is_ok(),
+                        "no outcome entry under the from-scratch key of job {}", outcome.index
+                    );
+                    want.push(fp.short_hex());
+                }
+                if let Some(r) = from {
+                    for seed in seeds {
+                        let fp = prefix_key(&base, seed, r);
+                        prop_assert!(
+                            store.load(&fp, EntryKind::Checkpoint).is_ok(),
+                            "no prefix entry under the from-scratch key of seed {}", seed
+                        );
+                        want.push(fp.short_hex());
+                    }
+                }
+                let mut got = store.entries().unwrap();
+                got.sort();
+                want.sort();
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
 }
