@@ -40,16 +40,18 @@
 //! boundaries (`round % capture_phase == 0`, see
 //! [`crate::ControllerSpec::capture_phase_len`]), where their per-phase
 //! scratch is empty by construction; [`Checkpoint::capture`] refuses to
-//! snapshot anywhere else. Restored runs replay exactly
-//! (`tests/checkpoint_replay.rs` and `tests/banks.rs` assert
-//! bit-identical trajectories, including mid-phase Precise Sigmoid
-//! restores).
+//! snapshot anywhere else. Restored runs replay exactly (the contract
+//! oracle in the `antalloc-tests` package asserts bit-identical serial
+//! and pooled continuations on every scenario it runs, mid-phase
+//! Precise Sigmoid and Precise Adversarial captures included).
 //!
 //! Exceptions: `ControllerSpec::AntDesync` has, by construction, no
 //! global phase boundary — the offset half of the colony is always
 //! mid-phase — so its restores are *approximate* (the offset half skips
 //! one decision and self-stabilizes); likewise kill-perturbations
-//! reshuffle which index carries which offset.
+//! reshuffle which index carries which offset. `ControllerSpec::Hysteresis`
+//! machines' contrary-signal streaks are not serialized either, so a
+//! capture taken mid-streak restores approximately.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

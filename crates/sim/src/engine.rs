@@ -47,8 +47,9 @@
 //! immaterial: column slots are disjoint per ant, load/idle transitions
 //! commute, and the switch count is a sum. Consumption order of
 //! randomness is what matters, and that is per-ant by construction.
-//! `tests/determinism.rs` and the bank property tests in
-//! `tests/banks.rs` hold this contract down.
+//! The contract oracle of the `antalloc-tests` package
+//! (`tests/src/contract.rs`) holds every clause above down on generated
+//! scenarios, and `tests/banks.rs` the bank-wise versus per-ant one.
 //!
 //! ## One round driver
 //!
@@ -367,8 +368,7 @@ impl SyncEngine {
             arena.reset(a, n, config.seed);
             arena
         });
-        let initial = self.config.initial.clone();
-        self.set_initial(&initial);
+        self.apply_initial();
     }
 
     /// The rebuild steps [`SyncEngine::reset_from`] and
@@ -393,10 +393,13 @@ impl SyncEngine {
         self.post_deficits.resize(k, 0);
     }
 
-    /// Applies an initial configuration (Theorem 3.1's "arbitrary
-    /// initial allocation"), syncing controllers to the environment.
-    pub fn set_initial(&mut self, initial: &InitialConfig) {
-        initial.apply(&mut self.colony, &mut self.init_rng);
+    /// Applies the config's initial configuration (Theorem 3.1's
+    /// "arbitrary initial allocation") to the freshly reset colony,
+    /// syncing controllers and arena positions to it.
+    fn apply_initial(&mut self) {
+        self.config
+            .initial
+            .apply(&mut self.colony, &mut self.init_rng);
         self.population.reset_to_colony(&self.colony);
         if let Some(arena) = &mut self.arena {
             arena.sync_to_colony(&self.colony);
@@ -986,54 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        let mut serial = config().build();
-        let mut par2 = config().build();
-        let mut par4 = config().build();
-        let mut o1 = NullObserver;
-        serial.run(101, &mut o1);
-        // Force the pooled path even at this small size.
-        par2.run_parallel_forced(101, 2, &mut o1);
-        par4.run_parallel_forced(101, 4, &mut o1);
-        assert_eq!(serial.colony().loads(), par2.colony().loads());
-        assert_eq!(serial.colony().loads(), par4.colony().loads());
-        assert_eq!(serial.colony().assignments(), par2.colony().assignments());
-        assert_eq!(serial.colony().assignments(), par4.colony().assignments());
-    }
-
-    #[test]
-    fn mixed_parallel_is_bit_identical_to_serial() {
-        let mut serial = mixed_config().build();
-        let mut par = mixed_config().build();
-        let mut obs = NullObserver;
-        serial.run(80, &mut obs);
-        par.run_parallel_forced(80, 3, &mut obs);
-        assert_eq!(serial.colony().loads(), par.colony().loads());
-        assert_eq!(serial.colony().assignments(), par.colony().assignments());
-    }
-
-    #[test]
-    fn parallel_observer_sees_same_rounds_as_serial() {
-        let mut serial = config().build();
-        let mut par = config().build();
-        let mut serial_trace = Vec::new();
-        let mut par_trace = Vec::new();
-        {
-            let mut obs = crate::observer::FnObserver::new(|r: &RoundRecord<'_>| {
-                serial_trace.push((r.round, r.instant_regret(), r.switches));
-            });
-            serial.run(60, &mut obs);
-        }
-        {
-            let mut obs = crate::observer::FnObserver::new(|r: &RoundRecord<'_>| {
-                par_trace.push((r.round, r.instant_regret(), r.switches));
-            });
-            par.run_parallel_forced(60, 3, &mut obs);
-        }
-        assert_eq!(serial_trace, par_trace);
-    }
-
-    #[test]
     fn worker_count_never_exceeds_requested_threads() {
         // Regression: with n just above one worker's minimum, the old
         // heuristic `threads.min(n / min).max(2)` ran 2 undersized
@@ -1097,8 +1052,11 @@ mod tests {
 
     #[test]
     fn initial_config_syncs_controllers() {
-        let mut e = config().build();
-        e.set_initial(&InitialConfig::AllOnTask(1));
+        let mut e = crate::ScenarioBuilder::from_config(config())
+            .initial(InitialConfig::AllOnTask(1))
+            .build()
+            .expect("valid scenario")
+            .build();
         assert_eq!(e.colony().load(1), 800);
         // Controllers believe it too: run a round; no panic, consistent.
         let mut obs = NullObserver;
@@ -1171,56 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn triggered_runs_are_bit_identical_serial_vs_parallel() {
-        use antalloc_env::Condition;
-
-        // A repeating stampede that strikes whenever the colony has
-        // settled for 8 rounds: the firing rounds are state-dependent,
-        // so the parallel path must discover them mid-scope. Starting
-        // saturated puts the colony inside the trigger band right away.
-        let cfg = SimConfig::builder(900, vec![120, 180])
-            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-            .controller(ControllerSpec::Ant(AntParams::default()))
-            .seed(17)
-            .initial(InitialConfig::SaturatedPlus { extra: 2 })
-            .trigger(antalloc_env::Trigger {
-                when: Condition::RegretBelow {
-                    threshold: 60,
-                    for_rounds: 8,
-                },
-                event: Event::StampedeTo(0),
-                cooldown: 40,
-                max_firings: 0,
-            })
-            .build()
-            .unwrap();
-        let mut serial = cfg.build();
-        let mut parallel = cfg.build();
-        let mut serial_trace = Vec::new();
-        let mut parallel_trace = Vec::new();
-        {
-            let mut obs = crate::observer::FnObserver::new(|r: &RoundRecord<'_>| {
-                serial_trace.push((r.round, r.instant_regret(), r.switches));
-            });
-            serial.run(400, &mut obs);
-        }
-        {
-            let mut obs = crate::observer::FnObserver::new(|r: &RoundRecord<'_>| {
-                parallel_trace.push((r.round, r.instant_regret(), r.switches));
-            });
-            parallel.run_parallel_forced(400, 3, &mut obs);
-        }
-        assert_eq!(serial_trace, parallel_trace);
-        assert_eq!(
-            serial.colony().assignments(),
-            parallel.colony().assignments()
-        );
-        assert_eq!(serial.trigger_states, parallel.trigger_states);
-        // The trigger really struck (otherwise this test is vacuous).
-        assert!(serial.trigger_states[0].firings > 0, "trigger never fired");
-    }
-
-    #[test]
     fn generated_timelines_are_deterministic_and_seed_dependent() {
         use antalloc_env::{GenShock, TimelineGen};
 
@@ -1244,12 +1152,9 @@ mod tests {
         let mut obs = NullObserver;
         let mut a = cfg(5).build();
         let mut b = cfg(5).build();
-        let mut par = cfg(5).build();
         a.run(200, &mut obs);
         b.run(200, &mut obs);
-        par.run_parallel_forced(200, 4, &mut obs);
         assert_eq!(a.colony().assignments(), b.colony().assignments());
-        assert_eq!(a.colony().assignments(), par.colony().assignments());
         // The generated kills really shrank the colony, and a different
         // master seed expands a different schedule.
         assert!(a.colony().num_ants() < 600, "no generated kill fired");

@@ -6,7 +6,7 @@
 //! sequential colony settles near the demands, the synchronous one
 //! flip-flops with amplitude `Θ(n)`.
 
-use antalloc_env::{ColonyState, InitialConfig, TriggerState};
+use antalloc_env::{ColonyState, TriggerState};
 use antalloc_rng::AntRng;
 
 use crate::engine::SyncEngine;
@@ -28,11 +28,6 @@ pub struct SequentialEngine {
 }
 
 impl SequentialEngine {
-    /// Applies an initial configuration and syncs controllers.
-    pub fn set_initial(&mut self, initial: &InitialConfig) {
-        self.engine.set_initial(initial);
-    }
-
     /// The current round (1-based after the first step).
     pub fn round(&self) -> u64 {
         self.engine.round()

@@ -1,58 +1,51 @@
 //! The bank-stepping contract: for **every** `ControllerSpec` variant,
 //! the banked engine is bit-identical, round for round, to the per-ant
 //! reference loop (the pre-bank engine semantics) — and mixed colonies
-//! survive kill/spawn/checkpoint/restore with exact replays.
+//! survive imperative kill/spawn/checkpoint/restore with exact replays.
 
 use antalloc_core::Controller as _;
-use antalloc_env::{ColonyState, DemandVector, Event, Perturbation, Timeline};
+use antalloc_env::{ColonyState, DemandVector, Event, Perturbation};
 use antalloc_noise::{FeedbackProbe, NoiseModel};
 use antalloc_rng::{reserved, AntRng, StreamSeeder};
-use antalloc_sim::{Checkpoint, ControllerSpec, FnObserver, NullObserver, RoundRecord, SimConfig};
+use antalloc_sim::{Checkpoint, ControllerSpec, NullObserver, SimConfig};
+use antalloc_tests::contract::{check_contract, Round, Trace};
+use antalloc_tests::scenarios;
 
-use antalloc_core::{
-    AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
-    ProportionalParams,
-};
-
-/// One round's observable outcome.
-type Trace = Vec<(u64, Vec<u32>, u64, u64)>; // (round, loads, idle, switches)
+use antalloc_core::{AntParams, ExactGreedyParams};
 
 /// Replays `cfg` with the pre-bank semantics: a flat `Vec<AnyController>`
 /// stepped per ant, each through its own probe on its stream for the
 /// round, decisions applied in ant order as they are made. The
 /// controllers themselves are cloned out of a freshly built engine
 /// (`reference_controllers`), so mixed-colony membership matches by
-/// construction.
-fn reference_trace(cfg: &SimConfig, rounds: u64) -> (Trace, Vec<u32>) {
-    let demands = DemandVector::new(cfg.demands.clone());
+/// construction. The reference models the pure timeline events (demand
+/// and noise rewrites, one-shot or cyclic); population shocks,
+/// triggers, generators and arenas are the contract oracle's.
+fn reference_trace(cfg: &SimConfig, rounds: u64) -> Trace {
     let seeder = StreamSeeder::new(cfg.seed);
-    let mut colony = ColonyState::new(cfg.n, demands);
-    let mut init_rng = seeder.stream(reserved::INIT);
-    cfg.initial.apply(&mut colony, &mut init_rng);
-    let mut controllers = {
-        let engine = cfg.build();
-        engine.reference_controllers()
-    };
+    let mut colony = ColonyState::new(cfg.n, DemandVector::new(cfg.demands.clone()));
+    cfg.initial
+        .apply(&mut colony, &mut seeder.stream(reserved::INIT));
+    let mut controllers = cfg.build().reference_controllers();
+    let mut noise = cfg.noise.clone();
     let mut deficits = vec![0i64; colony.num_tasks()];
-    let mut trace = Trace::new();
+    let mut trace = Trace::default();
     let mut cursor = 0usize;
-    let mut fired: Vec<Event> = Vec::new();
+    let mut fired = Vec::new();
     for round in 1..=rounds {
-        // The per-ant reference models the pure environment events
-        // (demand rewrites); population shocks are exercised by the
-        // dedicated timeline replay tests instead.
-        fired.clear();
         cfg.timeline.fire_into(round, &mut cursor, &mut fired);
         for event in fired.drain(..) {
             match event {
                 Event::SetDemands(new) => colony.demands_mut().set(&new),
+                Event::SetTaskDemand { task, demand } => {
+                    colony.demands_mut().set_task(task, demand);
+                }
+                Event::SetNoise(model) => noise = model,
                 other => panic!("reference trace cannot apply {other:?}"),
             }
         }
         colony.deficits_into(&mut deficits);
-        let prepared = cfg
-            .noise
-            .prepare(round, &deficits, colony.demands().as_slice());
+        let prepared = noise.prepare(round, &deficits, colony.demands().as_slice());
         let mut switches = 0u64;
         let key = seeder.round_key(round);
         for (i, controller) in controllers.iter_mut().enumerate() {
@@ -64,343 +57,116 @@ fn reference_trace(cfg: &SimConfig, rounds: u64) -> (Trace, Vec<u32>) {
                 colony.apply(i, next);
             }
         }
-        trace.push((
+        trace.rounds.push(Round {
             round,
-            colony.loads().to_vec(),
-            colony.idle_count(),
+            regret: colony.instant_regret(),
             switches,
-        ));
-    }
-    let final_loads = colony.loads().to_vec();
-    (trace, final_loads)
-}
-
-/// Runs the banked engine and records the same observables.
-fn banked_trace(cfg: &SimConfig, rounds: u64) -> (Trace, Vec<u32>) {
-    let mut engine = cfg.build();
-    let mut trace = Trace::new();
-    {
-        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-            trace.push((r.round, r.loads.to_vec(), r.idle, r.switches));
+            idle: colony.idle_count(),
+            loads: colony.loads().to_vec(),
         });
-        engine.run(rounds, &mut obs);
     }
-    let final_loads = engine.colony().loads().to_vec();
-    (trace, final_loads)
-}
-
-fn every_spec() -> Vec<(ControllerSpec, usize)> {
-    // (spec, task count) — hysteresis machines observe one task.
-    vec![
-        (ControllerSpec::Ant(AntParams::new(1.0 / 16.0)), 3),
-        (ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0)), 2),
-        (
-            ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
-            2,
-        ),
-        (
-            ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5)),
-            2,
-        ),
-        (ControllerSpec::Trivial, 3),
-        (ControllerSpec::ExactGreedy(ExactGreedyParams::default()), 2),
-        (
-            ControllerSpec::Proportional(ProportionalParams {
-                gain: 0.25,
-                deadband: 2,
-            }),
-            3,
-        ),
-        (
-            ControllerSpec::Hysteresis {
-                depth: 3,
-                lazy: Some(0.5),
-            },
-            1,
-        ),
-        (
-            ControllerSpec::Mix(vec![
-                (2.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
-                (
-                    1.0,
-                    ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
-                ),
-                (1.0, ControllerSpec::Trivial),
-            ]),
-            2,
-        ),
-        (
-            ControllerSpec::Mix(vec![
-                (1.0, ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0))),
-                (
-                    1.0,
-                    ControllerSpec::Hysteresis {
-                        depth: 2,
-                        lazy: None,
-                    },
-                ),
-            ]),
-            1,
-        ),
-        // Every SoA-banked kind at once: Ant, Precise Sigmoid, Trivial,
-        // ExactGreedy and Proportional racing inside one colony.
-        (
-            ControllerSpec::Mix(vec![
-                (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
-                (
-                    1.0,
-                    ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
-                ),
-                (1.0, ControllerSpec::Trivial),
-                (
-                    1.0,
-                    ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
-                ),
-                (
-                    1.0,
-                    ControllerSpec::Proportional(ProportionalParams::default()),
-                ),
-            ]),
-            2,
-        ),
-    ]
-}
-
-fn config_for(
-    spec: &ControllerSpec,
-    k: usize,
-    n: usize,
-    seed: u64,
-    noise: NoiseModel,
-) -> SimConfig {
-    let demands: Vec<u64> = (0..k).map(|j| (n / (2 * k) + j + 1) as u64).collect();
-    SimConfig::builder(n, demands)
-        .noise(noise)
-        .controller(spec.clone())
-        .seed(seed)
-        .build()
-        .expect("valid scenario")
+    trace.finish(&colony, &[])
 }
 
 #[test]
 fn bank_stepping_equals_per_ant_stepping_for_every_spec() {
-    for (spec, k) in every_spec() {
+    for spec in scenarios::specs() {
+        let k = if scenarios::single_task(&spec) { 1 } else { 3 };
         for seed in [1u64, 99] {
-            let cfg = config_for(&spec, k, 120, seed, NoiseModel::Sigmoid { lambda: 2.0 });
-            let (reference, ref_loads) = reference_trace(&cfg, 41);
-            let (banked, bank_loads) = banked_trace(&cfg, 41);
-            assert_eq!(reference, banked, "trace diverged: {spec:?} seed {seed}");
-            assert_eq!(ref_loads, bank_loads, "{spec:?} seed {seed}");
+            let cfg = scenarios::colony(&spec, 120, k, seed).build().unwrap();
+            let banked = Trace::of(&mut cfg.build(), 41);
+            assert_eq!(
+                reference_trace(&cfg, 41),
+                banked,
+                "trace diverged: {spec:?} seed {seed}"
+            );
         }
     }
 }
 
 mod properties {
     use super::*;
+    use antalloc_env::Timeline;
+    use antalloc_tests::contract::check_contract_at;
+    use antalloc_tests::scenarios::scenarios;
     use proptest::prelude::*;
 
+    /// `cfg` well-mixed, keeping only the timeline events the per-ant
+    /// reference replays (demand and noise rewrites).
+    fn pure(mut cfg: SimConfig) -> SimConfig {
+        let pure = |e: &Event| e.as_perturbation().is_none();
+        cfg.arena = None;
+        cfg.timeline.events.retain(|t| pure(&t.event));
+        cfg.timeline.cycles.retain(|c| c.events.iter().all(pure));
+        cfg.timeline.triggers.clear();
+        cfg.timeline.generators.clear();
+        cfg
+    }
+
     proptest! {
-        /// Random spec × noise × colony size × seed: bank-stepping must
-        /// reproduce the per-ant reference round for round.
+        /// A generated scenario (any kind, noise model, start and colony
+        /// size) without its timeline: bank-stepping reproduces the
+        /// per-ant reference round for round.
         #[test]
-        fn bank_equals_reference(
-            which in 0usize..11,
-            noise_pick in 0usize..3,
-            n in 20usize..160,
-            seed: u64,
-            rounds in 1u64..30,
-        ) {
-            let (spec, k) = every_spec().swap_remove(which);
-            let noise = match noise_pick {
-                0 => NoiseModel::Sigmoid { lambda: 1.5 },
-                1 => NoiseModel::Exact,
-                _ => NoiseModel::CorrelatedSigmoid { lambda: 1.0, rho: 0.4, seed: 7 },
-            };
-            let cfg = config_for(&spec, k, n, seed, noise);
-            let (reference, ref_loads) = reference_trace(&cfg, rounds);
-            let (banked, bank_loads) = banked_trace(&cfg, rounds);
-            prop_assert_eq!(reference, banked);
-            prop_assert_eq!(ref_loads, bank_loads);
+        fn bank_equals_reference(case in scenarios()) {
+            let mut cfg = case.config;
+            cfg.arena = None;
+            cfg.timeline = Timeline::new();
+            let banked = Trace::of(&mut cfg.build(), case.rounds);
+            prop_assert_eq!(reference_trace(&cfg, case.rounds), banked);
         }
 
-        /// Timeline-bearing specs: with a random demand-step script in
-        /// the config, bank-stepping still matches the per-ant
-        /// reference round for round (demand events are pure, so the
-        /// reference can replay them).
+        /// The same with the generated timeline's demand steps and noise
+        /// switches, one-shot or cyclic, which the reference replays.
         #[test]
-        fn bank_equals_reference_under_demand_timelines(
-            which in 0usize..11,
-            n in 20usize..160,
-            seed: u64,
-            first_at in 1u64..12,
-            gap in 1u64..12,
-            rounds in 1u64..30,
-        ) {
-            let (spec, k) = every_spec().swap_remove(which);
-            let mut cfg = config_for(&spec, k, n, seed, NoiseModel::Sigmoid { lambda: 1.5 });
-            let bumped: Vec<u64> = cfg.demands.iter().map(|d| d + 1).collect();
-            let original = cfg.demands.clone();
-            cfg.timeline = Timeline::new()
-                .at(first_at, Event::SetDemands(bumped))
-                .at(first_at + gap, Event::SetDemands(original));
-            let (reference, ref_loads) = reference_trace(&cfg, rounds);
-            let (banked, bank_loads) = banked_trace(&cfg, rounds);
-            prop_assert_eq!(reference, banked);
-            prop_assert_eq!(ref_loads, bank_loads);
+        fn bank_equals_reference_under_demand_timelines(case in scenarios()) {
+            let cfg = pure(case.config);
+            let banked = Trace::of(&mut cfg.build(), case.rounds);
+            prop_assert_eq!(reference_trace(&cfg, case.rounds), banked);
         }
+    }
 
-        /// Timeline-bearing specs survive checkpoint-restore mid-script:
-        /// capture at a random phase boundary between shocks (kills,
-        /// spawns, demand steps), restore, and the continuation must be
-        /// bit-identical to the uninterrupted run.
-        #[test]
-        fn mid_timeline_checkpoint_replay_is_exact(
-            which in 0usize..6,
-            seed: u64,
-            boundary in 1u64..30,
-            tail in 1u64..30,
-        ) {
-            // Capture-phase-2 specs so every even round is a capture
-            // point (Precise Sigmoid contributes 1: its counters are
-            // serialized, so its 82-round phase doesn't gate capture —
-            // the last mix checkpoints mid-sigmoid-phase across kills,
-            // spawns and scrambles).
-            let specs: [(ControllerSpec, usize); 6] = [
-                (ControllerSpec::Ant(AntParams::new(1.0 / 16.0)), 2),
-                (ControllerSpec::Trivial, 2),
-                (ControllerSpec::ExactGreedy(ExactGreedyParams::default()), 2),
-                // Proportional contributes capture phase 1: its deadband
-                // streaks travel in the checkpoint scratch section, so the
-                // mix checkpoints mid-streak across kills and scrambles.
-                (
-                    ControllerSpec::Mix(vec![
-                        (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
-                        (
-                            1.0,
-                            ControllerSpec::Proportional(ProportionalParams {
-                                gain: 0.5,
-                                deadband: 4,
-                            }),
-                        ),
-                    ]),
-                    2,
-                ),
-                (
-                    ControllerSpec::Mix(vec![
-                        (2.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
-                        (1.0, ControllerSpec::Trivial),
-                    ]),
-                    2,
-                ),
-                (
-                    ControllerSpec::Mix(vec![
-                        (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
-                        (
-                            1.0,
-                            ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
-                        ),
-                        (1.0, ControllerSpec::Trivial),
-                        (
-                            1.0,
-                            ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
-                        ),
-                    ]),
-                    2,
-                ),
-            ];
-            let (spec, k) = specs[which].clone();
-            let mut cfg = config_for(&spec, k, 120, seed, NoiseModel::Sigmoid { lambda: 1.5 });
+    /// Timeline-bearing colonies survive checkpoint-restore mid-script:
+    /// for every multi-task catalogue spec, a capture somewhere among
+    /// kills, spawns, demand steps and scrambles.
+    #[test]
+    fn mid_timeline_checkpoint_replay_is_exact() {
+        for (i, spec) in scenarios::multi_task_specs().iter().enumerate() {
+            let mut cfg = scenarios::colony(spec, 120, 2, i as u64)
+                .build()
+                .expect("valid scenario");
             cfg.timeline = Timeline::new()
                 .at(7, Event::Kill { count: 30 })
                 .at(19, Event::SetDemands(vec![40, 20]))
                 .at(33, Event::Spawn { count: 25 })
                 .at(47, Event::Scramble);
-            let split = boundary * 2; // ant/mix phase length is 2
-            let total = split + tail;
-
-            let mut obs = NullObserver;
-            let mut full = cfg.build();
-            full.run(total, &mut obs);
-
-            let mut head = cfg.build();
-            head.run(split, &mut obs);
-            let cp = Checkpoint::capture(&head).expect("phase boundary");
-            let mut resumed = Checkpoint::from_bytes(&cp.to_bytes()).expect("decodes").restore();
-            resumed.run(tail, &mut obs);
-
-            prop_assert_eq!(full.colony().assignments(), resumed.colony().assignments());
-            prop_assert_eq!(full.colony().loads(), resumed.colony().loads());
-            prop_assert_eq!(full.colony().num_ants(), resumed.colony().num_ants());
+            check_contract_at(&cfg, 60, 4 * i as u64 + 6);
         }
+    }
 
-        /// Precise Sigmoid checkpoints capture at **any** round — the
-        /// half-phase counters travel in the v5 scratch section — and
-        /// the restored continuation is bit-identical to the
-        /// uninterrupted run, wherever inside the 82-round phase the
-        /// capture lands (phase start, first half, the pause round
-        /// `r = m`, second half, decision round).
-        #[test]
-        fn sigmoid_mid_phase_checkpoint_restore_is_exact(
-            seed: u64,
-            split in 1u64..170,
-            tail in 1u64..100,
-        ) {
-            let spec = ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5));
-            let cfg = config_for(&spec, 2, 100, seed, NoiseModel::Sigmoid { lambda: 1.5 });
-
-            let mut obs = NullObserver;
-            let mut full = cfg.build();
-            full.run(split + tail, &mut obs);
-
-            let mut head = cfg.build();
-            head.run(split, &mut obs);
-            let cp = Checkpoint::capture(&head).expect("any round is a capture point");
-            let mut resumed = Checkpoint::from_bytes(&cp.to_bytes()).expect("decodes").restore();
-            resumed.run(tail, &mut obs);
-
-            prop_assert_eq!(full.colony().assignments(), resumed.colony().assignments());
-            prop_assert_eq!(full.colony().loads(), resumed.colony().loads());
+    /// Precise Sigmoid checkpoints capture at **any** round — the
+    /// half-phase counters travel in the scratch section — wherever in
+    /// the 82-round phase the capture lands: phase start, first half,
+    /// the pause round, second half, decision round.
+    #[test]
+    fn sigmoid_mid_phase_checkpoint_restore_is_exact() {
+        let spec = &scenarios::kinds()[2];
+        for (i, split) in [1u64, 20, 41, 60, 81, 82, 123].into_iter().enumerate() {
+            let cfg = scenarios::colony(spec, 100, 2, i as u64).build().unwrap();
+            check_contract_at(&cfg, 200, split);
         }
+    }
 
-        /// Precise Adversarial checkpoints capture at **any** round —
-        /// the ramp/freeze trackers travel in the v6 scratch section —
-        /// and the restored continuation is bit-identical to the
-        /// uninterrupted run, wherever inside the 320-round phase the
-        /// capture lands (ramp, the freeze round `r = r1`, the frozen
-        /// sub-phase, the unanimity decision round). This mirrors the
-        /// sigmoid coverage above: the last long-phase capture gap.
-        #[test]
-        fn adversarial_mid_phase_checkpoint_restore_is_exact(
-            seed: u64,
-            split in 1u64..340,
-            tail in 1u64..100,
-        ) {
-            let spec = ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5));
-            let cfg = config_for(&spec, 2, 100, seed, NoiseModel::Sigmoid { lambda: 1.5 });
-
-            let mut obs = NullObserver;
-            let mut full = cfg.build();
-            full.run(split + tail, &mut obs);
-
-            let mut head = cfg.build();
-            head.run(split, &mut obs);
-            let cp = Checkpoint::capture(&head).expect("any round is a capture point");
-            // Pin both restore paths: a fresh engine and restore_into a
-            // reused one that just ran something unrelated.
-            let decoded = Checkpoint::from_bytes(&cp.to_bytes()).expect("decodes");
-            let mut resumed = decoded.restore();
-            resumed.run(tail, &mut obs);
-            let mut reused = config_for(
-                &ControllerSpec::Trivial, 2, 40, seed ^ 1, NoiseModel::Exact,
-            ).build();
-            reused.run(5, &mut obs);
-            decoded.restore_into(&mut reused);
-            reused.run(tail, &mut obs);
-
-            prop_assert_eq!(full.colony().assignments(), resumed.colony().assignments());
-            prop_assert_eq!(full.colony().loads(), resumed.colony().loads());
-            prop_assert_eq!(resumed.colony().assignments(), reused.colony().assignments());
-            prop_assert_eq!(resumed.colony().loads(), reused.colony().loads());
+    /// Precise Adversarial checkpoints capture at **any** round — the
+    /// ramp/freeze trackers travel in the scratch section — wherever in
+    /// the 320-round phase the capture lands: ramp, the freeze round
+    /// `r = r1`, the frozen sub-phase, the unanimity decision round.
+    #[test]
+    fn adversarial_mid_phase_checkpoint_restore_is_exact() {
+        let spec = &scenarios::kinds()[3];
+        for (i, split) in [30u64, 64, 150, 319].into_iter().enumerate() {
+            let cfg = scenarios::colony(spec, 100, 2, i as u64).build().unwrap();
+            check_contract_at(&cfg, 340, split);
         }
     }
 }
@@ -444,27 +210,8 @@ fn mixed_colony_checkpoint_replay_after_kill_and_spawn_is_exact() {
     assert_eq!(cp, restored);
 
     // Continue the original; replay the restored copy; compare traces.
-    let mut original_trace = Vec::new();
-    {
-        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-            original_trace.push((r.round, r.loads.to_vec(), r.idle, r.switches));
-        });
-        engine.run(40, &mut obs);
-    }
-    let mut replay_trace = Vec::new();
-    {
-        let mut resumed = restored.restore();
-        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-            replay_trace.push((r.round, r.loads.to_vec(), r.idle, r.switches));
-        });
-        resumed.run(40, &mut obs);
-        assert_eq!(
-            engine.colony().assignments(),
-            resumed.colony().assignments()
-        );
-        assert_eq!(engine.colony().loads(), resumed.colony().loads());
-    }
-    assert_eq!(original_trace, replay_trace);
+    let original = Trace::of(&mut engine, 40);
+    original.assert_matches(&Trace::of(&mut restored.restore(), 40), "restored");
 }
 
 #[test]
@@ -506,19 +253,9 @@ fn mixed_colony_runs_under_sequential_model() {
 
 #[test]
 fn mix_scenario_roundtrips_through_toml_and_json() {
-    let cfg = mixed_config(77);
-    let toml = cfg.to_toml();
-    assert_eq!(
-        SimConfig::from_toml(&toml).expect("parses"),
-        cfg,
-        "\n{toml}"
-    );
-    let json = cfg.to_json();
-    assert_eq!(
-        SimConfig::from_json(&json).expect("parses"),
-        cfg,
-        "\n{json}"
-    );
+    // The oracle's rebuild legs: both texts parse back to the config,
+    // re-emit the same canonical TOML and replay the same run.
+    check_contract(&mixed_config(77), 40);
 }
 
 #[test]

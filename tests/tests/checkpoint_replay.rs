@@ -1,27 +1,11 @@
 //! Checkpoint/restore produces bit-identical continuations, including
-//! for long-phase controllers and non-trivial noise models.
+//! for long-phase controllers and non-trivial noise models: each
+//! scenario runs through the shared oracle, split where the test says.
 
 use antalloc_core::{AntParams, PreciseAdversarialParams, PreciseSigmoidParams};
 use antalloc_noise::{GreyZonePolicy, NoiseModel};
 use antalloc_sim::{Checkpoint, CheckpointError, ControllerSpec, NullObserver, SimConfig};
-
-fn replay_equivalence(cfg: SimConfig, split: u64, tail: u64) {
-    let mut obs = NullObserver;
-    let mut full = cfg.build();
-    full.run(split + tail, &mut obs);
-
-    let mut head = cfg.build();
-    head.run(split, &mut obs);
-    let cp = Checkpoint::capture(&head).unwrap_or_else(|e| panic!("capture: {e}"));
-    let bytes = cp.to_bytes();
-    let cp2 = Checkpoint::from_bytes(&bytes).unwrap();
-    let mut resumed = cp2.restore();
-    resumed.run(tail, &mut obs);
-
-    assert_eq!(full.round(), resumed.round());
-    assert_eq!(full.colony().assignments(), resumed.colony().assignments());
-    assert_eq!(full.colony().loads(), resumed.colony().loads());
-}
+use antalloc_tests::contract::check_contract_at;
 
 #[test]
 fn ant_replays_exactly() {
@@ -31,7 +15,7 @@ fn ant_replays_exactly() {
         .seed(3)
         .build()
         .expect("valid scenario");
-    replay_equivalence(cfg, 600, 400); // 600 % 2 == 0: phase boundary.
+    check_contract_at(&cfg, 1000, 600); // 600 % 2 == 0: phase boundary.
 }
 
 #[test]
@@ -43,7 +27,7 @@ fn precise_sigmoid_replays_exactly_at_phase_boundary() {
         .seed(4)
         .build()
         .expect("valid scenario");
-    replay_equivalence(cfg, 82 * 5, 82 * 3);
+    check_contract_at(&cfg, 82 * 8, 82 * 5);
 }
 
 #[test]
@@ -58,7 +42,7 @@ fn precise_adversarial_replays_under_adversarial_noise() {
         .seed(5)
         .build()
         .expect("valid scenario");
-    replay_equivalence(cfg, 320 * 2, 320);
+    check_contract_at(&cfg, 320 * 3, 320 * 2);
 }
 
 #[test]
@@ -76,7 +60,7 @@ fn precise_sigmoid_captures_mid_phase_and_replays_exactly() {
         .build()
         .expect("valid scenario");
     for split in [83u64, 123] {
-        replay_equivalence(cfg.clone(), split, 200);
+        check_contract_at(&cfg, split + 200, split);
     }
 }
 
@@ -104,9 +88,9 @@ fn off_boundary_capture_is_still_refused_without_a_scratch_codec() {
 fn checkpoint_config_roundtrips_through_toml_and_rebuilds_identically() {
     // A checkpoint written under one scenario must rebuild a
     // bit-identical engine after its config makes a round trip through
-    // the serialized scenario format: checkpoint → TOML → SimConfig →
-    // fresh run must equal both the original uninterrupted run and the
-    // binary checkpoint's own restore path.
+    // the serialized scenario format: the oracle's TOML and JSON rebuilds
+    // must equal the config the checkpoint embeds and replay the whole
+    // trajectory, in lockstep with the binary restore path.
     let cfg = SimConfig::builder(900, vec![120, 180])
         .noise(NoiseModel::CorrelatedSigmoid {
             lambda: 2.0,
@@ -117,43 +101,7 @@ fn checkpoint_config_roundtrips_through_toml_and_rebuilds_identically() {
         .seed(0x5CEA)
         .build()
         .expect("valid scenario");
-    let mut obs = NullObserver;
-
-    let mut original = cfg.build();
-    original.run(400, &mut obs);
-    let cp = Checkpoint::capture(&original).unwrap();
-
-    // The embedded config survives text serialization exactly.
-    let toml_text = cp.config().to_toml();
-    let rebuilt_cfg = SimConfig::from_toml(&toml_text)
-        .unwrap_or_else(|e| panic!("embedded config must reparse: {e}\n{toml_text}"));
-    assert_eq!(&rebuilt_cfg, cp.config());
-    let json_cfg = SimConfig::from_json(&cp.config().to_json()).unwrap();
-    assert_eq!(&json_cfg, cp.config());
-
-    // A fresh engine from the deserialized config replays the whole
-    // trajectory bit-identically...
-    let mut replayed = rebuilt_cfg.build();
-    replayed.run(400, &mut obs);
-    assert_eq!(
-        original.colony().assignments(),
-        replayed.colony().assignments()
-    );
-    assert_eq!(original.colony().loads(), replayed.colony().loads());
-
-    // ...and continues in lockstep with the binary restore path.
-    let mut restored = cp.restore();
-    restored.run(200, &mut obs);
-    replayed.run(200, &mut obs);
-    original.run(200, &mut obs);
-    assert_eq!(
-        original.colony().assignments(),
-        restored.colony().assignments()
-    );
-    assert_eq!(
-        original.colony().assignments(),
-        replayed.colony().assignments()
-    );
+    check_contract_at(&cfg, 600, 400);
 }
 
 #[test]
@@ -175,16 +123,7 @@ fn checkpoint_config_roundtrip_covers_schedules_and_initials() {
         .initial(antalloc_env::InitialConfig::Inverted)
         .build()
         .expect("valid scenario");
-    let mut obs = NullObserver;
-    let mut engine = cfg.build();
-    engine.run(128, &mut obs);
-    let cp = Checkpoint::capture(&engine).unwrap();
-    let back = SimConfig::from_toml(&cp.config().to_toml()).unwrap();
-    assert_eq!(&back, cp.config());
-    // Replay from text-config start matches the live engine.
-    let mut replay = back.build();
-    replay.run(128, &mut obs);
-    assert_eq!(engine.colony().assignments(), replay.colony().assignments());
+    check_contract_at(&cfg, 192, 128);
 }
 
 #[test]
@@ -201,5 +140,5 @@ fn correlated_noise_replays_exactly() {
         .seed(8)
         .build()
         .expect("valid scenario");
-    replay_equivalence(cfg, 400, 300);
+    check_contract_at(&cfg, 700, 400);
 }

@@ -1,9 +1,15 @@
 //! Determinism guarantees: the simulation is a pure function of its
-//! config, independent of thread count and of checkpoint/restore.
+//! config, independent of thread count and of checkpoint/restore. Each
+//! contract check runs through the shared oracle, which holds serial,
+//! pooled at 1, 2, 3, 4 and 8 participants, interleavings, a
+//! checkpoint split, reused engines, rebuilds and a sweep to one trace.
 
-use antalloc_core::{AntParams, PreciseSigmoidParams};
+use antalloc_core::AntParams;
+use antalloc_env::{Condition, Event, InitialConfig, Timeline, Trigger};
 use antalloc_noise::NoiseModel;
-use antalloc_sim::{Checkpoint, ControllerSpec, NullObserver, SimConfig};
+use antalloc_sim::{ControllerSpec, NullObserver, SimConfig};
+use antalloc_tests::contract::{check_contract, check_contract_at, Trace};
+use antalloc_tests::scenarios;
 
 fn config(seed: u64) -> SimConfig {
     SimConfig::builder(1500, vec![200, 300, 150])
@@ -16,22 +22,7 @@ fn config(seed: u64) -> SimConfig {
 
 #[test]
 fn serial_and_parallel_trajectories_are_bit_identical() {
-    let mut serial = config(1).build();
-    let mut obs = NullObserver;
-    serial.run(501, &mut obs);
-
-    for threads in [2usize, 3, 8] {
-        let mut par = config(1).build();
-        // Forced: production run_parallel would use one participant at
-        // this colony size, which would make the test vacuous.
-        par.run_parallel_forced(501, threads, &mut obs);
-        assert_eq!(
-            serial.colony().assignments(),
-            par.colony().assignments(),
-            "threads = {threads}"
-        );
-        assert_eq!(serial.colony().loads(), par.colony().loads());
-    }
+    check_contract(&config(1), 501);
 }
 
 #[test]
@@ -46,234 +37,113 @@ fn different_seeds_give_different_trajectories() {
 
 #[test]
 fn mixed_serial_parallel_interleaving_is_identical() {
-    // Switching between serial and parallel stepping mid-run must not
-    // change anything: determinism is per-ant, not per-schedule.
-    let mut pure = config(9).build();
-    let mut mixed = config(9).build();
-    let mut obs = NullObserver;
-    pure.run(300, &mut obs);
-    mixed.run(100, &mut obs);
-    mixed.run_parallel_forced(100, 4, &mut obs);
-    mixed.run(100, &mut obs);
-    assert_eq!(pure.colony().assignments(), mixed.colony().assignments());
+    // Switching between serial and pooled stepping mid-run must not
+    // change anything: determinism is per-ant, not per-schedule. The
+    // oracle steps rounds 1–100 serially, 101–200 pooled, the rest
+    // serially again.
+    check_contract_at(&config(9), 300, 200);
 }
 
 #[test]
 fn precise_sigmoid_parallel_determinism() {
     // A controller with long phases and heavier per-round state.
-    let spec = ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5));
     let mut cfg = config(5);
-    cfg.controller = spec;
-    let mut serial = cfg.build();
-    let mut par = cfg.build();
-    let mut obs = NullObserver;
-    serial.run(250, &mut obs);
-    par.run_parallel_forced(250, 4, &mut obs);
-    assert_eq!(serial.colony().assignments(), par.colony().assignments());
+    cfg.controller = scenarios::kinds()[2].clone();
+    check_contract(&cfg, 250);
 }
 
-/// Property coverage for the fused-apply round loop: the parallel
-/// path's double-buffered column writes and per-worker delta merges
-/// must be invisible — bit-identical to serial — at every thread
-/// count, for every chunk seam the partitioner can produce, with
+/// The fused-apply round loop: the pooled path's double-buffered column
+/// writes and per-worker delta merges must be invisible at every
+/// participant count, for chunk seams that cross bank seams, with
 /// population shocks, state-dependent triggers and checkpoint-restore
-/// in the mix.
+/// in the mix. The generated scenarios of `tests/contract.rs` explore
+/// the same ground at random.
 mod fused_properties {
     use super::*;
-    use antalloc_core::{ExactGreedyParams, PreciseSigmoidParams};
-    use antalloc_env::{Condition, Event, InitialConfig, Timeline, Trigger};
-    use antalloc_sim::{Checkpoint, FnObserver, RoundRecord};
-    use proptest::prelude::*;
 
-    /// Thread counts the fused path is pinned at (1 is the driver's
-    /// single-participant path, the same one `run` takes).
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-    /// Homogeneous and mixed colonies; mixes make bank boundaries land
-    /// mid-chunk so worker seams cross bank seams.
-    fn spec_for(which: usize) -> ControllerSpec {
-        match which {
-            0 => ControllerSpec::Ant(AntParams::new(1.0 / 16.0)),
-            1 => ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
-            2 => ControllerSpec::Mix(vec![
-                (2.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
-                (1.0, ControllerSpec::Trivial),
-            ]),
-            _ => ControllerSpec::Mix(vec![
-                (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
-                (
-                    1.0,
-                    ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
-                ),
-                (1.0, ControllerSpec::Trivial),
-                (
-                    1.0,
-                    ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
-                ),
-            ]),
+    /// Every catalogue spec at a colony size that splits raggedly across
+    /// workers (the chunk is rounded to cache-line multiples).
+    #[test]
+    fn fused_parallel_is_bit_identical_across_thread_counts() {
+        for (i, spec) in scenarios::specs().iter().enumerate() {
+            let k = if scenarios::single_task(spec) { 1 } else { 3 };
+            let cfg = scenarios::colony(spec, 97 + 23 * i, k, i as u64)
+                .build()
+                .expect("valid scenario");
+            check_contract(&cfg, 49);
         }
     }
 
-    fn cfg_for(which: usize, n: usize, seed: u64) -> SimConfig {
-        let k = 3usize;
-        let demands: Vec<u64> = (0..k).map(|j| (n / (2 * k) + j + 1) as u64).collect();
-        SimConfig::builder(n, demands)
-            .noise(NoiseModel::Sigmoid { lambda: 1.5 })
-            .controller(spec_for(which))
-            .seed(seed)
-            .build()
-            .expect("valid scenario")
-    }
-
-    proptest! {
-        /// Serial vs forced-parallel at every thread count, with colony
-        /// sizes drawn to split unevenly across workers (the chunk is
-        /// rounded to cache-line multiples, so almost any n exercises a
-        /// ragged tail chunk).
-        #[test]
-        fn fused_parallel_is_bit_identical_across_thread_counts(
-            which in 0usize..4,
-            n in 97usize..400,
-            seed: u64,
-            rounds in 1u64..50,
-        ) {
-            let mut obs = NullObserver;
-            let mut serial = cfg_for(which, n, seed).build();
-            serial.run(rounds, &mut obs);
-            for threads in THREADS {
-                let mut par = cfg_for(which, n, seed).build();
-                par.run_parallel_forced(rounds, threads, &mut obs);
-                prop_assert_eq!(
-                    serial.colony().assignments(),
-                    par.colony().assignments(),
-                    "threads = {}", threads
-                );
-                prop_assert_eq!(serial.colony().loads(), par.colony().loads());
-                prop_assert_eq!(serial.colony().idle_count(), par.colony().idle_count());
-            }
-        }
-
-        /// A state-dependent trigger arms mid-scope: the coordinator
-        /// must observe it in the exclusive window (while the task
-        /// column is on loan to the workers), end the scope on the same
-        /// round the serial path does, and fire the event identically.
-        /// With `shocks`, a scripted kill shrinks the colony below 16
-        /// ants per participant (so trailing parts are empty), a
-        /// population trigger arms on the first round of the kill's
-        /// scope and spawns ants back, and a scripted spawn regrows the
-        /// rest: every repartition must match serial, trigger states
-        /// included.
-        #[test]
-        fn fused_parallel_triggers_arm_mid_segment_identically(
-            n in 300usize..600,
-            seed: u64,
-            for_rounds in 4u32..10,
-            shocks: bool,
-            survivors in 1usize..32,
-            kill_at in 2u64..60,
-        ) {
-            let cfg = |()| {
-                let mut builder = SimConfig::builder(n, vec![(n / 6) as u64, (n / 4) as u64])
-                    .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-                    .controller(ControllerSpec::Ant(AntParams::default()))
-                    .seed(seed)
-                    .initial(InitialConfig::SaturatedPlus { extra: 2 })
-                    .trigger(Trigger {
-                        when: Condition::RegretBelow {
-                            threshold: (n / 8) as u64,
-                            for_rounds,
-                        },
-                        event: Event::StampedeTo(0),
-                        cooldown: 40,
-                        max_firings: 0,
-                    });
-                if shocks {
-                    builder = builder
-                        .event(kill_at, Event::Kill { count: n - survivors })
-                        .trigger(Trigger::once(
-                            Condition::PopulationBelow { threshold: 32 },
-                            Event::Spawn { count: n / 3 },
-                        ))
-                        .event(kill_at + 5, Event::Spawn { count: n / 2 });
-                }
-                builder.build().expect("valid scenario")
-            };
-            let mut serial_trace = Vec::new();
-            let mut serial = cfg(()).build();
-            {
-                let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-                    serial_trace.push((r.round, r.instant_regret(), r.loads.to_vec(), r.idle, r.switches));
+    /// A state-dependent trigger arms mid-scope: the coordinator must
+    /// observe it in the exclusive window (while the task column is on
+    /// loan to the workers), end the scope on the same round the serial
+    /// path does, and fire the event identically. With `shocks`, a
+    /// scripted kill shrinks the colony below 16 ants per participant
+    /// (so trailing parts are empty), a population trigger arms on the
+    /// first round of the kill's scope and spawns ants back, and a
+    /// scripted spawn regrows the rest.
+    #[test]
+    fn fused_parallel_triggers_arm_mid_segment_identically() {
+        let n = 450;
+        for (seed, shocks) in [(1u64, false), (2, true)] {
+            let mut builder = SimConfig::builder(n, vec![(n / 6) as u64, (n / 4) as u64])
+                .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+                .controller(ControllerSpec::Ant(AntParams::default()))
+                .seed(seed)
+                .initial(InitialConfig::SaturatedPlus { extra: 2 })
+                .trigger(Trigger {
+                    when: Condition::RegretBelow {
+                        threshold: (n / 8) as u64,
+                        for_rounds: 6,
+                    },
+                    event: Event::StampedeTo(0),
+                    cooldown: 40,
+                    max_firings: 0,
                 });
-                serial.run(200, &mut obs);
+            if shocks {
+                builder = builder
+                    .event(31, Event::Kill { count: n - 7 })
+                    .trigger(Trigger::once(
+                        Condition::PopulationBelow { threshold: 32 },
+                        Event::Spawn { count: n / 3 },
+                    ))
+                    .event(36, Event::Spawn { count: n / 2 });
             }
+            let trace = check_contract(&builder.build().expect("valid scenario"), 200);
             if shocks {
                 // The population trigger armed on the kill's round and
                 // fired on the next.
-                prop_assert_eq!(serial.trigger_states()[1].firings, 1);
+                assert_eq!(trace.triggers[1].firings, 1);
             } else {
                 // The stampede really fired (regret jumps to ~n scale).
-                prop_assert!(
-                    serial_trace.iter().any(|&(_, regret, _, _, _)| regret > (n / 2) as u64),
+                assert!(
+                    trace.rounds.iter().any(|r| r.regret > (n / 2) as u64),
                     "trigger never fired — the case is vacuous"
                 );
             }
-            for threads in THREADS {
-                let mut par_trace = Vec::new();
-                let mut engine = cfg(()).build();
-                {
-                    let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-                        par_trace.push((r.round, r.instant_regret(), r.loads.to_vec(), r.idle, r.switches));
-                    });
-                    engine.run_parallel_forced(200, threads, &mut obs);
-                }
-                prop_assert_eq!(&serial_trace, &par_trace, "threads = {}", threads);
-                prop_assert_eq!(serial.trigger_states(), engine.trigger_states());
-            }
         }
+    }
 
-        /// Checkpoint-restore mid-run at each thread count, across a
-        /// timeline of kills, demand steps, spawns and scrambles: the
-        /// fused path must leave the engine in a state whose capture
-        /// resumes bit-identically under both serial and parallel
-        /// continuation.
-        #[test]
-        fn checkpoint_restore_mid_parallel_run_is_exact(
-            which in 0usize..4,
-            seed: u64,
-            boundary in 1u64..26,
-            tail in 1u64..40,
-        ) {
-            // Specs above all have capture phase 2 (Precise Sigmoid's
-            // counters travel in the v5 scratch, so it doesn't gate).
-            let n = 120usize;
-            let mut cfg = cfg_for(which, n, seed);
+    /// Checkpoint-restore mid-run across a timeline of kills, demand
+    /// steps, spawns and scrambles, for homogeneous and mixed colonies,
+    /// captured between the shocks.
+    #[test]
+    fn checkpoint_restore_mid_parallel_run_is_exact() {
+        let kinds = scenarios::kinds();
+        let mixes = scenarios::mixes();
+        for (i, spec) in [&kinds[0], &kinds[2], &mixes[0], &mixes[3]]
+            .iter()
+            .enumerate()
+        {
+            let mut cfg = scenarios::colony(spec, 120, 3, i as u64)
+                .build()
+                .expect("valid scenario");
             cfg.timeline = Timeline::new()
                 .at(7, Event::Kill { count: 30 })
                 .at(19, Event::SetDemands(vec![40, 20, 15]))
                 .at(33, Event::Spawn { count: 25 })
                 .at(47, Event::Scramble);
-            let split = boundary * 2;
-            let total = split + tail;
-
-            let mut obs = NullObserver;
-            let mut full = cfg.build();
-            full.run(total, &mut obs);
-
-            for threads in THREADS {
-                let mut head = cfg.build();
-                head.run_parallel_forced(split, threads, &mut obs);
-                let cp = Checkpoint::capture(&head).expect("phase boundary");
-                let mut resumed =
-                    Checkpoint::from_bytes(&cp.to_bytes()).expect("decodes").restore();
-                resumed.run_parallel_forced(tail, threads, &mut obs);
-                prop_assert_eq!(
-                    full.colony().assignments(),
-                    resumed.colony().assignments(),
-                    "threads = {}", threads
-                );
-                prop_assert_eq!(full.colony().loads(), resumed.colony().loads());
-                prop_assert_eq!(full.colony().num_ants(), resumed.colony().num_ants());
-            }
+            check_contract_at(&cfg, 60, 12 * i as u64 + 10);
         }
     }
 }
@@ -321,11 +191,12 @@ fn sequential_engine_is_deterministic() {
         .build()
         .expect("valid scenario");
     let mut engine = cfg.build_sequential();
-    let mut digest = RecordDigest::default();
-    engine.run(3000, &mut digest);
-    assert_eq!(engine.colony().num_ants(), 330);
-    assert_eq!(engine.trigger_states()[0].firings, 3);
-    assert_eq!(digest.finish(engine.colony()), GOLDEN);
+    let mut trace = Trace::default();
+    engine.run(3000, &mut trace);
+    let trace = trace.finish(engine.colony(), engine.trigger_states());
+    assert_eq!(trace.num_ants, 330);
+    assert_eq!(trace.triggers[0].firings, 3);
+    assert_eq!(digest(&trace), GOLDEN);
 }
 
 /// A kill-heavy arena colony: generated kills (every ~6 rounds, 2–6% of
@@ -392,89 +263,46 @@ max_firings = 0
 
 /// Order-sensitive digest of every round record, then of the final
 /// assignments.
-#[derive(Default)]
-struct RecordDigest(u64);
-
-impl RecordDigest {
-    fn mix(&mut self, x: u64) {
-        self.0 = (self.0 ^ x)
+fn digest(trace: &Trace) -> u64 {
+    let mut digest = 0u64;
+    let mut mix = |x: u64| {
+        digest = (digest ^ x)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_left(29);
-    }
-
-    fn finish(mut self, colony: &antalloc_env::ColonyState) -> u64 {
-        for a in colony.assignments() {
-            self.mix(match a {
-                antalloc_env::Assignment::Idle => u64::MAX,
-                antalloc_env::Assignment::Task(j) => u64::from(j),
-            });
-        }
-        self.0
-    }
-}
-
-impl antalloc_sim::Observer for RecordDigest {
-    fn on_round(&mut self, r: &antalloc_sim::RoundRecord<'_>) {
-        self.mix(r.round);
-        self.mix(r.instant_regret());
-        self.mix(r.switches);
-        self.mix(r.idle);
-        for &load in r.loads {
-            self.mix(u64::from(load));
+    };
+    for r in &trace.rounds {
+        mix(r.round);
+        mix(r.regret);
+        mix(r.switches);
+        mix(r.idle);
+        for &load in &r.loads {
+            mix(u64::from(load));
         }
     }
+    for a in &trace.assignments {
+        mix(match a {
+            antalloc_env::Assignment::Idle => u64::MAX,
+            antalloc_env::Assignment::Task(j) => u64::from(*j),
+        });
+    }
+    digest
 }
 
 /// Bank slot order is not an input to any draw or result: kills that
 /// keep every bank in id order must give the bits that per-kill
-/// swap-removal gave. The golden digest was recorded with swap-removal
-/// and pins serial, pooled at 2 and 3 participants, and a checkpoint
-/// split alike.
+/// swap-removal gave. The golden digest was recorded with swap-removal;
+/// the contract oracle pins every stepping path (pooled at 1, 2, 3, 4
+/// and 8 participants, a checkpoint split, reused engines, rebuilds and
+/// a sweep) to the same trace.
 #[test]
 fn kill_heavy_arena_mix_matches_its_golden_digest() {
     const GOLDEN: u64 = 0x15da_7042_5bab_35c7;
-    const ROUNDS: u64 = 400;
     let cfg = antalloc_sim::Scenario::from_toml(KILL_HEAVY_ARENA)
         .expect("valid scenario")
         .config;
-
-    let mut serial = cfg.build();
-    let mut digest = RecordDigest::default();
-    serial.run(ROUNDS, &mut digest);
-    assert!(serial.colony().num_ants() < 3000, "kills outpace spawns");
-    let assignments = serial.colony().assignments();
-    assert_eq!(digest.finish(serial.colony()), GOLDEN, "serial");
-
-    for threads in [2usize, 3] {
-        let mut pooled = cfg.build();
-        let mut digest = RecordDigest::default();
-        pooled.run_parallel_forced(ROUNDS, threads, &mut digest);
-        assert_eq!(
-            pooled.colony().assignments(),
-            assignments,
-            "threads = {threads}"
-        );
-        assert_eq!(
-            digest.finish(pooled.colony()),
-            GOLDEN,
-            "threads = {threads}"
-        );
-    }
-
-    let mut head = cfg.build();
-    let mut digest = RecordDigest::default();
-    head.run(ROUNDS / 2, &mut digest);
-    let bytes = Checkpoint::capture(&head)
-        .expect("phase boundary")
-        .to_bytes();
-    let mut resumed = Checkpoint::from_bytes(&bytes).expect("decodes").restore();
-    resumed.run(ROUNDS / 2, &mut digest);
-    assert_eq!(
-        resumed.colony().assignments(),
-        assignments,
-        "checkpoint split"
-    );
-    assert_eq!(digest.finish(resumed.colony()), GOLDEN, "checkpoint split");
+    let trace = check_contract(&cfg, 400);
+    assert!(trace.num_ants < 3000, "kills outpace spawns");
+    assert_eq!(digest(&trace), GOLDEN);
 }
 
 #[test]

@@ -3,44 +3,18 @@
 //! hiding, and reaches both of its output states (Assumption 2.2 in
 //! behavioural form).
 
-use antalloc_core::{AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams};
-use antalloc_noise::{GreyZonePolicy, NoiseModel};
+use antalloc_core::{AntParams, PreciseSigmoidParams};
+use antalloc_noise::NoiseModel;
 use antalloc_sim::{BasicObserver, ControllerSpec, FnObserver, NullObserver, SimConfig};
-
-fn all_specs() -> Vec<ControllerSpec> {
-    vec![
-        ControllerSpec::Ant(AntParams::new(1.0 / 16.0)),
-        ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
-        ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5)),
-        ControllerSpec::Trivial,
-        ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
-    ]
-}
-
-fn all_noises() -> Vec<NoiseModel> {
-    vec![
-        NoiseModel::Exact,
-        NoiseModel::Sigmoid { lambda: 1.5 },
-        NoiseModel::CorrelatedSigmoid {
-            lambda: 1.5,
-            rho: 0.4,
-            seed: 9,
-        },
-        NoiseModel::Adversarial {
-            gamma_ad: 0.05,
-            policy: GreyZonePolicy::Inverted,
-        },
-        NoiseModel::Adversarial {
-            gamma_ad: 0.05,
-            policy: GreyZonePolicy::RandomLack(0.5),
-        },
-    ]
-}
+use antalloc_tests::scenarios;
 
 #[test]
 fn every_controller_runs_under_every_noise_model() {
-    for spec in all_specs() {
-        for noise in all_noises() {
+    for spec in scenarios::kinds()
+        .iter()
+        .filter(|s| !scenarios::single_task(s))
+    {
+        for noise in scenarios::noises() {
             let cfg = SimConfig::builder(400, vec![60, 80])
                 .noise(noise.clone())
                 .controller(spec.clone())
@@ -62,7 +36,10 @@ fn every_controller_runs_under_every_noise_model() {
 fn every_controller_visits_both_working_and_idle_states() {
     // Behavioural Assumption 2.2: over a long noisy run, the population
     // must exercise joins and leaves (no absorbing states).
-    for spec in all_specs() {
+    for spec in scenarios::kinds()
+        .iter()
+        .filter(|s| !scenarios::single_task(s))
+    {
         let cfg = SimConfig::builder(300, vec![50, 50])
             .noise(NoiseModel::Sigmoid { lambda: 0.5 })
             .controller(spec.clone())

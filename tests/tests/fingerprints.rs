@@ -8,48 +8,25 @@
 
 use std::sync::Arc;
 
-use antalloc_core::{AntParams, ExactGreedyParams, PreciseSigmoidParams};
 use antalloc_env::{
     ArenaConfig, Condition, Event, GenShock, InitialConfig, Timeline, TimelineGen, Trigger,
 };
 use antalloc_noise::NoiseModel;
-use antalloc_sim::{
-    AxisValue, ControllerSpec, RunOutcome, Scenario, ScenarioBuilder, SimConfig, Sweep,
-};
+use antalloc_sim::{AxisValue, RunOutcome, Scenario, ScenarioBuilder, SimConfig, Sweep};
 use antalloc_store::{CheckpointStore, EntryKind, Fingerprint, FingerprintBuilder};
+use antalloc_tests::scenarios::{self, scenarios};
 use proptest::prelude::*;
 
-/// Homogeneous and mixed controller populations.
-fn spec_for(which: usize) -> ControllerSpec {
-    match which % 4 {
-        0 => ControllerSpec::Ant(AntParams::new(1.0 / 16.0)),
-        1 => ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
-        2 => ControllerSpec::Mix(vec![
-            (2.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
-            (1.0, ControllerSpec::Trivial),
-        ]),
-        _ => ControllerSpec::Mix(vec![
-            (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 32.0))),
-            (
-                1.0,
-                ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
-            ),
-            (
-                1.0,
-                ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
-            ),
-        ]),
-    }
-}
-
-/// A scenario exercising every input of the canonical form: mixes,
-/// one-shot events, a demand-alternating cycle, a trigger, and a
-/// seeded shock generator.
+/// A scenario exercising every input of the canonical form: one of
+/// four catalogue specs (homogeneous and mixed), one-shot events, a
+/// demand-alternating cycle, a trigger, and a seeded shock generator.
 fn rich_config(which: usize, n: usize, seed: u64, shocks: bool) -> SimConfig {
+    let (kinds, mixes) = (scenarios::kinds(), scenarios::mixes());
+    let spec = [&kinds[0], &kinds[2], &mixes[0], &mixes[3]][which % 4];
     let demands = vec![(n / 6) as u64, (n / 4) as u64];
     let mut builder = ScenarioBuilder::new(n, demands.clone())
         .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-        .controller(spec_for(which))
+        .controller(spec.clone())
         .seed(seed)
         .initial(InitialConfig::SaturatedPlus { extra: 2 })
         // `timeline` replaces the timeline, so it goes first; the
@@ -87,15 +64,10 @@ fn rich_config(which: usize, n: usize, seed: u64, shocks: bool) -> SimConfig {
 proptest! {
     /// Canonical bytes are a fixed point: re-parsing the emitted TOML
     /// (and JSON) reproduces the identical config and identical bytes,
-    /// no matter which controller mix / timeline shape was drawn.
+    /// for any generated scenario.
     #[test]
-    fn canonical_toml_is_a_fixed_point(
-        which in 0usize..4,
-        n in 60usize..200,
-        seed: u64,
-        shocks: bool,
-    ) {
-        let config = rich_config(which, n, seed, shocks);
+    fn canonical_toml_is_a_fixed_point(case in scenarios()) {
+        let config = case.config;
         let canonical = config.to_toml();
         let reparsed = SimConfig::from_toml(&canonical).expect("canonical form parses");
         prop_assert_eq!(&reparsed, &config, "TOML round-trip changed the config");

@@ -4,9 +4,8 @@
 
 use antalloc_core::AntParams;
 use antalloc_noise::NoiseModel;
-use antalloc_sim::{
-    ConfigError, ControllerSpec, NullObserver, RunSummary, Scenario, SimConfig, Sweep,
-};
+use antalloc_sim::{ConfigError, ControllerSpec, Scenario, SimConfig, Sweep};
+use antalloc_tests::contract::check_sweep_per_seed;
 use antalloc_tests::SmallColony;
 
 const SCENARIO_TOML: &str = r#"
@@ -32,49 +31,16 @@ fn toml_scenario_swept_over_8_seeds_matches_8_serial_runs() {
     let scenario = Scenario::from_toml(SCENARIO_TOML).expect("scenario validates");
     assert_eq!(scenario.name.as_deref(), Some("batch-acceptance"));
 
-    let rounds = 300u64;
-    let warmup = 100u64;
-    let outcomes = Sweep::new(scenario.config.clone())
-        .rounds(rounds)
-        .seeds(0..8)
-        .warmup(warmup)
-        .threads(4)
-        .run()
-        .expect("batch runs");
-    assert_eq!(outcomes.len(), 8);
-
-    for (i, outcome) in outcomes.iter().enumerate() {
-        assert_eq!(outcome.seed, i as u64);
-        // The reference: this seed run entirely serially, by hand.
-        let mut config = scenario.config.clone();
-        config.seed = outcome.seed;
-        let mut engine = config.build();
-        let mut sink = NullObserver;
-        engine.run(warmup, &mut sink);
-        let mut summary = RunSummary::new();
-        engine.run(rounds, &mut summary);
-        assert_eq!(
-            outcome.summary.total_regret(),
-            summary.total_regret(),
-            "seed {i}: batch result diverged from the serial run"
-        );
-        assert_eq!(
-            outcome.summary.max_instant_regret(),
-            summary.max_instant_regret()
-        );
-        assert_eq!(outcome.final_regret, engine.colony().instant_regret());
-        let loads: Vec<u64> = (0..engine.colony().num_tasks())
-            .map(|j| engine.colony().load(j))
-            .collect();
-        assert_eq!(outcome.final_loads, loads, "seed {i}");
-    }
+    let traces = check_sweep_per_seed(&scenario.config, 0..8, 100, 300, 4);
 
     // And different seeds genuinely explored different trajectories.
     // disallowed_types: only the distinct COUNT is asserted, so hash
     // iteration order cannot affect the test.
     #[allow(clippy::disallowed_types)]
-    let distinct: std::collections::HashSet<_> =
-        outcomes.iter().map(|o| o.final_loads.clone()).collect();
+    let distinct: std::collections::HashSet<_> = traces
+        .iter()
+        .map(|t| t.rounds.last().map(|r| &r.loads))
+        .collect();
     assert!(distinct.len() > 1, "all 8 seeds produced identical loads");
 }
 

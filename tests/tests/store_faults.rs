@@ -7,28 +7,16 @@
 //! (`Checkpoint::restore`) and warm-started reused engines
 //! (`restore_into` via `Sweep::engine_reuse`).
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use antalloc_core::AntParams;
 use antalloc_noise::NoiseModel;
-use antalloc_sim::{
-    Checkpoint, ControllerSpec, NullObserver, RunOutcome, RunSummary, SimConfig, Sweep,
-};
+use antalloc_sim::{Checkpoint, ControllerSpec, NullObserver, RunSummary, SimConfig, Sweep};
 use antalloc_store::{
     CheckpointStore, EntryKind, Fingerprint, FingerprintBuilder, StoreMiss, MANIFEST_LEN,
     STORE_VERSION,
 };
-
-/// A unique on-disk root per test (the suite runs tests in parallel).
-fn scratch_root(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!(
-        "antalloc_store_faults_{}_{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    root
-}
+use antalloc_tests::{assert_same_outcomes, scratch_root};
 
 fn config() -> SimConfig {
     SimConfig::builder(200, vec![30, 50])
@@ -57,22 +45,11 @@ fn sweep(store: Option<Arc<CheckpointStore>>, reuse: bool) -> Sweep {
     sweep
 }
 
-fn same_outcome(a: &RunOutcome, b: &RunOutcome) {
-    assert_eq!(a.seed, b.seed);
-    assert_eq!(a.summary.total_regret(), b.summary.total_regret());
-    assert_eq!(
-        a.summary.max_instant_regret(),
-        b.summary.max_instant_regret()
-    );
-    assert_eq!(a.final_regret, b.final_regret);
-    assert_eq!(a.final_loads, b.final_loads);
-}
-
 /// Store-served checkpoint bytes drive both restore paths to the same
 /// states as the engine they were captured from.
 #[test]
 fn stored_checkpoint_restores_exactly_on_both_paths() {
-    let root = scratch_root("roundtrip");
+    let root = scratch_root("store_faults_roundtrip");
     let store = CheckpointStore::local(&root).unwrap();
     let mut original = config().build();
     original.run(40, &mut NullObserver);
@@ -118,7 +95,7 @@ fn stored_checkpoint_restores_exactly_on_both_paths() {
 /// Each corruption class yields its own typed miss; none panic.
 #[test]
 fn every_fault_class_is_a_typed_miss() {
-    let root = scratch_root("typed");
+    let root = scratch_root("store_faults_typed");
     let store = CheckpointStore::local(&root).unwrap();
     let mut engine = config().build();
     engine.run(20, &mut NullObserver);
@@ -253,9 +230,9 @@ fn sweeps_degrade_every_fault_to_bit_identical_recomputation() {
     let reference = sweep(None, true).run().unwrap();
     for reuse in [false, true] {
         let root = scratch_root(if reuse {
-            "degrade_reuse"
+            "store_faults_degrade_reuse"
         } else {
-            "degrade_fresh"
+            "store_faults_degrade_fresh"
         });
         let store = Arc::new(CheckpointStore::local(&root).unwrap());
         let cold = sweep(Some(store.clone()), reuse).run().unwrap();
@@ -267,10 +244,8 @@ fn sweeps_degrade_every_fault_to_bit_identical_recomputation() {
             recomputed.iter().all(|o| !o.cached),
             "a corrupt entry was served (engine_reuse = {reuse})"
         );
-        for ((r, c), base) in recomputed.iter().zip(&cold).zip(&reference) {
-            same_outcome(r, c);
-            same_outcome(r, base);
-        }
+        assert_same_outcomes("recomputed vs cold", &recomputed, &cold);
+        assert_same_outcomes("recomputed vs store-free", &recomputed, &reference);
         // The recomputation healed the store in passing.
         let healed = sweep(Some(store), reuse).run().unwrap();
         assert!(healed.iter().all(|o| o.cached));
@@ -283,7 +258,7 @@ fn sweeps_degrade_every_fault_to_bit_identical_recomputation() {
 /// but fails the sweep's own validation and is recomputed, not served.
 #[test]
 fn stale_but_wellformed_checkpoint_entry_is_recomputed() {
-    let root = scratch_root("stale");
+    let root = scratch_root("store_faults_stale");
     let store = Arc::new(CheckpointStore::local(&root).unwrap());
     let reference = sweep(Some(store.clone()), false).run().unwrap();
 
@@ -323,9 +298,7 @@ fn stale_but_wellformed_checkpoint_entry_is_recomputed() {
     }
 
     let recomputed = sweep(Some(store), false).run().unwrap();
-    for (r, base) in recomputed.iter().zip(&reference) {
-        same_outcome(r, base);
-    }
+    assert_same_outcomes("recomputed", &recomputed, &reference);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -333,7 +306,7 @@ fn stale_but_wellformed_checkpoint_entry_is_recomputed() {
 /// they are skipped by listings and never shadow published blobs.
 #[test]
 fn torn_concurrent_writes_are_invisible() {
-    let root = scratch_root("torn");
+    let root = scratch_root("store_faults_torn");
     let store = Arc::new(CheckpointStore::local(&root).unwrap());
     let cold = sweep(Some(store.clone()), true).run().unwrap();
     let entries = store.entries().unwrap();
@@ -359,8 +332,6 @@ fn torn_concurrent_writes_are_invisible() {
         warm.iter().all(|o| o.cached),
         "temp files disturbed verified entries"
     );
-    for (w, c) in warm.iter().zip(&cold) {
-        same_outcome(w, c);
-    }
+    assert_same_outcomes("warm", &warm, &cold);
     let _ = std::fs::remove_dir_all(&root);
 }

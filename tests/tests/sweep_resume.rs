@@ -6,22 +6,13 @@
 //! *resume*: every run the first attempt captured is served from the
 //! store, not recomputed.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use antalloc_core::AntParams;
 use antalloc_noise::NoiseModel;
-use antalloc_sim::{ControllerSpec, RunOutcome, SimConfig, Sweep};
+use antalloc_sim::{ControllerSpec, SimConfig, Sweep};
 use antalloc_store::CheckpointStore;
-
-fn scratch_root(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!(
-        "antalloc_sweep_resume_{}_{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    root
-}
+use antalloc_tests::{assert_same_outcomes, scratch_root};
 
 fn config() -> SimConfig {
     SimConfig::builder(250, vec![40, 60])
@@ -65,28 +56,6 @@ fn outcome_entries(store: &CheckpointStore) -> usize {
         .count()
 }
 
-fn assert_bit_identical(label: &str, a: &[RunOutcome], b: &[RunOutcome]) {
-    assert_eq!(a.len(), b.len(), "{label}: outcome counts differ");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.index, y.index, "{label}");
-        assert_eq!(x.seed, y.seed, "{label}");
-        assert_eq!(x.rounds, y.rounds, "{label}");
-        assert_eq!(
-            x.summary.total_regret(),
-            y.summary.total_regret(),
-            "{label}: seed {} diverged",
-            x.seed
-        );
-        assert_eq!(
-            x.summary.max_instant_regret(),
-            y.summary.max_instant_regret(),
-            "{label}"
-        );
-        assert_eq!(x.final_regret, y.final_regret, "{label}");
-        assert_eq!(x.final_loads, y.final_loads, "{label}");
-    }
-}
-
 fn kill_and_resume(warm_start: bool) {
     // The uninterrupted reference, computed once without any store.
     let reference = sweep(1, false, warm_start).run().unwrap();
@@ -95,7 +64,7 @@ fn kill_and_resume(warm_start: bool) {
     for workers in [1usize, 2, 4, 8] {
         for reuse in [false, true] {
             let label = format!("workers {workers}, engine_reuse {reuse}, from_round {warm_start}");
-            let root = scratch_root(&format!("{warm_start}_{workers}_{reuse}"));
+            let root = scratch_root(&format!("sweep_resume_{warm_start}_{workers}_{reuse}"));
 
             // First attempt: die after ~60% of the outcomes arrive.
             let captured = {
@@ -134,7 +103,7 @@ fn kill_and_resume(warm_start: bool) {
                 20 - captured,
                 "{label}: recomputed more than the missing runs"
             );
-            assert_bit_identical(&label, &resumed, &reference);
+            assert_same_outcomes(&label, &resumed, &reference);
             let _ = std::fs::remove_dir_all(&root);
         }
     }
@@ -163,7 +132,9 @@ fn sixty_percent_archive_recomputes_exactly_the_missing_runs() {
             for reuse in [false, true] {
                 let label =
                     format!("workers {workers}, engine_reuse {reuse}, from_round {warm_start}");
-                let root = scratch_root(&format!("sixty_{warm_start}_{workers}_{reuse}"));
+                let root = scratch_root(&format!(
+                    "sweep_resume_sixty_{warm_start}_{workers}_{reuse}"
+                ));
                 {
                     let store = Arc::new(CheckpointStore::local(&root).unwrap());
                     sweep(workers, reuse, warm_start)
@@ -188,7 +159,7 @@ fn sixty_percent_archive_recomputes_exactly_the_missing_runs() {
                     8,
                     "{label}: the missing 40% was not recomputed"
                 );
-                assert_bit_identical(&label, &resumed, &reference);
+                assert_same_outcomes(&label, &resumed, &reference);
                 let _ = std::fs::remove_dir_all(&root);
             }
         }
@@ -201,7 +172,7 @@ fn sixty_percent_archive_recomputes_exactly_the_missing_runs() {
 #[test]
 fn repeated_kills_converge() {
     let reference = sweep(1, false, false).run().unwrap();
-    let root = scratch_root("repeated");
+    let root = scratch_root("sweep_resume_repeated");
     for cutoff in [6usize, 12] {
         let store = Arc::new(CheckpointStore::local(&root).unwrap());
         let mut seen = 0usize;
@@ -216,6 +187,6 @@ fn repeated_kills_converge() {
     let store = Arc::new(CheckpointStore::local(&root).unwrap());
     let final_pass = sweep(4, true, false).store(store).run().unwrap();
     assert!(final_pass.iter().filter(|o| o.cached).count() >= 11);
-    assert_bit_identical("repeated kills", &final_pass, &reference);
+    assert_same_outcomes("repeated kills", &final_pass, &reference);
     let _ = std::fs::remove_dir_all(&root);
 }

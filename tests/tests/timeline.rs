@@ -14,9 +14,9 @@ use antalloc_core::{AntParams, PreciseSigmoidParams, ProportionalParams};
 use antalloc_env::{ArenaConfig, Condition, Event, GenShock, Timeline, TimelineGen, Trigger};
 use antalloc_noise::{GreyZonePolicy, NoiseModel};
 use antalloc_sim::{
-    Checkpoint, ControllerSpec, FnObserver, NullObserver, RoundRecord, RunSummary, Scenario,
-    SimConfig, Sweep,
+    Checkpoint, ControllerSpec, FnObserver, NullObserver, RoundRecord, Scenario, SimConfig,
 };
+use antalloc_tests::contract::{check_contract, check_sweep_per_seed, Trace};
 
 /// A declarative shock script: kill-half → demand step → scramble →
 /// noise switch → spawn. Five event kinds, two population changes.
@@ -81,60 +81,19 @@ fn toml_timeline_batch_across_8_seeds_is_bit_identical_to_serial_runs() {
     // The acceptance scenario: a pure-TOML timeline with population
     // changes, fanned over 8 seeds by the sweep runner; every per-seed
     // result must equal a by-hand serial run of that seed.
-    let rounds = 260u64;
-    let outcomes = Sweep::new(shock_config())
-        .rounds(rounds)
-        .seeds(0..8)
-        .threads(4)
-        .run()
-        .expect("batch runs");
-    assert_eq!(outcomes.len(), 8);
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let mut config = shock_config();
-        config.seed = outcome.seed;
-        let mut engine = config.build();
-        let mut summary = RunSummary::new();
-        engine.run(rounds, &mut summary);
-        assert_eq!(
-            outcome.summary.total_regret(),
-            summary.total_regret(),
-            "seed {i}: batch diverged from serial"
-        );
-        assert_eq!(outcome.final_regret, engine.colony().instant_regret());
-        let loads: Vec<u64> = (0..engine.colony().num_tasks())
-            .map(|j| engine.colony().load(j))
-            .collect();
-        assert_eq!(outcome.final_loads, loads, "seed {i}");
+    for trace in check_sweep_per_seed(&shock_config(), 0..8, 0, 260, 4) {
         // The script really ran: 1200 − 600 + 400 ants remain.
-        assert_eq!(engine.colony().num_ants(), 1000);
+        assert_eq!(trace.num_ants, 1000);
     }
 }
 
 #[test]
 fn timeline_runs_are_bit_identical_across_serial_parallel_and_interleaving() {
-    let config = shock_config();
-    let mut serial = config.build();
-    let mut parallel = config.build();
-    let mut interleaved = config.build();
-    let mut obs = NullObserver;
-    serial.run(260, &mut obs);
-    // The pooled path must re-partition around the five event rounds.
-    parallel.run_parallel_forced(260, 4, &mut obs);
-    // Switching paths mid-script must not matter either.
-    interleaved.run(100, &mut obs);
-    interleaved.run_parallel_forced(100, 3, &mut obs);
-    interleaved.run(60, &mut obs);
-    assert_eq!(
-        serial.colony().assignments(),
-        parallel.colony().assignments()
-    );
-    assert_eq!(serial.colony().loads(), parallel.colony().loads());
-    assert_eq!(
-        serial.colony().assignments(),
-        interleaved.colony().assignments()
-    );
-    assert_eq!(serial.round(), 260);
-    assert_eq!(serial.colony().num_ants(), 1000);
+    // The pooled path must re-partition around the five event rounds,
+    // and switching paths mid-script must not matter either.
+    let trace = check_contract(&shock_config(), 260);
+    assert_eq!(trace.rounds.len(), 260);
+    assert_eq!(trace.num_ants, 1000);
 }
 
 #[test]
@@ -153,30 +112,11 @@ fn mid_timeline_checkpoint_restore_replays_bit_identically() {
     assert_eq!(cp, restored);
     assert_eq!(restored.config(), &config);
 
-    let mut full_trace = Vec::new();
-    {
-        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-            full_trace.push((r.round, r.loads.to_vec(), r.idle, r.switches));
-        });
-        full.run(160, &mut obs);
-    }
-    let mut replay_trace = Vec::new();
-    {
-        let mut resumed = restored.restore();
-        assert_eq!(resumed.round(), 100);
-        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-            replay_trace.push((r.round, r.loads.to_vec(), r.idle, r.switches));
-        });
-        resumed.run(160, &mut obs);
-        assert_eq!(full.colony().assignments(), resumed.colony().assignments());
-        assert_eq!(full.colony().loads(), resumed.colony().loads());
-        assert_eq!(
-            resumed.colony().num_ants(),
-            1000,
-            "spawn fired after restore"
-        );
-    }
-    assert_eq!(full_trace, replay_trace);
+    let mut resumed = restored.restore();
+    assert_eq!(resumed.round(), 100);
+    let replay = Trace::of(&mut resumed, 160);
+    assert_eq!(replay.num_ants, 1000, "spawn fired after restore");
+    Trace::of(&mut full, 160).assert_matches(&replay, "restored at round 100");
 }
 
 #[test]
@@ -318,40 +258,12 @@ fn adversarial_toml_roundtrips_with_trigger_and_generate_tables() {
 fn adversarial_toml_batch_across_8_seeds_is_bit_identical_to_serial_runs() {
     // The acceptance criterion: triggered + generated timelines, fanned
     // over 8 seeds by the sweep runner; every per-seed result must
-    // equal a by-hand serial run of that seed.
-    let rounds = 260u64;
-    let outcomes = Sweep::new(adversarial_config())
-        .rounds(rounds)
-        .seeds(0..8)
-        .threads(4)
-        .run()
-        .expect("batch runs");
-    assert_eq!(outcomes.len(), 8);
-    let mut shrunk = 0;
-    let mut triggered = 0;
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let mut config = adversarial_config();
-        config.seed = outcome.seed;
-        let mut engine = config.build();
-        let mut summary = RunSummary::new();
-        engine.run(rounds, &mut summary);
-        assert_eq!(
-            outcome.summary.total_regret(),
-            summary.total_regret(),
-            "seed {i}: batch diverged from serial"
-        );
-        assert_eq!(outcome.final_regret, engine.colony().instant_regret());
-        let loads: Vec<u64> = (0..engine.colony().num_tasks())
-            .map(|j| engine.colony().load(j))
-            .collect();
-        assert_eq!(outcome.final_loads, loads, "seed {i}");
-        // Every seed draws its own kill schedule off the reserved
-        // TIMELINE stream and its own trigger firing rounds.
-        if engine.colony().num_ants() < 1000 {
-            shrunk += 1;
-        }
-        triggered += u64::from(engine.trigger_states()[0].firings > 0);
-    }
+    // equal a by-hand serial run of that seed. Every seed draws its own
+    // kill schedule off the reserved TIMELINE stream and its own
+    // trigger firing rounds.
+    let traces = check_sweep_per_seed(&adversarial_config(), 0..8, 0, 260, 4);
+    let shrunk = traces.iter().filter(|t| t.num_ants < 1000).count();
+    let triggered = traces.iter().filter(|t| t.triggers[0].firings > 0).count();
     assert!(shrunk >= 6, "only {shrunk}/8 seeds saw a generated kill");
     assert!(
         triggered >= 6,
@@ -361,28 +273,9 @@ fn adversarial_toml_batch_across_8_seeds_is_bit_identical_to_serial_runs() {
 
 #[test]
 fn adversarial_runs_are_bit_identical_across_parallel_and_interleaving() {
-    let config = adversarial_config();
-    let mut serial = config.build();
-    let mut parallel = config.build();
-    let mut interleaved = config.build();
-    let mut obs = NullObserver;
-    serial.run(260, &mut obs);
     // The pooled path must end scopes at trigger arming rounds it
     // cannot predict from the config.
-    parallel.run_parallel_forced(260, 4, &mut obs);
-    interleaved.run(90, &mut obs);
-    interleaved.run_parallel_forced(110, 3, &mut obs);
-    interleaved.run(60, &mut obs);
-    assert_eq!(
-        serial.colony().assignments(),
-        parallel.colony().assignments()
-    );
-    assert_eq!(serial.trigger_states(), parallel.trigger_states());
-    assert_eq!(
-        serial.colony().assignments(),
-        interleaved.colony().assignments()
-    );
-    assert_eq!(serial.trigger_states(), interleaved.trigger_states());
+    check_contract(&adversarial_config(), 260);
 }
 
 #[test]
@@ -403,25 +296,10 @@ fn adversarial_mid_timeline_checkpoint_restore_replays_bit_identically() {
     assert_eq!(cp, restored);
     assert_eq!(restored.config(), &config);
 
-    let mut full_trace = Vec::new();
-    {
-        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-            full_trace.push((r.round, r.loads.to_vec(), r.idle, r.switches));
-        });
-        full.run(160, &mut obs);
-    }
-    let mut replay_trace = Vec::new();
-    {
-        let mut resumed = restored.restore();
-        assert_eq!(resumed.round(), 100);
-        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-            replay_trace.push((r.round, r.loads.to_vec(), r.idle, r.switches));
-        });
-        resumed.run(160, &mut obs);
-        assert_eq!(full.colony().assignments(), resumed.colony().assignments());
-        assert_eq!(full.trigger_states(), resumed.trigger_states());
-    }
-    assert_eq!(full_trace, replay_trace);
+    let mut resumed = restored.restore();
+    assert_eq!(resumed.round(), 100);
+    Trace::of(&mut full, 160)
+        .assert_matches(&Trace::of(&mut resumed, 160), "restored at round 100");
 }
 
 #[test]
