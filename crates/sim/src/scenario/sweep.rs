@@ -2,13 +2,14 @@
 //!
 //! A [`Sweep`] fans one scenario out over a seed list and, optionally,
 //! parameter axes (a full Cartesian grid); with no axes it is a plain
-//! multi-seed batch. Runs execute on a pool of worker threads pulling
-//! jobs from a shared queue — the same fixed-thread discipline as the
-//! engine's `run_parallel` — but each *run* steps serially, so every
-//! per-seed result is bit-identical to running that seed alone. Results
-//! stream to the caller in completion order via [`Sweep::run_with`],
-//! [`Sweep::run_while`] or [`Sweep::stream_into`], or arrive sorted in
-//! job order from [`Sweep::run`].
+//! multi-seed batch. Runs execute on a pool of participants pulling
+//! jobs from a shared queue: the calling thread is worker 0 and spawns
+//! the other `threads − 1`, the same discipline as the engine's
+//! `run_parallel`, so a 1-thread sweep spawns nothing. Each *run* steps
+//! serially, so every per-seed result is bit-identical to running that
+//! seed alone. Results stream to the caller in completion order via
+//! [`Sweep::run_with`], [`Sweep::run_while`] or [`Sweep::stream_into`],
+//! or arrive sorted in job order from [`Sweep::run`].
 //!
 //! ## The sweep fast path
 //!
@@ -24,7 +25,11 @@
 //! config), which [`Sweep::engine_reuse`] can force for A/B
 //! measurement. Setter-broken configs are caught by a
 //! one-pass-per-grid-point structural precheck before any worker
-//! starts.
+//! starts. The caller, as worker 0, hands the outcomes it computes
+//! straight to the callback, with no channel and no thread wake; only
+//! the spawned workers' outcomes travel through a channel, which the
+//! caller drains between its own jobs and, once the queue is empty,
+//! with a blocking receive.
 //!
 //! ## The durable store
 //!
@@ -52,7 +57,7 @@ pub use antalloc_store::{CapturePolicy, UsePolicy};
 use antalloc_store::{CheckpointStore, EntryKind, Fingerprint, FingerprintBuilder};
 
 use crate::checkpoint::Checkpoint;
-use crate::config::SimConfig;
+use crate::config::{ControllerSpec, SimConfig};
 use crate::engine::SyncEngine;
 use crate::observer::{NullObserver, RunSummary};
 use crate::scenario::sink::RunSink;
@@ -339,8 +344,11 @@ impl Sweep {
         self
     }
 
-    /// Worker threads (at least 1). Each run steps serially on its
-    /// worker, so per-seed results are bit-identical at any count.
+    /// Participants (at least 1): the calling thread runs jobs itself
+    /// and spawns `threads − 1` scoped workers, so `threads(1)` runs
+    /// every job on the caller and spawns nothing. Each run steps
+    /// serially on its participant, so per-seed results are
+    /// bit-identical at any count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -404,6 +412,14 @@ impl Sweep {
     /// the base controller. With no axes this is bit-identical to a
     /// plain run of `r + warmup + rounds` rounds measured over the
     /// last `rounds`.
+    ///
+    /// Colonies running `AntDesync` or `Hysteresis` (alone or as part
+    /// of a mix) are refused with [`ConfigError::Fork`]: their restores
+    /// are approximate today. The offset half of a desynchronized
+    /// colony is always mid-phase, and a Hysteresis machine's
+    /// contrary-signal streak is not in the checkpoint, so the fork
+    /// would continue differently from the uninterrupted run. Sweep
+    /// them with [`Sweep::warmup`] instead.
     pub fn from_round(mut self, round: u64) -> Self {
         self.from_round = Some(round);
         self
@@ -480,6 +496,9 @@ impl Sweep {
     /// matrix, handing each outcome to `on_outcome` in completion
     /// order. Returning `false` from the callback aborts the pool: no
     /// further jobs are claimed, and in-flight outcomes are discarded.
+    /// The calling thread is worker 0 and hands its own outcomes
+    /// straight to `on_outcome`; only the `workers − 1` spawned
+    /// participants send theirs through a channel.
     ///
     /// Jobs are streamed, not materialized: each worker derives job
     /// `i`'s config on demand into its own scratch (see
@@ -512,72 +531,92 @@ impl Sweep {
             return Ok(0);
         }
 
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
         let (tx, rx) = mpsc::channel::<Result<RunOutcome, ConfigError>>();
         let pool = Pool {
             lens,
+            total,
+            next: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
             prefixes: Mutex::new(BTreeMap::new()),
             base_text: self.store.as_ref().map(|_| self.base.to_toml_around_seed()),
         };
         let workers = self.threads.min(total).max(1);
         let mut delivered = 0usize;
         let mut first_error: Option<ConfigError> = None;
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let next = &next;
-                let stop = &stop;
-                let pool = &pool;
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut worker = WorkerState::new(&self.base);
-                    loop {
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            return;
-                        }
-                        let result = self.run_job(i, pool, &mut worker);
-                        let failed = result.is_err();
-                        if tx.send(result).is_err() || failed {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Stream results on the caller's thread as workers finish.
-            let mut aborted = false;
-            for result in rx {
-                if aborted {
-                    continue; // drain so workers' sends don't block
-                }
-                match result {
-                    Ok(outcome) => {
-                        if on_outcome(outcome) {
-                            delivered += 1;
-                        } else {
-                            // Raise the stop flag: idle workers stop
-                            // claiming; at most `workers` in-flight
-                            // runs still finish.
-                            stop.store(true, Ordering::Release);
-                            aborted = true;
-                        }
-                    }
+        // Delivers one result; `false` once the sweep is aborted, after
+        // which results are discarded. An abort raises the stop flag:
+        // no participant claims another job, and at most `workers`
+        // in-flight runs still finish.
+        let mut live = true;
+        let mut deliver = |result: Result<RunOutcome, ConfigError>| {
+            if live {
+                live = match result {
+                    Ok(outcome) => on_outcome(outcome),
                     Err(e) => {
                         first_error = Some(e);
-                        stop.store(true, Ordering::Release);
-                        aborted = true;
+                        false
+                    }
+                };
+                if live {
+                    delivered += 1;
+                } else {
+                    pool.stop.store(true, Ordering::Release);
+                }
+            }
+            live
+        };
+
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                let tx = tx.clone();
+                let pool = &pool;
+                scope.spawn(move || self.work(pool, |result| tx.send(result).is_ok()));
+            }
+            drop(tx);
+            // The calling thread is worker 0: after each of its jobs it
+            // delivers what the spawned workers finished meanwhile, then
+            // its own outcome.
+            self.work(&pool, |result| {
+                while let Ok(other) = rx.try_recv() {
+                    if !deliver(other) {
+                        return false;
                     }
                 }
+                deliver(result)
+            });
+            // No job left to claim: wait for the spawned workers.
+            for result in rx {
+                deliver(result);
             }
         });
         match first_error {
             Some(e) => Err(e),
             None => Ok(delivered),
+        }
+    }
+
+    /// One participant's loop: claims jobs until none is left or the
+    /// stop flag is up, runs each on this participant's own state, and
+    /// hands the result to `emit`, which returns `false` to stop this
+    /// participant. An error raises the stop flag at once, and so does
+    /// a panic as it unwinds, so the other participants stop claiming
+    /// instead of finishing the sweep first.
+    fn work(&self, pool: &Pool, mut emit: impl FnMut(Result<RunOutcome, ConfigError>) -> bool) {
+        let _stop_on_panic = StopOnPanic(&pool.stop);
+        let mut worker = WorkerState::new(&self.base);
+        while !pool.stop.load(Ordering::Acquire) {
+            let i = pool.next.fetch_add(1, Ordering::Relaxed);
+            if i >= pool.total {
+                return;
+            }
+            let result = self.run_job(i, pool, &mut worker);
+            let failed = result.is_err();
+            if failed {
+                pool.stop.store(true, Ordering::Release);
+            }
+            if !emit(result) || failed {
+                return;
+            }
         }
     }
 
@@ -739,6 +778,24 @@ impl Sweep {
     /// under the base scenario must be a faithful prefix of every grid
     /// point's uninterrupted run, and `r` must be capturable.
     fn fork_precheck(&self, r: u64, lens: &[usize], grid_points: usize) -> Result<(), ConfigError> {
+        let approximate = |spec: &ControllerSpec| {
+            matches!(
+                spec,
+                ControllerSpec::AntDesync(_) | ControllerSpec::Hysteresis { .. }
+            )
+        };
+        let controller = &self.base.controller;
+        if approximate(controller)
+            || controller
+                .mix_parts()
+                .is_some_and(|parts| parts.iter().any(|(_, spec)| approximate(spec)))
+        {
+            return Err(ConfigError::Fork(format!(
+                "from_round({r}): AntDesync and Hysteresis colonies cannot be forked — their \
+                 mid-run state is not restored exactly, so the fork would silently differ \
+                 from the uninterrupted run (use warmup instead)"
+            )));
+        }
         let k = self.base.demands.len();
         let phase = self.base.controller.capture_phase_len(k);
         if !r.is_multiple_of(phase) {
@@ -913,6 +970,12 @@ fn point_index(lens: &[usize], a: usize, g: usize) -> usize {
 struct Pool {
     /// Points per axis.
     lens: Vec<usize>,
+    /// Jobs in the sweep (`grid × seeds`).
+    total: usize,
+    /// The next unclaimed job index.
+    next: AtomicUsize,
+    /// Raised on abort, error or panic: no further jobs are claimed.
+    stop: AtomicBool,
     /// Shared-prefix checkpoints by seed: the in-process half of the
     /// `from_round` amortization (the durable store, when attached, is
     /// the cross-process half).
@@ -920,6 +983,17 @@ struct Pool {
     /// With a store: the base config's canonical text split around its
     /// seed, rendered once per sweep for the prefix key parts.
     base_text: Option<SeedSplitToml>,
+}
+
+/// Raises the pool's stop flag if its participant unwinds.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
 }
 
 /// One worker's job-streaming state: a scratch config re-derived per
@@ -1296,6 +1370,107 @@ mod tests {
     }
 
     #[test]
+    fn pool_at_one_thread_runs_every_job_on_the_caller() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let record = seen.clone();
+        let outcomes = Sweep::new(base())
+            .axis("lambda", [1.0, 2.0, 4.0], move |cfg, lambda| {
+                record.lock().unwrap().push(std::thread::current().id());
+                cfg.noise = NoiseModel::Sigmoid { lambda };
+            })
+            .seeds(0..2)
+            .rounds(10)
+            .threads(1)
+            .run()
+            .unwrap();
+        assert_eq!(outcomes.len(), 6);
+        let seen = seen.lock().unwrap();
+        // The precheck derives each grid point once, then the jobs do.
+        assert!(seen.len() >= 6, "{} setter calls", seen.len());
+        let caller = std::thread::current().id();
+        assert!(seen.iter().all(|&id| id == caller), "a job left the caller");
+    }
+
+    #[test]
+    fn pool_delivers_every_index_once_and_matches_one_thread() {
+        let sweep = |threads| {
+            Sweep::new(base())
+                .axis("lambda", [1.0, 4.0], |cfg, lambda| {
+                    cfg.noise = NoiseModel::Sigmoid { lambda };
+                })
+                .seeds(0..7)
+                .rounds(20)
+                .threads(threads)
+        };
+        let mut arrived = Vec::new();
+        let three = sweep(3).run_with(|o| arrived.push(o.index)).unwrap();
+        arrived.sort_unstable();
+        assert_eq!(arrived, (0..14).collect::<Vec<_>>());
+        let one = sweep(1).run().unwrap();
+        assert_eq!(three.len(), one.len());
+        for (a, b) in three.iter().zip(&one) {
+            same_outcome(a, b);
+            assert_eq!(a.params, b.params);
+        }
+    }
+
+    #[test]
+    fn pool_panic_stops_the_sweep_promptly() {
+        use std::sync::atomic::AtomicUsize;
+        const POINTS: usize = 64;
+        const BREAKS_AT: usize = POINTS + 2;
+        /// Marks that the panicking setter has begun unwinding.
+        struct Unwinding(Arc<AtomicBool>);
+        impl Drop for Unwinding {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        for threads in [1, 2] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let unwinding = Arc::new(AtomicBool::new(false));
+            let (counter, flag) = (calls.clone(), unwinding.clone());
+            // Passes the precheck (one call per grid point), then
+            // panics while deriving the sweep's third grid point.
+            let sweep = Sweep::new(base())
+                .axis(
+                    "lambda",
+                    (0..POINTS).map(|p| 1.0 + p as f64),
+                    move |cfg, lambda| {
+                        let call = counter.fetch_add(1, Ordering::Relaxed);
+                        if call == BREAKS_AT {
+                            let _unwinding = Unwinding(flag.clone());
+                            panic!("setter broke mid-sweep");
+                        }
+                        if call > BREAKS_AT {
+                            // The panic hook runs before unwinding starts;
+                            // let the unwind reach the pool before going on,
+                            // so the count below does not depend on how long
+                            // the hook takes to print.
+                            while !flag.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                        }
+                        cfg.noise = NoiseModel::Sigmoid { lambda };
+                    },
+                )
+                .seeds([1])
+                .rounds(10)
+                .threads(threads);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep.run()));
+            assert!(result.is_err(), "threads {threads}: the panic surfaces");
+            // Every other participant stopped claiming: at most one more
+            // derivation each, not the remaining ~60 grid points.
+            let calls = calls.load(Ordering::Relaxed);
+            assert!(
+                calls < BREAKS_AT + 1 + threads,
+                "threads {threads}: {calls} setter calls"
+            );
+        }
+    }
+
+    #[test]
     fn stream_into_writes_one_row_per_run() {
         use crate::scenario::sink::CsvSink;
         let mut sink = CsvSink::new(Vec::new());
@@ -1418,28 +1593,36 @@ mod tests {
 
     #[test]
     fn aborted_sweep_resumes_from_store_and_recomputes_only_the_rest() {
-        let store = Arc::new(antalloc_store::CheckpointStore::in_memory());
-        let batch = || Sweep::new(base()).rounds(30).seeds(0..10).threads(2);
-        // Kill the sweep after 4 delivered outcomes.
-        let mut seen = 0;
-        let delivered = batch()
-            .store(store.clone())
-            .run_while(|_| {
-                seen += 1;
-                seen < 4
-            })
-            .unwrap();
-        assert_eq!(delivered, 3, "callback aborted on the 4th outcome");
-        let captured = store.entries().unwrap().len();
-        assert!(captured >= 4, "aborted runs still captured ({captured})");
-        // The restart serves every captured run from the store and
-        // computes only the remainder.
-        let resumed = batch().store(store.clone()).run().unwrap();
-        assert_eq!(resumed.len(), 10);
-        assert_eq!(resumed.iter().filter(|o| o.cached).count(), captured);
-        let fresh = batch().run().unwrap();
-        for (r, f) in resumed.iter().zip(&fresh) {
-            same_outcome(r, f);
+        for threads in [1, 2] {
+            let store = Arc::new(antalloc_store::CheckpointStore::in_memory());
+            let batch = || Sweep::new(base()).rounds(30).seeds(0..10).threads(threads);
+            // Kill the sweep after 4 delivered outcomes.
+            let mut seen = 0;
+            let delivered = batch()
+                .store(store.clone())
+                .run_while(|_| {
+                    seen += 1;
+                    seen < 4
+                })
+                .unwrap();
+            assert_eq!(delivered, 3, "callback aborted on the 4th outcome");
+            let captured = store.entries().unwrap().len();
+            if threads == 1 {
+                // The caller runs every job and stops claiming at once:
+                // exactly the four offered runs were computed.
+                assert_eq!(captured, 4, "one participant");
+            } else {
+                assert!(captured >= 4, "aborted runs still captured ({captured})");
+            }
+            // The restart serves every captured run from the store and
+            // computes only the remainder.
+            let resumed = batch().store(store.clone()).run().unwrap();
+            assert_eq!(resumed.len(), 10);
+            assert_eq!(resumed.iter().filter(|o| o.cached).count(), captured);
+            let fresh = batch().run().unwrap();
+            for (r, f) in resumed.iter().zip(&fresh) {
+                same_outcome(r, f);
+            }
         }
     }
 
@@ -1635,6 +1818,35 @@ mod tests {
                 .run()
                 .unwrap_err();
             assert!(matches!(err, ConfigError::Fork(_)), "{err:?}");
+        }
+        // Kinds whose restores are approximate are refused outright,
+        // alone or as part of a mix, even with no axes: the fork would
+        // silently differ from the uninterrupted run.
+        let desync = SimConfig::builder(400, vec![60, 80, 100])
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .controller(ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0)))
+            .build()
+            .unwrap();
+        let hysteresis = SimConfig::builder(300, vec![100])
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .controller(ControllerSpec::Hysteresis {
+                depth: 3,
+                lazy: Some(0.5),
+            })
+            .build()
+            .unwrap();
+        let mut mixed = base();
+        mixed.controller = ControllerSpec::Mix(vec![
+            (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
+            (1.0, ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0))),
+        ]);
+        for (cfg, r) in [(desync, 48), (hysteresis, 47), (mixed, 48)] {
+            assert!(Sweep::new(cfg.clone()).warmup(r).rounds(4).run().is_ok());
+            let err = Sweep::new(cfg).from_round(r).rounds(40).run().unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::Fork(why) if why.contains("AntDesync and Hysteresis")),
+                "{err:?}"
+            );
         }
     }
 

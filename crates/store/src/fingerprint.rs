@@ -155,10 +155,7 @@ impl Fingerprint {
     /// Full 64-char lowercase hex rendering.
     pub fn hex(&self) -> String {
         let mut s = String::with_capacity(64);
-        for byte in self.0 {
-            s.push(hex_digit(byte >> 4));
-            s.push(hex_digit(byte & 0xF));
-        }
+        push_hex(&self.0, &mut s);
         s
     }
 
@@ -167,9 +164,22 @@ impl Fingerprint {
     /// short, hence constructible-in-tests) directory collision is
     /// detected on load, never silently served.
     pub fn short_hex(&self) -> String {
-        let mut s = self.hex();
-        s.truncate(16);
+        let mut s = String::with_capacity(16);
+        self.push_short_hex(&mut s);
         s
+    }
+
+    /// Appends [`Fingerprint::short_hex`] to `out` without a
+    /// temporary: the store's entry paths are built in one `String`.
+    pub(crate) fn push_short_hex(&self, out: &mut String) {
+        push_hex(&self.0[..8], out);
+    }
+}
+
+fn push_hex(bytes: &[u8], out: &mut String) {
+    for &byte in bytes {
+        out.push(hex_digit(byte >> 4));
+        out.push(hex_digit(byte & 0xF));
     }
 }
 

@@ -219,12 +219,12 @@ impl CheckpointStore {
 
     /// Backend path of the manifest blob for `fp`.
     pub fn manifest_path(fp: &Fingerprint) -> String {
-        format!("entries/{}/manifest", fp.short_hex())
+        entry_path(fp, "manifest")
     }
 
     /// Backend path of the payload blob for `fp`.
     pub fn payload_path(fp: &Fingerprint) -> String {
-        format!("entries/{}/payload", fp.short_hex())
+        entry_path(fp, "payload")
     }
 
     /// Loads and fully verifies the entry for `fp`. Returns the
@@ -320,6 +320,18 @@ impl CheckpointStore {
             })
             .collect())
     }
+}
+
+/// `entries/<short-hex>/<blob>`, written into one exactly sized
+/// `String`: a served load builds two of these and nothing else.
+fn entry_path(fp: &Fingerprint, blob: &str) -> String {
+    const DIR: &str = "entries/";
+    let mut path = String::with_capacity(DIR.len() + 16 + 1 + blob.len());
+    path.push_str(DIR);
+    fp.push_short_hex(&mut path);
+    path.push('/');
+    path.push_str(blob);
+    path
 }
 
 fn le_u32(bytes: &[u8]) -> u32 {
@@ -510,5 +522,30 @@ mod tests {
         let s2 = CheckpointStore::local(&root).unwrap();
         assert_eq!(s2.load(&key, EntryKind::Checkpoint).unwrap(), b"on disk");
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    proptest::proptest! {
+        /// The on-disk layout is a file format: entry paths are the
+        /// first 16 hex chars of the full fingerprint, byte for byte as
+        /// every earlier build wrote them, so old `LocalDirBackend`
+        /// archives stay readable.
+        #[test]
+        fn entry_paths_keep_the_short_hex_layout(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 32),
+        ) {
+            let mut raw = [0u8; 32];
+            raw.copy_from_slice(&bytes);
+            let fp = Fingerprint(raw);
+            let short = &fp.hex()[..16];
+            proptest::prop_assert_eq!(fp.short_hex(), short);
+            proptest::prop_assert_eq!(
+                CheckpointStore::manifest_path(&fp),
+                format!("entries/{short}/manifest")
+            );
+            proptest::prop_assert_eq!(
+                CheckpointStore::payload_path(&fp),
+                format!("entries/{short}/payload")
+            );
+        }
     }
 }
