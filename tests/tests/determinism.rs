@@ -333,3 +333,106 @@ fn a_kill_event_leaves_every_controller_on_its_ants_assignment() {
         assert_eq!(controllers, engine.colony().assignments(), "seed {seed}");
     }
 }
+
+/// The golden digests of the kinds no other golden pins, each through
+/// the contract oracle (which skips the checkpoint leg for AntDesync
+/// and Hysteresis, whose restores are approximate). Recorded before
+/// these kinds moved from per-ant controller structs to bank columns.
+mod kind_goldens {
+    use super::*;
+    use antalloc_core::PreciseAdversarialParams;
+    use antalloc_sim::Checkpoint;
+
+    fn golden(cfg: &SimConfig, rounds: u64) -> u64 {
+        digest(&check_contract(cfg, rounds))
+    }
+
+    /// AntDesync over three tasks: a kill relocates ants of both phase
+    /// parities into other ids, a spawn adds offset-0 ants with ids of
+    /// both parities, and a scramble resets every ant mid-phase.
+    #[test]
+    fn ant_desync_matches_its_golden_digest() {
+        const GOLDEN: u64 = 0x0a25_09d7_5ab5_abe8;
+        let cfg = SimConfig::builder(600, vec![120, 90, 60])
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .controller(ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0)))
+            .seed(41)
+            .event(37, Event::Kill { count: 90 })
+            .event(70, Event::Spawn { count: 75 })
+            .event(121, Event::Scramble)
+            .build()
+            .expect("valid scenario");
+        assert_eq!(golden(&cfg, 240), GOLDEN);
+    }
+
+    fn adversarial(seed: u64) -> antalloc_sim::ScenarioBuilder {
+        // ε = 0.5: r_1 = 64, phases of 320 rounds; the kill lands in
+        // the second phase's ramp.
+        SimConfig::builder(300, vec![60, 45, 30])
+            .noise(NoiseModel::Sigmoid { lambda: 1.0 })
+            .controller(ControllerSpec::PreciseAdversarial(
+                PreciseAdversarialParams::new(0.05, 0.5),
+            ))
+            .seed(seed)
+            .event(357, Event::Kill { count: 40 })
+    }
+
+    /// Precise Adversarial over three tasks, two full phases and part
+    /// of a third, with a kill mid-ramp.
+    #[test]
+    fn precise_adversarial_matches_its_golden_digest() {
+        const GOLDEN: u64 = 0xf06f_2f7a_b0a3_85da;
+        let cfg = adversarial(42).build().expect("valid scenario");
+        assert_eq!(golden(&cfg, 700), GOLDEN);
+    }
+
+    /// The bytes of a Precise Adversarial checkpoint captured mid-ramp,
+    /// its phase trackers in flight.
+    #[test]
+    fn precise_adversarial_mid_phase_checkpoint_matches_its_golden_hash() {
+        const GOLDEN: u64 = 0x21d5_a1d9_1446_ec8d;
+        let mut engine = adversarial(43).build().expect("valid scenario").build();
+        engine.run(380, &mut NullObserver);
+        let bytes = Checkpoint::capture(&engine)
+            .expect("Precise Adversarial captures mid-phase")
+            .to_bytes();
+        // FNV-1a over the encoded bytes.
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(hash, GOLDEN);
+    }
+
+    /// Lazy depth-3 hysteresis machines on one task.
+    #[test]
+    fn hysteresis_matches_its_golden_digest() {
+        const GOLDEN: u64 = 0x9d98_3fd8_a87e_3529;
+        let cfg = SimConfig::builder(400, vec![150])
+            .noise(NoiseModel::Sigmoid { lambda: 1.0 })
+            .controller(ControllerSpec::Hysteresis {
+                depth: 3,
+                lazy: Some(0.5),
+            })
+            .seed(43)
+            .event(90, Event::Kill { count: 50 })
+            .event(140, Event::Spawn { count: 60 })
+            .build()
+            .expect("valid scenario");
+        assert_eq!(golden(&cfg, 300), GOLDEN);
+    }
+
+    /// The trivial algorithm over three tasks, with a kill and a spawn.
+    #[test]
+    fn trivial_matches_its_golden_digest() {
+        const GOLDEN: u64 = 0xabba_17a6_e454_6f9f;
+        let cfg = SimConfig::builder(400, vec![80, 60, 40])
+            .noise(NoiseModel::Sigmoid { lambda: 1.0 })
+            .controller(ControllerSpec::Trivial)
+            .seed(44)
+            .event(50, Event::Kill { count: 60 })
+            .event(90, Event::Spawn { count: 45 })
+            .build()
+            .expect("valid scenario");
+        assert_eq!(golden(&cfg, 200), GOLDEN);
+    }
+}
