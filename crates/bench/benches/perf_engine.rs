@@ -21,7 +21,8 @@ use std::time::Instant;
 
 use antalloc_bench::perf_quick as quick;
 use antalloc_core::{
-    AntParams, AnyController, Controller, PreciseSigmoidParams, ProportionalParams,
+    AntParams, AnyController, Controller, PreciseAdversarialParams, PreciseSigmoidParams,
+    ProportionalParams,
 };
 use antalloc_env::{ArenaConfig, ColonyState};
 use antalloc_noise::{FeedbackProbe, NoiseModel};
@@ -193,6 +194,7 @@ fn measure(n: usize, rounds: u64, samples: usize, mut step: impl FnMut(u64)) -> 
 /// One controller kind's SoA-bank-vs-per-ant-reference comparison.
 struct KindResult {
     kind: &'static str,
+    tasks: usize,
     seed_tput: f64,
     banks_tput: f64,
     banks_par_tput: f64,
@@ -211,24 +213,42 @@ const PARALLEL_CROSSOVER_N: usize = 100_000;
 /// Thread counts for the per-kind parallel scaling curve.
 const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// The generic monomorphic per-ant loop: one probe per ant over a
+/// `Vec` of controllers — the exact layout the SoA banks replaced.
+fn step_per_ant<C: Controller>(
+    ants: &mut [C],
+    view: antalloc_noise::RoundView<'_>,
+    rngs: &mut [AntRng],
+    out: &mut [antalloc_env::Assignment],
+) {
+    for ((ant, rng), slot) in ants.iter_mut().zip(rngs).zip(out) {
+        *slot = ant.step(&mut FeedbackProbe::from_view(view, rng));
+    }
+}
+
 /// Like-for-like kernel race: the SoA bank's `step_batch` against the
-/// generic monomorphic per-ant loop (`step_slice` over a `Vec` of
-/// controllers — the exact layout the SoA banks replaced), same rounds,
+/// generic monomorphic per-ant loop ([`step_per_ant`]), same rounds,
 /// same per-ant RNG streams, keyed afresh every round as the engine
-/// keys them, no engine around either. Asserts bit-identity and returns
-/// (generic, soa) ant-rounds/second.
-fn kernel_race<C>(n: usize, rounds: u64, samples: usize, make: impl Fn() -> C) -> (f64, f64)
+/// keys them, no engine around either; ant `i` is `make(i)` over `k`
+/// tasks. Asserts bit-identity and returns (generic, soa)
+/// ant-rounds/second.
+fn kernel_race<C>(
+    n: usize,
+    k: usize,
+    rounds: u64,
+    samples: usize,
+    make: impl Fn(usize) -> C,
+) -> (f64, f64)
 where
     C: Controller + Clone + Into<AnyController>,
 {
     use antalloc_rng::StreamSeeder;
 
-    let k = 3usize;
     let demands = vec![(n / 8) as u64; k];
     let noise = NoiseModel::Sigmoid { lambda: 2.0 };
     let seeder = StreamSeeder::new(5);
-    let mut generic: Vec<C> = (0..n).map(|_| make()).collect();
-    let mut soa: antalloc_core::ControllerBank = (0..n).map(|_| make().into()).collect();
+    let mut generic: Vec<C> = (0..n).map(&make).collect();
+    let mut soa: antalloc_core::ControllerBank = (0..n).map(|i| make(i).into()).collect();
     let mut generic_rngs = vec![AntRng::seed_from_u64(0); n];
     let mut soa_rngs = generic_rngs.clone();
     // Every ant's stream for `round`, written over last round's.
@@ -256,7 +276,7 @@ where
         let prep = noise.prepare(round, &deficits(round), &demands);
         key_round(&mut generic_rngs, round);
         key_round(&mut soa_rngs, round);
-        antalloc_core::step_slice(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
+        step_per_ant(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
         soa.step_batch(prep.view(), &mut soa_rngs, &mut out_b);
         assert_eq!(out_a, out_b, "kernel outputs diverged in warmup");
     }
@@ -269,7 +289,7 @@ where
             round += 1;
             let prep = noise.prepare(round, &deficits(round), &demands);
             key_round(&mut generic_rngs, round);
-            antalloc_core::step_slice(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
+            step_per_ant(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
         }
         generic_best = generic_best.max(n as f64 * rounds as f64 / t0.elapsed().as_secs_f64());
         round = start;
@@ -349,8 +369,12 @@ fn banks_vs_seed(_c: &mut Criterion) {
     // One spec per kind, shared by the engine comparison AND the kernel
     // race below (via the match on `spec`), so both halves of a
     // per-kind JSON entry always measure the same configuration.
-    let kinds: [(&'static str, ControllerSpec); 5] = [
+    let kinds: [(&'static str, ControllerSpec); 8] = [
         ("ant", ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
+        (
+            "ant_desync",
+            ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0)),
+        ),
         (
             "precise_sigmoid",
             ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
@@ -364,6 +388,17 @@ fn banks_vs_seed(_c: &mut Criterion) {
             "proportional",
             ControllerSpec::Proportional(ProportionalParams::default()),
         ),
+        (
+            "precise_adversarial",
+            ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5)),
+        ),
+        (
+            "hysteresis",
+            ControllerSpec::Hysteresis {
+                depth: 3,
+                lazy: Some(0.5),
+            },
+        ),
     ];
 
     println!(
@@ -373,7 +408,13 @@ fn banks_vs_seed(_c: &mut Criterion) {
 
     let mut results: Vec<KindResult> = Vec::new();
     for (kind, spec) in kinds {
-        let demands = vec![(n / 8) as u64; 3];
+        // Table machines observe one task.
+        let k = if matches!(spec, ControllerSpec::Hysteresis { .. }) {
+            1
+        } else {
+            3
+        };
+        let demands = vec![(n / 8) as u64; k];
         let cfg = SimConfig::builder(n, demands)
             .noise(NoiseModel::Sigmoid { lambda: 2.0 })
             .controller(spec.clone())
@@ -435,34 +476,57 @@ fn banks_vs_seed(_c: &mut Criterion) {
         let (kernel_generic_tput, kernel_soa_tput) = match &spec {
             ControllerSpec::Ant(p) => {
                 let p = *p;
-                kernel_race(n, rounds, samples, move || {
-                    antalloc_core::AlgorithmAnt::new(3, p)
+                kernel_race(n, k, rounds, samples, move |_| {
+                    antalloc_core::AlgorithmAnt::new(k, p)
+                })
+            }
+            ControllerSpec::AntDesync(p) => {
+                let p = *p;
+                kernel_race(n, k, rounds, samples, move |i| {
+                    antalloc_core::AlgorithmAnt::with_phase_offset(k, p, (i % 2) as u64)
                 })
             }
             ControllerSpec::PreciseSigmoid(p) => {
                 let p = *p;
-                kernel_race(n, rounds, samples, move || {
-                    antalloc_core::PreciseSigmoid::new(3, p)
+                kernel_race(n, k, rounds, samples, move |_| {
+                    antalloc_core::PreciseSigmoid::new(k, p)
                 })
             }
             ControllerSpec::Trivial => {
-                kernel_race(n, rounds, samples, || antalloc_core::Trivial::new(3))
+                kernel_race(n, k, rounds, samples, |_| antalloc_core::Trivial::new(k))
             }
             ControllerSpec::ExactGreedy(p) => {
                 let p = *p;
-                kernel_race(n, rounds, samples, move || {
-                    antalloc_core::ExactGreedy::new(3, p)
+                kernel_race(n, k, rounds, samples, move |_| {
+                    antalloc_core::ExactGreedy::new(k, p)
                 })
             }
             ControllerSpec::Proportional(p) => {
                 let p = *p;
-                kernel_race(n, rounds, samples, move || {
-                    antalloc_core::ProportionalController::new(3, p)
+                kernel_race(n, k, rounds, samples, move |_| {
+                    antalloc_core::ProportionalController::new(k, p)
+                })
+            }
+            ControllerSpec::PreciseAdversarial(p) => {
+                let p = *p;
+                kernel_race(n, k, rounds, samples, move |_| {
+                    antalloc_core::PreciseAdversarial::new(k, p)
+                })
+            }
+            ControllerSpec::Hysteresis { depth, lazy } => {
+                let fsm = match lazy {
+                    Some(p) => antalloc_core::FsmSpec::lazy_hysteresis(*depth, *p),
+                    None => antalloc_core::FsmSpec::hysteresis(*depth),
+                };
+                let fsm = std::sync::Arc::new(fsm);
+                kernel_race(n, k, rounds, samples, move |_| {
+                    antalloc_core::TableFsm::new(fsm.clone())
                 })
             }
             other => unreachable!("unknown kind {other:?}"),
         };
         results.push(KindResult {
+            tasks: k,
             kind,
             seed_tput,
             banks_tput,
@@ -552,6 +616,7 @@ fn banks_vs_seed(_c: &mut Criterion) {
                 .collect();
             format!(
                 "    \"{}\": {{\n      \
+                 \"tasks\": {},\n      \
                  \"engine_seed_per_ant\": {{ \"ant_rounds_per_sec\": {:.1} }},\n      \
                  \"engine_banks_serial\": {{ \"ant_rounds_per_sec\": {:.1} }},\n      \
                  \"engine_banks_parallel\": {{ \"ant_rounds_per_sec\": {:.1} }},\n      \
@@ -562,6 +627,7 @@ fn banks_vs_seed(_c: &mut Criterion) {
                  \"speedup_engine_parallel_vs_seed\": {:.3},\n      \
                  \"speedup_kernel_soa_vs_generic\": {:.3}\n    }}",
                 r.kind,
+                r.tasks,
                 r.seed_tput,
                 r.banks_tput,
                 r.banks_par_tput,
@@ -579,7 +645,7 @@ fn banks_vs_seed(_c: &mut Criterion) {
     writeln!(
         out,
         "{{\n  \"bench\": \"perf_engine/banks_vs_seed\",\n  \"quick\": {},\n  \
-         \"n\": {n},\n  \"tasks\": 3,\n  \"rounds_per_sample\": {rounds},\n  \
+         \"n\": {n},\n  \"rounds_per_sample\": {rounds},\n  \
          \"samples\": {samples},\n  \"threads\": {threads},\n  \
          \"parallel_crossover_n\": {PARALLEL_CROSSOVER_N},\n  \
          \"arena_overhead\": {{ {}, \"ratio_single_site_vs_wellmixed\": {:.3} }},\n  \

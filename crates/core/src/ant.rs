@@ -36,18 +36,20 @@ pub struct AlgorithmAnt {
     leave: Bernoulli,
     /// `currentTask` of the pseudocode: the task this phase is about
     /// (kept across the temporary pause), or `Idle`.
-    current_task: Assignment,
+    pub(crate) current_task: Assignment,
     /// `a_t`: the output assignment of the last round.
-    assignment: Assignment,
+    pub(crate) assignment: Assignment,
     /// First samples for all tasks (idle path); valid iff `have_s1`.
-    s1_all: Vec<Feedback>,
+    /// With `s1_current` and `have_s1`, this is the persistent state
+    /// [`crate::AntBank`] transposes (`s2_all` is within-round scratch).
+    pub(crate) s1_all: Vec<Feedback>,
     /// Scratch for the second samples (idle path).
     s2_all: Vec<Feedback>,
     /// First sample for the current task (working path).
-    s1_current: Feedback,
+    pub(crate) s1_current: Feedback,
     /// Whether a first sample was taken this phase (stale-state guard
     /// after resets that land mid-phase).
-    have_s1: bool,
+    pub(crate) have_s1: bool,
 }
 
 impl AlgorithmAnt {
@@ -91,42 +93,6 @@ impl AlgorithmAnt {
     /// Number of tasks this controller observes.
     pub fn num_tasks(&self) -> usize {
         self.s1_all.len()
-    }
-
-    /// Copies the persistent per-ant state out, for transposition into
-    /// the structure-of-arrays bank. Lossless together with
-    /// [`AlgorithmAnt::from_bank_state`]: only `s2_all` is omitted, and
-    /// that is pure within-round scratch (fully overwritten before any
-    /// read in `step_second_sample`).
-    pub(crate) fn bank_state(&self) -> AntBankState {
-        AntBankState {
-            current_task: self.current_task,
-            assignment: self.assignment,
-            s1_lack: self.s1_all.iter().map(|f| f.is_lack()).collect(),
-            s1_current_lack: self.s1_current.is_lack(),
-            have_s1: self.have_s1,
-        }
-    }
-
-    /// Rebuilds a phase-offset-0 controller from transposed bank state.
-    pub(crate) fn from_bank_state(num_tasks: usize, params: AntParams, s: AntBankState) -> Self {
-        let mut ant = Self::new(num_tasks, params);
-        ant.current_task = s.current_task;
-        ant.assignment = s.assignment;
-        for (slot, lack) in ant.s1_all.iter_mut().zip(&s.s1_lack) {
-            *slot = if *lack {
-                Feedback::Lack
-            } else {
-                Feedback::Overload
-            };
-        }
-        ant.s1_current = if s.s1_current_lack {
-            Feedback::Lack
-        } else {
-            Feedback::Overload
-        };
-        ant.have_s1 = s.have_s1;
-        ant
     }
 
     fn step_first_sample(&mut self, probe: &mut FeedbackProbe<'_>) -> Assignment {
@@ -196,16 +162,6 @@ impl AlgorithmAnt {
         self.have_s1 = false;
         self.assignment
     }
-}
-
-/// Persistent per-ant state in transposable form (see
-/// [`AlgorithmAnt::bank_state`]).
-pub(crate) struct AntBankState {
-    pub current_task: Assignment,
-    pub assignment: Assignment,
-    pub s1_lack: Vec<bool>,
-    pub s1_current_lack: bool,
-    pub have_s1: bool,
 }
 
 impl Controller for AlgorithmAnt {

@@ -15,21 +15,24 @@
 //! conversion in and out ([`AntBank::push_controller`] /
 //! [`AntBank::to_controller`]) is lossless for the persistent state.
 //!
-//! Only phase-offset-0 ants live here; desynchronized (`AntDesync`)
-//! colonies keep the per-ant layout.
+//! Desynchronized (`AntDesync`) banks carry one more column, each
+//! ant's phase parity (its phase offset mod 2). It moves with the ant
+//! through slot maps, so an ant keeps its offset across kills.
+//! Synchronized banks carry no parity column and keep the two hoisted
+//! per-parity loops.
 
 use antalloc_env::Assignment;
-use antalloc_noise::RoundView;
+use antalloc_noise::{Feedback, RoundView};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant::{AlgorithmAnt, AntBankState};
-use crate::bank::Stepping;
+use crate::ant::AlgorithmAnt;
+use crate::bank::{split_chunk, Stepping};
 use crate::params::AntParams;
 use crate::slot_map::SlotMap;
 
 /// `current`/`assignment` encoding: task index, or `IDLE`. Shared by
-/// every structure-of-arrays bank (see also [`crate::TrivialBank`],
-/// [`crate::ExactGreedyBank`], [`crate::PreciseSigmoidBank`]) — and,
+/// every structure-of-arrays bank (see also [`crate::ExactGreedyBank`],
+/// [`crate::PreciseSigmoidBank`], [`crate::PreciseAdversarialBank`]) — and,
 /// by construction, identical to [`Assignment::RAW_IDLE`], so bank
 /// columns write into the engine's fused [`antalloc_env::TaskColumn`]
 /// without re-encoding.
@@ -60,14 +63,6 @@ pub(crate) fn nth_set_bit(mut mask: u64, pick: usize) -> u32 {
 
 /// Number of `lack` entries in a `0/1` signal row.
 #[inline(always)]
-/// Clears and refills a column with `n` copies of `value`, reusing the
-/// allocation when it suffices — the shared primitive behind every
-/// bank's `reinit` (shrink-to-reuse, grow reallocates).
-pub(crate) fn refill<T: Copy>(column: &mut Vec<T>, value: T, n: usize) {
-    column.clear();
-    column.resize(n, value);
-}
-
 pub(crate) fn count_lacking(row: &[u8]) -> usize {
     row.iter().filter(|&&l| l == 1).count()
 }
@@ -86,8 +81,8 @@ pub(crate) fn nth_lacking(row: &[u8], pick: usize) -> u32 {
         .expect("pick < count")
 }
 
-/// A homogeneous, phase-synchronized Algorithm Ant population in
-/// structure-of-arrays layout.
+/// A homogeneous Algorithm Ant population in structure-of-arrays
+/// layout.
 #[derive(Clone, Debug)]
 pub struct AntBank {
     params: AntParams,
@@ -104,23 +99,28 @@ pub struct AntBank {
     have_s1: Vec<u8>,
     /// Idle-path first samples, ant-major `num_tasks` bytes per ant.
     s1_all: Vec<u8>,
+    /// Phase parity per ant (1 = its two-round phase runs one round
+    /// behind the colony's); empty in a synchronized bank.
+    parity: Vec<u8>,
 }
 
 impl AntBank {
     /// An all-idle bank of `n` fresh ants.
     pub fn new(num_tasks: usize, params: AntParams, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
-        Self {
+        let mut bank = Self {
             params,
-            pause: Bernoulli::new(params.pause_probability()),
-            leave: Bernoulli::new(params.leave_probability()),
+            pause: Bernoulli::new(0.0),
+            leave: Bernoulli::new(0.0),
             num_tasks,
-            current: vec![IDLE; n],
-            assignment: vec![IDLE; n],
-            s1_current: vec![0; n],
-            have_s1: vec![0; n],
-            s1_all: vec![0; n * num_tasks],
-        }
+            current: Vec::new(),
+            assignment: Vec::new(),
+            s1_current: Vec::new(),
+            have_s1: Vec::new(),
+            s1_all: Vec::new(),
+            parity: Vec::new(),
+        };
+        bank.reinit(num_tasks, params, n);
+        bank
     }
 
     /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
@@ -133,11 +133,38 @@ impl AntBank {
         self.pause = Bernoulli::new(params.pause_probability());
         self.leave = Bernoulli::new(params.leave_probability());
         self.num_tasks = num_tasks;
-        refill(&mut self.current, IDLE, n);
-        refill(&mut self.assignment, IDLE, n);
-        refill(&mut self.s1_current, 0, n);
-        refill(&mut self.have_s1, 0, n);
-        refill(&mut self.s1_all, 0, n * num_tasks);
+        self.resize(0);
+        self.parity.clear();
+        self.resize(n);
+    }
+
+    /// Desynchronizes the bank: slot `s` runs at phase offset
+    /// `ids[s] mod 2`, staggered by global ant id (so a desynchronized
+    /// sub-population stays half-and-half however a mix interleaves
+    /// it).
+    pub fn stagger(&mut self, ids: &[u32]) {
+        assert_eq!(ids.len(), self.len(), "one id per ant");
+        self.parity.clear();
+        self.parity
+            .extend(ids.iter().map(|&id| u8::from(id % 2 == 1)));
+    }
+
+    /// Truncates or extends every column to `n` ants, new ants fresh
+    /// and idle at phase offset 0.
+    fn resize(&mut self, n: usize) {
+        self.current.resize(n, IDLE);
+        self.assignment.resize(n, IDLE);
+        self.s1_current.resize(n, 0);
+        self.have_s1.resize(n, 0);
+        self.s1_all.resize(n * self.num_tasks, 0);
+        if !self.parity.is_empty() {
+            self.parity.resize(n, 0);
+        }
+    }
+
+    /// Appends a fresh idle ant at phase offset 0 (a spawn).
+    pub fn push_fresh(&mut self) {
+        self.resize(self.len() + 1);
     }
 
     /// Number of ants.
@@ -155,44 +182,42 @@ impl AntBank {
         &self.params
     }
 
-    /// Appends a per-ant controller, transposing its state in.
-    ///
-    /// # Panics
-    /// If the controller is desynchronized (non-zero phase offset) —
-    /// those keep the per-ant layout.
+    /// Appends a per-ant controller, transposing its state in. An ant
+    /// with an odd phase offset desynchronizes the bank.
     pub fn push_controller(&mut self, ant: &AlgorithmAnt) {
-        assert_eq!(
-            ant.phase_offset(),
-            0,
-            "desynchronized ants do not fit a synchronized bank"
-        );
-        let s = ant.bank_state();
-        self.current.push(enc(s.current_task));
-        self.assignment.push(enc(s.assignment));
-        self.s1_current.push(u8::from(s.s1_current_lack));
-        self.have_s1.push(u8::from(s.have_s1));
-        debug_assert_eq!(s.s1_lack.len(), self.num_tasks);
-        self.s1_all.extend(s.s1_lack.iter().map(|&l| u8::from(l)));
+        let parity = u8::from(ant.phase_offset() % 2 == 1);
+        if parity == 1 && self.parity.is_empty() {
+            self.parity.resize(self.len(), 0);
+        }
+        if !self.parity.is_empty() {
+            self.parity.push(parity);
+        }
+        self.current.push(enc(ant.current_task));
+        self.assignment.push(enc(ant.assignment));
+        self.s1_current.push(u8::from(ant.s1_current.is_lack()));
+        self.have_s1.push(u8::from(ant.have_s1));
+        debug_assert_eq!(ant.s1_all.len(), self.num_tasks);
+        self.s1_all
+            .extend(ant.s1_all.iter().map(|f| u8::from(f.is_lack())));
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
-    /// extraction; lossless for the persistent state).
+    /// extraction; lossless for the persistent state, the phase offset
+    /// as its parity, the only part of it a step reads).
     pub fn to_controller(&self, slot: usize) -> AlgorithmAnt {
         let k = self.num_tasks;
-        AlgorithmAnt::from_bank_state(
-            k,
-            self.params,
-            AntBankState {
-                current_task: dec(self.current[slot]),
-                assignment: dec(self.assignment[slot]),
-                s1_lack: self.s1_all[slot * k..slot * k + k]
-                    .iter()
-                    .map(|&b| b == 1)
-                    .collect(),
-                s1_current_lack: self.s1_current[slot] == 1,
-                have_s1: self.have_s1[slot] == 1,
-            },
-        )
+        let offset = self.parity.get(slot).map_or(0, |&p| u64::from(p));
+        let feedback = |b: u8| [Feedback::Overload, Feedback::Lack][usize::from(b)];
+        let mut ant = AlgorithmAnt::with_phase_offset(k, self.params, offset);
+        ant.current_task = dec(self.current[slot]);
+        ant.assignment = dec(self.assignment[slot]);
+        let row = &self.s1_all[slot * k..slot * k + k];
+        for (f, &b) in ant.s1_all.iter_mut().zip(row) {
+            *f = feedback(b);
+        }
+        ant.s1_current = feedback(self.s1_current[slot]);
+        ant.have_s1 = self.have_s1[slot] == 1;
+        ant
     }
 
     /// The assignment of the ant at `slot`.
@@ -223,6 +248,9 @@ impl AntBank {
         map.apply(&mut self.s1_current);
         map.apply(&mut self.have_s1);
         map.apply_rows(&mut self.s1_all, self.num_tasks);
+        if !self.parity.is_empty() {
+            map.apply(&mut self.parity);
+        }
     }
 
     /// The whole bank as a splittable mutable slice.
@@ -236,6 +264,7 @@ impl AntBank {
             s1_current: &mut self.s1_current,
             have_s1: &mut self.have_s1,
             s1_all: &mut self.s1_all,
+            parity: &mut self.parity,
         }
     }
 }
@@ -251,58 +280,46 @@ pub struct AntSliceMut<'a> {
     s1_current: &'a mut [u8],
     have_s1: &'a mut [u8],
     s1_all: &'a mut [u8],
+    /// Empty for a chunk of a synchronized bank.
+    parity: &'a mut [u8],
 }
 
 impl<'a> AntSliceMut<'a> {
     /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.current.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
     }
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (AntSliceMut<'a>, AntSliceMut<'a>) {
-        let k = self.num_tasks;
-        let (c1, c2) = self.current.split_at_mut(mid);
-        let (a1, a2) = self.assignment.split_at_mut(mid);
-        let (s1, s2) = self.s1_current.split_at_mut(mid);
-        let (h1, h2) = self.have_s1.split_at_mut(mid);
-        let (r1, r2) = self.s1_all.split_at_mut(mid * k);
-        (
-            AntSliceMut {
-                pause: self.pause,
-                leave: self.leave,
-                num_tasks: k,
-                current: c1,
-                assignment: a1,
-                s1_current: s1,
-                have_s1: h1,
-                s1_all: r1,
-            },
-            AntSliceMut {
-                pause: self.pause,
-                leave: self.leave,
-                num_tasks: k,
-                current: c2,
-                assignment: a2,
-                s1_current: s2,
-                have_s1: h2,
-                s1_all: r2,
-            },
-        )
+        let (k, desync) = (self.num_tasks, !self.parity.is_empty());
+        split_chunk!(self => AntSliceMut { pause, leave, num_tasks }
+            current: mid, assignment: mid, s1_current: mid, have_s1: mid,
+            s1_all: mid * k, parity: mid * usize::from(desync))
     }
 
     /// Steps every ant in the chunk through `stepping`. Bit-identical to
     /// per-ant [`crate::Controller::step`] on [`AlgorithmAnt`]: same
     /// samples, same coins, same short-circuits, per ant in slot order.
-    /// The sub-round parity picks the whole loop, not a branch per ant.
+    /// In a synchronized chunk the sub-round parity picks the whole
+    /// loop, not a branch per ant; a desynchronized chunk picks per ant
+    /// by its own phase parity.
     pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
         let n = self.len();
-        if stepping.round() % 2 == 1 {
+        let odd = stepping.round() % 2 == 1;
+        if !self.parity.is_empty() {
+            stepping.run(
+                n,
+                #[inline(always)]
+                |i, view, rng| {
+                    if odd != (self.parity[i] == 1) {
+                        self.first_sample_round(i, view, rng)
+                    } else {
+                        self.second_sample_round(i, view, rng)
+                    }
+                },
+            );
+        } else if odd {
             stepping.run(
                 n,
                 #[inline(always)]
@@ -411,7 +428,7 @@ impl<'a> AntSliceMut<'a> {
 mod tests {
     use super::*;
     use crate::controller::Controller;
-    use crate::ControllerBank;
+    use crate::{AnyController, ControllerBank};
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
@@ -431,7 +448,7 @@ mod tests {
         let n = 200;
         let params = AntParams::new(1.0 / 16.0);
         let seeder = StreamSeeder::new(9);
-        let mut bank = ControllerBank::AntSoA(AntBank::new(k, params, n));
+        let mut bank = ControllerBank::Ant(AntBank::new(k, params, n));
         let mut twin = bank.clone();
         let mut reference: Vec<AlgorithmAnt> =
             (0..n).map(|_| AlgorithmAnt::new(k, params)).collect();
@@ -466,6 +483,95 @@ mod tests {
             let b = reference[i].step(&mut probe);
             assert_eq!(a, b, "rebuilt ant {i} diverges");
         }
+    }
+
+    /// A desynchronized bank (phase parity staggered by id, both
+    /// parities present, plus a spawned offset-0 ant at an odd id)
+    /// against per-ant references with the same offsets, round for
+    /// round, through `step_batch` and, on a twin bank, `step_slot` — at
+    /// 3 tasks and at 65. Mid-run, a scramble resets every ant.
+    #[test]
+    fn desync_bank_matches_per_ant_stepping() {
+        for k in [3, 65] {
+            desync_bank_matches_per_ant_stepping_at(k);
+        }
+    }
+
+    fn desync_bank_matches_per_ant_stepping_at(k: usize) {
+        let n = 121;
+        let params = AntParams::new(1.0 / 16.0);
+        let seeder = StreamSeeder::new(13);
+        let ids: Vec<u32> = (0..n as u32 - 1).collect();
+        let mut ant_bank = AntBank::new(k, params, n - 1);
+        ant_bank.stagger(&ids);
+        ant_bank.push_fresh(); // a spawn: offset 0 at the odd id 120
+        let mut bank = ControllerBank::Ant(ant_bank);
+        let mut twin = bank.clone();
+        let mut reference: Vec<AlgorithmAnt> = (0..n)
+            .map(|i| {
+                AlgorithmAnt::with_phase_offset(k, params, (i % 2 * usize::from(i < n - 1)) as u64)
+            })
+            .collect();
+        assert_eq!(reference[n - 1].phase_offset(), 0);
+        let model = NoiseModel::Sigmoid { lambda: 1.0 };
+        let deficits: Vec<i64> = (0..k).map(|j| [4, 0, -4][j % 3]).collect();
+        let loads = vec![20; k];
+        let mut out = vec![Assignment::Idle; n];
+        for round in 1..=40u64 {
+            if round == 21 {
+                for (i, ant) in reference.iter_mut().enumerate() {
+                    let a = Assignment::Task((i % k) as u32);
+                    ant.reset_to(a);
+                    bank.reset_slot(i, a);
+                    twin.reset_slot(i, a);
+                }
+            }
+            let prepared = model.prepare(round, &deficits, &loads);
+            let mut bank_rngs = crate::round_streams(&seeder, round, n);
+            let mut ref_rngs = bank_rngs.clone();
+            let mut slot_rngs = bank_rngs.clone();
+            bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
+            for (i, ant) in reference.iter_mut().enumerate() {
+                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
+                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round} k {k}");
+                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                assert_eq!(slot, out[i], "slot {i} round {round} k {k}");
+            }
+        }
+        // Conversion out keeps each ant's offset.
+        for (i, ant) in reference.iter().enumerate() {
+            let AnyController::Ant(back) = bank.to_any(i) else {
+                unreachable!("an Ant bank rebuilds Ant controllers");
+            };
+            assert_eq!(back.phase_offset(), ant.phase_offset(), "ant {i}");
+        }
+    }
+
+    #[test]
+    fn desync_push_and_swap_remove_keep_each_ants_offset() {
+        let params = AntParams::default();
+        let mut bank = AntBank::new(2, params, 0);
+        for offset in [0, 1, 0] {
+            let mut ant = AlgorithmAnt::with_phase_offset(2, params, offset);
+            ant.reset_to(Assignment::Task(offset as u32));
+            bank.push_controller(&ant);
+        }
+        let offsets = |bank: &AntBank| -> Vec<u64> {
+            (0..bank.len())
+                .map(|s| bank.to_controller(s).phase_offset())
+                .collect()
+        };
+        assert_eq!(offsets(&bank), [0, 1, 0]);
+        // Slot 0 dies; the last ant (offset 0) moves in, the offset-1
+        // ant stays put.
+        bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
+        assert_eq!(offsets(&bank), [0, 1]);
+        assert_eq!(bank.assignment(1), Assignment::Task(1));
+        bank.apply_slot_map(&SlotMap::swap_remove(2, 0));
+        assert_eq!(offsets(&bank), [1]);
+        // A rebuild resynchronizes the bank.
+        bank.reinit(2, params, 2);
+        assert_eq!(offsets(&bank), [0, 0]);
     }
 
     #[test]

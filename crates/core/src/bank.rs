@@ -12,13 +12,14 @@
 //! `id` in a round is `AntRng::keyed(round_key, id)`, built by the
 //! fused driver.
 //!
-//! Every shipped homogeneous kind has a **structure-of-arrays fast
-//! layout**: [`AntBank`] for synchronized §4 Ant colonies,
-//! [`crate::PreciseSigmoidBank`] for §5 (transposed counter planes),
-//! and the flat [`crate::TrivialBank`] / [`crate::ExactGreedyBank`]
-//! (one `u32` per ant — the shape of Ant's idle path). Only
-//! desynchronized Ant, Precise Adversarial and table-FSM banks keep the
-//! per-ant `Vec` layout.
+//! Every kind has one **structure-of-arrays layout**: [`AntBank`] for
+//! §4 Ant colonies (desynchronized ones with a phase-parity column),
+//! [`crate::PreciseSigmoidBank`] for §5 and
+//! [`crate::PreciseAdversarialBank`] for Appendix C (transposed tracker
+//! planes), the flat [`crate::ExactGreedyBank`] (one `u32` per ant — the
+//! shape of Ant's idle path; it runs the trivial algorithm too),
+//! [`crate::ProportionalBank`], and [`crate::FsmBank`] (one shared
+//! machine, one `u16` state per ant). No bank holds per-ant structs.
 //!
 //! Heterogeneous (mixed-controller) colonies are a `Vec` of banks; the
 //! engine layer owns the ant → (bank, slot) index. Parallel engines
@@ -52,16 +53,17 @@ use antalloc_env::{Assignment, ColumnWriter, TaskColumn};
 use antalloc_noise::{RoundView, SensedRound};
 use antalloc_rng::AntRng;
 
-use crate::ant::AlgorithmAnt;
+use crate::adversarial_bank::{AdversarialSliceMut, PreciseAdversarialBank};
 use crate::ant_bank::{AntBank, AntSliceMut};
-use crate::controller::{step_controllers, AnyController, Controller};
-use crate::flat_bank::{ExactGreedyBank, ExactGreedySliceMut, TrivialBank, TrivialSliceMut};
-use crate::precise_adversarial::{AdversarialScratch, PreciseAdversarial};
+use crate::controller::{AnyController, Controller};
+use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
+use crate::flat_bank::{ExactGreedyBank, ExactGreedySliceMut};
+use crate::precise_adversarial::AdversarialScratch;
 use crate::precise_sigmoid::SigmoidScratch;
 use crate::proportional::{ProportionalBank, ProportionalSliceMut};
 use crate::sigmoid_bank::{PreciseSigmoidBank, SigmoidSliceMut};
 use crate::slot_map::SlotMap;
-use crate::table_fsm::TableFsm;
+use crate::table_fsm::{FsmBank, FsmSliceMut};
 
 /// Per-ant controller state beyond the assignment, extracted per kind —
 /// what a checkpoint must carry to capture *between* the kind's phase
@@ -84,84 +86,76 @@ pub enum ControllerScratch {
 
 /// A contiguous, homogeneous population of controllers of one kind.
 ///
-/// One variant per shipped controller; the enum dispatch happens once
-/// per bank per round (in [`ControllerBank::step_batch`]), after which
-/// the kind's monomorphic bank loop runs.
+/// One variant per bank layout; the enum dispatch happens once per bank
+/// per round (in [`ControllerBank::step_batch`]), after which the kind's
+/// monomorphic bank loop runs.
 #[derive(Clone, Debug)]
 pub enum ControllerBank {
-    /// §4 Algorithm Ant, phase offset 0, in the structure-of-arrays
-    /// fast layout (see [`AntBank`]). This is the hot variant: a
-    /// homogeneous Ant colony streams ~an order of magnitude fewer
-    /// bytes per ant per round than the per-ant struct layout.
-    AntSoA(AntBank),
-    /// §4 Algorithm Ant with per-ant phase offsets (`AntDesync`).
-    Ant(Vec<AlgorithmAnt>),
-    /// §5 Algorithm Precise Sigmoid, in the structure-of-arrays fast
-    /// layout (see [`PreciseSigmoidBank`]).
+    /// §4 Algorithm Ant, synchronized or desynchronized (`AntDesync`;
+    /// see [`AntBank`]).
+    Ant(AntBank),
+    /// §5 Algorithm Precise Sigmoid (see [`PreciseSigmoidBank`]).
     PreciseSigmoid(PreciseSigmoidBank),
-    /// Appendix C Algorithm Precise Adversarial.
-    PreciseAdversarial(Vec<PreciseAdversarial>),
-    /// Appendix D trivial algorithm, in the flat fast layout (see
-    /// [`TrivialBank`]).
-    Trivial(TrivialBank),
-    /// Exact-feedback baseline, in the flat fast layout (see
-    /// [`ExactGreedyBank`]).
+    /// Appendix C Algorithm Precise Adversarial (see
+    /// [`PreciseAdversarialBank`]).
+    PreciseAdversarial(PreciseAdversarialBank),
+    /// Exact-feedback baseline, and with [`ExactGreedyParams::TRIVIAL`]
+    /// the Appendix D trivial algorithm (see [`ExactGreedyBank`]).
     ExactGreedy(ExactGreedyBank),
-    /// Proportional-control rival, in the flat fast layout (see
-    /// [`ProportionalBank`]).
+    /// Proportional-control rival (see [`ProportionalBank`]).
     Proportional(ProportionalBank),
-    /// Explicit finite-state machines.
-    Table(Vec<TableFsm>),
+    /// Explicit finite-state machines (see [`FsmBank`]).
+    Table(FsmBank),
 }
 
-/// Dispatches to the structure-of-arrays banks (`$b`) and the per-ant
-/// `Vec` banks (`$v`) with one body each.
+/// Runs one body over whichever bank `$self` holds (every bank type
+/// shares the per-slot surface).
 macro_rules! each_bank {
-    ($self:ident, $b:ident => $soa_body:expr, $v:ident => $body:expr) => {
+    ($self:ident, $b:ident => $body:expr) => {
         match $self {
-            ControllerBank::AntSoA($b) => $soa_body,
-            ControllerBank::PreciseSigmoid($b) => $soa_body,
-            ControllerBank::Trivial($b) => $soa_body,
-            ControllerBank::ExactGreedy($b) => $soa_body,
-            ControllerBank::Proportional($b) => $soa_body,
-            ControllerBank::Ant($v) => $body,
-            ControllerBank::PreciseAdversarial($v) => $body,
-            ControllerBank::Table($v) => $body,
+            ControllerBank::Ant($b) => $body,
+            ControllerBank::PreciseSigmoid($b) => $body,
+            ControllerBank::PreciseAdversarial($b) => $body,
+            ControllerBank::ExactGreedy($b) => $body,
+            ControllerBank::Proportional($b) => $body,
+            ControllerBank::Table($b) => $body,
         }
     };
 }
 
 impl ControllerBank {
     /// An empty bank of the same kind as `c` (for engines that create
-    /// banks lazily from a prototype controller). Offset-0 Ant
-    /// controllers and every Precise Sigmoid / Trivial / ExactGreedy
-    /// colony get the structure-of-arrays layouts.
+    /// banks lazily from a prototype controller). A trivial controller
+    /// gets an exact-greedy bank with [`ExactGreedyParams::TRIVIAL`].
     pub fn empty_like(c: &AnyController) -> Self {
         match c {
-            AnyController::Ant(a) if a.phase_offset() == 0 => {
-                ControllerBank::AntSoA(AntBank::new(a.num_tasks(), *a.params(), 0))
+            AnyController::Ant(a) => {
+                ControllerBank::Ant(AntBank::new(a.num_tasks(), *a.params(), 0))
             }
-            AnyController::Ant(_) => ControllerBank::Ant(Vec::new()),
             AnyController::PreciseSigmoid(c) => ControllerBank::PreciseSigmoid(
                 PreciseSigmoidBank::new(c.num_tasks(), *c.params(), 0),
             ),
-            AnyController::PreciseAdversarial(_) => ControllerBank::PreciseAdversarial(Vec::new()),
-            AnyController::Trivial(c) => {
-                ControllerBank::Trivial(TrivialBank::new(c.num_tasks(), 0))
-            }
+            AnyController::PreciseAdversarial(c) => ControllerBank::PreciseAdversarial(
+                PreciseAdversarialBank::new(c.num_tasks(), *c.params(), 0),
+            ),
+            AnyController::Trivial(c) => ControllerBank::ExactGreedy(ExactGreedyBank::new(
+                c.num_tasks(),
+                ExactGreedyParams::TRIVIAL,
+                0,
+            )),
             AnyController::ExactGreedy(c) => {
                 ControllerBank::ExactGreedy(ExactGreedyBank::new(c.num_tasks(), *c.params(), 0))
             }
             AnyController::Proportional(c) => {
                 ControllerBank::Proportional(ProportionalBank::new(c.num_tasks(), *c.params(), 0))
             }
-            AnyController::Table(_) => ControllerBank::Table(Vec::new()),
+            AnyController::Table(c) => ControllerBank::Table(FsmBank::new(c.spec().clone(), 0)),
         }
     }
 
     /// Number of ants in the bank.
     pub fn len(&self) -> usize {
-        each_bank!(self, b => b.len(), v => v.len())
+        each_bank!(self, b => b.len())
     }
 
     /// True iff the bank holds no ants.
@@ -172,7 +166,7 @@ impl ControllerBank {
     /// Steps every ant in the bank against one shared [`RoundView`],
     /// writing decisions into `out` (one slot per ant, bank order).
     ///
-    /// Bit-identical to calling [`Controller::step`] per ant.
+    /// Bit-identical to calling [`crate::Controller::step`] per ant.
     pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
         self.as_slice_mut().step_batch(view, rngs, out)
     }
@@ -181,14 +175,14 @@ impl ControllerBank {
     /// across workers).
     pub fn as_slice_mut(&mut self) -> BankSliceMut<'_> {
         match self {
-            ControllerBank::AntSoA(b) => BankSliceMut::AntSoA(b.as_slice_mut()),
-            ControllerBank::Ant(v) => BankSliceMut::Ant(v),
+            ControllerBank::Ant(b) => BankSliceMut::Ant(b.as_slice_mut()),
             ControllerBank::PreciseSigmoid(b) => BankSliceMut::PreciseSigmoid(b.as_slice_mut()),
-            ControllerBank::PreciseAdversarial(v) => BankSliceMut::PreciseAdversarial(v),
-            ControllerBank::Trivial(b) => BankSliceMut::Trivial(b.as_slice_mut()),
+            ControllerBank::PreciseAdversarial(b) => {
+                BankSliceMut::PreciseAdversarial(b.as_slice_mut())
+            }
             ControllerBank::ExactGreedy(b) => BankSliceMut::ExactGreedy(b.as_slice_mut()),
             ControllerBank::Proportional(b) => BankSliceMut::Proportional(b.as_slice_mut()),
-            ControllerBank::Table(v) => BankSliceMut::Table(v),
+            ControllerBank::Table(b) => BankSliceMut::Table(b.as_slice_mut()),
         }
     }
 
@@ -207,42 +201,40 @@ impl ControllerBank {
 
     /// The assignment of the ant at `slot`.
     pub fn assignment(&self, slot: usize) -> Assignment {
-        each_bank!(self, b => b.assignment(slot), v => v[slot].assignment())
+        each_bank!(self, b => b.assignment(slot))
     }
 
-    /// Forces the ant at `slot` into `a` (see [`Controller::reset_to`]).
+    /// Forces the ant at `slot` into `a` (see
+    /// [`crate::Controller::reset_to`]).
     pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
-        each_bank!(self, b => b.reset_slot(slot, a), v => v[slot].reset_to(a))
+        each_bank!(self, b => b.reset_slot(slot, a))
     }
 
     /// Forces every ant into its colony assignment: slot `s` takes the
     /// raw value `column[ids[s]]` (see [`ControllerBank::reset_slot`]),
     /// with one dispatch for the whole bank.
     pub fn reset_to_column(&mut self, ids: &[u32], column: &TaskColumn) {
-        each_bank!(self,
-        b => for (s, &id) in ids.iter().enumerate() {
+        each_bank!(self, b => for (s, &id) in ids.iter().enumerate() {
             b.reset_slot(s, Assignment::from_raw(column.load(id)));
-        },
-        v => for (c, &id) in v.iter_mut().zip(ids) {
-            c.reset_to(Assignment::from_raw(column.load(id)));
         })
     }
 
-    /// Persistent memory of the ant at `slot`, in bits.
-    pub fn memory_bits(&self, slot: usize) -> u32 {
-        each_bank!(self, b => { let _ = slot; b.memory_bits() }, v => v[slot].memory_bits())
+    /// Persistent memory of each ant of the bank, in bits.
+    pub fn memory_bits(&self) -> u32 {
+        each_bank!(self, b => b.memory_bits())
     }
 
     /// The mid-phase scratch of the ant at `slot` — `Some` only for
-    /// kinds a checkpoint must carry counters for (Precise Sigmoid and
-    /// Precise Adversarial; see [`ControllerScratch`]).
+    /// kinds a checkpoint must carry counters for (Precise Sigmoid,
+    /// Precise Adversarial and a non-zero Proportional streak; see
+    /// [`ControllerScratch`]).
     pub fn scratch(&self, slot: usize) -> Option<ControllerScratch> {
         match self {
             ControllerBank::PreciseSigmoid(b) => {
                 Some(ControllerScratch::PreciseSigmoid(b.scratch(slot)))
             }
-            ControllerBank::PreciseAdversarial(v) => {
-                Some(ControllerScratch::PreciseAdversarial(v[slot].scratch()))
+            ControllerBank::PreciseAdversarial(b) => {
+                Some(ControllerScratch::PreciseAdversarial(b.scratch(slot)))
             }
             // Zero streaks are the reset state; omitting them keeps
             // checkpoints of settled colonies scratch-free.
@@ -254,46 +246,57 @@ impl ControllerBank {
         }
     }
 
-    /// Appends a controller to the bank.
+    /// Appends a fresh ant in the kind's initial state (a spawn): what
+    /// the kind's per-ant constructor gives, at phase offset 0.
+    pub fn push_fresh(&mut self) {
+        each_bank!(self, b => b.push_fresh())
+    }
+
+    /// Appends a controller to the bank, transposing its state in.
     ///
     /// # Panics
     /// If the controller's kind does not match the bank's — banks are
     /// homogeneous by construction.
     pub fn push(&mut self, c: AnyController) {
         match (self, c) {
-            (ControllerBank::AntSoA(b), AnyController::Ant(c)) => b.push_controller(&c),
-            (ControllerBank::Ant(v), AnyController::Ant(c)) => v.push(c),
+            (ControllerBank::Ant(b), AnyController::Ant(c)) => b.push_controller(&c),
             (ControllerBank::PreciseSigmoid(b), AnyController::PreciseSigmoid(c)) => {
                 b.push_controller(&c)
             }
-            (ControllerBank::PreciseAdversarial(v), AnyController::PreciseAdversarial(c)) => {
-                v.push(c)
+            (ControllerBank::PreciseAdversarial(b), AnyController::PreciseAdversarial(c)) => {
+                b.push_controller(&c)
             }
-            (ControllerBank::Trivial(b), AnyController::Trivial(c)) => b.push_controller(&c),
+            (ControllerBank::ExactGreedy(b), AnyController::Trivial(c))
+                if b.params() == &ExactGreedyParams::TRIVIAL =>
+            {
+                let mut ant = ExactGreedy::new(c.num_tasks(), ExactGreedyParams::TRIVIAL);
+                ant.reset_to(c.assignment());
+                b.push_controller(&ant)
+            }
             (ControllerBank::ExactGreedy(b), AnyController::ExactGreedy(c)) => {
                 b.push_controller(&c)
             }
             (ControllerBank::Proportional(b), AnyController::Proportional(c)) => {
                 b.push_controller(&c)
             }
-            (ControllerBank::Table(v), AnyController::Table(c)) => v.push(c),
+            (ControllerBank::Table(b), AnyController::Table(c)) => b.push_controller(&c),
             // audit:allow(panic-path): documented precondition — Population routes controllers to the bank of their own kind.
             _ => panic!("controller kind does not match bank kind"),
         }
     }
 
-    /// Reorders the bank's slots by `map` (see [`SlotMap`]): structure-
-    /// of-arrays columns move as run copies, per-ant `Vec`s as clones.
-    /// Callers must apply the same map to any parallel per-slot arrays
-    /// (ant-id maps).
+    /// Reorders the bank's slots by `map` (see [`SlotMap`]): every
+    /// column moves as run copies. Callers must apply the same map to
+    /// any parallel per-slot arrays (ant-id maps).
     pub fn apply_slot_map(&mut self, map: &SlotMap) {
-        each_bank!(self, b => b.apply_slot_map(map), v => map.apply_clone(v))
+        each_bank!(self, b => b.apply_slot_map(map))
     }
 
-    /// A clone of the ant at `slot`, boxed into the dispatch enum
-    /// (reference extraction for tests and baseline replays).
+    /// The ant at `slot` as a per-ant controller, boxed into the
+    /// dispatch enum (reference extraction for tests and baseline
+    /// replays).
     pub fn to_any(&self, slot: usize) -> AnyController {
-        each_bank!(self, b => b.to_controller(slot).into(), v => v[slot].clone().into())
+        each_bank!(self, b => b.to_controller(slot).into())
     }
 }
 
@@ -305,37 +308,44 @@ impl ControllerBank {
 /// its colony id.
 #[derive(Debug)]
 pub enum BankSliceMut<'a> {
-    /// Chunk of a structure-of-arrays Ant bank.
-    AntSoA(AntSliceMut<'a>),
-    /// Chunk of a per-ant Algorithm Ant bank (desynchronized offsets).
-    Ant(&'a mut [AlgorithmAnt]),
-    /// Chunk of a structure-of-arrays Precise Sigmoid bank.
+    /// Chunk of an Ant bank.
+    Ant(AntSliceMut<'a>),
+    /// Chunk of a Precise Sigmoid bank.
     PreciseSigmoid(SigmoidSliceMut<'a>),
     /// Chunk of a Precise Adversarial bank.
-    PreciseAdversarial(&'a mut [PreciseAdversarial]),
-    /// Chunk of a flat trivial bank.
-    Trivial(TrivialSliceMut<'a>),
+    PreciseAdversarial(AdversarialSliceMut<'a>),
     /// Chunk of a flat exact-greedy bank.
     ExactGreedy(ExactGreedySliceMut<'a>),
     /// Chunk of a flat proportional-control bank.
     Proportional(ProportionalSliceMut<'a>),
     /// Chunk of a table-machine bank.
-    Table(&'a mut [TableFsm]),
+    Table(FsmSliceMut<'a>),
 }
 
-/// Dispatches over every chunk kind with one body (all chunk types
-/// share the `len`/`is_empty` surface).
+/// Runs one body over whichever chunk `$self` holds (every chunk type
+/// shares the `len`/`step_chunk` surface).
 macro_rules! each_slice {
     ($self:ident, $v:ident => $body:expr) => {
         match $self {
-            BankSliceMut::AntSoA($v) => $body,
             BankSliceMut::Ant($v) => $body,
             BankSliceMut::PreciseSigmoid($v) => $body,
             BankSliceMut::PreciseAdversarial($v) => $body,
-            BankSliceMut::Trivial($v) => $body,
             BankSliceMut::ExactGreedy($v) => $body,
             BankSliceMut::Proportional($v) => $body,
             BankSliceMut::Table($v) => $body,
+        }
+    };
+}
+
+/// Splits whichever chunk `$self` holds at `$mid` into two chunks of
+/// its variant.
+macro_rules! split_each {
+    ($self:ident, $mid:ident, $($kind:ident),*) => {
+        match $self {
+            $(BankSliceMut::$kind(v) => {
+                let (a, b) = v.split_at_mut($mid);
+                (BankSliceMut::$kind(a), BankSliceMut::$kind(b))
+            })*
         }
     };
 }
@@ -353,46 +363,16 @@ impl<'a> BankSliceMut<'a> {
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (BankSliceMut<'a>, BankSliceMut<'a>) {
-        match self {
-            BankSliceMut::AntSoA(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::AntSoA(a), BankSliceMut::AntSoA(b))
-            }
-            BankSliceMut::Ant(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::Ant(a), BankSliceMut::Ant(b))
-            }
-            BankSliceMut::PreciseSigmoid(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (
-                    BankSliceMut::PreciseSigmoid(a),
-                    BankSliceMut::PreciseSigmoid(b),
-                )
-            }
-            BankSliceMut::PreciseAdversarial(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (
-                    BankSliceMut::PreciseAdversarial(a),
-                    BankSliceMut::PreciseAdversarial(b),
-                )
-            }
-            BankSliceMut::Trivial(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::Trivial(a), BankSliceMut::Trivial(b))
-            }
-            BankSliceMut::ExactGreedy(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::ExactGreedy(a), BankSliceMut::ExactGreedy(b))
-            }
-            BankSliceMut::Proportional(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::Proportional(a), BankSliceMut::Proportional(b))
-            }
-            BankSliceMut::Table(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::Table(a), BankSliceMut::Table(b))
-            }
-        }
+        split_each!(
+            self,
+            mid,
+            Ant,
+            PreciseSigmoid,
+            PreciseAdversarial,
+            ExactGreedy,
+            Proportional,
+            Table
+        )
     }
 
     /// Steps every ant in the chunk (same contract as
@@ -429,18 +409,24 @@ impl<'a> BankSliceMut<'a> {
     }
 
     fn step(&mut self, stepping: Stepping<'_, '_>) {
-        match self {
-            BankSliceMut::AntSoA(v) => v.step_chunk(stepping),
-            BankSliceMut::Ant(v) => step_controllers(v, stepping),
-            BankSliceMut::PreciseSigmoid(v) => v.step_chunk(stepping),
-            BankSliceMut::PreciseAdversarial(v) => step_controllers(v, stepping),
-            BankSliceMut::Trivial(v) => v.step_chunk(stepping),
-            BankSliceMut::ExactGreedy(v) => v.step_chunk(stepping),
-            BankSliceMut::Proportional(v) => v.step_chunk(stepping),
-            BankSliceMut::Table(v) => step_controllers(v, stepping),
-        }
+        each_slice!(self, v => v.step_chunk(stepping))
     }
 }
+
+/// Splits a chunk struct (`self`, of type `$chunk`) into two: every
+/// listed column at its own split point (`mid` for one entry per ant,
+/// `mid * k` for a `k`-wide ant-major plane), every shared field copied
+/// into both halves.
+macro_rules! split_chunk {
+    ($self:ident => $chunk:ident { $($shared:ident),* } $($col:ident: $at:expr),* $(,)?) => {{
+        $(let $col = $self.$col.split_at_mut($at);)*
+        (
+            $chunk { $($shared: $self.$shared,)* $($col: $col.0,)* },
+            $chunk { $($shared: $self.$shared,)* $($col: $col.1,)* },
+        )
+    }};
+}
+pub(crate) use split_chunk;
 
 /// Where a chunk's per-ant steps draw from and write to. Every kind
 /// hands its per-ant step, `(slot, view, rng) -> next assignment`, to
@@ -575,6 +561,7 @@ impl FromIterator<AnyController> for ControllerBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ant::AlgorithmAnt;
     use crate::params::{AntParams, PreciseSigmoidParams};
     use crate::precise_sigmoid::SigmoidScratch;
     use crate::trivial::Trivial;
@@ -607,7 +594,7 @@ mod tests {
 
     #[test]
     fn split_chunks_cover_the_bank() {
-        let mut bank = ControllerBank::Trivial(TrivialBank::new(1, 10));
+        let mut bank = ControllerBank::ExactGreedy(ExactGreedyBank::new(1, Default::default(), 10));
         let slice = bank.as_slice_mut();
         assert_eq!(slice.len(), 10);
         let (a, b) = slice.split_at_mut(4);
@@ -618,7 +605,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match")]
     fn mismatched_push_panics() {
-        let mut bank = ControllerBank::Trivial(TrivialBank::new(1, 0));
+        let mut bank = ControllerBank::ExactGreedy(ExactGreedyBank::new(1, Default::default(), 0));
         bank.push(AlgorithmAnt::new(1, AntParams::default()).into());
     }
 

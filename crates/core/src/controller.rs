@@ -1,11 +1,9 @@
 //! The controller abstraction and the static-dispatch enum.
 
-use antalloc_env::{Assignment, ColumnWriter};
-use antalloc_noise::{FeedbackProbe, RoundView, SensedRound};
-use antalloc_rng::AntRng;
+use antalloc_env::Assignment;
+use antalloc_noise::FeedbackProbe;
 
 use crate::ant::AlgorithmAnt;
-use crate::bank::Stepping;
 use crate::exact_greedy::ExactGreedy;
 use crate::precise_adversarial::PreciseAdversarial;
 use crate::precise_sigmoid::PreciseSigmoid;
@@ -40,62 +38,6 @@ pub trait Controller {
     /// accounting (phase position excluded: the paper provides the global
     /// clock via synchronization).
     fn memory_bits(&self) -> u32;
-}
-
-/// Steps a homogeneous slice of controllers in one tight monomorphic
-/// loop — the bank-stepping primitive behind the per-ant `Vec` banks of
-/// [`crate::ControllerBank`].
-///
-/// Semantically identical to calling [`Controller::step`] per ant with a
-/// fresh probe: ant `i` of the slice consumes exactly the draws it would
-/// have consumed under per-ant stepping (each ant owns its RNG stream),
-/// so bank-stepped colonies are bit-identical to per-ant-stepped ones.
-/// The win is dispatch: the controller type is fixed for the whole
-/// slice, so `step` inlines and the per-ant enum branch disappears.
-pub fn step_slice<C: Controller>(
-    ants: &mut [C],
-    view: RoundView<'_>,
-    rngs: &mut [AntRng],
-    out: &mut [Assignment],
-) {
-    step_controllers(ants, Stepping::Streams { view, rngs, out })
-}
-
-/// Fused-apply variant of [`step_slice`]: the same per-ant step, with
-/// ant `i` drawing from its stream for the round,
-/// `AntRng::keyed(round_key, ids[i])`, and its decision routed through
-/// `writer` — storing the next assignment into the shared next-state
-/// column at the ant's colony id (`ids[i]`) and folding the
-/// switch/load/idle change into the writer's local delta against the
-/// authoritative previous column. The loop never touches `ColonyState`
-/// itself.
-///
-/// Takes the round as a [`SensedRound`]: the well-mixed (shared) form
-/// hoists one view out of the loop; the per-ant form builds each ant's
-/// probe from its own sensed view.
-pub fn step_slice_fused<C: Controller>(
-    ants: &mut [C],
-    sensed: SensedRound<'_>,
-    round_key: u64,
-    ids: &[u32],
-    writer: &mut ColumnWriter<'_>,
-) {
-    step_controllers(
-        ants,
-        Stepping::Fused {
-            sensed,
-            round_key,
-            ids,
-            writer,
-        },
-    )
-}
-
-/// Runs [`Controller::step`] as the per-ant step of `stepping`.
-pub(crate) fn step_controllers<C: Controller>(ants: &mut [C], stepping: Stepping<'_, '_>) {
-    stepping.run(ants.len(), |i, view, rng| {
-        ants[i].step(&mut FeedbackProbe::from_view(view, rng))
-    })
 }
 
 /// Static-dispatch union of every shipped controller.

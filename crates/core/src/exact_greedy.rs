@@ -27,6 +27,17 @@ pub struct ExactGreedyParams {
     pub p_leave: f64,
 }
 
+impl ExactGreedyParams {
+    /// Acts on every signal: the Appendix D trivial algorithm
+    /// ([`crate::Trivial`]). A probability-1 coin draws nothing, so an
+    /// exact-greedy ant with these parameters consumes the same draws
+    /// as a trivial ant and decides alike.
+    pub const TRIVIAL: Self = Self {
+        p_join: 1.0,
+        p_leave: 1.0,
+    };
+}
+
 impl Default for ExactGreedyParams {
     /// Damping that converges quickly under exact feedback without large
     /// overshoot at the colony sizes used in the experiments.

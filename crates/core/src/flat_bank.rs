@@ -1,15 +1,17 @@
-//! Flat structure-of-arrays banks for the single-sample controllers.
+//! Flat structure-of-arrays bank for the single-sample controllers.
 //!
-//! [`Trivial`] (Appendix D) and [`ExactGreedy`] (the \[11\]-style
-//! baseline) carry no cross-round state besides their assignment, so
-//! their fast layout is one `u32` per ant — the same shape as the idle
-//! path of [`crate::AntBank`]. Stepping streams a single flat array
+//! [`ExactGreedy`] (the \[11\]-style baseline) carries no cross-round
+//! state besides its assignment, so its fast layout is one `u32` per
+//! ant — the same shape as the idle path of [`crate::AntBank`]. With
+//! both probabilities 1 ([`ExactGreedyParams::TRIVIAL`]) it is
+//! [`crate::Trivial`] (Appendix D): a probability-1 Bernoulli draws
+//! nothing, so the two consume the same draws and decide alike. Stepping streams a single flat array
 //! instead of a `Vec` of per-ant structs (each dragging a heap-allocated
 //! scratch bitmap), and the idle path's full-vector sample goes through
 //! the batched [`RoundView::fill_lack`] draw.
 //!
 //! **Reference semantics.** The per-ant [`crate::Controller`] impls are
-//! the truth: each bank consumes every ant's RNG stream in exactly the
+//! the truth: the bank consumes every ant's RNG stream in exactly the
 //! order `Controller::step` would (samples in task order, then the
 //! join/leave coins with the same short-circuits), so bank runs are
 //! bit-identical to per-ant runs — pinned by the parity property tests
@@ -19,12 +21,11 @@ use antalloc_env::Assignment;
 use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, refill, IDLE};
-use crate::bank::Stepping;
+use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, IDLE};
+use crate::bank::{split_chunk, Stepping};
 use crate::controller::Controller;
 use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
 use crate::slot_map::SlotMap;
-use crate::trivial::Trivial;
 
 /// Row buffer for the > 64-task fallback paths; the bit-packed common
 /// case never reads it, so it stays unallocated there.
@@ -34,167 +35,6 @@ pub(crate) fn scratch_row(num_tasks: usize) -> Vec<u8> {
         Vec::new()
     } else {
         vec![0u8; num_tasks]
-    }
-}
-
-/// A homogeneous [`Trivial`] population in flat layout.
-#[derive(Clone, Debug)]
-pub struct TrivialBank {
-    num_tasks: usize,
-    /// Assignment per ant (`IDLE` when idle).
-    assignment: Vec<u32>,
-}
-
-impl TrivialBank {
-    /// An all-idle bank of `n` fresh ants.
-    pub fn new(num_tasks: usize, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
-        Self {
-            num_tasks,
-            assignment: vec![IDLE; n],
-        }
-    }
-
-    /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
-    /// the assignment allocation (shrink keeps capacity, grow
-    /// reallocates). State after the call is bit-identical to
-    /// `TrivialBank::new(num_tasks, n)`.
-    pub fn reinit(&mut self, num_tasks: usize, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        self.num_tasks = num_tasks;
-        refill(&mut self.assignment, IDLE, n);
-    }
-
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
-    }
-
-    /// Appends a per-ant controller, transposing its state in.
-    pub fn push_controller(&mut self, ant: &Trivial) {
-        assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
-        self.assignment.push(enc(ant.assignment()));
-    }
-
-    /// Reconstructs the per-ant controller at `slot` (reference
-    /// extraction; lossless — the assignment is the whole state).
-    pub fn to_controller(&self, slot: usize) -> Trivial {
-        let mut ant = Trivial::new(self.num_tasks);
-        ant.reset_to(dec(self.assignment[slot]));
-        ant
-    }
-
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
-    }
-
-    /// Forces the ant at `slot` into `a`.
-    pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
-        self.assignment[slot] = enc(a);
-    }
-
-    /// Persistent memory in bits (same accounting as the per-ant impl).
-    pub fn memory_bits(&self) -> u32 {
-        crate::memory::bits_for_states(self.num_tasks + 1)
-    }
-
-    /// Reorders the ants' slots by `map`.
-    pub fn apply_slot_map(&mut self, map: &SlotMap) {
-        map.apply(&mut self.assignment);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> TrivialSliceMut<'_> {
-        TrivialSliceMut {
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment,
-        }
-    }
-}
-
-/// A disjoint mutable chunk of a [`TrivialBank`].
-#[derive(Debug)]
-pub struct TrivialSliceMut<'a> {
-    num_tasks: usize,
-    assignment: &'a mut [u32],
-}
-
-impl<'a> TrivialSliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (TrivialSliceMut<'a>, TrivialSliceMut<'a>) {
-        let (a, b) = self.assignment.split_at_mut(mid);
-        (
-            TrivialSliceMut {
-                num_tasks: self.num_tasks,
-                assignment: a,
-            },
-            TrivialSliceMut {
-                num_tasks: self.num_tasks,
-                assignment: b,
-            },
-        )
-    }
-
-    /// Steps every ant in the chunk through `stepping`; bit-identical
-    /// to per-ant [`Controller::step`] on [`Trivial`].
-    pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
-        let n = self.len();
-        let mut row = scratch_row(self.num_tasks);
-        stepping.run(
-            n,
-            #[inline(always)]
-            |i, view, rng| self.step_one(i, view, rng, &mut row),
-        );
-    }
-
-    /// One ant's round: idle → sample all tasks, join a uniformly random
-    /// lacking one; working → sample own task, leave on `overload`.
-    /// The idle path's full-vector draw is the bit-packed batched form
-    /// for ≤ 64 tasks (one pass, one register) and the row-buffer form
-    /// beyond; both consume draws in task order like the reference.
-    #[inline(always)]
-    fn step_one(
-        &mut self,
-        i: usize,
-        view: RoundView<'_>,
-        rng: &mut AntRng,
-        row: &mut [u8],
-    ) -> Assignment {
-        let cur = self.assignment[i];
-        if cur == IDLE {
-            if self.num_tasks <= 64 {
-                let mask = view.lack_mask(rng);
-                if mask != 0 {
-                    let pick = uniform_index(rng, mask.count_ones() as usize);
-                    self.assignment[i] = nth_set_bit(mask, pick);
-                }
-            } else {
-                view.fill_lack(rng, row);
-                let count = count_lacking(row);
-                if count > 0 {
-                    self.assignment[i] = nth_lacking(row, uniform_index(rng, count));
-                }
-            }
-        } else if !view.sample(crate::cast::task_ix(cur), rng).is_lack() {
-            self.assignment[i] = IDLE;
-        }
-        dec(self.assignment[i])
     }
 }
 
@@ -212,14 +52,15 @@ pub struct ExactGreedyBank {
 impl ExactGreedyBank {
     /// An all-idle bank of `n` fresh ants.
     pub fn new(num_tasks: usize, params: ExactGreedyParams, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
-        Self {
+        let mut bank = Self {
             params,
-            join: Bernoulli::new(params.p_join),
-            leave: Bernoulli::new(params.p_leave),
+            join: Bernoulli::new(0.0),
+            leave: Bernoulli::new(0.0),
             num_tasks,
-            assignment: vec![IDLE; n],
-        }
+            assignment: Vec::new(),
+        };
+        bank.reinit(num_tasks, params, n);
+        bank
     }
 
     /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
@@ -232,7 +73,13 @@ impl ExactGreedyBank {
         self.join = Bernoulli::new(params.p_join);
         self.leave = Bernoulli::new(params.p_leave);
         self.num_tasks = num_tasks;
-        refill(&mut self.assignment, IDLE, n);
+        self.assignment.clear();
+        self.assignment.resize(n, IDLE);
+    }
+
+    /// Appends a fresh idle ant (a spawn).
+    pub fn push_fresh(&mut self) {
+        self.assignment.push(IDLE);
     }
 
     /// The parameters every ant in the bank runs.
@@ -306,32 +153,13 @@ pub struct ExactGreedySliceMut<'a> {
 
 impl<'a> ExactGreedySliceMut<'a> {
     /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.assignment.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
     }
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (ExactGreedySliceMut<'a>, ExactGreedySliceMut<'a>) {
-        let (a, b) = self.assignment.split_at_mut(mid);
-        (
-            ExactGreedySliceMut {
-                join: self.join,
-                leave: self.leave,
-                num_tasks: self.num_tasks,
-                assignment: a,
-            },
-            ExactGreedySliceMut {
-                join: self.join,
-                leave: self.leave,
-                num_tasks: self.num_tasks,
-                assignment: b,
-            },
-        )
+        split_chunk!(self => ExactGreedySliceMut { join, leave, num_tasks } assignment: mid)
     }
 
     /// Steps every ant in the chunk through `stepping`; bit-identical
@@ -349,8 +177,9 @@ impl<'a> ExactGreedySliceMut<'a> {
     /// One ant's round. The coin order is the reference's: samples in
     /// task order, then the join coin *only* when something lacks, then
     /// the uniform pick; workers draw the leave coin only on `overload`.
-    /// Idle-path sampling is the bit-packed batched draw for ≤ 64 tasks
-    /// (see [`TrivialSliceMut::step_one`]).
+    /// The idle path's full-vector draw is the bit-packed batched form
+    /// for ≤ 64 tasks (one pass, one register) and the row-buffer form
+    /// beyond; both consume draws in task order like the reference.
     #[inline(always)]
     fn step_one(
         &mut self,
@@ -384,16 +213,20 @@ impl<'a> ExactGreedySliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trivial::Trivial;
     use crate::{AnyController, ControllerBank};
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
-    /// Both flat banks against their per-ant references, round for
-    /// round, under sigmoid noise (every code path: joins, leaves,
-    /// coins, rejections), through the chunk loop (`step_batch`) and,
-    /// on twin banks, one slot at a time (`step_slot`, the sequential
-    /// model's path) — at 3 tasks and at 65, past the bit-packed 64-task
-    /// `lack_mask` into the row-buffer fallback.
+    /// The flat bank against its per-ant references, round for round,
+    /// under sigmoid noise (every code path: joins, leaves, coins,
+    /// rejections), through the chunk loop (`step_batch`) and, on twin
+    /// banks, one slot at a time (`step_slot`, the sequential model's
+    /// path) — at 3 tasks and at 65, past the bit-packed 64-task
+    /// `lack_mask` into the row-buffer fallback. The first bank runs
+    /// [`ExactGreedyParams::TRIVIAL`] against [`Trivial`]; the streams
+    /// must line up too, so the folded bank draws exactly what the
+    /// trivial algorithm draws.
     #[test]
     fn flat_banks_match_per_ant_stepping() {
         for k in [3, 65] {
@@ -410,7 +243,7 @@ mod tests {
         let loads = vec![15; k];
 
         let mut banks = [
-            ControllerBank::Trivial(TrivialBank::new(k, n)),
+            ControllerBank::ExactGreedy(ExactGreedyBank::new(k, ExactGreedyParams::TRIVIAL, n)),
             ControllerBank::ExactGreedy(ExactGreedyBank::new(k, params, n)),
         ];
         let mut twins = banks.clone();
@@ -442,6 +275,7 @@ mod tests {
                         out[i],
                         "bank {b} ant {i} round {round}"
                     );
+                    assert_eq!(ref_rngs[i], bank_rngs[b * n + i], "bank {b} ant {i} draws");
                     let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
                     assert_eq!(slot, out[i], "bank {b} slot {i} round {round} k {k}");
                 }
@@ -456,12 +290,14 @@ mod tests {
 
     #[test]
     fn push_and_reconstruct_roundtrip() {
-        let mut bank = TrivialBank::new(2, 0);
         let mut ant = Trivial::new(2);
         ant.reset_to(Assignment::Task(1));
-        bank.push_controller(&ant);
-        assert_eq!(bank.len(), 1);
-        assert_eq!(bank.to_controller(0).assignment(), Assignment::Task(1));
+        let bank: ControllerBank = [AnyController::from(ant)].into_iter().collect();
+        let AnyController::ExactGreedy(back) = bank.to_any(0) else {
+            unreachable!("a trivial colony is an exact-greedy bank");
+        };
+        assert_eq!(back.params(), &ExactGreedyParams::TRIVIAL);
+        assert_eq!(back.assignment(), Assignment::Task(1));
 
         let mut bank = ExactGreedyBank::new(2, ExactGreedyParams::default(), 0);
         let mut ant = ExactGreedy::new(2, ExactGreedyParams::default());
@@ -472,7 +308,7 @@ mod tests {
 
     #[test]
     fn swap_remove_moves_last_slot() {
-        let mut bank = TrivialBank::new(1, 3);
+        let mut bank = ExactGreedyBank::new(1, ExactGreedyParams::TRIVIAL, 3);
         bank.reset_slot(0, Assignment::Task(0));
         bank.reset_slot(2, Assignment::Idle);
         bank.apply_slot_map(&SlotMap::swap_remove(3, 0));

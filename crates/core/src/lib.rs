@@ -22,16 +22,18 @@
 //!   Assumption 2.2 reachability checker, used by the Theorem 3.3
 //!   memory-floor experiments.
 //!
-//! All controllers implement [`Controller`]. Engines store ants in
-//! homogeneous [`ControllerBank`]s — one bank per controller kind,
-//! whose per-ant step one generic driver runs in a tight monomorphic
-//! loop (for the per-ant `Vec` kinds, [`step_slice`]), bit-identical to
+//! All controllers implement [`Controller`]: they are the readable
+//! transcription of the paper and the reference the banks are tested
+//! against. Engines store ants in homogeneous [`ControllerBank`]s — one
+//! structure-of-arrays bank per controller kind, whose per-ant step one
+//! generic driver runs in a tight monomorphic loop, bit-identical to
 //! per-ant stepping; [`AnyController`] is the per-ant dispatch enum
-//! used for spawning, reference replays, and tests.
+//! used for reference replays and tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adversarial_bank;
 mod ant;
 mod ant_bank;
 mod bank;
@@ -49,12 +51,13 @@ mod slot_map;
 mod table_fsm;
 mod trivial;
 
+pub use adversarial_bank::{AdversarialSliceMut, PreciseAdversarialBank};
 pub use ant::AlgorithmAnt;
 pub use ant_bank::{AntBank, AntSliceMut};
 pub use bank::{BankSliceMut, ControllerBank, ControllerScratch};
-pub use controller::{step_slice, step_slice_fused, AnyController, Controller};
+pub use controller::{AnyController, Controller};
 pub use exact_greedy::{ExactGreedy, ExactGreedyParams};
-pub use flat_bank::{ExactGreedyBank, ExactGreedySliceMut, TrivialBank, TrivialSliceMut};
+pub use flat_bank::{ExactGreedyBank, ExactGreedySliceMut};
 pub use memory::{bits_for_states, closeness_floor, MemoryFootprint};
 pub use params::{AntParams, PreciseAdversarialParams, PreciseSigmoidParams};
 pub use precise_adversarial::{AdversarialScratch, PreciseAdversarial};
@@ -64,7 +67,7 @@ pub use proportional::{
 };
 pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidPlanes, SigmoidPlanesMut, SigmoidSliceMut};
 pub use slot_map::SlotMap;
-pub use table_fsm::{FsmSpec, ReachabilityError, TableFsm};
+pub use table_fsm::{FsmBank, FsmSliceMut, FsmSpec, ReachabilityError, TableFsm};
 pub use trivial::Trivial;
 
 /// Every ant's stream for `round`, keyed as the engine keys them: the

@@ -27,7 +27,10 @@ use crate::controller::Controller;
 use crate::params::PreciseAdversarialParams;
 
 /// The mid-phase state of one Precise Adversarial ant: everything the
-/// controller remembers besides its assignment. Carried by checkpoints
+/// controller remembers between rounds besides its assignment. (A
+/// first `lack` awaiting classification is resolved within the step
+/// that sees it, so it is never pending between rounds.) Carried by
+/// checkpoints
 /// so a capture inside the `5·r_1 = O(1/ε)`-round phase resumes
 /// bit-identically instead of idling out the partial phase (the same
 /// contract as [`crate::SigmoidScratch`]).
@@ -46,10 +49,6 @@ pub struct AdversarialScratch {
     /// until a lack is seen. Encoded as a tri-state by the checkpoint
     /// codec.
     pub working_at_first_lack: Option<bool>,
-    /// Whether a first-lack classification is pending this round
-    /// (always `false` between rounds — it is resolved within every
-    /// step — but carried so the scratch is a pure state copy).
-    pub pending_first_lack: bool,
     /// The frozen sub-phase-2 behaviour: work iff true.
     pub frozen_working: bool,
 }
@@ -105,6 +104,11 @@ impl PreciseAdversarial {
         &self.params
     }
 
+    /// Number of tasks this controller observes.
+    pub fn num_tasks(&self) -> usize {
+        self.all_lack.len()
+    }
+
     /// Samples the feedback relevant to this ant and folds it into the
     /// unanimity trackers and the first-lack detector.
     fn sample_and_track(&mut self, probe: &mut FeedbackProbe<'_>, in_ramp: bool) {
@@ -135,10 +139,11 @@ impl PreciseAdversarial {
         }
     }
 
-    /// Copies the mid-phase state out for checkpoints that capture
+    /// Copies the mid-phase state out, for transposition into
+    /// [`crate::PreciseAdversarialBank`] and for checkpoints that capture
     /// inside a phase. Lossless together with
     /// [`PreciseAdversarial::apply_scratch`]: these fields are the
-    /// controller's *entire* state beyond its assignment.
+    /// controller's *entire* state between rounds beyond its assignment.
     pub fn scratch(&self) -> AdversarialScratch {
         AdversarialScratch {
             current_task: self.current_task,
@@ -146,7 +151,6 @@ impl PreciseAdversarial {
             all_lack: self.all_lack.clone(),
             all_overload: self.all_overload,
             working_at_first_lack: self.working_at_first_lack,
-            pending_first_lack: self.pending_first_lack,
             frozen_working: self.frozen_working,
         }
     }
@@ -164,7 +168,7 @@ impl PreciseAdversarial {
         self.all_lack.copy_from_slice(&s.all_lack);
         self.all_overload = s.all_overload;
         self.working_at_first_lack = s.working_at_first_lack;
-        self.pending_first_lack = s.pending_first_lack;
+        self.pending_first_lack = false;
         self.frozen_working = s.frozen_working;
     }
 }

@@ -28,8 +28,8 @@ use antalloc_env::Assignment;
 use antalloc_noise::{FeedbackProbe, RoundView};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, refill, IDLE};
-use crate::bank::Stepping;
+use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, IDLE};
+use crate::bank::{split_chunk, Stepping};
 use crate::controller::Controller;
 use crate::slot_map::SlotMap;
 
@@ -214,8 +214,16 @@ impl ProportionalBank {
         self.params = params;
         self.gain = Bernoulli::new(params.gain);
         self.num_tasks = num_tasks;
-        refill(&mut self.assignment, IDLE, n);
-        refill(&mut self.streak, 0, n);
+        self.assignment.clear();
+        self.assignment.resize(n, IDLE);
+        self.streak.clear();
+        self.streak.resize(n, 0);
+    }
+
+    /// Appends a fresh idle ant (a spawn).
+    pub fn push_fresh(&mut self) {
+        self.assignment.push(IDLE);
+        self.streak.push(0);
     }
 
     /// The parameters every ant in the bank runs.
@@ -318,35 +326,14 @@ pub struct ProportionalSliceMut<'a> {
 
 impl<'a> ProportionalSliceMut<'a> {
     /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.assignment.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
     }
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (ProportionalSliceMut<'a>, ProportionalSliceMut<'a>) {
-        let (a, b) = self.assignment.split_at_mut(mid);
-        let (s, t) = self.streak.split_at_mut(mid);
-        (
-            ProportionalSliceMut {
-                gain: self.gain,
-                deadband: self.deadband,
-                num_tasks: self.num_tasks,
-                assignment: a,
-                streak: s,
-            },
-            ProportionalSliceMut {
-                gain: self.gain,
-                deadband: self.deadband,
-                num_tasks: self.num_tasks,
-                assignment: b,
-                streak: t,
-            },
-        )
+        split_chunk!(self => ProportionalSliceMut { gain, deadband, num_tasks }
+            assignment: mid, streak: mid)
     }
 
     /// Steps every ant in the chunk through `stepping`; bit-identical

@@ -25,8 +25,8 @@ use antalloc_env::Assignment;
 use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{dec, enc, refill, IDLE};
-use crate::bank::Stepping;
+use crate::ant_bank::{dec, enc, IDLE};
+use crate::bank::{split_chunk, Stepping};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 use crate::precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
@@ -92,22 +92,21 @@ pub struct PreciseSigmoidBank {
 impl PreciseSigmoidBank {
     /// An all-idle bank of `n` fresh ants.
     pub fn new(num_tasks: usize, params: PreciseSigmoidParams, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
-        let m = params.m();
-        assert!(m <= u64::from(u16::MAX), "m too large for u16 counters");
-        Self {
+        let mut bank = Self {
             params,
-            m,
-            pause: Bernoulli::new(params.pause_probability()),
-            leave: Bernoulli::new(params.leave_probability()),
+            m: 0,
+            pause: Bernoulli::new(0.0),
+            leave: Bernoulli::new(0.0),
             num_tasks,
-            current: vec![IDLE; n],
-            assignment: vec![IDLE; n],
-            have_phase: vec![0; n],
-            count1: vec![0; n * num_tasks],
-            count2: vec![0; n * num_tasks],
-            shat1: vec![0; n * num_tasks],
-        }
+            current: Vec::new(),
+            assignment: Vec::new(),
+            have_phase: Vec::new(),
+            count1: Vec::new(),
+            count2: Vec::new(),
+            shat1: Vec::new(),
+        };
+        bank.reinit(num_tasks, params, n);
+        bank
     }
 
     /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
@@ -123,12 +122,25 @@ impl PreciseSigmoidBank {
         self.pause = Bernoulli::new(params.pause_probability());
         self.leave = Bernoulli::new(params.leave_probability());
         self.num_tasks = num_tasks;
-        refill(&mut self.current, IDLE, n);
-        refill(&mut self.assignment, IDLE, n);
-        refill(&mut self.have_phase, 0, n);
-        refill(&mut self.count1, 0, n * num_tasks);
-        refill(&mut self.count2, 0, n * num_tasks);
-        refill(&mut self.shat1, 0, n * num_tasks);
+        self.resize(0);
+        self.resize(n);
+    }
+
+    /// Truncates or extends every column to `n` ants, new ants fresh
+    /// and idle.
+    fn resize(&mut self, n: usize) {
+        let k = self.num_tasks;
+        self.current.resize(n, IDLE);
+        self.assignment.resize(n, IDLE);
+        self.have_phase.resize(n, 0);
+        self.count1.resize(n * k, 0);
+        self.count2.resize(n * k, 0);
+        self.shat1.resize(n * k, 0);
+    }
+
+    /// Appends a fresh idle ant (a spawn).
+    pub fn push_fresh(&mut self) {
+        self.resize(self.len() + 1);
     }
 
     /// The parameters every ant in the bank runs.
@@ -272,50 +284,16 @@ pub struct SigmoidSliceMut<'a> {
 
 impl<'a> SigmoidSliceMut<'a> {
     /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.current.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
     }
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (SigmoidSliceMut<'a>, SigmoidSliceMut<'a>) {
         let k = self.num_tasks;
-        let (cu1, cu2) = self.current.split_at_mut(mid);
-        let (a1, a2) = self.assignment.split_at_mut(mid);
-        let (h1, h2) = self.have_phase.split_at_mut(mid);
-        let (c11, c12) = self.count1.split_at_mut(mid * k);
-        let (c21, c22) = self.count2.split_at_mut(mid * k);
-        let (s1, s2) = self.shat1.split_at_mut(mid * k);
-        (
-            SigmoidSliceMut {
-                m: self.m,
-                pause: self.pause,
-                leave: self.leave,
-                num_tasks: k,
-                current: cu1,
-                assignment: a1,
-                have_phase: h1,
-                count1: c11,
-                count2: c21,
-                shat1: s1,
-            },
-            SigmoidSliceMut {
-                m: self.m,
-                pause: self.pause,
-                leave: self.leave,
-                num_tasks: k,
-                current: cu2,
-                assignment: a2,
-                have_phase: h2,
-                count1: c12,
-                count2: c22,
-                shat1: s2,
-            },
-        )
+        split_chunk!(self => SigmoidSliceMut { m, pause, leave, num_tasks }
+            current: mid, assignment: mid, have_phase: mid,
+            count1: mid * k, count2: mid * k, shat1: mid * k)
     }
 
     /// Steps every ant in the chunk through `stepping`; bit-identical to

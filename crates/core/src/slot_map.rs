@@ -17,7 +17,7 @@
 /// [`SlotMap::lift`] (one old slot) and [`SlotMap::fill`] (one old slot
 /// in place of a dropped one), closed with [`SlotMap::finish`], then
 /// applied to every per-slot column ([`SlotMap::apply`],
-/// [`SlotMap::apply_rows`], [`SlotMap::apply_clone`]).
+/// [`SlotMap::apply_rows`]).
 ///
 /// # Examples
 ///
@@ -165,40 +165,6 @@ impl SlotMap {
         }
         col.truncate(self.len * width);
     }
-
-    /// Applies the map to a column of `Clone` values (per-ant
-    /// controllers): each run moves as non-overlapping chunks of
-    /// its shift, cloned front to back when it moves left and back to
-    /// front when it moves right.
-    pub fn apply_clone<T: Clone>(&self, col: &mut Vec<T>) {
-        let lifted: Vec<T> = (self.lifts.iter())
-            .map(|&(from, _)| col[from].clone())
-            .collect();
-        for &(from, to, n) in &self.runs {
-            if to < from {
-                let shift = from - to;
-                for at in (0..n).step_by(shift) {
-                    let m = shift.min(n - at);
-                    let (dst, src) = col.split_at_mut(from + at);
-                    dst[to + at..to + at + m].clone_from_slice(&src[..m]);
-                }
-            } else {
-                let shift = to - from;
-                let mut end = n;
-                while end > 0 {
-                    let m = shift.min(end);
-                    let at = end - m;
-                    let (src, dst) = col.split_at_mut(to + at);
-                    dst[..m].clone_from_slice(&src[from + at..from + at + m]);
-                    end = at;
-                }
-            }
-        }
-        for (value, &(_, to)) in lifted.into_iter().zip(&self.lifts) {
-            col[to] = value;
-        }
-        col.truncate(self.len);
-    }
 }
 
 #[cfg(test)]
@@ -259,10 +225,6 @@ mod tests {
             let mut got = col.clone();
             map.apply(&mut got);
             assert_eq!(got, want, "seed {seed}");
-
-            let mut cloned = col.clone();
-            map.apply_clone(&mut cloned);
-            assert_eq!(cloned, want, "seed {seed} (clones)");
 
             let rows: Vec<u32> = col.iter().flat_map(|&x| [x, x + 1, x + 2]).collect();
             let mut got = rows.clone();

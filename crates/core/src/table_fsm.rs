@@ -11,14 +11,20 @@
 //!
 //! Table machines observe a *single* task (the lower bound's setting,
 //! `k = O(1)`, is proved with demand vectors like `d = (√n, …)`).
+//!
+//! Engines run a colony of one machine as an [`FsmBank`]: the shared
+//! spec plus one `u16` state per ant, the assignment derived from the
+//! state.
 
 use std::sync::Arc;
 
 use antalloc_env::Assignment;
-use antalloc_noise::{Feedback, FeedbackProbe};
+use antalloc_noise::{FeedbackProbe, RoundView};
 use antalloc_rng::AntRng;
 
+use crate::bank::{split_chunk, Stepping};
 use crate::controller::Controller;
+use crate::slot_map::SlotMap;
 
 /// One weighted transition edge.
 type Edge = (u16, f64);
@@ -87,6 +93,43 @@ impl FsmSpec {
     /// Whether state `s` outputs `Task(0)`.
     pub fn is_working(&self, s: u16) -> bool {
         self.working[usize::from(s)]
+    }
+
+    /// The assignment state `s` outputs.
+    #[inline(always)]
+    fn output(&self, s: u16) -> Assignment {
+        if self.is_working(s) {
+            Assignment::Task(0)
+        } else {
+            Assignment::Idle
+        }
+    }
+
+    /// The state a machine forced into `a` enters: the first state whose
+    /// output matches (state 0 fallback).
+    fn entry_state(&self, a: Assignment) -> u16 {
+        let want_working = !a.is_idle();
+        (0..self.num_states() as u16)
+            .find(|&s| self.is_working(s) == want_working)
+            .unwrap_or(0)
+    }
+
+    /// The successor of state `s` on a `lack` (or `overload`) signal:
+    /// a one-edge cell draws nothing, a weighted cell one `f64`.
+    #[inline(always)]
+    fn next_state(&self, s: u16, lack: bool, rng: &mut AntRng) -> u16 {
+        let cell = &self.transitions[usize::from(s)][usize::from(!lack)];
+        if cell.len() == 1 {
+            return cell[0].0;
+        }
+        let mut x = rng.next_f64();
+        for &(target, p) in cell {
+            if x < p {
+                return target;
+            }
+            x -= p;
+        }
+        cell[cell.len() - 1].0
     }
 
     /// Checks Assumption 2.2: every state must be reachable from every
@@ -204,22 +247,12 @@ impl FsmSpec {
 pub struct TableFsm {
     spec: Arc<FsmSpec>,
     state: u16,
-    assignment: Assignment,
 }
 
 impl TableFsm {
     /// Instantiates the machine in state 0.
     pub fn new(spec: Arc<FsmSpec>) -> Self {
-        let assignment = if spec.is_working(0) {
-            Assignment::Task(0)
-        } else {
-            Assignment::Idle
-        };
-        Self {
-            spec,
-            state: 0,
-            assignment,
-        }
+        Self { spec, state: 0 }
     }
 
     /// The machine's current state.
@@ -227,58 +260,149 @@ impl TableFsm {
         self.state
     }
 
-    fn transition(&mut self, obs: Feedback, rng: &mut AntRng) {
-        let cell = &self.spec.transitions[usize::from(self.state)][usize::from(!obs.is_lack())];
-        self.state = if cell.len() == 1 {
-            cell[0].0
-        } else {
-            let mut x = rng.next_f64();
-            let mut chosen = cell[cell.len() - 1].0;
-            for &(target, p) in cell {
-                if x < p {
-                    chosen = target;
-                    break;
-                }
-                x -= p;
-            }
-            chosen
-        };
-        self.assignment = if self.spec.is_working(self.state) {
-            Assignment::Task(0)
-        } else {
-            Assignment::Idle
-        };
+    /// The spec the machine runs.
+    pub fn spec(&self) -> &Arc<FsmSpec> {
+        &self.spec
     }
 }
 
 impl Controller for TableFsm {
     fn step(&mut self, probe: &mut FeedbackProbe<'_>) -> Assignment {
-        let obs = probe.sample(0);
-        self.transition(obs, probe.rng());
-        self.assignment
+        let lack = probe.sample(0).is_lack();
+        self.state = self.spec.next_state(self.state, lack, probe.rng());
+        self.assignment()
     }
 
     #[inline]
     fn assignment(&self) -> Assignment {
-        self.assignment
+        self.spec.output(self.state)
     }
 
     fn reset_to(&mut self, a: Assignment) {
-        // Enter the first state whose output matches (state 0 fallback).
-        let want_working = !a.is_idle();
-        let state = (0..self.spec.num_states() as u16)
-            .find(|&s| self.spec.is_working(s) == want_working)
-            .unwrap_or(0);
-        self.state = state;
-        self.assignment = if self.spec.is_working(state) {
-            Assignment::Task(0)
-        } else {
-            Assignment::Idle
-        };
+        self.state = self.spec.entry_state(a);
     }
 
     fn memory_bits(&self) -> u32 {
         crate::memory::bits_for_states(self.spec.num_states())
+    }
+}
+
+/// A homogeneous table-machine population: one shared spec and one
+/// state per ant.
+#[derive(Clone, Debug)]
+pub struct FsmBank {
+    spec: Arc<FsmSpec>,
+    /// Machine state per ant.
+    state: Vec<u16>,
+}
+
+impl FsmBank {
+    /// A bank of `n` machines in state 0.
+    pub fn new(spec: Arc<FsmSpec>, n: usize) -> Self {
+        Self {
+            spec,
+            state: vec![0; n],
+        }
+    }
+
+    /// Rebuilds the bank in place to `n` machines of `spec` in state 0,
+    /// reusing the state column. State after the call is bit-identical
+    /// to `FsmBank::new(spec, n)`.
+    pub fn reinit(&mut self, spec: Arc<FsmSpec>, n: usize) {
+        self.spec = spec;
+        self.state.clear();
+        self.state.resize(n, 0);
+    }
+
+    /// Appends a machine in state 0 (a spawn).
+    pub fn push_fresh(&mut self) {
+        self.state.push(0);
+    }
+
+    /// Number of machines.
+    pub fn len(&self) -> usize {
+        self.state.len()
+    }
+
+    /// True iff the bank holds no machines.
+    pub fn is_empty(&self) -> bool {
+        self.state.is_empty()
+    }
+
+    /// Appends a per-ant machine, which must run the bank's spec.
+    pub fn push_controller(&mut self, fsm: &TableFsm) {
+        debug_assert_eq!(fsm.spec(), &self.spec, "spec mismatch");
+        self.state.push(fsm.state());
+    }
+
+    /// Reconstructs the per-ant machine at `slot` (lossless).
+    pub fn to_controller(&self, slot: usize) -> TableFsm {
+        TableFsm {
+            spec: self.spec.clone(),
+            state: self.state[slot],
+        }
+    }
+
+    /// The assignment of the machine at `slot`.
+    pub fn assignment(&self, slot: usize) -> Assignment {
+        self.spec.output(self.state[slot])
+    }
+
+    /// Forces the machine at `slot` into `a` (see
+    /// [`crate::Controller::reset_to`]).
+    pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
+        self.state[slot] = self.spec.entry_state(a);
+    }
+
+    /// Persistent memory in bits (same accounting as the per-ant impl).
+    pub fn memory_bits(&self) -> u32 {
+        crate::memory::bits_for_states(self.spec.num_states())
+    }
+
+    /// Reorders the machines' slots by `map`.
+    pub fn apply_slot_map(&mut self, map: &SlotMap) {
+        map.apply(&mut self.state);
+    }
+
+    /// The whole bank as a splittable mutable slice.
+    pub fn as_slice_mut(&mut self) -> FsmSliceMut<'_> {
+        FsmSliceMut {
+            spec: &self.spec,
+            state: &mut self.state,
+        }
+    }
+}
+
+/// A disjoint mutable chunk of an [`FsmBank`].
+#[derive(Debug)]
+pub struct FsmSliceMut<'a> {
+    spec: &'a FsmSpec,
+    state: &'a mut [u16],
+}
+
+impl<'a> FsmSliceMut<'a> {
+    /// Number of machines in the chunk.
+    pub(crate) fn len(&self) -> usize {
+        self.state.len()
+    }
+
+    /// Splits the chunk at `mid` into two disjoint chunks.
+    pub fn split_at_mut(self, mid: usize) -> (FsmSliceMut<'a>, FsmSliceMut<'a>) {
+        split_chunk!(self => FsmSliceMut { spec } state: mid)
+    }
+
+    /// Steps every machine in the chunk through `stepping`;
+    /// bit-identical to per-ant [`Controller::step`] on [`TableFsm`].
+    pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
+        stepping.run(
+            self.len(),
+            #[inline(always)]
+            |i, view: RoundView<'_>, rng| {
+                let lack = view.sample(0, rng).is_lack();
+                self.state[i] = self.spec.next_state(self.state[i], lack, rng);
+                self.spec.output(self.state[i])
+            },
+        );
     }
 }
 
@@ -405,6 +529,72 @@ mod tests {
         assert!(fsm.assignment().is_idle());
         fsm.reset_to(Assignment::Task(0));
         assert_eq!(fsm.assignment(), Assignment::Task(0));
+    }
+
+    /// The bank against per-ant machines, round for round, on one task
+    /// (lazy edges draw, strict ones do not), through `step_batch` and,
+    /// on a twin bank, `step_slot`; a mid-run reset of every ant and a
+    /// spawned machine included.
+    #[test]
+    fn fsm_bank_matches_per_ant_stepping() {
+        use crate::{AnyController, ControllerBank};
+        use antalloc_rng::StreamSeeder;
+
+        let spec = Arc::new(FsmSpec::lazy_hysteresis(3, 0.5));
+        let n = 150;
+        let seeder = StreamSeeder::new(31);
+        let mut fsm_bank = FsmBank::new(spec.clone(), n - 1);
+        fsm_bank.push_fresh();
+        let mut bank = ControllerBank::Table(fsm_bank);
+        let mut twin = bank.clone();
+        let mut reference: Vec<TableFsm> = (0..n).map(|_| TableFsm::new(spec.clone())).collect();
+        let model = NoiseModel::Sigmoid { lambda: 1.0 };
+        let mut out = vec![Assignment::Idle; n];
+        for round in 1..=120u64 {
+            if round == 60 {
+                for (i, fsm) in reference.iter_mut().enumerate() {
+                    let a = [Assignment::Idle, Assignment::Task(0)][i % 2];
+                    fsm.reset_to(a);
+                    bank.reset_slot(i, a);
+                    twin.reset_slot(i, a);
+                }
+            }
+            let prepared = model.prepare(round, &[(round % 7) as i64 - 3], &[40]);
+            let mut bank_rngs = crate::round_streams(&seeder, round, n);
+            let mut ref_rngs = bank_rngs.clone();
+            let mut slot_rngs = bank_rngs.clone();
+            bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
+            for (i, fsm) in reference.iter_mut().enumerate() {
+                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
+                assert_eq!(fsm.step(&mut probe), out[i], "machine {i} round {round}");
+                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                assert_eq!(slot, out[i], "slot {i} round {round}");
+            }
+        }
+        for (i, fsm) in reference.iter().enumerate() {
+            let AnyController::Table(back) = bank.to_any(i) else {
+                unreachable!("a table bank rebuilds table machines");
+            };
+            assert_eq!(back.state(), fsm.state(), "machine {i}");
+        }
+    }
+
+    #[test]
+    fn fsm_bank_push_and_swap_remove_roundtrip() {
+        let spec = Arc::new(FsmSpec::hysteresis(2));
+        let mut bank = FsmBank::new(spec.clone(), 0);
+        for state in [1u16, 3, 2] {
+            let mut fsm = TableFsm::new(spec.clone());
+            fsm.state = state;
+            bank.push_controller(&fsm);
+        }
+        assert_eq!(bank.to_controller(1).state(), 3);
+        assert!(bank.assignment(1).is_idle());
+        bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
+        let states: Vec<u16> = (0..bank.len())
+            .map(|s| bank.to_controller(s).state())
+            .collect();
+        assert_eq!(states, [2, 3]);
     }
 
     #[test]

@@ -491,7 +491,8 @@ fn put_scratch(out: &mut Vec<u8>, cols: &AntColumns, k: usize) {
                 out.push(u8::from(s.have_phase));
                 out.push(u8::from(s.all_overload));
                 out.push(u8::from(s.frozen_working));
-                out.push(u8::from(s.pending_first_lack));
+                // A first lack is never pending between rounds.
+                out.push(0);
                 out.push(match s.working_at_first_lack {
                     None => 0,
                     Some(false) => 1,
@@ -594,7 +595,13 @@ fn get_scratch(
                 let have_phase = get_bool(buf)?;
                 let all_overload = get_bool(buf)?;
                 let frozen_working = get_bool(buf)?;
-                let pending_first_lack = get_bool(buf)?;
+                if get_bool(buf)? {
+                    // Classified within the step that sees it, a first
+                    // lack is never pending between rounds.
+                    return Err(corrupt(format!(
+                        "scratch for ant {ant}: first lack pending between rounds"
+                    )));
+                }
                 let working_at_first_lack = match get_u8(buf)? {
                     0 => None,
                     1 => Some(false),
@@ -608,7 +615,6 @@ fn get_scratch(
                     all_lack: take(buf, k)?.iter().map(|&b| b != 0).collect(),
                     all_overload,
                     working_at_first_lack,
-                    pending_first_lack,
                     frozen_working,
                 });
             }
@@ -869,7 +875,7 @@ mod tests {
                     out.push(u8::from(s.have_phase));
                     out.push(u8::from(s.all_overload));
                     out.push(u8::from(s.frozen_working));
-                    out.push(u8::from(s.pending_first_lack));
+                    out.push(0);
                     out.push(match s.working_at_first_lack {
                         None => 0,
                         Some(false) => 1,
@@ -1295,6 +1301,35 @@ mod tests {
             );
             assert_eq!(full.colony().loads(), resumed.colony().loads());
         }
+    }
+
+    #[test]
+    fn adversarial_first_lack_pending_between_rounds_is_rejected() {
+        // The wire keeps a pending-first-lack byte, which is 0 between
+        // rounds by construction; the banks keep no such column, so a
+        // set byte must decode to `Corrupt`, not be dropped.
+        let k = 2usize;
+        let cfg = SimConfig::builder(30, vec![5, 7])
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .controller(ControllerSpec::PreciseAdversarial(
+                PreciseAdversarialParams::new(0.05, 0.5),
+            ))
+            .seed(5)
+            .build()
+            .unwrap();
+        let mut e = cfg.build();
+        e.run(37, &mut NullObserver); // mid-ramp: every ant carries scratch
+        let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
+        // The scratch section is the stream's tail. Ant 0's entry: id,
+        // tag, currentTask, have_phase, all_overload, frozen, then the
+        // pending byte.
+        let entry = 4 + 1 + 4 + 5 + k;
+        let pending = bytes.len() - 30 * entry + 4 + 1 + 4 + 3;
+        assert_eq!(bytes[pending], 0);
+        let mut bad = bytes.clone();
+        bad[pending] = 1;
+        let err = Checkpoint::from_bytes(&bad).expect_err("must reject");
+        assert!(err.to_string().contains("pending"), "{err}");
     }
 
     #[test]

@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use antalloc_core::{
     AlgorithmAnt, AntBank, AntParams, AnyController, ControllerBank, ExactGreedy, ExactGreedyBank,
-    ExactGreedyParams, FsmSpec, PreciseAdversarial, PreciseAdversarialParams, PreciseSigmoid,
-    PreciseSigmoidBank, PreciseSigmoidParams, ProportionalBank, ProportionalController,
-    ProportionalParams, TableFsm, Trivial, TrivialBank,
+    ExactGreedyParams, FsmBank, FsmSpec, PreciseAdversarial, PreciseAdversarialBank,
+    PreciseAdversarialParams, PreciseSigmoid, PreciseSigmoidBank, PreciseSigmoidParams,
+    ProportionalBank, ProportionalController, ProportionalParams, TableFsm, Trivial,
 };
 use antalloc_env::{ArenaConfig, InitialConfig, Timeline};
 use antalloc_noise::NoiseModel;
@@ -65,10 +65,9 @@ pub enum ControllerSpec {
 }
 
 impl ControllerSpec {
-    /// Builds one controller for a colony with `num_tasks` tasks.
-    ///
-    /// For `Hysteresis`, prefer [`ControllerSpec::build_bank`] which
-    /// shares the transition table across the colony.
+    /// Builds one per-ant controller for a colony with `num_tasks` tasks
+    /// — the reference form of what [`ControllerSpec::build_bank`]
+    /// builds for every ant (engines only build banks).
     ///
     /// # Panics
     /// For `Mix`: a heterogeneous colony has no single controller;
@@ -91,71 +90,47 @@ impl ControllerSpec {
         }
     }
 
-    /// Builds `n` controllers, sharing immutable structure where the
-    /// variant allows it. Per-ant equivalent of [`ControllerSpec::build_bank`]
-    /// over ids `0..n`; kept for reference replays and tests.
-    ///
-    /// # Panics
-    /// For `Mix` (see [`ControllerSpec::build`]).
-    pub fn build_many(&self, num_tasks: usize, n: usize) -> Vec<AnyController> {
-        match self {
-            ControllerSpec::Hysteresis { depth, lazy } => {
-                let spec = Arc::new(Self::hysteresis_spec(*depth, *lazy));
-                (0..n).map(|_| TableFsm::new(spec.clone()).into()).collect()
-            }
-            ControllerSpec::AntDesync(p) => (0..n)
-                .map(|i| AlgorithmAnt::with_phase_offset(num_tasks, *p, (i % 2) as u64).into())
-                .collect(),
-            other => (0..n).map(|_| other.build(num_tasks)).collect(),
-        }
-    }
-
     /// Builds one homogeneous bank for the ants with global ids `ids`.
     ///
-    /// Identical per-ant semantics to [`ControllerSpec::build_many`]:
-    /// hysteresis machines share one transition table per bank, and
+    /// Every ant starts as [`ControllerSpec::build`] would, except that
     /// `AntDesync` staggers phase offsets by **global** ant id (so a
     /// desynchronized sub-population stays half-and-half however the
-    /// mix interleaves it).
+    /// mix interleaves it); hysteresis machines share one transition
+    /// table per bank. `Trivial` runs as an exact-greedy bank with
+    /// [`ExactGreedyParams::TRIVIAL`].
     ///
     /// # Panics
     /// For `Mix`: banks are built per sub-spec.
     pub fn build_bank(&self, num_tasks: usize, ids: &[u32]) -> ControllerBank {
-        match self {
-            // Synchronized Ant colonies get the SoA fast layout.
-            ControllerSpec::Ant(p) => {
-                ControllerBank::AntSoA(AntBank::new(num_tasks, *p, ids.len()))
+        // An empty bank of the spec's layout, filled by `rebuild_bank`.
+        let k = num_tasks;
+        let mut bank = match self {
+            ControllerSpec::Ant(p) | ControllerSpec::AntDesync(p) => {
+                ControllerBank::Ant(AntBank::new(k, *p, 0))
             }
-            ControllerSpec::AntDesync(p) => ControllerBank::Ant(
-                ids.iter()
-                    .map(|&i| AlgorithmAnt::with_phase_offset(num_tasks, *p, u64::from(i % 2)))
-                    .collect(),
-            ),
-            // The remaining synchronized kinds get their SoA fast
-            // layouts too (bit-identical to the per-ant references).
             ControllerSpec::PreciseSigmoid(p) => {
-                ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(num_tasks, *p, ids.len()))
+                ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(k, *p, 0))
             }
-            ControllerSpec::PreciseAdversarial(p) => ControllerBank::PreciseAdversarial(
-                ids.iter()
-                    .map(|_| PreciseAdversarial::new(num_tasks, *p))
-                    .collect(),
-            ),
+            ControllerSpec::PreciseAdversarial(p) => {
+                ControllerBank::PreciseAdversarial(PreciseAdversarialBank::new(k, *p, 0))
+            }
             ControllerSpec::Trivial => {
-                ControllerBank::Trivial(TrivialBank::new(num_tasks, ids.len()))
+                ControllerBank::ExactGreedy(ExactGreedyBank::new(k, ExactGreedyParams::TRIVIAL, 0))
             }
             ControllerSpec::ExactGreedy(p) => {
-                ControllerBank::ExactGreedy(ExactGreedyBank::new(num_tasks, *p, ids.len()))
+                ControllerBank::ExactGreedy(ExactGreedyBank::new(k, *p, 0))
             }
             ControllerSpec::Proportional(p) => {
-                ControllerBank::Proportional(ProportionalBank::new(num_tasks, *p, ids.len()))
+                ControllerBank::Proportional(ProportionalBank::new(k, *p, 0))
             }
-            ControllerSpec::Hysteresis { depth, lazy } => {
-                let spec = Arc::new(Self::hysteresis_spec(*depth, *lazy));
-                ControllerBank::Table(ids.iter().map(|_| TableFsm::new(spec.clone())).collect())
-            }
+            ControllerSpec::Hysteresis { depth, lazy } => ControllerBank::Table(FsmBank::new(
+                Arc::new(Self::hysteresis_spec(*depth, *lazy)),
+                0,
+            )),
             ControllerSpec::Mix(_) => panic!("Mix builds one bank per sub-spec"),
-        }
+        };
+        self.rebuild_bank(num_tasks, ids, &mut bank);
+        bank
     }
 
     /// Rebuilds `bank` in place to the state [`ControllerSpec::build_bank`]
@@ -166,37 +141,30 @@ impl ControllerSpec {
     /// # Panics
     /// For `Mix`: banks are rebuilt per sub-spec.
     pub fn rebuild_bank(&self, num_tasks: usize, ids: &[u32], bank: &mut ControllerBank) {
+        let n = ids.len();
         match (self, &mut *bank) {
-            (ControllerSpec::Ant(p), ControllerBank::AntSoA(b)) => {
-                b.reinit(num_tasks, *p, ids.len());
-            }
-            (ControllerSpec::AntDesync(p), ControllerBank::Ant(ants)) => {
-                ants.clear();
-                ants.extend(
-                    ids.iter()
-                        .map(|&i| AlgorithmAnt::with_phase_offset(num_tasks, *p, u64::from(i % 2))),
-                );
+            (ControllerSpec::Ant(p), ControllerBank::Ant(b)) => b.reinit(num_tasks, *p, n),
+            (ControllerSpec::AntDesync(p), ControllerBank::Ant(b)) => {
+                b.reinit(num_tasks, *p, n);
+                b.stagger(ids);
             }
             (ControllerSpec::PreciseSigmoid(p), ControllerBank::PreciseSigmoid(b)) => {
-                b.reinit(num_tasks, *p, ids.len());
+                b.reinit(num_tasks, *p, n);
             }
-            (ControllerSpec::PreciseAdversarial(p), ControllerBank::PreciseAdversarial(ants)) => {
-                ants.clear();
-                ants.extend(ids.iter().map(|_| PreciseAdversarial::new(num_tasks, *p)));
+            (ControllerSpec::PreciseAdversarial(p), ControllerBank::PreciseAdversarial(b)) => {
+                b.reinit(num_tasks, *p, n);
             }
-            (ControllerSpec::Trivial, ControllerBank::Trivial(b)) => {
-                b.reinit(num_tasks, ids.len());
+            (ControllerSpec::Trivial, ControllerBank::ExactGreedy(b)) => {
+                b.reinit(num_tasks, ExactGreedyParams::TRIVIAL, n);
             }
             (ControllerSpec::ExactGreedy(p), ControllerBank::ExactGreedy(b)) => {
-                b.reinit(num_tasks, *p, ids.len());
+                b.reinit(num_tasks, *p, n);
             }
             (ControllerSpec::Proportional(p), ControllerBank::Proportional(b)) => {
-                b.reinit(num_tasks, *p, ids.len());
+                b.reinit(num_tasks, *p, n);
             }
-            (ControllerSpec::Hysteresis { depth, lazy }, ControllerBank::Table(machines)) => {
-                let spec = Arc::new(Self::hysteresis_spec(*depth, *lazy));
-                machines.clear();
-                machines.extend(ids.iter().map(|_| TableFsm::new(spec.clone())));
+            (ControllerSpec::Hysteresis { depth, lazy }, ControllerBank::Table(b)) => {
+                b.reinit(Arc::new(Self::hysteresis_spec(*depth, *lazy)), n);
             }
             (ControllerSpec::Mix(_), _) => panic!("Mix rebuilds one bank per sub-spec"),
             // Kind changed between jobs: fall back to a fresh build.
@@ -401,16 +369,6 @@ mod tests {
             .expect("sequential engine must reject");
         assert_eq!(sync_err, seq_err);
         assert!(matches!(sync_err, crate::ConfigError::Timeline(_)));
-    }
-
-    #[test]
-    fn build_many_shares_hysteresis_spec() {
-        let spec = ControllerSpec::Hysteresis {
-            depth: 3,
-            lazy: Some(0.5),
-        };
-        let many = spec.build_many(1, 10);
-        assert_eq!(many.len(), 10);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   writes its per-ant step once, and one generic driver in
 //!   `antalloc_core`'s bank module runs it on the fused, RNG-slice and
 //!   sequential one-ant paths alike (each ant consumes only its own
-//!   RNG stream, in the same order; see [`antalloc_core::step_slice`]),
+//!   RNG stream, in the same order; see [`antalloc_core::ControllerBank`]),
 //! * a fresh engine versus one reused through
 //!   [`SyncEngine::reset_from`] (a fresh engine *is* an empty engine
 //!   reset from its config),
@@ -121,9 +121,8 @@ fn apply_perturbation(
             }
         }
         Perturbation::Spawn { count } => {
-            let k = colony.num_tasks();
             for _ in 0..*count {
-                population.spawn(k, *next_stream);
+                population.spawn(*next_stream);
                 *next_stream += 1;
                 if let Some(a) = arena.as_deref_mut() {
                     a.spawn();

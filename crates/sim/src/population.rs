@@ -82,9 +82,9 @@ impl AntColumns {
     fn capture_row(&mut self, bank: &Bank, id: u32, s: usize, k: usize) {
         match &bank.controllers {
             ControllerBank::PreciseSigmoid(b) => self.sigmoid.push(id, &b.planes(), s, k),
-            ControllerBank::PreciseAdversarial(v) => {
+            ControllerBank::PreciseAdversarial(b) => {
                 self.adversarial_ids.push(id);
-                self.adversarial.push(v[s].scratch());
+                self.adversarial.push(b.scratch(s));
             }
             // Zero streaks are the reset state; omitting them keeps
             // checkpoints of settled colonies scratch-free.
@@ -100,9 +100,9 @@ impl AntColumns {
     fn capture_bank(&mut self, bank: &Bank) {
         match &bank.controllers {
             ControllerBank::PreciseSigmoid(b) => self.sigmoid.extend(&bank.ants, &b.planes()),
-            ControllerBank::PreciseAdversarial(v) => {
+            ControllerBank::PreciseAdversarial(b) => {
                 self.adversarial_ids.extend_from_slice(&bank.ants);
-                self.adversarial.extend(v.iter().map(|c| c.scratch()));
+                self.adversarial.extend((0..b.len()).map(|s| b.scratch(s)));
             }
             ControllerBank::Proportional(b) => {
                 // Branch-free compaction of the non-zero streaks.
@@ -206,7 +206,7 @@ impl SigmoidColumns {
 
 /// One homogeneous sub-population: controllers plus their ant ids.
 pub(crate) struct Bank {
-    /// The (non-`Mix`) spec this bank runs; used for spawns and census.
+    /// The (non-`Mix`) spec this bank runs; used for the census.
     pub spec: ControllerSpec,
     /// The controllers, in slot order.
     pub controllers: ControllerBank,
@@ -407,7 +407,7 @@ impl Population {
         }
         for (&id, scratch) in cols.adversarial_ids.iter().zip(&cols.adversarial) {
             match self.slot_mut(id) {
-                (ControllerBank::PreciseAdversarial(v), s) => v[s].apply_scratch(scratch),
+                (ControllerBank::PreciseAdversarial(bank), s) => bank.apply_scratch(s, scratch),
                 // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
                 _ => unreachable!("Precise Adversarial scratch for another kind"),
             }
@@ -531,8 +531,8 @@ impl Population {
 
     /// Persistent memory of ant `i`'s controller, in bits.
     pub fn memory_bits(&self, i: usize) -> u32 {
-        let (b, s) = self.index[i];
-        self.banks[b as usize].controllers.memory_bits(s as usize)
+        let (b, _) = self.index[i];
+        self.banks[b as usize].controllers.memory_bits()
     }
 
     /// Removes a kill event's victims in the colony's kill order: each
@@ -660,16 +660,16 @@ impl Population {
     /// Appends a freshly spawned ant (global id `len()`) with spawn
     /// stream id `stream`. Homogeneous colonies spawn into their single
     /// bank; mixes draw the sub-spec deterministically from `stream`.
-    pub fn spawn(&mut self, num_tasks: usize, stream: u64) {
+    pub fn spawn(&mut self, stream: u64) {
         let b = match &self.mix {
             None => 0,
             Some(mix) => mix.pick_spawn(stream),
         };
         let id = self.index.len() as u32;
         let bank = &mut self.banks[b];
-        // Spawns use the spec's plain single-ant build (desync spawns
-        // get offset 0, matching the pre-bank engines).
-        bank.controllers.push(bank.spec.build(num_tasks));
+        // A fresh slot in the bank's columns (desync spawns get offset
+        // 0, matching the pre-bank engines).
+        bank.controllers.push_fresh();
         self.index.push((b as u32, bank.ants.len() as u32));
         bank.ants.push(id);
         debug_assert!(self.check_invariants());
@@ -886,7 +886,7 @@ mod tests {
         assert!(p.check_invariants());
         // Spawn back; membership picks stay in range.
         for stream in 40..45u64 {
-            p.spawn(2, stream);
+            p.spawn(stream);
         }
         assert_eq!(p.len(), 42);
         assert!(p.check_invariants());
@@ -1084,8 +1084,8 @@ mod tests {
                         let count = size % 64;
                         Perturbation::Spawn { count }.apply(&mut colony, &mut rng);
                         for _ in 0..count {
-                            batch.spawn(k, next_stream);
-                            reference.spawn(k, next_stream);
+                            batch.spawn(next_stream);
+                            reference.spawn(next_stream);
                             next_stream += 1;
                         }
                     }
