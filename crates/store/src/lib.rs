@@ -1,4 +1,8 @@
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::multiple_unsafe_ops_per_block
+)]
 //! Durable, content-fingerprinted store for checkpoints and run
 //! outcomes.
 //!
@@ -27,6 +31,13 @@
 //! where on the trust/freshness spectrum a sweep sits; the default
 //! (`IfFresh` + `IfMissing`) reuses verified entries and fills gaps.
 //! See docs/CHECKPOINTS.md § Durable store.
+//!
+//! Keys and payload checks are SHA-256 ([`Sha256`]). On x86-64 CPUs
+//! with the SHA extensions the block function runs on them; elsewhere
+//! a portable loop computes the same bytes. That call is the crate's
+//! only `unsafe`: the root denies `unsafe_code` (every other crate
+//! forbids it), and only the block-function dispatch in `fingerprint`
+//! allows it, with a `// SAFETY:` comment naming the detected features.
 
 mod backend;
 mod fingerprint;
