@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::io::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use antalloc_bench::perf_quick as quick;
 use antalloc_core::{
@@ -200,6 +200,8 @@ struct KindResult {
     banks_par_tput: f64,
     kernel_generic_tput: f64,
     kernel_soa_tput: f64,
+    /// The kernel race's paired SoA / generic window ratios, ascending.
+    kernel_ratios: Vec<f64>,
     /// `(threads, ant_rounds_per_sec)` for the fused parallel path.
     scaling: Vec<(usize, f64)>,
 }
@@ -226,19 +228,41 @@ fn step_per_ant<C: Controller>(
     }
 }
 
+impl KindResult {
+    /// The median paired SoA / generic kernel ratio.
+    fn kernel_speedup(&self) -> f64 {
+        self.kernel_ratios[self.kernel_ratios.len() / 2]
+    }
+}
+
+/// Paired windows per kernel race (see [`kernel_race`]).
+const RACE_SAMPLES: usize = 11;
+
+/// The shortest kernel-race window: long enough to span many scheduler
+/// ticks, so one preempted slice moves a window's rate by little.
+const RACE_WINDOW: Duration = Duration::from_millis(100);
+
+/// The median of `values` (the upper one of an even count), sorting
+/// them.
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 /// Like-for-like kernel race: the SoA bank's `step_batch` against the
 /// generic monomorphic per-ant loop ([`step_per_ant`]), same rounds,
 /// same per-ant RNG streams, keyed afresh every round as the engine
 /// keys them, no engine around either; ant `i` is `make(i)` over `k`
-/// tasks. Asserts bit-identity and returns (generic, soa)
-/// ant-rounds/second.
-fn kernel_race<C>(
-    n: usize,
-    k: usize,
-    rounds: u64,
-    samples: usize,
-    make: impl Fn(usize) -> C,
-) -> (f64, f64)
+/// tasks. Asserts bit-identity.
+///
+/// Each of [`RACE_SAMPLES`] samples times one window of each side over
+/// the same rounds, back to back, alternating which side goes first;
+/// a window runs enough rounds to last at least [`RACE_WINDOW`] on the
+/// faster side. Returns the median generic and SoA ant-rounds/second
+/// and the per-sample SoA / generic ratios, ascending: pairing the
+/// windows cancels slow drifts of the host, and their median drops the
+/// samples a burst of other work landed on.
+fn kernel_race<C>(n: usize, k: usize, make: impl Fn(usize) -> C) -> (f64, f64, Vec<f64>)
 where
     C: Controller + Clone + Into<AnyController>,
 {
@@ -270,41 +294,61 @@ where
         }
         d
     };
-    let mut round = 0u64;
-    for _ in 0..16 {
-        round += 1;
+    // One round of one side, `soa_side` picking which, into `out`.
+    let mut step_side = |soa_side: bool, round: u64, out: &mut [antalloc_env::Assignment]| {
         let prep = noise.prepare(round, &deficits(round), &demands);
-        key_round(&mut generic_rngs, round);
-        key_round(&mut soa_rngs, round);
-        step_per_ant(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
-        soa.step_batch(prep.view(), &mut soa_rngs, &mut out_b);
+        if soa_side {
+            key_round(&mut soa_rngs, round);
+            soa.step_batch(prep.view(), &mut soa_rngs, out);
+        } else {
+            key_round(&mut generic_rngs, round);
+            step_per_ant(&mut generic, prep.view(), &mut generic_rngs, out);
+        }
+    };
+    let warm = 16u64;
+    let mut spent = [Duration::ZERO; 2];
+    for round in 1..=warm {
+        for (side, (spent, out)) in spent.iter_mut().zip([&mut out_a, &mut out_b]).enumerate() {
+            let t0 = Instant::now();
+            step_side(side == 1, round, out);
+            *spent += t0.elapsed();
+        }
         assert_eq!(out_a, out_b, "kernel outputs diverged in warmup");
     }
-    let mut generic_best = 0.0f64;
-    let mut soa_best = 0.0f64;
-    for _ in 0..samples {
-        let start = round;
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            round += 1;
-            let prep = noise.prepare(round, &deficits(round), &demands);
-            key_round(&mut generic_rngs, round);
-            step_per_ant(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
-        }
-        generic_best = generic_best.max(n as f64 * rounds as f64 / t0.elapsed().as_secs_f64());
-        round = start;
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            round += 1;
-            let prep = noise.prepare(round, &deficits(round), &demands);
-            key_round(&mut soa_rngs, round);
-            soa.step_batch(prep.view(), &mut soa_rngs, &mut out_b);
-        }
-        soa_best = soa_best.max(n as f64 * rounds as f64 / t0.elapsed().as_secs_f64());
+    let fastest_round = spent[0].min(spent[1]) / warm as u32;
+    let window_rounds = RACE_WINDOW
+        .as_nanos()
+        .div_ceil(fastest_round.as_nanos().max(1))
+        .max(1) as u64;
+    let mut generic_tputs = Vec::with_capacity(RACE_SAMPLES);
+    let mut soa_tputs = Vec::with_capacity(RACE_SAMPLES);
+    let mut ratios = Vec::with_capacity(RACE_SAMPLES);
+    for sample in 0..RACE_SAMPLES as u64 {
+        let start = warm + sample * window_rounds;
+        let soa_first = sample % 2 == 1;
+        let mut window = |soa_side: bool| {
+            let out = if soa_side { &mut out_b } else { &mut out_a };
+            let t0 = Instant::now();
+            for round in start + 1..=start + window_rounds {
+                step_side(soa_side, round, out);
+            }
+            n as f64 * window_rounds as f64 / t0.elapsed().as_secs_f64()
+        };
+        let first = window(soa_first);
+        let second = window(!soa_first);
+        let (generic_tput, soa_tput) = if soa_first {
+            (second, first)
+        } else {
+            (first, second)
+        };
+        generic_tputs.push(generic_tput);
+        soa_tputs.push(soa_tput);
+        ratios.push(soa_tput / generic_tput);
     }
     assert_eq!(out_a, out_b, "kernel outputs diverged during measurement");
     black_box((&generic, &soa));
-    (generic_best, soa_best)
+    ratios.sort_by(f64::total_cmp);
+    (median(&mut generic_tputs), median(&mut soa_tputs), ratios)
 }
 
 /// Sensing-layer overhead: the same Ant colony well-mixed, through the
@@ -471,47 +515,37 @@ fn banks_vs_seed(_c: &mut Criterion) {
         // either — this is the number the regression guard watches
         // (the end-to-end comparison above also carries harness
         // differences: the seed replica skips the engine's
-        // double-buffered apply and round records). Constructors come
+        // fused apply and round records). Constructors come
         // from the same `spec` the engine comparison ran.
-        let (kernel_generic_tput, kernel_soa_tput) = match &spec {
+        let (kernel_generic_tput, kernel_soa_tput, kernel_ratios) = match &spec {
             ControllerSpec::Ant(p) => {
                 let p = *p;
-                kernel_race(n, k, rounds, samples, move |_| {
-                    antalloc_core::AlgorithmAnt::new(k, p)
-                })
+                kernel_race(n, k, move |_| antalloc_core::AlgorithmAnt::new(k, p))
             }
             ControllerSpec::AntDesync(p) => {
                 let p = *p;
-                kernel_race(n, k, rounds, samples, move |i| {
+                kernel_race(n, k, move |i| {
                     antalloc_core::AlgorithmAnt::with_phase_offset(k, p, (i % 2) as u64)
                 })
             }
             ControllerSpec::PreciseSigmoid(p) => {
                 let p = *p;
-                kernel_race(n, k, rounds, samples, move |_| {
-                    antalloc_core::PreciseSigmoid::new(k, p)
-                })
+                kernel_race(n, k, move |_| antalloc_core::PreciseSigmoid::new(k, p))
             }
-            ControllerSpec::Trivial => {
-                kernel_race(n, k, rounds, samples, |_| antalloc_core::Trivial::new(k))
-            }
+            ControllerSpec::Trivial => kernel_race(n, k, |_| antalloc_core::Trivial::new(k)),
             ControllerSpec::ExactGreedy(p) => {
                 let p = *p;
-                kernel_race(n, k, rounds, samples, move |_| {
-                    antalloc_core::ExactGreedy::new(k, p)
-                })
+                kernel_race(n, k, move |_| antalloc_core::ExactGreedy::new(k, p))
             }
             ControllerSpec::Proportional(p) => {
                 let p = *p;
-                kernel_race(n, k, rounds, samples, move |_| {
+                kernel_race(n, k, move |_| {
                     antalloc_core::ProportionalController::new(k, p)
                 })
             }
             ControllerSpec::PreciseAdversarial(p) => {
                 let p = *p;
-                kernel_race(n, k, rounds, samples, move |_| {
-                    antalloc_core::PreciseAdversarial::new(k, p)
-                })
+                kernel_race(n, k, move |_| antalloc_core::PreciseAdversarial::new(k, p))
             }
             ControllerSpec::Hysteresis { depth, lazy } => {
                 let fsm = match lazy {
@@ -519,9 +553,7 @@ fn banks_vs_seed(_c: &mut Criterion) {
                     None => antalloc_core::FsmSpec::hysteresis(*depth),
                 };
                 let fsm = std::sync::Arc::new(fsm);
-                kernel_race(n, k, rounds, samples, move |_| {
-                    antalloc_core::TableFsm::new(fsm.clone())
-                })
+                kernel_race(n, k, move |_| antalloc_core::TableFsm::new(fsm.clone()))
             }
             other => unreachable!("unknown kind {other:?}"),
         };
@@ -533,6 +565,7 @@ fn banks_vs_seed(_c: &mut Criterion) {
             banks_par_tput,
             kernel_generic_tput,
             kernel_soa_tput,
+            kernel_ratios,
             scaling,
         });
     }
@@ -575,7 +608,7 @@ fn banks_vs_seed(_c: &mut Criterion) {
             r.kind.into(),
             "kernel_soa_bank".into(),
             format!("{:.3e}", r.kernel_soa_tput),
-            format!("{:.2}", r.kernel_soa_tput / r.kernel_generic_tput),
+            format!("{:.2}", r.kernel_speedup()),
         ]);
         for &(t, tput) in &r.scaling {
             table.row(vec![
@@ -587,6 +620,19 @@ fn banks_vs_seed(_c: &mut Criterion) {
         }
     }
     table.finish();
+    println!("  kernel race, paired SoA / generic window ratios (min, q1, median, q3, max):");
+    for r in &results {
+        let q = |f: f64| r.kernel_ratios[((r.kernel_ratios.len() - 1) as f64 * f).round() as usize];
+        println!(
+            "    {:>20}  {:.2} {:.2} {:.2} {:.2} {:.2}",
+            r.kind,
+            q(0.0),
+            q(0.25),
+            q(0.5),
+            q(0.75),
+            q(1.0)
+        );
+    }
 
     let mut arena_table = antalloc_bench::Table::new(
         "perf_engine_arena_overhead",
@@ -636,7 +682,7 @@ fn banks_vs_seed(_c: &mut Criterion) {
                 curve.join(", "),
                 r.banks_tput / r.seed_tput,
                 r.banks_par_tput / r.seed_tput,
-                r.kernel_soa_tput / r.kernel_generic_tput,
+                r.kernel_speedup(),
             )
         })
         .collect();
@@ -679,7 +725,7 @@ fn banks_vs_seed(_c: &mut Criterion) {
 
     for r in &results {
         let engine_speedup = r.banks_tput / r.seed_tput;
-        let kernel_speedup = r.kernel_soa_tput / r.kernel_generic_tput;
+        let kernel_speedup = r.kernel_speedup();
         assert!(
             engine_speedup > 0.0 && engine_speedup.is_finite(),
             "{}: nonsensical engine speedup {engine_speedup}",

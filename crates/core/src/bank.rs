@@ -22,8 +22,10 @@
 //! machine, one `u16` state per ant). No bank holds per-ant structs.
 //!
 //! Heterogeneous (mixed-controller) colonies are a `Vec` of banks; the
-//! engine layer owns the ant → (bank, slot) index. Parallel engines
-//! split a bank into disjoint [`BankSliceMut`] chunks, one per worker.
+//! engine layer owns the membership column that maps each ant to its
+//! bank (its slot is its rank among the bank's ascending ids).
+//! Parallel engines split a bank into disjoint [`BankSliceMut`] chunks,
+//! one per worker.
 //!
 //! # Examples
 //!
@@ -382,8 +384,8 @@ impl<'a> BankSliceMut<'a> {
     }
 
     /// Fused-apply stepping: every ant's next assignment goes straight
-    /// into the engine's shared next-state column (at `ids[i]`, the
-    /// ant's colony id) and its transition into the writer's local
+    /// into its slot of the colony's shared task column (at `ids[i]`,
+    /// the ant's colony id) and its transition into the writer's local
     /// delta — no decisions buffer, no apply sweep. The per-ant step is
     /// the one [`BankSliceMut::step_batch`] runs; only where each ant's
     /// draws come from (its stream for the round,

@@ -1,20 +1,20 @@
-//! Fused-apply primitives: the double-buffered next-state column and
-//! the commutative per-round delta.
+//! Fused-apply primitives: the in-place task column and the commutative
+//! per-round delta.
 //!
-//! The synchronous engine no longer runs a separate apply pass over a
-//! decisions buffer. Instead every step kernel writes each ant's next
-//! assignment straight into a shared [`TaskColumn`] (the *next* column
-//! of a double buffer) through a [`ColumnWriter`], which also folds the
-//! transition into a local [`RoundDelta`]. Committing a round is then
-//! an O(1) buffer-parity flip plus an O(k) delta application — no O(n)
-//! sweep.
+//! The synchronous engine runs no separate apply pass over a decisions
+//! buffer. Every step kernel writes each ant's next assignment straight
+//! into the colony's one [`TaskColumn`] through a [`ColumnWriter`],
+//! which reads the ant's prior assignment from the same slot first and
+//! folds the transition into a local [`RoundDelta`]. Committing a round
+//! is then an O(k) delta application — no O(n) sweep.
 //!
-//! Determinism: all of a round's column writes target disjoint slots
-//! (one per ant), every delta field is a commutative sum, and each ant
-//! flips idleness at most once per round, so the packed-mask XOR flips
-//! commute too. Merge order therefore cannot affect the result — the
-//! property the bit-identity contract rests on (see
-//! `docs/DETERMINISM.md`).
+//! Determinism: each slot is read, then written, by its one owner (the
+//! participant stepping that ant), and kernels never read another ant's
+//! slot — what an ant observes comes from the round's frozen feedback.
+//! Every delta field is a commutative sum, and each ant flips idleness
+//! at most once per round, so the packed-mask XOR flips commute too.
+//! Merge order therefore cannot affect the result — the property the
+//! bit-identity contract rests on (see `docs/DETERMINISM.md`).
 
 use core::sync::atomic::{AtomicU32, Ordering};
 
@@ -28,10 +28,10 @@ fn ix(id: u32) -> usize {
 
 /// One u32-per-ant assignment column ([`Assignment::RAW_IDLE`] = idle).
 ///
-/// Slots are atomics only so that scoped workers can write disjoint
-/// slots of a shared column without `unsafe`; all accesses are
-/// `Relaxed` (per-slot writers are disjoint within a round, and the
-/// engine's barriers / scope join provide the cross-thread ordering).
+/// Slots are atomics only so that scoped workers can read and write
+/// disjoint slots of a shared column without `unsafe`; all accesses are
+/// `Relaxed` (each slot has one owner within a round, and the engine's
+/// barriers / scope join provide the cross-thread ordering).
 #[derive(Debug)]
 pub struct TaskColumn {
     slots: Vec<AtomicU32>,
@@ -57,17 +57,10 @@ impl TaskColumn {
         self.slots.is_empty()
     }
 
-    /// Resizes to `n` slots; new slots start idle.
-    pub fn resize(&mut self, n: usize) {
-        self.slots
-            .resize_with(n, || AtomicU32::new(Assignment::RAW_IDLE));
-    }
-
     /// Resets to `n` slots, all idle, reusing the allocation when the
     /// column shrinks or keeps its length (grow reallocates).
     ///
-    /// Unlike [`TaskColumn::resize`], which only idles *new* slots,
-    /// this re-idles every retained slot — the invariant an engine
+    /// Every retained slot is re-idled too — the invariant an engine
     /// rebuilt in place (`SyncEngine::reset_from`) relies on to be
     /// bit-identical to a freshly constructed one.
     pub fn reset(&mut self, n: usize) {
@@ -214,37 +207,37 @@ impl RoundDelta {
     }
 }
 
-/// A kernel's fused output port: one `write` per ant stores the next
-/// assignment into the *next* column and folds the transition into the
-/// local delta, reading the prior assignment from the *previous*
-/// column.
+/// A kernel's fused output port: one `write` per ant reads the ant's
+/// prior assignment from its slot of the colony's column, stores the
+/// next one in its place and folds the transition into the local delta.
 ///
-/// The previous column is the authoritative ground truth — the same
-/// source the unfused engine's apply sweep compared against — so the
-/// fused path counts switches and load deltas identically even when a
-/// controller's internal state momentarily disagrees with the colony
-/// (e.g. right after a population shock).
+/// The column is the authoritative ground truth — the same source the
+/// unfused engine's apply sweep compared against — so the fused path
+/// counts switches and load deltas identically even when a controller's
+/// internal state momentarily disagrees with the colony (e.g. right
+/// after a population shock). Only the participant stepping an ant
+/// touches its slot, once per round.
 pub struct ColumnWriter<'a> {
-    prev: &'a TaskColumn,
-    next: &'a TaskColumn,
+    column: &'a TaskColumn,
     delta: &'a mut RoundDelta,
 }
 
 impl<'a> ColumnWriter<'a> {
-    /// A writer reading prior assignments from `prev`, storing into
-    /// `next`, accumulating into `delta`.
-    pub fn new(prev: &'a TaskColumn, next: &'a TaskColumn, delta: &'a mut RoundDelta) -> Self {
-        Self { prev, next, delta }
+    /// A writer updating `column` in place, accumulating into `delta`.
+    pub fn new(column: &'a TaskColumn, delta: &'a mut RoundDelta) -> Self {
+        Self { column, delta }
     }
 
-    /// Records ant `id` stepping to `next` (raw-encoded): stores it
-    /// into the next column unconditionally and updates the delta iff
-    /// the assignment changed relative to the previous column.
+    /// Records ant `id` stepping to `next` (raw-encoded): a change is
+    /// stored in its slot and folded into the delta; no change writes
+    /// nothing, so the slot's cache line stays clean.
     #[inline]
     pub fn write(&mut self, id: u32, next: u32) {
-        let prev = self.prev.load(id);
-        self.next.store(id, next);
-        self.delta.record(id, prev, next);
+        let prev = self.column.load(id);
+        if prev != next {
+            self.column.store(id, next);
+            self.delta.record(id, prev, next);
+        }
     }
 }
 
@@ -268,8 +261,9 @@ mod tests {
         assert_eq!(col.len(), 4);
         assert_eq!(col.swap_remove(0), I);
         assert_eq!(col.load(0), 2);
-        col.resize(1);
+        col.reset(1);
         assert_eq!(col.len(), 1);
+        assert_eq!(col.load(0), I);
     }
 
     #[test]
@@ -292,16 +286,18 @@ mod tests {
 
     #[test]
     fn writer_stores_and_records() {
-        let prev = TaskColumn::new(2);
-        prev.store(1, 0);
-        let next = TaskColumn::new(2);
+        let col = TaskColumn::new(3);
+        col.store(1, 0);
+        col.store(2, 0);
         let mut d = RoundDelta::new(1);
-        let mut w = ColumnWriter::new(&prev, &next, &mut d);
+        let mut w = ColumnWriter::new(&col, &mut d);
         w.write(0, 0); // idle → task 0
         w.write(1, 0); // task 0 → task 0 (no switch)
-        assert_eq!(next.load(0), 0);
-        assert_eq!(next.load(1), 0);
-        assert_eq!(d.switches(), 1);
-        assert_eq!(d.idle_flips, vec![0]);
+        w.write(2, I); // task 0 → idle
+        assert_eq!(col.to_vec(), vec![0, 0, I]);
+        assert_eq!(d.switches(), 2);
+        assert_eq!(d.idle_delta, 0);
+        assert_eq!(d.load_deltas, vec![0]);
+        assert_eq!(d.idle_flips, vec![0, 2]);
     }
 }

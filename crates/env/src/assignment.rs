@@ -39,8 +39,8 @@ impl Assignment {
 
     /// The packed `u32` wire/column encoding: the task index, or
     /// [`Assignment::RAW_IDLE`] for idle. This is the encoding the
-    /// checkpoint codec, the SoA bank columns and the engine's
-    /// double-buffered next-state column all share.
+    /// checkpoint codec, the SoA bank columns and the colony's task
+    /// column, which the engine's kernels update in place, all share.
     #[inline]
     pub fn to_raw(self) -> u32 {
         match self {

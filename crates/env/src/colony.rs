@@ -6,16 +6,15 @@ use crate::demand::DemandVector;
 
 /// The observable-by-nobody global state: who works where.
 ///
-/// Assignments live in a packed u32 [`TaskColumn`] (idle =
-/// [`Assignment::RAW_IDLE`]) shadowed by a packed idle bitmask — the
-/// *current* half of the engine's double buffer. While the engine steps
-/// rounds it lends the column out ([`ColonyState::take_column`]), step
-/// kernels write the *next* column directly, and each round's
-/// commutative [`RoundDelta`] folds into loads, idle count and mask via
-/// [`ColonyState::apply_round_delta`]; [`ColonyState::restore_column`]
-/// hands back whichever buffer ended up current. Loads are maintained
-/// incrementally — applying one ant's decision is O(1) — and a full
-/// recount is available as a (debug-asserted) consistency check.
+/// Assignments live in one packed u32 [`TaskColumn`] (idle =
+/// [`Assignment::RAW_IDLE`]) shadowed by a packed idle bitmask. While
+/// the engine steps rounds it lends the column out
+/// ([`ColonyState::take_column`]), step kernels update each ant's slot
+/// in place, and each round's commutative [`RoundDelta`] folds into
+/// loads, idle count and mask via [`ColonyState::apply_round_delta`];
+/// [`ColonyState::restore_column`] hands the column back. Loads are
+/// maintained incrementally — applying one ant's decision is O(1) — and
+/// a full recount is available as a (debug-asserted) consistency check.
 #[derive(Clone, Debug)]
 pub struct ColonyState {
     tasks: TaskColumn,
@@ -184,17 +183,17 @@ impl ColonyState {
     }
 
     /// Takes the task column out of the colony for the duration of a
-    /// stepping scope (participants share it immutably while the
-    /// coordinator keeps `&mut` access to the load/idle bookkeeping).
+    /// stepping scope (participants share it, each updating its own
+    /// ants' slots, while the coordinator keeps `&mut` access to the
+    /// load/idle bookkeeping).
     /// The colony's per-ant accessors are unusable until
     /// [`ColonyState::restore_column`] puts a column back.
     pub fn take_column(&mut self) -> TaskColumn {
         core::mem::replace(&mut self.tasks, TaskColumn::new(0))
     }
 
-    /// Restores the (possibly parity-swapped) current column after a
-    /// stepping scope; the per-round deltas were already applied via
-    /// [`ColonyState::apply_round_delta`].
+    /// Restores the column after a stepping scope; the per-round deltas
+    /// were already applied via [`ColonyState::apply_round_delta`].
     pub fn restore_column(&mut self, column: TaskColumn) {
         debug_assert!(self.tasks.is_empty(), "column already present");
         let mass: u64 =
@@ -246,9 +245,10 @@ impl ColonyState {
 
     /// Folds one round delta into loads, idle count and the idle mask
     /// **without** touching the task column (the column is on loan via
-    /// [`ColonyState::take_column`] and double-buffered by parity until
-    /// [`ColonyState::restore_column`] returns it). Mid-scope the task
-    /// column is absent; loads, idle count and mask are current.
+    /// [`ColonyState::take_column`], where the kernels already updated
+    /// it, until [`ColonyState::restore_column`] returns it). Mid-scope
+    /// the task column is absent; loads, idle count and mask are
+    /// current.
     pub fn apply_round_delta(&mut self, delta: &RoundDelta) {
         assert_eq!(delta.load_deltas.len(), self.loads.len());
         for (load, &d) in self.loads.iter_mut().zip(&delta.load_deltas) {
@@ -440,34 +440,40 @@ mod tests {
     #[test]
     fn apply_round_delta_with_loaned_column() {
         let mut c = colony();
-        // A stepping scope lends the column out and double-buffers by
-        // parity; the colony tracks loads/idle/mask via deltas only.
-        let columns = [c.take_column(), TaskColumn::new(10)];
+        // A stepping scope lends the one column out; two writers update
+        // disjoint slots of it in place, and the colony tracks
+        // loads/idle/mask via their deltas only.
+        let column = c.take_column();
         assert_eq!(c.num_ants(), 0, "column is on loan");
         let mut d0 = RoundDelta::new(2);
         let mut d1 = RoundDelta::new(2);
-        {
-            let mut w = ColumnWriter::new(&columns[0], &columns[1], &mut d0);
-            for i in 0u32..5 {
-                w.write(i, 0);
+        for round in 0..2 {
+            d0.reset(2);
+            d1.reset(2);
+            {
+                let mut w = ColumnWriter::new(&column, &mut d0);
+                for i in 0u32..5 {
+                    w.write(i, round);
+                }
             }
-        }
-        {
-            let mut w = ColumnWriter::new(&columns[0], &columns[1], &mut d1);
-            for i in 5u32..10 {
-                let t = if i == 5 { 1 } else { Assignment::RAW_IDLE };
-                w.write(i, t);
+            {
+                let mut w = ColumnWriter::new(&column, &mut d1);
+                for i in 5u32..10 {
+                    let t = if i == 5 { 1 } else { Assignment::RAW_IDLE };
+                    w.write(i, t);
+                }
             }
+            // Worker deltas merge in either order.
+            c.apply_round_delta(&d1);
+            c.apply_round_delta(&d0);
         }
-        // Worker deltas merge in either order; the written column is
-        // restored as authoritative at scope end (parity 1).
-        c.apply_round_delta(&d1);
-        c.apply_round_delta(&d0);
-        assert_eq!(c.load(0), 5);
-        assert_eq!(c.load(1), 1);
+        // Round 2 saw each writer's prior values in place: ants 0..5
+        // moved task 0 → 1, ant 5 stayed on task 1, the rest stayed idle.
+        assert_eq!((d0.switches(), d1.switches()), (5, 0));
+        assert_eq!(c.load(0), 0);
+        assert_eq!(c.load(1), 6);
         assert_eq!(c.idle_count(), 4);
-        let [_, written] = columns;
-        c.restore_column(written);
+        c.restore_column(column);
         assert_eq!(c.assignment(5), Assignment::Task(1));
         assert!(c.recount_consistent());
     }
@@ -526,29 +532,38 @@ mod tests {
             prop_assert_eq!(restored.task_column().to_vec(), raw);
         }
 
-        /// A fused round (column writes + one delta) ends in the same
-        /// state as the equivalent sequence of per-ant `apply` calls.
+        /// Fused rounds over one column updated in place (column
+        /// writes + one delta per round) end in the same state as the
+        /// equivalent sequences of per-ant `apply` calls, and record the
+        /// same switches.
         #[test]
-        fn fused_round_matches_apply(targets in proptest::collection::vec(0u32..4, 10)) {
+        fn fused_round_matches_apply(
+            rounds in proptest::collection::vec(proptest::collection::vec(0u32..4, 10), 1..5),
+        ) {
             let mut fused = colony();
             let mut reference = colony();
-            let prev = fused.take_column();
-            let next = TaskColumn::new(10);
+            let column = fused.take_column();
             let mut delta = RoundDelta::new(2);
-            {
-                let mut w = ColumnWriter::new(&prev, &next, &mut delta);
-                for (i, &t) in targets.iter().enumerate() {
-                    let a = if t >= 2 { Assignment::Idle } else { Assignment::Task(t) };
-                    w.write(i as u32, a.to_raw());
-                    reference.apply(i, a);
+            for targets in &rounds {
+                delta.reset(2);
+                let mut switches = 0;
+                {
+                    let mut w = ColumnWriter::new(&column, &mut delta);
+                    for (i, &t) in targets.iter().enumerate() {
+                        let a = if t >= 2 { Assignment::Idle } else { Assignment::Task(t) };
+                        w.write(i as u32, a.to_raw());
+                        switches += u64::from(reference.assignment(i) != a);
+                        reference.apply(i, a);
+                    }
                 }
+                prop_assert_eq!(delta.switches(), switches);
+                fused.apply_round_delta(&delta);
+                prop_assert_eq!(fused.loads(), reference.loads());
+                prop_assert_eq!(fused.idle_count(), reference.idle_count());
+                prop_assert_eq!(fused.idle_mask(), reference.idle_mask());
             }
-            fused.apply_round_delta(&delta);
-            fused.restore_column(next);
+            fused.restore_column(column);
             prop_assert_eq!(fused.assignments(), reference.assignments());
-            prop_assert_eq!(fused.loads(), reference.loads());
-            prop_assert_eq!(fused.idle_count(), reference.idle_count());
-            prop_assert_eq!(fused.idle_mask(), reference.idle_mask());
             prop_assert!(fused.recount_consistent());
         }
     }

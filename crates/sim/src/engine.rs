@@ -3,8 +3,8 @@
 //! ## Data-oriented core
 //!
 //! Ants live in homogeneous [`antalloc_core::ControllerBank`]s owned by
-//! a [`crate::population::Population`] (see its docs for the full
-//! ant → (bank, slot) index invariants): one bank per controller kind,
+//! a [`crate::population::Population`] (see its docs for the
+//! membership invariants): one bank per controller kind,
 //! so a homogeneous colony pays its controller dispatch once per round
 //! and the hot loop is monomorphic. `ControllerSpec::Mix` colonies are
 //! simply several banks over one colony; every engine operation —
@@ -38,15 +38,16 @@
 //! numbers the ants alike. Kills, spawns, resets and restores therefore
 //! move no randomness, and checkpoints store none per ant.
 //!
-//! Rounds are double-buffered through a fused apply: sub-round 1 steps
-//! kernels that write every ant's next assignment straight into the
-//! next-state half of a pair of [`antalloc_env::TaskColumn`]s
-//! (accumulating a commutative [`antalloc_env::RoundDelta`]), sub-round
-//! 2 is an O(1) buffer-parity flip plus an O(k) delta application —
-//! there is no separate apply sweep. *Write* order is therefore
-//! immaterial: column slots are disjoint per ant, load/idle transitions
-//! commute, and the switch count is a sum. Consumption order of
-//! randomness is what matters, and that is per-ant by construction.
+//! Rounds run through a fused apply on the colony's one
+//! [`antalloc_env::TaskColumn`]: sub-round 1 steps kernels that read
+//! each ant's prior assignment from its slot and write the next one
+//! back in place (accumulating a commutative
+//! [`antalloc_env::RoundDelta`]), sub-round 2 is an O(k) delta
+//! application — there is no separate apply sweep. *Write* order is
+//! immaterial: each slot is read, then written, by its one owner, no
+//! kernel reads another ant's slot, load/idle transitions commute, and
+//! the switch count is a sum. Consumption order of randomness is what
+//! matters, and that is per-ant by construction.
 //! The contract oracle of the `antalloc-tests` package
 //! (`tests/src/contract.rs`) holds every clause above down on generated
 //! scenarios, and `tests/banks.rs` the bank-wise versus per-ant one.
@@ -146,15 +147,14 @@ fn apply_perturbation(
 
 /// One participant's share of a round: steps its part of the
 /// population against the frozen feedback, each ant drawing from its
-/// stream for the round keyed `round_key`, writing next assignments
-/// into `columns[parity ^ 1]` and folding the transitions into `delta`.
+/// stream for the round keyed `round_key`, updating its ants' slots of
+/// `column` in place and folding the transitions into `delta`.
 fn step_part(
     part: &mut WorkerPart<'_>,
     prepared: &PreparedRound,
     round_key: u64,
     arena: Option<&RwLock<ArenaState>>,
-    columns: &[TaskColumn; 2],
-    parity: usize,
+    column: &TaskColumn,
     delta: &mut RoundDelta,
 ) {
     delta.reset(prepared.num_tasks());
@@ -165,7 +165,7 @@ fn step_part(
         Some(a) => a.sensed(prepared),
         None => SensedRound::shared(prepared),
     };
-    let mut writer = ColumnWriter::new(&columns[parity], &columns[parity ^ 1], delta);
+    let mut writer = ColumnWriter::new(column, delta);
     for (slice, ids) in part.iter_mut() {
         slice.step_batch_fused(sensed, round_key, ids, &mut writer);
     }
@@ -276,10 +276,6 @@ pub struct SyncEngine {
     /// Spawn stream ids handed out so far (each spawned ant draws its
     /// mix sub-spec from a fresh one).
     next_stream: u64,
-    /// The spare half of the double-buffered assignment column: lent
-    /// into every scope next to the colony's own column, and handed
-    /// back as whichever buffer the scope's final parity leaves spare.
-    next_column: TaskColumn,
     /// Round-delta scratch, one slot per participant, slot 0 being the
     /// coordinator's. Grown on demand and reused across rounds and
     /// scopes (serial stepping opens a scope per round, so scope-local
@@ -339,7 +335,6 @@ impl SyncEngine {
             post_deficits: Vec::new(),
             prepared: Arc::default(),
             next_stream: 0,
-            next_column: TaskColumn::new(0),
             deltas: Vec::new(),
             arena: None,
             config,
@@ -366,7 +361,6 @@ impl SyncEngine {
         self.round = 0;
         self.cursor = 0;
         self.next_stream = n as u64;
-        self.next_column.reset(n);
         // The delta slots are pure scratch, reset before every use, so
         // stale capacity cannot leak state.
         self.arena = config.arena.as_ref().map(|a| {
@@ -537,8 +531,10 @@ impl SyncEngine {
     /// one. The count is chosen afresh whenever a timeline event may
     /// have resized the colony.
     pub fn run_parallel(&mut self, rounds: u64, threads: usize, observer: &mut impl Observer) {
-        // Two barrier crossings cost ~10µs/round; an ant-step ~30ns.
-        // Below ~8k ants per participant the extra threads lose.
+        // Two barrier crossings cost ~10µs/round; a serial round of the
+        // four-kind 200k-ant mix (perfbench's `wellmixed_mix`) costs
+        // ~3.5ms, ~17ns per ant, on a 2-vCPU x86-64 host. Below ~8k
+        // ants per participant the extra threads lose.
         self.drive(rounds, threads, 8_000, observer)
     }
 
@@ -606,29 +602,22 @@ impl SyncEngine {
             self.deltas
                 .resize_with(workers, || DeltaSlot(Mutex::new(RoundDelta::new(k))));
         }
-        self.next_column.resize(n);
         // The population and the delta slots are lent to the participants
-        // for the scope, like the columns and the arena below, so the
+        // for the scope, like the column and the arena below, so the
         // coordinator's window may call the engine's own methods. Each
         // move is O(1).
         let mut population = core::mem::take(&mut self.population);
         let mut deltas = core::mem::take(&mut self.deltas);
-        // The double buffer, shared immutably with every participant: on
-        // a round with parity `p` kernels read prior assignments from
-        // `columns[p]` and write next assignments into `columns[p ^ 1]`
-        // (relaxed stores into disjoint slots; the `done` barrier orders
-        // them before the merge). Flipping the parity in the exclusive
-        // window *is* the apply pass — no data moves. The colony's task
-        // column is lent into slot 0 for the scope.
-        let columns = [
-            self.colony.take_column(),
-            core::mem::replace(&mut self.next_column, TaskColumn::new(0)),
-        ];
-        // The coordinator publishes each round's prepared feedback,
-        // parity and round key here — one Arc bump per round, no deep
-        // clone; workers read it only between the two barriers of a
-        // round, and the coordinator clears it after `done`.
-        let shared: RwLock<Option<(Arc<PreparedRound>, usize, u64)>> = RwLock::new(None);
+        // The colony's task column, shared with every participant for
+        // the scope: each updates only its own ants' slots, in place
+        // (relaxed loads and stores; the `done` barrier orders them
+        // before the merge), so the update *is* the apply pass.
+        let column = self.colony.take_column();
+        // The coordinator publishes each round's prepared feedback and
+        // round key here — one Arc bump per round, no deep clone;
+        // workers read it only between the two barriers of a round, and
+        // the coordinator clears it after `done`.
+        let shared: RwLock<Option<(Arc<PreparedRound>, u64)>> = RwLock::new(None);
         let start = std::sync::Barrier::new(workers);
         let done = std::sync::Barrier::new(workers);
         let stop = AtomicBool::new(false);
@@ -654,9 +643,9 @@ impl SyncEngine {
         // it in and out is O(1).
         let arena_lock = self.arena.take().map(RwLock::new);
         let arena = arena_lock.as_ref();
-        let columns_ref = &columns;
+        let column_ref = &column;
 
-        let (completed, parity) = std::thread::scope(|scope| {
+        let completed = std::thread::scope(|scope| {
             for (mut part, slot) in parts.zip(worker_deltas) {
                 let (shared, start, done, stop) = (&shared, &start, &done, &stop);
                 scope.spawn(move || loop {
@@ -670,14 +659,13 @@ impl SyncEngine {
                         // wait on them.
                         let published = shared.read().unwrap_or_else(PoisonError::into_inner);
                         // audit:allow(panic-path): the coordinator publishes the round before releasing the start barrier.
-                        let (prepared, parity, key) = published.as_ref().expect("round published");
+                        let (prepared, key) = published.as_ref().expect("round published");
                         step_part(
                             &mut part,
                             prepared,
                             *key,
                             arena,
-                            columns_ref,
-                            *parity,
+                            column_ref,
                             &mut slot.0.lock().unwrap_or_else(PoisonError::into_inner),
                         );
                     }
@@ -686,7 +674,6 @@ impl SyncEngine {
             }
 
             let mut completed = 0u64;
-            let mut parity = 0usize;
             while completed < rounds {
                 // Exclusive window: begin the round (its events, if any,
                 // fired before the population was partitioned) and
@@ -709,7 +696,7 @@ impl SyncEngine {
                 let round_key = self.seeder.round_key(self.round);
                 if workers > 1 {
                     *shared.write().unwrap_or_else(PoisonError::into_inner) =
-                        Some((Arc::clone(&self.prepared), parity, round_key));
+                        Some((Arc::clone(&self.prepared), round_key));
                     start.wait();
                 }
                 step_part(
@@ -717,8 +704,7 @@ impl SyncEngine {
                     &self.prepared,
                     round_key,
                     arena,
-                    columns_ref,
-                    parity,
+                    column_ref,
                     own_delta,
                 );
                 if workers > 1 {
@@ -727,8 +713,7 @@ impl SyncEngine {
                     *shared.write().unwrap_or_else(PoisonError::into_inner) = None;
                 }
                 // Exclusive window: merge the deltas (commutative, so
-                // in any order), then flip the parity — the column just
-                // written becomes the authoritative one.
+                // in any order); the column is already current.
                 let mut switches = own_delta.switches();
                 self.colony.apply_round_delta(own_delta);
                 for slot in worker_deltas {
@@ -736,7 +721,6 @@ impl SyncEngine {
                     switches += delta.switches();
                     self.colony.apply_round_delta(&delta);
                 }
-                parity ^= 1;
                 if let Some(l) = arena {
                     l.write()
                         .unwrap_or_else(PoisonError::into_inner)
@@ -751,19 +735,13 @@ impl SyncEngine {
                 stop.store(true, Ordering::Release);
                 start.wait();
             }
-            (completed, parity)
+            completed
         });
         self.arena = arena_lock.map(|l| l.into_inner().unwrap_or_else(PoisonError::into_inner));
         self.population = population;
         self.deltas = deltas;
-        // Return the lent buffers: the parity-current one becomes the
-        // colony's authoritative column again (an O(1) move — the flips
-        // already applied every round), the other the next scope's
-        // scratch.
-        let [a, b] = columns;
-        let (current, scratch) = if parity == 0 { (a, b) } else { (b, a) };
-        self.colony.restore_column(current);
-        self.next_column = scratch;
+        // An O(1) move; the deltas already applied every round.
+        self.colony.restore_column(column);
         completed
     }
 
@@ -907,10 +885,8 @@ impl SyncEngine {
             self.trigger_states.clone_from(&snap.triggers);
         }
         self.next_stream = snap.next_stream;
-        // The spare column needs no reset: `run_scope` sizes it, and every
-        // round's kernels overwrite each slot before it is read. A fork
-        // keeps the snapshot's arena (the sweep prechecks it), so the
-        // captured columns always fit.
+        // A fork keeps the snapshot's arena (the sweep prechecks it), so
+        // the captured columns always fit.
         self.arena = config.arena.as_ref().map(|a| {
             let mut arena = self.take_arena(a, config.seed);
             arena.restore(a, config.seed, &snap.arena_site, &snap.arena_travel);

@@ -1,30 +1,31 @@
 //! The banked ant population shared by both engines.
 //!
 //! A [`Population`] owns one [`ControllerBank`] per controller kind
-//! plus a stable **ant → (bank, slot) index**. All engine operations —
-//! stepping, perturbations, checkpointing, parallel partitioning — are
-//! bank-wise; the index is the only piece that thinks in global ant
-//! ids.
+//! plus a **membership column**: the bank of every global ant id. All
+//! engine operations — stepping, perturbations, checkpointing, parallel
+//! partitioning — are bank-wise; the membership column is the only
+//! piece that thinks in global ant ids.
 //!
-//! ## Index invariants
+//! ## Membership invariants
 //!
 //! For every global ant id `i` and every bank `b` with slot `s`:
 //!
-//! * `index.len()` equals the colony population `n`;
-//! * `index[i] == (b, s)`  ⇔  `banks[b].ants[s] == i` (the two maps are
-//!   mutual inverses);
+//! * the banks' lengths sum to the colony population `n`;
+//! * with two or more banks, `members.len() == n` and
+//!   `members[i] == b`  ⇔  `i` is one of `banks[b].ants`; a one-bank
+//!   colony keeps `members` empty;
 //! * within a bank, `controllers` and `ants` share one length;
-//! * within a bank, `ants` ascends by slot — so a homogeneous colony's
-//!   single bank has `ants[s] == s`, and every kernel walks the
-//!   colony's per-ant columns front to back;
+//! * within a bank, `ants` ascends strictly by slot — so ant `i`'s slot
+//!   is its rank among its bank's ids, a one-bank colony has
+//!   `ants[s] == s`, and every kernel walks the colony's per-ant
+//!   columns front to back;
 //! * banks may be empty (a mix fraction can be killed off entirely) but
 //!   are never dropped, so spawns can always rejoin their sub-spec.
 //!
 //! Kills mirror the colony's swap-removal in global ids: each victim's
 //! id is taken over by the *global* last ant. A kill event applies all
-//! its removals to the two maps first, in the colony's kill order —
-//! O(1) each — and then rewrites the index in one pass and repairs each
-//! bank in one streaming pass (see [`Population::remove_batch`]).
+//! its removals in the colony's kill order, O(1) each, and then repairs
+//! each bank in one streaming pass (see [`Population::remove_batch`]).
 //! Spawns append the largest id, and builds and restores fill slots in
 //! id order, so the order holds through every operation.
 //!
@@ -220,12 +221,13 @@ impl Bank {
     }
 }
 
-/// The banked population: banks plus the stable two-way ant index.
+/// The banked population: banks plus the membership column.
 #[derive(Default)]
 pub(crate) struct Population {
     banks: Vec<Bank>,
-    /// Global ant id → (bank, slot).
-    index: Vec<(u32, u32)>,
+    /// Global ant id → bank; empty for one bank, whose slots are the ids.
+    /// `u16` matches the mix-part cap and the checkpoint column.
+    members: Vec<u16>,
     /// Mixed-colony membership machinery (`None` for homogeneous).
     mix: Option<MixMembership>,
 }
@@ -302,7 +304,7 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 
 /// Where participant `p` of `workers` starts its share of a bank of
 /// `len` ants: the equal split `p · len / workers` rounded up to a
-/// multiple of 16 (16 `u32`s are one 64-byte line of the next-state
+/// multiple of 16 (16 `u32`s are one 64-byte line of the task
 /// column), capped at `len`. `part_boundary(len, 1, workers)` is
 /// `len.div_ceil(workers).next_multiple_of(16)`, so two participants
 /// split a bank at that chunk.
@@ -344,23 +346,16 @@ impl Population {
     }
 
     /// Rebuilds this population in place for `spec` with ants `0..n` —
-    /// the same state whatever it held before — reusing bank and index
-    /// allocations (the engine-reuse fast path for sweeps; shrink keeps
+    /// the same state whatever it held before — reusing bank and
+    /// membership allocations (the engine-reuse fast path for sweeps; shrink keeps
     /// capacity, grow reallocates, a changed bank kind is rebuilt).
     pub fn rebuild_in(&mut self, spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) {
-        // Membership is a pure function of (seed, weights, n); the O(n)
-        // vector is transient, unlike the banks.
-        let members = spec.mix_parts().map(|parts| {
+        // Membership is a pure function of (seed, weights, n).
+        self.members = spec.mix_parts().map_or_else(Vec::new, |parts| {
             let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
             mix_members(seed, &weights, n)
         });
-        self.regroup(
-            spec,
-            seed,
-            num_tasks,
-            members.as_deref().unwrap_or_default(),
-            n,
-        );
+        self.regroup(spec, seed, num_tasks, n);
         debug_assert!(self.check_invariants());
     }
 
@@ -377,7 +372,8 @@ impl Population {
         cols: &AntColumns,
     ) {
         let (k, n) = (colony.num_tasks(), colony.num_ants());
-        self.regroup(spec, seed, k, &cols.members, n);
+        self.members.clone_from(&cols.members);
+        self.regroup(spec, seed, k, n);
         self.reset_to_colony(colony);
         let sigmoid = &cols.sigmoid;
         let sole_bank = self.banks.iter_mut().find(|bank| bank.ants == sigmoid.ids);
@@ -395,51 +391,73 @@ impl Population {
             planes.count2.copy_from_slice(&sigmoid.count2);
             planes.shat1.copy_from_slice(&sigmoid.shat1);
         } else {
-            for (e, &id) in sigmoid.ids.iter().enumerate() {
-                match self.slot_mut(id) {
-                    (ControllerBank::PreciseSigmoid(bank), s) => {
-                        sigmoid.write(e, &mut bank.planes_mut(), s, k);
-                    }
-                    // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
-                    _ => unreachable!("Precise Sigmoid scratch for another kind"),
-                }
-            }
-        }
-        for (&id, scratch) in cols.adversarial_ids.iter().zip(&cols.adversarial) {
-            match self.slot_mut(id) {
-                (ControllerBank::PreciseAdversarial(bank), s) => bank.apply_scratch(s, scratch),
+            self.scatter(&sigmoid.ids, |bank, s, e| match bank {
+                ControllerBank::PreciseSigmoid(b) => sigmoid.write(e, &mut b.planes_mut(), s, k),
                 // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
-                _ => unreachable!("Precise Adversarial scratch for another kind"),
-            }
+                _ => unreachable!("Precise Sigmoid scratch for another kind"),
+            });
         }
-        for (&id, &streak) in cols.streak_ids.iter().zip(&cols.streaks) {
-            match self.slot_mut(id) {
-                (ControllerBank::Proportional(bank), s) => bank.set_streak(s, streak),
-                // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
-                _ => unreachable!("Proportional scratch for another kind"),
-            }
-        }
+        self.scatter(&cols.adversarial_ids, |bank, s, e| match bank {
+            ControllerBank::PreciseAdversarial(bank) => bank.apply_scratch(s, &cols.adversarial[e]),
+            // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
+            _ => unreachable!("Precise Adversarial scratch for another kind"),
+        });
+        self.scatter(&cols.streak_ids, |bank, s, e| match bank {
+            ControllerBank::Proportional(bank) => bank.set_streak(s, cols.streaks[e]),
+            // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
+            _ => unreachable!("Proportional scratch for another kind"),
+        });
         debug_assert!(self.check_invariants());
     }
 
-    /// Ant `id`'s bank controllers and slot.
-    fn slot_mut(&mut self, id: u32) -> (&mut ControllerBank, usize) {
-        let (b, s) = self.index[id as usize];
-        (&mut self.banks[b as usize].controllers, s as usize)
+    /// Ant `id`'s bank (0 in a one-bank colony, which keeps no members).
+    fn bank_of(&self, id: usize) -> usize {
+        self.members.get(id).map_or(0, |&b| b.into())
+    }
+
+    /// Ant `id`'s bank and slot, its rank among the bank's ids (binary
+    /// search).
+    fn locate(&self, id: usize) -> (usize, usize) {
+        let b = self.bank_of(id);
+        let s = self.banks[b].ants.partition_point(|&a| (a as usize) < id);
+        (b, s)
+    }
+
+    /// Calls `apply(controllers, slot, e)` for each entry `e` of the
+    /// ascending `ids`, walking each bank forward 8 ids at a time with
+    /// no branch per id: at most one pass over each bank's ids.
+    fn scatter(&mut self, ids: &[u32], mut apply: impl FnMut(&mut ControllerBank, usize, usize)) {
+        let mut cursor = vec![0; self.banks.len()];
+        for (e, &id) in ids.iter().enumerate() {
+            let b = self.bank_of(id as usize);
+            let (bank, at) = (&mut self.banks[b], &mut cursor[b]);
+            // `id` is in the bank, so a window short of 8 holds it.
+            let mut below = 8;
+            while below == 8 {
+                below = bank.ants[*at..].iter().take(8).filter(|&&a| a < id).count();
+                *at += below;
+            }
+            debug_assert_eq!(bank.ants.get(*at), Some(&id));
+            apply(&mut bank.controllers, *at, e);
+        }
+    }
+
+    /// Every ant's (bank, slot) in global id order: one pass over the
+    /// membership column with a running slot counter per bank.
+    fn slots_in_id_order(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut next = vec![0; self.banks.len()];
+        (0..self.len()).map(move |id| {
+            let b = self.bank_of(id);
+            next[b] += 1;
+            (b, next[b] - 1)
+        })
     }
 
     /// Regroups ants `0..n` into one bank per (sub-)spec — ant `i` of a
-    /// mix joins bank `members[i]`, a homogeneous colony's ants all
-    /// join bank 0 — and rebuilds every bank's controllers fresh for its
-    /// ants, reusing allocations.
-    fn regroup(
-        &mut self,
-        spec: &ControllerSpec,
-        seed: u64,
-        num_tasks: usize,
-        members: &[u16],
-        n: usize,
-    ) {
+    /// mix of two or more parts joins bank `members[i]` (set by the
+    /// caller), a one-bank colony's ants all join bank 0 — and rebuilds
+    /// every bank's controllers fresh for its ants, reusing allocations.
+    fn regroup(&mut self, spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) {
         let parts = spec.mix_parts();
         let sub = |b: usize| parts.map_or(spec, |parts| &parts[b].1);
         let num_banks = parts.map_or(1, <[_]>::len);
@@ -455,28 +473,22 @@ impl Population {
                 ants: Vec::new(),
             });
         }
-        self.index.clear();
-        let mut lens = vec![0u32; num_banks];
-        match parts {
-            Some(_) => {
-                assert_eq!(members.len(), n, "one membership per ant");
-                self.index.extend(members.iter().map(|&b| {
-                    let len = &mut lens[usize::from(b)];
-                    *len += 1;
-                    (u32::from(b), *len - 1)
-                }));
+        if num_banks == 1 {
+            self.members.clear();
+            self.banks[0].ants.extend(0..n as u32);
+        } else {
+            assert_eq!(self.members.len(), n, "one membership per ant");
+            let mut lens = vec![0usize; num_banks];
+            for &b in &self.members {
+                lens[usize::from(b)] += 1;
             }
-            None => {
-                self.index.extend((0..n as u32).map(|s| (0, s)));
-                lens[0] = n as u32;
+            for (bank, &len) in self.banks.iter_mut().zip(&lens) {
+                bank.ants.reserve_exact(len);
             }
-        }
-        for (bank, &len) in self.banks.iter_mut().zip(&lens) {
-            bank.ants.reserve_exact(len as usize);
-        }
-        // Slots fill in global ant order, so each bank's ids ascend.
-        for (i, &(b, _)) in self.index.iter().enumerate() {
-            self.banks[b as usize].ants.push(i as u32);
+            // Slots fill in global ant order, so each bank's ids ascend.
+            for (id, &b) in (0..).zip(&self.members) {
+                self.banks[usize::from(b)].ants.push(id);
+            }
         }
         for (b, bank) in self.banks.iter_mut().enumerate() {
             let sub = sub(b);
@@ -491,7 +503,7 @@ impl Population {
 
     /// Number of ants.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.banks.iter().map(Bank::len).sum()
     }
 
     /// The banks (census, diagnostics).
@@ -502,22 +514,17 @@ impl Population {
     /// The bank index of every ant, in global ant order — the
     /// checkpointed representation of mixed membership.
     pub fn members(&self) -> Vec<u16> {
-        self.index.iter().map(|&(b, _)| b as u16).collect()
-    }
-
-    /// Whether this population carries mixed membership.
-    pub fn is_mixed(&self) -> bool {
-        self.mix.is_some()
+        let mut members = self.members.clone();
+        members.resize(self.len(), 0);
+        members
     }
 
     /// Steps the single ant `i` (the sequential model's round), drawing
     /// from its stream for the round keyed `round_key`.
     pub fn step_one(&mut self, i: usize, prepared: &PreparedRound, round_key: u64) -> Assignment {
-        let (b, s) = self.index[i];
+        let (b, s) = self.locate(i);
         let rng = &mut AntRng::keyed(round_key, i as u64);
-        self.banks[b as usize]
-            .controllers
-            .step_slot(s as usize, prepared.view(), rng)
+        self.banks[b].controllers.step_slot(s, prepared.view(), rng)
     }
 
     /// Forces every controller to its colony assignment (initial
@@ -531,65 +538,91 @@ impl Population {
 
     /// Persistent memory of ant `i`'s controller, in bits.
     pub fn memory_bits(&self, i: usize) -> u32 {
-        let (b, _) = self.index[i];
-        self.banks[b as usize].controllers.memory_bits()
+        self.banks[self.bank_of(i)].controllers.memory_bits()
     }
 
     /// Removes a kill event's victims in the colony's kill order: each
     /// `victims` entry is removed in turn at the id it names at that
-    /// moment. Every removal mirrors the colony's swap-removal — the
-    /// global last ant takes over the victim's id, unless the victim is
-    /// the last ant — so the result is the one a sequence of per-ant
-    /// swap-removals gives, but every bank keeps its ids ascending.
+    /// moment, the global last ant taking over its id (unless it is the
+    /// last ant), as per-ant swap-removals would — but every bank keeps
+    /// its ids ascending.
     ///
-    /// The removals touch only the two maps, O(1) each: the victim's
-    /// bank slot is marked dead in a bitmap and the relocated ant
-    /// relabelled in place. Only ants with ids at or past `len` are
-    /// relocated, and they sit at the end of their banks (the *tail*).
-    /// Once the banks ascend again, an ant's slot is its rank among its
-    /// bank's ids, so one pass over the index in id order writes every
-    /// new slot and meets the relocated ants in the order they rejoin
-    /// their banks. One [`SlotMap`] per bank then keeps the live slots
-    /// before the tail in order and drops each relocated ant in at its
-    /// new slot — into a dead slot when one is there, as it always is in
-    /// a one-bank colony. Applied as run copies to the controller
-    /// columns and ids, it costs at most about one `memmove` of the
-    /// bank.
+    /// Each bank's ids below the final length `len` fill its slots
+    /// `[0, tail)` and are never relabelled; only the `victims.len()`
+    /// tail ants, with ids at or past `len`, take over ids. So each
+    /// removal is O(1), and the victims below `len` are the dead prefix
+    /// ids — exactly the tail survivors' final ids. One ascending pass
+    /// over them, counting each bank's ids below with a sweep over
+    /// `members`, finds every dead slot and relocated ant's new slot.
+    /// One [`SlotMap`] per bank then keeps the live prefix slots in
+    /// order and drops each relocated ant in at its new slot (into a
+    /// dead slot when one is there), at about one `memmove` of the bank.
     pub fn remove_batch(&mut self, victims: &[usize]) {
         if victims.is_empty() {
             return;
         }
-        let len = self.index.len() - victims.len();
+        let (n, num_banks) = (self.len(), self.banks.len());
+        let len = n - victims.len();
         let tails: Vec<usize> = (self.banks.iter())
             .map(|bank| bank.ants.partition_point(|&id| (id as usize) < len))
             .collect();
-        // The dead slots before each bank's tail.
+        // (bank, old slot) of the tail ant holding each id at or past
+        // `len`, and the ids below `len` tail ants take, in kill order.
+        let mut high = vec![(0, 0); victims.len()];
+        for (b, (bank, &tail)) in self.banks.iter().zip(&tails).enumerate() {
+            for (s, &id) in bank.ants.iter().enumerate().skip(tail) {
+                high[id as usize - len] = (b, s);
+            }
+        }
+        let (mut taken, mut dead_ids) = (Vec::new(), vec![0u64; len.div_ceil(64)]);
+        for (last, &victim) in (len..n).rev().zip(victims) {
+            let taker = high[last - len];
+            if victim >= len {
+                high[victim - len] = taker;
+            } else {
+                dead_ids[victim / 64] |= 1 << (victim % 64);
+                taken.push((victim, taker));
+            }
+        }
+        // The tail ant holding each dead id, in id order: the last one
+        // to take it, filed at the id's rank among the dead ids.
+        let mut ranks = vec![0; dead_ids.len() + 1];
+        for (w, word) in dead_ids.iter().enumerate() {
+            ranks[w + 1] = ranks[w] + word.count_ones() as usize;
+        }
+        let mut holders = vec![(0, 0); taken.len()];
+        for &(v, taker) in &taken {
+            let below = dead_ids[v / 64] & ((1 << (v % 64)) - 1);
+            holders[ranks[v / 64] + below.count_ones() as usize] = taker;
+        }
+        // Per bank: the dead slots before its tail, and the (new slot,
+        // old slot) of its relocated ants, ascending. Id `v` dies in bank
+        // `d` and goes to a relocated ant of bank `b`; `below` counts each
+        // bank's ids below `v`: the dead slot in `d`, the slots before
+        // the new one in `b`.
         let mut dead: Vec<Vec<u64>> = tails.iter().map(|&t| vec![0; t.div_ceil(64)]).collect();
-        for &victim in victims {
-            let last = self.index.len() - 1;
-            let (b, s) = self.index[victim];
-            let (b, s) = (b as usize, s as usize);
-            if s < tails[b] {
-                dead[b][s / 64] |= 1 << (s % 64);
-            }
-            let home = self.index[last];
-            self.index.pop();
-            if victim != last {
-                self.index[victim] = home;
-                self.banks[home.0 as usize].ants[home.1 as usize] = victim as u32;
-            }
+        let mut lifted: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_banks];
+        let (mut below, mut dead_before) = (vec![0; num_banks], vec![0; num_banks]);
+        let mut swept = 0;
+        for (v, &(b, from)) in set_bits(&dead_ids).zip(&holders) {
+            let d = if num_banks == 1 {
+                below[0] = v;
+                0
+            } else {
+                for &m in &self.members[swept..v] {
+                    below[usize::from(m)] += 1;
+                }
+                swept = v + 1;
+                usize::from(core::mem::replace(&mut self.members[v], b as u16))
+            };
+            let to = below[b] - dead_before[b] + lifted[b].len();
+            lifted[b].push((to, from));
+            self.banks[b].ants[from] = v as u32;
+            let s = below[d];
+            dead[d][s / 64] |= 1 << (s % 64);
+            (below[d], dead_before[d]) = (s + 1, dead_before[d] + 1);
         }
-        // (new slot, old slot) of each bank's relocated ants, ascending.
-        let mut lifted: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.banks.len()];
-        let mut ranks = vec![0usize; self.banks.len()];
-        for (b, s) in &mut self.index {
-            let (bank, rank) = (*b as usize, ranks[*b as usize]);
-            if *s as usize >= tails[bank] {
-                lifted[bank].push((rank, *s as usize));
-            }
-            *s = rank as u32;
-            ranks[bank] = rank + 1;
-        }
+        self.members.truncate(len);
         let mut map = SlotMap::default();
         let banks = self.banks.iter_mut().zip(tails).zip(&dead);
         for (((bank, tail), dead), lifted) in banks.zip(&lifted) {
@@ -635,26 +668,35 @@ impl Population {
     /// Removes the ant with global id `victim` by swap-removal in its
     /// bank and in global ids — the per-kill removal
     /// [`Population::remove_batch`] replaced, kept as its reference. It
-    /// leaves the bank out of id order.
+    /// leaves the bank out of id order, so it finds slots by linear
+    /// search.
     #[cfg(test)]
     fn remove(&mut self, victim: usize) {
-        let last = self.index.len() - 1;
-        let (b, s) = self.index[victim];
-        let (b, s) = (b as usize, s as usize);
+        let last = self.len() - 1;
+        let slot_of = |p: &Self, id: usize| {
+            let b = p.bank_of(id);
+            (
+                b,
+                p.banks[b]
+                    .ants
+                    .iter()
+                    .position(|&a| a as usize == id)
+                    .unwrap(),
+            )
+        };
+        let (b, s) = slot_of(self, victim);
         let bank = &mut self.banks[b];
         let map = SlotMap::swap_remove(bank.len(), s);
         bank.controllers.apply_slot_map(&map);
         bank.ants.swap_remove(s);
-        if s < bank.ants.len() {
-            // The bank's last ant moved into slot `s`.
-            self.index[bank.ants[s] as usize] = (b as u32, s as u32);
-        }
         if victim != last {
-            let home = self.index[last];
-            self.index[victim] = home;
-            self.banks[home.0 as usize].ants[home.1 as usize] = victim as u32;
+            let (b, s) = slot_of(self, last);
+            self.banks[b].ants[s] = victim as u32;
+            if !self.members.is_empty() {
+                self.members[victim] = self.members[last];
+            }
         }
-        self.index.pop();
+        self.members.truncate(last);
     }
 
     /// Appends a freshly spawned ant (global id `len()`) with spawn
@@ -665,12 +707,14 @@ impl Population {
             None => 0,
             Some(mix) => mix.pick_spawn(stream),
         };
-        let id = self.index.len() as u32;
+        let id = self.len() as u32;
+        if self.banks.len() > 1 {
+            self.members.push(b as u16);
+        }
         let bank = &mut self.banks[b];
         // A fresh slot in the bank's columns (desync spawns get offset
         // 0, matching the pre-bank engines).
         bank.controllers.push_fresh();
-        self.index.push((b as u32, bank.ants.len() as u32));
         bank.ants.push(id);
         debug_assert!(self.check_invariants());
     }
@@ -679,14 +723,14 @@ impl Population {
     /// (see [`AntColumns`]).
     pub fn capture(&self, num_tasks: usize) -> AntColumns {
         let mut cols = AntColumns::default();
-        if self.is_mixed() {
+        if self.mix.is_some() {
             cols.members = self.members();
         }
         // Each kind's rows ascend by ant id. A kind living in one bank
         // copies that bank's planes whole, since its ants ascend; a kind
         // spread over several banks takes one branch-free pass over the
-        // index that picks its ants in id order, and their rows are
-        // gathered. The pass compares plain bytes: comparing `Option`s
+        // membership column that picks its ants in id order, and their
+        // rows are gathered. The pass compares plain bytes: comparing `Option`s
         // branched, and mispredicted, once per ant.
         let kinds: Vec<u8> = self
             .banks
@@ -715,12 +759,12 @@ impl Population {
             // only, so one spare slot suffices.
             let mut picks = vec![(0, 0, 0); len + 1];
             let mut end = 0;
-            for (id, &(b, s)) in self.index.iter().enumerate() {
-                picks[end] = (id as u32, b, s);
-                end += usize::from(kinds[b as usize] == kind);
+            for (id, (b, s)) in (0..).zip(self.slots_in_id_order()) {
+                picks[end] = (id, b, s);
+                end += usize::from(kinds[b] == kind);
             }
             for &(id, b, s) in &picks[..end] {
-                cols.capture_row(&self.banks[b as usize], id, s as usize, num_tasks);
+                cols.capture_row(&self.banks[b], id, s, num_tasks);
             }
         }
         cols
@@ -731,13 +775,9 @@ impl Population {
     /// against).
     #[cfg(test)]
     pub fn scratches(&self) -> Vec<(u32, antalloc_core::ControllerScratch)> {
-        self.index
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &(b, s))| {
-                let scratch = self.banks[b as usize].controllers.scratch(s as usize)?;
-                Some((i as u32, scratch))
-            })
+        (0..)
+            .zip(self.slots_in_id_order())
+            .filter_map(|(i, (b, s))| Some((i, self.banks[b].controllers.scratch(s)?)))
             .collect()
     }
 
@@ -745,9 +785,8 @@ impl Population {
     /// global ant order — the reference representation the bank
     /// equivalence tests and the pre-bank baseline replay use.
     pub fn reference_controllers(&self) -> Vec<AnyController> {
-        self.index
-            .iter()
-            .map(|&(b, s)| self.banks[b as usize].controllers.to_any(s as usize))
+        self.slots_in_id_order()
+            .map(|(b, s)| self.banks[b].controllers.to_any(s))
             .collect()
     }
 
@@ -769,7 +808,7 @@ impl Population {
     /// its per-round cost — equal, and each share is within one block
     /// of `len / workers`. Every bank's slots ascend by id, so a
     /// homogeneous colony's participants write contiguous stretches of
-    /// the next-state column, and a mix's participants, whose banks
+    /// the task column, and a mix's participants, whose banks
     /// interleave over shuffled members, write mostly, not strictly,
     /// separate stretches — before and after any number of kills.
     /// Parts of a bank smaller than `16 · workers` may be empty.
@@ -807,25 +846,20 @@ impl Population {
         parts
     }
 
-    /// Full invariant check (debug asserts and tests).
+    /// Full invariant check (debug asserts and tests). With the lengths
+    /// summing to `n`, strictly ascending ids and each id's membership
+    /// naming the bank that holds it, the banks hold `0..n` once each.
     pub fn check_invariants(&self) -> bool {
-        if self.index.len() != self.banks.iter().map(Bank::len).sum::<usize>() {
-            return false;
-        }
-        for (b, bank) in self.banks.iter().enumerate() {
-            if bank.controllers.len() != bank.ants.len() {
-                return false;
-            }
-            if !bank.ants.is_sorted_by(|a, b| a < b) {
-                return false;
-            }
-            for (s, &id) in bank.ants.iter().enumerate() {
-                if self.index.get(id as usize) != Some(&(b as u32, s as u32)) {
-                    return false;
-                }
-            }
-        }
-        true
+        let (n, one_bank) = (self.len(), self.banks.len() == 1);
+        self.members.len() == if one_bank { 0 } else { n }
+            && self.banks.iter().enumerate().all(|(b, bank)| {
+                bank.controllers.len() == bank.ants.len()
+                    && bank.ants.is_sorted_by(|x, y| x < y)
+                    && bank.ants.iter().all(|&id| match one_bank {
+                        true => (id as usize) < n,
+                        false => self.members.get(id as usize) == Some(&(b as u16)),
+                    })
+            })
     }
 }
 
@@ -839,7 +873,8 @@ mod tests {
     /// A population over an explicit membership vector.
     fn from_members(spec: &ControllerSpec, seed: u64, k: usize, members: &[u16]) -> Population {
         let mut p = Population::build(spec, seed, k, 0);
-        p.regroup(spec, seed, k, members, members.len());
+        p.members = members.to_vec();
+        p.regroup(spec, seed, k, members.len());
         p
     }
 
@@ -896,10 +931,16 @@ mod tests {
     fn invariants_reject_a_bank_out_of_id_order() {
         let mut p = Population::build(&ControllerSpec::Trivial, 1, 2, 4);
         assert!(p.check_invariants());
-        // The two maps stay mutual inverses; only the order breaks.
+        // The bank still holds every id once; only the order breaks.
         p.banks[0].ants.swap(1, 2);
-        p.index.swap(1, 2);
         assert!(!p.check_invariants());
+        p.banks[0].ants.swap(1, 2);
+        assert!(p.check_invariants());
+        // A mix whose membership names the wrong bank for one ant.
+        let mut q = from_members(&mix_spec(), 1, 2, &[0, 1, 2, 0]);
+        assert!(q.check_invariants());
+        q.members[3] = 1;
+        assert!(!q.check_invariants());
     }
 
     /// Partitions a population whose bank `b` holds `sizes[b]` ants
@@ -1000,11 +1041,10 @@ mod tests {
     type AntMap = Vec<(u32, Option<ControllerScratch>, Assignment)>;
 
     fn ant_map(p: &Population) -> AntMap {
-        (p.index.iter())
-            .map(|&(b, s)| {
-                let controllers = &p.banks[b as usize].controllers;
-                let s = s as usize;
-                (b, controllers.scratch(s), controllers.assignment(s))
+        (p.slots_in_id_order())
+            .map(|(b, s)| {
+                let controllers = &p.banks[b].controllers;
+                (b as u32, controllers.scratch(s), controllers.assignment(s))
             })
             .collect()
     }
@@ -1012,7 +1052,7 @@ mod tests {
     /// Puts every bank of `p` back in id order by a plain gather through
     /// the per-ant controllers, leaving the id → ant map as it was.
     fn sort_banks(p: &mut Population) {
-        for (b, bank) in p.banks.iter_mut().enumerate() {
+        for bank in &mut p.banks {
             if bank.ants.is_empty() {
                 continue;
             }
@@ -1020,9 +1060,6 @@ mod tests {
             order.sort_by_key(|&s| bank.ants[s]);
             bank.controllers = order.iter().map(|&s| bank.controllers.to_any(s)).collect();
             bank.ants = order.iter().map(|&s| bank.ants[s]).collect();
-            for (s, &id) in bank.ants.iter().enumerate() {
-                p.index[id as usize] = (b as u32, s as u32);
-            }
         }
     }
 
@@ -1108,6 +1145,82 @@ mod tests {
                 }
                 proptest::prop_assert!(batch.check_invariants(), "event {}", round);
                 proptest::prop_assert_eq!(ant_map(&batch), ant_map(&reference), "event {}", round);
+            }
+        }
+    }
+
+    /// A colony of `banks` banks cycling through five kinds: a
+    /// homogeneous colony or a one-part mix for one bank.
+    fn banked_spec(banks: usize, one_part_mix: bool) -> ControllerSpec {
+        let kinds = [
+            ControllerSpec::Ant(AntParams::default()),
+            ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
+            ControllerSpec::Proportional(ProportionalParams::default()),
+            ControllerSpec::ExactGreedy(Default::default()),
+            ControllerSpec::Trivial,
+        ];
+        if banks == 1 && !one_part_mix {
+            return kinds[0].clone();
+        }
+        ControllerSpec::Mix(
+            (0..banks)
+                .map(|b| (1.0 + b as f64, kinds[b % 5].clone()))
+                .collect(),
+        )
+    }
+
+    proptest::proptest! {
+        /// Over random kill, spawn and scramble sequences on colonies of
+        /// one to five banks, the membership invariants hold, every id's
+        /// binary-searched slot is its linear position in its bank, and
+        /// the membership column rebuilds the same banks.
+        #[test]
+        fn membership_locates_every_ant_through_kills_and_spawns(
+            banks in 1usize..6,
+            one_part_mix: bool,
+            n in 1usize..300,
+            seed: u64,
+            events in proptest::collection::vec((0usize..3, 0usize..1000), 1..12),
+        ) {
+            let (spec, k) = (banked_spec(banks, one_part_mix), 3);
+            let mut p = Population::build(&spec, seed, k, n);
+            let mut colony = ColonyState::new(n, DemandVector::new(vec![(n / 6) as u64 + 1; k]));
+            let mut rng = StreamSeeder::new(seed).stream(reserved::EVENT);
+            let mut next_stream = n as u64;
+            for (event, &(kind, size)) in events.iter().enumerate() {
+                match kind {
+                    0 => {
+                        let count = size % colony.num_ants();
+                        let victims = Perturbation::KillRandom { count }.apply(&mut colony, &mut rng);
+                        p.remove_batch(&victims);
+                    }
+                    1 => {
+                        let count = size % 64;
+                        Perturbation::Spawn { count }.apply(&mut colony, &mut rng);
+                        for _ in 0..count {
+                            p.spawn(next_stream);
+                            next_stream += 1;
+                        }
+                    }
+                    _ => {
+                        Perturbation::Scramble.apply(&mut colony, &mut rng);
+                        p.reset_to_colony(&colony);
+                    }
+                }
+                proptest::prop_assert!(p.check_invariants(), "event {}", event);
+                proptest::prop_assert_eq!(p.len(), colony.num_ants());
+                for id in 0..p.len() {
+                    let linear = (p.banks.iter().enumerate())
+                        .find_map(|(b, bank)| Some((b, bank.ants.iter().position(|&a| a as usize == id)?)));
+                    proptest::prop_assert_eq!(Some(p.locate(id)), linear, "id {}", id);
+                }
+                let members = p.members();
+                let q = from_members(&spec, seed, k, &members);
+                proptest::prop_assert!(q.check_invariants());
+                proptest::prop_assert_eq!(q.members(), members);
+                for (a, b) in p.banks.iter().zip(&q.banks) {
+                    proptest::prop_assert_eq!(&a.ants, &b.ants);
+                }
             }
         }
     }
