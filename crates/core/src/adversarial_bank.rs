@@ -1,30 +1,56 @@
 //! Structure-of-arrays bank for Appendix C Algorithm Precise
-//! Adversarial: every phase tracker a column, the per-task unanimous-
-//! lack bits an `n × k` plane (each ant's `k`-row contiguous) — the
-//! fields [`AdversarialScratch`] names, so a checkpoint inside the
-//! `5·r_1`-round phase resumes bit-identically.
+//! Adversarial: two `u16` task columns and one bit row per ant holding
+//! the per-task unanimous-lack bits and every phase tracker (see
+//! [`crate::bit_row`]) — the fields [`AdversarialScratch`] names, so a
+//! checkpoint inside the `5·r_1`-round phase resumes bit-identically.
+//! For `k ≤ 64` the idle path ANDs its sampled lack mask into the row
+//! in one pass.
 //!
 //! **Reference semantics.** [`crate::PreciseAdversarial`] is the truth;
 //! the bank consumes every ant's RNG stream in exactly the order
 //! `Controller::step` would (the idle path's full-vector sample through
-//! the batched [`RoundView::fill_lack`]), so bank runs are bit-identical
-//! to per-ant runs.
+//! the batched [`RoundView::lack_mask`] / [`RoundView::fill_lack`]), so
+//! bank runs are bit-identical to per-ant runs.
 
 use antalloc_env::Assignment;
 use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, IDLE};
+use crate::ant_bank::{nth_set_bit, nth_where, scratch_row};
 use crate::bank::{split_chunk, Stepping};
+use crate::bit_row;
+use crate::cast::{dec, enc, task_ix, wide, IDLE};
 use crate::controller::Controller;
 use crate::params::PreciseAdversarialParams;
 use crate::precise_adversarial::{AdversarialScratch, PreciseAdversarial};
 use crate::slot_map::SlotMap;
 
-/// `first_lack` encoding of `working_at_first_lack`: no lack seen yet,
-/// then idle or working at the first ramp `lack` (the checkpoint's
-/// tri-state).
-const NO_LACK: u8 = 0;
+/// Bits of a Precise Adversarial row past the `k` unanimous-lack bits:
+/// the phase-observed-from-start flag.
+const HAVE_PHASE: usize = 0;
+/// Working path: every sample this phase said `overload`.
+const ALL_OVERLOAD: usize = 1;
+/// The frozen sub-phase-2 behaviour: work.
+const FROZEN_WORKING: usize = 2;
+/// `working_at_first_lack` is `Some` (a ramp `lack` was seen) …
+const LACKED: usize = 3;
+/// … and the ant was working at it.
+const LACKED_WORKING: usize = 4;
+/// Flag bits per row.
+const FLAGS: usize = 5;
+
+/// The section of its phase a round falls in (`r = round mod
+/// phase_len`), each stepped by its own loop: `r = 1` resets the
+/// trackers and opens the ramp (or, with `r_1 = 1`, is the freeze)…
+const START: u8 = 0;
+/// … `1 < r < r_1`, the rest of the ramp …
+const RAMP: u8 = 1;
+/// … `r = r_1`, the freeze …
+const FREEZE: u8 = 2;
+/// … `r = 0`, the phase end …
+const END: u8 = 3;
+/// … and `r_1 < r < phase_len`, the frozen sub-phase.
+const FROZEN: u8 = 4;
 
 /// A homogeneous Precise Adversarial population in structure-of-arrays
 /// layout.
@@ -36,21 +62,13 @@ pub struct PreciseAdversarialBank {
     ramp: Bernoulli,
     num_tasks: usize,
     /// `currentTask` per ant (`IDLE` when idle).
-    current: Vec<u32>,
+    current: Vec<u16>,
     /// Output assignment `a_t` per ant.
-    assignment: Vec<u32>,
-    /// Phase-observed-from-start flag per ant.
-    have_phase: Vec<u8>,
-    /// Idle path: 1 iff every sample of the task this phase said
-    /// `lack`, ant-major `num_tasks` entries per ant.
-    all_lack: Vec<u8>,
-    /// Working path: 1 iff every sample this phase said `overload`.
-    all_overload: Vec<u8>,
-    /// `working_at_first_lack` as a tri-state: [`NO_LACK`], 1 (idle)
-    /// or 2 (working).
-    first_lack: Vec<u8>,
-    /// The frozen sub-phase-2 behaviour: 1 = work.
-    frozen: Vec<u8>,
+    assignment: Vec<u16>,
+    /// One bit row per ant: bit `j < k` is 1 iff every sample of task
+    /// `j` this phase said `lack` (idle path), then the [`FLAGS`]
+    /// trackers.
+    bits: Vec<u8>,
 }
 
 impl PreciseAdversarialBank {
@@ -64,11 +82,7 @@ impl PreciseAdversarialBank {
             num_tasks,
             current: Vec::new(),
             assignment: Vec::new(),
-            have_phase: Vec::new(),
-            all_lack: Vec::new(),
-            all_overload: Vec::new(),
-            first_lack: Vec::new(),
-            frozen: Vec::new(),
+            bits: Vec::new(),
         };
         bank.reinit(num_tasks, params, n);
         bank
@@ -88,16 +102,21 @@ impl PreciseAdversarialBank {
         self.resize(n);
     }
 
+    /// Bytes per bit row.
+    fn row_width(&self) -> usize {
+        bit_row::width(self.num_tasks + FLAGS)
+    }
+
     /// Truncates or extends every column to `n` ants, new ants fresh
-    /// and idle.
+    /// and idle: every task unanimous-lack, all-overload, no phase.
     fn resize(&mut self, n: usize) {
+        let k = self.num_tasks;
         self.current.resize(n, IDLE);
         self.assignment.resize(n, IDLE);
-        self.have_phase.resize(n, 0);
-        self.all_lack.resize(n * self.num_tasks, 1);
-        self.all_overload.resize(n, 1);
-        self.first_lack.resize(n, NO_LACK);
-        self.frozen.resize(n, 0);
+        let mut fresh = vec![0u8; self.row_width()];
+        bit_row::fill_ones(&mut fresh, k);
+        bit_row::set(&mut fresh, k + ALL_OVERLOAD, true);
+        bit_row::resize_rows(&mut self.bits, n, &fresh);
     }
 
     /// Appends a fresh idle ant (a spawn).
@@ -113,6 +132,14 @@ impl PreciseAdversarialBank {
     /// True iff the bank holds no ants.
     pub fn is_empty(&self) -> bool {
         self.current.is_empty()
+    }
+
+    /// Bytes the bank's per-ant columns hold.
+    #[cfg(test)]
+    pub(crate) fn column_bytes(&self) -> usize {
+        size_of_val(&self.current[..])
+            + size_of_val(&self.assignment[..])
+            + size_of_val(&self.bits[..])
     }
 
     /// Appends a per-ant controller, transposing its state in.
@@ -133,23 +160,25 @@ impl PreciseAdversarialBank {
         ant
     }
 
+    /// The bit row of the ant at `slot`, mutably.
+    fn row_mut(&mut self, slot: usize) -> &mut [u8] {
+        let w = self.row_width();
+        &mut self.bits[slot * w..slot * w + w]
+    }
+
     /// The mid-phase trackers of the ant at `slot` (see
     /// [`AdversarialScratch`]).
     pub fn scratch(&self, slot: usize) -> AdversarialScratch {
-        let k = self.num_tasks;
+        let (k, w) = (self.num_tasks, self.row_width());
+        let row = &self.bits[slot * w..slot * w + w];
+        let flag = |f: usize| bit_row::get(row, k + f);
         AdversarialScratch {
             current_task: dec(self.current[slot]),
-            have_phase: self.have_phase[slot] == 1,
-            all_lack: self.all_lack[slot * k..slot * k + k]
-                .iter()
-                .map(|&b| b == 1)
-                .collect(),
-            all_overload: self.all_overload[slot] == 1,
-            working_at_first_lack: match self.first_lack[slot] {
-                NO_LACK => None,
-                w => Some(w == 2),
-            },
-            frozen_working: self.frozen[slot] == 1,
+            have_phase: flag(HAVE_PHASE),
+            all_lack: (0..k).map(|j| bit_row::get(row, j)).collect(),
+            all_overload: flag(ALL_OVERLOAD),
+            working_at_first_lack: flag(LACKED).then(|| flag(LACKED_WORKING)),
+            frozen_working: flag(FROZEN_WORKING),
         }
     }
 
@@ -162,16 +191,19 @@ impl PreciseAdversarialBank {
         let k = self.num_tasks;
         assert_eq!(s.all_lack.len(), k, "task count mismatch");
         self.current[slot] = enc(s.current_task);
-        self.have_phase[slot] = u8::from(s.have_phase);
-        for (to, &lack) in self.all_lack[slot * k..slot * k + k]
-            .iter_mut()
-            .zip(&s.all_lack)
-        {
-            *to = u8::from(lack);
+        let row = self.row_mut(slot);
+        for (j, &lack) in s.all_lack.iter().enumerate() {
+            bit_row::set(row, j, lack);
         }
-        self.all_overload[slot] = u8::from(s.all_overload);
-        self.first_lack[slot] = s.working_at_first_lack.map_or(NO_LACK, |w| 1 + u8::from(w));
-        self.frozen[slot] = u8::from(s.frozen_working);
+        bit_row::set(row, k + HAVE_PHASE, s.have_phase);
+        bit_row::set(row, k + ALL_OVERLOAD, s.all_overload);
+        bit_row::set(row, k + LACKED, s.working_at_first_lack.is_some());
+        bit_row::set(
+            row,
+            k + LACKED_WORKING,
+            s.working_at_first_lack == Some(true),
+        );
+        bit_row::set(row, k + FROZEN_WORKING, s.frozen_working);
     }
 
     /// The assignment of the ant at `slot`.
@@ -185,12 +217,14 @@ impl PreciseAdversarialBank {
         let x = enc(a);
         self.assignment[slot] = x;
         self.current[slot] = x;
-        self.have_phase[slot] = 0;
+        let k = self.num_tasks;
+        bit_row::set(self.row_mut(slot), k + HAVE_PHASE, false);
     }
 
     /// Persistent memory in bits (same accounting as the per-ant impl).
     pub fn memory_bits(&self) -> u32 {
-        let k = crate::cast::task_col(self.num_tasks);
+        // Task counts are at most MAX_TASKS, far below u32::MAX.
+        let k = u32::try_from(self.num_tasks).unwrap_or(u32::MAX);
         crate::memory::bits_for_states(self.num_tasks + 1) + k + 5
     }
 
@@ -199,11 +233,8 @@ impl PreciseAdversarialBank {
     pub fn apply_slot_map(&mut self, map: &SlotMap) {
         map.apply(&mut self.current);
         map.apply(&mut self.assignment);
-        map.apply(&mut self.have_phase);
-        map.apply_rows(&mut self.all_lack, self.num_tasks);
-        map.apply(&mut self.all_overload);
-        map.apply(&mut self.first_lack);
-        map.apply(&mut self.frozen);
+        let w = self.row_width();
+        map.apply_rows(&mut self.bits, w);
     }
 
     /// The whole bank as a splittable mutable slice.
@@ -213,13 +244,10 @@ impl PreciseAdversarialBank {
             phase_len: self.phase_len,
             ramp: self.ramp,
             num_tasks: self.num_tasks,
+            width: self.row_width(),
             current: &mut self.current,
             assignment: &mut self.assignment,
-            have_phase: &mut self.have_phase,
-            all_lack: &mut self.all_lack,
-            all_overload: &mut self.all_overload,
-            first_lack: &mut self.first_lack,
-            frozen: &mut self.frozen,
+            bits: &mut self.bits,
         }
     }
 }
@@ -231,13 +259,11 @@ pub struct AdversarialSliceMut<'a> {
     phase_len: u64,
     ramp: Bernoulli,
     num_tasks: usize,
-    current: &'a mut [u32],
-    assignment: &'a mut [u32],
-    have_phase: &'a mut [u8],
-    all_lack: &'a mut [u8],
-    all_overload: &'a mut [u8],
-    first_lack: &'a mut [u8],
-    frozen: &'a mut [u8],
+    /// Bytes per bit row.
+    width: usize,
+    current: &'a mut [u16],
+    assignment: &'a mut [u16],
+    bits: &'a mut [u8],
 }
 
 impl<'a> AdversarialSliceMut<'a> {
@@ -248,111 +274,128 @@ impl<'a> AdversarialSliceMut<'a> {
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (AdversarialSliceMut<'a>, AdversarialSliceMut<'a>) {
-        let k = self.num_tasks;
-        split_chunk!(self => AdversarialSliceMut { r1, phase_len, ramp, num_tasks }
-            current: mid, assignment: mid, have_phase: mid, all_lack: mid * k,
-            all_overload: mid, first_lack: mid, frozen: mid)
+        let w = self.width;
+        split_chunk!(self => AdversarialSliceMut { r1, phase_len, ramp, num_tasks, width }
+            current: mid, assignment: mid, bits: mid * w)
     }
 
     /// Steps every ant in the chunk through `stepping`; bit-identical to
     /// per-ant [`Controller::step`] on [`PreciseAdversarial`]: ant `i`'s
     /// round at phase position `r = round mod phase_len`, computed once
-    /// for the whole chunk (all ants share the global clock). The
-    /// reference's pending first lack is the local `lacked`: it is set
-    /// and classified only in the ramp (`1 ≤ r < r_1`), so it never
+    /// for the whole chunk (all ants share the global clock), which
+    /// picks the section of the phase and with it one monomorphic loop.
+    pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
+        let r = stepping.round() % self.phase_len;
+        match r {
+            0 => self.run::<END>(stepping, r),
+            1 => self.run::<START>(stepping, r),
+            r if r < self.r1 => self.run::<RAMP>(stepping, r),
+            r if r == self.r1 => self.run::<FREEZE>(stepping, r),
+            _ => self.run::<FROZEN>(stepping, r),
+        }
+    }
+
+    /// The chunk loop for rounds of phase section `S` at position `r`.
+    /// The reference's pending first lack is the local `lacked`: it is
+    /// set and classified only in the ramp (`1 ≤ r < r_1`), so it never
     /// outlives the round. The columns are bound to locals first, so the
     /// loop keeps them in registers across its byte stores.
-    pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
-        let (r1, ramp, k) = (self.r1, self.ramp, self.num_tasks);
-        let r = stepping.round() % self.phase_len;
-        let current: &mut [u32] = self.current;
-        let assignment: &mut [u32] = self.assignment;
-        let have_phase: &mut [u8] = self.have_phase;
-        let all_lack: &mut [u8] = self.all_lack;
-        let all_overload: &mut [u8] = self.all_overload;
-        let first_lack: &mut [u8] = self.first_lack;
-        let frozen: &mut [u8] = self.frozen;
-        let mut row = crate::flat_bank::scratch_row(k);
+    #[inline(always)]
+    fn run<const S: u8>(&mut self, stepping: Stepping<'_, '_>, r: u64) {
+        let (r1, ramp, k, w) = (self.r1, self.ramp, self.num_tasks, self.width);
+        // Round 1 opens the ramp, or with r_1 = 1 is the freeze itself.
+        let in_ramp = S == RAMP || (S == START && r < r1);
+        let in_freeze = S == FREEZE || (S == START && r == r1);
+        let current: &mut [u16] = self.current;
+        let assignment: &mut [u16] = self.assignment;
+        let bits: &mut [u8] = self.bits;
+        let mut scratch = scratch_row(k);
         stepping.run(
             current.len(),
             #[inline(always)]
             |i, view: RoundView<'_>, rng: &mut AntRng| {
-                let lacks = i * k..i * k + k;
-                if r == 1 {
+                let row = &mut bits[i * w..i * w + w];
+                if S == START {
                     // Phase start: adopt a_{t−1}, reset trackers.
                     current[i] = assignment[i];
-                    all_lack[lacks.clone()].fill(1);
-                    all_overload[i] = 1;
-                    first_lack[i] = NO_LACK;
-                    frozen[i] = 0;
-                    have_phase[i] = 1;
+                    row.fill(0);
+                    bit_row::fill_ones(row, k);
+                    bit_row::set(row, k + ALL_OVERLOAD, true);
+                    bit_row::set(row, k + HAVE_PHASE, true);
                 }
-                if have_phase[i] == 0 {
+                if !bit_row::get(row, k + HAVE_PHASE) {
                     return dec(assignment[i]);
                 }
                 let cur = current[i];
                 let mut lacked = false;
                 if cur != IDLE {
-                    lacked = view.sample(crate::cast::task_ix(cur), rng).is_lack();
-                    all_overload[i] &= u8::from(!lacked);
+                    lacked = view.sample(task_ix(cur), rng).is_lack();
+                    if lacked {
+                        bit_row::set(row, k + ALL_OVERLOAD, false);
+                    }
+                } else if k <= 64 {
+                    // Tasks that said `overload` lose their unanimity.
+                    bit_row::and(row, k, view.lack_mask(rng));
                 } else {
-                    let all_lack = &mut all_lack[lacks.clone()];
-                    if k <= 64 {
-                        // Clear the tasks that said `overload`; most rows are
-                        // already clear after the first few rounds.
-                        let overload = !view.lack_mask(rng);
-                        for (j, all) in all_lack.iter_mut().enumerate() {
-                            if *all == 1 && overload >> j & 1 == 1 {
-                                *all = 0;
-                            }
-                        }
-                    } else {
-                        view.fill_lack(rng, &mut row);
-                        for (all, &lack) in all_lack.iter_mut().zip(row.iter()) {
-                            *all &= lack;
+                    view.fill_lack(rng, &mut scratch);
+                    for (j, &lack) in scratch.iter().enumerate() {
+                        if lack == 0 {
+                            bit_row::set(row, j, false);
                         }
                     }
                 }
-                if (1..r1).contains(&r) {
+                if in_ramp {
                     // Ramp (its first round only samples): still-working ants
                     // pause w.p. εγ/32 and stay paused.
-                    if r >= 2 && cur != IDLE && assignment[i] == cur && ramp.sample(rng) {
+                    if S != START && cur != IDLE && assignment[i] == cur && ramp.sample(rng) {
                         assignment[i] = IDLE;
                     }
                     // A first lack is classified after the pause decision: was
                     // the ant still working?
-                    if lacked && first_lack[i] == NO_LACK {
-                        first_lack[i] = 1 + u8::from(assignment[i] == cur);
+                    if lacked && !bit_row::get(row, k + LACKED) {
+                        bit_row::set(row, k + LACKED, true);
+                        bit_row::set(row, k + LACKED_WORKING, assignment[i] == cur);
                     }
-                } else if r == r1 {
+                } else if in_freeze {
                     // Freeze the sub-phase-2 behaviour at r_min's state.
                     if cur != IDLE {
-                        let working = match first_lack[i] {
-                            NO_LACK => assignment[i] == cur,
-                            w => w == 2,
+                        let working = if bit_row::get(row, k + LACKED) {
+                            bit_row::get(row, k + LACKED_WORKING)
+                        } else {
+                            assignment[i] == cur
                         };
-                        frozen[i] = u8::from(working);
+                        bit_row::set(row, k + FROZEN_WORKING, working);
                         assignment[i] = if working { cur } else { IDLE };
                     }
-                } else if r == 0 {
+                } else if S == END {
                     // Phase end: unanimous-signal decisions.
                     if cur == IDLE {
-                        let all_lack = &all_lack[lacks];
-                        assignment[i] = match count_lacking(all_lack) {
-                            0 => IDLE,
-                            count => nth_lacking(all_lack, uniform_index(rng, count)),
+                        assignment[i] = if k <= 64 {
+                            match bit_row::load(row, k) {
+                                0 => IDLE,
+                                all => nth_set_bit(all, uniform_index(rng, wide(all.count_ones()))),
+                            }
+                        } else {
+                            match bit_row::count(row, k) {
+                                0 => IDLE,
+                                count => nth_where(k, uniform_index(rng, count), |j| {
+                                    bit_row::get(row, j)
+                                }),
+                            }
                         };
-                    } else if all_overload[i] == 1 && ramp.sample(rng) {
+                    } else if bit_row::get(row, k + ALL_OVERLOAD) && ramp.sample(rng) {
                         assignment[i] = IDLE;
                     } else {
                         assignment[i] = cur;
                     }
-                    have_phase[i] = 0;
-                } else {
+                    bit_row::set(row, k + HAVE_PHASE, false);
+                } else if cur != IDLE {
                     // Frozen sub-phase (r in (r1, phase_len−1]): replay r_min.
-                    if cur != IDLE {
-                        assignment[i] = if frozen[i] == 1 { cur } else { IDLE };
-                    }
+                    assignment[i] = if bit_row::get(row, k + FROZEN_WORKING) {
+                        cur
+                    } else {
+                        IDLE
+                    };
                 }
                 dec(assignment[i])
             },

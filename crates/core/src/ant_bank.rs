@@ -3,9 +3,10 @@
 //! A million-ant Ant colony is memory-bound: stepping a `Vec` of
 //! per-ant structs streams ~200 bytes per ant per round (struct, two
 //! heap sample buffers). This bank transposes the persistent state into
-//! flat arrays — ~13 bytes per ant, with the ant's draws built on the
-//! stack from its round stream — and hoists the phase-parity branch and the shared pause/leave samplers out of the
-//! loop.
+//! flat arrays — two `u16` task columns and one bit row of ⌈(k + 2)/8⌉
+//! bytes per ant (5 bytes at `k` = 4), with the ant's draws built on
+//! the stack from its round stream — and hoists the phase-parity branch
+//! and the shared pause/leave samplers out of the loop.
 //!
 //! **Reference semantics.** [`crate::AlgorithmAnt`] is the truth;
 //! [`AntBank`] must consume every ant's RNG stream in exactly the order
@@ -27,38 +28,18 @@ use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant::AlgorithmAnt;
 use crate::bank::{split_chunk, Stepping};
+use crate::bit_row;
+use crate::cast::{dec, enc, task_col, task_ix, wide, IDLE};
 use crate::params::AntParams;
 use crate::slot_map::SlotMap;
 
-/// `current`/`assignment` encoding: task index, or `IDLE`. Shared by
-/// every structure-of-arrays bank (see also [`crate::ExactGreedyBank`],
-/// [`crate::PreciseSigmoidBank`], [`crate::PreciseAdversarialBank`]) — and,
-/// by construction, identical to [`Assignment::RAW_IDLE`], so bank
-/// columns write into the engine's fused [`antalloc_env::TaskColumn`]
-/// without re-encoding.
-pub(crate) const IDLE: u32 = Assignment::RAW_IDLE;
-
+/// The `pick`-th (0-based) set bit of `mask`, as a task column value.
 #[inline(always)]
-pub(crate) fn enc(a: Assignment) -> u32 {
-    a.to_raw()
-}
-
-#[inline(always)]
-pub(crate) fn dec(x: u32) -> Assignment {
-    Assignment::from_raw(x)
-}
-
-/// The `pick`-th (0-based) set bit of `mask`, as a bit index.
-///
-/// Returns `u32` — the native width of `trailing_zeros`, and the width
-/// of the assignment columns the callers store into — so no call site
-/// needs a narrowing cast.
-#[inline(always)]
-pub(crate) fn nth_set_bit(mut mask: u64, pick: usize) -> u32 {
+pub(crate) fn nth_set_bit(mut mask: u64, pick: usize) -> u16 {
     for _ in 0..pick {
         mask &= mask - 1;
     }
-    mask.trailing_zeros()
+    task_col(wide(mask.trailing_zeros()))
 }
 
 /// Number of `lack` entries in a `0/1` signal row.
@@ -71,14 +52,30 @@ pub(crate) fn count_lacking(row: &[u8]) -> usize {
 /// order — the same selection the per-ant reference controllers make
 /// with `filter(..).nth(pick)`.
 #[inline(always)]
-pub(crate) fn nth_lacking(row: &[u8], pick: usize) -> u32 {
-    row.iter()
-        .enumerate()
-        .filter(|(_, &l)| l == 1)
+pub(crate) fn nth_lacking(row: &[u8], pick: usize) -> u16 {
+    nth_where(row.len(), pick, |j| row[j] == 1)
+}
+
+/// The `pick`-th (0-based) task `j < k` with `hit(j)`, in task order.
+#[inline(always)]
+pub(crate) fn nth_where(k: usize, pick: usize, hit: impl Fn(usize) -> bool) -> u16 {
+    (0..k)
+        .filter(|&j| hit(j))
         .nth(pick)
-        .map(|(j, _)| crate::cast::task_col(j))
-        // audit:allow(panic-path): callers draw `pick` via uniform_index(count_lacking(row)), so pick < count.
+        .map(task_col)
+        // audit:allow(panic-path): callers draw `pick` via uniform_index(count) over the same predicate, so pick < count.
         .expect("pick < count")
+}
+
+/// Row-buffer for the > 64-task paths, one per chunk; the bit-packed
+/// common case never reads it, so it stays unallocated there.
+#[inline]
+pub(crate) fn scratch_row(num_tasks: usize) -> Vec<u8> {
+    if num_tasks <= 64 {
+        Vec::new()
+    } else {
+        vec![0u8; num_tasks]
+    }
 }
 
 /// A homogeneous Algorithm Ant population in structure-of-arrays
@@ -90,19 +87,25 @@ pub struct AntBank {
     leave: Bernoulli,
     num_tasks: usize,
     /// `currentTask` per ant (`IDLE` when idle).
-    current: Vec<u32>,
+    current: Vec<u16>,
     /// Output assignment `a_t` per ant.
-    assignment: Vec<u32>,
-    /// Working-path first sample of the current task: 1 = lack.
-    s1_current: Vec<u8>,
-    /// First-sample-valid flag per ant.
-    have_s1: Vec<u8>,
-    /// Idle-path first samples, ant-major `num_tasks` bytes per ant.
-    s1_all: Vec<u8>,
+    assignment: Vec<u16>,
+    /// One bit row per ant (see [`crate::bit_row`]): the idle path's
+    /// first samples in bits `0..k` (1 = lack), then the working
+    /// path's first sample of its task ([`S1_CURRENT`]) and the
+    /// first-sample-valid flag ([`HAVE_S1`]).
+    bits: Vec<u8>,
     /// Phase parity per ant (1 = its two-round phase runs one round
     /// behind the colony's); empty in a synchronized bank.
     parity: Vec<u8>,
 }
+
+/// Bit of an Ant row past the `k` first samples: the working path's
+/// first sample (1 = lack).
+const S1_CURRENT: usize = 0;
+/// Bit of an Ant row past the `k` first samples: the first sample is
+/// valid.
+const HAVE_S1: usize = 1;
 
 impl AntBank {
     /// An all-idle bank of `n` fresh ants.
@@ -114,9 +117,7 @@ impl AntBank {
             num_tasks,
             current: Vec::new(),
             assignment: Vec::new(),
-            s1_current: Vec::new(),
-            have_s1: Vec::new(),
-            s1_all: Vec::new(),
+            bits: Vec::new(),
             parity: Vec::new(),
         };
         bank.reinit(num_tasks, params, n);
@@ -149,14 +150,17 @@ impl AntBank {
             .extend(ids.iter().map(|&id| u8::from(id % 2 == 1)));
     }
 
+    /// Bytes per bit row.
+    fn row_width(&self) -> usize {
+        bit_row::width(self.num_tasks + 2)
+    }
+
     /// Truncates or extends every column to `n` ants, new ants fresh
     /// and idle at phase offset 0.
     fn resize(&mut self, n: usize) {
         self.current.resize(n, IDLE);
         self.assignment.resize(n, IDLE);
-        self.s1_current.resize(n, 0);
-        self.have_s1.resize(n, 0);
-        self.s1_all.resize(n * self.num_tasks, 0);
+        self.bits.resize(n * self.row_width(), 0);
         if !self.parity.is_empty() {
             self.parity.resize(n, 0);
         }
@@ -182,6 +186,15 @@ impl AntBank {
         &self.params
     }
 
+    /// Bytes the bank's per-ant columns hold.
+    #[cfg(test)]
+    pub(crate) fn column_bytes(&self) -> usize {
+        size_of_val(&self.current[..])
+            + size_of_val(&self.assignment[..])
+            + size_of_val(&self.bits[..])
+            + size_of_val(&self.parity[..])
+    }
+
     /// Appends a per-ant controller, transposing its state in. An ant
     /// with an odd phase offset desynchronizes the bank.
     pub fn push_controller(&mut self, ant: &AlgorithmAnt) {
@@ -192,13 +205,17 @@ impl AntBank {
         if !self.parity.is_empty() {
             self.parity.push(parity);
         }
+        let k = self.num_tasks;
+        debug_assert_eq!(ant.s1_all.len(), k);
         self.current.push(enc(ant.current_task));
         self.assignment.push(enc(ant.assignment));
-        self.s1_current.push(u8::from(ant.s1_current.is_lack()));
-        self.have_s1.push(u8::from(ant.have_s1));
-        debug_assert_eq!(ant.s1_all.len(), self.num_tasks);
-        self.s1_all
-            .extend(ant.s1_all.iter().map(|f| u8::from(f.is_lack())));
+        let mut row = vec![0u8; self.row_width()];
+        for (j, f) in ant.s1_all.iter().enumerate() {
+            bit_row::set(&mut row, j, f.is_lack());
+        }
+        bit_row::set(&mut row, k + S1_CURRENT, ant.s1_current.is_lack());
+        bit_row::set(&mut row, k + HAVE_S1, ant.have_s1);
+        self.bits.extend_from_slice(&row);
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -207,16 +224,17 @@ impl AntBank {
     pub fn to_controller(&self, slot: usize) -> AlgorithmAnt {
         let k = self.num_tasks;
         let offset = self.parity.get(slot).map_or(0, |&p| u64::from(p));
-        let feedback = |b: u8| [Feedback::Overload, Feedback::Lack][usize::from(b)];
+        let feedback = |lack: bool| [Feedback::Overload, Feedback::Lack][usize::from(lack)];
         let mut ant = AlgorithmAnt::with_phase_offset(k, self.params, offset);
         ant.current_task = dec(self.current[slot]);
         ant.assignment = dec(self.assignment[slot]);
-        let row = &self.s1_all[slot * k..slot * k + k];
-        for (f, &b) in ant.s1_all.iter_mut().zip(row) {
-            *f = feedback(b);
+        let w = self.row_width();
+        let row = &self.bits[slot * w..slot * w + w];
+        for (j, f) in ant.s1_all.iter_mut().enumerate() {
+            *f = feedback(bit_row::get(row, j));
         }
-        ant.s1_current = feedback(self.s1_current[slot]);
-        ant.have_s1 = self.have_s1[slot] == 1;
+        ant.s1_current = feedback(bit_row::get(row, k + S1_CURRENT));
+        ant.have_s1 = bit_row::get(row, k + HAVE_S1);
         ant
     }
 
@@ -231,13 +249,19 @@ impl AntBank {
         let x = enc(a);
         self.assignment[slot] = x;
         self.current[slot] = x;
-        self.have_s1[slot] = 0;
+        let w = self.row_width();
+        bit_row::set(
+            &mut self.bits[slot * w..slot * w + w],
+            self.num_tasks + HAVE_S1,
+            false,
+        );
     }
 
     /// Persistent memory in bits (same accounting as
     /// [`crate::Controller::memory_bits`] on [`AlgorithmAnt`]).
     pub fn memory_bits(&self) -> u32 {
-        let k = crate::cast::task_col(self.num_tasks);
+        // Task counts are at most MAX_TASKS, far below u32::MAX.
+        let k = u32::try_from(self.num_tasks).unwrap_or(u32::MAX);
         crate::memory::bits_for_states(self.num_tasks + 1) + k + 1
     }
 
@@ -245,9 +269,8 @@ impl AntBank {
     pub fn apply_slot_map(&mut self, map: &SlotMap) {
         map.apply(&mut self.current);
         map.apply(&mut self.assignment);
-        map.apply(&mut self.s1_current);
-        map.apply(&mut self.have_s1);
-        map.apply_rows(&mut self.s1_all, self.num_tasks);
+        let w = self.row_width();
+        map.apply_rows(&mut self.bits, w);
         if !self.parity.is_empty() {
             map.apply(&mut self.parity);
         }
@@ -259,11 +282,10 @@ impl AntBank {
             pause: self.pause,
             leave: self.leave,
             num_tasks: self.num_tasks,
+            width: self.row_width(),
             current: &mut self.current,
             assignment: &mut self.assignment,
-            s1_current: &mut self.s1_current,
-            have_s1: &mut self.have_s1,
-            s1_all: &mut self.s1_all,
+            bits: &mut self.bits,
             parity: &mut self.parity,
         }
     }
@@ -275,11 +297,11 @@ pub struct AntSliceMut<'a> {
     pause: Bernoulli,
     leave: Bernoulli,
     num_tasks: usize,
-    current: &'a mut [u32],
-    assignment: &'a mut [u32],
-    s1_current: &'a mut [u8],
-    have_s1: &'a mut [u8],
-    s1_all: &'a mut [u8],
+    /// Bytes per bit row.
+    width: usize,
+    current: &'a mut [u16],
+    assignment: &'a mut [u16],
+    bits: &'a mut [u8],
     /// Empty for a chunk of a synchronized bank.
     parity: &'a mut [u8],
 }
@@ -292,10 +314,10 @@ impl<'a> AntSliceMut<'a> {
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (AntSliceMut<'a>, AntSliceMut<'a>) {
-        let (k, desync) = (self.num_tasks, !self.parity.is_empty());
-        split_chunk!(self => AntSliceMut { pause, leave, num_tasks }
-            current: mid, assignment: mid, s1_current: mid, have_s1: mid,
-            s1_all: mid * k, parity: mid * usize::from(desync))
+        let (w, desync) = (self.width, !self.parity.is_empty());
+        split_chunk!(self => AntSliceMut { pause, leave, num_tasks, width }
+            current: mid, assignment: mid, bits: mid * w,
+            parity: mid * usize::from(desync))
     }
 
     /// Steps every ant in the chunk through `stepping`. Bit-identical to
@@ -307,15 +329,16 @@ impl<'a> AntSliceMut<'a> {
     pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
         let n = self.len();
         let odd = stepping.round() % 2 == 1;
+        let mut scratch = scratch_row(self.num_tasks);
         if !self.parity.is_empty() {
             stepping.run(
                 n,
                 #[inline(always)]
                 |i, view, rng| {
                     if odd != (self.parity[i] == 1) {
-                        self.first_sample_round(i, view, rng)
+                        self.first_sample_round(i, view, rng, &mut scratch)
                     } else {
-                        self.second_sample_round(i, view, rng)
+                        self.second_sample_round(i, view, rng, &mut scratch)
                     }
                 },
             );
@@ -323,13 +346,13 @@ impl<'a> AntSliceMut<'a> {
             stepping.run(
                 n,
                 #[inline(always)]
-                |i, view, rng| self.first_sample_round(i, view, rng),
+                |i, view, rng| self.first_sample_round(i, view, rng, &mut scratch),
             );
         } else {
             stepping.run(
                 n,
                 #[inline(always)]
-                |i, view, rng| self.second_sample_round(i, view, rng),
+                |i, view, rng| self.second_sample_round(i, view, rng, &mut scratch),
             );
         }
     }
@@ -341,20 +364,30 @@ impl<'a> AntSliceMut<'a> {
         i: usize,
         view: RoundView<'_>,
         rng: &mut AntRng,
+        scratch: &mut [u8],
     ) -> Assignment {
-        let k = self.num_tasks;
+        let (k, w) = (self.num_tasks, self.width);
+        let row = &mut self.bits[i * w..i * w + w];
         let cur = self.assignment[i];
         self.current[i] = cur;
         if cur != IDLE {
-            self.s1_current[i] = u8::from(view.sample(crate::cast::task_ix(cur), rng).is_lack());
-            self.have_s1[i] = 1;
+            let lack = view.sample(task_ix(cur), rng).is_lack();
+            bit_row::set(row, k + S1_CURRENT, lack);
+            bit_row::set(row, k + HAVE_S1, true);
             if self.pause.sample(rng) {
                 self.assignment[i] = IDLE;
             }
         } else {
             // Batched full-vector sample straight into the ant's row.
-            view.fill_lack(rng, &mut self.s1_all[i * k..i * k + k]);
-            self.have_s1[i] = 1;
+            if k <= 64 {
+                bit_row::store(row, k, view.lack_mask(rng));
+            } else {
+                view.fill_lack(rng, scratch);
+                for (j, &lack) in scratch.iter().enumerate() {
+                    bit_row::set(row, j, lack == 1);
+                }
+            }
+            bit_row::set(row, k + HAVE_S1, true);
         }
         dec(self.assignment[i])
     }
@@ -366,60 +399,50 @@ impl<'a> AntSliceMut<'a> {
         i: usize,
         view: RoundView<'_>,
         rng: &mut AntRng,
+        scratch: &mut [u8],
     ) -> Assignment {
-        let k = self.num_tasks;
+        let (k, w) = (self.num_tasks, self.width);
+        let row = &mut self.bits[i * w..i * w + w];
+        let have_s1 = bit_row::get(row, k + HAVE_S1);
         let cur = self.current[i];
         if cur != IDLE {
-            let s2_lack = view.sample(crate::cast::task_ix(cur), rng).is_lack();
-            let both_overload = self.have_s1[i] == 1 && self.s1_current[i] == 0 && !s2_lack;
+            let s2_lack = view.sample(task_ix(cur), rng).is_lack();
+            let both_overload = have_s1 && !bit_row::get(row, k + S1_CURRENT) && !s2_lack;
             self.assignment[i] = if both_overload && self.leave.sample(rng) {
                 IDLE
             } else {
                 cur
             };
         } else {
-            let row = &self.s1_all[i * k..i * k + k];
             self.assignment[i] = if k <= 64 {
                 // Bit-packed join: batch-sample all tasks (every draw
                 // must happen), AND the two sample vectors, pick
                 // uniformly.
-                let mut s2 = [0u8; 64];
-                view.fill_lack(rng, &mut s2[..k]);
-                let mut joinable = 0u64;
-                for (j, &s1) in row.iter().enumerate() {
-                    joinable |= u64::from(s2[j] == 1 && s1 == 1) << j;
-                }
-                if self.have_s1[i] == 0 {
-                    joinable = 0;
-                }
-                match joinable.count_ones() as usize {
+                let s2 = view.lack_mask(rng);
+                let joinable = if have_s1 {
+                    bit_row::load(row, k) & s2
+                } else {
+                    0
+                };
+                match joinable.count_ones() {
                     0 => IDLE,
-                    count => nth_set_bit(joinable, uniform_index(rng, count)),
+                    count => nth_set_bit(joinable, uniform_index(rng, wide(count))),
                 }
             } else {
-                let mut s2 = vec![0u8; k];
-                view.fill_lack(rng, &mut s2);
-                let joinable = |j: usize| row[j] == 1 && s2[j] == 1;
-                let count = if self.have_s1[i] == 1 {
+                view.fill_lack(rng, scratch);
+                let joinable = |j: usize| bit_row::get(row, j) && scratch[j] == 1;
+                let count = if have_s1 {
                     (0..k).filter(|&j| joinable(j)).count()
                 } else {
                     0
                 };
                 match count {
                     0 => IDLE,
-                    count => {
-                        let pick = uniform_index(rng, count);
-                        let j = (0..k)
-                            .filter(|&j| joinable(j))
-                            .nth(pick)
-                            // audit:allow(panic-path): pick was drawn as uniform_index(count) over this very filter.
-                            .expect("pick < count");
-                        crate::cast::task_col(j)
-                    }
+                    count => nth_where(k, uniform_index(rng, count), joinable),
                 }
             };
         }
-        self.have_s1[i] = 0;
+        bit_row::set(row, k + HAVE_S1, false);
         dec(self.assignment[i])
     }
 }

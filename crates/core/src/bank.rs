@@ -16,10 +16,13 @@
 //! §4 Ant colonies (desynchronized ones with a phase-parity column),
 //! [`crate::PreciseSigmoidBank`] for §5 and
 //! [`crate::PreciseAdversarialBank`] for Appendix C (transposed tracker
-//! planes), the flat [`crate::ExactGreedyBank`] (one `u32` per ant — the
+//! planes), the flat [`crate::ExactGreedyBank`] (one `u16` per ant — the
 //! shape of Ant's idle path; it runs the trivial algorithm too),
 //! [`crate::ProportionalBank`], and [`crate::FsmBank`] (one shared
-//! machine, one `u16` state per ant). No bank holds per-ant structs.
+//! machine, one `u16` state per ant). No bank holds per-ant structs:
+//! task ids are `u16` columns (the colony's task-column encoding,
+//! bounded by [`crate::MAX_TASKS`]) and per-ant booleans are bit rows
+//! (see `bit_row.rs`).
 //!
 //! Heterogeneous (mixed-controller) colonies are a `Vec` of banks; the
 //! engine layer owns the membership column that maps each ant to its
@@ -57,6 +60,7 @@ use antalloc_rng::AntRng;
 
 use crate::adversarial_bank::{AdversarialSliceMut, PreciseAdversarialBank};
 use crate::ant_bank::{AntBank, AntSliceMut};
+use crate::cast::{dec, enc};
 use crate::controller::{AnyController, Controller};
 use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
 use crate::flat_bank::{ExactGreedyBank, ExactGreedySliceMut};
@@ -217,13 +221,20 @@ impl ControllerBank {
     /// with one dispatch for the whole bank.
     pub fn reset_to_column(&mut self, ids: &[u32], column: &TaskColumn) {
         each_bank!(self, b => for (s, &id) in ids.iter().enumerate() {
-            b.reset_slot(s, Assignment::from_raw(column.load(id)));
+            b.reset_slot(s, dec(column.load(id)));
         })
     }
 
     /// Persistent memory of each ant of the bank, in bits.
     pub fn memory_bits(&self) -> u32 {
         each_bank!(self, b => b.memory_bits())
+    }
+
+    /// Bytes the bank's per-ant columns hold (length × element size,
+    /// summed over the columns).
+    #[cfg(test)]
+    pub(crate) fn column_bytes(&self) -> usize {
+        each_bank!(self, b => b.column_bytes())
     }
 
     /// The mid-phase scratch of the ant at `slot` — `Some` only for
@@ -395,19 +406,39 @@ impl<'a> BankSliceMut<'a> {
     /// Takes the round as a [`SensedRound`]: a well-mixed round hoists
     /// its one shared view out of the loop, a per-ant round steps each
     /// ant against `sensed.view_for(ids[i])`.
+    ///
+    /// `ids` must ascend, as a bank's ids do, so the last is the
+    /// largest: the call checks once, before any write, that there is
+    /// one id per ant and that the last id has a slot in the writer's
+    /// column.
+    ///
+    /// # Errors
+    /// [`BankError::IdCount`] or [`BankError::IdOutOfRange`]; nothing
+    /// is stepped or written then.
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
         round_key: u64,
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
-    ) {
+    ) -> Result<(), BankError> {
+        if ids.len() != self.len() {
+            return Err(BankError::IdCount {
+                ants: self.len(),
+                ids: ids.len(),
+            });
+        }
+        let column = writer.column_len();
+        if let Some(&id) = ids.last().filter(|&&id| crate::cast::wide(id) >= column) {
+            return Err(BankError::IdOutOfRange { id, column });
+        }
         self.step(Stepping::Fused {
             sensed,
             round_key,
             ids,
             writer,
-        })
+        });
+        Ok(())
     }
 
     fn step(&mut self, stepping: Stepping<'_, '_>) {
@@ -415,9 +446,44 @@ impl<'a> BankSliceMut<'a> {
     }
 }
 
+/// Why [`BankSliceMut::step_batch_fused`] refused a call.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BankError {
+    /// The chunk and its id list differ in length.
+    IdCount {
+        /// Ants in the chunk.
+        ants: usize,
+        /// Ids passed.
+        ids: usize,
+    },
+    /// The chunk's last (largest) id has no slot in the task column.
+    IdOutOfRange {
+        /// The id.
+        id: u32,
+        /// Slots in the task column.
+        column: usize,
+    },
+}
+
+impl core::fmt::Display for BankError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            BankError::IdCount { ants, ids } => {
+                write!(f, "{ids} colony ids for a chunk of {ants} ants")
+            }
+            BankError::IdOutOfRange { id, column } => {
+                write!(f, "colony id {id} is past a task column of {column} slots")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BankError {}
+
 /// Splits a chunk struct (`self`, of type `$chunk`) into two: every
 /// listed column at its own split point (`mid` for one entry per ant,
-/// `mid * k` for a `k`-wide ant-major plane), every shared field copied
+/// `mid * k` for a `k`-wide ant-major plane, `mid * w` for bit rows of
+/// `w` bytes), every shared field copied
 /// into both halves.
 macro_rules! split_chunk {
     ($self:ident => $chunk:ident { $($shared:ident),* } $($col:ident: $at:expr),* $(,)?) => {{
@@ -516,7 +582,7 @@ fn drive_fused<F>(
 ) where
     F: FnMut(usize, RoundView<'_>, &mut AntRng) -> Assignment,
 {
-    assert_eq!(n, ids.len(), "one colony id per ant");
+    debug_assert_eq!(n, ids.len(), "one colony id per ant");
     match sensed.shared_view() {
         Some(view) => keyed_loop(round_key, ids, writer, step, |_| view),
         None => keyed_loop(round_key, ids, writer, step, |id| sensed.view_for(id)),
@@ -537,7 +603,7 @@ fn keyed_loop<'v, F, V>(
 {
     for (i, &id) in ids.iter().enumerate() {
         let next = step(i, view_of(id), &mut AntRng::keyed(round_key, id.into()));
-        writer.write(id, next.to_raw());
+        writer.write(id, enc(next));
     }
 }
 
@@ -566,8 +632,11 @@ mod tests {
     use crate::ant::AlgorithmAnt;
     use crate::params::{AntParams, PreciseSigmoidParams};
     use crate::precise_sigmoid::SigmoidScratch;
+    use crate::sigmoid_bank::SigmoidRows;
+    use crate::table_fsm::FsmBank;
     use crate::trivial::Trivial;
-    use antalloc_noise::{FeedbackProbe, NoiseModel};
+    use antalloc_env::RoundDelta;
+    use antalloc_noise::{FeedbackProbe, NoiseModel, PreparedRound};
     use antalloc_rng::StreamSeeder;
 
     #[test]
@@ -613,14 +682,16 @@ mod tests {
 
     #[test]
     fn scratch_roundtrips_for_sigmoid_banks_only() {
-        // What the planes hold is what `scratch` reports.
+        // What a checkpoint row writes is what `scratch` reports.
         let mut bank = PreciseSigmoidBank::new(2, PreciseSigmoidParams::new(0.05, 0.5), 3);
-        let planes = bank.planes_mut();
-        planes.current[1] = 1;
-        planes.have_phase[1] = 1;
-        planes.count1[2..4].copy_from_slice(&[3, 4]);
-        planes.count2[2..4].copy_from_slice(&[5, 6]);
-        planes.shat1[2..4].copy_from_slice(&[1, 0]);
+        let rows = SigmoidRows {
+            current: vec![Assignment::Task(1).to_raw()],
+            have_phase: vec![1],
+            count1: vec![3, 4],
+            count2: vec![5, 6],
+            shat1: vec![1, 0],
+        };
+        bank.restore_row(1, &rows, 0);
         let scratch = SigmoidScratch {
             current_task: Assignment::Task(1),
             have_phase: true,
@@ -628,6 +699,9 @@ mod tests {
             count2: vec![5, 6],
             shat1_lack: vec![true, false],
         };
+        let mut captured = SigmoidRows::default();
+        bank.capture_rows(1..2, &mut captured);
+        assert_eq!(captured, rows);
         assert_eq!(
             ControllerBank::PreciseSigmoid(bank).scratch(1),
             Some(ControllerScratch::PreciseSigmoid(scratch))
@@ -637,5 +711,127 @@ mod tests {
             .map(|_| AnyController::from(Trivial::new(2)))
             .collect();
         assert_eq!(bank.scratch(0), None);
+    }
+
+    /// A one-task colony of `n` ants and an exact-greedy bank of `ants`.
+    fn fused_fixture(n: usize, ants: usize) -> (TaskColumn, ControllerBank, PreparedRound) {
+        let bank = ControllerBank::ExactGreedy(ExactGreedyBank::new(1, Default::default(), ants));
+        let prepared = NoiseModel::Exact.prepare(1, &[2], &[2]);
+        (TaskColumn::new(n), bank, prepared)
+    }
+
+    #[test]
+    fn fused_step_rejects_an_id_count_mismatch_before_writing() {
+        let (column, mut bank, prepared) = fused_fixture(4, 3);
+        let mut delta = RoundDelta::new(1);
+        let mut writer = ColumnWriter::new(&column, &mut delta);
+        let err = bank
+            .as_slice_mut()
+            .step_batch_fused(SensedRound::shared(&prepared), 7, &[0, 1], &mut writer)
+            .unwrap_err();
+        assert_eq!(err, BankError::IdCount { ants: 3, ids: 2 });
+        assert_eq!(err.to_string(), "2 colony ids for a chunk of 3 ants");
+        assert_eq!(delta.switches(), 0);
+        assert!(column.to_vec().iter().all(|&t| t == Assignment::SLOT_IDLE));
+    }
+
+    #[test]
+    fn fused_step_rejects_an_id_past_the_column_before_writing() {
+        let (column, mut bank, prepared) = fused_fixture(4, 3);
+        let mut delta = RoundDelta::new(1);
+        let mut writer = ColumnWriter::new(&column, &mut delta);
+        let err = bank
+            .as_slice_mut()
+            .step_batch_fused(SensedRound::shared(&prepared), 7, &[0, 2, 4], &mut writer)
+            .unwrap_err();
+        assert_eq!(err, BankError::IdOutOfRange { id: 4, column: 4 });
+        assert_eq!(
+            err.to_string(),
+            "colony id 4 is past a task column of 4 slots"
+        );
+        assert_eq!(delta.switches(), 0);
+        assert!(column.to_vec().iter().all(|&t| t == Assignment::SLOT_IDLE));
+        // In range, the same call steps every ant into the lacking task.
+        let mut writer = ColumnWriter::new(&column, &mut delta);
+        bank.as_slice_mut()
+            .step_batch_fused(SensedRound::shared(&prepared), 7, &[0, 2, 3], &mut writer)
+            .unwrap();
+        assert_eq!(column.to_vec(), [0, Assignment::SLOT_IDLE, 0, 0]);
+        assert_eq!(delta.switches(), 3);
+    }
+
+    /// The bank rows of docs/ARCHITECTURE.md § Bytes per ant, checked
+    /// against the banks' own columns: each kind's bank of 64 ants at
+    /// `k` = 4, its column bytes divided by its ants, must equal the
+    /// table's value for this layout (the last column), so the table
+    /// cannot drift from the code.
+    #[test]
+    fn bytes_per_ant_table_matches_the_bank_columns() {
+        use crate::{
+            AntParams, ExactGreedyParams, FsmSpec, PreciseAdversarialParams, ProportionalParams,
+        };
+        let (k, n) = (4, 64);
+        let mut desync = AntBank::new(k, AntParams::default(), n);
+        desync.stagger(&(0..n as u32).collect::<Vec<_>>());
+        let banks: [(&str, ControllerBank); 7] = [
+            (
+                "Ant",
+                ControllerBank::Ant(AntBank::new(k, AntParams::default(), n)),
+            ),
+            ("AntDesync", ControllerBank::Ant(desync)),
+            (
+                "Precise Sigmoid",
+                ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(
+                    k,
+                    PreciseSigmoidParams::new(0.05, 0.5),
+                    n,
+                )),
+            ),
+            (
+                "Precise Adversarial",
+                ControllerBank::PreciseAdversarial(PreciseAdversarialBank::new(
+                    k,
+                    PreciseAdversarialParams::new(0.5, 0.5),
+                    n,
+                )),
+            ),
+            (
+                "Proportional",
+                ControllerBank::Proportional(ProportionalBank::new(
+                    k,
+                    ProportionalParams::default(),
+                    n,
+                )),
+            ),
+            (
+                "Exact Greedy, Trivial",
+                ControllerBank::ExactGreedy(ExactGreedyBank::new(k, ExactGreedyParams::TRIVIAL, n)),
+            ),
+            (
+                "Hysteresis",
+                ControllerBank::Table(FsmBank::new(FsmSpec::hysteresis(2).into(), n)),
+            ),
+        ];
+        let doc = include_str!("../../../docs/ARCHITECTURE.md");
+        let table = &doc[doc
+            .find("### Bytes per ant")
+            .expect("the § Bytes per ant heading")..];
+        for (kind, bank) in banks {
+            let row = table
+                .lines()
+                .find(|l| l.starts_with(&format!("| {kind} (")))
+                .unwrap_or_else(|| panic!("no table row for {kind}"));
+            let cell = row
+                .trim_end_matches('|')
+                .rsplit('|')
+                .next()
+                .unwrap_or_default();
+            let documented: f64 = cell
+                .trim()
+                .parse()
+                .unwrap_or_else(|e| panic!("{kind}: last cell {cell:?}: {e}"));
+            let measured = bank.column_bytes() as f64 / n as f64;
+            assert_eq!(measured, documented, "{kind}: bytes per ant at k = {k}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Flat structure-of-arrays bank for the single-sample controllers.
 //!
 //! [`ExactGreedy`] (the \[11\]-style baseline) carries no cross-round
-//! state besides its assignment, so its fast layout is one `u32` per
+//! state besides its assignment, so its fast layout is one `u16` per
 //! ant — the same shape as the idle path of [`crate::AntBank`]. With
 //! both probabilities 1 ([`ExactGreedyParams::TRIVIAL`]) it is
 //! [`crate::Trivial`] (Appendix D): a probability-1 Bernoulli draws
@@ -21,22 +21,12 @@ use antalloc_env::Assignment;
 use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, IDLE};
+use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit, scratch_row};
 use crate::bank::{split_chunk, Stepping};
+use crate::cast::{dec, enc, IDLE};
 use crate::controller::Controller;
 use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
 use crate::slot_map::SlotMap;
-
-/// Row buffer for the > 64-task fallback paths; the bit-packed common
-/// case never reads it, so it stays unallocated there.
-#[inline]
-pub(crate) fn scratch_row(num_tasks: usize) -> Vec<u8> {
-    if num_tasks <= 64 {
-        Vec::new()
-    } else {
-        vec![0u8; num_tasks]
-    }
-}
 
 /// A homogeneous [`ExactGreedy`] population in flat layout.
 #[derive(Clone, Debug)]
@@ -46,7 +36,7 @@ pub struct ExactGreedyBank {
     leave: Bernoulli,
     num_tasks: usize,
     /// Assignment per ant (`IDLE` when idle).
-    assignment: Vec<u32>,
+    assignment: Vec<u16>,
 }
 
 impl ExactGreedyBank {
@@ -90,6 +80,12 @@ impl ExactGreedyBank {
     /// Number of ants.
     pub fn len(&self) -> usize {
         self.assignment.len()
+    }
+
+    /// Bytes the bank's per-ant columns hold.
+    #[cfg(test)]
+    pub(crate) fn column_bytes(&self) -> usize {
+        size_of_val(&self.assignment[..])
     }
 
     /// True iff the bank holds no ants.
@@ -148,7 +144,7 @@ pub struct ExactGreedySliceMut<'a> {
     join: Bernoulli,
     leave: Bernoulli,
     num_tasks: usize,
-    assignment: &'a mut [u32],
+    assignment: &'a mut [u16],
 }
 
 impl<'a> ExactGreedySliceMut<'a> {

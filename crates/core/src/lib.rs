@@ -37,6 +37,7 @@ mod adversarial_bank;
 mod ant;
 mod ant_bank;
 mod bank;
+mod bit_row;
 mod cast;
 mod controller;
 mod exact_greedy;
@@ -54,7 +55,8 @@ mod trivial;
 pub use adversarial_bank::{AdversarialSliceMut, PreciseAdversarialBank};
 pub use ant::AlgorithmAnt;
 pub use ant_bank::{AntBank, AntSliceMut};
-pub use bank::{BankSliceMut, ControllerBank, ControllerScratch};
+pub use bank::{BankError, BankSliceMut, ControllerBank, ControllerScratch};
+pub use cast::MAX_TASKS;
 pub use controller::{AnyController, Controller};
 pub use exact_greedy::{ExactGreedy, ExactGreedyParams};
 pub use flat_bank::{ExactGreedyBank, ExactGreedySliceMut};
@@ -65,7 +67,7 @@ pub use precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
 pub use proportional::{
     ProportionalBank, ProportionalController, ProportionalParams, ProportionalSliceMut,
 };
-pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidPlanes, SigmoidPlanesMut, SigmoidSliceMut};
+pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidRows, SigmoidSliceMut};
 pub use slot_map::SlotMap;
 pub use table_fsm::{FsmBank, FsmSliceMut, FsmSpec, ReachabilityError, TableFsm};
 pub use trivial::Trivial;

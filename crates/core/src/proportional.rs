@@ -19,7 +19,7 @@
 //!
 //! **Reference semantics.** [`ProportionalController`] (per ant) is the
 //! truth; [`ProportionalBank`] is its flat structure-of-arrays layout
-//! (one `u32` assignment + one `u16` streak per ant) and consumes every
+//! (one `u16` assignment + one `u16` streak per ant) and consumes every
 //! ant's RNG stream in exactly the order `Controller::step` would:
 //! samples in task order, then the uniform pick, then the gain coin —
 //! pinned bit-identical by the parity tests in `tests/banks.rs`.
@@ -28,8 +28,9 @@ use antalloc_env::Assignment;
 use antalloc_noise::{FeedbackProbe, RoundView};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, IDLE};
+use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit, scratch_row};
 use crate::bank::{split_chunk, Stepping};
+use crate::cast::{dec, enc, IDLE};
 use crate::controller::Controller;
 use crate::slot_map::SlotMap;
 
@@ -139,7 +140,7 @@ impl Controller for ProportionalController {
                                 .nth(pick)
                                 .map(|(j, _)| j)
                                 .expect("pick < count"); // audit:allow(panic-path): uniform_index returns < count, and count entries of `lacking` are true by the loop above.
-                            self.assignment = Assignment::Task(crate::cast::task_col(j));
+                            self.assignment = crate::cast::dec(crate::cast::task_col(j));
                             self.streak = 0;
                         }
                     }
@@ -148,7 +149,7 @@ impl Controller for ProportionalController {
                 }
             }
             Assignment::Task(j) => {
-                if probe.sample(crate::cast::task_ix(j)).is_lack() {
+                if probe.sample(crate::cast::wide(j)).is_lack() {
                     self.streak = 0;
                 } else {
                     self.streak = self.streak.saturating_add(1);
@@ -187,7 +188,7 @@ pub struct ProportionalBank {
     gain: Bernoulli,
     num_tasks: usize,
     /// Assignment per ant (`IDLE` when idle).
-    assignment: Vec<u32>,
+    assignment: Vec<u16>,
     /// Persisted-error streak per ant.
     streak: Vec<u16>,
 }
@@ -234,6 +235,12 @@ impl ProportionalBank {
     /// Number of ants.
     pub fn len(&self) -> usize {
         self.assignment.len()
+    }
+
+    /// Bytes the bank's per-ant columns hold.
+    #[cfg(test)]
+    pub(crate) fn column_bytes(&self) -> usize {
+        size_of_val(&self.assignment[..]) + size_of_val(&self.streak[..])
     }
 
     /// True iff the bank holds no ants.
@@ -320,7 +327,7 @@ pub struct ProportionalSliceMut<'a> {
     gain: Bernoulli,
     deadband: u16,
     num_tasks: usize,
-    assignment: &'a mut [u32],
+    assignment: &'a mut [u16],
     streak: &'a mut [u16],
 }
 
@@ -340,7 +347,7 @@ impl<'a> ProportionalSliceMut<'a> {
     /// to per-ant [`Controller::step`] on [`ProportionalController`].
     pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
         let n = self.len();
-        let mut row = crate::flat_bank::scratch_row(self.num_tasks);
+        let mut row = scratch_row(self.num_tasks);
         stepping.run(
             n,
             #[inline(always)]

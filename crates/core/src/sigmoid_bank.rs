@@ -4,11 +4,12 @@
 //! and one frozen median bit per task, incremented every round of a
 //! `2m`-round phase. The per-ant struct layout scatters those counters
 //! across three heap allocations per ant; this bank transposes them
-//! into flat planes — `count1`/`count2` as `n × k` `u16` arrays and
-//! `shat1_lack` as an `n × k` byte array, each ant's `k`-row contiguous
-//! so the idle path (which touches all `k` entries) streams one cache
-//! line instead of chasing three pointers. The idle path's full-vector
-//! sample draws through the batched [`RoundView::fill_lack`].
+//! into flat planes — `count1`/`count2` as `n × k` `u16` arrays and the
+//! frozen medians as one bit row per ant (with the phase flag past
+//! them, see [`crate::bit_row`]), each ant's rows contiguous so the idle
+//! path (which touches all `k` entries) streams one cache line instead
+//! of chasing three pointers. The idle path's full-vector sample draws
+//! through the batched [`RoundView::fill_lack`].
 //!
 //! **Reference semantics.** [`crate::PreciseSigmoid`] is the truth; the
 //! bank consumes every ant's RNG stream in exactly the order
@@ -17,53 +18,64 @@
 //! are bit-identical to per-ant runs — pinned by `tests/banks.rs`.
 //!
 //! The counter planes are also what checkpoints copy
-//! ([`PreciseSigmoidBank::planes`]), so a capture *between* phase
+//! ([`PreciseSigmoidBank::capture_rows`]), so a capture *between* phase
 //! boundaries — phases are `2m = O(1/ε)` rounds long — resumes
 //! mid-phase bit-identically.
+
+use core::ops::Range;
 
 use antalloc_env::Assignment;
 use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{dec, enc, IDLE};
+use crate::ant_bank::{nth_set_bit, nth_where};
 use crate::bank::{split_chunk, Stepping};
+use crate::bit_row;
+use crate::cast::{dec, enc, task_ix, wide, IDLE};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 use crate::precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
 use crate::slot_map::SlotMap;
 
-/// A [`PreciseSigmoidBank`]'s checkpointed planes, borrowed: one
-/// `currentTask` (raw, [`Assignment::to_raw`]) and phase-observed flag
-/// (0 or 1) per ant, then `k` entries per ant of each counter plane and
-/// of the frozen-median plane (1 = lack), ant-major.
-#[derive(Clone, Copy, Debug)]
-pub struct SigmoidPlanes<'a> {
-    /// `currentTask` per ant.
-    pub current: &'a [u32],
-    /// Phase-observed-from-start flag per ant.
-    pub have_phase: &'a [u8],
+/// Precise Sigmoid state as checkpoint-shaped columns: per entry one
+/// raw `currentTask` ([`Assignment::to_raw`]) and one phase-observed
+/// flag (0 or 1), then `k` entries of each counter plane and of the
+/// frozen-median plane (1 = lack), entry-major. A bank copies
+/// rows out ([`PreciseSigmoidBank::capture_rows`]) and back in
+/// ([`PreciseSigmoidBank::restore_rows`]), converting from its own
+/// narrower layout.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SigmoidRows {
+    /// `currentTask` per entry, raw.
+    pub current: Vec<u32>,
+    /// Phase-observed-from-start flag per entry (0 or 1).
+    pub have_phase: Vec<u8>,
     /// First-half `lack` counts.
-    pub count1: &'a [u16],
+    pub count1: Vec<u16>,
     /// Second-half `lack` counts.
-    pub count2: &'a [u16],
-    /// Frozen first-half medians.
-    pub shat1: &'a [u8],
+    pub count2: Vec<u16>,
+    /// Frozen first-half medians (1 = lack).
+    pub shat1: Vec<u8>,
 }
 
-/// The same planes as [`SigmoidPlanes`], mutably borrowed (checkpoint
-/// restore; write them *after* [`PreciseSigmoidBank::reset_slot`]).
-#[derive(Debug)]
-pub struct SigmoidPlanesMut<'a> {
-    /// `currentTask` per ant.
-    pub current: &'a mut [u32],
-    /// Phase-observed-from-start flag per ant.
-    pub have_phase: &'a mut [u8],
-    /// First-half `lack` counts.
-    pub count1: &'a mut [u16],
-    /// Second-half `lack` counts.
-    pub count2: &'a mut [u16],
-    /// Frozen first-half medians.
-    pub shat1: &'a mut [u8],
+impl SigmoidRows {
+    /// Reserves room for `entries` more rows over `k` tasks.
+    pub fn reserve(&mut self, entries: usize, k: usize) {
+        self.current.reserve_exact(entries);
+        self.have_phase.reserve_exact(entries);
+        self.count1.reserve_exact(k * entries);
+        self.count2.reserve_exact(k * entries);
+        self.shat1.reserve_exact(k * entries);
+    }
+}
+
+/// Packs one checkpoint entry's medians (`0/1` bytes) and phase flag
+/// (right after them: [`HAVE_PHASE`] is 0) into a bit row, overwriting
+/// it.
+#[inline]
+fn pack_row(row: &mut [u8], shat1: &[u8], have_phase: u8) {
+    let medians = shat1.iter().map(|&lack| lack == 1);
+    bit_row::pack(row, medians.chain([have_phase == 1]));
 }
 
 /// A homogeneous Precise Sigmoid population in structure-of-arrays
@@ -76,18 +88,22 @@ pub struct PreciseSigmoidBank {
     leave: Bernoulli,
     num_tasks: usize,
     /// `currentTask` per ant (`IDLE` when idle).
-    current: Vec<u32>,
+    current: Vec<u16>,
     /// Output assignment `a_t` per ant.
-    assignment: Vec<u32>,
-    /// Phase-observed-from-start flag per ant.
-    have_phase: Vec<u8>,
+    assignment: Vec<u16>,
     /// First-half `lack` counts, ant-major `num_tasks` entries per ant.
     count1: Vec<u16>,
     /// Second-half `lack` counts, same shape.
     count2: Vec<u16>,
-    /// Frozen first-half medians (1 = lack), same shape.
-    shat1: Vec<u8>,
+    /// One bit row per ant: the frozen first-half medians in bits
+    /// `0..k` (1 = lack), then the phase-observed-from-start flag
+    /// ([`HAVE_PHASE`]).
+    bits: Vec<u8>,
 }
+
+/// Bit of a Precise Sigmoid row past the `k` medians: the ant observed
+/// its phase from the start.
+const HAVE_PHASE: usize = 0;
 
 impl PreciseSigmoidBank {
     /// An all-idle bank of `n` fresh ants.
@@ -100,10 +116,9 @@ impl PreciseSigmoidBank {
             num_tasks,
             current: Vec::new(),
             assignment: Vec::new(),
-            have_phase: Vec::new(),
             count1: Vec::new(),
             count2: Vec::new(),
-            shat1: Vec::new(),
+            bits: Vec::new(),
         };
         bank.reinit(num_tasks, params, n);
         bank
@@ -126,16 +141,20 @@ impl PreciseSigmoidBank {
         self.resize(n);
     }
 
+    /// Bytes per bit row.
+    fn row_width(&self) -> usize {
+        bit_row::width(self.num_tasks + 1)
+    }
+
     /// Truncates or extends every column to `n` ants, new ants fresh
     /// and idle.
     fn resize(&mut self, n: usize) {
         let k = self.num_tasks;
         self.current.resize(n, IDLE);
         self.assignment.resize(n, IDLE);
-        self.have_phase.resize(n, 0);
         self.count1.resize(n * k, 0);
         self.count2.resize(n * k, 0);
-        self.shat1.resize(n * k, 0);
+        self.bits.resize(n * self.row_width(), 0);
     }
 
     /// Appends a fresh idle ant (a spawn).
@@ -158,17 +177,24 @@ impl PreciseSigmoidBank {
         self.current.is_empty()
     }
 
+    /// Bytes the bank's per-ant columns hold.
+    #[cfg(test)]
+    pub(crate) fn column_bytes(&self) -> usize {
+        size_of_val(&self.current[..])
+            + size_of_val(&self.assignment[..])
+            + size_of_val(&self.count1[..])
+            + size_of_val(&self.count2[..])
+            + size_of_val(&self.bits[..])
+    }
+
     /// Appends a per-ant controller, transposing its state in.
     pub fn push_controller(&mut self, ant: &PreciseSigmoid) {
         assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
         debug_assert_eq!(ant.params(), &self.params, "parameter mismatch");
-        let s = ant.scratch();
-        self.current.push(enc(s.current_task));
-        self.assignment.push(enc(ant.assignment()));
-        self.have_phase.push(u8::from(s.have_phase));
-        self.count1.extend_from_slice(&s.count1);
-        self.count2.extend_from_slice(&s.count2);
-        self.shat1.extend(s.shat1_lack.iter().map(|&l| u8::from(l)));
+        self.push_fresh();
+        let slot = self.len() - 1;
+        self.reset_slot(slot, ant.assignment());
+        self.apply_scratch(slot, &ant.scratch());
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -180,41 +206,97 @@ impl PreciseSigmoidBank {
         ant
     }
 
+    /// The bit row of the ant at `slot`.
+    fn row(&self, slot: usize) -> &[u8] {
+        let w = self.row_width();
+        &self.bits[slot * w..slot * w + w]
+    }
+
     /// The mid-phase counter state of the ant at `slot` (see
     /// [`SigmoidScratch`]).
     pub fn scratch(&self, slot: usize) -> SigmoidScratch {
         let k = self.num_tasks;
-        let row = slot * k..slot * k + k;
+        let counts = slot * k..slot * k + k;
+        let row = self.row(slot);
         SigmoidScratch {
             current_task: dec(self.current[slot]),
-            have_phase: self.have_phase[slot] == 1,
-            count1: self.count1[row.clone()].to_vec(),
-            count2: self.count2[row.clone()].to_vec(),
-            shat1_lack: self.shat1[row].iter().map(|&b| b == 1).collect(),
+            have_phase: bit_row::get(row, k + HAVE_PHASE),
+            count1: self.count1[counts.clone()].to_vec(),
+            count2: self.count2[counts].to_vec(),
+            shat1_lack: (0..k).map(|j| bit_row::get(row, j)).collect(),
         }
     }
 
-    /// The checkpointed planes of the whole bank (capture).
-    #[inline]
-    pub fn planes(&self) -> SigmoidPlanes<'_> {
-        SigmoidPlanes {
-            current: &self.current,
-            have_phase: &self.have_phase,
-            count1: &self.count1,
-            count2: &self.count2,
-            shat1: &self.shat1,
+    /// Overwrites the counter state of the ant at `slot` (write it
+    /// *after* [`PreciseSigmoidBank::reset_slot`]).
+    ///
+    /// # Panics
+    /// If the scratch's task count disagrees with the bank's.
+    pub fn apply_scratch(&mut self, slot: usize, s: &SigmoidScratch) {
+        let k = self.num_tasks;
+        assert_eq!(s.shat1_lack.len(), k, "task count mismatch");
+        let counts = slot * k..slot * k + k;
+        self.current[slot] = enc(s.current_task);
+        self.count1[counts.clone()].copy_from_slice(&s.count1);
+        self.count2[counts].copy_from_slice(&s.count2);
+        let w = self.row_width();
+        let row = &mut self.bits[slot * w..slot * w + w];
+        for (j, &lack) in s.shat1_lack.iter().enumerate() {
+            bit_row::set(row, j, lack);
+        }
+        bit_row::set(row, k + HAVE_PHASE, s.have_phase);
+    }
+
+    /// Appends the checkpoint rows of `slots` to `rows`, in order.
+    pub fn capture_rows(&self, slots: Range<usize>, rows: &mut SigmoidRows) {
+        let (k, w) = (self.num_tasks, self.row_width());
+        let planes = slots.start * k..slots.end * k;
+        rows.count1.extend_from_slice(&self.count1[planes.clone()]);
+        rows.count2.extend_from_slice(&self.count2[planes]);
+        rows.current
+            .extend(self.current[slots.clone()].iter().map(|&c| dec(c).to_raw()));
+        let bits = self.bits[slots.start * w..slots.end * w].chunks_exact(w);
+        rows.have_phase.extend(
+            bits.clone()
+                .map(|row| u8::from(bit_row::get(row, k + HAVE_PHASE))),
+        );
+        let at = rows.shat1.len();
+        rows.shat1.resize(at + slots.len() * k, 0);
+        for (medians, row) in rows.shat1[at..].chunks_exact_mut(k).zip(bits) {
+            for (j, lack) in medians.iter_mut().enumerate() {
+                *lack = u8::from(bit_row::get(row, j));
+            }
         }
     }
 
-    /// The checkpointed planes of the whole bank, mutably (restore).
-    #[inline]
-    pub fn planes_mut(&mut self) -> SigmoidPlanesMut<'_> {
-        SigmoidPlanesMut {
-            current: &mut self.current,
-            have_phase: &mut self.have_phase,
-            count1: &mut self.count1,
-            count2: &mut self.count2,
-            shat1: &mut self.shat1,
+    /// Writes entry `e` of `rows` into `slot` (write it *after*
+    /// [`PreciseSigmoidBank::reset_slot`]).
+    pub fn restore_row(&mut self, slot: usize, rows: &SigmoidRows, e: usize) {
+        let (k, w) = (self.num_tasks, self.row_width());
+        let (from, to) = (e * k..e * k + k, slot * k..slot * k + k);
+        self.count1[to.clone()].copy_from_slice(&rows.count1[from.clone()]);
+        self.count2[to].copy_from_slice(&rows.count2[from.clone()]);
+        self.current[slot] = enc(Assignment::from_raw(rows.current[e]));
+        let row = &mut self.bits[slot * w..slot * w + w];
+        pack_row(row, &rows.shat1[from], rows.have_phase[e]);
+    }
+
+    /// Writes every entry of `rows` into the bank, entry `s` into slot
+    /// `s` (a bank holding exactly the captured ants, in order).
+    ///
+    /// # Panics
+    /// If `rows` does not hold one entry per ant.
+    pub fn restore_rows(&mut self, rows: &SigmoidRows) {
+        assert_eq!(rows.current.len(), self.len(), "one entry per ant");
+        let (k, w) = (self.num_tasks, self.row_width());
+        self.count1.copy_from_slice(&rows.count1);
+        self.count2.copy_from_slice(&rows.count2);
+        for (c, &raw) in self.current.iter_mut().zip(&rows.current) {
+            *c = enc(Assignment::from_raw(raw));
+        }
+        let entries = rows.shat1.chunks_exact(k).zip(&rows.have_phase);
+        for (row, (shat1, &have_phase)) in self.bits.chunks_exact_mut(w).zip(entries) {
+            pack_row(row, shat1, have_phase);
         }
     }
 
@@ -229,7 +311,12 @@ impl PreciseSigmoidBank {
         let x = enc(a);
         self.assignment[slot] = x;
         self.current[slot] = x;
-        self.have_phase[slot] = 0;
+        let (k, w) = (self.num_tasks, self.row_width());
+        bit_row::set(
+            &mut self.bits[slot * w..slot * w + w],
+            k + HAVE_PHASE,
+            false,
+        );
     }
 
     /// Persistent memory in bits (the shared accounting — identical to
@@ -244,10 +331,10 @@ impl PreciseSigmoidBank {
         let k = self.num_tasks;
         map.apply(&mut self.current);
         map.apply(&mut self.assignment);
-        map.apply(&mut self.have_phase);
         map.apply_rows(&mut self.count1, k);
         map.apply_rows(&mut self.count2, k);
-        map.apply_rows(&mut self.shat1, k);
+        let w = self.row_width();
+        map.apply_rows(&mut self.bits, w);
     }
 
     /// The whole bank as a splittable mutable slice.
@@ -257,12 +344,12 @@ impl PreciseSigmoidBank {
             pause: self.pause,
             leave: self.leave,
             num_tasks: self.num_tasks,
+            width: self.row_width(),
             current: &mut self.current,
             assignment: &mut self.assignment,
-            have_phase: &mut self.have_phase,
             count1: &mut self.count1,
             count2: &mut self.count2,
-            shat1: &mut self.shat1,
+            bits: &mut self.bits,
         }
     }
 }
@@ -274,12 +361,13 @@ pub struct SigmoidSliceMut<'a> {
     pause: Bernoulli,
     leave: Bernoulli,
     num_tasks: usize,
-    current: &'a mut [u32],
-    assignment: &'a mut [u32],
-    have_phase: &'a mut [u8],
+    /// Bytes per bit row.
+    width: usize,
+    current: &'a mut [u16],
+    assignment: &'a mut [u16],
     count1: &'a mut [u16],
     count2: &'a mut [u16],
-    shat1: &'a mut [u8],
+    bits: &'a mut [u8],
 }
 
 impl<'a> SigmoidSliceMut<'a> {
@@ -290,10 +378,10 @@ impl<'a> SigmoidSliceMut<'a> {
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (SigmoidSliceMut<'a>, SigmoidSliceMut<'a>) {
-        let k = self.num_tasks;
-        split_chunk!(self => SigmoidSliceMut { m, pause, leave, num_tasks }
-            current: mid, assignment: mid, have_phase: mid,
-            count1: mid * k, count2: mid * k, shat1: mid * k)
+        let (k, w) = (self.num_tasks, self.width);
+        split_chunk!(self => SigmoidSliceMut { m, pause, leave, num_tasks, width }
+            current: mid, assignment: mid,
+            count1: mid * k, count2: mid * k, bits: mid * w)
     }
 
     /// Steps every ant in the chunk through `stepping`; bit-identical to
@@ -331,15 +419,18 @@ impl<'a> SigmoidSliceMut<'a> {
         rng: &mut AntRng,
         row: &mut [u8],
     ) -> Assignment {
-        let k = self.num_tasks;
+        let (k, w) = (self.num_tasks, self.width);
+        let bits = &mut self.bits[i * w..i * w + w];
+        let count1 = &mut self.count1[i * k..i * k + k];
+        let count2 = &mut self.count2[i * k..i * k + k];
         if r == 1 {
             // Phase start: adopt a_{t−1} as currentTask, reset counters.
             self.current[i] = self.assignment[i];
-            self.count1[i * k..i * k + k].fill(0);
-            self.count2[i * k..i * k + k].fill(0);
-            self.have_phase[i] = 1;
+            count1.fill(0);
+            count2.fill(0);
+            bit_row::set(bits, k + HAVE_PHASE, true);
         }
-        if self.have_phase[i] == 0 {
+        if !bit_row::get(bits, k + HAVE_PHASE) {
             // Joined mid-phase (reset); idle out the remainder.
             return dec(self.assignment[i]);
         }
@@ -349,12 +440,12 @@ impl<'a> SigmoidSliceMut<'a> {
             // sample_into: one draw for the current task, or the batched
             // full-vector draw on the idle path.
             let counts = if first_half {
-                &mut self.count1[i * k..i * k + k]
+                &mut *count1
             } else {
-                &mut self.count2[i * k..i * k + k]
+                &mut *count2
             };
             if cur != IDLE {
-                let t = crate::cast::task_ix(cur);
+                let t = task_ix(cur);
                 counts[t] += u16::from(view.sample(t, rng).is_lack());
             } else {
                 view.fill_lack(rng, row);
@@ -367,8 +458,8 @@ impl<'a> SigmoidSliceMut<'a> {
         let median_is_lack = move |count: u16| u64::from(count) * 2 > m;
         if r == self.m {
             // Freeze ŝ1 and take the temporary pause.
-            for j in 0..k {
-                self.shat1[i * k + j] = u8::from(median_is_lack(self.count1[i * k + j]));
+            for (j, &c) in count1.iter().enumerate() {
+                bit_row::set(bits, j, median_is_lack(c));
             }
             if cur != IDLE {
                 self.assignment[i] = if self.pause.sample(rng) { IDLE } else { cur };
@@ -376,31 +467,34 @@ impl<'a> SigmoidSliceMut<'a> {
         } else if r == 0 {
             // Phase end: compute ŝ2 and decide, exactly as Algorithm Ant.
             if cur == IDLE {
-                let joinable = |this: &Self, j: usize| {
-                    this.shat1[i * k + j] == 1 && median_is_lack(this.count2[i * k + j])
-                };
-                let count = (0..k).filter(|&j| joinable(self, j)).count();
-                self.assignment[i] = if count == 0 {
-                    IDLE
+                self.assignment[i] = if k <= 64 {
+                    let mut s2 = 0u64;
+                    for (j, &c) in count2.iter().enumerate() {
+                        s2 |= u64::from(median_is_lack(c)) << j;
+                    }
+                    match bit_row::load(bits, k) & s2 {
+                        0 => IDLE,
+                        joinable => {
+                            nth_set_bit(joinable, uniform_index(rng, wide(joinable.count_ones())))
+                        }
+                    }
                 } else {
-                    let pick = uniform_index(rng, count);
-                    let j = (0..k)
-                        .filter(|&j| joinable(self, j))
-                        .nth(pick)
-                        // audit:allow(panic-path): pick was drawn as uniform_index(count) over this very filter.
-                        .expect("pick < count");
-                    crate::cast::task_col(j)
+                    let joinable = |j: usize| bit_row::get(bits, j) && median_is_lack(count2[j]);
+                    match (0..k).filter(|&j| joinable(j)).count() {
+                        0 => IDLE,
+                        count => nth_where(k, uniform_index(rng, count), joinable),
+                    }
                 };
             } else {
-                let ju = i * k + crate::cast::task_ix(cur);
-                let both_overload = self.shat1[ju] == 0 && !median_is_lack(self.count2[ju]);
+                let t = task_ix(cur);
+                let both_overload = !bit_row::get(bits, t) && !median_is_lack(count2[t]);
                 self.assignment[i] = if both_overload && self.leave.sample(rng) {
                     IDLE
                 } else {
                     cur
                 };
             }
-            self.have_phase[i] = 0;
+            bit_row::set(bits, k + HAVE_PHASE, false);
         }
         // All other rounds: keep the current assignment (a_t ← a_{t−1}).
         dec(self.assignment[i])

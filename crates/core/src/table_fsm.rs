@@ -324,6 +324,12 @@ impl FsmBank {
         self.state.len()
     }
 
+    /// Bytes the bank's per-ant columns hold.
+    #[cfg(test)]
+    pub(crate) fn column_bytes(&self) -> usize {
+        size_of_val(&self.state[..])
+    }
+
     /// True iff the bank holds no machines.
     pub fn is_empty(&self) -> bool {
         self.state.is_empty()

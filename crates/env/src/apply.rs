@@ -11,12 +11,12 @@
 //! Determinism: each slot is read, then written, by its one owner (the
 //! participant stepping that ant), and kernels never read another ant's
 //! slot — what an ant observes comes from the round's frozen feedback.
-//! Every delta field is a commutative sum, and each ant flips idleness
-//! at most once per round, so the packed-mask XOR flips commute too.
-//! Merge order therefore cannot affect the result — the property the
-//! bit-identity contract rests on (see `docs/DETERMINISM.md`).
+//! Every delta field is a commutative sum, so merge order cannot affect
+//! the result — the property the bit-identity contract rests on (see
+//! `docs/DETERMINISM.md`). A delta holds O(k) counters and no per-ant
+//! list, so it never grows with the colony.
 
-use core::sync::atomic::{AtomicU32, Ordering};
+use core::sync::atomic::{AtomicU16, Ordering};
 
 use crate::assignment::Assignment;
 
@@ -26,7 +26,8 @@ fn ix(id: u32) -> usize {
     id as usize // audit:allow(cast): u32 → usize widening (usize ≥ 32 bits on supported targets)
 }
 
-/// One u32-per-ant assignment column ([`Assignment::RAW_IDLE`] = idle).
+/// One u16-per-ant assignment column ([`Assignment::to_slot`] encoding,
+/// [`Assignment::SLOT_IDLE`] = idle).
 ///
 /// Slots are atomics only so that scoped workers can read and write
 /// disjoint slots of a shared column without `unsafe`; all accesses are
@@ -34,14 +35,14 @@ fn ix(id: u32) -> usize {
 /// barriers / scope join provide the cross-thread ordering).
 #[derive(Debug)]
 pub struct TaskColumn {
-    slots: Vec<AtomicU32>,
+    slots: Vec<AtomicU16>,
 }
 
 impl TaskColumn {
     /// A column of `n` slots, all idle.
     pub fn new(n: usize) -> Self {
         let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, || AtomicU32::new(Assignment::RAW_IDLE));
+        slots.resize_with(n, || AtomicU16::new(IDLE));
         Self { slots }
     }
 
@@ -66,76 +67,84 @@ impl TaskColumn {
     pub fn reset(&mut self, n: usize) {
         self.slots.truncate(n);
         for slot in &self.slots {
-            slot.store(Assignment::RAW_IDLE, Ordering::Relaxed);
+            slot.store(IDLE, Ordering::Relaxed);
         }
-        self.slots
-            .resize_with(n, || AtomicU32::new(Assignment::RAW_IDLE));
+        self.slots.resize_with(n, || AtomicU16::new(IDLE));
     }
 
-    /// Overwrites the column with the raw values `raw`, one slot per
-    /// value, reusing the allocation (checkpoint restore).
-    pub fn assign(&mut self, raw: &[u32]) {
+    /// Overwrites the column with `slots`, one value per slot, reusing
+    /// the allocation (checkpoint restore).
+    pub fn assign(&mut self, slots: impl IntoIterator<Item = u16>) {
         self.slots.clear();
-        self.slots.extend(raw.iter().map(|&r| AtomicU32::new(r)));
+        self.slots.extend(slots.into_iter().map(AtomicU16::new));
     }
 
-    /// The raw values of every slot, in slot order (checkpoint capture).
-    pub fn to_vec(&self) -> Vec<u32> {
-        self.slots
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect()
+    /// The value of every slot, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = u16> + '_ {
+        self.slots.iter().map(|s| s.load(Ordering::Relaxed))
     }
 
-    /// Appends one slot holding `raw`.
-    pub fn push(&mut self, raw: u32) {
-        self.slots.push(AtomicU32::new(raw));
+    /// The value of every slot, in slot order, collected.
+    pub fn to_vec(&self) -> Vec<u16> {
+        self.iter().collect()
     }
 
-    /// Swap-removes slot `i`, returning its raw value (mirrors
+    /// Appends one slot holding `slot`.
+    pub fn push(&mut self, slot: u16) {
+        self.slots.push(AtomicU16::new(slot));
+    }
+
+    /// Swap-removes slot `i`, returning its value (mirrors
     /// `Vec::swap_remove`).
-    pub fn swap_remove(&mut self, i: usize) -> u32 {
+    pub fn swap_remove(&mut self, i: usize) -> u16 {
         self.slots.swap_remove(i).into_inner()
     }
 
-    /// Raw value of slot `id`.
+    /// Value of slot `id`.
     #[inline]
-    pub fn load(&self, id: u32) -> u32 {
+    pub fn load(&self, id: u32) -> u16 {
         self.slots[ix(id)].load(Ordering::Relaxed)
     }
 
-    /// Stores `raw` into slot `id`.
+    /// Whether each of slots `from..from + n` is idle, in slot order.
     #[inline]
-    pub fn store(&self, id: u32, raw: u32) {
-        self.slots[ix(id)].store(raw, Ordering::Relaxed);
+    pub fn idle_flags(&self, from: usize, n: usize) -> impl Iterator<Item = bool> + '_ {
+        self.slots[from..from + n]
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed) == IDLE)
+    }
+
+    /// Stores `slot` into slot `id`.
+    #[inline]
+    pub fn store(&self, id: u32, slot: u16) {
+        self.slots[ix(id)].store(slot, Ordering::Relaxed);
     }
 }
+
+/// The idle value of a [`TaskColumn`] slot.
+const IDLE: u16 = Assignment::SLOT_IDLE;
 
 impl Clone for TaskColumn {
     fn clone(&self) -> Self {
         let slots = self
             .slots
             .iter()
-            .map(|s| AtomicU32::new(s.load(Ordering::Relaxed)))
+            .map(|s| AtomicU16::new(s.load(Ordering::Relaxed)))
             .collect();
         Self { slots }
     }
 }
 
 /// The commutative summary of one round's transitions over some set of
-/// ants: switch count, signed load/idle deltas, and the ids whose
-/// idleness flipped (for the packed idle mask).
+/// ants: switch count and signed load/idle deltas.
 ///
-/// Every field is order-independent under merging — integer sums
-/// commute, and `idle_flips` drives XOR bit flips that each touch a
-/// distinct ant at most once per round — so per-worker deltas can be
-/// applied in any order with a bit-identical result.
+/// Every field is an integer sum, so per-worker deltas can be applied
+/// in any order with a bit-identical result.
 #[derive(Clone, Debug)]
 pub struct RoundDelta {
     pub(crate) switches: u64,
     pub(crate) idle_delta: i64,
     pub(crate) load_deltas: Vec<i64>,
-    pub(crate) idle_flips: Vec<u32>,
 }
 
 /// Spare `load_deltas` capacity past the `k` counters in use: one
@@ -153,7 +162,6 @@ impl RoundDelta {
             switches: 0,
             idle_delta: 0,
             load_deltas: Vec::new(),
-            idle_flips: Vec::new(),
         };
         delta.reset(k);
         delta
@@ -166,30 +174,28 @@ impl RoundDelta {
         self.load_deltas.clear();
         self.load_deltas.reserve_exact(k + LOAD_DELTA_SLACK);
         self.load_deltas.resize(k, 0);
-        self.idle_flips.clear();
     }
 
-    /// Folds one ant's transition (raw-encoded) into the delta.
+    /// Folds one ant's transition ([`TaskColumn`]-encoded) into the
+    /// delta.
     #[inline]
-    pub fn record(&mut self, id: u32, prev: u32, next: u32) {
+    pub fn record(&mut self, prev: u16, next: u16) {
         if prev == next {
             return;
         }
         self.switches += 1;
-        match (prev == Assignment::RAW_IDLE, next == Assignment::RAW_IDLE) {
+        match (prev == IDLE, next == IDLE) {
             (true, false) => {
                 self.idle_delta -= 1;
-                self.load_deltas[ix(next)] += 1;
-                self.idle_flips.push(id);
+                self.load_deltas[usize::from(next)] += 1;
             }
             (false, true) => {
-                self.load_deltas[ix(prev)] -= 1;
+                self.load_deltas[usize::from(prev)] -= 1;
                 self.idle_delta += 1;
-                self.idle_flips.push(id);
             }
             (false, false) => {
-                self.load_deltas[ix(prev)] -= 1;
-                self.load_deltas[ix(next)] += 1;
+                self.load_deltas[usize::from(prev)] -= 1;
+                self.load_deltas[usize::from(next)] += 1;
             }
             (true, true) => unreachable!("prev == next was handled above"),
         }
@@ -228,15 +234,21 @@ impl<'a> ColumnWriter<'a> {
         Self { column, delta }
     }
 
-    /// Records ant `id` stepping to `next` (raw-encoded): a change is
-    /// stored in its slot and folded into the delta; no change writes
-    /// nothing, so the slot's cache line stays clean.
+    /// Number of slots in the column written to.
     #[inline]
-    pub fn write(&mut self, id: u32, next: u32) {
+    pub fn column_len(&self) -> usize {
+        self.column.len()
+    }
+
+    /// Records ant `id` stepping to `next` ([`TaskColumn`]-encoded): a
+    /// change is stored in its slot and folded into the delta; no
+    /// change writes nothing, so the slot's cache line stays clean.
+    #[inline]
+    pub fn write(&mut self, id: u32, next: u16) {
         let prev = self.column.load(id);
         if prev != next {
             self.column.store(id, next);
-            self.delta.record(id, prev, next);
+            self.delta.record(prev, next);
         }
     }
 }
@@ -245,7 +257,7 @@ impl<'a> ColumnWriter<'a> {
 mod tests {
     use super::*;
 
-    const I: u32 = Assignment::RAW_IDLE;
+    const I: u16 = Assignment::SLOT_IDLE;
 
     #[test]
     fn column_basics() {
@@ -269,19 +281,18 @@ mod tests {
     #[test]
     fn delta_records_transitions() {
         let mut d = RoundDelta::new(2);
-        d.record(0, I, 1); // idle → task 1
-        d.record(1, 0, 1); // task 0 → task 1
-        d.record(2, 1, I); // task 1 → idle
-        d.record(3, I, I); // no-op
-        d.record(4, 0, 0); // no-op
+        d.record(I, 1); // idle → task 1
+        d.record(0, 1); // task 0 → task 1
+        d.record(1, I); // task 1 → idle
+        d.record(I, I); // no-op
+        d.record(0, 0); // no-op
         assert_eq!(d.switches(), 3);
         assert_eq!(d.idle_delta, 0);
         assert_eq!(d.load_deltas, vec![-1, 1]);
-        assert_eq!(d.idle_flips, vec![0, 2]);
         d.reset(3);
         assert_eq!(d.switches(), 0);
+        assert_eq!(d.idle_delta, 0);
         assert_eq!(d.load_deltas, vec![0, 0, 0]);
-        assert!(d.idle_flips.is_empty());
     }
 
     #[test]
@@ -298,6 +309,5 @@ mod tests {
         assert_eq!(d.switches(), 2);
         assert_eq!(d.idle_delta, 0);
         assert_eq!(d.load_deltas, vec![0]);
-        assert_eq!(d.idle_flips, vec![0, 2]);
     }
 }

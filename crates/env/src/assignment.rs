@@ -37,10 +37,10 @@ impl Assignment {
         }
     }
 
-    /// The packed `u32` wire/column encoding: the task index, or
+    /// The packed `u32` wire encoding: the task index, or
     /// [`Assignment::RAW_IDLE`] for idle. This is the encoding the
-    /// checkpoint codec, the SoA bank columns and the colony's task
-    /// column, which the engine's kernels update in place, all share.
+    /// checkpoint codec writes; in memory, columns hold the narrower
+    /// [`Assignment::to_slot`] form.
     #[inline]
     pub fn to_raw(self) -> u32 {
         match self {
@@ -64,6 +64,39 @@ impl Assignment {
     /// strictly below it (colony sizes fit `u32`, so no task column can
     /// collide).
     pub const RAW_IDLE: u32 = u32::MAX;
+
+    /// The in-memory `u16` column encoding: the task index, or
+    /// [`Assignment::SLOT_IDLE`] for idle. This is the encoding the
+    /// colony's [`crate::TaskColumn`] and the controller banks' columns
+    /// share; checkpoints keep the `u32` [`Assignment::to_raw`] form.
+    ///
+    /// # Panics
+    /// If the task index does not fit below the idle sentinel (task
+    /// counts are validated far below it).
+    #[inline]
+    pub fn to_slot(self) -> u16 {
+        match self {
+            Assignment::Idle => Self::SLOT_IDLE,
+            Assignment::Task(j) => u16::try_from(j)
+                .ok()
+                .filter(|&slot| slot != Self::SLOT_IDLE)
+                .expect("task index fits the u16 task column"),
+        }
+    }
+
+    /// Decodes the `u16` column encoding; inverse of
+    /// [`Assignment::to_slot`].
+    #[inline]
+    pub fn from_slot(slot: u16) -> Self {
+        if slot == Self::SLOT_IDLE {
+            Assignment::Idle
+        } else {
+            Assignment::Task(u32::from(slot))
+        }
+    }
+
+    /// The column-encoding sentinel for idle.
+    pub const SLOT_IDLE: u16 = u16::MAX;
 }
 
 impl core::fmt::Display for Assignment {
@@ -98,6 +131,25 @@ mod tests {
         for a in [Assignment::Idle, Assignment::Task(0), Assignment::Task(41)] {
             assert_eq!(Assignment::from_raw(a.to_raw()), a);
         }
+    }
+
+    #[test]
+    fn slot_roundtrip() {
+        assert_eq!(Assignment::Idle.to_slot(), u16::MAX);
+        assert_eq!(Assignment::from_slot(u16::MAX), Assignment::Idle);
+        for a in [
+            Assignment::Idle,
+            Assignment::Task(0),
+            Assignment::Task(4095),
+        ] {
+            assert_eq!(Assignment::from_slot(a.to_slot()), a);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fits the u16 task column")]
+    fn slot_rejects_the_idle_sentinel_as_a_task() {
+        Assignment::Task(u32::from(u16::MAX)).to_slot();
     }
 
     #[test]

@@ -6,28 +6,21 @@ use crate::demand::DemandVector;
 
 /// The observable-by-nobody global state: who works where.
 ///
-/// Assignments live in one packed u32 [`TaskColumn`] (idle =
-/// [`Assignment::RAW_IDLE`]) shadowed by a packed idle bitmask. While
-/// the engine steps rounds it lends the column out
+/// Assignments live in one packed u16 [`TaskColumn`] (idle =
+/// [`Assignment::SLOT_IDLE`]), the one per-ant record of who is idle.
+/// While the engine steps rounds it lends the column out
 /// ([`ColonyState::take_column`]), step kernels update each ant's slot
 /// in place, and each round's commutative [`RoundDelta`] folds into
-/// loads, idle count and mask via [`ColonyState::apply_round_delta`];
+/// loads and idle count via [`ColonyState::apply_round_delta`];
 /// [`ColonyState::restore_column`] hands the column back. Loads are
 /// maintained incrementally — applying one ant's decision is O(1) — and
 /// a full recount is available as a (debug-asserted) consistency check.
 #[derive(Clone, Debug)]
 pub struct ColonyState {
     tasks: TaskColumn,
-    idle_words: Vec<u64>,
     loads: Vec<u32>,
     demands: DemandVector,
     idle: u32,
-}
-
-/// Packed-mask word index and bit for ant `i`.
-#[inline]
-fn mask_slot(i: usize) -> (usize, u64) {
-    (i / 64, 1u64 << (i % 64))
 }
 
 impl ColonyState {
@@ -39,14 +32,8 @@ impl ColonyState {
             "colony size must fit in u32 loads"
         );
         let k = demands.num_tasks();
-        let mut idle_words = vec![u64::MAX; n.div_ceil(64)];
-        if !n.is_multiple_of(64) {
-            // Bits past `n` stay zero so popcounts stay honest.
-            *idle_words.last_mut().expect("n > 0") = (1u64 << (n % 64)) - 1;
-        }
         Self {
             tasks: TaskColumn::new(n),
-            idle_words,
             loads: vec![0; k],
             demands,
             idle: n as u32,
@@ -54,7 +41,7 @@ impl ColonyState {
     }
 
     /// Rebuilds the colony in place to `n` all-idle ants over `demands`,
-    /// reusing the task column, idle mask and load allocations (shrink
+    /// reusing the task column and load allocations (shrink
     /// keeps capacity, grow reallocates). The result is bit-identical to
     /// `ColonyState::new(n, DemandVector::new(demands.to_vec()))` — the
     /// contract the engine's `reset_from` reuse path rests on.
@@ -65,12 +52,6 @@ impl ColonyState {
             "colony size must fit in u32 loads"
         );
         self.tasks.reset(n);
-        self.idle_words.clear();
-        self.idle_words.resize(n.div_ceil(64), u64::MAX);
-        if !n.is_multiple_of(64) {
-            // Bits past `n` stay zero so popcounts stay honest.
-            *self.idle_words.last_mut().expect("n > 0") = (1u64 << (n % 64)) - 1;
-        }
         self.loads.clear();
         self.loads.resize(demands.len(), 0);
         self.demands.rebuild_in(demands);
@@ -80,8 +61,8 @@ impl ColonyState {
 
     /// Rebuilds the colony in place from a raw assignment column (one
     /// [`Assignment::to_raw`] value per ant) over `demands`, reusing the
-    /// allocations, with loads, idle count and idle mask recounted in
-    /// one pass — the checkpoint-restore counterpart of
+    /// allocations, with loads and idle count recounted in one pass —
+    /// the checkpoint-restore counterpart of
     /// [`ColonyState::rebuild_in`].
     ///
     /// # Panics
@@ -95,21 +76,24 @@ impl ColonyState {
             "colony size must fit in u32 loads"
         );
         let k = demands.len();
-        self.tasks.assign(raw);
-        // Slot `k` counts idle ants, so the tally needs no branch.
-        let mut counts = vec![0u32; k + 1];
-        self.idle_words.clear();
-        self.idle_words.extend(raw.chunks(64).map(|block| {
-            let mut word = 0u64;
-            for (bit, &t) in block.iter().enumerate() {
-                word |= u64::from(t == Assignment::RAW_IDLE) << bit;
-                counts[(t as usize).min(k)] += 1;
-            }
-            word
-        }));
+        // Slot `k` counts idle ants and slot `k + 1` values out of
+        // range, so the tally needs no branch.
+        let mut counts = vec![0u32; k + 2];
+        for &t in raw {
+            let tally = match usize::try_from(t) {
+                _ if t == Assignment::RAW_IDLE => k,
+                Ok(j) if j < k => j,
+                _ => k + 1,
+            };
+            counts[tally] += 1;
+        }
+        assert_eq!(counts.pop(), Some(0), "task index out of range");
+        // Every value is now a task below `k` (so it fits) or idle.
+        self.tasks.assign(
+            raw.iter()
+                .map(|&t| u16::try_from(t).unwrap_or(Assignment::SLOT_IDLE)),
+        );
         self.idle = counts.pop().expect("k + 1 > 0");
-        let masked: u32 = self.idle_words.iter().map(|w| w.count_ones()).sum();
-        assert_eq!(self.idle, masked, "task index out of range");
         self.loads.clear();
         self.loads.extend_from_slice(&counts);
         self.demands.rebuild_in(demands);
@@ -161,19 +145,12 @@ impl ColonyState {
     /// Assignment of ant `i`.
     #[inline]
     pub fn assignment(&self, i: usize) -> Assignment {
-        Assignment::from_raw(self.tasks.load(i as u32))
+        Assignment::from_slot(self.tasks.load(i as u32))
     }
 
     /// All assignments, decoded from the packed column.
     pub fn assignments(&self) -> Vec<Assignment> {
         (0..self.num_ants()).map(|i| self.assignment(i)).collect()
-    }
-
-    /// The packed idle bitmask (bit `i` of word `i / 64` set iff ant
-    /// `i` is idle; bits past `n` are zero).
-    #[inline]
-    pub fn idle_mask(&self) -> &[u64] {
-        &self.idle_words
     }
 
     /// The current packed assignment column.
@@ -236,19 +213,14 @@ impl ColonyState {
             Assignment::Idle => self.idle += 1,
             Assignment::Task(j) => self.loads[j as usize] += 1,
         }
-        if prev.is_idle() != next.is_idle() {
-            let (w, bit) = mask_slot(i);
-            self.idle_words[w] ^= bit;
-        }
-        self.tasks.store(i as u32, next.to_raw());
+        self.tasks.store(i as u32, next.to_slot());
     }
 
-    /// Folds one round delta into loads, idle count and the idle mask
-    /// **without** touching the task column (the column is on loan via
+    /// Folds one round delta into loads and idle count **without**
+    /// touching the task column (the column is on loan via
     /// [`ColonyState::take_column`], where the kernels already updated
     /// it, until [`ColonyState::restore_column`] returns it). Mid-scope
-    /// the task column is absent; loads, idle count and mask are
-    /// current.
+    /// the task column is absent; loads and idle count are current.
     pub fn apply_round_delta(&mut self, delta: &RoundDelta) {
         assert_eq!(delta.load_deltas.len(), self.loads.len());
         for (load, &d) in self.loads.iter_mut().zip(&delta.load_deltas) {
@@ -259,22 +231,13 @@ impl ColonyState {
         let idle = i64::from(self.idle) + delta.idle_delta;
         assert!(idle >= 0, "idle count went negative");
         self.idle = u32::try_from(idle).expect("idle fits u32");
-        for &id in &delta.idle_flips {
-            let (w, bit) = mask_slot(id as usize);
-            self.idle_words[w] ^= bit;
-        }
     }
 
     /// Adds an idle ant; returns its index (self-stabilization under
     /// births).
     pub fn spawn_ant(&mut self) -> usize {
         let i = self.tasks.len();
-        self.tasks.push(Assignment::RAW_IDLE);
-        let (w, bit) = mask_slot(i);
-        if w == self.idle_words.len() {
-            self.idle_words.push(0);
-        }
-        self.idle_words[w] |= bit;
+        self.tasks.push(Assignment::SLOT_IDLE);
         self.idle += 1;
         i
     }
@@ -289,42 +252,23 @@ impl ColonyState {
             Assignment::Task(j) => self.loads[j as usize] -= 1,
         }
         let last = self.tasks.len() - 1;
-        let (lw, lbit) = mask_slot(last);
-        let last_idle = self.idle_words[lw] & lbit != 0;
-        self.idle_words[lw] &= !lbit;
         self.tasks.swap_remove(i);
-        self.idle_words.truncate(self.tasks.len().div_ceil(64));
-        if i < self.tasks.len() {
-            let (w, bit) = mask_slot(i);
-            if last_idle {
-                self.idle_words[w] |= bit;
-            } else {
-                self.idle_words[w] &= !bit;
-            }
-            Some(last)
-        } else {
-            None
-        }
+        (i < last).then_some(last)
     }
 
-    /// Full recount of loads, idle count and the packed idle mask from
-    /// the task column; true iff the incremental bookkeeping matches.
-    /// Used by tests and debug asserts.
+    /// Full recount of loads and idle count from the task column; true
+    /// iff the incremental bookkeeping matches. Used by tests and debug
+    /// asserts.
     pub fn recount_consistent(&self) -> bool {
         let mut loads = vec![0u32; self.loads.len()];
         let mut idle = 0u32;
-        let mut words = vec![0u64; self.num_ants().div_ceil(64)];
         for i in 0..self.num_ants() {
             match self.assignment(i) {
-                Assignment::Idle => {
-                    idle += 1;
-                    let (w, bit) = mask_slot(i);
-                    words[w] |= bit;
-                }
+                Assignment::Idle => idle += 1,
                 Assignment::Task(j) => loads[j as usize] += 1,
             }
         }
-        loads == self.loads && idle == self.idle && words == self.idle_words
+        loads == self.loads && idle == self.idle
     }
 
     /// Regret of the current configuration: `r = Σ_j |Δ(j)|`.
@@ -357,7 +301,6 @@ mod tests {
         assert_eq!(c.load(0), 0);
         assert_eq!(c.deficit(0), 3);
         assert_eq!(c.instant_regret(), 7);
-        assert_eq!(c.idle_mask(), &[0x3FF]);
         assert!(c.recount_consistent());
     }
 
@@ -365,6 +308,12 @@ mod tests {
     #[should_panic(expected = "task index out of range")]
     fn restore_in_rejects_out_of_range_tasks() {
         colony().restore_in(&[0, 2, Assignment::RAW_IDLE], &[3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task index out of range")]
+    fn restore_in_rejects_tasks_past_the_u16_column() {
+        colony().restore_in(&[0, 1 << 16], &[3, 4]);
     }
 
     #[test]
@@ -423,15 +372,15 @@ mod tests {
     #[test]
     fn spawn_kill_across_word_boundary() {
         let mut c = ColonyState::new(64, DemandVector::new(vec![10]));
-        assert_eq!(c.idle_mask().len(), 1);
         let idx = c.spawn_ant();
         assert_eq!(idx, 64);
-        assert_eq!(c.idle_mask().len(), 2);
+        assert_eq!(c.idle_count(), 65);
         assert!(c.recount_consistent());
         c.apply(64, Assignment::Task(0));
-        // Kill inside the first word: working ant 64 swaps into slot 0.
+        // Working ant 64 swaps into slot 0.
         assert_eq!(c.kill_ant(0), Some(64));
-        assert_eq!(c.idle_mask().len(), 1);
+        assert_eq!(c.num_ants(), 64);
+        assert_eq!(c.idle_count(), 63);
         assert_eq!(c.load(0), 1);
         assert_eq!(c.assignment(0), Assignment::Task(0));
         assert!(c.recount_consistent());
@@ -442,7 +391,7 @@ mod tests {
         let mut c = colony();
         // A stepping scope lends the one column out; two writers update
         // disjoint slots of it in place, and the colony tracks
-        // loads/idle/mask via their deltas only.
+        // loads/idle via their deltas only.
         let column = c.take_column();
         assert_eq!(c.num_ants(), 0, "column is on loan");
         let mut d0 = RoundDelta::new(2);
@@ -459,7 +408,7 @@ mod tests {
             {
                 let mut w = ColumnWriter::new(&column, &mut d1);
                 for i in 5u32..10 {
-                    let t = if i == 5 { 1 } else { Assignment::RAW_IDLE };
+                    let t = if i == 5 { 1 } else { Assignment::SLOT_IDLE };
                     w.write(i, t);
                 }
             }
@@ -490,7 +439,7 @@ mod tests {
 
     proptest! {
         /// Any sequence of assignment moves keeps incremental bookkeeping
-        /// (loads, idle count and packed mask) consistent with a recount,
+        /// (loads and idle count) consistent with a recount,
         /// and total mass conserved.
         #[test]
         fn bookkeeping_is_consistent(moves in proptest::collection::vec((0usize..10, 0u32..3), 0..200)) {
@@ -527,9 +476,8 @@ mod tests {
             prop_assert_eq!(restored.assignments(), reference.assignments());
             prop_assert_eq!(restored.loads(), reference.loads());
             prop_assert_eq!(restored.idle_count(), reference.idle_count());
-            prop_assert_eq!(restored.idle_mask(), reference.idle_mask());
             prop_assert_eq!(restored.demands(), reference.demands());
-            prop_assert_eq!(restored.task_column().to_vec(), raw);
+            prop_assert_eq!(restored.task_column().to_vec(), reference.task_column().to_vec());
         }
 
         /// Fused rounds over one column updated in place (column
@@ -551,7 +499,7 @@ mod tests {
                     let mut w = ColumnWriter::new(&column, &mut delta);
                     for (i, &t) in targets.iter().enumerate() {
                         let a = if t >= 2 { Assignment::Idle } else { Assignment::Task(t) };
-                        w.write(i as u32, a.to_raw());
+                        w.write(i as u32, a.to_slot());
                         switches += u64::from(reference.assignment(i) != a);
                         reference.apply(i, a);
                     }
@@ -560,7 +508,6 @@ mod tests {
                 fused.apply_round_delta(&delta);
                 prop_assert_eq!(fused.loads(), reference.loads());
                 prop_assert_eq!(fused.idle_count(), reference.idle_count());
-                prop_assert_eq!(fused.idle_mask(), reference.idle_mask());
             }
             fused.restore_column(column);
             prop_assert_eq!(fused.assignments(), reference.assignments());

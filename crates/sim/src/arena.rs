@@ -20,7 +20,7 @@
 //! success, departs for a uniformly chosen *other* site. The pass walks
 //! the colony in fixed-size blocks, each in two sweeps: a branch-free
 //! one that ticks counters, refreshes sense rows and marks the eligible
-//! ants (the colony's packed idle mask ANDed with "settled"), then one
+//! ants (idle in the colony's task column and settled), then one
 //! that draws coins (and sites) for the marked ants alone. Eligibility
 //! depends only on an ant's own state and draws happen in global order,
 //! so this consumes the stream exactly as one per-ant loop would.
@@ -30,7 +30,7 @@
 //! re-imposed wholesale by [`ArenaState::sync_to_colony`] after
 //! scrambles and restores).
 
-use antalloc_env::{ArenaConfig, Assignment, ColonyState};
+use antalloc_env::{ArenaConfig, Assignment, ColonyState, TaskColumn};
 use antalloc_noise::{Feedback, PreparedRound, SensedRound, TaskFeedback};
 use antalloc_rng::{reserved, uniform_index, AntRng, Bernoulli, StreamSeeder};
 
@@ -258,15 +258,14 @@ impl ArenaState {
     /// The end-of-round movement pass: travel counters tick down, then
     /// every idle settled ant flips the wander coin (reserved `ARENA`
     /// stream keyed by `round`, global ant order) and on success departs
-    /// for a uniformly chosen other site. `idle` is the colony's packed
-    /// idle mask after the round's deltas merged (bit `i % 64` of word
-    /// `i / 64` set iff ant `i` is idle).
-    pub(crate) fn wander(&mut self, round: u64, idle: &[u64]) {
+    /// for a uniformly chosen other site. `tasks` is the colony's task
+    /// column after the round's kernels wrote it.
+    pub(crate) fn wander(&mut self, round: u64, tasks: &TaskColumn) {
         if self.is_single_site() {
             return;
         }
         let mut rng = self.seeder.stream(round);
-        self.wander_with(&mut rng, idle);
+        self.wander_with(&mut rng, tasks);
     }
 
     /// [`ArenaState::wander`] on an explicit stream, block by block:
@@ -274,33 +273,35 @@ impl ArenaState {
     /// marks the block's eligible (idle, settled) ants in a bitmask,
     /// then the coin and site draws run over the marked ants alone, in
     /// ascending order.
-    fn wander_with(&mut self, rng: &mut AntRng, idle: &[u64]) {
-        debug_assert_eq!(idle.len(), self.site.len().div_ceil(64));
+    fn wander_with(&mut self, rng: &mut AntRng, tasks: &TaskColumn) {
+        debug_assert_eq!(tasks.len(), self.site.len());
         let blind = self.blind();
         let draws = !self.wander.never();
         let (wander, travel_rounds, num_sites) =
             (self.wander, self.config.travel_rounds, self.num_sites);
-        for (((site, travel), sense), idle) in self
+        for (block, ((site, travel), sense)) in self
             .site
             .chunks_mut(WANDER_BLOCK)
             .zip(self.travel.chunks_mut(WANDER_BLOCK))
             .zip(self.sense_of.chunks_mut(WANDER_BLOCK))
-            .zip(idle.chunks(WANDER_BLOCK / 64))
+            .enumerate()
         {
             let mut eligible = [0u64; WANDER_BLOCK / 64];
-            for (((travel, site), sense), (mark, &idle)) in travel
+            for (word, (((travel, site), sense), mark)) in travel
                 .chunks_mut(64)
                 .zip(site.chunks(64))
                 .zip(sense.chunks_mut(64))
-                .zip(eligible.iter_mut().zip(idle))
+                .zip(eligible.iter_mut())
+                .enumerate()
             {
-                let mut settled = 0u64;
-                for (bit, ((t, &s), row)) in travel.iter_mut().zip(site).zip(sense).enumerate() {
+                let idle = tasks.idle_flags(block * WANDER_BLOCK + word * 64, travel.len());
+                for (bit, (((t, &s), row), idle)) in
+                    travel.iter_mut().zip(site).zip(sense).zip(idle).enumerate()
+                {
                     *t = t.saturating_sub(1);
                     *row = sense_row(s, *t, blind);
-                    settled |= u64::from(*t == 0) << bit;
+                    *mark |= u64::from(*t == 0 && idle) << bit;
                 }
-                *mark = settled & idle;
             }
             if !draws {
                 continue;
@@ -388,7 +389,7 @@ mod tests {
     #[test]
     fn travelers_sense_nothing_and_arrive_on_schedule() {
         let mut a = ArenaState::new(&two_site_config(), 2, 3);
-        let idle = [0b11];
+        let idle = TaskColumn::new(2);
         a.wander(1, &idle); // p = 1: both ants depart, travel = 2.
         assert!(a.travel().iter().all(|&t| t == 2));
         let prep = prepared(2);
@@ -410,16 +411,17 @@ mod tests {
     #[test]
     fn working_ants_never_wander_and_single_site_is_inert() {
         let mut a = ArenaState::new(&two_site_config(), 2, 3);
-        let idle = [0b10]; // ant 0 works; ant 1 idle.
+        let tasks = TaskColumn::new(2);
+        tasks.store(0, 0); // ant 0 works; ant 1 idle.
         let before = a.site()[0];
-        a.wander(1, &idle);
+        a.wander(1, &tasks);
         assert_eq!(a.site()[0], before);
         assert_eq!(a.travel()[0], 0);
         assert_eq!(a.travel()[1], 2); // the idle ant departed (p = 1).
 
         let mut single = ArenaState::new(&ArenaConfig::single_site(2), 2, 3);
         assert!(single.is_single_site());
-        single.wander(1, &[0b11]);
+        single.wander(1, &TaskColumn::new(2));
         assert!(single.travel().iter().all(|&t| t == 0));
     }
 
@@ -461,7 +463,7 @@ mod tests {
             return;
         }
         for i in 0..site.len() {
-            if travel[i] > 0 || assignments.load(i as u32) != Assignment::RAW_IDLE {
+            if travel[i] > 0 || assignments.load(i as u32) != Assignment::SLOT_IDLE {
                 continue;
             }
             if wander.sample(rng) {
@@ -495,19 +497,16 @@ mod tests {
                     let (mut ref_site, mut ref_travel) = (site, travel);
                     for round in 1..=5 {
                         let column = TaskColumn::new(n);
-                        let mut idle = vec![0u64; n.div_ceil(64)];
                         for i in 0..n {
                             // About half idle, the rest spread over tasks.
                             let draw = gen.next_u64() % (2 * k);
                             if draw < k {
-                                column.store(i as u32, draw as u32);
-                            } else {
-                                idle[i / 64] |= 1 << (i % 64);
+                                column.store(i as u32, draw as u16);
                             }
                         }
                         let mut rng = a.seeder.stream(round);
                         let mut ref_rng = rng.clone();
-                        a.wander_with(&mut rng, &idle);
+                        a.wander_with(&mut rng, &column);
                         wander_reference(
                             &mut ref_site,
                             &mut ref_travel,
@@ -536,7 +535,7 @@ mod tests {
         };
         let mut a = ArenaState::new(&cfg, 6, 1);
         assert!(a.sense_consistent());
-        a.wander(1, &[0b11_1111]); // everyone departs: all blind
+        a.wander(1, &TaskColumn::new(6)); // everyone departs: all blind
         assert!(a.sense_consistent());
         assert!(a.sense_of.iter().all(|&r| r == 3));
         let mut colony = ColonyState::new(6, DemandVector::new(vec![2, 2, 2]));

@@ -477,7 +477,7 @@ fn put_scratch(out: &mut Vec<u8>, cols: &AntColumns, k: usize) {
         out.push(tag as u8);
         match tag as u8 {
             TAG_SIGMOID => {
-                let (s, row) = (&cols.sigmoid, e * k..e * k + k);
+                let (s, row) = (&cols.sigmoid.rows, e * k..e * k + k);
                 out.extend_from_slice(&s.current[e].to_le_bytes());
                 out.push(s.have_phase[e]);
                 for &c in s.count1[row.clone()].iter().chain(&s.count2[row.clone()]) {
@@ -566,11 +566,12 @@ fn get_scratch(
         };
         match tag {
             TAG_SIGMOID => {
-                let s = &mut cols.sigmoid;
-                if s.ids.is_empty() {
+                if cols.sigmoid.ids.is_empty() {
                     // Once, for as many entries as the payload can hold.
-                    s.reserve(count.min(1 + buf.len() / entry_len(TAG_SIGMOID, k)), k);
+                    let entries = count.min(1 + buf.len() / entry_len(TAG_SIGMOID, k));
+                    cols.sigmoid.reserve(entries, k);
                 }
+                let s = &mut cols.sigmoid.rows;
                 let mut entry = take(buf, entry_len(TAG_SIGMOID, k) - 5)?;
                 s.current.push(get_task(&mut entry, k)?);
                 s.have_phase.push(u8::from(get_bool(&mut entry)?));
@@ -588,7 +589,7 @@ fn get_scratch(
                     )));
                 }
                 s.shat1.extend(shat1.iter().map(|&b| u8::from(b != 0)));
-                s.ids.push(ant);
+                cols.sigmoid.ids.push(ant);
             }
             TAG_ADVERSARIAL => {
                 let current_task = Assignment::from_raw(get_task(buf, k)?);

@@ -78,8 +78,8 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use antalloc_core::AnyController;
 use antalloc_env::{
-    ArenaConfig, ColonyState, ColonyView, ColumnWriter, DemandVector, Event, InitialConfig,
-    Perturbation, RoundDelta, TaskColumn, Timeline, TriggerState,
+    ArenaConfig, Assignment, ColonyState, ColonyView, ColumnWriter, DemandVector, Event,
+    InitialConfig, Perturbation, RoundDelta, TaskColumn, Timeline, TriggerState,
 };
 use antalloc_noise::{NoiseModel, PreparedRound, SensedRound};
 use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
@@ -167,7 +167,10 @@ fn step_part(
     };
     let mut writer = ColumnWriter::new(column, delta);
     for (slice, ids) in part.iter_mut() {
-        slice.step_batch_fused(sensed, round_key, ids, &mut writer);
+        slice
+            .step_batch_fused(sensed, round_key, ids, &mut writer)
+            // audit:allow(panic-path): `partition_mut` pairs every chunk with its own ascending ids, all below the column's length.
+            .expect("a part's chunk and ids fit the task column");
     }
 }
 
@@ -724,7 +727,7 @@ impl SyncEngine {
                 if let Some(l) = arena {
                     l.write()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .wander(self.round, self.colony.idle_mask());
+                        .wander(self.round, column_ref);
                 }
                 completed += 1;
                 if self.end_round(n, switches, observer) {
@@ -841,7 +844,12 @@ impl SyncEngine {
             next_stream: self.next_stream,
             cursor: self.cursor as u64,
             triggers: self.trigger_states.clone(),
-            tasks: self.colony.task_column().to_vec(),
+            tasks: self
+                .colony
+                .task_column()
+                .iter()
+                .map(|slot| Assignment::from_slot(slot).to_raw())
+                .collect(),
             ants: self.population.capture(self.colony.num_tasks()),
             arena_site,
             arena_travel,

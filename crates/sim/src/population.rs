@@ -44,8 +44,7 @@
 //! to an uninterrupted run.
 
 use antalloc_core::{
-    AdversarialScratch, AnyController, BankSliceMut, ControllerBank, SigmoidPlanes,
-    SigmoidPlanesMut, SlotMap,
+    AdversarialScratch, AnyController, BankSliceMut, ControllerBank, SigmoidRows, SlotMap,
 };
 use antalloc_env::{Assignment, ColonyState};
 use antalloc_noise::PreparedRound;
@@ -80,9 +79,12 @@ pub(crate) struct AntColumns {
 
 impl AntColumns {
     /// Appends the scratch of ant `id`, slot `s` of `bank`.
-    fn capture_row(&mut self, bank: &Bank, id: u32, s: usize, k: usize) {
+    fn capture_row(&mut self, bank: &Bank, id: u32, s: usize) {
         match &bank.controllers {
-            ControllerBank::PreciseSigmoid(b) => self.sigmoid.push(id, &b.planes(), s, k),
+            ControllerBank::PreciseSigmoid(b) => {
+                self.sigmoid.ids.push(id);
+                b.capture_rows(s..s + 1, &mut self.sigmoid.rows);
+            }
             ControllerBank::PreciseAdversarial(b) => {
                 self.adversarial_ids.push(id);
                 self.adversarial.push(b.scratch(s));
@@ -100,7 +102,10 @@ impl AntColumns {
     /// Appends the scratch of every ant of `bank`, whose ants ascend.
     fn capture_bank(&mut self, bank: &Bank) {
         match &bank.controllers {
-            ControllerBank::PreciseSigmoid(b) => self.sigmoid.extend(&bank.ants, &b.planes()),
+            ControllerBank::PreciseSigmoid(b) => {
+                self.sigmoid.ids.extend_from_slice(&bank.ants);
+                b.capture_rows(0..b.len(), &mut self.sigmoid.rows);
+            }
             ControllerBank::PreciseAdversarial(b) => {
                 self.adversarial_ids.extend_from_slice(&bank.ants);
                 self.adversarial.extend((0..b.len()).map(|s| b.scratch(s)));
@@ -140,68 +145,19 @@ fn scratch_kind(bank: &ControllerBank) -> Option<u8> {
     }
 }
 
-/// Precise Sigmoid scratch as fixed-stride columns shaped like the
-/// bank's planes ([`SigmoidPlanes`]): entry `e` belongs to ant
-/// `ids[e]` and owns `k` entries of each counter and median column.
+/// Precise Sigmoid scratch as fixed-stride checkpoint rows
+/// ([`SigmoidRows`]): entry `e` belongs to ant `ids[e]`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct SigmoidColumns {
     pub ids: Vec<u32>,
-    /// `currentTask`, raw.
-    pub current: Vec<u32>,
-    /// Phase-observed flag (0 or 1).
-    pub have_phase: Vec<u8>,
-    /// First-half `lack` counts.
-    pub count1: Vec<u16>,
-    /// Second-half `lack` counts.
-    pub count2: Vec<u16>,
-    /// Frozen first-half medians (1 = lack).
-    pub shat1: Vec<u8>,
+    pub rows: SigmoidRows,
 }
 
 impl SigmoidColumns {
     /// Reserves room for `entries` more rows over `k` tasks.
     pub fn reserve(&mut self, entries: usize, k: usize) {
         self.ids.reserve_exact(entries);
-        self.current.reserve_exact(entries);
-        self.have_phase.reserve_exact(entries);
-        self.count1.reserve_exact(k * entries);
-        self.count2.reserve_exact(k * entries);
-        self.shat1.reserve_exact(k * entries);
-    }
-
-    /// Appends ant `id`'s row, slot `s` of `planes`.
-    fn push(&mut self, id: u32, planes: &SigmoidPlanes<'_>, s: usize, k: usize) {
-        let row = s * k..s * k + k;
-        self.ids.push(id);
-        self.current.push(planes.current[s]);
-        self.have_phase.push(planes.have_phase[s]);
-        // Copied element-wise: rows are a few entries long, too short
-        // for a `memcpy` call to pay.
-        self.count1
-            .extend(planes.count1[row.clone()].iter().copied());
-        self.count2
-            .extend(planes.count2[row.clone()].iter().copied());
-        self.shat1.extend(planes.shat1[row].iter().copied());
-    }
-
-    /// Appends every row of a bank whose ants are `ids`.
-    fn extend(&mut self, ids: &[u32], planes: &SigmoidPlanes<'_>) {
-        self.ids.extend_from_slice(ids);
-        self.current.extend_from_slice(planes.current);
-        self.have_phase.extend_from_slice(planes.have_phase);
-        self.count1.extend_from_slice(planes.count1);
-        self.count2.extend_from_slice(planes.count2);
-        self.shat1.extend_from_slice(planes.shat1);
-    }
-
-    /// Writes entry `e` into slot `s` of `planes`.
-    fn write(&self, e: usize, planes: &mut SigmoidPlanesMut<'_>, s: usize, k: usize) {
-        let (from, to) = (e * k..e * k + k, s * k..s * k + k);
-        planes.current[s] = self.current[e];
-        planes.have_phase[s] = self.have_phase[e];
-        planes.count1[to.clone()].copy_from_slice(&self.count1[from.clone()]);
-        planes.count2[to.clone()].copy_from_slice(&self.count2[from.clone()]);
-        planes.shat1[to].copy_from_slice(&self.shat1[from]);
+        self.rows.reserve(entries, k);
     }
 }
 
@@ -304,8 +260,9 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 
 /// Where participant `p` of `workers` starts its share of a bank of
 /// `len` ants: the equal split `p · len / workers` rounded up to a
-/// multiple of 16 (16 `u32`s are one 64-byte line of the task
-/// column), capped at `len`. `part_boundary(len, 1, workers)` is
+/// multiple of 16 (a 64-byte line of the `u32` id lists, half a line of
+/// the `u16` task columns, so a seam shares at most one line per column
+/// with its neighbour), capped at `len`. `part_boundary(len, 1, workers)` is
 /// `len.div_ceil(workers).next_multiple_of(16)`, so two participants
 /// split a bank at that chunk.
 fn part_boundary(len: usize, p: usize, workers: usize) -> usize {
@@ -371,9 +328,9 @@ impl Population {
         colony: &ColonyState,
         cols: &AntColumns,
     ) {
-        let (k, n) = (colony.num_tasks(), colony.num_ants());
+        let n = colony.num_ants();
         self.members.clone_from(&cols.members);
-        self.regroup(spec, seed, k, n);
+        self.regroup(spec, seed, colony.num_tasks(), n);
         self.reset_to_colony(colony);
         let sigmoid = &cols.sigmoid;
         let sole_bank = self.banks.iter_mut().find(|bank| bank.ants == sigmoid.ids);
@@ -383,16 +340,11 @@ impl Population {
         }) = sole_bank
         {
             // One bank holds exactly the captured ants, in order: copy
-            // the planes whole.
-            let planes = bank.planes_mut();
-            planes.current.copy_from_slice(&sigmoid.current);
-            planes.have_phase.copy_from_slice(&sigmoid.have_phase);
-            planes.count1.copy_from_slice(&sigmoid.count1);
-            planes.count2.copy_from_slice(&sigmoid.count2);
-            planes.shat1.copy_from_slice(&sigmoid.shat1);
+            // the counter planes whole.
+            bank.restore_rows(&sigmoid.rows);
         } else {
             self.scatter(&sigmoid.ids, |bank, s, e| match bank {
-                ControllerBank::PreciseSigmoid(b) => sigmoid.write(e, &mut b.planes_mut(), s, k),
+                ControllerBank::PreciseSigmoid(b) => b.restore_row(s, &sigmoid.rows, e),
                 // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
                 _ => unreachable!("Precise Sigmoid scratch for another kind"),
             });
@@ -764,7 +716,7 @@ impl Population {
                 end += usize::from(kinds[b] == kind);
             }
             for &(id, b, s) in &picks[..end] {
-                cols.capture_row(&self.banks[b], id, s, num_tasks);
+                cols.capture_row(&self.banks[b], id, s);
             }
         }
         cols

@@ -6,13 +6,7 @@ use antalloc_noise::NoiseModel;
 use crate::config::{ControllerSpec, SimConfig};
 use crate::scenario::ConfigError;
 
-/// Hard cap on the task count `k`. The paper's regime is `k ≪ n`
-/// (single digits in every experiment); the cap keeps pathological
-/// configs from quietly allocating per-task state the engine was never
-/// sized for, and lets the ≤ 64-task bitmask sensing fast path treat
-/// its bound as a checked-once precondition rather than a per-draw
-/// assertion.
-pub const MAX_TASKS: usize = 4096;
+pub use antalloc_core::MAX_TASKS;
 
 /// How much validation a build performs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

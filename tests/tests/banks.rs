@@ -4,10 +4,10 @@
 //! survive imperative kill/spawn/checkpoint/restore with exact replays.
 
 use antalloc_core::Controller as _;
-use antalloc_env::{ColonyState, DemandVector, Event, Perturbation};
+use antalloc_env::{ColonyState, DemandVector, Event, InitialConfig, Perturbation};
 use antalloc_noise::{FeedbackProbe, NoiseModel};
 use antalloc_rng::{reserved, AntRng, StreamSeeder};
-use antalloc_sim::{Checkpoint, ControllerSpec, NullObserver, SimConfig};
+use antalloc_sim::{Checkpoint, ConfigError, ControllerSpec, NullObserver, SimConfig};
 use antalloc_tests::contract::{check_contract, Round, Trace};
 use antalloc_tests::scenarios;
 
@@ -296,4 +296,43 @@ fn invalid_mixes_are_rejected_with_typed_errors() {
         .out_of_spec_params()
         .build()
         .expect("out-of-spec mixes build relaxed");
+}
+
+/// The edge of the `u16` task-id encoding: a colony of `MAX_TASKS`
+/// tasks keeps the contract with every kind that writes task ids into
+/// its columns, starting with every ant on the last task, whose id
+/// (4095) sits just below the idle sentinel; one task more is a typed
+/// error.
+#[test]
+fn max_tasks_colony_keeps_the_contract_and_one_more_is_refused() {
+    let kinds = scenarios::kinds();
+    let spec = ControllerSpec::Mix([0, 2, 3, 6, 5].map(|i| (1.0, kinds[i].clone())).to_vec());
+    let config = |k: usize| {
+        SimConfig::builder(4096, vec![1; k])
+            .noise(NoiseModel::Exact)
+            .controller(spec.clone())
+            .initial(InitialConfig::AllOnTask(k - 1))
+            .seed(11)
+            .build()
+    };
+    let k = antalloc_sim::MAX_TASKS;
+    let cfg = config(k).expect("MAX_TASKS tasks are valid");
+    let trace = check_contract(&cfg, 8);
+    let first = &trace.rounds[0];
+    assert!(
+        first.loads[k - 1] > 0 && first.idle > 0,
+        "task {} kept no ant",
+        k - 1
+    );
+    let err = config(k + 1).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ConfigError::TooManyTasks {
+                tasks: 4097,
+                max: 4096
+            }
+        ),
+        "{err}"
+    );
 }
