@@ -16,10 +16,10 @@ use antalloc_env::Assignment;
 use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{nth_set_bit, nth_where, scratch_row};
+use crate::ant_bank::{nth_where, scratch_row};
 use crate::bank::{split_chunk, Stepping};
 use crate::bit_row;
-use crate::cast::{dec, enc, task_ix, wide, IDLE};
+use crate::cast::{dec, enc, task_ix, IDLE};
 use crate::controller::Controller;
 use crate::params::PreciseAdversarialParams;
 use crate::precise_adversarial::{AdversarialScratch, PreciseAdversarial};
@@ -38,19 +38,6 @@ const LACKED: usize = 3;
 const LACKED_WORKING: usize = 4;
 /// Flag bits per row.
 const FLAGS: usize = 5;
-
-/// The section of its phase a round falls in (`r = round mod
-/// phase_len`), each stepped by its own loop: `r = 1` resets the
-/// trackers and opens the ramp (or, with `r_1 = 1`, is the freeze)…
-const START: u8 = 0;
-/// … `1 < r < r_1`, the rest of the ramp …
-const RAMP: u8 = 1;
-/// … `r = r_1`, the freeze …
-const FREEZE: u8 = 2;
-/// … `r = 0`, the phase end …
-const END: u8 = 3;
-/// … and `r_1 < r < phase_len`, the frozen sub-phase.
-const FROZEN: u8 = 4;
 
 /// A homogeneous Precise Adversarial population in structure-of-arrays
 /// layout.
@@ -282,30 +269,13 @@ impl<'a> AdversarialSliceMut<'a> {
     /// Steps every ant in the chunk through `stepping`; bit-identical to
     /// per-ant [`Controller::step`] on [`PreciseAdversarial`]: ant `i`'s
     /// round at phase position `r = round mod phase_len`, computed once
-    /// for the whole chunk (all ants share the global clock), which
-    /// picks the section of the phase and with it one monomorphic loop.
+    /// for the whole chunk (all ants share the global clock). The
+    /// reference's pending first lack is the local `lacked`: it is set
+    /// and classified only in the ramp (`1 ≤ r < r_1`), so it never
+    /// outlives the round.
     pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
-        let r = stepping.round() % self.phase_len;
-        match r {
-            0 => self.run::<END>(stepping, r),
-            1 => self.run::<START>(stepping, r),
-            r if r < self.r1 => self.run::<RAMP>(stepping, r),
-            r if r == self.r1 => self.run::<FREEZE>(stepping, r),
-            _ => self.run::<FROZEN>(stepping, r),
-        }
-    }
-
-    /// The chunk loop for rounds of phase section `S` at position `r`.
-    /// The reference's pending first lack is the local `lacked`: it is
-    /// set and classified only in the ramp (`1 ≤ r < r_1`), so it never
-    /// outlives the round. The columns are bound to locals first, so the
-    /// loop keeps them in registers across its byte stores.
-    #[inline(always)]
-    fn run<const S: u8>(&mut self, stepping: Stepping<'_, '_>, r: u64) {
         let (r1, ramp, k, w) = (self.r1, self.ramp, self.num_tasks, self.width);
-        // Round 1 opens the ramp, or with r_1 = 1 is the freeze itself.
-        let in_ramp = S == RAMP || (S == START && r < r1);
-        let in_freeze = S == FREEZE || (S == START && r == r1);
+        let r = stepping.round() % self.phase_len;
         let current: &mut [u16] = self.current;
         let assignment: &mut [u16] = self.assignment;
         let bits: &mut [u8] = self.bits;
@@ -315,7 +285,7 @@ impl<'a> AdversarialSliceMut<'a> {
             #[inline(always)]
             |i, view: RoundView<'_>, rng: &mut AntRng| {
                 let row = &mut bits[i * w..i * w + w];
-                if S == START {
+                if r == 1 {
                     // Phase start: adopt a_{t−1}, reset trackers.
                     current[i] = assignment[i];
                     row.fill(0);
@@ -344,10 +314,10 @@ impl<'a> AdversarialSliceMut<'a> {
                         }
                     }
                 }
-                if in_ramp {
+                if (1..r1).contains(&r) {
                     // Ramp (its first round only samples): still-working ants
                     // pause w.p. εγ/32 and stay paused.
-                    if S != START && cur != IDLE && assignment[i] == cur && ramp.sample(rng) {
+                    if r >= 2 && cur != IDLE && assignment[i] == cur && ramp.sample(rng) {
                         assignment[i] = IDLE;
                     }
                     // A first lack is classified after the pause decision: was
@@ -356,7 +326,7 @@ impl<'a> AdversarialSliceMut<'a> {
                         bit_row::set(row, k + LACKED, true);
                         bit_row::set(row, k + LACKED_WORKING, assignment[i] == cur);
                     }
-                } else if in_freeze {
+                } else if r == r1 {
                     // Freeze the sub-phase-2 behaviour at r_min's state.
                     if cur != IDLE {
                         let working = if bit_row::get(row, k + LACKED) {
@@ -367,20 +337,13 @@ impl<'a> AdversarialSliceMut<'a> {
                         bit_row::set(row, k + FROZEN_WORKING, working);
                         assignment[i] = if working { cur } else { IDLE };
                     }
-                } else if S == END {
+                } else if r == 0 {
                     // Phase end: unanimous-signal decisions.
                     if cur == IDLE {
-                        assignment[i] = if k <= 64 {
-                            match bit_row::load(row, k) {
-                                0 => IDLE,
-                                all => nth_set_bit(all, uniform_index(rng, wide(all.count_ones()))),
-                            }
-                        } else {
-                            match bit_row::count(row, k) {
-                                0 => IDLE,
-                                count => nth_where(k, uniform_index(rng, count), |j| {
-                                    bit_row::get(row, j)
-                                }),
+                        assignment[i] = match bit_row::count(row, k) {
+                            0 => IDLE,
+                            count => {
+                                nth_where(k, uniform_index(rng, count), |j| bit_row::get(row, j))
                             }
                         };
                     } else if bit_row::get(row, k + ALL_OVERLOAD) && ramp.sample(rng) {

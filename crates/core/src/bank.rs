@@ -407,10 +407,8 @@ impl<'a> BankSliceMut<'a> {
     /// its one shared view out of the loop, a per-ant round steps each
     /// ant against `sensed.view_for(ids[i])`.
     ///
-    /// `ids` must ascend, as a bank's ids do, so the last is the
-    /// largest: the call checks once, before any write, that there is
-    /// one id per ant and that the last id has a slot in the writer's
-    /// column.
+    /// The call checks once, before any write, that there is one id per
+    /// ant and that the largest id has a slot in the writer's column.
     ///
     /// # Errors
     /// [`BankError::IdCount`] or [`BankError::IdOutOfRange`]; nothing
@@ -429,7 +427,11 @@ impl<'a> BankSliceMut<'a> {
             });
         }
         let column = writer.column_len();
-        if let Some(&id) = ids.last().filter(|&&id| crate::cast::wide(id) >= column) {
+        if let Some(&id) = ids
+            .iter()
+            .max()
+            .filter(|&&id| crate::cast::wide(id) >= column)
+        {
             return Err(BankError::IdOutOfRange { id, column });
         }
         self.step(Stepping::Fused {
@@ -456,7 +458,7 @@ pub enum BankError {
         /// Ids passed.
         ids: usize,
     },
-    /// The chunk's last (largest) id has no slot in the task column.
+    /// The chunk's largest id has no slot in the task column.
     IdOutOfRange {
         /// The id.
         id: u32,
@@ -739,18 +741,21 @@ mod tests {
     fn fused_step_rejects_an_id_past_the_column_before_writing() {
         let (column, mut bank, prepared) = fused_fixture(4, 3);
         let mut delta = RoundDelta::new(1);
-        let mut writer = ColumnWriter::new(&column, &mut delta);
-        let err = bank
-            .as_slice_mut()
-            .step_batch_fused(SensedRound::shared(&prepared), 7, &[0, 2, 4], &mut writer)
-            .unwrap_err();
-        assert_eq!(err, BankError::IdOutOfRange { id: 4, column: 4 });
+        // Last or not: the largest id is checked, wherever it stands.
+        for (ids, id) in [([0, 2, 4], 4), ([0, 9, 2], 9)] {
+            let mut writer = ColumnWriter::new(&column, &mut delta);
+            let err = bank
+                .as_slice_mut()
+                .step_batch_fused(SensedRound::shared(&prepared), 7, &ids, &mut writer)
+                .unwrap_err();
+            assert_eq!(err, BankError::IdOutOfRange { id, column: 4 });
+            assert_eq!(delta.switches(), 0);
+            assert!(column.to_vec().iter().all(|&t| t == Assignment::SLOT_IDLE));
+        }
         assert_eq!(
-            err.to_string(),
+            BankError::IdOutOfRange { id: 4, column: 4 }.to_string(),
             "colony id 4 is past a task column of 4 slots"
         );
-        assert_eq!(delta.switches(), 0);
-        assert!(column.to_vec().iter().all(|&t| t == Assignment::SLOT_IDLE));
         // In range, the same call steps every ant into the lacking task.
         let mut writer = ColumnWriter::new(&column, &mut delta);
         bank.as_slice_mut()

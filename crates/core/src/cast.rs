@@ -43,13 +43,10 @@ pub(crate) fn task_col(ix: usize) -> u16 {
     ix as u16
 }
 
-/// Encodes an assignment as its column value.
+/// Encodes an assignment as its column value, [`Assignment::to_slot`].
 #[inline(always)]
 pub(crate) fn enc(a: Assignment) -> u16 {
-    match a {
-        Assignment::Idle => IDLE,
-        Assignment::Task(j) => task_col(wide(j)),
-    }
+    a.to_slot()
 }
 
 /// Decodes a column value; inverse of [`enc`].

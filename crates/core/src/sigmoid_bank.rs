@@ -28,10 +28,10 @@ use antalloc_env::Assignment;
 use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{nth_set_bit, nth_where};
+use crate::ant_bank::nth_where;
 use crate::bank::{split_chunk, Stepping};
 use crate::bit_row;
-use crate::cast::{dec, enc, task_ix, wide, IDLE};
+use crate::cast::{dec, enc, task_ix, IDLE};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 use crate::precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
@@ -467,23 +467,10 @@ impl<'a> SigmoidSliceMut<'a> {
         } else if r == 0 {
             // Phase end: compute ŝ2 and decide, exactly as Algorithm Ant.
             if cur == IDLE {
-                self.assignment[i] = if k <= 64 {
-                    let mut s2 = 0u64;
-                    for (j, &c) in count2.iter().enumerate() {
-                        s2 |= u64::from(median_is_lack(c)) << j;
-                    }
-                    match bit_row::load(bits, k) & s2 {
-                        0 => IDLE,
-                        joinable => {
-                            nth_set_bit(joinable, uniform_index(rng, wide(joinable.count_ones())))
-                        }
-                    }
-                } else {
-                    let joinable = |j: usize| bit_row::get(bits, j) && median_is_lack(count2[j]);
-                    match (0..k).filter(|&j| joinable(j)).count() {
-                        0 => IDLE,
-                        count => nth_where(k, uniform_index(rng, count), joinable),
-                    }
+                let joinable = |j: usize| bit_row::get(bits, j) && median_is_lack(count2[j]);
+                self.assignment[i] = match (0..k).filter(|&j| joinable(j)).count() {
+                    0 => IDLE,
+                    count => nth_where(k, uniform_index(rng, count), joinable),
                 };
             } else {
                 let t = task_ix(cur);
