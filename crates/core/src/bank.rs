@@ -54,8 +54,8 @@
 //! assert_eq!(out, vec![Assignment::Task(0), Assignment::Task(0)]);
 //! ```
 
-use antalloc_env::{Assignment, ColumnWriter, TaskColumn};
-use antalloc_noise::{RoundView, SensedRound};
+use antalloc_env::{Assignment, ColumnWriter, SensedRound, TaskColumn};
+use antalloc_noise::RoundView;
 use antalloc_rng::AntRng;
 
 use crate::adversarial_bank::{AdversarialSliceMut, PreciseAdversarialBank};
@@ -404,8 +404,9 @@ impl<'a> BankSliceMut<'a> {
     /// the result is stored differ.
     ///
     /// Takes the round as a [`SensedRound`]: a well-mixed round hoists
-    /// its one shared view out of the loop, a per-ant round steps each
-    /// ant against `sensed.view_for(ids[i])`.
+    /// its one shared view out of the loop; an arena round steps each
+    /// ant against the row its position selects and then moves it
+    /// ([`antalloc_env::ArenaRound`]), in the same pass.
     ///
     /// The call checks once, before any write, that there is one id per
     /// ant and that the largest id has a slot in the writer's column.
@@ -510,7 +511,8 @@ pub(crate) enum Stepping<'a, 'w> {
         out: &'a mut [Assignment],
     },
     /// Ant `i` draws from `AntRng::keyed(round_key, ids[i])`; its
-    /// decision goes through `writer` at colony id `ids[i]`.
+    /// decision goes through `writer` at colony id `ids[i]`, and in an
+    /// arena round it moves right after.
     Fused {
         sensed: SensedRound<'a>,
         round_key: u64,
@@ -571,8 +573,9 @@ fn drive_streams<F>(
 /// The fused driver: ant `i` steps with its stream for the round,
 /// `AntRng::keyed(round_key, ids[i])`, and its decision goes through
 /// `writer` at `ids[i]`. A well-mixed round hoists its shared view out
-/// of the loop; otherwise each ant senses `sensed.view_for(ids[i])`.
-/// The per-ant draw order is the same either way.
+/// of the loop; an arena round reads each ant's sense row from its
+/// position slots and moves the ant after its write. The per-ant draw
+/// order is the same either way.
 #[inline(always)]
 fn drive_fused<F>(
     n: usize,
@@ -585,27 +588,42 @@ fn drive_fused<F>(
     F: FnMut(usize, RoundView<'_>, &mut AntRng) -> Assignment,
 {
     debug_assert_eq!(n, ids.len(), "one colony id per ant");
-    match sensed.shared_view() {
-        Some(view) => keyed_loop(round_key, ids, writer, step, |_| view),
-        None => keyed_loop(round_key, ids, writer, step, |id| sensed.view_for(id)),
+    match sensed {
+        SensedRound::Shared(view) => {
+            keyed_loop(round_key, ids, writer, step, |_| ((), view), |_, (), _| {});
+        }
+        SensedRound::Arena(arena) => keyed_loop(
+            round_key,
+            ids,
+            writer,
+            step,
+            |id| arena.sense(id),
+            |id, from, next| arena.advance(id, from, next == Assignment::SLOT_IDLE),
+        ),
     }
 }
 
-/// The fused driver's loop, once per view source.
+/// The fused driver's loop, once per sensing form: `sense` gives ant
+/// `id`'s view (and what `after` needs of its state before the step),
+/// `after` runs once the ant's next assignment is written.
 #[inline(always)]
-fn keyed_loop<'v, F, V>(
+fn keyed_loop<'v, F, S, P, A>(
     round_key: u64,
     ids: &[u32],
     writer: &mut ColumnWriter<'_>,
     mut step: F,
-    view_of: V,
+    sense: S,
+    after: A,
 ) where
     F: FnMut(usize, RoundView<'_>, &mut AntRng) -> Assignment,
-    V: Fn(u32) -> RoundView<'v>,
+    S: Fn(u32) -> (P, RoundView<'v>),
+    A: Fn(u32, P, u16),
 {
     for (i, &id) in ids.iter().enumerate() {
-        let next = step(i, view_of(id), &mut AntRng::keyed(round_key, id.into()));
-        writer.write(id, enc(next));
+        let (before, view) = sense(id);
+        let next = enc(step(i, view, &mut AntRng::keyed(round_key, id.into())));
+        writer.write(id, next);
+        after(id, before, next);
     }
 }
 
@@ -729,7 +747,12 @@ mod tests {
         let mut writer = ColumnWriter::new(&column, &mut delta);
         let err = bank
             .as_slice_mut()
-            .step_batch_fused(SensedRound::shared(&prepared), 7, &[0, 1], &mut writer)
+            .step_batch_fused(
+                SensedRound::Shared(prepared.view()),
+                7,
+                &[0, 1],
+                &mut writer,
+            )
             .unwrap_err();
         assert_eq!(err, BankError::IdCount { ants: 3, ids: 2 });
         assert_eq!(err.to_string(), "2 colony ids for a chunk of 3 ants");
@@ -746,7 +769,7 @@ mod tests {
             let mut writer = ColumnWriter::new(&column, &mut delta);
             let err = bank
                 .as_slice_mut()
-                .step_batch_fused(SensedRound::shared(&prepared), 7, &ids, &mut writer)
+                .step_batch_fused(SensedRound::Shared(prepared.view()), 7, &ids, &mut writer)
                 .unwrap_err();
             assert_eq!(err, BankError::IdOutOfRange { id, column: 4 });
             assert_eq!(delta.switches(), 0);
@@ -759,7 +782,12 @@ mod tests {
         // In range, the same call steps every ant into the lacking task.
         let mut writer = ColumnWriter::new(&column, &mut delta);
         bank.as_slice_mut()
-            .step_batch_fused(SensedRound::shared(&prepared), 7, &[0, 2, 3], &mut writer)
+            .step_batch_fused(
+                SensedRound::Shared(prepared.view()),
+                7,
+                &[0, 2, 3],
+                &mut writer,
+            )
             .unwrap();
         assert_eq!(column.to_vec(), [0, Assignment::SLOT_IDLE, 0, 0]);
         assert_eq!(delta.switches(), 3);

@@ -106,14 +106,6 @@ impl TaskColumn {
         self.slots[ix(id)].load(Ordering::Relaxed)
     }
 
-    /// Whether each of slots `from..from + n` is idle, in slot order.
-    #[inline]
-    pub fn idle_flags(&self, from: usize, n: usize) -> impl Iterator<Item = bool> + '_ {
-        self.slots[from..from + n]
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed) == IDLE)
-    }
-
     /// Stores `slot` into slot `id`.
     #[inline]
     pub fn store(&self, id: u32, slot: u16) {
@@ -178,7 +170,7 @@ impl RoundDelta {
 
     /// Folds one ant's transition ([`TaskColumn`]-encoded) into the
     /// delta.
-    #[inline]
+    #[inline(always)]
     pub fn record(&mut self, prev: u16, next: u16) {
         if prev == next {
             return;
@@ -243,7 +235,10 @@ impl<'a> ColumnWriter<'a> {
     /// Records ant `id` stepping to `next` ([`TaskColumn`]-encoded): a
     /// change is stored in its slot and folded into the delta; no
     /// change writes nothing, so the slot's cache line stays clean.
-    #[inline]
+    ///
+    /// Always inlined: every kind's fused loop calls it once per ant,
+    /// and an out-of-line call there spills the loop's registers.
+    #[inline(always)]
     pub fn write(&mut self, id: u32, next: u16) {
         let prev = self.column.load(id);
         if prev != next {

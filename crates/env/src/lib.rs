@@ -59,7 +59,7 @@ mod timeline;
 mod trigger;
 
 pub use apply::{ColumnWriter, RoundDelta, TaskColumn};
-pub use arena::ArenaConfig;
+pub use arena::{ArenaConfig, ArenaRound, Position, Positions, SensedRound};
 pub use assignment::Assignment;
 pub use colony::ColonyState;
 pub use demand::{AssumptionReport, DemandVector};

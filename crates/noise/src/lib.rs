@@ -35,7 +35,7 @@ pub use critical::{
     PAPER_RELIABILITY_EXPONENT,
 };
 pub use feedback::Feedback;
-pub use model::{NoiseModel, PreparedRound, RoundView, SensedRound, TaskFeedback};
+pub use model::{NoiseModel, PreparedRound, RoundView, TaskFeedback};
 pub use policy::{yao_demand_pair, GreyZonePolicy};
 pub use probe::FeedbackProbe;
 pub use sigmoid::{lack_probability, logistic, logit};

@@ -57,10 +57,17 @@ pub enum TaskFeedback {
 
 /// All tasks' sampling state for one round; cheap to rebuild every round.
 /// The default is an empty row for [`NoiseModel::prepare_into`] to fill.
+///
+/// A spatial round also carries one row per site
+/// ([`PreparedRound::localize`]): an ant at a site senses that site's
+/// row ([`PreparedRound::site_view`]) instead of the shared one.
 #[derive(Clone, Debug, Default)]
 pub struct PreparedRound {
     tasks: Vec<TaskFeedback>,
     round: u64,
+    /// `(sites + 1) · k` entries after [`PreparedRound::localize`], row
+    /// `r` at `r·k..(r+1)·k`; empty for a well-mixed round.
+    site_rows: Vec<TaskFeedback>,
 }
 
 impl NoiseModel {
@@ -140,6 +147,7 @@ impl NoiseModel {
         demands: &[u64],
     ) {
         assert_eq!(deficits.len(), demands.len());
+        prepared.site_rows.clear();
         let tasks = &mut prepared.tasks;
         tasks.clear();
         prepared.round = round;
@@ -356,124 +364,6 @@ impl RoundView<'_> {
     }
 }
 
-/// One round's sampling state as *sensed* by each ant.
-///
-/// The sensing layer's core abstraction: where [`RoundView`] is **one**
-/// signal table shared by the whole colony (the well-mixed setting),
-/// a `SensedRound` maps every ant to one of several signal *rows* —
-/// e.g. one row per arena site, so an ant senses only its local tasks.
-///
-/// Two forms, distinguished by [`SensedRound::shared_view`]:
-///
-/// * **Shared** ([`SensedRound::shared`]): a single row, every ant
-///   senses it. Kernels detect this with `shared_view()` and run their
-///   pre-existing shared-view loops — the well-mixed path compiles to
-///   exactly the old code and stays bit-identical (same draws, same
-///   `fill_lack`/`lack_mask` paths).
-/// * **Per-ant** ([`SensedRound::from_parts`]): `sense_of[ant]` selects
-///   the row; kernels call [`SensedRound::view_for`] per ant. Rows are
-///   plain [`TaskFeedback`] tables, so each ant's draw sequence is the
-///   same as if its row were the whole colony's view — determinism per
-///   ant is unchanged, only *which* signals it sees varies.
-///
-/// Like [`RoundView`] this is a few words and `Copy`; build it once per
-/// round and hand it to every bank.
-#[derive(Clone, Copy, Debug)]
-pub struct SensedRound<'a> {
-    /// Concatenated rows, `k` entries each (row `r` at `r*k..(r+1)*k`).
-    site_tasks: &'a [TaskFeedback],
-    /// Global ant id → row index; empty ⇒ every ant senses row 0.
-    sense_of: &'a [u32],
-    k: usize,
-    round: u64,
-}
-
-impl<'a> SensedRound<'a> {
-    /// The well-mixed form: every ant senses `prepared`'s single table.
-    #[inline]
-    pub fn shared(prepared: &'a PreparedRound) -> Self {
-        SensedRound {
-            site_tasks: &prepared.tasks,
-            sense_of: &[],
-            k: prepared.tasks.len(),
-            round: prepared.round,
-        }
-    }
-
-    /// The per-ant form: ant `i` senses row `sense_of[i]` of
-    /// `site_tasks` (rows of `k` entries, concatenated).
-    ///
-    /// # Panics
-    /// If `site_tasks.len()` is not a positive multiple of `k`, or any
-    /// row index in `sense_of` is out of range. Checked here, once per
-    /// round, so [`SensedRound::view_for`] can stay assert-free in the
-    /// per-ant hot loop.
-    pub fn from_parts(
-        site_tasks: &'a [TaskFeedback],
-        sense_of: &'a [u32],
-        k: usize,
-        round: u64,
-    ) -> Self {
-        assert!(k > 0, "sensed round with zero tasks");
-        assert_eq!(site_tasks.len() % k, 0, "rows must be k entries each");
-        let rows = site_tasks.len() / k;
-        assert!(rows > 0, "sensed round with zero rows");
-        assert!(
-            sense_of.iter().all(|&r| (r as usize) < rows),
-            "sense row out of range"
-        );
-        SensedRound {
-            site_tasks,
-            sense_of,
-            k,
-            round,
-        }
-    }
-
-    /// The single shared view, when every ant senses the same row.
-    ///
-    /// Kernels branch on this: `Some` is the well-mixed fast path (one
-    /// view hoisted out of the ant loop — the pre-refactor code path),
-    /// `None` means per-ant views via [`SensedRound::view_for`].
-    #[inline]
-    pub fn shared_view(&self) -> Option<RoundView<'a>> {
-        if self.sense_of.is_empty() {
-            Some(RoundView {
-                tasks: &self.site_tasks[..self.k],
-                round: self.round,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// The view ant `ant` (global id) senses this round.
-    #[inline(always)]
-    pub fn view_for(&self, ant: u32) -> RoundView<'a> {
-        let row = if self.sense_of.is_empty() {
-            0
-        } else {
-            self.sense_of[ant as usize] as usize
-        };
-        RoundView {
-            tasks: &self.site_tasks[row * self.k..(row + 1) * self.k],
-            round: self.round,
-        }
-    }
-
-    /// Number of tasks in every row.
-    #[inline]
-    pub fn num_tasks(&self) -> usize {
-        self.k
-    }
-
-    /// The round these signals describe.
-    #[inline]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-}
-
 impl PreparedRound {
     /// Number of tasks.
     #[inline]
@@ -509,6 +399,43 @@ impl PreparedRound {
     /// The per-task states (for diagnostics and tests).
     pub fn tasks(&self) -> &[TaskFeedback] {
         &self.tasks
+    }
+
+    /// Builds the round's per-site rows for tasks pinned at
+    /// `site_of_task` (sites `0..sites`, one past its largest entry):
+    /// row `s` holds task `j`'s feedback iff `site_of_task[j] == s` and
+    /// a [`TaskFeedback::Fixed`] `Overload` elsewhere, and the trailing
+    /// row `sites` is all-`Overload` (the blind row travelers sense).
+    /// Masked entries consume no draws, so an ant's draw sequence never
+    /// depends on where it stands. O(rows); reuses the rows' capacity.
+    /// [`NoiseModel::prepare_into`] clears the rows.
+    ///
+    /// # Panics
+    /// If `site_of_task` does not pin every task.
+    pub fn localize(&mut self, site_of_task: &[u32]) {
+        assert_eq!(site_of_task.len(), self.tasks.len(), "one site per task");
+        let k = self.tasks.len();
+        let sites = site_of_task.iter().max().map_or(0, |&s| s as usize + 1);
+        self.site_rows.clear();
+        self.site_rows
+            .resize((sites + 1) * k, TaskFeedback::Fixed(Feedback::Overload));
+        for (j, (&site, &feedback)) in site_of_task.iter().zip(&self.tasks).enumerate() {
+            self.site_rows[site as usize * k + j] = feedback;
+        }
+    }
+
+    /// The view an ant sensing site row `row` draws from (row `sites` is
+    /// the blind row; see [`PreparedRound::localize`]).
+    ///
+    /// # Panics
+    /// If the round has no row `row`.
+    #[inline(always)]
+    pub fn site_view(&self, row: usize) -> RoundView<'_> {
+        let k = self.tasks.len();
+        RoundView {
+            tasks: &self.site_rows[row * k..(row + 1) * k],
+            round: self.round,
+        }
     }
 }
 
@@ -580,6 +507,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn localize_masks_all_but_each_sites_tasks() {
+        let model = NoiseModel::Sigmoid { lambda: 0.3 };
+        let mut row = model.prepare(4, &[1, -2, 3], &[10; 3]);
+        row.localize(&[1, 0, 1]);
+        let masked = TaskFeedback::Fixed(Feedback::Overload);
+        let tasks = row.tasks().to_vec();
+        assert_eq!(row.site_view(0).tasks, &[masked, tasks[1], masked]);
+        assert_eq!(row.site_view(1).tasks, &[tasks[0], masked, tasks[2]]);
+        assert_eq!(row.site_view(2).tasks, &[masked; 3]); // the blind row
+        assert_eq!(row.site_view(2).round(), 4);
+        // Preparing the next round drops the rows.
+        model.prepare_into(&mut row, 5, &[0; 3], &[10; 3]);
+        assert!(row.site_rows.is_empty());
     }
 
     #[test]

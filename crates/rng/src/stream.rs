@@ -60,10 +60,11 @@ pub mod reserved {
     /// identically on checkpoint restore).
     pub const TIMELINE: u64 = u64::MAX - 5;
     /// Spatial-arena movement: the stream whose first output re-seeds
-    /// the dedicated sub-seeder that hands each round its own wander
-    /// generator (a pure function of `(master seed, round)`, so ant
-    /// movement between sites replays bit-identically across serial,
-    /// parallel and checkpoint-restored runs).
+    /// the dedicated sub-seeder whose round key
+    /// ([`crate::StreamSeeder::round_key`]) keys every ant's wander
+    /// draws for that round (a pure function of `(master seed, round,
+    /// ant)`, so ant movement between sites replays bit-identically
+    /// across serial, parallel and checkpoint-restored runs).
     pub const ARENA: u64 = u64::MAX - 6;
     /// Ant decisions: the stream whose first output re-seeds the
     /// dedicated sub-seeder that hands each round its key

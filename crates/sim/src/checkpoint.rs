@@ -1060,6 +1060,39 @@ mod tests {
     }
 
     #[test]
+    fn arena_positions_past_the_geometry_are_typed_errors() {
+        // Decode is where a restored position's sense row is made valid:
+        // a site past the arena or a travel past its latency is corrupt.
+        let mut cfg = config();
+        cfg.arena = Some(antalloc_env::ArenaConfig {
+            site_of_task: vec![0, 1],
+            travel_rounds: 2,
+            wander_probability: 0.3,
+        });
+        let mut e = cfg.build();
+        e.run(4, &mut NullObserver);
+        let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
+        // The site then travel columns close the stream, `u32` per ant.
+        let (sites, travels) = (bytes.len() - 8 * cfg.n, bytes.len() - 4 * cfg.n);
+        for (at, value, expected) in [
+            (
+                sites,
+                2u32,
+                "arena site 2 out of range (the arena has 2 sites)",
+            ),
+            (sites + 4 * 7, u32::MAX, "out of range"),
+            (travels, 3, "arena travel 3 exceeds the travel latency 2"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            match Checkpoint::from_bytes(&bad) {
+                Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(expected), "{msg}"),
+                other => panic!("{value} at byte {at} decoded as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn bytes_roundtrip_exactly() {
         let mut e = config().build();
         let mut obs = NullObserver;

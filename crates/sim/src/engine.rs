@@ -65,6 +65,13 @@
 //! event rounds step on every participant. A trigger that arms ends its
 //! scope the same way.
 //!
+//! An arena rides in the same pass. Its position columns are lent to
+//! every participant for the scope, like the task column and without a
+//! lock: each participant moves its own ants right after stepping them
+//! (`crate::arena`), so the coordinator's exclusive window holds no
+//! per-ant work — only the O(rows) site rows it adds to the round's
+//! prepared feedback and the O(k) delta merge.
+//!
 //! ## The sequential model
 //!
 //! Appendix D.1's model differs from §2.1's only in which ants step, so
@@ -79,9 +86,9 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use antalloc_core::AnyController;
 use antalloc_env::{
     ArenaConfig, Assignment, ColonyState, ColonyView, ColumnWriter, DemandVector, Event,
-    InitialConfig, Perturbation, RoundDelta, TaskColumn, Timeline, TriggerState,
+    InitialConfig, Perturbation, RoundDelta, SensedRound, TaskColumn, Timeline, TriggerState,
 };
-use antalloc_noise::{NoiseModel, PreparedRound, SensedRound};
+use antalloc_noise::{NoiseModel, PreparedRound};
 use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
 
 use crate::arena::ArenaState;
@@ -148,22 +155,21 @@ fn apply_perturbation(
 /// One participant's share of a round: steps its part of the
 /// population against the frozen feedback, each ant drawing from its
 /// stream for the round keyed `round_key`, updating its ants' slots of
-/// `column` in place and folding the transitions into `delta`.
+/// `column` in place and folding the transitions into `delta`. In an
+/// arena each ant senses from its position and moves right after its
+/// step, in the same pass.
 fn step_part(
     part: &mut WorkerPart<'_>,
     prepared: &PreparedRound,
     round_key: u64,
-    arena: Option<&RwLock<ArenaState>>,
+    arena: Option<&ArenaState>,
     column: &TaskColumn,
     delta: &mut RoundDelta,
 ) {
     delta.reset(prepared.num_tasks());
-    // The coordinator rebuilt the sense rows before this pass and
-    // rewrites them only after it, so the read guard is uncontended.
-    let arena = arena.map(|l| l.read().unwrap_or_else(PoisonError::into_inner));
-    let sensed = match &arena {
+    let sensed = match arena {
         Some(a) => a.sensed(prepared),
-        None => SensedRound::shared(prepared),
+        None => SensedRound::Shared(prepared.view()),
     };
     let mut writer = ColumnWriter::new(column, delta);
     for (slice, ids) in part.iter_mut() {
@@ -287,8 +293,8 @@ pub struct SyncEngine {
     /// exclusive window.
     deltas: Vec<DeltaSlot>,
     /// Spatial runtime for arena scenarios (`None` for well-mixed).
-    /// Unlocked outside a scope; `run_scope` moves it behind an
-    /// `RwLock` for the scope's duration, see there.
+    /// `run_scope` lends it to every participant for the scope, see
+    /// there.
     arena: Option<ArenaState>,
 }
 
@@ -536,8 +542,9 @@ impl SyncEngine {
     pub fn run_parallel(&mut self, rounds: u64, threads: usize, observer: &mut impl Observer) {
         // Two barrier crossings cost ~10µs/round; a serial round of the
         // four-kind 200k-ant mix (perfbench's `wellmixed_mix`) costs
-        // ~3.5ms, ~17ns per ant, on a 2-vCPU x86-64 host. Below ~8k
-        // ants per participant the extra threads lose.
+        // ~3.5ms, ~17.5ns per ant (median of five 30 s runs, 57e6
+        // ant-rounds/s), on a shared 2-vCPU x86-64 host. Below ~8k ants
+        // per participant the extra threads lose.
         self.drive(rounds, threads, 8_000, observer)
     }
 
@@ -639,13 +646,13 @@ impl SyncEngine {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         let worker_deltas = &*worker_deltas;
-        // The arena is locked only for the scope: workers read the
-        // frozen sense rows between the round barriers while the
-        // coordinator writes them (sense-row rebuild, wander pass) in
-        // its exclusive windows, so the lock is never contended. Moving
-        // it in and out is O(1).
-        let arena_lock = self.arena.take().map(RwLock::new);
-        let arena = arena_lock.as_ref();
+        // The arena is shared with every participant for the scope, like
+        // the column: each moves only its own ants' position slots in
+        // the kernel pass, and the round's site rows travel with the
+        // published feedback. Events that change positions fire only
+        // between scopes. Moving it in and out is O(1).
+        let arena_state = self.arena.take();
+        let arena = arena_state.as_ref();
         let column_ref = &column;
 
         let completed = std::thread::scope(|scope| {
@@ -685,16 +692,15 @@ impl SyncEngine {
                 self.colony.deficits_into(&mut self.pre_deficits);
                 // Unique here (the last round's published handle was
                 // cleared after its `done`), so `make_mut` never clones.
+                let prepared = Arc::make_mut(&mut self.prepared);
                 self.noise.prepare_into(
-                    Arc::make_mut(&mut self.prepared),
+                    prepared,
                     self.round,
                     &self.pre_deficits,
                     self.colony.demands().as_slice(),
                 );
-                if let Some(l) = arena {
-                    l.write()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .build_round(&self.prepared);
+                if let Some(a) = arena {
+                    a.localize(prepared);
                 }
                 let round_key = self.seeder.round_key(self.round);
                 if workers > 1 {
@@ -716,18 +722,14 @@ impl SyncEngine {
                     *shared.write().unwrap_or_else(PoisonError::into_inner) = None;
                 }
                 // Exclusive window: merge the deltas (commutative, so
-                // in any order); the column is already current.
+                // in any order); the column and positions are already
+                // current.
                 let mut switches = own_delta.switches();
                 self.colony.apply_round_delta(own_delta);
                 for slot in worker_deltas {
                     let delta = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
                     switches += delta.switches();
                     self.colony.apply_round_delta(&delta);
-                }
-                if let Some(l) = arena {
-                    l.write()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .wander(self.round, column_ref);
                 }
                 completed += 1;
                 if self.end_round(n, switches, observer) {
@@ -740,7 +742,7 @@ impl SyncEngine {
             }
             completed
         });
-        self.arena = arena_lock.map(|l| l.into_inner().unwrap_or_else(PoisonError::into_inner));
+        self.arena = arena_state;
         self.population = population;
         self.deltas = deltas;
         // An O(1) move; the deltas already applied every round.
@@ -830,10 +832,16 @@ impl SyncEngine {
         &self.population
     }
 
+    /// The arena runtime (movement reference tests).
+    #[cfg(test)]
+    pub(crate) fn arena(&self) -> Option<&ArenaState> {
+        self.arena.as_ref()
+    }
+
     /// Copies the engine's state out as columns (checkpoint capture).
     pub(crate) fn snapshot(&self) -> Snapshot {
         let (arena_site, arena_travel) = match &self.arena {
-            Some(a) => (a.site().to_vec(), a.travel().to_vec()),
+            Some(a) => (a.site(), a.travel()),
             None => (Vec::new(), Vec::new()),
         };
         Snapshot {

@@ -57,8 +57,9 @@ pub const STORE_MAGIC: u32 = 0x414E_5453;
 ///
 /// Bumped to 2 when the simulator's per-ant randomness became
 /// counter-keyed: every seed's output changed, so outcomes archived
-/// under version 1 would be wrong hits.
-pub const STORE_VERSION: u32 = 2;
+/// under version 1 would be wrong hits. Bumped to 3 when arena wander
+/// moved to per-ant keyed draws: every arena scenario's output changed.
+pub const STORE_VERSION: u32 = 3;
 
 /// Exact manifest size: magic(4) + version(4) + kind(1) +
 /// fingerprint(32) + payload len(8) + payload SHA-256(32).

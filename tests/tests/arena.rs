@@ -4,9 +4,11 @@
 //! arenas keep the full determinism contract (the shared oracle), and
 //! invalid arenas are typed errors.
 
+use antalloc_analysis::{chernoff_above, chernoff_below};
 use antalloc_core::ProportionalParams;
-use antalloc_env::{ArenaConfig, Condition, Event, Timeline, Trigger};
+use antalloc_env::{ArenaConfig, ArenaRound, Condition, Event, Positions, Timeline, Trigger};
 use antalloc_noise::NoiseModel;
+use antalloc_rng::StreamSeeder;
 use antalloc_sim::{ConfigError, ControllerSpec, SimConfig};
 use antalloc_tests::contract::{check_contract, check_contract_at, Trace};
 use antalloc_tests::scenarios;
@@ -35,6 +37,83 @@ fn arena_config(
         .arena(arena)
         .build()
         .expect("valid scenario")
+}
+
+/// Per-tail failure probability of the keyed-move statistics below.
+const MOVE_TAIL: f64 = 1e-9;
+
+/// The band a Binomial count of mean `mean` leaves with probability at
+/// most `2 · MOVE_TAIL`, from Theorem E.2's tails (`chernoff_above`,
+/// `chernoff_below`).
+fn chernoff_band(mean: f64) -> (f64, f64) {
+    let log = (1.0 / MOVE_TAIL).ln();
+    let (above, below) = ((3.0 * log / mean).sqrt(), (2.0 * log / mean).sqrt());
+    assert!(
+        above <= 1.0 && below < 1.0,
+        "mean {mean} is too small for the band"
+    );
+    assert!(chernoff_above(mean, above) <= MOVE_TAIL * (1.0 + 1e-9));
+    assert!(chernoff_below(mean, below) <= MOVE_TAIL * (1.0 + 1e-9));
+    ((1.0 - below) * mean, (1.0 + above) * mean)
+}
+
+#[test]
+fn keyed_moves_depart_binomially_to_uniform_other_sites() {
+    // One round of moves over 64 fixed keys, 2000 ants each, 4 sites:
+    // ant `id` stands at site `id % 4`, is in transit (2 rounds left)
+    // iff `id % 5 == 0`, and is idle iff `id % 3 != 0`. Only idle ants
+    // settled after the tick may leave; departures must be
+    // Binomial(eligible, p) and their destinations uniform over the
+    // three other sites.
+    const SITES: usize = 4;
+    let arena = ArenaConfig {
+        site_of_task: (0..SITES as u32).collect(),
+        travel_rounds: 2,
+        wander_probability: 0.1,
+    };
+    let n = 2_000u32;
+    let mut prepared = NoiseModel::Exact.prepare(1, &[1; SITES], &[10; SITES]);
+    prepared.localize(&arena.site_of_task);
+    let (mut eligible, mut departed, mut offsets) = (0u64, 0u64, [0u64; SITES]);
+    for seed in 0..64u64 {
+        let mut positions = Positions::default();
+        for id in 0..n {
+            positions.push(id as usize % SITES, if id % 5 == 0 { 2 } else { 0 });
+        }
+        let key = StreamSeeder::new(seed).round_key(1);
+        let round = ArenaRound::new(&arena, &positions, &prepared, key);
+        for id in 0..n {
+            let (from, _) = round.sense(id);
+            let idle = id % 3 != 0;
+            round.advance(id, from, idle);
+            let to = positions.get(id);
+            if idle && from.travel() == 0 {
+                eligible += 1;
+            }
+            if to.site() == from.site() {
+                // Stayed: only the counter ticked.
+                assert_eq!(to.travel(), from.travel().saturating_sub(1), "ant {id}");
+            } else {
+                assert!(idle && from.travel() == 0, "ant {id} left while ineligible");
+                assert_eq!(to.travel(), arena.travel_rounds);
+                departed += 1;
+                offsets[(usize::from(to.site()) + SITES - usize::from(from.site())) % SITES] += 1;
+            }
+        }
+    }
+    let (lo, hi) = chernoff_band(eligible as f64 * arena.wander_probability);
+    assert!(
+        (lo..=hi).contains(&(departed as f64)),
+        "{departed} departures of {eligible} eligible ants, band [{lo:.0}, {hi:.0}]"
+    );
+    assert_eq!(offsets[0], 0, "a departure stayed at its site");
+    let (lo, hi) = chernoff_band(departed as f64 / (SITES - 1) as f64);
+    for (offset, &count) in offsets.iter().enumerate().skip(1) {
+        assert!(
+            (lo..=hi).contains(&(count as f64)),
+            "offset {offset}: {count} of {departed} departures, band [{lo:.0}, {hi:.0}]"
+        );
+    }
 }
 
 #[test]
