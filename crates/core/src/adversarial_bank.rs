@@ -17,13 +17,13 @@ use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{nth_where, scratch_row};
-use crate::bank::{split_chunk, Stepping};
+use crate::bank::Stepping;
 use crate::bit_row;
 use crate::cast::{dec, enc, task_ix, IDLE};
+use crate::columns::{self, soa_bank};
 use crate::controller::Controller;
 use crate::params::PreciseAdversarialParams;
 use crate::precise_adversarial::{AdversarialScratch, PreciseAdversarial};
-use crate::slot_map::SlotMap;
 
 /// Bits of a Precise Adversarial row past the `k` unanimous-lack bits:
 /// the phase-observed-from-start flag.
@@ -39,100 +39,49 @@ const LACKED_WORKING: usize = 4;
 /// Flag bits per row.
 const FLAGS: usize = 5;
 
-/// A homogeneous Precise Adversarial population in structure-of-arrays
-/// layout.
-#[derive(Clone, Debug)]
-pub struct PreciseAdversarialBank {
-    params: PreciseAdversarialParams,
-    r1: u64,
-    phase_len: u64,
-    ramp: Bernoulli,
-    num_tasks: usize,
-    /// `currentTask` per ant (`IDLE` when idle).
-    current: Vec<u16>,
-    /// Output assignment `a_t` per ant.
-    assignment: Vec<u16>,
-    /// One bit row per ant: bit `j < k` is 1 iff every sample of task
-    /// `j` this phase said `lack` (idle path), then the [`FLAGS`]
-    /// trackers.
-    bits: Vec<u8>,
+soa_bank! {
+    /// A homogeneous Precise Adversarial population in structure-of-arrays
+    /// layout.
+    pub struct PreciseAdversarialBank(num_tasks: usize, params: PreciseAdversarialParams) {
+        params: PreciseAdversarialParams = params,
+        /// A fresh ant's bit row: every task unanimous-lack,
+        /// all-overload, no phase.
+        fresh_bits: Vec<u8> = fresh_row(num_tasks),
+    }
+    /// A disjoint mutable chunk of a [`PreciseAdversarialBank`].
+    pub struct AdversarialSliceMut<'a> {
+        r1: u64 = params.r1(),
+        phase_len: u64 = params.phase_len(),
+        ramp: Bernoulli = Bernoulli::new(params.ramp_probability()),
+        num_tasks: usize = columns::tasks(num_tasks),
+        /// Bytes per bit row.
+        width: usize = bit_row::width(num_tasks + FLAGS),
+    }
+    columns {
+        /// `currentTask` per ant (`IDLE` when idle).
+        current: [u16] = IDLE,
+        /// Output assignment `a_t` per ant.
+        assignment: [u16] = IDLE,
+        /// One bit row per ant: bit `j < k` is 1 iff every sample of task
+        /// `j` this phase said `lack` (idle path), then the [`FLAGS`]
+        /// trackers.
+        bits: [u8; width] from fresh_bits,
+    }
+}
+
+/// The bit row of a fresh ant over `k` tasks.
+fn fresh_row(k: usize) -> Vec<u8> {
+    let mut row = vec![0u8; bit_row::width(k + FLAGS)];
+    bit_row::fill_ones(&mut row, k);
+    bit_row::set(&mut row, k + ALL_OVERLOAD, true);
+    row
 }
 
 impl PreciseAdversarialBank {
-    /// An all-idle bank of `n` fresh ants.
-    pub fn new(num_tasks: usize, params: PreciseAdversarialParams, n: usize) -> Self {
-        let mut bank = Self {
-            params,
-            r1: 0,
-            phase_len: 0,
-            ramp: Bernoulli::new(0.0),
-            num_tasks,
-            current: Vec::new(),
-            assignment: Vec::new(),
-            bits: Vec::new(),
-        };
-        bank.reinit(num_tasks, params, n);
-        bank
-    }
-
-    /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
-    /// the column allocations. State after the call is bit-identical to
-    /// `PreciseAdversarialBank::new(num_tasks, params, n)`.
-    pub fn reinit(&mut self, num_tasks: usize, params: PreciseAdversarialParams, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        self.params = params;
-        self.r1 = params.r1();
-        self.phase_len = params.phase_len();
-        self.ramp = Bernoulli::new(params.ramp_probability());
-        self.num_tasks = num_tasks;
-        self.resize(0);
-        self.resize(n);
-    }
-
-    /// Bytes per bit row.
-    fn row_width(&self) -> usize {
-        bit_row::width(self.num_tasks + FLAGS)
-    }
-
-    /// Truncates or extends every column to `n` ants, new ants fresh
-    /// and idle: every task unanimous-lack, all-overload, no phase.
-    fn resize(&mut self, n: usize) {
-        let k = self.num_tasks;
-        self.current.resize(n, IDLE);
-        self.assignment.resize(n, IDLE);
-        let mut fresh = vec![0u8; self.row_width()];
-        bit_row::fill_ones(&mut fresh, k);
-        bit_row::set(&mut fresh, k + ALL_OVERLOAD, true);
-        bit_row::resize_rows(&mut self.bits, n, &fresh);
-    }
-
-    /// Appends a fresh idle ant (a spawn).
-    pub fn push_fresh(&mut self) {
-        self.resize(self.len() + 1);
-    }
-
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
-    }
-
-    /// Bytes the bank's per-ant columns hold.
-    #[cfg(test)]
-    pub(crate) fn column_bytes(&self) -> usize {
-        size_of_val(&self.current[..])
-            + size_of_val(&self.assignment[..])
-            + size_of_val(&self.bits[..])
-    }
-
     /// Appends a per-ant controller, transposing its state in.
     pub fn push_controller(&mut self, ant: &PreciseAdversarial) {
         assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
-        self.resize(self.len() + 1);
+        self.push_fresh();
         let slot = self.len() - 1;
         self.reset_slot(slot, ant.assignment());
         self.apply_scratch(slot, &ant.scratch());
@@ -149,14 +98,14 @@ impl PreciseAdversarialBank {
 
     /// The bit row of the ant at `slot`, mutably.
     fn row_mut(&mut self, slot: usize) -> &mut [u8] {
-        let w = self.row_width();
+        let w = self.width;
         &mut self.bits[slot * w..slot * w + w]
     }
 
     /// The mid-phase trackers of the ant at `slot` (see
     /// [`AdversarialScratch`]).
     pub fn scratch(&self, slot: usize) -> AdversarialScratch {
-        let (k, w) = (self.num_tasks, self.row_width());
+        let (k, w) = (self.num_tasks, self.width);
         let row = &self.bits[slot * w..slot * w + w];
         let flag = |f: usize| bit_row::get(row, k + f);
         AdversarialScratch {
@@ -208,64 +157,14 @@ impl PreciseAdversarialBank {
         bit_row::set(self.row_mut(slot), k + HAVE_PHASE, false);
     }
 
-    /// Persistent memory in bits (same accounting as the per-ant impl).
+    /// Persistent memory in bits (the per-ant impl's accounting,
+    /// `memory::adversarial_memory_bits`).
     pub fn memory_bits(&self) -> u32 {
-        // Task counts are at most MAX_TASKS, far below u32::MAX.
-        let k = u32::try_from(self.num_tasks).unwrap_or(u32::MAX);
-        crate::memory::bits_for_states(self.num_tasks + 1) + k + 5
-    }
-
-    /// Reorders the ants' slots by `map`, every column and the plane
-    /// alike.
-    pub fn apply_slot_map(&mut self, map: &SlotMap) {
-        map.apply(&mut self.current);
-        map.apply(&mut self.assignment);
-        let w = self.row_width();
-        map.apply_rows(&mut self.bits, w);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> AdversarialSliceMut<'_> {
-        AdversarialSliceMut {
-            r1: self.r1,
-            phase_len: self.phase_len,
-            ramp: self.ramp,
-            num_tasks: self.num_tasks,
-            width: self.row_width(),
-            current: &mut self.current,
-            assignment: &mut self.assignment,
-            bits: &mut self.bits,
-        }
+        crate::memory::adversarial_memory_bits(self.num_tasks)
     }
 }
 
-/// A disjoint mutable chunk of a [`PreciseAdversarialBank`].
-#[derive(Debug)]
-pub struct AdversarialSliceMut<'a> {
-    r1: u64,
-    phase_len: u64,
-    ramp: Bernoulli,
-    num_tasks: usize,
-    /// Bytes per bit row.
-    width: usize,
-    current: &'a mut [u16],
-    assignment: &'a mut [u16],
-    bits: &'a mut [u8],
-}
-
-impl<'a> AdversarialSliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub(crate) fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (AdversarialSliceMut<'a>, AdversarialSliceMut<'a>) {
-        let w = self.width;
-        split_chunk!(self => AdversarialSliceMut { r1, phase_len, ramp, num_tasks, width }
-            current: mid, assignment: mid, bits: mid * w)
-    }
-
+impl AdversarialSliceMut<'_> {
     /// Steps every ant in the chunk through `stepping`; bit-identical to
     /// per-ant [`Controller::step`] on [`PreciseAdversarial`]: ant `i`'s
     /// round at phase position `r = round mod phase_len`, computed once
@@ -369,6 +268,7 @@ impl<'a> AdversarialSliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot_map::SlotMap;
     use crate::{AnyController, ControllerBank, ControllerScratch};
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;

@@ -187,11 +187,7 @@ impl Controller for AlgorithmAnt {
     }
 
     fn memory_bits(&self) -> u32 {
-        // currentTask ∈ {idle, 1..k} plus one sample bit per task plus
-        // the first-sample-valid flag. The phase position is global
-        // (footnote 2 of the paper: one extra bit via synchronization).
-        let k = self.s1_all.len() as u32;
-        crate::memory::bits_for_states(k as usize + 1) + k + 1
+        crate::memory::ant_memory_bits(self.s1_all.len())
     }
 }
 

@@ -27,11 +27,11 @@ use antalloc_noise::{Feedback, RoundView};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant::AlgorithmAnt;
-use crate::bank::{split_chunk, Stepping};
+use crate::bank::Stepping;
 use crate::bit_row;
 use crate::cast::{dec, enc, task_col, task_ix, wide, IDLE};
+use crate::columns::{self, soa_bank};
 use crate::params::AntParams;
-use crate::slot_map::SlotMap;
 
 /// The `pick`-th (0-based) set bit of `mask`, as a task column value.
 #[inline(always)]
@@ -78,26 +78,36 @@ pub(crate) fn scratch_row(num_tasks: usize) -> Vec<u8> {
     }
 }
 
-/// A homogeneous Algorithm Ant population in structure-of-arrays
-/// layout.
-#[derive(Clone, Debug)]
-pub struct AntBank {
-    params: AntParams,
-    pause: Bernoulli,
-    leave: Bernoulli,
-    num_tasks: usize,
-    /// `currentTask` per ant (`IDLE` when idle).
-    current: Vec<u16>,
-    /// Output assignment `a_t` per ant.
-    assignment: Vec<u16>,
-    /// One bit row per ant (see [`crate::bit_row`]): the idle path's
-    /// first samples in bits `0..k` (1 = lack), then the working
-    /// path's first sample of its task ([`S1_CURRENT`]) and the
-    /// first-sample-valid flag ([`HAVE_S1`]).
-    bits: Vec<u8>,
-    /// Phase parity per ant (1 = its two-round phase runs one round
-    /// behind the colony's); empty in a synchronized bank.
-    parity: Vec<u8>,
+soa_bank! {
+    /// A homogeneous Algorithm Ant population in structure-of-arrays
+    /// layout.
+    pub struct AntBank(num_tasks: usize, params: AntParams) {
+        params: AntParams = params,
+    }
+    /// A disjoint mutable chunk of an [`AntBank`].
+    pub struct AntSliceMut<'a> {
+        pause: Bernoulli = Bernoulli::new(params.pause_probability()),
+        leave: Bernoulli = Bernoulli::new(params.leave_probability()),
+        num_tasks: usize = columns::tasks(num_tasks),
+        /// Bytes per bit row.
+        width: usize = bit_row::width(num_tasks + 2),
+        /// Parity entries per ant: 1 in a desynchronized bank, else 0.
+        parity_width: usize = 0,
+    }
+    columns {
+        /// `currentTask` per ant (`IDLE` when idle).
+        current: [u16] = IDLE,
+        /// Output assignment `a_t` per ant.
+        assignment: [u16] = IDLE,
+        /// One bit row per ant (see [`crate::bit_row`]): the idle path's
+        /// first samples in bits `0..k` (1 = lack), then the working
+        /// path's first sample of its task ([`S1_CURRENT`]) and the
+        /// first-sample-valid flag ([`HAVE_S1`]).
+        bits: [u8; width] = 0,
+        /// Phase parity per ant (1 = its two-round phase runs one round
+        /// behind the colony's); empty in a synchronized bank.
+        parity: [u8; parity_width] = 0,
+    }
 }
 
 /// Bit of an Ant row past the `k` first samples: the working path's
@@ -108,77 +118,16 @@ const S1_CURRENT: usize = 0;
 const HAVE_S1: usize = 1;
 
 impl AntBank {
-    /// An all-idle bank of `n` fresh ants.
-    pub fn new(num_tasks: usize, params: AntParams, n: usize) -> Self {
-        let mut bank = Self {
-            params,
-            pause: Bernoulli::new(0.0),
-            leave: Bernoulli::new(0.0),
-            num_tasks,
-            current: Vec::new(),
-            assignment: Vec::new(),
-            bits: Vec::new(),
-            parity: Vec::new(),
-        };
-        bank.reinit(num_tasks, params, n);
-        bank
-    }
-
-    /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
-    /// the column allocations (shrink keeps capacity, grow
-    /// reallocates). State after the call is bit-identical to
-    /// `AntBank::new(num_tasks, params, n)`.
-    pub fn reinit(&mut self, num_tasks: usize, params: AntParams, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        self.params = params;
-        self.pause = Bernoulli::new(params.pause_probability());
-        self.leave = Bernoulli::new(params.leave_probability());
-        self.num_tasks = num_tasks;
-        self.resize(0);
-        self.parity.clear();
-        self.resize(n);
-    }
-
     /// Desynchronizes the bank: slot `s` runs at phase offset
     /// `ids[s] mod 2`, staggered by global ant id (so a desynchronized
     /// sub-population stays half-and-half however a mix interleaves
     /// it).
     pub fn stagger(&mut self, ids: &[u32]) {
         assert_eq!(ids.len(), self.len(), "one id per ant");
+        self.parity_width = 1;
         self.parity.clear();
         self.parity
             .extend(ids.iter().map(|&id| u8::from(id % 2 == 1)));
-    }
-
-    /// Bytes per bit row.
-    fn row_width(&self) -> usize {
-        bit_row::width(self.num_tasks + 2)
-    }
-
-    /// Truncates or extends every column to `n` ants, new ants fresh
-    /// and idle at phase offset 0.
-    fn resize(&mut self, n: usize) {
-        self.current.resize(n, IDLE);
-        self.assignment.resize(n, IDLE);
-        self.bits.resize(n * self.row_width(), 0);
-        if !self.parity.is_empty() {
-            self.parity.resize(n, 0);
-        }
-    }
-
-    /// Appends a fresh idle ant at phase offset 0 (a spawn).
-    pub fn push_fresh(&mut self) {
-        self.resize(self.len() + 1);
-    }
-
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
     }
 
     /// The parameters every ant in the bank runs.
@@ -186,49 +135,46 @@ impl AntBank {
         &self.params
     }
 
-    /// Bytes the bank's per-ant columns hold.
-    #[cfg(test)]
-    pub(crate) fn column_bytes(&self) -> usize {
-        size_of_val(&self.current[..])
-            + size_of_val(&self.assignment[..])
-            + size_of_val(&self.bits[..])
-            + size_of_val(&self.parity[..])
+    /// The bit row of the ant at `slot`, mutably.
+    fn row_mut(&mut self, slot: usize) -> &mut [u8] {
+        let w = self.width;
+        &mut self.bits[slot * w..slot * w + w]
     }
 
     /// Appends a per-ant controller, transposing its state in. An ant
     /// with an odd phase offset desynchronizes the bank.
     pub fn push_controller(&mut self, ant: &AlgorithmAnt) {
         let parity = u8::from(ant.phase_offset() % 2 == 1);
-        if parity == 1 && self.parity.is_empty() {
+        if parity == 1 && self.parity_width == 0 {
+            self.parity_width = 1;
             self.parity.resize(self.len(), 0);
         }
-        if !self.parity.is_empty() {
-            self.parity.push(parity);
+        self.push_fresh();
+        let (slot, k) = (self.len() - 1, self.num_tasks);
+        if let Some(p) = self.parity.get_mut(slot) {
+            *p = parity;
         }
-        let k = self.num_tasks;
         debug_assert_eq!(ant.s1_all.len(), k);
-        self.current.push(enc(ant.current_task));
-        self.assignment.push(enc(ant.assignment));
-        let mut row = vec![0u8; self.row_width()];
+        self.current[slot] = enc(ant.current_task);
+        self.assignment[slot] = enc(ant.assignment);
+        let row = self.row_mut(slot);
         for (j, f) in ant.s1_all.iter().enumerate() {
-            bit_row::set(&mut row, j, f.is_lack());
+            bit_row::set(row, j, f.is_lack());
         }
-        bit_row::set(&mut row, k + S1_CURRENT, ant.s1_current.is_lack());
-        bit_row::set(&mut row, k + HAVE_S1, ant.have_s1);
-        self.bits.extend_from_slice(&row);
+        bit_row::set(row, k + S1_CURRENT, ant.s1_current.is_lack());
+        bit_row::set(row, k + HAVE_S1, ant.have_s1);
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
     /// extraction; lossless for the persistent state, the phase offset
     /// as its parity, the only part of it a step reads).
     pub fn to_controller(&self, slot: usize) -> AlgorithmAnt {
-        let k = self.num_tasks;
+        let (k, w) = (self.num_tasks, self.width);
         let offset = self.parity.get(slot).map_or(0, |&p| u64::from(p));
         let feedback = |lack: bool| [Feedback::Overload, Feedback::Lack][usize::from(lack)];
         let mut ant = AlgorithmAnt::with_phase_offset(k, self.params, offset);
         ant.current_task = dec(self.current[slot]);
         ant.assignment = dec(self.assignment[slot]);
-        let w = self.row_width();
         let row = &self.bits[slot * w..slot * w + w];
         for (j, f) in ant.s1_all.iter_mut().enumerate() {
             *f = feedback(bit_row::get(row, j));
@@ -249,77 +195,18 @@ impl AntBank {
         let x = enc(a);
         self.assignment[slot] = x;
         self.current[slot] = x;
-        let w = self.row_width();
-        bit_row::set(
-            &mut self.bits[slot * w..slot * w + w],
-            self.num_tasks + HAVE_S1,
-            false,
-        );
+        let k = self.num_tasks;
+        bit_row::set(self.row_mut(slot), k + HAVE_S1, false);
     }
 
-    /// Persistent memory in bits (same accounting as
-    /// [`crate::Controller::memory_bits`] on [`AlgorithmAnt`]).
+    /// Persistent memory in bits (the per-ant impl's accounting,
+    /// `memory::ant_memory_bits`).
     pub fn memory_bits(&self) -> u32 {
-        // Task counts are at most MAX_TASKS, far below u32::MAX.
-        let k = u32::try_from(self.num_tasks).unwrap_or(u32::MAX);
-        crate::memory::bits_for_states(self.num_tasks + 1) + k + 1
-    }
-
-    /// Reorders the ants' slots by `map`, every column alike.
-    pub fn apply_slot_map(&mut self, map: &SlotMap) {
-        map.apply(&mut self.current);
-        map.apply(&mut self.assignment);
-        let w = self.row_width();
-        map.apply_rows(&mut self.bits, w);
-        if !self.parity.is_empty() {
-            map.apply(&mut self.parity);
-        }
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> AntSliceMut<'_> {
-        AntSliceMut {
-            pause: self.pause,
-            leave: self.leave,
-            num_tasks: self.num_tasks,
-            width: self.row_width(),
-            current: &mut self.current,
-            assignment: &mut self.assignment,
-            bits: &mut self.bits,
-            parity: &mut self.parity,
-        }
+        crate::memory::ant_memory_bits(self.num_tasks)
     }
 }
 
-/// A disjoint mutable chunk of an [`AntBank`].
-#[derive(Debug)]
-pub struct AntSliceMut<'a> {
-    pause: Bernoulli,
-    leave: Bernoulli,
-    num_tasks: usize,
-    /// Bytes per bit row.
-    width: usize,
-    current: &'a mut [u16],
-    assignment: &'a mut [u16],
-    bits: &'a mut [u8],
-    /// Empty for a chunk of a synchronized bank.
-    parity: &'a mut [u8],
-}
-
-impl<'a> AntSliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub(crate) fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (AntSliceMut<'a>, AntSliceMut<'a>) {
-        let (w, desync) = (self.width, !self.parity.is_empty());
-        split_chunk!(self => AntSliceMut { pause, leave, num_tasks, width }
-            current: mid, assignment: mid, bits: mid * w,
-            parity: mid * usize::from(desync))
-    }
-
+impl AntSliceMut<'_> {
     /// Steps every ant in the chunk through `stepping`. Bit-identical to
     /// per-ant [`crate::Controller::step`] on [`AlgorithmAnt`]: same
     /// samples, same coins, same short-circuits, per ant in slot order.
@@ -451,6 +338,7 @@ impl<'a> AntSliceMut<'a> {
 mod tests {
     use super::*;
     use crate::controller::Controller;
+    use crate::slot_map::SlotMap;
     use crate::{AnyController, ControllerBank};
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;

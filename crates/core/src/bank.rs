@@ -15,14 +15,17 @@
 //! Every kind has one **structure-of-arrays layout**: [`AntBank`] for
 //! §4 Ant colonies (desynchronized ones with a phase-parity column),
 //! [`crate::PreciseSigmoidBank`] for §5 and
-//! [`crate::PreciseAdversarialBank`] for Appendix C (transposed tracker
-//! planes), the flat [`crate::ExactGreedyBank`] (one `u16` per ant — the
-//! shape of Ant's idle path; it runs the trivial algorithm too),
+//! [`crate::PreciseAdversarialBank`] for Appendix C, the flat
+//! [`crate::ExactGreedyBank`] (the assignment alone — the shape of
+//! Ant's idle path; it runs the trivial algorithm too),
 //! [`crate::ProportionalBank`], and [`crate::FsmBank`] (one shared
-//! machine, one `u16` state per ant). No bank holds per-ant structs:
-//! task ids are `u16` columns (the colony's task-column encoding,
-//! bounded by [`crate::MAX_TASKS`]) and per-ant booleans are bit rows
-//! (see `bit_row.rs`).
+//! machine, one state per ant). No bank holds per-ant structs: task ids
+//! are `u16` columns (the colony's task-column encoding, bounded by
+//! [`crate::MAX_TASKS`]) and per-ant booleans are bit rows (see
+//! `bit_row.rs`). Each kind declares its columns once, in a `soa_bank!`
+//! schema (see `columns.rs`); sizing, spawning, slot maps and chunk
+//! splits derive from it, and the dispatch below reaches them through
+//! one list of the six kinds (`each_kind!`).
 //!
 //! Heterogeneous (mixed-controller) colonies are a `Vec` of banks; the
 //! engine layer owns the membership column that maps each ant to its
@@ -114,18 +117,36 @@ pub enum ControllerBank {
     Table(FsmBank),
 }
 
-/// Runs one body over whichever bank `$self` holds (every bank type
-/// shares the per-slot surface).
-macro_rules! each_bank {
-    ($self:ident, $b:ident => $body:expr) => {
-        match $self {
-            ControllerBank::Ant($b) => $body,
-            ControllerBank::PreciseSigmoid($b) => $body,
-            ControllerBank::PreciseAdversarial($b) => $body,
-            ControllerBank::ExactGreedy($b) => $body,
-            ControllerBank::Proportional($b) => $body,
-            ControllerBank::Table($b) => $body,
+/// Runs one body over whichever bank or chunk `$x` (a value of the
+/// enum `$enum`) holds, bound to `$v`: every bank type shares the
+/// per-slot surface, every chunk type the `len`/`step_chunk` one. With
+/// `wrap $out(..)` the body's result goes back into the same kind's
+/// variant of `$out` (a bank's chunk); with `split $out(..)` each half
+/// of the body's pair does (a chunk's two halves).
+macro_rules! each_kind {
+    (@[$($kind:ident)*] $x:expr, $enum:ident($v:ident) => wrap $out:ident($body:expr)) => {
+        match $x {
+            $($enum::$kind($v) => $out::$kind($body),)*
         }
+    };
+    (@[$($kind:ident)*] $x:expr, $enum:ident($v:ident) => split $out:ident($body:expr)) => {
+        match $x {
+            $($enum::$kind($v) => {
+                let (a, b) = $body;
+                ($out::$kind(a), $out::$kind(b))
+            })*
+        }
+    };
+    (@[$($kind:ident)*] $x:expr, $enum:ident($v:ident) => $body:expr) => {
+        match $x {
+            $($enum::$kind($v) => $body,)*
+        }
+    };
+    ($x:expr, $enum:ident($v:ident) => $($body:tt)*) => {
+        each_kind!(
+            @[Ant PreciseSigmoid PreciseAdversarial ExactGreedy Proportional Table]
+            $x, $enum($v) => $($body)*
+        )
     };
 }
 
@@ -161,7 +182,7 @@ impl ControllerBank {
 
     /// Number of ants in the bank.
     pub fn len(&self) -> usize {
-        each_bank!(self, b => b.len())
+        each_kind!(self, ControllerBank(b) => b.len())
     }
 
     /// True iff the bank holds no ants.
@@ -180,16 +201,7 @@ impl ControllerBank {
     /// The whole bank as a splittable mutable slice (for partitioning
     /// across workers).
     pub fn as_slice_mut(&mut self) -> BankSliceMut<'_> {
-        match self {
-            ControllerBank::Ant(b) => BankSliceMut::Ant(b.as_slice_mut()),
-            ControllerBank::PreciseSigmoid(b) => BankSliceMut::PreciseSigmoid(b.as_slice_mut()),
-            ControllerBank::PreciseAdversarial(b) => {
-                BankSliceMut::PreciseAdversarial(b.as_slice_mut())
-            }
-            ControllerBank::ExactGreedy(b) => BankSliceMut::ExactGreedy(b.as_slice_mut()),
-            ControllerBank::Proportional(b) => BankSliceMut::Proportional(b.as_slice_mut()),
-            ControllerBank::Table(b) => BankSliceMut::Table(b.as_slice_mut()),
-        }
+        each_kind!(self, ControllerBank(b) => wrap BankSliceMut(b.as_slice_mut()))
     }
 
     /// Steps the single ant at `slot` (sequential-model engines): the
@@ -207,34 +219,34 @@ impl ControllerBank {
 
     /// The assignment of the ant at `slot`.
     pub fn assignment(&self, slot: usize) -> Assignment {
-        each_bank!(self, b => b.assignment(slot))
+        each_kind!(self, ControllerBank(b) => b.assignment(slot))
     }
 
     /// Forces the ant at `slot` into `a` (see
     /// [`crate::Controller::reset_to`]).
     pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
-        each_bank!(self, b => b.reset_slot(slot, a))
+        each_kind!(self, ControllerBank(b) => b.reset_slot(slot, a))
     }
 
     /// Forces every ant into its colony assignment: slot `s` takes the
     /// raw value `column[ids[s]]` (see [`ControllerBank::reset_slot`]),
     /// with one dispatch for the whole bank.
     pub fn reset_to_column(&mut self, ids: &[u32], column: &TaskColumn) {
-        each_bank!(self, b => for (s, &id) in ids.iter().enumerate() {
+        each_kind!(self, ControllerBank(b) => for (s, &id) in ids.iter().enumerate() {
             b.reset_slot(s, dec(column.load(id)));
         })
     }
 
     /// Persistent memory of each ant of the bank, in bits.
     pub fn memory_bits(&self) -> u32 {
-        each_bank!(self, b => b.memory_bits())
+        each_kind!(self, ControllerBank(b) => b.memory_bits())
     }
 
     /// Bytes the bank's per-ant columns hold (length × element size,
     /// summed over the columns).
     #[cfg(test)]
     pub(crate) fn column_bytes(&self) -> usize {
-        each_bank!(self, b => b.column_bytes())
+        each_kind!(self, ControllerBank(b) => b.column_bytes())
     }
 
     /// The mid-phase scratch of the ant at `slot` — `Some` only for
@@ -262,15 +274,16 @@ impl ControllerBank {
     /// Appends a fresh ant in the kind's initial state (a spawn): what
     /// the kind's per-ant constructor gives, at phase offset 0.
     pub fn push_fresh(&mut self) {
-        each_bank!(self, b => b.push_fresh())
+        each_kind!(self, ControllerBank(b) => b.push_fresh())
     }
 
     /// Appends a controller to the bank, transposing its state in.
     ///
-    /// # Panics
-    /// If the controller's kind does not match the bank's — banks are
-    /// homogeneous by construction.
-    pub fn push(&mut self, c: AnyController) {
+    /// # Errors
+    /// [`BankError::KindMismatch`] if the controller's kind does not
+    /// match the bank's (banks are homogeneous); the bank is unchanged
+    /// then.
+    pub fn push(&mut self, c: AnyController) -> Result<(), BankError> {
         match (self, c) {
             (ControllerBank::Ant(b), AnyController::Ant(c)) => b.push_controller(&c),
             (ControllerBank::PreciseSigmoid(b), AnyController::PreciseSigmoid(c)) => {
@@ -293,23 +306,23 @@ impl ControllerBank {
                 b.push_controller(&c)
             }
             (ControllerBank::Table(b), AnyController::Table(c)) => b.push_controller(&c),
-            // audit:allow(panic-path): documented precondition — Population routes controllers to the bank of their own kind.
-            _ => panic!("controller kind does not match bank kind"),
+            _ => return Err(BankError::KindMismatch),
         }
+        Ok(())
     }
 
     /// Reorders the bank's slots by `map` (see [`SlotMap`]): every
     /// column moves as run copies. Callers must apply the same map to
     /// any parallel per-slot arrays (ant-id maps).
     pub fn apply_slot_map(&mut self, map: &SlotMap) {
-        each_bank!(self, b => b.apply_slot_map(map))
+        each_kind!(self, ControllerBank(b) => b.apply_slot_map(map))
     }
 
     /// The ant at `slot` as a per-ant controller, boxed into the
     /// dispatch enum (reference extraction for tests and baseline
     /// replays).
     pub fn to_any(&self, slot: usize) -> AnyController {
-        each_bank!(self, b => b.to_controller(slot).into())
+        each_kind!(self, ControllerBank(b) => b.to_controller(slot).into())
     }
 }
 
@@ -335,38 +348,10 @@ pub enum BankSliceMut<'a> {
     Table(FsmSliceMut<'a>),
 }
 
-/// Runs one body over whichever chunk `$self` holds (every chunk type
-/// shares the `len`/`step_chunk` surface).
-macro_rules! each_slice {
-    ($self:ident, $v:ident => $body:expr) => {
-        match $self {
-            BankSliceMut::Ant($v) => $body,
-            BankSliceMut::PreciseSigmoid($v) => $body,
-            BankSliceMut::PreciseAdversarial($v) => $body,
-            BankSliceMut::ExactGreedy($v) => $body,
-            BankSliceMut::Proportional($v) => $body,
-            BankSliceMut::Table($v) => $body,
-        }
-    };
-}
-
-/// Splits whichever chunk `$self` holds at `$mid` into two chunks of
-/// its variant.
-macro_rules! split_each {
-    ($self:ident, $mid:ident, $($kind:ident),*) => {
-        match $self {
-            $(BankSliceMut::$kind(v) => {
-                let (a, b) = v.split_at_mut($mid);
-                (BankSliceMut::$kind(a), BankSliceMut::$kind(b))
-            })*
-        }
-    };
-}
-
 impl<'a> BankSliceMut<'a> {
     /// Number of ants in the chunk.
     pub fn len(&self) -> usize {
-        each_slice!(self, v => v.len())
+        each_kind!(self, BankSliceMut(v) => v.len())
     }
 
     /// True iff the chunk is empty.
@@ -376,16 +361,7 @@ impl<'a> BankSliceMut<'a> {
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (BankSliceMut<'a>, BankSliceMut<'a>) {
-        split_each!(
-            self,
-            mid,
-            Ant,
-            PreciseSigmoid,
-            PreciseAdversarial,
-            ExactGreedy,
-            Proportional,
-            Table
-        )
+        each_kind!(self, BankSliceMut(v) => split BankSliceMut(v.split_at_mut(mid)))
     }
 
     /// Steps every ant in the chunk (same contract as
@@ -445,11 +421,12 @@ impl<'a> BankSliceMut<'a> {
     }
 
     fn step(&mut self, stepping: Stepping<'_, '_>) {
-        each_slice!(self, v => v.step_chunk(stepping))
+        each_kind!(self, BankSliceMut(v) => v.step_chunk(stepping))
     }
 }
 
-/// Why [`BankSliceMut::step_batch_fused`] refused a call.
+/// Why a bank refused a call ([`BankSliceMut::step_batch_fused`],
+/// [`ControllerBank::push`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BankError {
     /// The chunk and its id list differ in length.
@@ -466,6 +443,8 @@ pub enum BankError {
         /// Slots in the task column.
         column: usize,
     },
+    /// A controller pushed into a bank of another kind.
+    KindMismatch,
 }
 
 impl core::fmt::Display for BankError {
@@ -477,27 +456,12 @@ impl core::fmt::Display for BankError {
             BankError::IdOutOfRange { id, column } => {
                 write!(f, "colony id {id} is past a task column of {column} slots")
             }
+            BankError::KindMismatch => f.write_str("controller kind does not match bank kind"),
         }
     }
 }
 
 impl std::error::Error for BankError {}
-
-/// Splits a chunk struct (`self`, of type `$chunk`) into two: every
-/// listed column at its own split point (`mid` for one entry per ant,
-/// `mid * k` for a `k`-wide ant-major plane, `mid * w` for bit rows of
-/// `w` bytes), every shared field copied
-/// into both halves.
-macro_rules! split_chunk {
-    ($self:ident => $chunk:ident { $($shared:ident),* } $($col:ident: $at:expr),* $(,)?) => {{
-        $(let $col = $self.$col.split_at_mut($at);)*
-        (
-            $chunk { $($shared: $self.$shared,)* $($col: $col.0,)* },
-            $chunk { $($shared: $self.$shared,)* $($col: $col.1,)* },
-        )
-    }};
-}
-pub(crate) use split_chunk;
 
 /// Where a chunk's per-ant steps draw from and write to. Every kind
 /// hands its per-ant step, `(slot, view, rng) -> next assignment`, to
@@ -638,9 +602,11 @@ impl FromIterator<AnyController> for ControllerBank {
         // audit:allow(panic-path): documented precondition — FromIterator cannot name a kind for zero controllers.
         let first = iter.next().expect("cannot infer the kind of an empty bank");
         let mut bank = ControllerBank::empty_like(&first);
-        bank.push(first);
-        for c in iter {
-            bank.push(c);
+        for c in std::iter::once(first).chain(iter) {
+            if let Err(e) = bank.push(c) {
+                // audit:allow(panic-path): documented precondition — FromIterator has no error channel for a mixed-kind iterator.
+                panic!("{e}");
+            }
         }
         bank
     }
@@ -694,10 +660,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not match")]
-    fn mismatched_push_panics() {
+    fn mismatched_push_is_a_typed_error() {
         let mut bank = ControllerBank::ExactGreedy(ExactGreedyBank::new(1, Default::default(), 0));
-        bank.push(AlgorithmAnt::new(1, AntParams::default()).into());
+        let err = bank
+            .push(AlgorithmAnt::new(1, AntParams::default()).into())
+            .unwrap_err();
+        assert_eq!(err, BankError::KindMismatch);
+        assert_eq!(err.to_string(), "controller kind does not match bank kind");
+        // A trivial ant fits only an exact-greedy bank running its
+        // parameters.
+        let err = bank.push(Trivial::new(1).into()).unwrap_err();
+        assert_eq!(err, BankError::KindMismatch);
+        assert!(bank.is_empty(), "a refused push leaves the bank unchanged");
+        bank.push(ExactGreedy::new(1, Default::default()).into())
+            .unwrap();
+        assert_eq!(bank.len(), 1);
     }
 
     #[test]
@@ -791,6 +768,161 @@ mod tests {
             .unwrap();
         assert_eq!(column.to_vec(), [0, Assignment::SLOT_IDLE, 0, 0]);
         assert_eq!(delta.switches(), 3);
+    }
+
+    /// Every bank shape the engine builds, `n` fresh ants over `k` tasks
+    /// each (AntDesync staggered by id).
+    fn every_shape(k: usize, n: usize) -> [(&'static str, ControllerBank); 7] {
+        use crate::{FsmSpec, PreciseAdversarialParams, ProportionalParams};
+        let params = AntParams::new(1.0 / 16.0);
+        let mut desync = AntBank::new(k, params, n);
+        desync.stagger(&(0..n as u32).collect::<Vec<_>>());
+        let proportional = ProportionalParams {
+            gain: 0.4,
+            deadband: 3,
+        };
+        [
+            ("Ant", ControllerBank::Ant(AntBank::new(k, params, n))),
+            ("AntDesync", ControllerBank::Ant(desync)),
+            (
+                "Precise Sigmoid",
+                ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(
+                    k,
+                    PreciseSigmoidParams::new(0.5, 0.5),
+                    n,
+                )),
+            ),
+            (
+                "Precise Adversarial",
+                ControllerBank::PreciseAdversarial(PreciseAdversarialBank::new(
+                    k,
+                    PreciseAdversarialParams::new(3.2, 0.5),
+                    n,
+                )),
+            ),
+            (
+                "Proportional",
+                ControllerBank::Proportional(ProportionalBank::new(k, proportional, n)),
+            ),
+            (
+                "Exact Greedy",
+                ControllerBank::ExactGreedy(ExactGreedyBank::new(k, Default::default(), n)),
+            ),
+            (
+                "Hysteresis",
+                ControllerBank::Table(FsmBank::new(FsmSpec::lazy_hysteresis(3, 0.5).into(), n)),
+            ),
+        ]
+    }
+
+    /// What the ant at a slot is: its per-ant controller (as text), its
+    /// checkpoint scratch and its assignment.
+    type Snapshot = (String, Option<ControllerScratch>, Assignment);
+
+    fn snapshots(bank: &ControllerBank) -> Vec<Snapshot> {
+        (0..bank.len())
+            .map(|s| {
+                (
+                    format!("{:?}", bank.to_any(s)),
+                    bank.scratch(s),
+                    bank.assignment(s),
+                )
+            })
+            .collect()
+    }
+
+    /// One round of sigmoid noise over `k` tasks, every ant of `chunk`
+    /// drawing from `streams`.
+    fn step_round(mut chunk: BankSliceMut<'_>, k: usize, round: u64, streams: &mut [AntRng]) {
+        let deficits: Vec<i64> = (0..k).map(|j| [4, -4, 1][j % 3]).collect();
+        let prepared = NoiseModel::Sigmoid { lambda: 1.0 }.prepare(round, &deficits, &vec![12; k]);
+        let mut out = vec![Assignment::Idle; chunk.len()];
+        chunk.step_batch(prepared.view(), streams, &mut out);
+    }
+
+    /// Every column of every bank shape follows its ant through every
+    /// relocation: random slot maps (drops, lifts, refills), spawns and
+    /// chunk splits. Each bank first steps 70 rounds, past its kind's
+    /// first phase boundaries and through two waves of resets, so every
+    /// column holds state no fresh ant has and differs between ants.
+    #[test]
+    fn every_column_follows_every_relocation() {
+        use crate::slot_map::tests::random_map;
+        use antalloc_rng::uniform_index;
+        for k in [3, 65] {
+            for (b, (kind, mut bank)) in every_shape(k, 64).into_iter().enumerate() {
+                let fresh = snapshots(&every_shape(k, 1)[b].1);
+                let seeder = StreamSeeder::new(k as u64);
+                let mut rng = seeder.stream(b as u64);
+                for round in 1..=70 {
+                    if round % 35 == 1 {
+                        // Mid-phase resets put every kind's ants on
+                        // different tasks (a Precise Adversarial phase
+                        // is 320 rounds, so none would work yet).
+                        for s in (round as usize % 3..bank.len()).step_by(3) {
+                            bank.reset_slot(s, Assignment::Task((s % k) as u32));
+                        }
+                    }
+                    let mut streams = crate::round_streams(&seeder, round, bank.len());
+                    step_round(bank.as_slice_mut(), k, round, &mut streams);
+                }
+                for i in 0..9u64 {
+                    // A random slot map: new slot j holds old slot order[j].
+                    let before = snapshots(&bank);
+                    let (map, order) = random_map(1000 * k as u64 + 10 * b as u64 + i, bank.len());
+                    bank.apply_slot_map(&map);
+                    let after = snapshots(&bank);
+                    assert_eq!(after.len(), order.len(), "{kind} k {k} map {i}");
+                    for (j, &from) in order.iter().enumerate() {
+                        assert_eq!(
+                            after[j], before[from],
+                            "{kind} k {k} map {i}: slot {j} from {from}"
+                        );
+                    }
+                    // A spawn appends a fresh ant and moves no other.
+                    bank.push_fresh();
+                    assert_eq!(
+                        snapshots(&bank),
+                        [after, fresh.clone()].concat(),
+                        "{kind} k {k}"
+                    );
+                    // Two chunks split at a random mid step as the whole.
+                    let mid = uniform_index(&mut rng, bank.len() + 1);
+                    let round = 71 + i;
+                    let mut whole = bank.clone();
+                    let mut streams = crate::round_streams(&seeder, round, bank.len());
+                    step_round(whole.as_slice_mut(), k, round, &mut streams.clone());
+                    let (left, right) = bank.as_slice_mut().split_at_mut(mid);
+                    let (first, second) = streams.split_at_mut(mid);
+                    step_round(left, k, round, first);
+                    step_round(right, k, round, second);
+                    assert_eq!(
+                        snapshots(&bank),
+                        snapshots(&whole),
+                        "{kind} k {k} split at {mid}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each bank reports its per-ant reference controller's memory, the
+    /// paper's state count, for every kind at 1, 4 and 65 tasks.
+    #[test]
+    fn bank_memory_bits_match_the_reference_controllers() {
+        for k in [1, 4, 65] {
+            for (kind, bank) in every_shape(k, 2) {
+                let reference = bank.to_any(0).memory_bits();
+                assert_eq!(bank.memory_bits(), reference, "{kind} at k = {k}");
+            }
+            let trivial: ControllerBank =
+                [AnyController::from(Trivial::new(k))].into_iter().collect();
+            assert_eq!(
+                trivial.memory_bits(),
+                Trivial::new(k).memory_bits(),
+                "Trivial at k = {k}"
+            );
+        }
     }
 
     /// The bank rows of docs/ARCHITECTURE.md § Bytes per ant, checked

@@ -127,7 +127,7 @@ impl Controller for ExactGreedy {
     }
 
     fn memory_bits(&self) -> u32 {
-        crate::memory::bits_for_states(self.num_tasks + 1)
+        crate::memory::assignment_memory_bits(self.num_tasks)
     }
 }
 

@@ -22,81 +22,40 @@ use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit, scratch_row};
-use crate::bank::{split_chunk, Stepping};
+use crate::bank::Stepping;
 use crate::cast::{dec, enc, IDLE};
+use crate::columns::{self, soa_bank};
 use crate::controller::Controller;
 use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
-use crate::slot_map::SlotMap;
 
-/// A homogeneous [`ExactGreedy`] population in flat layout.
-#[derive(Clone, Debug)]
-pub struct ExactGreedyBank {
-    params: ExactGreedyParams,
-    join: Bernoulli,
-    leave: Bernoulli,
-    num_tasks: usize,
-    /// Assignment per ant (`IDLE` when idle).
-    assignment: Vec<u16>,
+soa_bank! {
+    /// A homogeneous [`ExactGreedy`] population in flat layout.
+    pub struct ExactGreedyBank(num_tasks: usize, params: ExactGreedyParams) {
+        params: ExactGreedyParams = params,
+    }
+    /// A disjoint mutable chunk of an [`ExactGreedyBank`].
+    pub struct ExactGreedySliceMut<'a> {
+        join: Bernoulli = Bernoulli::new(params.p_join),
+        leave: Bernoulli = Bernoulli::new(params.p_leave),
+        num_tasks: usize = columns::tasks(num_tasks),
+    }
+    columns {
+        /// Assignment per ant (`IDLE` when idle).
+        assignment: [u16] = IDLE,
+    }
 }
 
 impl ExactGreedyBank {
-    /// An all-idle bank of `n` fresh ants.
-    pub fn new(num_tasks: usize, params: ExactGreedyParams, n: usize) -> Self {
-        let mut bank = Self {
-            params,
-            join: Bernoulli::new(0.0),
-            leave: Bernoulli::new(0.0),
-            num_tasks,
-            assignment: Vec::new(),
-        };
-        bank.reinit(num_tasks, params, n);
-        bank
-    }
-
-    /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
-    /// the assignment allocation (shrink keeps capacity, grow
-    /// reallocates). State after the call is bit-identical to
-    /// `ExactGreedyBank::new(num_tasks, params, n)`.
-    pub fn reinit(&mut self, num_tasks: usize, params: ExactGreedyParams, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        self.params = params;
-        self.join = Bernoulli::new(params.p_join);
-        self.leave = Bernoulli::new(params.p_leave);
-        self.num_tasks = num_tasks;
-        self.assignment.clear();
-        self.assignment.resize(n, IDLE);
-    }
-
-    /// Appends a fresh idle ant (a spawn).
-    pub fn push_fresh(&mut self) {
-        self.assignment.push(IDLE);
-    }
-
     /// The parameters every ant in the bank runs.
     pub fn params(&self) -> &ExactGreedyParams {
         &self.params
     }
 
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Bytes the bank's per-ant columns hold.
-    #[cfg(test)]
-    pub(crate) fn column_bytes(&self) -> usize {
-        size_of_val(&self.assignment[..])
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
-    }
-
     /// Appends a per-ant controller, transposing its state in.
     pub fn push_controller(&mut self, ant: &ExactGreedy) {
         assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
-        self.assignment.push(enc(ant.assignment()));
+        self.push_fresh();
+        self.reset_slot(self.len() - 1, ant.assignment());
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -117,47 +76,14 @@ impl ExactGreedyBank {
         self.assignment[slot] = enc(a);
     }
 
-    /// Persistent memory in bits (same accounting as the per-ant impl).
+    /// Persistent memory in bits (the per-ant impl's accounting,
+    /// `memory::assignment_memory_bits`).
     pub fn memory_bits(&self) -> u32 {
-        crate::memory::bits_for_states(self.num_tasks + 1)
-    }
-
-    /// Reorders the ants' slots by `map`.
-    pub fn apply_slot_map(&mut self, map: &SlotMap) {
-        map.apply(&mut self.assignment);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> ExactGreedySliceMut<'_> {
-        ExactGreedySliceMut {
-            join: self.join,
-            leave: self.leave,
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment,
-        }
+        crate::memory::assignment_memory_bits(self.num_tasks)
     }
 }
 
-/// A disjoint mutable chunk of an [`ExactGreedyBank`].
-#[derive(Debug)]
-pub struct ExactGreedySliceMut<'a> {
-    join: Bernoulli,
-    leave: Bernoulli,
-    num_tasks: usize,
-    assignment: &'a mut [u16],
-}
-
-impl<'a> ExactGreedySliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub(crate) fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (ExactGreedySliceMut<'a>, ExactGreedySliceMut<'a>) {
-        split_chunk!(self => ExactGreedySliceMut { join, leave, num_tasks } assignment: mid)
-    }
-
+impl ExactGreedySliceMut<'_> {
     /// Steps every ant in the chunk through `stepping`; bit-identical
     /// to per-ant [`Controller::step`] on [`ExactGreedy`].
     pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
@@ -209,6 +135,7 @@ impl<'a> ExactGreedySliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot_map::SlotMap;
     use crate::trivial::Trivial;
     use crate::{AnyController, ControllerBank};
     use antalloc_noise::{FeedbackProbe, NoiseModel};

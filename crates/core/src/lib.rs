@@ -39,6 +39,7 @@ mod ant_bank;
 mod bank;
 mod bit_row;
 mod cast;
+mod columns;
 mod controller;
 mod exact_greedy;
 mod flat_bank;

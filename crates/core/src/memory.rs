@@ -11,9 +11,39 @@ pub fn bits_for_states(states: usize) -> u32 {
     usize::BITS - (states - 1).leading_zeros()
 }
 
-/// Precise Sigmoid's memory accounting, shared by the per-ant
-/// controller and its structure-of-arrays bank so the two can never
-/// report different figures: `currentTask` (one of `k + 1` values) +
+// Each kind's memory accounting below is shared by its per-ant
+// controller and its structure-of-arrays bank, so the two can never
+// report different figures. These are the paper's state counts, not
+// the bank's byte layout (a `currentTask` is ⌈log2(k + 1)⌉ bits here
+// and a `u16` in memory).
+
+/// A controller whose whole state is its assignment (Exact Greedy,
+/// Trivial): one of `k + 1` values.
+pub(crate) fn assignment_memory_bits(num_tasks: usize) -> u32 {
+    bits_for_states(num_tasks + 1)
+}
+
+/// Algorithm Ant's: `currentTask` + one first-sample bit per task + the
+/// first-sample-valid flag. The phase position is global (footnote 2 of
+/// the paper: one extra bit via synchronization).
+pub(crate) fn ant_memory_bits(num_tasks: usize) -> u32 {
+    assignment_memory_bits(num_tasks) + num_tasks as u32 + 1
+}
+
+/// Precise Adversarial's: `currentTask` + one all-lack bit per task +
+/// all-overload, first-lack (3 states ≈ 2 bits), frozen and
+/// phase-valid flags.
+pub(crate) fn adversarial_memory_bits(num_tasks: usize) -> u32 {
+    assignment_memory_bits(num_tasks) + num_tasks as u32 + 5
+}
+
+/// The proportional controller's: the assignment plus the deadband
+/// streak, which only needs to distinguish `0..=deadband + 1`.
+pub(crate) fn proportional_memory_bits(num_tasks: usize, deadband: u16) -> u32 {
+    assignment_memory_bits(num_tasks) + bits_for_states(usize::from(deadband) + 2)
+}
+
+/// Precise Sigmoid's: `currentTask` (one of `k + 1` values) +
 /// two counters of `⌈log2(m + 1)⌉` bits per task + the frozen median
 /// bit per task + the phase flag. The paper's `O(log 1/ε)` is the
 /// per-task counter width; `k` is a constant in its accounting.

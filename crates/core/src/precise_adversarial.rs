@@ -272,10 +272,7 @@ impl Controller for PreciseAdversarial {
     }
 
     fn memory_bits(&self) -> u32 {
-        // currentTask + one all-lack bit per task + all-overload,
-        // first-lack (3 states ≈ 2 bits), frozen and phase-valid flags.
-        let k = self.all_lack.len() as u32;
-        crate::memory::bits_for_states(k as usize + 1) + k + 5
+        crate::memory::adversarial_memory_bits(self.all_lack.len())
     }
 }
 

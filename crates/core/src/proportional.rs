@@ -29,10 +29,10 @@ use antalloc_noise::{FeedbackProbe, RoundView};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit, scratch_row};
-use crate::bank::{split_chunk, Stepping};
+use crate::bank::Stepping;
 use crate::cast::{dec, enc, IDLE};
+use crate::columns::{self, soa_bank};
 use crate::controller::Controller;
-use crate::slot_map::SlotMap;
 
 /// Parameters of the proportional controller.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -174,86 +174,43 @@ impl Controller for ProportionalController {
     }
 
     fn memory_bits(&self) -> u32 {
-        // The assignment (k+1 states) plus the deadband streak, which
-        // only needs to distinguish 0..=deadband+1.
-        crate::memory::bits_for_states(self.num_tasks + 1)
-            + crate::memory::bits_for_states(usize::from(self.params.deadband) + 2)
+        crate::memory::proportional_memory_bits(self.num_tasks, self.params.deadband)
     }
 }
 
-/// A homogeneous [`ProportionalController`] population in flat layout.
-#[derive(Clone, Debug)]
-pub struct ProportionalBank {
-    params: ProportionalParams,
-    gain: Bernoulli,
-    num_tasks: usize,
-    /// Assignment per ant (`IDLE` when idle).
-    assignment: Vec<u16>,
-    /// Persisted-error streak per ant.
-    streak: Vec<u16>,
+soa_bank! {
+    /// A homogeneous [`ProportionalController`] population in flat layout.
+    pub struct ProportionalBank(num_tasks: usize, params: ProportionalParams) {
+        params: ProportionalParams = params,
+    }
+    /// A disjoint mutable chunk of a [`ProportionalBank`].
+    pub struct ProportionalSliceMut<'a> {
+        gain: Bernoulli = Bernoulli::new(params.gain),
+        deadband: u16 = params.deadband,
+        num_tasks: usize = columns::tasks(num_tasks),
+    }
+    columns {
+        /// Assignment per ant (`IDLE` when idle).
+        assignment: [u16] = IDLE,
+        /// Persisted-error streak per ant.
+        streak: [u16] = 0,
+    }
 }
 
 impl ProportionalBank {
-    /// An all-idle bank of `n` fresh ants.
-    pub fn new(num_tasks: usize, params: ProportionalParams, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
-        Self {
-            params,
-            gain: Bernoulli::new(params.gain),
-            num_tasks,
-            assignment: vec![IDLE; n],
-            streak: vec![0; n],
-        }
-    }
-
-    /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
-    /// the column allocations (shrink keeps capacity, grow
-    /// reallocates). State after the call is bit-identical to
-    /// `ProportionalBank::new(num_tasks, params, n)`.
-    pub fn reinit(&mut self, num_tasks: usize, params: ProportionalParams, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        self.params = params;
-        self.gain = Bernoulli::new(params.gain);
-        self.num_tasks = num_tasks;
-        self.assignment.clear();
-        self.assignment.resize(n, IDLE);
-        self.streak.clear();
-        self.streak.resize(n, 0);
-    }
-
-    /// Appends a fresh idle ant (a spawn).
-    pub fn push_fresh(&mut self) {
-        self.assignment.push(IDLE);
-        self.streak.push(0);
-    }
-
     /// The parameters every ant in the bank runs.
     pub fn params(&self) -> &ProportionalParams {
         &self.params
-    }
-
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Bytes the bank's per-ant columns hold.
-    #[cfg(test)]
-    pub(crate) fn column_bytes(&self) -> usize {
-        size_of_val(&self.assignment[..]) + size_of_val(&self.streak[..])
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
     }
 
     /// Appends a per-ant controller, transposing its state in.
     pub fn push_controller(&mut self, ant: &ProportionalController) {
         assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
         debug_assert_eq!(ant.params(), &self.params, "parameter mismatch");
-        self.assignment.push(enc(ant.assignment()));
-        self.streak.push(ant.streak());
+        self.push_fresh();
+        let slot = self.len() - 1;
+        self.reset_slot(slot, ant.assignment());
+        self.set_streak(slot, ant.streak());
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -297,52 +254,14 @@ impl ProportionalBank {
         self.streak[slot] = 0;
     }
 
-    /// Persistent memory in bits (same accounting as the per-ant impl).
+    /// Persistent memory in bits (the per-ant impl's accounting,
+    /// `memory::proportional_memory_bits`).
     pub fn memory_bits(&self) -> u32 {
-        crate::memory::bits_for_states(self.num_tasks + 1)
-            + crate::memory::bits_for_states(usize::from(self.params.deadband) + 2)
-    }
-
-    /// Reorders the ants' slots by `map`, both columns alike.
-    pub fn apply_slot_map(&mut self, map: &SlotMap) {
-        map.apply(&mut self.assignment);
-        map.apply(&mut self.streak);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> ProportionalSliceMut<'_> {
-        ProportionalSliceMut {
-            gain: self.gain,
-            deadband: self.params.deadband,
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment,
-            streak: &mut self.streak,
-        }
+        crate::memory::proportional_memory_bits(self.num_tasks, self.params.deadband)
     }
 }
 
-/// A disjoint mutable chunk of a [`ProportionalBank`].
-#[derive(Debug)]
-pub struct ProportionalSliceMut<'a> {
-    gain: Bernoulli,
-    deadband: u16,
-    num_tasks: usize,
-    assignment: &'a mut [u16],
-    streak: &'a mut [u16],
-}
-
-impl<'a> ProportionalSliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub(crate) fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (ProportionalSliceMut<'a>, ProportionalSliceMut<'a>) {
-        split_chunk!(self => ProportionalSliceMut { gain, deadband, num_tasks }
-            assignment: mid, streak: mid)
-    }
-
+impl ProportionalSliceMut<'_> {
     /// Steps every ant in the chunk through `stepping`; bit-identical
     /// to per-ant [`Controller::step`] on [`ProportionalController`].
     pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
@@ -415,6 +334,7 @@ impl<'a> ProportionalSliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot_map::SlotMap;
     use crate::{ControllerBank, ControllerScratch};
     use antalloc_noise::{Feedback, NoiseModel, PreparedRound};
     use antalloc_rng::{AntRng, StreamSeeder};

@@ -29,13 +29,13 @@ use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::nth_where;
-use crate::bank::{split_chunk, Stepping};
+use crate::bank::Stepping;
 use crate::bit_row;
 use crate::cast::{dec, enc, task_ix, IDLE};
+use crate::columns::{self, soa_bank};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 use crate::precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
-use crate::slot_map::SlotMap;
 
 /// Precise Sigmoid state as checkpoint-shaped columns: per entry one
 /// raw `currentTask` ([`Assignment::to_raw`]) and one phase-observed
@@ -78,113 +78,53 @@ fn pack_row(row: &mut [u8], shat1: &[u8], have_phase: u8) {
     bit_row::pack(row, medians.chain([have_phase == 1]));
 }
 
-/// A homogeneous Precise Sigmoid population in structure-of-arrays
-/// layout.
-#[derive(Clone, Debug)]
-pub struct PreciseSigmoidBank {
-    params: PreciseSigmoidParams,
-    m: u64,
-    pause: Bernoulli,
-    leave: Bernoulli,
-    num_tasks: usize,
-    /// `currentTask` per ant (`IDLE` when idle).
-    current: Vec<u16>,
-    /// Output assignment `a_t` per ant.
-    assignment: Vec<u16>,
-    /// First-half `lack` counts, ant-major `num_tasks` entries per ant.
-    count1: Vec<u16>,
-    /// Second-half `lack` counts, same shape.
-    count2: Vec<u16>,
-    /// One bit row per ant: the frozen first-half medians in bits
-    /// `0..k` (1 = lack), then the phase-observed-from-start flag
-    /// ([`HAVE_PHASE`]).
-    bits: Vec<u8>,
+soa_bank! {
+    /// A homogeneous Precise Sigmoid population in structure-of-arrays
+    /// layout.
+    pub struct PreciseSigmoidBank(num_tasks: usize, params: PreciseSigmoidParams) {
+        params: PreciseSigmoidParams = params,
+    }
+    /// A disjoint mutable chunk of a [`PreciseSigmoidBank`].
+    pub struct SigmoidSliceMut<'a> {
+        m: u64 = counter_m(&params),
+        pause: Bernoulli = Bernoulli::new(params.pause_probability()),
+        leave: Bernoulli = Bernoulli::new(params.leave_probability()),
+        num_tasks: usize = columns::tasks(num_tasks),
+        /// Bytes per bit row.
+        width: usize = bit_row::width(num_tasks + 1),
+    }
+    columns {
+        /// `currentTask` per ant (`IDLE` when idle).
+        current: [u16] = IDLE,
+        /// Output assignment `a_t` per ant.
+        assignment: [u16] = IDLE,
+        /// First-half `lack` counts, ant-major `num_tasks` entries per ant.
+        count1: [u16; num_tasks] = 0,
+        /// Second-half `lack` counts, same shape.
+        count2: [u16; num_tasks] = 0,
+        /// One bit row per ant: the frozen first-half medians in bits
+        /// `0..k` (1 = lack), then the phase-observed-from-start flag
+        /// ([`HAVE_PHASE`]).
+        bits: [u8; width] = 0,
+    }
 }
 
 /// Bit of a Precise Sigmoid row past the `k` medians: the ant observed
 /// its phase from the start.
 const HAVE_PHASE: usize = 0;
 
+/// The half-phase length `m` of `params`, checked to fit the `u16`
+/// counters.
+fn counter_m(params: &PreciseSigmoidParams) -> u64 {
+    let m = params.m();
+    assert!(m <= u64::from(u16::MAX), "m too large for u16 counters");
+    m
+}
+
 impl PreciseSigmoidBank {
-    /// An all-idle bank of `n` fresh ants.
-    pub fn new(num_tasks: usize, params: PreciseSigmoidParams, n: usize) -> Self {
-        let mut bank = Self {
-            params,
-            m: 0,
-            pause: Bernoulli::new(0.0),
-            leave: Bernoulli::new(0.0),
-            num_tasks,
-            current: Vec::new(),
-            assignment: Vec::new(),
-            count1: Vec::new(),
-            count2: Vec::new(),
-            bits: Vec::new(),
-        };
-        bank.reinit(num_tasks, params, n);
-        bank
-    }
-
-    /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
-    /// the column allocations (shrink keeps capacity, grow
-    /// reallocates). State after the call is bit-identical to
-    /// `PreciseSigmoidBank::new(num_tasks, params, n)`.
-    pub fn reinit(&mut self, num_tasks: usize, params: PreciseSigmoidParams, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        let m = params.m();
-        assert!(m <= u64::from(u16::MAX), "m too large for u16 counters");
-        self.params = params;
-        self.m = m;
-        self.pause = Bernoulli::new(params.pause_probability());
-        self.leave = Bernoulli::new(params.leave_probability());
-        self.num_tasks = num_tasks;
-        self.resize(0);
-        self.resize(n);
-    }
-
-    /// Bytes per bit row.
-    fn row_width(&self) -> usize {
-        bit_row::width(self.num_tasks + 1)
-    }
-
-    /// Truncates or extends every column to `n` ants, new ants fresh
-    /// and idle.
-    fn resize(&mut self, n: usize) {
-        let k = self.num_tasks;
-        self.current.resize(n, IDLE);
-        self.assignment.resize(n, IDLE);
-        self.count1.resize(n * k, 0);
-        self.count2.resize(n * k, 0);
-        self.bits.resize(n * self.row_width(), 0);
-    }
-
-    /// Appends a fresh idle ant (a spawn).
-    pub fn push_fresh(&mut self) {
-        self.resize(self.len() + 1);
-    }
-
     /// The parameters every ant in the bank runs.
     pub fn params(&self) -> &PreciseSigmoidParams {
         &self.params
-    }
-
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
-    }
-
-    /// Bytes the bank's per-ant columns hold.
-    #[cfg(test)]
-    pub(crate) fn column_bytes(&self) -> usize {
-        size_of_val(&self.current[..])
-            + size_of_val(&self.assignment[..])
-            + size_of_val(&self.count1[..])
-            + size_of_val(&self.count2[..])
-            + size_of_val(&self.bits[..])
     }
 
     /// Appends a per-ant controller, transposing its state in.
@@ -206,18 +146,12 @@ impl PreciseSigmoidBank {
         ant
     }
 
-    /// The bit row of the ant at `slot`.
-    fn row(&self, slot: usize) -> &[u8] {
-        let w = self.row_width();
-        &self.bits[slot * w..slot * w + w]
-    }
-
     /// The mid-phase counter state of the ant at `slot` (see
     /// [`SigmoidScratch`]).
     pub fn scratch(&self, slot: usize) -> SigmoidScratch {
-        let k = self.num_tasks;
+        let (k, w) = (self.num_tasks, self.width);
         let counts = slot * k..slot * k + k;
-        let row = self.row(slot);
+        let row = &self.bits[slot * w..slot * w + w];
         SigmoidScratch {
             current_task: dec(self.current[slot]),
             have_phase: bit_row::get(row, k + HAVE_PHASE),
@@ -239,7 +173,7 @@ impl PreciseSigmoidBank {
         self.current[slot] = enc(s.current_task);
         self.count1[counts.clone()].copy_from_slice(&s.count1);
         self.count2[counts].copy_from_slice(&s.count2);
-        let w = self.row_width();
+        let w = self.width;
         let row = &mut self.bits[slot * w..slot * w + w];
         for (j, &lack) in s.shat1_lack.iter().enumerate() {
             bit_row::set(row, j, lack);
@@ -249,7 +183,7 @@ impl PreciseSigmoidBank {
 
     /// Appends the checkpoint rows of `slots` to `rows`, in order.
     pub fn capture_rows(&self, slots: Range<usize>, rows: &mut SigmoidRows) {
-        let (k, w) = (self.num_tasks, self.row_width());
+        let (k, w) = (self.num_tasks, self.width);
         let planes = slots.start * k..slots.end * k;
         rows.count1.extend_from_slice(&self.count1[planes.clone()]);
         rows.count2.extend_from_slice(&self.count2[planes]);
@@ -272,7 +206,7 @@ impl PreciseSigmoidBank {
     /// Writes entry `e` of `rows` into `slot` (write it *after*
     /// [`PreciseSigmoidBank::reset_slot`]).
     pub fn restore_row(&mut self, slot: usize, rows: &SigmoidRows, e: usize) {
-        let (k, w) = (self.num_tasks, self.row_width());
+        let (k, w) = (self.num_tasks, self.width);
         let (from, to) = (e * k..e * k + k, slot * k..slot * k + k);
         self.count1[to.clone()].copy_from_slice(&rows.count1[from.clone()]);
         self.count2[to].copy_from_slice(&rows.count2[from.clone()]);
@@ -288,7 +222,7 @@ impl PreciseSigmoidBank {
     /// If `rows` does not hold one entry per ant.
     pub fn restore_rows(&mut self, rows: &SigmoidRows) {
         assert_eq!(rows.current.len(), self.len(), "one entry per ant");
-        let (k, w) = (self.num_tasks, self.row_width());
+        let (k, w) = (self.num_tasks, self.width);
         self.count1.copy_from_slice(&rows.count1);
         self.count2.copy_from_slice(&rows.count2);
         for (c, &raw) in self.current.iter_mut().zip(&rows.current) {
@@ -311,7 +245,7 @@ impl PreciseSigmoidBank {
         let x = enc(a);
         self.assignment[slot] = x;
         self.current[slot] = x;
-        let (k, w) = (self.num_tasks, self.row_width());
+        let (k, w) = (self.num_tasks, self.width);
         bit_row::set(
             &mut self.bits[slot * w..slot * w + w],
             k + HAVE_PHASE,
@@ -324,66 +258,9 @@ impl PreciseSigmoidBank {
     pub fn memory_bits(&self) -> u32 {
         crate::memory::sigmoid_memory_bits(self.num_tasks, self.m)
     }
-
-    /// Reorders the ants' slots by `map`, every column and plane
-    /// alike.
-    pub fn apply_slot_map(&mut self, map: &SlotMap) {
-        let k = self.num_tasks;
-        map.apply(&mut self.current);
-        map.apply(&mut self.assignment);
-        map.apply_rows(&mut self.count1, k);
-        map.apply_rows(&mut self.count2, k);
-        let w = self.row_width();
-        map.apply_rows(&mut self.bits, w);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> SigmoidSliceMut<'_> {
-        SigmoidSliceMut {
-            m: self.m,
-            pause: self.pause,
-            leave: self.leave,
-            num_tasks: self.num_tasks,
-            width: self.row_width(),
-            current: &mut self.current,
-            assignment: &mut self.assignment,
-            count1: &mut self.count1,
-            count2: &mut self.count2,
-            bits: &mut self.bits,
-        }
-    }
 }
 
-/// A disjoint mutable chunk of a [`PreciseSigmoidBank`].
-#[derive(Debug)]
-pub struct SigmoidSliceMut<'a> {
-    m: u64,
-    pause: Bernoulli,
-    leave: Bernoulli,
-    num_tasks: usize,
-    /// Bytes per bit row.
-    width: usize,
-    current: &'a mut [u16],
-    assignment: &'a mut [u16],
-    count1: &'a mut [u16],
-    count2: &'a mut [u16],
-    bits: &'a mut [u8],
-}
-
-impl<'a> SigmoidSliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub(crate) fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (SigmoidSliceMut<'a>, SigmoidSliceMut<'a>) {
-        let (k, w) = (self.num_tasks, self.width);
-        split_chunk!(self => SigmoidSliceMut { m, pause, leave, num_tasks, width }
-            current: mid, assignment: mid,
-            count1: mid * k, count2: mid * k, bits: mid * w)
-    }
-
+impl SigmoidSliceMut<'_> {
     /// Steps every ant in the chunk through `stepping`; bit-identical to
     /// per-ant [`Controller::step`] on [`PreciseSigmoid`]. The phase
     /// position is computed once for the whole chunk (all ants share
@@ -491,6 +368,7 @@ impl<'a> SigmoidSliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot_map::SlotMap;
     use crate::{AnyController, ControllerBank, ControllerScratch};
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;

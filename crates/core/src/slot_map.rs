@@ -168,7 +168,7 @@ impl SlotMap {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use antalloc_rng::{uniform_index, StreamSeeder};
 
@@ -181,7 +181,7 @@ mod tests {
     /// lifted, and the lifted ones land at random places between the
     /// kept ones or fill dropped ones. Returns the map and the old slot
     /// of every new slot.
-    fn random_map(seed: u64, len: usize) -> (SlotMap, Vec<usize>) {
+    pub(crate) fn random_map(seed: u64, len: usize) -> (SlotMap, Vec<usize>) {
         let mut rng = StreamSeeder::new(seed).stream(0);
         let kinds: Vec<usize> = (0..len).map(|_| uniform_index(&mut rng, 8)).collect();
         let mut lifts: Vec<usize> = (0..len).rev().filter(|&s| kinds[s] == 1).collect();

@@ -22,9 +22,9 @@ use antalloc_env::Assignment;
 use antalloc_noise::{FeedbackProbe, RoundView};
 use antalloc_rng::AntRng;
 
-use crate::bank::{split_chunk, Stepping};
+use crate::bank::Stepping;
+use crate::columns::soa_bank;
 use crate::controller::Controller;
-use crate::slot_map::SlotMap;
 
 /// One weighted transition edge.
 type Edge = (u16, f64);
@@ -88,6 +88,12 @@ impl FsmSpec {
     /// Number of states.
     pub fn num_states(&self) -> usize {
         self.working.len()
+    }
+
+    /// Persistent memory of one machine in bits: its state index, the
+    /// accounting [`TableFsm`] and [`FsmBank`] share.
+    pub(crate) fn memory_bits(&self) -> u32 {
+        crate::memory::bits_for_states(self.num_states())
     }
 
     /// Whether state `s` outputs `Task(0)`.
@@ -283,62 +289,33 @@ impl Controller for TableFsm {
     }
 
     fn memory_bits(&self) -> u32 {
-        crate::memory::bits_for_states(self.spec.num_states())
+        self.spec.memory_bits()
     }
 }
 
-/// A homogeneous table-machine population: one shared spec and one
-/// state per ant.
-#[derive(Clone, Debug)]
-pub struct FsmBank {
-    spec: Arc<FsmSpec>,
-    /// Machine state per ant.
-    state: Vec<u16>,
+soa_bank! {
+    /// A homogeneous table-machine population: one shared spec and one
+    /// state per ant.
+    pub struct FsmBank(spec: Arc<FsmSpec>) {
+        spec: Arc<FsmSpec> = spec,
+    }
+    /// A disjoint mutable chunk of an [`FsmBank`].
+    pub struct FsmSliceMut<'a> {
+        &spec: FsmSpec,
+    }
+    columns {
+        /// Machine state per ant (fresh machines start in state 0).
+        state: [u16] = 0,
+    }
 }
 
 impl FsmBank {
-    /// A bank of `n` machines in state 0.
-    pub fn new(spec: Arc<FsmSpec>, n: usize) -> Self {
-        Self {
-            spec,
-            state: vec![0; n],
-        }
-    }
-
-    /// Rebuilds the bank in place to `n` machines of `spec` in state 0,
-    /// reusing the state column. State after the call is bit-identical
-    /// to `FsmBank::new(spec, n)`.
-    pub fn reinit(&mut self, spec: Arc<FsmSpec>, n: usize) {
-        self.spec = spec;
-        self.state.clear();
-        self.state.resize(n, 0);
-    }
-
-    /// Appends a machine in state 0 (a spawn).
-    pub fn push_fresh(&mut self) {
-        self.state.push(0);
-    }
-
-    /// Number of machines.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// Bytes the bank's per-ant columns hold.
-    #[cfg(test)]
-    pub(crate) fn column_bytes(&self) -> usize {
-        size_of_val(&self.state[..])
-    }
-
-    /// True iff the bank holds no machines.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
     /// Appends a per-ant machine, which must run the bank's spec.
     pub fn push_controller(&mut self, fsm: &TableFsm) {
         debug_assert_eq!(fsm.spec(), &self.spec, "spec mismatch");
-        self.state.push(fsm.state());
+        self.push_fresh();
+        let slot = self.len() - 1;
+        self.state[slot] = fsm.state();
     }
 
     /// Reconstructs the per-ant machine at `slot` (lossless).
@@ -360,43 +337,14 @@ impl FsmBank {
         self.state[slot] = self.spec.entry_state(a);
     }
 
-    /// Persistent memory in bits (same accounting as the per-ant impl).
+    /// Persistent memory in bits (the per-ant impl's accounting,
+    /// `FsmSpec::memory_bits`).
     pub fn memory_bits(&self) -> u32 {
-        crate::memory::bits_for_states(self.spec.num_states())
-    }
-
-    /// Reorders the machines' slots by `map`.
-    pub fn apply_slot_map(&mut self, map: &SlotMap) {
-        map.apply(&mut self.state);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> FsmSliceMut<'_> {
-        FsmSliceMut {
-            spec: &self.spec,
-            state: &mut self.state,
-        }
+        self.spec.memory_bits()
     }
 }
 
-/// A disjoint mutable chunk of an [`FsmBank`].
-#[derive(Debug)]
-pub struct FsmSliceMut<'a> {
-    spec: &'a FsmSpec,
-    state: &'a mut [u16],
-}
-
-impl<'a> FsmSliceMut<'a> {
-    /// Number of machines in the chunk.
-    pub(crate) fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (FsmSliceMut<'a>, FsmSliceMut<'a>) {
-        split_chunk!(self => FsmSliceMut { spec } state: mid)
-    }
-
+impl FsmSliceMut<'_> {
     /// Steps every machine in the chunk through `stepping`;
     /// bit-identical to per-ant [`Controller::step`] on [`TableFsm`].
     pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
@@ -415,6 +363,7 @@ impl<'a> FsmSliceMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot_map::SlotMap;
     use antalloc_noise::NoiseModel;
     use antalloc_rng::AntRng;
 

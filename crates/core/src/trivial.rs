@@ -82,8 +82,7 @@ impl Controller for Trivial {
     }
 
     fn memory_bits(&self) -> u32 {
-        // Only the current assignment: one of k+1 values.
-        crate::memory::bits_for_states(self.num_tasks + 1)
+        crate::memory::assignment_memory_bits(self.num_tasks)
     }
 }
 
