@@ -1,8 +1,9 @@
 //! Structure-of-arrays bank for Appendix C Algorithm Precise
 //! Adversarial: two `u16` task columns and one bit row per ant holding
 //! the per-task unanimous-lack bits and every phase tracker (see
-//! [`crate::bit_row`]) — the fields [`AdversarialScratch`] names, so a
-//! checkpoint inside the `5·r_1`-round phase resumes bit-identically.
+//! [`crate::bit_row`]) — the fields [`AdversarialScratch`] names. A
+//! checkpoint stores the columns as they are, so a capture inside the
+//! `5·r_1`-round phase resumes bit-identically.
 //! For `k ≤ 64` the idle path ANDs its sampled lack mask into the row
 //! in one pass.
 //!
@@ -17,7 +18,7 @@ use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{nth_where, scratch_row};
-use crate::bank::Stepping;
+use crate::bank::{fits, BankError, Stepping};
 use crate::bit_row;
 use crate::cast::{dec, enc, task_ix, IDLE};
 use crate::columns::{self, soa_bank};
@@ -59,13 +60,13 @@ soa_bank! {
     }
     columns {
         /// `currentTask` per ant (`IDLE` when idle).
-        current: [u16] = IDLE,
+        current: [u16] = IDLE => Task(num_tasks),
         /// Output assignment `a_t` per ant.
-        assignment: [u16] = IDLE,
+        assignment: [u16] = IDLE => Mirror,
         /// One bit row per ant: bit `j < k` is 1 iff every sample of task
         /// `j` this phase said `lack` (idle path), then the [`FLAGS`]
         /// trackers.
-        bits: [u8; width] from fresh_bits,
+        bits: [u8; width] from fresh_bits => Row(num_tasks + FLAGS),
     }
 }
 
@@ -79,12 +80,20 @@ fn fresh_row(k: usize) -> Vec<u8> {
 
 impl PreciseAdversarialBank {
     /// Appends a per-ant controller, transposing its state in.
-    pub fn push_controller(&mut self, ant: &PreciseAdversarial) {
-        assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
+    ///
+    /// # Errors
+    /// If the ant runs other parameters or observes another number of
+    /// tasks (see [`crate::ControllerBank::push`]).
+    pub fn push_controller(&mut self, ant: &PreciseAdversarial) -> Result<(), BankError> {
+        fits(
+            (self.num_tasks, &self.params),
+            (ant.num_tasks(), ant.params()),
+        )?;
         self.push_fresh();
         let slot = self.len() - 1;
         self.reset_slot(slot, ant.assignment());
         self.apply_scratch(slot, &ant.scratch());
+        Ok(())
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -104,7 +113,7 @@ impl PreciseAdversarialBank {
 
     /// The mid-phase trackers of the ant at `slot` (see
     /// [`AdversarialScratch`]).
-    pub fn scratch(&self, slot: usize) -> AdversarialScratch {
+    fn scratch(&self, slot: usize) -> AdversarialScratch {
         let (k, w) = (self.num_tasks, self.width);
         let row = &self.bits[slot * w..slot * w + w];
         let flag = |f: usize| bit_row::get(row, k + f);
@@ -123,7 +132,7 @@ impl PreciseAdversarialBank {
     ///
     /// # Panics
     /// If the scratch's task count disagrees with the bank's.
-    pub fn apply_scratch(&mut self, slot: usize, s: &AdversarialScratch) {
+    fn apply_scratch(&mut self, slot: usize, s: &AdversarialScratch) {
         let k = self.num_tasks;
         assert_eq!(s.all_lack.len(), k, "task count mismatch");
         self.current[slot] = enc(s.current_task);
@@ -269,7 +278,7 @@ impl AdversarialSliceMut<'_> {
 mod tests {
     use super::*;
     use crate::slot_map::SlotMap;
-    use crate::{AnyController, ControllerBank, ControllerScratch};
+    use crate::{AnyController, ControllerBank};
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
@@ -329,8 +338,10 @@ mod tests {
             }
             if round % 97 == 0 {
                 for (i, ant) in reference.iter().enumerate() {
-                    let scratch = Some(ControllerScratch::PreciseAdversarial(ant.scratch()));
-                    assert_eq!(bank.scratch(i), scratch, "ant {i} round {round}");
+                    let AnyController::PreciseAdversarial(rebuilt) = bank.to_any(i) else {
+                        unreachable!("a Precise Adversarial bank rebuilds its own kind");
+                    };
+                    assert_eq!(rebuilt.scratch(), ant.scratch(), "ant {i} round {round}");
                 }
             }
         }
@@ -353,7 +364,7 @@ mod tests {
             ant.step(&mut probe);
         }
         let mut bank = PreciseAdversarialBank::new(2, params, 0);
-        bank.push_controller(&ant);
+        bank.push_controller(&ant).unwrap();
         let AnyController::PreciseAdversarial(back) =
             ControllerBank::PreciseAdversarial(bank).to_any(0)
         else {

@@ -27,7 +27,7 @@ use antalloc_noise::{Feedback, RoundView};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant::AlgorithmAnt;
-use crate::bank::Stepping;
+use crate::bank::{fits, BankError, Stepping};
 use crate::bit_row;
 use crate::cast::{dec, enc, task_col, task_ix, wide, IDLE};
 use crate::columns::{self, soa_bank};
@@ -96,17 +96,17 @@ soa_bank! {
     }
     columns {
         /// `currentTask` per ant (`IDLE` when idle).
-        current: [u16] = IDLE,
+        current: [u16] = IDLE => Task(num_tasks),
         /// Output assignment `a_t` per ant.
-        assignment: [u16] = IDLE,
+        assignment: [u16] = IDLE => Mirror,
         /// One bit row per ant (see [`crate::bit_row`]): the idle path's
         /// first samples in bits `0..k` (1 = lack), then the working
         /// path's first sample of its task ([`S1_CURRENT`]) and the
         /// first-sample-valid flag ([`HAVE_S1`]).
-        bits: [u8; width] = 0,
+        bits: [u8; width] = 0 => Row(num_tasks + 2),
         /// Phase parity per ant (1 = its two-round phase runs one round
         /// behind the colony's); empty in a synchronized bank.
-        parity: [u8; parity_width] = 0,
+        parity: [u8; parity_width] = 0 => AtMost(1),
     }
 }
 
@@ -143,26 +143,34 @@ impl AntBank {
 
     /// Appends a per-ant controller, transposing its state in. An ant
     /// with an odd phase offset desynchronizes the bank.
-    pub fn push_controller(&mut self, ant: &AlgorithmAnt) {
+    ///
+    /// # Errors
+    /// If the ant runs other parameters or observes another number of
+    /// tasks (see [`crate::ControllerBank::push`]).
+    pub fn push_controller(&mut self, ant: &AlgorithmAnt) -> Result<(), BankError> {
+        fits(
+            (self.num_tasks, &self.params),
+            (ant.num_tasks(), ant.params()),
+        )?;
         let parity = u8::from(ant.phase_offset() % 2 == 1);
         if parity == 1 && self.parity_width == 0 {
             self.parity_width = 1;
             self.parity.resize(self.len(), 0);
         }
         self.push_fresh();
-        let (slot, k) = (self.len() - 1, self.num_tasks);
+        let slot = self.len() - 1;
         if let Some(p) = self.parity.get_mut(slot) {
             *p = parity;
         }
-        debug_assert_eq!(ant.s1_all.len(), k);
         self.current[slot] = enc(ant.current_task);
         self.assignment[slot] = enc(ant.assignment);
-        let row = self.row_mut(slot);
-        for (j, f) in ant.s1_all.iter().enumerate() {
-            bit_row::set(row, j, f.is_lack());
-        }
-        bit_row::set(row, k + S1_CURRENT, ant.s1_current.is_lack());
-        bit_row::set(row, k + HAVE_S1, ant.have_s1);
+        // The flags follow the samples in bit order: S1_CURRENT, HAVE_S1.
+        let samples = ant.s1_all.iter().map(|f| f.is_lack());
+        bit_row::pack(
+            self.row_mut(slot),
+            samples.chain([ant.s1_current.is_lack(), ant.have_s1]),
+        );
+        Ok(())
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -465,7 +473,7 @@ mod tests {
         for offset in [0, 1, 0] {
             let mut ant = AlgorithmAnt::with_phase_offset(2, params, offset);
             ant.reset_to(Assignment::Task(offset as u32));
-            bank.push_controller(&ant);
+            bank.push_controller(&ant).unwrap();
         }
         let offsets = |bank: &AntBank| -> Vec<u64> {
             (0..bank.len())
@@ -503,7 +511,7 @@ mod tests {
         let mut bank = AntBank::new(2, params, 0);
         let mut ant = AlgorithmAnt::new(2, params);
         ant.reset_to(Assignment::Task(1));
-        bank.push_controller(&ant);
+        bank.push_controller(&ant).unwrap();
         assert_eq!(bank.len(), 1);
         assert_eq!(bank.assignment(0), Assignment::Task(1));
         let back = bank.to_controller(0);

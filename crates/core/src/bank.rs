@@ -67,31 +67,10 @@ use crate::cast::{dec, enc};
 use crate::controller::{AnyController, Controller};
 use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
 use crate::flat_bank::{ExactGreedyBank, ExactGreedySliceMut};
-use crate::precise_adversarial::AdversarialScratch;
-use crate::precise_sigmoid::SigmoidScratch;
 use crate::proportional::{ProportionalBank, ProportionalSliceMut};
 use crate::sigmoid_bank::{PreciseSigmoidBank, SigmoidSliceMut};
 use crate::slot_map::SlotMap;
 use crate::table_fsm::{FsmBank, FsmSliceMut};
-
-/// Per-ant controller state beyond the assignment, extracted per kind —
-/// what a checkpoint must carry to capture *between* the kind's phase
-/// boundaries. Kinds whose entire state is the assignment (or whose
-/// phase is short enough that boundary-only capture costs nothing)
-/// have no scratch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ControllerScratch {
-    /// Precise Sigmoid's mid-phase counters (phases are `2m = O(1/ε)`
-    /// rounds long, so boundary-only capture is a real restriction).
-    PreciseSigmoid(SigmoidScratch),
-    /// Precise Adversarial's mid-phase trackers (phases are
-    /// `5·r_1 = O(1/ε)` rounds long — the last long-phase kind to gain
-    /// mid-phase capture).
-    PreciseAdversarial(AdversarialScratch),
-    /// The proportional controller's persisted-error streak (emitted
-    /// only when non-zero; restore defaults absent entries to 0).
-    Proportional(u16),
-}
 
 /// A contiguous, homogeneous population of controllers of one kind.
 ///
@@ -249,26 +228,36 @@ impl ControllerBank {
         each_kind!(self, ControllerBank(b) => b.column_bytes())
     }
 
-    /// The mid-phase scratch of the ant at `slot` — `Some` only for
-    /// kinds a checkpoint must carry counters for (Precise Sigmoid,
-    /// Precise Adversarial and a non-zero Proportional streak; see
-    /// [`ControllerScratch`]).
-    pub fn scratch(&self, slot: usize) -> Option<ControllerScratch> {
-        match self {
-            ControllerBank::PreciseSigmoid(b) => {
-                Some(ControllerScratch::PreciseSigmoid(b.scratch(slot)))
-            }
-            ControllerBank::PreciseAdversarial(b) => {
-                Some(ControllerScratch::PreciseAdversarial(b.scratch(slot)))
-            }
-            // Zero streaks are the reset state; omitting them keeps
-            // checkpoints of settled colonies scratch-free.
-            ControllerBank::Proportional(b) => match b.streak(slot) {
-                0 => None,
-                s => Some(ControllerScratch::Proportional(s)),
-            },
-            _ => None,
-        }
+    /// Bytes a checkpoint stores for `n` ants of the bank: its schema's
+    /// columns but the assignment, which mirrors the colony's task
+    /// column between rounds (see `columns.rs`).
+    pub fn state_len(&self, n: usize) -> usize {
+        each_kind!(self, ControllerBank(b) => b.state_len(n))
+    }
+
+    /// Appends the bank's stored columns, in schema order,
+    /// little-endian: a checkpoint's copy of the bank.
+    pub fn write_state(&self, out: &mut Vec<u8>) {
+        each_kind!(self, ControllerBank(b) => b.write_state(out))
+    }
+
+    /// Checks `bytes` as the stored columns of `n` ants of this bank's
+    /// kind and parameters: their length and every column's domain
+    /// (task ids, counter bounds, clear row padding, states).
+    ///
+    /// # Errors
+    /// [`BankError::BadColumn`] naming the first column that fails.
+    pub fn check_state(&self, n: usize, bytes: &[u8]) -> Result<(), BankError> {
+        each_kind!(self, ControllerBank(b) => b.check_state(n, bytes))
+    }
+
+    /// Overwrites the bank with the ants `ids` from `bytes`, which
+    /// [`ControllerBank::check_state`] accepted for `ids.len()` ants:
+    /// every stored column is copied in, and the assignment column is
+    /// read from `tasks` at `ids`. The bank keeps its kind and
+    /// parameters.
+    pub fn read_state(&mut self, ids: &[u32], tasks: &TaskColumn, bytes: &[u8]) {
+        each_kind!(self, ControllerBank(b) => b.read_state(ids, tasks, bytes))
     }
 
     /// Appends a fresh ant in the kind's initial state (a spawn): what
@@ -280,9 +269,11 @@ impl ControllerBank {
     /// Appends a controller to the bank, transposing its state in.
     ///
     /// # Errors
-    /// [`BankError::KindMismatch`] if the controller's kind does not
-    /// match the bank's (banks are homogeneous); the bank is unchanged
-    /// then.
+    /// Banks are homogeneous: [`BankError::KindMismatch`] if the
+    /// controller's kind differs from the bank's,
+    /// [`BankError::ParamsMismatch`] if its parameters (a table
+    /// machine's spec) do, and [`BankError::TaskCountMismatch`] if it
+    /// observes another number of tasks. The bank is unchanged then.
     pub fn push(&mut self, c: AnyController) -> Result<(), BankError> {
         match (self, c) {
             (ControllerBank::Ant(b), AnyController::Ant(c)) => b.push_controller(&c),
@@ -306,9 +297,8 @@ impl ControllerBank {
                 b.push_controller(&c)
             }
             (ControllerBank::Table(b), AnyController::Table(c)) => b.push_controller(&c),
-            _ => return Err(BankError::KindMismatch),
+            _ => Err(BankError::KindMismatch),
         }
-        Ok(())
     }
 
     /// Reorders the bank's slots by `map` (see [`SlotMap`]): every
@@ -426,7 +416,7 @@ impl<'a> BankSliceMut<'a> {
 }
 
 /// Why a bank refused a call ([`BankSliceMut::step_batch_fused`],
-/// [`ControllerBank::push`]).
+/// [`ControllerBank::push`], [`ControllerBank::check_state`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BankError {
     /// The chunk and its id list differ in length.
@@ -445,6 +435,44 @@ pub enum BankError {
     },
     /// A controller pushed into a bank of another kind.
     KindMismatch,
+    /// A controller pushed into a bank of its kind that runs other
+    /// parameters.
+    ParamsMismatch,
+    /// A controller pushed into a bank of its kind over another number
+    /// of tasks.
+    TaskCountMismatch {
+        /// The bank's task count.
+        bank: usize,
+        /// The controller's.
+        controller: usize,
+    },
+    /// A checkpointed column failed validation
+    /// ([`ControllerBank::check_state`]).
+    BadColumn {
+        /// The column, as its bank's schema names it.
+        column: &'static str,
+        /// What is wrong with it.
+        reason: String,
+    },
+}
+
+/// Whether a per-ant controller over `controller_k` tasks running
+/// `controller_params` fits a bank over `bank_k` tasks running
+/// `bank_params` ([`ControllerBank::push`]).
+pub(crate) fn fits<P: PartialEq>(
+    (bank_k, bank_params): (usize, &P),
+    (controller_k, controller_params): (usize, &P),
+) -> Result<(), BankError> {
+    if bank_params != controller_params {
+        return Err(BankError::ParamsMismatch);
+    }
+    if bank_k != controller_k {
+        return Err(BankError::TaskCountMismatch {
+            bank: bank_k,
+            controller: controller_k,
+        });
+    }
+    Ok(())
 }
 
 impl core::fmt::Display for BankError {
@@ -457,6 +485,14 @@ impl core::fmt::Display for BankError {
                 write!(f, "colony id {id} is past a task column of {column} slots")
             }
             BankError::KindMismatch => f.write_str("controller kind does not match bank kind"),
+            BankError::ParamsMismatch => {
+                f.write_str("controller parameters do not match the bank's")
+            }
+            BankError::TaskCountMismatch { bank, controller } => write!(
+                f,
+                "a controller over {controller} tasks pushed into a bank over {bank}"
+            ),
+            BankError::BadColumn { column, reason } => write!(f, "column `{column}`: {reason}"),
         }
     }
 }
@@ -617,10 +653,9 @@ mod tests {
     use super::*;
     use crate::ant::AlgorithmAnt;
     use crate::params::{AntParams, PreciseSigmoidParams};
-    use crate::precise_sigmoid::SigmoidScratch;
-    use crate::sigmoid_bank::SigmoidRows;
     use crate::table_fsm::FsmBank;
     use crate::trivial::Trivial;
+    use crate::{FsmSpec, PreciseAdversarialParams, ProportionalParams};
     use antalloc_env::RoundDelta;
     use antalloc_noise::{FeedbackProbe, NoiseModel, PreparedRound};
     use antalloc_rng::StreamSeeder;
@@ -679,35 +714,131 @@ mod tests {
 
     #[test]
     fn scratch_roundtrips_for_sigmoid_banks_only() {
-        // What a checkpoint row writes is what `scratch` reports.
-        let mut bank = PreciseSigmoidBank::new(2, PreciseSigmoidParams::new(0.05, 0.5), 3);
-        let rows = SigmoidRows {
-            current: vec![Assignment::Task(1).to_raw()],
-            have_phase: vec![1],
-            count1: vec![3, 4],
-            count2: vec![5, 6],
-            shat1: vec![1, 0],
+        // A Precise Sigmoid ant's mid-phase counters travel in its
+        // bank's stored columns; a trivial bank stores nothing, its
+        // assignment mirroring the task column.
+        let params = PreciseSigmoidParams::new(0.05, 0.5);
+        let mut ant = crate::PreciseSigmoid::new(2, params);
+        let mut rng = StreamSeeder::new(3).ant(0);
+        for round in 1..=37 {
+            let prepared = NoiseModel::Sigmoid { lambda: 1.0 }.prepare(round, &[3, -3], &[9, 9]);
+            ant.step(&mut FeedbackProbe::new(&prepared, &mut rng));
+        }
+        let bank: ControllerBank = [AnyController::from(ant.clone())].into_iter().collect();
+        let mut state = Vec::new();
+        bank.write_state(&mut state);
+        assert_eq!(state.len(), bank.state_len(1));
+        let tasks = TaskColumn::new(1);
+        tasks.store(0, crate::cast::enc(ant.assignment()));
+        let mut back = ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(2, params, 5));
+        back.check_state(1, &state).unwrap();
+        back.read_state(&[0], &tasks, &state);
+        let AnyController::PreciseSigmoid(rebuilt) = back.to_any(0) else {
+            unreachable!("a Precise Sigmoid bank rebuilds its own kind");
         };
-        bank.restore_row(1, &rows, 0);
-        let scratch = SigmoidScratch {
-            current_task: Assignment::Task(1),
-            have_phase: true,
-            count1: vec![3, 4],
-            count2: vec![5, 6],
-            shat1_lack: vec![true, false],
-        };
-        let mut captured = SigmoidRows::default();
-        bank.capture_rows(1..2, &mut captured);
-        assert_eq!(captured, rows);
-        assert_eq!(
-            ControllerBank::PreciseSigmoid(bank).scratch(1),
-            Some(ControllerScratch::PreciseSigmoid(scratch))
-        );
-        // Scratch-free kinds report None.
-        let bank: ControllerBank = (0..2)
-            .map(|_| AnyController::from(Trivial::new(2)))
-            .collect();
-        assert_eq!(bank.scratch(0), None);
+        assert_eq!(rebuilt.scratch(), ant.scratch());
+        let trivial: ControllerBank = [AnyController::from(Trivial::new(2))].into_iter().collect();
+        assert_eq!(trivial.state_len(1), 0);
+    }
+
+    /// A push of a controller of the bank's kind but other parameters
+    /// or another task count is refused, leaving the bank unchanged —
+    /// for every bank shape.
+    #[test]
+    fn mismatched_params_and_task_counts_are_typed_errors() {
+        let trivial =
+            |k| ControllerBank::ExactGreedy(ExactGreedyBank::new(k, ExactGreedyParams::TRIVIAL, 2));
+        let shapes = every_shape(3, 2)
+            .into_iter()
+            .chain([("Trivial", trivial(3))]);
+        for ((kind, mut bank), (_, other)) in shapes.zip(
+            every_shape(3, 1)
+                .into_iter()
+                .map(|(kind, bank)| (kind, retuned(&bank)))
+                .chain([(
+                    "Trivial",
+                    ControllerBank::ExactGreedy(ExactGreedyBank::new(
+                        3,
+                        ExactGreedyParams::default(),
+                        1,
+                    )),
+                )]),
+        ) {
+            let before = snapshots(&bank);
+            let err = bank.push(other.to_any(0)).unwrap_err();
+            assert_eq!(err, BankError::ParamsMismatch, "{kind}");
+            assert_eq!(
+                err.to_string(),
+                "controller parameters do not match the bank's"
+            );
+            assert_eq!(
+                snapshots(&bank),
+                before,
+                "{kind}: a refused push leaves the bank"
+            );
+            if kind == "Hysteresis" {
+                // A machine's spec is its task count too.
+                continue;
+            }
+            let wide = if kind == "Trivial" {
+                trivial(4)
+            } else {
+                every_shape(4, 1)
+                    .into_iter()
+                    .find(|(k, _)| *k == kind)
+                    .unwrap()
+                    .1
+            };
+            let err = bank.push(wide.to_any(0)).unwrap_err();
+            assert_eq!(
+                err,
+                BankError::TaskCountMismatch {
+                    bank: 3,
+                    controller: 4
+                },
+                "{kind}"
+            );
+            assert_eq!(
+                snapshots(&bank),
+                before,
+                "{kind}: a refused push leaves the bank"
+            );
+            bank.push(bank.to_any(0)).unwrap();
+            assert_eq!(bank.len(), 3, "{kind}");
+        }
+    }
+
+    /// A one-ant bank of `bank`'s kind whose parameters differ.
+    fn retuned(bank: &ControllerBank) -> ControllerBank {
+        let k = 3;
+        match bank {
+            ControllerBank::Ant(_) => ControllerBank::Ant(AntBank::new(k, AntParams::new(0.25), 1)),
+            ControllerBank::PreciseSigmoid(_) => ControllerBank::PreciseSigmoid(
+                PreciseSigmoidBank::new(k, PreciseSigmoidParams::new(0.5, 0.25), 1),
+            ),
+            ControllerBank::PreciseAdversarial(_) => ControllerBank::PreciseAdversarial(
+                PreciseAdversarialBank::new(k, PreciseAdversarialParams::new(3.2, 0.25), 1),
+            ),
+            ControllerBank::ExactGreedy(_) => ControllerBank::ExactGreedy(ExactGreedyBank::new(
+                k,
+                ExactGreedyParams {
+                    p_join: 0.1,
+                    p_leave: 0.2,
+                },
+                1,
+            )),
+            ControllerBank::Proportional(_) => ControllerBank::Proportional(ProportionalBank::new(
+                k,
+                ProportionalParams {
+                    gain: 0.25,
+                    deadband: 1,
+                },
+                1,
+            )),
+            ControllerBank::Table(_) => {
+                ControllerBank::Table(FsmBank::new(FsmSpec::hysteresis(2).into(), 1))
+            }
+        }
     }
 
     /// A one-task colony of `n` ants and an exact-greedy bank of `ants`.
@@ -773,7 +904,6 @@ mod tests {
     /// Every bank shape the engine builds, `n` fresh ants over `k` tasks
     /// each (AntDesync staggered by id).
     fn every_shape(k: usize, n: usize) -> [(&'static str, ControllerBank); 7] {
-        use crate::{FsmSpec, PreciseAdversarialParams, ProportionalParams};
         let params = AntParams::new(1.0 / 16.0);
         let mut desync = AntBank::new(k, params, n);
         desync.stagger(&(0..n as u32).collect::<Vec<_>>());
@@ -815,20 +945,63 @@ mod tests {
         ]
     }
 
-    /// What the ant at a slot is: its per-ant controller (as text), its
-    /// checkpoint scratch and its assignment.
-    type Snapshot = (String, Option<ControllerScratch>, Assignment);
+    /// What the ant at a slot is: its per-ant controller (as text) and
+    /// its assignment.
+    type Snapshot = (String, Assignment);
 
     fn snapshots(bank: &ControllerBank) -> Vec<Snapshot> {
         (0..bank.len())
-            .map(|s| {
-                (
-                    format!("{:?}", bank.to_any(s)),
-                    bank.scratch(s),
-                    bank.assignment(s),
-                )
-            })
+            .map(|s| (format!("{:?}", bank.to_any(s)), bank.assignment(s)))
             .collect()
+    }
+
+    /// Every bank shape over `k` tasks with 64 ants, stepped 70 rounds —
+    /// past each kind's first phase boundaries and through two waves
+    /// of resets — so every column holds state no fresh ant has and
+    /// differs between ants.
+    fn stepped_shapes(k: usize) -> [(&'static str, ControllerBank); 7] {
+        let seeder = StreamSeeder::new(k as u64);
+        let mut shapes = every_shape(k, 64);
+        for (_, bank) in &mut shapes {
+            for round in 1..=70 {
+                if round % 35 == 1 {
+                    // Mid-phase resets put every kind's ants on
+                    // different tasks (a Precise Adversarial phase
+                    // is 320 rounds, so none would work yet).
+                    for s in (round as usize % 3..bank.len()).step_by(3) {
+                        bank.reset_slot(s, Assignment::Task((s % k) as u32));
+                    }
+                }
+                let mut streams = crate::round_streams(&seeder, round, bank.len());
+                step_round(bank.as_slice_mut(), k, round, &mut streams);
+            }
+        }
+        shapes
+    }
+
+    /// Every bank shape's stored columns, read back into a bank of the
+    /// same kind that held other ants, give back every ant; the
+    /// assignment comes from the task column.
+    #[test]
+    fn stored_columns_restore_every_bank_shape() {
+        for k in [3, 65] {
+            let decoys = every_shape(k, 5);
+            for ((kind, bank), (_, decoy)) in stepped_shapes(k).into_iter().zip(decoys) {
+                let mut state = Vec::new();
+                bank.write_state(&mut state);
+                assert_eq!(state.len(), bank.state_len(bank.len()), "{kind}");
+                // Ant `s` holds colony id `2s + 1` of a wider column.
+                let ids: Vec<u32> = (0..bank.len() as u32).map(|s| 2 * s + 1).collect();
+                let tasks = TaskColumn::new(2 * bank.len() + 1);
+                for (s, &id) in ids.iter().enumerate() {
+                    tasks.store(id, crate::cast::enc(bank.assignment(s)));
+                }
+                let mut back = decoy;
+                back.check_state(ids.len(), &state).unwrap();
+                back.read_state(&ids, &tasks, &state);
+                assert_eq!(snapshots(&back), snapshots(&bank), "{kind} k {k}");
+            }
+        }
     }
 
     /// One round of sigmoid noise over `k` tasks, every ant of `chunk`
@@ -842,30 +1015,16 @@ mod tests {
 
     /// Every column of every bank shape follows its ant through every
     /// relocation: random slot maps (drops, lifts, refills), spawns and
-    /// chunk splits. Each bank first steps 70 rounds, past its kind's
-    /// first phase boundaries and through two waves of resets, so every
-    /// column holds state no fresh ant has and differs between ants.
+    /// chunk splits, from the state of [`stepped_shapes`].
     #[test]
     fn every_column_follows_every_relocation() {
         use crate::slot_map::tests::random_map;
         use antalloc_rng::uniform_index;
         for k in [3, 65] {
-            for (b, (kind, mut bank)) in every_shape(k, 64).into_iter().enumerate() {
+            for (b, (kind, mut bank)) in stepped_shapes(k).into_iter().enumerate() {
                 let fresh = snapshots(&every_shape(k, 1)[b].1);
                 let seeder = StreamSeeder::new(k as u64);
                 let mut rng = seeder.stream(b as u64);
-                for round in 1..=70 {
-                    if round % 35 == 1 {
-                        // Mid-phase resets put every kind's ants on
-                        // different tasks (a Precise Adversarial phase
-                        // is 320 rounds, so none would work yet).
-                        for s in (round as usize % 3..bank.len()).step_by(3) {
-                            bank.reset_slot(s, Assignment::Task((s % k) as u32));
-                        }
-                    }
-                    let mut streams = crate::round_streams(&seeder, round, bank.len());
-                    step_round(bank.as_slice_mut(), k, round, &mut streams);
-                }
                 for i in 0..9u64 {
                     // A random slot map: new slot j holds old slot order[j].
                     let before = snapshots(&bank);

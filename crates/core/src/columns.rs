@@ -24,12 +24,22 @@
 //!   bank field holding a whole fresh row. The first column has one
 //!   entry per ant: the bank's length is its length.
 //!
+//!
+//! Each column also names its [`Domain`]: the values it may hold
+//! between rounds, written over the chunk's fields (`Task(num_tasks)`,
+//! `AtMost(m)`, `Row(num_tasks + 2)`, `Any`), or `Mirror` for the
+//! assignment column, which equals the colony's task column between
+//! rounds. Checkpoints store every column but the mirror, exactly as
+//! the bank holds it (little-endian), and validate each against its
+//! domain on decode.
+//!
 //! From that list [`soa_bank!`] derives the bank and chunk structs, the
 //! bank's `new`/`reinit`, `len`/`is_empty`, `push_fresh`,
-//! `apply_slot_map`, `as_slice_mut` and (in tests) `column_bytes`, and
-//! the chunk's `len` and `split_at_mut`. The kind writes the rest: its
-//! per-ant conversions and its kernel, which indexes the chunk's
-//! columns directly.
+//! `apply_slot_map`, `as_slice_mut`, the checkpoint's `state_len`,
+//! `write_state`, `check_state` and `read_state`, (in tests)
+//! `column_bytes`, and the chunk's `len` and `split_at_mut`. The kind
+//! writes the rest: its per-ant conversions and its kernel, which
+//! indexes the chunk's columns directly.
 
 /// The task count a bank is built for, checked.
 ///
@@ -38,6 +48,124 @@
 pub(crate) fn tasks(num_tasks: usize) -> usize {
     assert!(num_tasks >= 1, "at least one task");
     num_tasks
+}
+
+/// What a stored column may hold between rounds (see the module doc);
+/// a checkpoint decode rejects any other value.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Domain {
+    /// Any value.
+    Any,
+    /// A task below the given count, or idle ([`crate::cast::IDLE`]).
+    Task(usize),
+    /// At most the given value.
+    AtMost(u64),
+    /// Bit rows (one per ant, the column's width in bytes) whose bits
+    /// past the given count are clear.
+    Row(usize),
+}
+
+impl Domain {
+    /// Checks the little-endian column `bytes` of `T`, `per_ant`
+    /// entries per ant, against the domain.
+    pub(crate) fn check<T: Cell>(
+        self,
+        column: &'static str,
+        bytes: &[u8],
+        per_ant: usize,
+    ) -> Result<(), crate::BankError> {
+        let bad = |reason: String| Err(crate::BankError::BadColumn { column, reason });
+        let values = || T::values(bytes);
+        match self {
+            Domain::Any => Ok(()),
+            Domain::Task(k) => {
+                // Idle (all ones) wraps to 0 and task `j` to `j + 1`, so
+                // one max decides.
+                let wrap = 1u64 << (8 * size_of::<T>());
+                match values().map(|v| (v + 1) % wrap).max() {
+                    Some(top) if top > k as u64 => {
+                        bad(format!("task {} out of range ({k} tasks)", top - 1))
+                    }
+                    _ => Ok(()),
+                }
+            }
+            Domain::AtMost(max) => match values().max() {
+                Some(top) if top > max => bad(format!("{top} exceeds its bound {max}")),
+                _ => Ok(()),
+            },
+            Domain::Row(bits) => {
+                // Only the last byte of a row has bits past `bits`.
+                let pad = match bits % 8 {
+                    0 => 0,
+                    used => 0xFFu8 << used,
+                };
+                let last = bytes
+                    .chunks_exact(per_ant)
+                    .fold(0, |acc, row| acc | row[per_ant - 1]);
+                if last & pad != 0 {
+                    return bad(format!("a bit set past the row's {bits} bits"));
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// A column element: its little-endian checkpoint form.
+pub(crate) trait Cell: Copy {
+    /// Appends `xs`, little-endian.
+    fn put(xs: &[Self], out: &mut Vec<u8>);
+    /// Replaces `into` with the values of the little-endian `bytes`.
+    fn get(bytes: &[u8], into: &mut Vec<Self>);
+    /// The values of the little-endian `bytes`, widened.
+    fn values(bytes: &[u8]) -> impl Iterator<Item = u64> + '_;
+}
+
+impl Cell for u8 {
+    fn put(xs: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(xs);
+    }
+
+    fn get(bytes: &[u8], into: &mut Vec<u8>) {
+        into.clear();
+        into.extend_from_slice(bytes);
+    }
+
+    fn values(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+        bytes.iter().map(|&b| u64::from(b))
+    }
+}
+
+impl Cell for u16 {
+    fn put(xs: &[u16], out: &mut Vec<u8>) {
+        // Through a stack block, so the output is written once.
+        for chunk in xs.chunks(256) {
+            let mut block = [[0u8; 2]; 256];
+            for (dst, x) in block.iter_mut().zip(chunk) {
+                *dst = x.to_le_bytes();
+            }
+            out.extend_from_slice(block[..chunk.len()].as_flattened());
+        }
+    }
+
+    fn get(bytes: &[u8], into: &mut Vec<u16>) {
+        into.clear();
+        into.extend(
+            bytes
+                .as_chunks::<2>()
+                .0
+                .iter()
+                .map(|&c| u16::from_le_bytes(c)),
+        );
+    }
+
+    fn values(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+        bytes
+            .as_chunks::<2>()
+            .0
+            .iter()
+            .map(|&c| u64::from(u16::from_le_bytes(c)))
+    }
 }
 
 /// One column operation of [`soa_bank!`], by the column's width: no
@@ -68,6 +196,47 @@ macro_rules! column {
     (len $b:tt, $first:ident $($rest:ident)*) => {
         $b.$first.len()
     };
+    // Entries per ant.
+    (per_ant $b:tt, []) => {
+        1
+    };
+    (per_ant $b:tt, [$w:ident]) => {
+        $b.$w
+    };
+    // Checkpoint operations, by domain: the mirror is never stored.
+    (state_len $b:tt.$col:ident: $t:ty, $n:ident, $w:tt, Mirror) => {
+        0
+    };
+    (state_len $b:tt.$col:ident: $t:ty, $n:ident, $w:tt, $dom:ident) => {
+        $n * $crate::columns::column!(per_ant $b, $w) * size_of::<$t>()
+    };
+    (write $b:tt.$col:ident: $t:ty, $out:ident, Mirror) => {};
+    (write $b:tt.$col:ident: $t:ty, $out:ident, $dom:ident) => {
+        <$t as $crate::columns::Cell>::put(&$b.$col, $out)
+    };
+    (check $b:tt.$col:ident: $t:ty, $n:ident, $bytes:ident, $w:tt, Mirror) => {};
+    (check $b:tt.$col:ident: $t:ty, $n:ident, $bytes:ident, $w:tt, $dom:ident $(($($arg:tt)*))?) => {{
+        let per_ant = $crate::columns::column!(per_ant $b, $w);
+        let need = $n * per_ant * size_of::<$t>();
+        let Some((col, rest)) = $bytes.split_at_checked(need) else {
+            return Err($crate::BankError::BadColumn {
+                column: stringify!($col),
+                reason: format!("truncated: {} of {need} bytes", $bytes.len()),
+            });
+        };
+        $crate::columns::Domain::$dom $(($($arg)*))?.check::<$t>(stringify!($col), col, per_ant)?;
+        $bytes = rest;
+    }};
+    (read $b:tt.$col:ident: $t:ty, $ids:ident, $tasks:ident, $bytes:ident, $w:tt, Mirror) => {{
+        $b.$col.clear();
+        $b.$col.extend($ids.iter().map(|&id| $tasks.load(id)));
+    }};
+    (read $b:tt.$col:ident: $t:ty, $ids:ident, $tasks:ident, $bytes:ident, $w:tt, $dom:ident) => {{
+        let need = $ids.len() * $crate::columns::column!(per_ant $b, $w) * size_of::<$t>();
+        let (col, rest) = $bytes.split_at(need);
+        <$t as $crate::columns::Cell>::get(col, &mut $b.$col);
+        $bytes = rest;
+    }};
 }
 pub(crate) use column;
 
@@ -84,7 +253,8 @@ macro_rules! soa_bank {
             $($(#[$shared_meta:meta])* $shared:ident: $shared_ty:ty = $shared_init:expr,)*
         }
         columns {
-            $($(#[$col_meta:meta])* $col:ident: [$col_ty:ty $(; $width:ident)?] $fill:tt $fresh:tt,)+
+            $($(#[$col_meta:meta])* $col:ident: [$col_ty:ty $(; $width:ident)?] $fill:tt $fresh:tt
+                => $dom:ident $(($($dom_arg:tt)*))?,)+
         }
     ) => {
         $(#[$bank_meta])*
@@ -150,6 +320,69 @@ macro_rules! soa_bank {
             /// Reorders the ants' slots by `map`, every column alike.
             pub fn apply_slot_map(&mut self, map: &$crate::SlotMap) {
                 $($crate::columns::column!(apply self.$col, map, [$($width)?]);)+
+            }
+
+            /// Bytes a checkpoint stores for `n` ants of the bank: every
+            /// column but the mirror of the task column.
+            // A kind without stored columns, or without a mirror, leaves
+            // some arguments unused.
+            #[allow(unused_variables, unused_mut)]
+            pub fn state_len(&self, n: usize) -> usize {
+                0 $(+ $crate::columns::column!(
+                    state_len self.$col: $col_ty, n, [$($width)?], $dom
+                ))+
+            }
+
+            /// Appends the stored columns, in schema order,
+            /// little-endian (a checkpoint capture).
+            // A kind without stored columns, or without a mirror, leaves
+            // some arguments unused.
+            #[allow(unused_variables, unused_mut, clippy::ptr_arg)]
+            pub fn write_state(&self, out: &mut Vec<u8>) {
+                $($crate::columns::column!(write self.$col: $col_ty, out, $dom);)+
+            }
+
+            /// Checks `bytes` as the stored columns of `n` ants: their
+            /// length, and every value against its column's domain.
+            ///
+            /// # Errors
+            /// [`crate::BankError::BadColumn`] naming the first column
+            /// that fails.
+            // A kind without stored columns, or without a mirror, leaves
+            // some arguments unused.
+            #[allow(unused_variables, unused_mut)]
+            pub fn check_state(&self, n: usize, mut bytes: &[u8]) -> Result<(), crate::BankError> {
+                // The domains are written over the chunk's fields.
+                let ($($borrowed,)* $($shared,)*) = ($(&*self.$borrowed,)* $(self.$shared,)*);
+                $($crate::columns::column!(
+                    check self.$col: $col_ty, n, bytes, [$($width)?], $dom $(($($dom_arg)*))?
+                );)+
+                match bytes.len() {
+                    0 => Ok(()),
+                    extra => Err($crate::BankError::BadColumn {
+                        column: "(end)",
+                        reason: format!("{extra} bytes past the last column"),
+                    }),
+                }
+            }
+
+            /// Overwrites every column with the ants `ids` from
+            /// checked `bytes` ([`Self::check_state`] for `ids.len()`
+            /// ants), the mirror from `tasks` at `ids`. The bank's own
+            /// and chunk fields stay as they are.
+            // A kind without stored columns, or without a mirror, leaves
+            // some arguments unused.
+            #[allow(unused_variables, unused_mut)]
+            pub fn read_state(
+                &mut self,
+                ids: &[u32],
+                tasks: &antalloc_env::TaskColumn,
+                mut bytes: &[u8],
+            ) {
+                $($crate::columns::column!(
+                    read self.$col: $col_ty, ids, tasks, bytes, [$($width)?], $dom
+                );)+
+                debug_assert!(bytes.is_empty(), "one state per bank");
             }
 
             /// Bytes the bank's per-ant columns hold.

@@ -22,7 +22,7 @@ use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit, scratch_row};
-use crate::bank::Stepping;
+use crate::bank::{fits, BankError, Stepping};
 use crate::cast::{dec, enc, IDLE};
 use crate::columns::{self, soa_bank};
 use crate::controller::Controller;
@@ -41,7 +41,7 @@ soa_bank! {
     }
     columns {
         /// Assignment per ant (`IDLE` when idle).
-        assignment: [u16] = IDLE,
+        assignment: [u16] = IDLE => Mirror,
     }
 }
 
@@ -52,10 +52,18 @@ impl ExactGreedyBank {
     }
 
     /// Appends a per-ant controller, transposing its state in.
-    pub fn push_controller(&mut self, ant: &ExactGreedy) {
-        assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
+    ///
+    /// # Errors
+    /// If the ant runs other parameters or observes another number of
+    /// tasks (see [`crate::ControllerBank::push`]).
+    pub fn push_controller(&mut self, ant: &ExactGreedy) -> Result<(), BankError> {
+        fits(
+            (self.num_tasks, &self.params),
+            (ant.num_tasks(), ant.params()),
+        )?;
         self.push_fresh();
         self.reset_slot(self.len() - 1, ant.assignment());
+        Ok(())
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -225,7 +233,7 @@ mod tests {
         let mut bank = ExactGreedyBank::new(2, ExactGreedyParams::default(), 0);
         let mut ant = ExactGreedy::new(2, ExactGreedyParams::default());
         ant.reset_to(Assignment::Task(0));
-        bank.push_controller(&ant);
+        bank.push_controller(&ant).unwrap();
         assert_eq!(bank.to_controller(0).assignment(), Assignment::Task(0));
     }
 

@@ -56,7 +56,7 @@ mod trivial;
 pub use adversarial_bank::{AdversarialSliceMut, PreciseAdversarialBank};
 pub use ant::AlgorithmAnt;
 pub use ant_bank::{AntBank, AntSliceMut};
-pub use bank::{BankError, BankSliceMut, ControllerBank, ControllerScratch};
+pub use bank::{BankError, BankSliceMut, ControllerBank};
 pub use cast::MAX_TASKS;
 pub use controller::{AnyController, Controller};
 pub use exact_greedy::{ExactGreedy, ExactGreedyParams};
@@ -68,7 +68,7 @@ pub use precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
 pub use proportional::{
     ProportionalBank, ProportionalController, ProportionalParams, ProportionalSliceMut,
 };
-pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidRows, SigmoidSliceMut};
+pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidSliceMut};
 pub use slot_map::SlotMap;
 pub use table_fsm::{FsmBank, FsmSliceMut, FsmSpec, ReachabilityError, TableFsm};
 pub use trivial::Trivial;

@@ -29,11 +29,9 @@ use crate::params::PreciseAdversarialParams;
 /// The mid-phase state of one Precise Adversarial ant: everything the
 /// controller remembers between rounds besides its assignment. (A
 /// first `lack` awaiting classification is resolved within the step
-/// that sees it, so it is never pending between rounds.) Carried by
-/// checkpoints
-/// so a capture inside the `5·r_1 = O(1/ε)`-round phase resumes
-/// bit-identically instead of idling out the partial phase (the same
-/// contract as [`crate::SigmoidScratch`]).
+/// that sees it, so it is never pending between rounds.) Extracted for
+/// bank transposition ([`crate::PreciseAdversarialBank`]), like
+/// [`crate::SigmoidScratch`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdversarialScratch {
     /// `currentTask`: the task this phase observes (kept across ramp
@@ -46,8 +44,7 @@ pub struct AdversarialScratch {
     /// Working path: whether every sample this phase said `overload`.
     pub all_overload: bool,
     /// At the first ramp `lack`, was the ant still working? `None`
-    /// until a lack is seen. Encoded as a tri-state by the checkpoint
-    /// codec.
+    /// until a lack is seen (two flag bits of the bank's row).
     pub working_at_first_lack: Option<bool>,
     /// The frozen sub-phase-2 behaviour: work iff true.
     pub frozen_working: bool,
@@ -140,8 +137,7 @@ impl PreciseAdversarial {
     }
 
     /// Copies the mid-phase state out, for transposition into
-    /// [`crate::PreciseAdversarialBank`] and for checkpoints that capture
-    /// inside a phase. Lossless together with
+    /// [`crate::PreciseAdversarialBank`]. Lossless together with
     /// [`PreciseAdversarial::apply_scratch`]: these fields are the
     /// controller's *entire* state between rounds beyond its assignment.
     pub fn scratch(&self) -> AdversarialScratch {

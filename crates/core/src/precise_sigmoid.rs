@@ -17,11 +17,10 @@ use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 
 /// The mid-phase counter state of one Precise Sigmoid ant: everything
-/// the controller remembers besides its assignment. Extracted for bank
-/// transposition ([`crate::PreciseSigmoidBank`]) and carried by
-/// checkpoints so a capture between phase boundaries (phases are
-/// `2m = O(1/ε)` rounds long) resumes bit-identically instead of
-/// idling out the partial phase.
+/// the controller remembers besides its assignment, extracted for bank
+/// transposition ([`crate::PreciseSigmoidBank`]) and for comparing a
+/// rebuilt ant with its reference mid-phase (phases are `2m = O(1/ε)`
+/// rounds long).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SigmoidScratch {
     /// `currentTask`: the task this phase observes (kept across the
@@ -89,8 +88,7 @@ impl PreciseSigmoid {
     }
 
     /// Copies the mid-phase counter state out — for transposition into
-    /// [`crate::PreciseSigmoidBank`] and for checkpoints that capture
-    /// between phase boundaries. Lossless together with
+    /// [`crate::PreciseSigmoidBank`]. Lossless together with
     /// [`PreciseSigmoid::apply_scratch`]: the counters and the frozen
     /// medians are the controller's *entire* state beyond its
     /// assignment.

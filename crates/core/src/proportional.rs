@@ -29,7 +29,7 @@ use antalloc_noise::{FeedbackProbe, RoundView};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit, scratch_row};
-use crate::bank::Stepping;
+use crate::bank::{fits, BankError, Stepping};
 use crate::cast::{dec, enc, IDLE};
 use crate::columns::{self, soa_bank};
 use crate::controller::Controller;
@@ -103,12 +103,12 @@ impl ProportionalController {
         &self.params
     }
 
-    /// The persisted-error streak (checkpoint capture).
+    /// The persisted-error streak.
     pub fn streak(&self) -> u16 {
         self.streak
     }
 
-    /// Overwrites the persisted-error streak (checkpoint restore; apply
+    /// Overwrites the persisted-error streak (bank extraction; apply
     /// *after* [`Controller::reset_to`], which clears it).
     pub fn set_streak(&mut self, streak: u16) {
         self.streak = streak;
@@ -191,9 +191,9 @@ soa_bank! {
     }
     columns {
         /// Assignment per ant (`IDLE` when idle).
-        assignment: [u16] = IDLE,
+        assignment: [u16] = IDLE => Mirror,
         /// Persisted-error streak per ant.
-        streak: [u16] = 0,
+        streak: [u16] = 0 => Any,
     }
 }
 
@@ -204,13 +204,20 @@ impl ProportionalBank {
     }
 
     /// Appends a per-ant controller, transposing its state in.
-    pub fn push_controller(&mut self, ant: &ProportionalController) {
-        assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
-        debug_assert_eq!(ant.params(), &self.params, "parameter mismatch");
+    ///
+    /// # Errors
+    /// If the controller runs other parameters or observes another
+    /// number of tasks (see [`crate::ControllerBank::push`]).
+    pub fn push_controller(&mut self, ant: &ProportionalController) -> Result<(), BankError> {
+        fits(
+            (self.num_tasks, &self.params),
+            (ant.num_tasks(), ant.params()),
+        )?;
         self.push_fresh();
         let slot = self.len() - 1;
         self.reset_slot(slot, ant.assignment());
-        self.set_streak(slot, ant.streak());
+        self.streak[slot] = ant.streak();
+        Ok(())
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -221,26 +228,6 @@ impl ProportionalBank {
         ant.reset_to(dec(self.assignment[slot]));
         ant.set_streak(self.streak[slot]);
         ant
-    }
-
-    /// The persisted-error streak of the ant at `slot` (checkpoint
-    /// capture).
-    #[inline]
-    pub fn streak(&self, slot: usize) -> u16 {
-        self.streak[slot]
-    }
-
-    /// Every ant's persisted-error streak, in slot order (checkpoint
-    /// capture).
-    pub fn streaks(&self) -> &[u16] {
-        &self.streak
-    }
-
-    /// Overwrites the streak of the ant at `slot` (checkpoint restore;
-    /// apply *after* [`ProportionalBank::reset_slot`], which clears it).
-    #[inline]
-    pub fn set_streak(&mut self, slot: usize, streak: u16) {
-        self.streak[slot] = streak;
     }
 
     /// The assignment of the ant at `slot`.
@@ -335,7 +322,7 @@ impl ProportionalSliceMut<'_> {
 mod tests {
     use super::*;
     use crate::slot_map::SlotMap;
-    use crate::{ControllerBank, ControllerScratch};
+    use crate::{AnyController, ControllerBank};
     use antalloc_noise::{Feedback, NoiseModel, PreparedRound};
     use antalloc_rng::{AntRng, StreamSeeder};
 
@@ -452,9 +439,9 @@ mod tests {
         let mut reference: Vec<ProportionalController> = (0..n)
             .map(|_| ProportionalController::new(k, params))
             .collect();
-        let streak = |bank: &ControllerBank, i: usize| match bank.scratch(i) {
-            Some(ControllerScratch::Proportional(s)) => s,
-            _ => 0,
+        let streak = |bank: &ControllerBank, i: usize| match bank.to_any(i) {
+            AnyController::Proportional(c) => c.streak(),
+            _ => unreachable!("a Proportional bank rebuilds its own kind"),
         };
         let mut out = vec![Assignment::Idle; n];
         for round in 1..=60u64 {
@@ -484,7 +471,7 @@ mod tests {
         let mut ant = ProportionalController::new(2, params);
         ant.reset_to(Assignment::Task(1));
         ant.set_streak(3);
-        bank.push_controller(&ant);
+        bank.push_controller(&ant).unwrap();
         assert_eq!(bank.len(), 1);
         let back = bank.to_controller(0);
         assert_eq!(back.assignment(), Assignment::Task(1));
@@ -497,11 +484,11 @@ mod tests {
         let mut bank = ProportionalBank::new(1, params, 3);
         bank.reset_slot(0, Assignment::Task(0));
         bank.reset_slot(2, Assignment::Idle);
-        bank.set_streak(2, 5);
+        bank.streak[2] = 5;
         bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
         assert_eq!(bank.assignment(0), Assignment::Idle);
-        assert_eq!(bank.streak(0), 5);
+        assert_eq!(bank.streak[0], 5);
     }
 
     #[test]

@@ -17,66 +17,23 @@
 //! pause/leave/join coins with the same short-circuits), so bank runs
 //! are bit-identical to per-ant runs — pinned by `tests/banks.rs`.
 //!
-//! The counter planes are also what checkpoints copy
-//! ([`PreciseSigmoidBank::capture_rows`]), so a capture *between* phase
-//! boundaries — phases are `2m = O(1/ε)` rounds long — resumes
-//! mid-phase bit-identically.
-
-use core::ops::Range;
+//! Checkpoints store the bank's columns as they are (all but the
+//! assignment, which mirrors the colony's task column), so a capture
+//! *between* phase boundaries — phases are `2m = O(1/ε)` rounds long —
+//! resumes mid-phase bit-identically.
 
 use antalloc_env::Assignment;
 use antalloc_noise::RoundView;
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::nth_where;
-use crate::bank::Stepping;
+use crate::bank::{fits, BankError, Stepping};
 use crate::bit_row;
 use crate::cast::{dec, enc, task_ix, IDLE};
 use crate::columns::{self, soa_bank};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 use crate::precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
-
-/// Precise Sigmoid state as checkpoint-shaped columns: per entry one
-/// raw `currentTask` ([`Assignment::to_raw`]) and one phase-observed
-/// flag (0 or 1), then `k` entries of each counter plane and of the
-/// frozen-median plane (1 = lack), entry-major. A bank copies
-/// rows out ([`PreciseSigmoidBank::capture_rows`]) and back in
-/// ([`PreciseSigmoidBank::restore_rows`]), converting from its own
-/// narrower layout.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SigmoidRows {
-    /// `currentTask` per entry, raw.
-    pub current: Vec<u32>,
-    /// Phase-observed-from-start flag per entry (0 or 1).
-    pub have_phase: Vec<u8>,
-    /// First-half `lack` counts.
-    pub count1: Vec<u16>,
-    /// Second-half `lack` counts.
-    pub count2: Vec<u16>,
-    /// Frozen first-half medians (1 = lack).
-    pub shat1: Vec<u8>,
-}
-
-impl SigmoidRows {
-    /// Reserves room for `entries` more rows over `k` tasks.
-    pub fn reserve(&mut self, entries: usize, k: usize) {
-        self.current.reserve_exact(entries);
-        self.have_phase.reserve_exact(entries);
-        self.count1.reserve_exact(k * entries);
-        self.count2.reserve_exact(k * entries);
-        self.shat1.reserve_exact(k * entries);
-    }
-}
-
-/// Packs one checkpoint entry's medians (`0/1` bytes) and phase flag
-/// (right after them: [`HAVE_PHASE`] is 0) into a bit row, overwriting
-/// it.
-#[inline]
-fn pack_row(row: &mut [u8], shat1: &[u8], have_phase: u8) {
-    let medians = shat1.iter().map(|&lack| lack == 1);
-    bit_row::pack(row, medians.chain([have_phase == 1]));
-}
 
 soa_bank! {
     /// A homogeneous Precise Sigmoid population in structure-of-arrays
@@ -95,17 +52,17 @@ soa_bank! {
     }
     columns {
         /// `currentTask` per ant (`IDLE` when idle).
-        current: [u16] = IDLE,
+        current: [u16] = IDLE => Task(num_tasks),
         /// Output assignment `a_t` per ant.
-        assignment: [u16] = IDLE,
+        assignment: [u16] = IDLE => Mirror,
         /// First-half `lack` counts, ant-major `num_tasks` entries per ant.
-        count1: [u16; num_tasks] = 0,
+        count1: [u16; num_tasks] = 0 => AtMost(m),
         /// Second-half `lack` counts, same shape.
-        count2: [u16; num_tasks] = 0,
+        count2: [u16; num_tasks] = 0 => AtMost(m),
         /// One bit row per ant: the frozen first-half medians in bits
         /// `0..k` (1 = lack), then the phase-observed-from-start flag
         /// ([`HAVE_PHASE`]).
-        bits: [u8; width] = 0,
+        bits: [u8; width] = 0 => Row(num_tasks + 1),
     }
 }
 
@@ -128,13 +85,20 @@ impl PreciseSigmoidBank {
     }
 
     /// Appends a per-ant controller, transposing its state in.
-    pub fn push_controller(&mut self, ant: &PreciseSigmoid) {
-        assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
-        debug_assert_eq!(ant.params(), &self.params, "parameter mismatch");
+    ///
+    /// # Errors
+    /// If the ant runs other parameters or observes another number of
+    /// tasks (see [`crate::ControllerBank::push`]).
+    pub fn push_controller(&mut self, ant: &PreciseSigmoid) -> Result<(), BankError> {
+        fits(
+            (self.num_tasks, &self.params),
+            (ant.num_tasks(), ant.params()),
+        )?;
         self.push_fresh();
         let slot = self.len() - 1;
         self.reset_slot(slot, ant.assignment());
         self.apply_scratch(slot, &ant.scratch());
+        Ok(())
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -148,7 +112,7 @@ impl PreciseSigmoidBank {
 
     /// The mid-phase counter state of the ant at `slot` (see
     /// [`SigmoidScratch`]).
-    pub fn scratch(&self, slot: usize) -> SigmoidScratch {
+    fn scratch(&self, slot: usize) -> SigmoidScratch {
         let (k, w) = (self.num_tasks, self.width);
         let counts = slot * k..slot * k + k;
         let row = &self.bits[slot * w..slot * w + w];
@@ -166,7 +130,7 @@ impl PreciseSigmoidBank {
     ///
     /// # Panics
     /// If the scratch's task count disagrees with the bank's.
-    pub fn apply_scratch(&mut self, slot: usize, s: &SigmoidScratch) {
+    fn apply_scratch(&mut self, slot: usize, s: &SigmoidScratch) {
         let k = self.num_tasks;
         assert_eq!(s.shat1_lack.len(), k, "task count mismatch");
         let counts = slot * k..slot * k + k;
@@ -174,64 +138,9 @@ impl PreciseSigmoidBank {
         self.count1[counts.clone()].copy_from_slice(&s.count1);
         self.count2[counts].copy_from_slice(&s.count2);
         let w = self.width;
+        // The medians, then the HAVE_PHASE flag.
         let row = &mut self.bits[slot * w..slot * w + w];
-        for (j, &lack) in s.shat1_lack.iter().enumerate() {
-            bit_row::set(row, j, lack);
-        }
-        bit_row::set(row, k + HAVE_PHASE, s.have_phase);
-    }
-
-    /// Appends the checkpoint rows of `slots` to `rows`, in order.
-    pub fn capture_rows(&self, slots: Range<usize>, rows: &mut SigmoidRows) {
-        let (k, w) = (self.num_tasks, self.width);
-        let planes = slots.start * k..slots.end * k;
-        rows.count1.extend_from_slice(&self.count1[planes.clone()]);
-        rows.count2.extend_from_slice(&self.count2[planes]);
-        rows.current
-            .extend(self.current[slots.clone()].iter().map(|&c| dec(c).to_raw()));
-        let bits = self.bits[slots.start * w..slots.end * w].chunks_exact(w);
-        rows.have_phase.extend(
-            bits.clone()
-                .map(|row| u8::from(bit_row::get(row, k + HAVE_PHASE))),
-        );
-        let at = rows.shat1.len();
-        rows.shat1.resize(at + slots.len() * k, 0);
-        for (medians, row) in rows.shat1[at..].chunks_exact_mut(k).zip(bits) {
-            for (j, lack) in medians.iter_mut().enumerate() {
-                *lack = u8::from(bit_row::get(row, j));
-            }
-        }
-    }
-
-    /// Writes entry `e` of `rows` into `slot` (write it *after*
-    /// [`PreciseSigmoidBank::reset_slot`]).
-    pub fn restore_row(&mut self, slot: usize, rows: &SigmoidRows, e: usize) {
-        let (k, w) = (self.num_tasks, self.width);
-        let (from, to) = (e * k..e * k + k, slot * k..slot * k + k);
-        self.count1[to.clone()].copy_from_slice(&rows.count1[from.clone()]);
-        self.count2[to].copy_from_slice(&rows.count2[from.clone()]);
-        self.current[slot] = enc(Assignment::from_raw(rows.current[e]));
-        let row = &mut self.bits[slot * w..slot * w + w];
-        pack_row(row, &rows.shat1[from], rows.have_phase[e]);
-    }
-
-    /// Writes every entry of `rows` into the bank, entry `s` into slot
-    /// `s` (a bank holding exactly the captured ants, in order).
-    ///
-    /// # Panics
-    /// If `rows` does not hold one entry per ant.
-    pub fn restore_rows(&mut self, rows: &SigmoidRows) {
-        assert_eq!(rows.current.len(), self.len(), "one entry per ant");
-        let (k, w) = (self.num_tasks, self.width);
-        self.count1.copy_from_slice(&rows.count1);
-        self.count2.copy_from_slice(&rows.count2);
-        for (c, &raw) in self.current.iter_mut().zip(&rows.current) {
-            *c = enc(Assignment::from_raw(raw));
-        }
-        let entries = rows.shat1.chunks_exact(k).zip(&rows.have_phase);
-        for (row, (shat1, &have_phase)) in self.bits.chunks_exact_mut(w).zip(entries) {
-            pack_row(row, shat1, have_phase);
-        }
+        bit_row::pack(row, s.shat1_lack.iter().copied().chain([s.have_phase]));
     }
 
     /// The assignment of the ant at `slot`.
@@ -369,7 +278,7 @@ impl SigmoidSliceMut<'_> {
 mod tests {
     use super::*;
     use crate::slot_map::SlotMap;
-    use crate::{AnyController, ControllerBank, ControllerScratch};
+    use crate::{AnyController, ControllerBank};
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
@@ -420,8 +329,10 @@ mod tests {
                     };
                     assert_eq!(rebuilt.scratch(), ant.scratch(), "ant {i}");
                     assert_eq!(rebuilt.assignment(), ant.assignment());
-                    let scratch = Some(ControllerScratch::PreciseSigmoid(ant.scratch()));
-                    assert_eq!(twin.scratch(i), scratch, "slot {i}");
+                    let AnyController::PreciseSigmoid(twin) = twin.to_any(i) else {
+                        unreachable!("a Precise Sigmoid bank rebuilds Precise Sigmoid ants");
+                    };
+                    assert_eq!(twin.scratch(), ant.scratch(), "slot {i}");
                 }
             }
         }
@@ -439,7 +350,7 @@ mod tests {
             ant.step(&mut probe);
         }
         let mut bank = PreciseSigmoidBank::new(2, params, 0);
-        bank.push_controller(&ant);
+        bank.push_controller(&ant).unwrap();
         let back = bank.to_controller(0);
         assert_eq!(back.scratch(), ant.scratch());
         assert_eq!(back.assignment(), ant.assignment());

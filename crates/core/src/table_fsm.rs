@@ -22,7 +22,7 @@ use antalloc_env::Assignment;
 use antalloc_noise::{FeedbackProbe, RoundView};
 use antalloc_rng::AntRng;
 
-use crate::bank::Stepping;
+use crate::bank::{BankError, Stepping};
 use crate::columns::soa_bank;
 use crate::controller::Controller;
 
@@ -305,17 +305,23 @@ soa_bank! {
     }
     columns {
         /// Machine state per ant (fresh machines start in state 0).
-        state: [u16] = 0,
+        state: [u16] = 0 => AtMost(spec.num_states() as u64 - 1),
     }
 }
 
 impl FsmBank {
     /// Appends a per-ant machine, which must run the bank's spec.
-    pub fn push_controller(&mut self, fsm: &TableFsm) {
-        debug_assert_eq!(fsm.spec(), &self.spec, "spec mismatch");
+    ///
+    /// # Errors
+    /// [`BankError::ParamsMismatch`] if the machine runs another spec.
+    pub fn push_controller(&mut self, fsm: &TableFsm) -> Result<(), BankError> {
+        if fsm.spec() != &self.spec {
+            return Err(BankError::ParamsMismatch);
+        }
         self.push_fresh();
         let slot = self.len() - 1;
         self.state[slot] = fsm.state();
+        Ok(())
     }
 
     /// Reconstructs the per-ant machine at `slot` (lossless).
@@ -541,7 +547,7 @@ mod tests {
         for state in [1u16, 3, 2] {
             let mut fsm = TableFsm::new(spec.clone());
             fsm.state = state;
-            bank.push_controller(&fsm);
+            bank.push_controller(&fsm).unwrap();
         }
         assert_eq!(bank.to_controller(1).state(), 3);
         assert!(bank.assignment(1).is_idle());

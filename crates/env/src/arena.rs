@@ -209,6 +209,17 @@ impl Positions {
         self.travel.reserve(n);
     }
 
+    /// Overwrites the table with one ant per `site` and `travel` entry,
+    /// reusing the allocations (a checkpoint restore). Sites must be
+    /// below the arena's site count.
+    pub fn assign(&mut self, site: &[u16], travel: &[u32]) {
+        debug_assert_eq!(site.len(), travel.len());
+        self.clear();
+        self.site.extend(site.iter().map(|&s| AtomicU16::new(s)));
+        self.travel
+            .extend(travel.iter().map(|&t| AtomicU32::new(t)));
+    }
+
     /// Appends an ant at `site` with `travel` rounds of transit left.
     pub fn push(&mut self, site: usize, travel: u32) {
         self.site.push(AtomicU16::new(site16(site)));

@@ -59,43 +59,35 @@ impl ColonyState {
         debug_assert!(self.recount_consistent());
     }
 
-    /// Rebuilds the colony in place from a raw assignment column (one
-    /// [`Assignment::to_raw`] value per ant) over `demands`, reusing the
-    /// allocations, with loads and idle count recounted in one pass —
-    /// the checkpoint-restore counterpart of
+    /// Rebuilds the colony in place from a task column (one slot value
+    /// per ant, [`Assignment::SLOT_IDLE`] = idle) over `demands`,
+    /// reusing the allocations, with loads and idle count recounted in
+    /// one pass — the checkpoint-restore counterpart of
     /// [`ColonyState::rebuild_in`].
     ///
     /// # Panics
-    /// If `raw` is empty, or holds a value that is neither
-    /// [`Assignment::RAW_IDLE`] nor a task below `demands.len()`.
-    pub fn restore_in(&mut self, raw: &[u32], demands: &[u64]) {
-        let n = raw.len();
+    /// If `slots` is empty, or holds a value that is neither idle nor a
+    /// task below `demands.len()`.
+    pub fn restore_in(&mut self, slots: &[u16], demands: &[u64]) {
+        let n = slots.len();
         assert!(n > 0, "empty colony");
         assert!(
             u32::try_from(n).is_ok(),
             "colony size must fit in u32 loads"
         );
         let k = demands.len();
-        // Slot `k` counts idle ants and slot `k + 1` values out of
-        // range, so the tally needs no branch.
+        // Idle wraps to slot 0 of the tally, task `j` to `j + 1` and
+        // anything past the tasks to `k + 1`, so the tally needs no
+        // branch.
         let mut counts = vec![0u32; k + 2];
-        for &t in raw {
-            let tally = match usize::try_from(t) {
-                _ if t == Assignment::RAW_IDLE => k,
-                Ok(j) if j < k => j,
-                _ => k + 1,
-            };
-            counts[tally] += 1;
+        for &t in slots {
+            counts[usize::from(t.wrapping_add(1)).min(k + 1)] += 1;
         }
-        assert_eq!(counts.pop(), Some(0), "task index out of range");
-        // Every value is now a task below `k` (so it fits) or idle.
-        self.tasks.assign(
-            raw.iter()
-                .map(|&t| u16::try_from(t).unwrap_or(Assignment::SLOT_IDLE)),
-        );
-        self.idle = counts.pop().expect("k + 1 > 0");
+        assert_eq!(counts[k + 1], 0, "task index out of range");
+        self.tasks.assign(slots.iter().copied());
+        self.idle = counts[0];
         self.loads.clear();
-        self.loads.extend_from_slice(&counts);
+        self.loads.extend_from_slice(&counts[1..=k]);
         self.demands.rebuild_in(demands);
         debug_assert!(self.recount_consistent());
     }
@@ -307,13 +299,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "task index out of range")]
     fn restore_in_rejects_out_of_range_tasks() {
-        colony().restore_in(&[0, 2, Assignment::RAW_IDLE], &[3, 4]);
+        colony().restore_in(&[0, 2, Assignment::SLOT_IDLE], &[3, 4]);
     }
 
     #[test]
     #[should_panic(expected = "task index out of range")]
     fn restore_in_rejects_tasks_past_the_u16_column() {
-        colony().restore_in(&[0, 1 << 16], &[3, 4]);
+        // The largest value a slot holds short of idle.
+        colony().restore_in(&[0, Assignment::SLOT_IDLE - 1], &[3, 4]);
     }
 
     #[test]
@@ -453,7 +446,7 @@ mod tests {
             }
         }
 
-        /// Restoring from a raw column recounts exactly the state the
+        /// Restoring from a task column recounts exactly the state the
         /// per-ant `apply` calls build, whatever size the colony had.
         #[test]
         fn restore_in_matches_apply(
@@ -462,17 +455,17 @@ mod tests {
         ) {
             let n = targets.len();
             let mut reference = ColonyState::new(n, DemandVector::new(vec![3, 4, 5]));
-            let raw: Vec<u32> = targets
+            let slots: Vec<u16> = targets
                 .iter()
                 .enumerate()
                 .map(|(i, &t)| {
                     let a = if t == 3 { Assignment::Idle } else { Assignment::Task(t) };
                     reference.apply(i, a);
-                    a.to_raw()
+                    a.to_slot()
                 })
                 .collect();
             let mut restored = ColonyState::new(before, DemandVector::new(vec![1, 2]));
-            restored.restore_in(&raw, &[3, 4, 5]);
+            restored.restore_in(&slots, &[3, 4, 5]);
             prop_assert_eq!(restored.assignments(), reference.assignments());
             prop_assert_eq!(restored.loads(), reference.loads());
             prop_assert_eq!(restored.idle_count(), reference.idle_count());

@@ -84,19 +84,12 @@ impl ArenaState {
         &mut self,
         config: &ArenaConfig,
         seed: u64,
-        site: &[u32],
+        site: &[u16],
         travel: &[u32],
     ) {
         self.configure(config, seed);
-        debug_assert_eq!(site.len(), travel.len());
-        self.positions.clear();
-        self.positions.reserve(site.len());
-        for (&s, &t) in site.iter().zip(travel) {
-            // audit:allow(cast): u32 → usize widening (usize ≥ 32 bits on supported targets).
-            let s = s as usize;
-            debug_assert!(s < self.num_sites.max(1));
-            self.positions.push(s, t);
-        }
+        debug_assert!(site.iter().all(|&s| usize::from(s) < self.num_sites.max(1)));
+        self.positions.assign(site, travel);
     }
 
     /// Adopts `config`'s geometry and `seed`'s wander stream, leaving
@@ -177,9 +170,9 @@ impl ArenaState {
         }
     }
 
-    /// Per-ant site column, id order, at the checkpoint's width.
-    pub(crate) fn site(&self) -> Vec<u32> {
-        self.positions.sites().map(u32::from).collect()
+    /// Per-ant site column, id order (checkpointing).
+    pub(crate) fn site(&self) -> Vec<u16> {
+        self.positions.sites().collect()
     }
 
     /// Per-ant travel column, id order (checkpointing).
@@ -382,8 +375,12 @@ mod tests {
                     let seeder = arena_seeder(seed);
                     for round in 1..=6u64 {
                         let a = engine.arena().expect("an arena engine");
-                        let before: Vec<(u32, u32)> =
-                            a.site().into_iter().zip(a.travel()).collect();
+                        let before: Vec<(u32, u32)> = a
+                            .site()
+                            .into_iter()
+                            .map(u32::from)
+                            .zip(a.travel())
+                            .collect();
                         if round % 2 == 0 {
                             engine.run_parallel_forced(1, 3, &mut NullObserver);
                         } else {
@@ -399,7 +396,12 @@ mod tests {
                             })
                             .collect();
                         let a = engine.arena().expect("an arena engine");
-                        let after: Vec<(u32, u32)> = a.site().into_iter().zip(a.travel()).collect();
+                        let after: Vec<(u32, u32)> = a
+                            .site()
+                            .into_iter()
+                            .map(u32::from)
+                            .zip(a.travel())
+                            .collect();
                         assert_eq!(
                             after, expected,
                             "sites {sites}, travel {travel_rounds}, p {p}, round {round}"

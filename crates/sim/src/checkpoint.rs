@@ -6,9 +6,10 @@
 //! spec and the full event timeline — triggers and generators
 //! included), the current demands, the noise model currently in force,
 //! the timeline cursor, the runtime state of every trigger, every
-//! ant's assignment, and the round counter — so a capture taken
-//! *mid-timeline* (after kills, spawns, demand steps, noise switches or
-//! trigger firings) resumes exactly where the script left off.
+//! ant's controller state, and the round counter — so a capture taken
+//! at *any* round, mid-phase or mid-timeline (after kills, spawns,
+//! demand steps, noise switches or trigger firings), resumes exactly
+//! where the run left off.
 //!
 //! The config and the live noise model travel as the same canonical
 //! TOML the scenario files and store fingerprints use
@@ -22,73 +23,40 @@
 //! so the round counter and the ids are all the randomness a restore
 //! needs.
 //!
-//! **Codec.** A checkpoint holds the engine's state as columns in
-//! global ant order (the engine's `Snapshot`): the raw task column, the
-//! membership, fixed-stride per-kind scratch columns and the arena
-//! columns. Capture copies them out of the colony and the banks,
-//! restore copies them back, and every fixed-width section encodes and
-//! decodes as one little-endian run that is validated once
-//! (`docs/CHECKPOINTS.md`, "Codec").
-//!
-//! **Exactness contract.** Controllers are rebuilt from their spec and
-//! `reset_to(assignment)`, plus a per-kind **scratch section** carrying
-//! mid-phase state for kinds that serialize it: Precise Sigmoid's
-//! half-phase counters ([`antalloc_core::SigmoidScratch`]), Precise
-//! Adversarial's phase trackers ([`AdversarialScratch`]) and
-//! Proportional's deadband streaks, so those kinds capture at any
-//! round. Kinds *without* a scratch codec capture only at their phase
-//! boundaries (`round % capture_phase == 0`, see
-//! [`crate::ControllerSpec::capture_phase_len`]), where their per-phase
-//! scratch is empty by construction; [`Checkpoint::capture`] refuses to
-//! snapshot anywhere else. Restored runs replay exactly (the contract
-//! oracle in the `antalloc-tests` package asserts bit-identical serial
-//! and pooled continuations on every scenario it runs, mid-phase
-//! Precise Sigmoid and Precise Adversarial captures included).
-//!
-//! Exceptions: `ControllerSpec::AntDesync` has, by construction, no
-//! global phase boundary — the offset half of the colony is always
-//! mid-phase — so its restores are *approximate* (the offset half skips
-//! one decision and self-stabilizes); likewise kill-perturbations
-//! reshuffle which index carries which offset. `ControllerSpec::Hysteresis`
-//! machines' contrary-signal streaks are not serialized either, so a
-//! capture taken mid-streak restores approximately.
+//! **Codec.** A checkpoint holds the engine's per-ant state as the
+//! engine holds it (the engine's `Snapshot`): the colony's `u16` task
+//! column, the `u16` membership column of a mix, every bank's columns
+//! as its `soa_bank!` schema declares them — all but the assignment,
+//! which equals the task column between rounds — and the arena's `u16`
+//! site and `u32` travel columns. Capture, encode, decode and restore
+//! are column copies; decode checks every column against its schema
+//! domain (task ids, counter bounds, row padding, machine states,
+//! membership, positions) once, so a restore never meets a value the
+//! banks could not have held.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use antalloc_core::AdversarialScratch;
-use antalloc_env::{Assignment, TriggerState};
+use antalloc_env::TriggerState;
 
 use crate::config::{ControllerSpec, SimConfig};
 use crate::engine::{Snapshot, SyncEngine};
-use crate::population::{AntColumns, TAG_ADVERSARIAL, TAG_SIGMOID, TAG_STREAK};
 use crate::scenario::{config_from_value, noise_from_value, noise_to_value, toml, ConfigError};
 
 const MAGIC: u32 = 0x414E_5441; // "ANTA"
 /// The format version: writers emit it and readers accept only it
 /// (`docs/CHECKPOINTS.md` documents the layout and why older versions
 /// are rejected rather than migrated).
-const VERSION: u32 = 9;
+const VERSION: u32 = 10;
 
-/// Wire bytes of one scratch entry with tag `tag` over `k` tasks, ant
-/// id and tag included.
-fn entry_len(tag: u8, k: usize) -> usize {
-    5 + match tag {
-        TAG_SIGMOID => 5 + 5 * k,
-        TAG_ADVERSARIAL => 9 + k,
-        _ => 2,
-    }
-}
-
-/// Why a checkpoint could not be captured or decoded.
+/// Why a checkpoint could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Capture attempted off a phase boundary.
-    NotAtPhaseBoundary {
-        /// The engine's round.
-        round: u64,
-        /// The controller's phase length.
-        phase: u64,
+    /// The stream is a checkpoint of another format version: this
+    /// build reads only its own (see `docs/CHECKPOINTS.md`).
+    Version {
+        /// The version the stream declares.
+        found: u32,
     },
     /// The byte stream is not a valid checkpoint.
     Corrupt(String),
@@ -97,9 +65,9 @@ pub enum CheckpointError {
 impl core::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            CheckpointError::NotAtPhaseBoundary { round, phase } => write!(
+            CheckpointError::Version { found } => write!(
                 f,
-                "checkpoint requires round % phase == 0 (round {round}, phase {phase})"
+                "checkpoint format version {found}, but this build reads only version {VERSION}"
             ),
             CheckpointError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
         }
@@ -115,19 +83,13 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Snapshots the engine. Fails off *capture* phase boundaries —
-    /// kinds whose mid-phase state is serialized (Precise Sigmoid) can
-    /// capture at any round; the rest only where their per-phase
-    /// scratch is empty (see module docs).
+    /// Snapshots the engine, exactly, at whatever round it is.
+    ///
+    /// # Errors
+    /// None today: every kind's state is captured at every round. The
+    /// `Result` keeps callers ready for a state a future engine cannot
+    /// capture.
     pub fn capture(engine: &SyncEngine) -> Result<Self, CheckpointError> {
-        let round = engine.round();
-        let phase = engine
-            .config()
-            .controller
-            .capture_phase_len(engine.colony().num_tasks());
-        if !round.is_multiple_of(phase) {
-            return Err(CheckpointError::NotAtPhaseBoundary { round, phase });
-        }
         Ok(Self {
             state: engine.snapshot(),
         })
@@ -142,13 +104,13 @@ impl Checkpoint {
 
     /// Restores the captured state into an existing engine in place,
     /// reusing its allocations (the sweep fast path's engine-reuse
-    /// counterpart for resumed runs). Bit-identical to
+    /// counterpart for resumed runs) — and its banks' id lists when it
+    /// already holds the captured membership. Bit-identical to
     /// [`Checkpoint::restore`] regardless of what the engine ran
     /// before.
     pub fn restore_into(&self, engine: &mut SyncEngine) {
         engine.restore_from(&self.state, None);
     }
-
     /// Rebases the captured state onto a *different* configuration —
     /// the sweep warm-start path (`Sweep::from_round`): one prefix run
     /// of the base scenario is captured once, then forked into every
@@ -192,8 +154,8 @@ impl Checkpoint {
     }
 
     /// The byte length of each binary runtime section, in stream order:
-    /// current demands, cursor, trigger states, assignments, membership,
-    /// scratch and arena columns (0 when absent).
+    /// current demands, cursor, trigger states, task column, membership,
+    /// bank columns and arena columns (0 when absent).
     fn runtime_section_lens(&self) -> [usize; 7] {
         let s = &self.state;
         let (ants, k) = (s.tasks.len(), s.demands.len());
@@ -202,25 +164,21 @@ impl Checkpoint {
             .iter()
             .map(|t| 8 + 8 + 1 + 8 + 4 * t.streaks.len() + 8 + 8 * t.prev_deficits.len())
             .sum();
-        let cols = &s.ants;
-        let scratch = cols.sigmoid.ids.len() * entry_len(TAG_SIGMOID, k)
-            + cols.adversarial_ids.len() * entry_len(TAG_ADVERSARIAL, k)
-            + cols.streak_ids.len() * entry_len(TAG_STREAK, k);
         let members = match s.config.controller {
-            ControllerSpec::Mix(_) => 8 + 2 * cols.members.len(),
+            ControllerSpec::Mix(_) => 2 * ants,
             _ => 0,
         };
         let arena = match s.config.arena {
-            Some(_) => 4 * (s.arena_site.len() + s.arena_travel.len()),
+            Some(_) => 6 * ants,
             None => 0,
         };
         [
             8 + 8 * k,
             8,
             8 + triggers,
-            8 + 4 * ants,
+            8 + 2 * ants,
             members,
-            8 + scratch,
+            s.banks.len(),
             arena,
         ]
     }
@@ -254,23 +212,25 @@ impl Checkpoint {
             put_le(&mut out, &state.prev_deficits, i64::to_le_bytes);
         }
         out.extend_from_slice(&(s.tasks.len() as u64).to_le_bytes());
-        put_le(&mut out, &s.tasks, u32::to_le_bytes);
+        put_le(&mut out, &s.tasks, u16::to_le_bytes);
         // Per-ant bank membership, present iff the spec is a Mix.
-        if matches!(s.config.controller, ControllerSpec::Mix(_)) {
-            out.extend_from_slice(&(s.ants.members.len() as u64).to_le_bytes());
-            put_le(&mut out, &s.ants.members, u16::to_le_bytes);
-        }
-        put_scratch(&mut out, &s.ants, s.demands.len());
+        put_le(&mut out, &s.members, u16::to_le_bytes);
+        // Every bank's columns, already little-endian.
+        out.extend_from_slice(&s.banks);
         // Per-ant arena columns (site, then travel), present iff the
-        // config carries an arena; lengths equal the ant count.
-        if s.config.arena.is_some() {
-            put_le(&mut out, &s.arena_site, u32::to_le_bytes);
-            put_le(&mut out, &s.arena_travel, u32::to_le_bytes);
-        }
+        // config carries an arena.
+        put_le(&mut out, &s.arena_site, u16::to_le_bytes);
+        put_le(&mut out, &s.arena_travel, u32::to_le_bytes);
         out
     }
 
     /// Deserializes from [`Checkpoint::to_bytes`] output.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Version`] for a stream of another format
+    /// version, [`CheckpointError::Corrupt`] for anything else that is
+    /// not a checkpoint this build wrote: every length, and every
+    /// per-ant value against its column's domain, is checked here.
     pub fn from_bytes(mut buf: &[u8]) -> Result<Self, CheckpointError> {
         let buf = &mut buf;
         if get_u32(buf)? != MAGIC {
@@ -278,9 +238,7 @@ impl Checkpoint {
         }
         let version = get_u32(buf)?;
         if version != VERSION {
-            return Err(corrupt(format!(
-                "format version {version}, but this build reads only version {VERSION}"
-            )));
+            return Err(CheckpointError::Version { found: version });
         }
         let round = get_u64(buf)?;
         let next_stream = get_u64(buf)?;
@@ -352,44 +310,64 @@ impl Checkpoint {
         }
         let ants = get_u64(buf)? as usize;
         // Validate the claimed count against the bytes actually present
-        // (4 per assignment) before any allocation — a corrupted count
+        // (2 per task slot) before any allocation — a corrupted count
         // must not drive an allocation to OOM. A live colony never drops
         // below one ant.
-        if ants == 0 || buf.len() / 4 < ants {
+        if ants == 0 || buf.len() / 2 < ants {
             return Err(corrupt(format!(
                 "ant count {ants} is zero or exceeds remaining payload"
             )));
         }
-        let tasks = get_le(buf, ants, u32::from_le_bytes)?;
-        check_tasks(&tasks, k)?;
-        let mut cols = AntColumns::default();
-        if let ControllerSpec::Mix(parts) = &config.controller {
-            let len = get_u64(buf)? as usize;
-            if len != ants {
+        let tasks = get_le(buf, ants, u16::from_le_bytes)?;
+        // Idle wraps to 0 and task `j` to `j + 1`, so one max decides.
+        if let Some(top) = tasks.iter().map(|&t| t.wrapping_add(1)).max() {
+            if usize::from(top) > k {
                 return Err(corrupt(format!(
-                    "membership length {len} disagrees with ant count {ants}"
-                )));
-            }
-            cols.members = get_le(buf, len, u16::from_le_bytes)?;
-            if let Some(m) = cols
-                .members
-                .iter()
-                .max()
-                .filter(|&&m| usize::from(m) >= parts.len())
-            {
-                return Err(corrupt(format!(
-                    "membership {m} references unknown sub-spec"
+                    "task {} out of range ({k} tasks)",
+                    top - 1
                 )));
             }
         }
-        get_scratch(buf, &config.controller, &mut cols, ants, k)?;
+        let (members, sizes) = match &config.controller {
+            ControllerSpec::Mix(parts) => {
+                let members = get_le(buf, ants, u16::from_le_bytes)?;
+                let mut sizes = vec![0usize; parts.len()];
+                for &m in &members {
+                    match sizes.get_mut(usize::from(m)) {
+                        Some(size) => *size += 1,
+                        None => {
+                            return Err(corrupt(format!(
+                                "membership {m} references unknown sub-spec"
+                            )))
+                        }
+                    }
+                }
+                (members, sizes)
+            }
+            _ => (Vec::new(), vec![ants]),
+        };
+        // Each bank's columns, checked against a bank of its (sub-)spec.
+        let subs = config
+            .controller
+            .mix_parts()
+            .map_or(vec![&config.controller], |parts| {
+                parts.iter().map(|(_, spec)| spec).collect()
+            });
+        let start = *buf;
+        for (b, (spec, &size)) in subs.into_iter().zip(&sizes).enumerate() {
+            let bank = spec.build_bank(k, &[]);
+            let state = take(buf, bank.state_len(size))?;
+            bank.check_state(size, state)
+                .map_err(|e| corrupt(format!("bank {b}: {e}")))?;
+        }
+        let banks = start[..start.len() - buf.len()].to_vec();
         // The per-ant arena columns close the stream (present iff the
         // config carries an arena).
         let (arena_site, arena_travel) = match &config.arena {
             Some(arena) => {
-                let site = get_le(buf, ants, u32::from_le_bytes)?;
+                let site = get_le(buf, ants, u16::from_le_bytes)?;
                 let sites = arena.num_sites();
-                if let Some(s) = site.iter().max().filter(|&&s| s as usize >= sites) {
+                if let Some(s) = site.iter().max().filter(|&&s| usize::from(s) >= sites) {
                     return Err(corrupt(format!(
                         "arena site {s} out of range (the arena has {sites} sites)"
                     )));
@@ -418,7 +396,8 @@ impl Checkpoint {
                 cursor,
                 triggers,
                 tasks,
-                ants: cols,
+                members,
+                banks,
                 arena_site,
                 arena_travel,
             },
@@ -450,186 +429,6 @@ impl Checkpoint {
             std::fs::read(path).map_err(|e| corrupt(format!("read {}: {e}", path.display())))?;
         Self::from_bytes(&bytes)
     }
-}
-
-/// Writes the scratch section: the per-kind columns merged into one
-/// stream of entries in ascending global-ant order.
-fn put_scratch(out: &mut Vec<u8>, cols: &AntColumns, k: usize) {
-    // Indexed by tag.
-    let ids = [&cols.sigmoid.ids, &cols.adversarial_ids, &cols.streak_ids];
-    let total: usize = ids.iter().map(|ids| ids.len()).sum();
-    out.extend_from_slice(&(total as u64).to_le_bytes());
-    let mut next = [0usize; 3];
-    for _ in 0..total {
-        // Ids are distinct across kinds; an exhausted list never wins.
-        let head = |t: usize| ids[t].get(next[t]).copied().unwrap_or(u32::MAX);
-        let (a, b, c) = (head(0), head(1), head(2));
-        let tag = if a < b && a < c {
-            0
-        } else if b < c {
-            1
-        } else {
-            2
-        };
-        let e = next[tag];
-        next[tag] += 1;
-        out.extend_from_slice(&ids[tag][e].to_le_bytes());
-        out.push(tag as u8);
-        match tag as u8 {
-            TAG_SIGMOID => {
-                let (s, row) = (&cols.sigmoid.rows, e * k..e * k + k);
-                out.extend_from_slice(&s.current[e].to_le_bytes());
-                out.push(s.have_phase[e]);
-                for &c in s.count1[row.clone()].iter().chain(&s.count2[row.clone()]) {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-                out.extend_from_slice(&s.shat1[row]);
-            }
-            TAG_ADVERSARIAL => {
-                let s = &cols.adversarial[e];
-                out.extend_from_slice(&s.current_task.to_raw().to_le_bytes());
-                out.push(u8::from(s.have_phase));
-                out.push(u8::from(s.all_overload));
-                out.push(u8::from(s.frozen_working));
-                // A first lack is never pending between rounds.
-                out.push(0);
-                out.push(match s.working_at_first_lack {
-                    None => 0,
-                    Some(false) => 1,
-                    Some(true) => 2,
-                });
-                out.extend(s.all_lack.iter().map(|&l| u8::from(l)));
-            }
-            _ => out.extend_from_slice(&cols.streaks[e].to_le_bytes()),
-        }
-    }
-}
-
-/// Decodes the scratch section into `cols` (whose membership is already
-/// decoded). Ids must ascend strictly and each entry must belong to an
-/// ant that runs the entry's kind, with Precise Sigmoid counters within
-/// the half-phase — crafted bytes must fail here, not panic in restore.
-fn get_scratch(
-    buf: &mut &[u8],
-    controller: &ControllerSpec,
-    cols: &mut AntColumns,
-    ants: usize,
-    k: usize,
-) -> Result<(), CheckpointError> {
-    let count = get_u64(buf)? as usize;
-    // Validate the claimed count against the bytes present before any
-    // allocation (a Proportional entry is the shortest).
-    if count > ants || buf.len() / entry_len(TAG_STREAK, k) < count {
-        return Err(corrupt(format!(
-            "scratch count {count} exceeds payload or ant count {ants}"
-        )));
-    }
-    // What each bank admits — one bank, or one per mix part, named by
-    // the ant's (validated) membership: its scratch tag and, for
-    // Precise Sigmoid, the half-phase length bounding its counters.
-    let admits = |spec: &ControllerSpec| match spec {
-        ControllerSpec::PreciseSigmoid(p) => Some((TAG_SIGMOID, p.m())),
-        ControllerSpec::PreciseAdversarial(_) => Some((TAG_ADVERSARIAL, 0)),
-        ControllerSpec::Proportional(_) => Some((TAG_STREAK, 0)),
-        _ => None,
-    };
-    let banks: Vec<Option<(u8, u64)>> = match controller {
-        ControllerSpec::Mix(parts) => parts.iter().map(|(_, spec)| admits(spec)).collect(),
-        spec => vec![admits(spec)],
-    };
-    let mut prev = None;
-    for _ in 0..count {
-        let ant = get_u32(buf)?;
-        if ant as usize >= ants {
-            return Err(corrupt(format!("scratch ant {ant} out of range")));
-        }
-        if prev.is_some_and(|prev| ant <= prev) {
-            return Err(corrupt("scratch entries out of order"));
-        }
-        prev = Some(ant);
-        let bank = cols
-            .members
-            .get(ant as usize)
-            .map_or(0, |&b| usize::from(b));
-        let tag = get_u8(buf)?;
-        let Some((_, m)) = banks[bank].filter(|&(admitted, _)| admitted == tag) else {
-            return Err(corrupt(match tag {
-                TAG_SIGMOID => format!("scratch for ant {ant}, which runs no Precise Sigmoid"),
-                TAG_ADVERSARIAL => {
-                    format!("scratch for ant {ant}, which runs no Precise Adversarial")
-                }
-                TAG_STREAK => {
-                    format!("scratch for ant {ant}, which runs no Proportional controller")
-                }
-                t => format!("unknown scratch tag {t}"),
-            }));
-        };
-        match tag {
-            TAG_SIGMOID => {
-                if cols.sigmoid.ids.is_empty() {
-                    // Once, for as many entries as the payload can hold.
-                    let entries = count.min(1 + buf.len() / entry_len(TAG_SIGMOID, k));
-                    cols.sigmoid.reserve(entries, k);
-                }
-                let s = &mut cols.sigmoid.rows;
-                let mut entry = take(buf, entry_len(TAG_SIGMOID, k) - 5)?;
-                s.current.push(get_task(&mut entry, k)?);
-                s.have_phase.push(u8::from(get_bool(&mut entry)?));
-                let (counts, shat1) = entry.split_at(4 * k);
-                let (count1, count2) = counts.as_chunks::<2>().0.split_at(k);
-                let at = s.count1.len();
-                s.count1
-                    .extend(count1.iter().map(|&c| u16::from_le_bytes(c)));
-                s.count2
-                    .extend(count2.iter().map(|&c| u16::from_le_bytes(c)));
-                let counts = s.count1[at..].iter().chain(&s.count2[at..]);
-                if let Some(c) = counts.max().filter(|&&c| u64::from(c) > m) {
-                    return Err(corrupt(format!(
-                        "scratch counter {c} exceeds half-phase length {m}"
-                    )));
-                }
-                s.shat1.extend(shat1.iter().map(|&b| u8::from(b != 0)));
-                cols.sigmoid.ids.push(ant);
-            }
-            TAG_ADVERSARIAL => {
-                let current_task = Assignment::from_raw(get_task(buf, k)?);
-                let have_phase = get_bool(buf)?;
-                let all_overload = get_bool(buf)?;
-                let frozen_working = get_bool(buf)?;
-                if get_bool(buf)? {
-                    // Classified within the step that sees it, a first
-                    // lack is never pending between rounds.
-                    return Err(corrupt(format!(
-                        "scratch for ant {ant}: first lack pending between rounds"
-                    )));
-                }
-                let working_at_first_lack = match get_u8(buf)? {
-                    0 => None,
-                    1 => Some(false),
-                    2 => Some(true),
-                    t => return Err(corrupt(format!("unknown first-lack tri-state {t}"))),
-                };
-                cols.adversarial_ids.push(ant);
-                cols.adversarial.push(AdversarialScratch {
-                    current_task,
-                    have_phase,
-                    all_lack: take(buf, k)?.iter().map(|&b| b != 0).collect(),
-                    all_overload,
-                    working_at_first_lack,
-                    frozen_working,
-                });
-            }
-            _ => {
-                if cols.streak_ids.is_empty() {
-                    cols.streak_ids.reserve_exact(count);
-                    cols.streaks.reserve_exact(count);
-                }
-                cols.streak_ids.push(ant);
-                cols.streaks.push(u16::from_le_bytes(get(buf)?));
-            }
-        }
-    }
-    Ok(())
 }
 
 fn corrupt(msg: impl Into<String>) -> CheckpointError {
@@ -708,10 +507,6 @@ fn get<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CheckpointError> {
     take(buf, N).map(|bytes| bytes.as_chunks::<N>().0[0])
 }
 
-fn get_u8(buf: &mut &[u8]) -> Result<u8, CheckpointError> {
-    get(buf).map(|[b]| b)
-}
-
 fn get_u32(buf: &mut &[u8]) -> Result<u32, CheckpointError> {
     get(buf).map(u32::from_le_bytes)
 }
@@ -721,35 +516,14 @@ fn get_u64(buf: &mut &[u8]) -> Result<u64, CheckpointError> {
 }
 
 fn get_bool(buf: &mut &[u8]) -> Result<bool, CheckpointError> {
-    Ok(get_u8(buf)? != 0)
-}
-
-/// Checks that every raw assignment is idle (`u32::MAX`) or a task
-/// below `k`: idle wraps to 0 and task `j` to `j + 1`, so one max over
-/// the column decides.
-fn check_tasks(tasks: &[u32], k: usize) -> Result<(), CheckpointError> {
-    match tasks.iter().map(|&t| t.wrapping_add(1)).max() {
-        Some(top) if top as usize > k => Err(corrupt(format!(
-            "task {} out of range ({k} tasks)",
-            top - 1
-        ))),
-        _ => Ok(()),
-    }
-}
-
-/// Reads one raw assignment, rejecting task indices outside the
-/// colony's `k` tasks.
-fn get_task(buf: &mut &[u8], k: usize) -> Result<u32, CheckpointError> {
-    let task = get_u32(buf)?;
-    check_tasks(&[task], k)?;
-    Ok(task)
+    get(buf).map(|[b]: [u8; 1]| b != 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observer::NullObserver;
-    use antalloc_core::ControllerScratch;
+    use antalloc_core::ControllerBank;
     use antalloc_core::{
         AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
         ProportionalParams,
@@ -758,10 +532,10 @@ mod tests {
     use antalloc_noise::{GreyZonePolicy, NoiseModel};
 
     /// The frozen fixture: a 3-site arena, a Precise Sigmoid +
-    /// Proportional mix captured mid-phase, a `deficit-rate-above`
-    /// trigger, a generator and a `set-noise` switch — a stream with
-    /// every section populated.
-    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint_v9.ckpt");
+    /// Proportional + AntDesync + Precise Adversarial mix captured
+    /// mid-phase, a `deficit-rate-above` trigger, a generator and a
+    /// `set-noise` switch — a stream with every section populated.
+    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint_v10.ckpt");
 
     fn config() -> SimConfig {
         SimConfig::builder(200, vec![30, 40])
@@ -801,24 +575,26 @@ mod tests {
             .collect()
     }
 
-    /// The array-of-structs encoder the columnar codec replaced, kept as
-    /// the reference `to_bytes` must match byte for byte. It gathers the
-    /// per-ant state through the per-ant accessors (decoded assignments
-    /// and one `ControllerScratch` per ant) and writes it one integer at
-    /// a time; the scalar fields come from the snapshot.
+    /// A reference encoder over the per-ant reference controllers, which
+    /// `to_bytes` must match byte for byte: every ant's controller
+    /// (`reference_controllers`, global order) is pushed into a fresh
+    /// bank of its sub-spec in id order, and those banks are encoded;
+    /// the task column comes from the colony's decoded assignments, one
+    /// value at a time, and the scalar fields from the snapshot.
     fn reference_bytes(engine: &SyncEngine) -> Vec<u8> {
         let snap = engine.snapshot();
-        let population = engine.population();
-        let assignments = engine.colony().assignments();
-        let members = population.members();
-        let scratch = population.scratches();
-        let put_task = |out: &mut Vec<u8>, a: Assignment| {
-            let raw = match a {
-                Assignment::Idle => u32::MAX,
-                Assignment::Task(j) => j,
-            };
-            out.extend_from_slice(&raw.to_le_bytes());
+        let k = snap.demands.len();
+        let members = engine.population().members();
+        let subs: Vec<&ControllerSpec> = match snap.config.controller.mix_parts() {
+            Some(parts) => parts.iter().map(|(_, spec)| spec).collect(),
+            None => vec![&snap.config.controller],
         };
+        let mut banks: Vec<ControllerBank> = subs.iter().map(|s| s.build_bank(k, &[])).collect();
+        for (c, &b) in engine.reference_controllers().into_iter().zip(&members) {
+            banks[usize::from(b)]
+                .push(c)
+                .expect("a controller of its bank's spec");
+        }
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -845,64 +621,32 @@ mod tests {
                 out.extend_from_slice(&prev.to_le_bytes());
             }
         }
+        let assignments = engine.colony().assignments();
         out.extend_from_slice(&(assignments.len() as u64).to_le_bytes());
-        for &a in &assignments {
-            put_task(&mut out, a);
+        for a in assignments {
+            out.extend_from_slice(&a.to_slot().to_le_bytes());
         }
         if matches!(snap.config.controller, ControllerSpec::Mix(_)) {
-            out.extend_from_slice(&(members.len() as u64).to_le_bytes());
             for &m in &members {
                 out.extend_from_slice(&m.to_le_bytes());
             }
         }
-        out.extend_from_slice(&(scratch.len() as u64).to_le_bytes());
-        for (ant, scratch) in &scratch {
-            out.extend_from_slice(&ant.to_le_bytes());
-            match scratch {
-                ControllerScratch::PreciseSigmoid(s) => {
-                    out.push(0);
-                    put_task(&mut out, s.current_task);
-                    out.push(u8::from(s.have_phase));
-                    for &c in s.count1.iter().chain(&s.count2) {
-                        out.extend_from_slice(&c.to_le_bytes());
-                    }
-                    for &l in &s.shat1_lack {
-                        out.push(u8::from(l));
-                    }
-                }
-                ControllerScratch::PreciseAdversarial(s) => {
-                    out.push(1);
-                    put_task(&mut out, s.current_task);
-                    out.push(u8::from(s.have_phase));
-                    out.push(u8::from(s.all_overload));
-                    out.push(u8::from(s.frozen_working));
-                    out.push(0);
-                    out.push(match s.working_at_first_lack {
-                        None => 0,
-                        Some(false) => 1,
-                        Some(true) => 2,
-                    });
-                    for &l in &s.all_lack {
-                        out.push(u8::from(l));
-                    }
-                }
-                ControllerScratch::Proportional(streak) => {
-                    out.push(2);
-                    out.extend_from_slice(&streak.to_le_bytes());
-                }
-            }
+        for bank in &banks {
+            bank.write_state(&mut out);
         }
-        if snap.config.arena.is_some() {
-            for &x in snap.arena_site.iter().chain(&snap.arena_travel) {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
+        for &site in &snap.arena_site {
+            out.extend_from_slice(&site.to_le_bytes());
+        }
+        for &travel in &snap.arena_travel {
+            out.extend_from_slice(&travel.to_le_bytes());
         }
         out
     }
 
-    /// A generated scenario over the kinds that carry scratch: alone,
-    /// in the benchmark's four-kind mix, and in a mix of two differently
-    /// tuned Precise Sigmoid banks with the other scratch kinds —
+    /// A generated scenario over the kinds whose state outlives a
+    /// round — Precise Sigmoid, Precise Adversarial and Proportional
+    /// alone, AntDesync, the benchmark's four-kind mix, and a mix of
+    /// two differently tuned Precise Sigmoid banks with the others —
     /// optionally under kills, spawns, scrambles, a trigger and a
     /// generator (so membership is permuted), and in an arena.
     fn generated(kind: usize, n: usize, seed: u64, shocks: bool, arena: bool) -> SimConfig {
@@ -917,7 +661,8 @@ mod tests {
             0 => sigmoid(0.5),
             1 => adversarial,
             2 => proportional,
-            3 => ControllerSpec::Mix(vec![
+            3 => ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0)),
+            4 => ControllerSpec::Mix(vec![
                 (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
                 (1.0, sigmoid(0.5)),
                 (1.0, proportional),
@@ -931,6 +676,7 @@ mod tests {
                 (2.0, proportional),
                 (1.0, adversarial),
                 (1.0, sigmoid(0.3)),
+                (1.0, ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0))),
             ]),
         };
         let mut builder = SimConfig::builder(n, vec![n as u64 / 8, n as u64 / 5, n as u64 / 4])
@@ -974,14 +720,14 @@ mod tests {
 
     proptest::proptest! {
         /// The columnar capture and encoder write exactly the bytes the
-        /// array-of-structs reference writes; decoding them gives back
-        /// the same checkpoint, which continues exactly like the
-        /// captured engine, restored fresh or into a reused engine.
-        /// Captures land in both halves of Precise Sigmoid's 82-round
-        /// phase (so both counter planes are live).
+        /// per-ant reference writes; decoding them gives back the same
+        /// checkpoint, which continues exactly like the captured engine,
+        /// restored fresh or into a reused engine. Captures land at any
+        /// round, in both halves of Precise Sigmoid's 82-round phase (so
+        /// both counter planes are live).
         #[test]
         fn to_bytes_matches_the_reference_encoder(
-            kind in 0usize..5,
+            kind in 0usize..6,
             n in 24usize..160,
             seed in 0u64..1 << 40,
             rounds in 1u64..130,
@@ -990,15 +736,14 @@ mod tests {
         ) {
             let cfg = generated(kind, n, seed, shocks == 1, arena == 1);
             let mut engine = cfg.build();
-            let phase = cfg.controller.capture_phase_len(cfg.demands.len());
-            engine.run(rounds - rounds % phase, &mut NullObserver);
-            let cp = Checkpoint::capture(&engine).expect("capture round");
+            engine.run(rounds, &mut NullObserver);
+            let cp = Checkpoint::capture(&engine).expect("capture");
             let bytes = cp.to_bytes();
             proptest::prop_assert_eq!(&bytes, &reference_bytes(&engine));
             let back = Checkpoint::from_bytes(&bytes).expect("decodes");
             proptest::prop_assert_eq!(&back, &cp);
             let mut fresh = back.restore();
-            let mut reused = generated((kind + 2) % 5, 200 - n, !seed, shocks == 0, arena == 0).build();
+            let mut reused = generated((kind + 2) % 6, 200 - n, !seed, shocks == 0, arena == 0).build();
             reused.run(7, &mut NullObserver);
             back.restore_into(&mut reused);
             for e in [&mut engine, &mut fresh, &mut reused] {
@@ -1018,29 +763,39 @@ mod tests {
     #[test]
     fn generated_engines_carry_every_scratch_kind() {
         // Guards the property above against vacuity: its generator
-        // really produces every scratch kind and permuted membership.
-        let mut engine = generated(4, 150, 3, true, true).build();
+        // really produces a bank of every kind with state beyond the
+        // assignment, each holding ants, under permuted membership.
+        let mut engine = generated(5, 150, 3, true, true).build();
         engine.run(31, &mut NullObserver);
         let cp = Checkpoint::capture(&engine).unwrap();
-        let cols = &cp.state.ants;
-        assert!(!cols.sigmoid.ids.is_empty());
-        assert!(!cols.adversarial_ids.is_empty());
-        assert!(!cols.streak_ids.is_empty());
+        let census = engine.bank_census();
+        assert_eq!(census.len(), 5);
+        assert!(census.iter().all(|bank| bank.ants > 0), "{census:?}");
+        assert!(!cp.state.members.is_sorted(), "membership is interleaved");
         assert!(cp.state.tasks.len() != 150, "shocks resized the colony");
         assert_eq!(cp.to_bytes(), reference_bytes(&engine));
     }
 
     #[test]
-    fn capture_requires_phase_boundary() {
-        let mut e = config().build();
-        let mut obs = NullObserver;
-        e.step(&mut obs); // round 1, phase 2 → not a boundary.
-        assert!(matches!(
-            Checkpoint::capture(&e),
-            Err(CheckpointError::NotAtPhaseBoundary { round: 1, phase: 2 })
-        ));
-        e.step(&mut obs); // round 2 → boundary.
-        assert!(Checkpoint::capture(&e).is_ok());
+    fn capture_is_exact_at_every_round() {
+        // Ant's two-round phase leaves first-sample state in flight at
+        // every odd round; a capture there, or anywhere, continues like
+        // the uninterrupted run.
+        let mut full = config().build();
+        full.run(12, &mut NullObserver);
+        for split in 0..=5 {
+            let mut head = config().build();
+            head.run(split, &mut NullObserver);
+            let cp = Checkpoint::capture(&head).expect("any round captures");
+            let mut resumed = Checkpoint::from_bytes(&cp.to_bytes()).unwrap().restore();
+            resumed.run(12 - split, &mut NullObserver);
+            assert_eq!(
+                resumed.colony().assignments(),
+                full.colony().assignments(),
+                "split {split}"
+            );
+            assert_eq!(Checkpoint::capture(&resumed), Checkpoint::capture(&full));
+        }
     }
 
     #[test]
@@ -1072,22 +827,27 @@ mod tests {
         let mut e = cfg.build();
         e.run(4, &mut NullObserver);
         let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
-        // The site then travel columns close the stream, `u32` per ant.
-        let (sites, travels) = (bytes.len() - 8 * cfg.n, bytes.len() - 4 * cfg.n);
+        // The site (`u16`) then travel (`u32`) columns close the stream.
+        let (sites, travels) = (bytes.len() - 6 * cfg.n, bytes.len() - 4 * cfg.n);
         for (at, value, expected) in [
             (
                 sites,
-                2u32,
+                2u32.to_le_bytes(),
                 "arena site 2 out of range (the arena has 2 sites)",
             ),
-            (sites + 4 * 7, u32::MAX, "out of range"),
-            (travels, 3, "arena travel 3 exceeds the travel latency 2"),
+            (sites + 2 * 7, u32::MAX.to_le_bytes(), "out of range"),
+            (
+                travels,
+                3u32.to_le_bytes(),
+                "arena travel 3 exceeds the travel latency 2",
+            ),
         ] {
             let mut bad = bytes.clone();
-            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            let width = if at < travels { 2 } else { 4 };
+            bad[at..at + width].copy_from_slice(&value[..width]);
             match Checkpoint::from_bytes(&bad) {
                 Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(expected), "{msg}"),
-                other => panic!("{value} at byte {at} decoded as {other:?}"),
+                other => panic!("{value:?} at byte {at} decoded as {other:?}"),
             }
         }
     }
@@ -1120,14 +880,15 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(Checkpoint::from_bytes(&long).is_err());
-        // Any version but the current one, named in the error.
+        // Any version but the current one is a typed miss, named in
+        // the error.
         assert_eq!(bytes[4..8], VERSION.to_le_bytes());
-        for other in [2u32, 8, 10] {
+        for other in [2u32, 9, 11] {
             let mut stale = bytes.clone();
             stale[4..8].copy_from_slice(&other.to_le_bytes());
-            let Err(CheckpointError::Corrupt(msg)) = Checkpoint::from_bytes(&stale) else {
-                panic!("a v{other} stream must be rejected as corrupt");
-            };
+            let err = Checkpoint::from_bytes(&stale).expect_err("stale version");
+            assert_eq!(err, CheckpointError::Version { found: other });
+            let msg = err.to_string();
             assert!(
                 msg.contains(&format!("version {other}"))
                     && msg.contains(&format!("version {VERSION}")),
@@ -1202,36 +963,38 @@ mod tests {
             .unwrap();
         let mut e = cfg.build();
         let mut obs = NullObserver;
-        e.run(6, &mut obs); // phase lcm(2, 1) = 2 → boundary.
+        e.run(7, &mut obs); // mid-phase for the Ant bank
         let cp = Checkpoint::capture(&e).unwrap();
         let bytes = cp.to_bytes();
         let back = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(cp, back);
         // Membership corruption is detected: an out-of-range bank index
-        // must fail cleanly. The members vector is the last section, so
-        // patch its final u16.
-        let mut bad = bytes.clone();
-        let last = bad.len() - 2;
-        bad[last] = 0xFF;
-        bad[last + 1] = 0xFF;
-        assert!(Checkpoint::from_bytes(&bad).is_err());
+        // must fail cleanly. The bank columns follow the membership, so
+        // its last entry ends where they start.
+        let last = section_ends(&cp)[8] - 2;
+        for value in [2u16, u16::MAX] {
+            let mut bad = bytes.clone();
+            bad[last..last + 2].copy_from_slice(&value.to_le_bytes());
+            let err = Checkpoint::from_bytes(&bad).expect_err("unknown bank");
+            assert!(err.to_string().contains("unknown sub-spec"), "{err}");
+        }
     }
 
     #[test]
     fn random_byte_mutations_never_panic() {
         // Fuzz the decoder on the frozen fixture, whose stream populates
-        // every section: flipping any byte of the two text sections or a
-        // stride of bytes across the binary sections, and truncating at
-        // every section boundary, must yield a checkpoint that restores
-        // and steps, or `Corrupt` — never a panic. (Length fields are
-        // validated before allocation.)
+        // every section: flipping any byte of the two text sections, a
+        // stride of bytes across the binary sections or any bit of the
+        // per-ant columns, and truncating at every section boundary and
+        // at every byte of the per-ant columns, must yield a checkpoint
+        // that restores and steps, or `Corrupt` — never a panic.
+        // (Length fields are validated before allocation.)
         let cp = Checkpoint::from_bytes(FIXTURE).expect("fixture decodes");
         let ends = section_ends(&cp);
         assert_eq!(ends.last(), Some(&FIXTURE.len()));
         let check = |bytes: &[u8]| match Checkpoint::from_bytes(bytes) {
             Ok(back) => back.restore().run(2, &mut NullObserver),
-            Err(CheckpointError::Corrupt(_)) => {}
-            Err(e) => panic!("unexpected error {e:?}"),
+            Err(CheckpointError::Corrupt(_) | CheckpointError::Version { .. }) => {}
         };
         let texts = (ends[1] + 8..ends[2]).chain(ends[2] + 8..ends[3]);
         for i in texts {
@@ -1250,28 +1013,27 @@ mod tests {
             check(&FIXTURE[..end - 1]);
             check(&FIXTURE[..end]);
         }
+        // The task column through the arena columns.
+        for i in ends[6]..FIXTURE.len() {
+            check(&FIXTURE[..i]);
+            let mut mutated = FIXTURE.to_vec();
+            mutated[i] ^= 1 << (i % 8);
+            check(&mutated);
+        }
     }
 
     #[test]
     fn scratch_for_non_sigmoid_colonies_is_rejected_not_panicked() {
-        // A crafted stream that claims Precise Sigmoid scratch for an
-        // Ant colony must come back as a clean corrupt error — reaching
-        // `restore()` would panic writing the scratch back.
+        // A crafted stream that carries Precise Sigmoid columns for an
+        // Ant colony (k = 2, one ant's worth: currentTask, two counter
+        // planes and a bit row) must come back as a clean corrupt error.
         let mut e = config().build(); // Ant colony, 2 tasks
-        let mut obs = NullObserver;
-        e.run(2, &mut obs);
+        e.run(2, &mut NullObserver);
         let mut bytes = Checkpoint::capture(&e).unwrap().to_bytes();
-        // The scratch section is the stream's tail: count (u64) then
-        // entries. Rewrite the zero count to 1 and append one entry.
-        let tail = bytes.len() - 8;
-        bytes[tail..].copy_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // ant 0
-        bytes.push(0); // tag: precise sigmoid
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // currentTask idle
-        bytes.push(1); // have_phase
-        bytes.extend_from_slice(&[0u8; 2 * 2 + 2 * 2 + 2]); // counters + medians, k = 2
+        bytes.extend_from_slice(&u16::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 2 * 2 + 2 * 2 + 1]);
         let err = Checkpoint::from_bytes(&bytes).expect_err("must reject");
-        assert!(err.to_string().contains("no Precise Sigmoid"), "{err}");
+        assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]
@@ -1287,21 +1049,25 @@ mod tests {
             .build()
             .unwrap();
         let mut e = cfg.build();
-        let mut obs = NullObserver;
-        e.run(37, &mut obs); // mid-phase: every ant carries scratch
+        e.run(37, &mut NullObserver); // mid-phase: counters in flight
         let cp = Checkpoint::capture(&e).unwrap();
         let bytes = cp.to_bytes();
         assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), cp);
-        // Patch ant 0's first counter (right after the scratch count,
-        // ant id, tag, currentTask and have_phase) to u16::MAX.
-        let k = 1usize;
-        let entry_head = 4 + 1 + 4 + 1;
-        let entries = 50 * (entry_head + k * 5);
-        let first_counter = bytes.len() - entries - 8 + 8 + entry_head;
-        let mut bad = bytes.clone();
-        bad[first_counter..first_counter + 2].copy_from_slice(&u16::MAX.to_le_bytes());
-        let err = Checkpoint::from_bytes(&bad).expect_err("must reject");
-        assert!(err.to_string().contains("half-phase"), "{err}");
+        // k = 1: the bank's columns are currentTask, count1, count2 (a
+        // `u16` each per ant) and a one-byte bit row; patch ant 0's
+        // count1 to one past m, then to u16::MAX.
+        let m = PreciseSigmoidParams::new(0.05, 0.5).m();
+        let count1 = bytes.len() - 7 * 50 + 2 * 50;
+        for value in [m as u16 + 1, u16::MAX] {
+            let mut bad = bytes.clone();
+            bad[count1..count1 + 2].copy_from_slice(&value.to_le_bytes());
+            let err = Checkpoint::from_bytes(&bad).expect_err("must reject");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("count1") && msg.contains(&format!("bound {m}")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
@@ -1338,50 +1104,114 @@ mod tests {
     }
 
     #[test]
-    fn adversarial_first_lack_pending_between_rounds_is_rejected() {
-        // The wire keeps a pending-first-lack byte, which is 0 between
-        // rounds by construction; the banks keep no such column, so a
-        // set byte must decode to `Corrupt`, not be dropped.
-        let k = 2usize;
-        let cfg = SimConfig::builder(30, vec![5, 7])
-            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-            .controller(ControllerSpec::PreciseAdversarial(
-                PreciseAdversarialParams::new(0.05, 0.5),
-            ))
-            .seed(5)
-            .build()
-            .unwrap();
-        let mut e = cfg.build();
-        e.run(37, &mut NullObserver); // mid-ramp: every ant carries scratch
+    fn adversarial_scratch_for_wrong_colony_is_rejected() {
+        // A Precise Adversarial colony's stream whose config section
+        // claims an Ant colony: over 4 tasks an Adversarial row takes 2
+        // bytes and an Ant row 1, so the bank section has the wrong
+        // length for Ant's columns and decode fails cleanly.
+        let cfg = |controller| {
+            SimConfig::builder(30, vec![5, 7, 6, 4])
+                .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+                .controller(controller)
+                .seed(5)
+                .build()
+                .unwrap()
+        };
+        let adversarial = cfg(ControllerSpec::PreciseAdversarial(
+            PreciseAdversarialParams::new(0.05, 0.5),
+        ));
+        let mut e = adversarial.build();
+        e.run(37, &mut NullObserver); // mid-ramp: trackers in flight
         let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
-        // The scratch section is the stream's tail. Ant 0's entry: id,
-        // tag, currentTask, have_phase, all_overload, frozen, then the
-        // pending byte.
-        let entry = 4 + 1 + 4 + 5 + k;
-        let pending = bytes.len() - 30 * entry + 4 + 1 + 4 + 3;
-        assert_eq!(bytes[pending], 0);
-        let mut bad = bytes.clone();
-        bad[pending] = 1;
-        let err = Checkpoint::from_bytes(&bad).expect_err("must reject");
-        assert!(err.to_string().contains("pending"), "{err}");
+        let ant = cfg(ControllerSpec::Ant(AntParams::default()));
+        let crafted = with_config_text(&bytes, &ant.to_toml());
+        let err = Checkpoint::from_bytes(&crafted).expect_err("must reject");
+        assert!(err.to_string().contains("trailing"), "{err}");
     }
 
+    /// Every per-ant column rejects a value past its domain with
+    /// `Corrupt` naming it, however the bytes got there.
     #[test]
-    fn adversarial_scratch_for_wrong_colony_is_rejected() {
-        // Tag-1 scratch claimed for an Ant colony must error cleanly.
-        let mut e = config().build(); // Ant colony, 2 tasks
-        let mut obs = NullObserver;
-        e.run(2, &mut obs);
-        let mut bytes = Checkpoint::capture(&e).unwrap().to_bytes();
-        let tail = bytes.len() - 8;
-        bytes[tail..].copy_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // ant 0
-        bytes.push(1); // tag: precise adversarial
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // currentTask idle
-        bytes.extend_from_slice(&[1, 1, 0, 0, 0]); // flags + tri-state
-        bytes.extend_from_slice(&[1u8; 2]); // all_lack, k = 2
-        let err = Checkpoint::from_bytes(&bytes).expect_err("must reject");
-        assert!(err.to_string().contains("no Precise Adversarial"), "{err}");
+    fn every_column_rejects_values_past_its_domain() {
+        // Patches `bytes[at..]` with `value` and expects a corrupt error
+        // containing `expect`.
+        fn rejects(bytes: &[u8], at: usize, value: &[u8], expect: &str) {
+            let mut bad = bytes.to_vec();
+            bad[at..at + value.len()].copy_from_slice(value);
+            match Checkpoint::from_bytes(&bad) {
+                Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(expect), "{msg}"),
+                other => panic!("{value:?} at {at}: expected `{expect}`, got {other:?}"),
+            }
+        }
+        let captured = |controller, k: usize, rounds| {
+            let cfg = SimConfig::builder(40, vec![6; k])
+                .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+                .controller(controller)
+                .seed(13)
+                .build()
+                .unwrap();
+            let mut e = cfg.build();
+            e.run(rounds, &mut NullObserver);
+            let cp = Checkpoint::capture(&e).unwrap();
+            let ends = section_ends(&cp);
+            (cp.to_bytes(), ends)
+        };
+        let n = 40;
+        // AntDesync over 2 tasks: the task column, then the bank's
+        // currentTask (u16), bit row (1 byte: 2 samples + 2 flags) and
+        // parity (1 byte) columns.
+        let desync = ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0));
+        let (bytes, ends) = captured(desync, 2, 7);
+        let (tasks, bank) = (ends[6] + 8, ends[8]);
+        rejects(
+            &bytes,
+            tasks,
+            &2u16.to_le_bytes(),
+            "task 2 out of range (2 tasks)",
+        );
+        rejects(&bytes, tasks + 6, &0xFFFEu16.to_le_bytes(), "out of range");
+        rejects(
+            &bytes,
+            bank,
+            &2u16.to_le_bytes(),
+            "`current`: task 2 out of range",
+        );
+        rejects(
+            &bytes,
+            bank + 2 * n,
+            &[0x10],
+            "`bits`: a bit set past the row's 4 bits",
+        );
+        rejects(
+            &bytes,
+            bank + 3 * n + 5,
+            &[2],
+            "`parity`: 2 exceeds its bound 1",
+        );
+        // Hysteresis over 1 task: one `u16` state per ant.
+        let hysteresis = ControllerSpec::Hysteresis {
+            depth: 3,
+            lazy: Some(0.5),
+        };
+        let (bytes, ends) = captured(hysteresis, 1, 9);
+        rejects(
+            &bytes,
+            ends[8] + 2 * 3,
+            &6u16.to_le_bytes(),
+            "`state`: 6 exceeds its bound 5",
+        );
+        // Precise Sigmoid over 3 tasks: a counter past the half-phase.
+        let params = PreciseSigmoidParams::new(0.05, 0.5);
+        let (bytes, ends) = captured(ControllerSpec::PreciseSigmoid(params), 3, 30);
+        let count2 = ends[8] + 2 * n + 2 * 3 * n;
+        let past = params.m() as u16 + 1;
+        rejects(&bytes, count2 + 2, &past.to_le_bytes(), "`count2`");
+        // A Precise Adversarial row's padding: 3 tasks + 5 flags fill
+        // the byte, so a 4-task colony has 7 stray bits.
+        let adversarial = PreciseAdversarialParams::new(0.05, 0.5);
+        let (bytes, ends) = captured(ControllerSpec::PreciseAdversarial(adversarial), 4, 30);
+        let row = ends[8] + 2 * n + 2 * 4;
+        rejects(&bytes, row + 1, &[0x80], "past the row's 9 bits");
     }
 
     #[test]

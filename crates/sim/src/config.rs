@@ -179,8 +179,9 @@ impl ControllerSpec {
         }
     }
 
-    /// The phase length in rounds — the granularity at which checkpoints
-    /// are exact and the step probabilities repeat. For `Mix` this is
+    /// The phase length in rounds — the granularity at which the step
+    /// probabilities repeat (checkpoints are exact at every round). For
+    /// `Mix` this is
     /// the least common multiple of the sub-specs' phase lengths
     /// (saturating at `u64::MAX` for pathological combinations).
     #[allow(clippy::only_used_in_recursion)] // `num_tasks` is API surface
@@ -197,24 +198,6 @@ impl ControllerSpec {
                 .iter()
                 .map(|(_, spec)| spec.phase_len(num_tasks))
                 .fold(1u64, lcm),
-        }
-    }
-
-    /// The phase granularity at which **checkpoints** can capture —
-    /// like [`ControllerSpec::phase_len`], except that kinds whose
-    /// mid-phase state is fully serialized as
-    /// [`antalloc_core::ControllerScratch`] contribute 1: Precise
-    /// Sigmoid's counters and Precise Adversarial's phase trackers
-    /// travel in the checkpoint, so their `O(1/ε)`-round phases do not
-    /// restrict capture rounds.
-    pub fn capture_phase_len(&self, num_tasks: usize) -> u64 {
-        match self {
-            ControllerSpec::PreciseSigmoid(_) | ControllerSpec::PreciseAdversarial(_) => 1,
-            ControllerSpec::Mix(parts) => parts
-                .iter()
-                .map(|(_, spec)| spec.capture_phase_len(num_tasks))
-                .fold(1u64, lcm),
-            other => other.phase_len(num_tasks),
         }
     }
 
@@ -397,35 +380,6 @@ mod tests {
                 (1.0, ControllerSpec::Trivial),
             ])
             .phase_len(2),
-            2
-        );
-    }
-
-    #[test]
-    fn capture_phase_lengths_drop_serialized_scratch_kinds_to_one() {
-        // Precise Sigmoid's counters travel in the checkpoint, so its
-        // 82-round phase no longer gates capture — alone or in a mix.
-        let sigmoid = ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.03, 0.5));
-        assert_eq!(sigmoid.capture_phase_len(2), 1);
-        assert_eq!(
-            ControllerSpec::Mix(vec![
-                (1.0, ControllerSpec::Ant(AntParams::default())),
-                (1.0, sigmoid),
-            ])
-            .capture_phase_len(2),
-            2,
-            "lcm(ant 2, sigmoid 1)"
-        );
-        // Precise Adversarial's phase trackers are serialized too:
-        // capture anywhere, even though its stepping phase is 5·r1 rounds.
-        assert_eq!(
-            ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.03, 0.5))
-                .capture_phase_len(2),
-            1
-        );
-        // Scratch-free kinds keep their stepping phase.
-        assert_eq!(
-            ControllerSpec::Ant(AntParams::default()).capture_phase_len(2),
             2
         );
     }

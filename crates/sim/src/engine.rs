@@ -27,8 +27,8 @@
 //! * a fresh engine versus one reused through
 //!   [`SyncEngine::reset_from`] (a fresh engine *is* an empty engine
 //!   reset from its config),
-//! * a checkpoint captured at a phase boundary, restored and resumed,
-//!   versus the uninterrupted run.
+//! * a checkpoint captured at any round, restored and resumed, versus
+//!   the uninterrupted run.
 //!
 //! No ant carries generator state. Ant `id`'s stream in round `t` is
 //! `AntRng::keyed(key, id)`, built on the stack by the fused driver from
@@ -85,8 +85,8 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use antalloc_core::AnyController;
 use antalloc_env::{
-    ArenaConfig, Assignment, ColonyState, ColonyView, ColumnWriter, DemandVector, Event,
-    InitialConfig, Perturbation, RoundDelta, SensedRound, TaskColumn, Timeline, TriggerState,
+    ArenaConfig, ColonyState, ColonyView, ColumnWriter, DemandVector, Event, InitialConfig,
+    Perturbation, RoundDelta, SensedRound, TaskColumn, Timeline, TriggerState,
 };
 use antalloc_noise::{NoiseModel, PreparedRound};
 use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
@@ -94,7 +94,7 @@ use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
 use crate::arena::ArenaState;
 use crate::config::{ControllerSpec, SimConfig};
 use crate::observer::Observer;
-use crate::population::{AntColumns, Population, WorkerPart};
+use crate::population::{Population, WorkerPart};
 
 /// The sub-seeder every timeline-event draw derives from: a pure
 /// function of the master seed, keyed per firing round, so scripted
@@ -226,13 +226,16 @@ pub(crate) struct Snapshot {
     pub cursor: u64,
     /// Runtime state of every timeline trigger, in timeline order.
     pub triggers: Vec<TriggerState>,
-    /// Every ant's assignment, raw ([`antalloc_env::Assignment::RAW_IDLE`]
+    /// The colony's task column ([`antalloc_env::Assignment::SLOT_IDLE`]
     /// = idle).
-    pub tasks: Vec<u32>,
-    /// Membership and controller scratch.
-    pub ants: AntColumns,
+    pub tasks: Vec<u16>,
+    /// Bank index per ant for mixed colonies; empty otherwise.
+    pub members: Vec<u16>,
+    /// Every bank's stored columns, bank after bank (see
+    /// [`antalloc_core::ControllerBank::write_state`]).
+    pub banks: Vec<u8>,
     /// Arena site per ant; empty for well-mixed scenarios.
-    pub arena_site: Vec<u32>,
+    pub arena_site: Vec<u16>,
     /// Arena transit rounds remaining per ant; empty for well-mixed
     /// scenarios.
     pub arena_travel: Vec<u32>,
@@ -388,13 +391,21 @@ impl SyncEngine {
     /// and sizes the deficit scratch.
     fn adopt(&mut self, config: &SimConfig) {
         let k = config.demands.len();
+        // The compiled timeline is a pure function of these four: an
+        // engine compiled for them keeps it (a replay restored into the
+        // engine the previous checkpoint went to).
+        let recompile = (&self.config.timeline, self.config.seed, self.config.n)
+            != (&config.timeline, config.seed, config.n)
+            || self.config.demands != config.demands;
         self.config.clone_from(config);
         self.seeder = StreamSeeder::new(config.seed);
         self.event_seeder = event_seeder(config.seed);
         self.init_rng = self.seeder.stream(reserved::INIT);
-        self.compiled = config
-            .timeline
-            .compile(config.seed, config.n, &config.demands);
+        if recompile {
+            self.compiled = config
+                .timeline
+                .compile(config.seed, config.n, &config.demands);
+        }
         self.trigger_states = self.compiled.initial_trigger_states();
         self.pre_deficits.clear();
         self.pre_deficits.resize(k, 0);
@@ -540,11 +551,15 @@ impl SyncEngine {
     /// one. The count is chosen afresh whenever a timeline event may
     /// have resized the colony.
     pub fn run_parallel(&mut self, rounds: u64, threads: usize, observer: &mut impl Observer) {
-        // Two barrier crossings cost ~10µs/round; a serial round of the
-        // four-kind 200k-ant mix (perfbench's `wellmixed_mix`) costs
-        // ~3.5ms, ~17.5ns per ant (median of five 30 s runs, 57e6
-        // ant-rounds/s), on a shared 2-vCPU x86-64 host. Below ~8k ants
-        // per participant the extra threads lose.
+        // On a shared 2-vCPU x86-64 host, a two-participant round costs
+        // ~15µs more than half a serial one at 512 Ant ants (the two
+        // barrier crossings, the publish and the worker's wake-up; five
+        // paired runs), and the gap grows with the colony whenever the
+        // worker lands on the coordinator's CPU: 17–28µs at 4k ants,
+        // 39–259µs at 32k. A serial round of the four-kind 200k-ant mix
+        // (perfbench's `wellmixed_mix`) costs ~3.5ms, ~17.5ns per ant
+        // (median of five 30 s runs, 57e6 ant-rounds/s). Below ~8k
+        // ants per participant the extra threads lose.
         self.drive(rounds, threads, 8_000, observer)
     }
 
@@ -844,6 +859,7 @@ impl SyncEngine {
             Some(a) => (a.site(), a.travel()),
             None => (Vec::new(), Vec::new()),
         };
+        let (members, banks) = self.population.capture();
         Snapshot {
             config: self.config.clone(),
             demands: self.colony.demands().as_slice().to_vec(),
@@ -852,13 +868,9 @@ impl SyncEngine {
             next_stream: self.next_stream,
             cursor: self.cursor as u64,
             triggers: self.trigger_states.clone(),
-            tasks: self
-                .colony
-                .task_column()
-                .iter()
-                .map(|slot| Assignment::from_slot(slot).to_raw())
-                .collect(),
-            ants: self.population.capture(self.colony.num_tasks()),
+            tasks: self.colony.task_column().to_vec(),
+            members,
+            banks,
             arena_site,
             arena_travel,
         }
@@ -866,8 +878,8 @@ impl SyncEngine {
 
     /// Rebuilds this engine in place from `snap`, reusing allocations
     /// like [`SyncEngine::reset_from`]: the colony is recounted from the
-    /// task column, every bank is reset from it and takes the captured
-    /// scratch, and the arena takes the captured columns.
+    /// task column, every bank copies its captured columns back, and
+    /// the arena takes the captured positions.
     ///
     /// With `fork`, the state is rebased onto that config instead of the
     /// snapshot's own (`Checkpoint::fork_into`): its demands and noise
@@ -888,8 +900,13 @@ impl SyncEngine {
         };
         self.adopt(config);
         self.colony.restore_in(&snap.tasks, demands);
-        self.population
-            .restore_in(&config.controller, config.seed, &self.colony, &snap.ants);
+        self.population.restore_in(
+            &config.controller,
+            config.seed,
+            &self.colony,
+            &snap.members,
+            &snap.banks,
+        );
         self.noise.clone_from(noise);
         self.round = snap.round;
         self.cursor = match fork {

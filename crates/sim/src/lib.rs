@@ -40,8 +40,8 @@
 //! * [`Observer`] — per-round measurement hook; [`BasicObserver`]
 //!   bundles the standard metrics, [`TraceRecorder`] stores downsampled
 //!   series and writes CSV.
-//! * [`Checkpoint`] — versioned snapshots, exact at capture-phase
-//!   boundaries (see `checkpoint` module docs); the config travels as
+//! * [`Checkpoint`] — versioned snapshots, exact at every round for
+//!   every controller kind (see `checkpoint` module docs); the config travels as
 //!   its canonical scenario TOML, so a checkpoint can always be
 //!   re-exported as a scenario file.
 

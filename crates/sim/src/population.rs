@@ -43,9 +43,7 @@
 //! `next_stream` counter), so checkpoint + spawn replays bit-identically
 //! to an uninterrupted run.
 
-use antalloc_core::{
-    AdversarialScratch, AnyController, BankSliceMut, ControllerBank, SigmoidRows, SlotMap,
-};
+use antalloc_core::{AnyController, BankSliceMut, ControllerBank, SlotMap};
 use antalloc_env::{Assignment, ColonyState};
 use antalloc_noise::PreparedRound;
 use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
@@ -55,111 +53,6 @@ use crate::config::ControllerSpec;
 /// One worker's share of the colony: disjoint (controller chunk,
 /// global-id chunk) pairs (see [`Population::partition_mut`]).
 pub(crate) type WorkerPart<'a> = Vec<(BankSliceMut<'a>, &'a [u32])>;
-
-/// The population's checkpointed state as columns in ascending global
-/// ant id — what a checkpoint copies out of the banks and back in. The
-/// per-kind scratch columns hold only ants of kinds that carry
-/// mid-phase state.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct AntColumns {
-    /// Bank (sub-spec) index per ant for mixed colonies; empty
-    /// otherwise.
-    pub members: Vec<u16>,
-    /// Precise Sigmoid counters, one row per ant of that kind.
-    pub sigmoid: SigmoidColumns,
-    /// Ids of the Precise Adversarial ants, one per `adversarial` entry.
-    pub adversarial_ids: Vec<u32>,
-    /// Precise Adversarial phase trackers.
-    pub adversarial: Vec<AdversarialScratch>,
-    /// Ids of the Proportional ants with a non-zero streak.
-    pub streak_ids: Vec<u32>,
-    /// Their deadband streaks.
-    pub streaks: Vec<u16>,
-}
-
-impl AntColumns {
-    /// Appends the scratch of ant `id`, slot `s` of `bank`.
-    fn capture_row(&mut self, bank: &Bank, id: u32, s: usize) {
-        match &bank.controllers {
-            ControllerBank::PreciseSigmoid(b) => {
-                self.sigmoid.ids.push(id);
-                b.capture_rows(s..s + 1, &mut self.sigmoid.rows);
-            }
-            ControllerBank::PreciseAdversarial(b) => {
-                self.adversarial_ids.push(id);
-                self.adversarial.push(b.scratch(s));
-            }
-            // Zero streaks are the reset state; omitting them keeps
-            // checkpoints of settled colonies scratch-free.
-            ControllerBank::Proportional(b) if b.streak(s) != 0 => {
-                self.streak_ids.push(id);
-                self.streaks.push(b.streak(s));
-            }
-            _ => {}
-        }
-    }
-
-    /// Appends the scratch of every ant of `bank`, whose ants ascend.
-    fn capture_bank(&mut self, bank: &Bank) {
-        match &bank.controllers {
-            ControllerBank::PreciseSigmoid(b) => {
-                self.sigmoid.ids.extend_from_slice(&bank.ants);
-                b.capture_rows(0..b.len(), &mut self.sigmoid.rows);
-            }
-            ControllerBank::PreciseAdversarial(b) => {
-                self.adversarial_ids.extend_from_slice(&bank.ants);
-                self.adversarial.extend((0..b.len()).map(|s| b.scratch(s)));
-            }
-            ControllerBank::Proportional(b) => {
-                // Branch-free compaction of the non-zero streaks.
-                let at = self.streaks.len();
-                self.streak_ids.resize(at + bank.len(), 0);
-                self.streaks.resize(at + bank.len(), 0);
-                let mut end = at;
-                for (&id, &streak) in bank.ants.iter().zip(b.streaks()) {
-                    self.streak_ids[end] = id;
-                    self.streaks[end] = streak;
-                    end += usize::from(streak != 0);
-                }
-                self.streak_ids.truncate(end);
-                self.streaks.truncate(end);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// The checkpoint scratch tags of the kinds that carry mid-phase state
-/// (see `docs/CHECKPOINTS.md`).
-pub(crate) const TAG_SIGMOID: u8 = 0;
-pub(crate) const TAG_ADVERSARIAL: u8 = 1;
-pub(crate) const TAG_STREAK: u8 = 2;
-
-/// The scratch tag of a bank, if its controllers carry mid-phase state.
-fn scratch_kind(bank: &ControllerBank) -> Option<u8> {
-    match bank {
-        ControllerBank::PreciseSigmoid(_) => Some(TAG_SIGMOID),
-        ControllerBank::PreciseAdversarial(_) => Some(TAG_ADVERSARIAL),
-        ControllerBank::Proportional(_) => Some(TAG_STREAK),
-        _ => None,
-    }
-}
-
-/// Precise Sigmoid scratch as fixed-stride checkpoint rows
-/// ([`SigmoidRows`]): entry `e` belongs to ant `ids[e]`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct SigmoidColumns {
-    pub ids: Vec<u32>,
-    pub rows: SigmoidRows,
-}
-
-impl SigmoidColumns {
-    /// Reserves room for `entries` more rows over `k` tasks.
-    pub fn reserve(&mut self, entries: usize, k: usize) {
-        self.ids.reserve_exact(entries);
-        self.rows.reserve(entries, k);
-    }
-}
 
 /// One homogeneous sub-population: controllers plus their ant ids.
 pub(crate) struct Bank {
@@ -316,50 +209,44 @@ impl Population {
         debug_assert!(self.check_invariants());
     }
 
-    /// Rebuilds this population in place from checkpointed columns:
-    /// membership regroups the banks, every controller is reset to its
-    /// ant's assignment in `colony` (already restored), and the scratch
-    /// columns are scattered back. Reuses allocations like
-    /// [`Population::rebuild_in`].
+    /// Rebuilds this population in place from checkpointed columns
+    /// ([`Population::capture`]): membership regroups the banks, and
+    /// every bank copies its stored columns back, its assignments from
+    /// `colony`'s task column (already restored). Reuses allocations
+    /// like [`Population::rebuild_in`]; a population that already holds
+    /// `members` keeps its banks' id lists.
+    ///
+    /// `state` must hold each bank's columns as the checkpoint decoder
+    /// checked them (`ControllerBank::check_state`).
     pub fn restore_in(
         &mut self,
         spec: &ControllerSpec,
         seed: u64,
         colony: &ColonyState,
-        cols: &AntColumns,
+        members: &[u16],
+        mut state: &[u8],
     ) {
         let n = colony.num_ants();
-        self.members.clone_from(&cols.members);
-        self.regroup(spec, seed, colony.num_tasks(), n);
-        self.reset_to_colony(colony);
-        let sigmoid = &cols.sigmoid;
-        let sole_bank = self.banks.iter_mut().find(|bank| bank.ants == sigmoid.ids);
-        if let Some(Bank {
-            controllers: ControllerBank::PreciseSigmoid(bank),
-            ..
-        }) = sole_bank
-        {
-            // One bank holds exactly the captured ants, in order: copy
-            // the counter planes whole.
-            bank.restore_rows(&sigmoid.rows);
-        } else {
-            self.scatter(&sigmoid.ids, |bank, s, e| match bank {
-                ControllerBank::PreciseSigmoid(b) => b.restore_row(s, &sigmoid.rows, e),
-                // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
-                _ => unreachable!("Precise Sigmoid scratch for another kind"),
-            });
+        let num_banks = spec.mix_parts().map_or(1, <[_]>::len);
+        // The id lists are a function of the membership alone.
+        let same_ids = self.banks.len() == num_banks
+            && self.len() == n
+            && (num_banks == 1 || self.members == members);
+        let k = colony.num_tasks();
+        self.set_specs(spec, seed, k);
+        if !same_ids {
+            self.members.clear();
+            self.members.extend_from_slice(members);
+            self.fill_ids(n);
         }
-        self.scatter(&cols.adversarial_ids, |bank, s, e| match bank {
-            ControllerBank::PreciseAdversarial(bank) => bank.apply_scratch(s, &cols.adversarial[e]),
-            // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
-            _ => unreachable!("Precise Adversarial scratch for another kind"),
-        });
-        self.scatter(&cols.streak_ids, |bank, s, e| match bank {
-            ControllerBank::Proportional(bank) => bank.set_streak(s, cols.streaks[e]),
-            // audit:allow(panic-path): the checkpoint decoder matches every scratch entry to a bank of its kind.
-            _ => unreachable!("Proportional scratch for another kind"),
-        });
-        debug_assert!(self.check_invariants());
+        for bank in &mut self.banks {
+            bank.spec.rebuild_bank(k, &[], &mut bank.controllers);
+            let (head, rest) = state.split_at(bank.controllers.state_len(bank.len()));
+            bank.controllers
+                .read_state(&bank.ants, colony.task_column(), head);
+            state = rest;
+        }
+        debug_assert!(state.is_empty() && self.check_invariants());
     }
 
     /// Ant `id`'s bank (0 in a one-bank colony, which keeps no members).
@@ -375,25 +262,6 @@ impl Population {
         (b, s)
     }
 
-    /// Calls `apply(controllers, slot, e)` for each entry `e` of the
-    /// ascending `ids`, walking each bank forward 8 ids at a time with
-    /// no branch per id: at most one pass over each bank's ids.
-    fn scatter(&mut self, ids: &[u32], mut apply: impl FnMut(&mut ControllerBank, usize, usize)) {
-        let mut cursor = vec![0; self.banks.len()];
-        for (e, &id) in ids.iter().enumerate() {
-            let b = self.bank_of(id as usize);
-            let (bank, at) = (&mut self.banks[b], &mut cursor[b]);
-            // `id` is in the bank, so a window short of 8 holds it.
-            let mut below = 8;
-            while below == 8 {
-                below = bank.ants[*at..].iter().take(8).filter(|&&a| a < id).count();
-                *at += below;
-            }
-            debug_assert_eq!(bank.ants.get(*at), Some(&id));
-            apply(&mut bank.controllers, *at, e);
-        }
-    }
-
     /// Every ant's (bank, slot) in global id order: one pass over the
     /// membership column with a running slot counter per bank.
     fn slots_in_id_order(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
@@ -405,18 +273,26 @@ impl Population {
         })
     }
 
-    /// Regroups ants `0..n` into one bank per (sub-)spec — ant `i` of a
-    /// mix of two or more parts joins bank `members[i]` (set by the
-    /// caller), a one-bank colony's ants all join bank 0 — and rebuilds
-    /// every bank's controllers fresh for its ants, reusing allocations.
+    /// Regroups ants `0..n` into one bank per (sub-)spec (see
+    /// [`Population::fill_ids`]) and rebuilds every bank's controllers
+    /// fresh for its ants, reusing allocations.
     fn regroup(&mut self, spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) {
+        self.set_specs(spec, seed, num_tasks);
+        self.fill_ids(n);
+        for bank in &mut self.banks {
+            bank.spec
+                .rebuild_bank(num_tasks, &bank.ants, &mut bank.controllers);
+        }
+    }
+
+    /// Sizes the bank list to one bank per (sub-)spec of `spec`, names
+    /// each bank's spec and reseeds the mixed membership; the banks'
+    /// ids and controllers are left to the caller.
+    fn set_specs(&mut self, spec: &ControllerSpec, seed: u64, num_tasks: usize) {
         let parts = spec.mix_parts();
         let sub = |b: usize| parts.map_or(spec, |parts| &parts[b].1);
         let num_banks = parts.map_or(1, <[_]>::len);
         self.banks.truncate(num_banks);
-        for bank in &mut self.banks {
-            bank.ants.clear();
-        }
         while self.banks.len() < num_banks {
             let spec = sub(self.banks.len()).clone();
             self.banks.push(Bank {
@@ -424,6 +300,23 @@ impl Population {
                 spec,
                 ants: Vec::new(),
             });
+        }
+        for (b, bank) in self.banks.iter_mut().enumerate() {
+            if bank.spec != *sub(b) {
+                bank.spec = sub(b).clone();
+            }
+        }
+        self.mix =
+            parts.map(|parts| MixMembership::new(seed, parts.iter().map(|(w, _)| *w).collect()));
+    }
+
+    /// Refills every bank's id list for ants `0..n`: ant `i` of a mix
+    /// of two or more parts joins bank `members[i]` (set by the
+    /// caller), a one-bank colony's ants all join bank 0.
+    fn fill_ids(&mut self, n: usize) {
+        let num_banks = self.banks.len();
+        for bank in &mut self.banks {
+            bank.ants.clear();
         }
         if num_banks == 1 {
             self.members.clear();
@@ -442,15 +335,6 @@ impl Population {
                 self.banks[usize::from(b)].ants.push(id);
             }
         }
-        for (b, bank) in self.banks.iter_mut().enumerate() {
-            let sub = sub(b);
-            if bank.spec != *sub {
-                bank.spec = sub.clone();
-            }
-            sub.rebuild_bank(num_tasks, &bank.ants, &mut bank.controllers);
-        }
-        self.mix =
-            parts.map(|parts| MixMembership::new(seed, parts.iter().map(|(w, _)| *w).collect()));
     }
 
     /// Number of ants.
@@ -671,66 +555,24 @@ impl Population {
         debug_assert!(self.check_invariants());
     }
 
-    /// The population's checkpointed columns over `num_tasks` tasks
-    /// (see [`AntColumns`]).
-    pub fn capture(&self, num_tasks: usize) -> AntColumns {
-        let mut cols = AntColumns::default();
-        if self.mix.is_some() {
-            cols.members = self.members();
-        }
-        // Each kind's rows ascend by ant id. A kind living in one bank
-        // copies that bank's planes whole, since its ants ascend; a kind
-        // spread over several banks takes one branch-free pass over the
-        // membership column that picks its ants in id order, and their
-        // rows are gathered. The pass compares plain bytes: comparing `Option`s
-        // branched, and mispredicted, once per ant.
-        let kinds: Vec<u8> = self
+    /// The population's checkpointed columns: the membership (one bank
+    /// index per ant for a mix, else empty) and every bank's stored
+    /// columns, bank after bank, in slot order (see
+    /// [`ControllerBank::write_state`]).
+    pub fn capture(&self) -> (Vec<u16>, Vec<u8>) {
+        let members = match self.mix {
+            Some(_) => self.members(),
+            None => Vec::new(),
+        };
+        let len = self
             .banks
             .iter()
-            .map(|bank| scratch_kind(&bank.controllers).unwrap_or(u8::MAX))
-            .collect();
-        for kind in [TAG_SIGMOID, TAG_ADVERSARIAL, TAG_STREAK] {
-            let banks: Vec<&Bank> = (self.banks.iter().zip(&kinds))
-                .filter(|&(_, &of)| of == kind)
-                .map(|(bank, _)| bank)
-                .collect();
-            match banks[..] {
-                [] => continue,
-                [bank] => {
-                    debug_assert!(bank.ants.is_sorted());
-                    cols.capture_bank(bank);
-                    continue;
-                }
-                _ => {}
-            }
-            let len: usize = banks.iter().map(|bank| bank.len()).sum();
-            if kind == TAG_SIGMOID {
-                cols.sigmoid.reserve(len, num_tasks);
-            }
-            // Every ant is written at the cursor, which moves past picks
-            // only, so one spare slot suffices.
-            let mut picks = vec![(0, 0, 0); len + 1];
-            let mut end = 0;
-            for (id, (b, s)) in (0..).zip(self.slots_in_id_order()) {
-                picks[end] = (id, b, s);
-                end += usize::from(kinds[b] == kind);
-            }
-            for &(id, b, s) in &picks[..end] {
-                cols.capture_row(&self.banks[b], id, s);
-            }
+            .map(|bank| bank.controllers.state_len(bank.len()));
+        let mut state = Vec::with_capacity(len.sum());
+        for bank in &self.banks {
+            bank.controllers.write_state(&mut state);
         }
-        cols
-    }
-
-    /// Every ant's mid-phase scratch through the per-slot accessor, in
-    /// global ant order (the reference the columnar capture is tested
-    /// against).
-    #[cfg(test)]
-    pub fn scratches(&self) -> Vec<(u32, antalloc_core::ControllerScratch)> {
-        (0..)
-            .zip(self.slots_in_id_order())
-            .filter_map(|(i, (b, s))| Some((i, self.banks[b].controllers.scratch(s)?)))
-            .collect()
+        (members, state)
     }
 
     /// Clones every controller into the per-ant dispatch enum, in
@@ -818,7 +660,7 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antalloc_core::{AntParams, ControllerScratch, PreciseSigmoidParams, ProportionalParams};
+    use antalloc_core::{AntParams, PreciseSigmoidParams, ProportionalParams};
     use antalloc_env::{DemandVector, Perturbation};
     use antalloc_noise::NoiseModel;
 
@@ -989,14 +831,15 @@ mod tests {
         }
     }
 
-    /// Global id → (bank, controller scratch, assignment).
-    type AntMap = Vec<(u32, Option<ControllerScratch>, Assignment)>;
+    /// Global id → (bank, per-ant controller as text, assignment).
+    type AntMap = Vec<(u32, String, Assignment)>;
 
     fn ant_map(p: &Population) -> AntMap {
         (p.slots_in_id_order())
             .map(|(b, s)| {
                 let controllers = &p.banks[b].controllers;
-                (b as u32, controllers.scratch(s), controllers.assignment(s))
+                let controller = format!("{:?}", controllers.to_any(s));
+                (b as u32, controller, controllers.assignment(s))
             })
             .collect()
     }

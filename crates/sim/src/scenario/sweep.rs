@@ -57,7 +57,7 @@ pub use antalloc_store::{CapturePolicy, UsePolicy};
 use antalloc_store::{CheckpointStore, EntryKind, Fingerprint, FingerprintBuilder};
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{ControllerSpec, SimConfig};
+use crate::config::SimConfig;
 use crate::engine::SyncEngine;
 use crate::observer::{NullObserver, RunSummary};
 use crate::scenario::sink::RunSink;
@@ -408,18 +408,10 @@ impl Sweep {
     /// be shared, which [`Sweep::run`] prechecks — the controller,
     /// colony size, task count, initial configuration, arena, triggers,
     /// generators, and every timeline entry at or before `r` must be
-    /// constant across the grid, and `r` must be a capture boundary of
-    /// the base controller. With no axes this is bit-identical to a
-    /// plain run of `r + warmup + rounds` rounds measured over the
-    /// last `rounds`.
-    ///
-    /// Colonies running `AntDesync` or `Hysteresis` (alone or as part
-    /// of a mix) are refused with [`ConfigError::Fork`]: their restores
-    /// are approximate today. The offset half of a desynchronized
-    /// colony is always mid-phase, and a Hysteresis machine's
-    /// contrary-signal streak is not in the checkpoint, so the fork
-    /// would continue differently from the uninterrupted run. Sweep
-    /// them with [`Sweep::warmup`] instead.
+    /// constant across the grid. Any round of any controller kind can
+    /// be forked: checkpoints are exact at every round. With no axes
+    /// this is bit-identical to a plain run of `r + warmup + rounds`
+    /// rounds measured over the last `rounds`.
     pub fn from_round(mut self, round: u64) -> Self {
         self.from_round = Some(round);
         self
@@ -776,34 +768,9 @@ impl Sweep {
 
     /// Validates a [`Sweep::from_round`] warm start: round `r` state
     /// under the base scenario must be a faithful prefix of every grid
-    /// point's uninterrupted run, and `r` must be capturable.
+    /// point's uninterrupted run.
     fn fork_precheck(&self, r: u64, lens: &[usize], grid_points: usize) -> Result<(), ConfigError> {
-        let approximate = |spec: &ControllerSpec| {
-            matches!(
-                spec,
-                ControllerSpec::AntDesync(_) | ControllerSpec::Hysteresis { .. }
-            )
-        };
-        let controller = &self.base.controller;
-        if approximate(controller)
-            || controller
-                .mix_parts()
-                .is_some_and(|parts| parts.iter().any(|(_, spec)| approximate(spec)))
-        {
-            return Err(ConfigError::Fork(format!(
-                "from_round({r}): AntDesync and Hysteresis colonies cannot be forked — their \
-                 mid-run state is not restored exactly, so the fork would silently differ \
-                 from the uninterrupted run (use warmup instead)"
-            )));
-        }
         let k = self.base.demands.len();
-        let phase = self.base.controller.capture_phase_len(k);
-        if !r.is_multiple_of(phase) {
-            return Err(ConfigError::Fork(format!(
-                "from_round({r}) is not a capture boundary of the base controller \
-                 (capture phase {phase})"
-            )));
-        }
         let mut probe = self.base.clone();
         for g in 0..grid_points {
             probe.clone_from(&self.base);
@@ -1819,9 +1786,9 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, ConfigError::Fork(_)), "{err:?}");
         }
-        // Kinds whose restores are approximate are refused outright,
-        // alone or as part of a mix, even with no axes: the fork would
-        // silently differ from the uninterrupted run.
+        // Every kind restores exactly, so AntDesync and Hysteresis
+        // colonies, alone or in a mix, fork off any round into the
+        // uninterrupted run.
         let desync = SimConfig::builder(400, vec![60, 80, 100])
             .noise(NoiseModel::Sigmoid { lambda: 2.0 })
             .controller(ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0)))
@@ -1840,30 +1807,31 @@ mod tests {
             (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
             (1.0, ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0))),
         ]);
-        for (cfg, r) in [(desync, 48), (hysteresis, 47), (mixed, 48)] {
-            assert!(Sweep::new(cfg.clone()).warmup(r).rounds(4).run().is_ok());
-            let err = Sweep::new(cfg).from_round(r).rounds(40).run().unwrap_err();
-            assert!(
-                matches!(&err, ConfigError::Fork(why) if why.contains("AntDesync and Hysteresis")),
-                "{err:?}"
-            );
+        for (cfg, r) in [(desync, 47), (hysteresis, 47), (mixed, 49)] {
+            let plain = Sweep::new(cfg.clone()).seeds(0..3).warmup(r).rounds(40);
+            let forked = Sweep::new(cfg).seeds(0..3).from_round(r).rounds(40);
+            for (a, b) in forked.run().unwrap().iter().zip(&plain.run().unwrap()) {
+                same_outcome(a, b);
+            }
         }
     }
 
     #[test]
-    fn fork_precheck_rejects_off_boundary_rounds() {
+    fn from_round_forks_off_a_phase_boundary_exactly() {
         use antalloc_core::PreciseSigmoidParams;
-        // Ant controllers checkpoint at even rounds only (phase 2).
-        assert_eq!(base().controller.capture_phase_len(2), 2);
-        let err = Sweep::new(base())
-            .from_round(3)
-            .rounds(10)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::Fork(_)), "{err:?}");
-        // Scratch-serialized kinds capture anywhere: any round works.
+        // Ant's phase is 2 rounds and Precise Sigmoid's 82: a fork in
+        // the middle of either matches the plain run.
         let mut sig = base();
         sig.controller = ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5));
-        assert!(Sweep::new(sig).from_round(7).rounds(5).run().is_ok());
+        for (cfg, r) in [(base(), 3), (sig, 7)] {
+            assert_eq!(cfg.controller.phase_len(2) % 2, 0);
+            let forked = Sweep::new(cfg.clone())
+                .from_round(r)
+                .rounds(30)
+                .run()
+                .unwrap();
+            let plain = Sweep::new(cfg).warmup(r).rounds(30).run().unwrap();
+            same_outcome(&forked[0], &plain[0]);
+        }
     }
 }

@@ -3,9 +3,7 @@
 //! each one yields the same [`Trace`].
 
 use antalloc_env::{Assignment, ColonyState, Condition, Event, TriggerState};
-use antalloc_sim::{
-    Checkpoint, ControllerSpec, Observer, RoundRecord, RunOutcome, SimConfig, Sweep, SyncEngine,
-};
+use antalloc_sim::{Checkpoint, Observer, RoundRecord, RunOutcome, SimConfig, Sweep, SyncEngine};
 
 use crate::scenarios;
 
@@ -103,9 +101,9 @@ impl Trace {
 /// - [`SyncEngine::run_parallel_forced`] at 1, 2, 3, 4 and 8
 ///   participants;
 /// - serial, then pooled up to a split round (the seed modulo
-///   `rounds + 1`, rounded down to the colony's capture phase, so
-///   generated scenarios split anywhere; [`check_contract_at`] picks
-///   it instead), then serial again on one engine;
+///   `rounds + 1`, so generated scenarios split anywhere, mid-phase
+///   included; [`check_contract_at`] picks it instead), then serial
+///   again on one engine;
 /// - a checkpoint captured on that engine at the split, through
 ///   `to_bytes`/`from_bytes` (the decoded checkpoint must equal the
 ///   captured one), continued serially from [`Checkpoint::restore`] and
@@ -119,19 +117,14 @@ impl Trace {
 ///   decoy is reset to);
 /// - a one-seed [`Sweep`] of the TOML rebuild.
 ///
-/// Only the checkpoint leg is ever skipped, for colonies whose restores
-/// are approximate: `ControllerSpec::AntDesync`, whose offset half is
-/// always mid-phase by design (see the checkpoint module docs and
-/// docs/CHECKPOINTS.md), and `ControllerSpec::Hysteresis`, whose
-/// machines' contrary-signal streaks are not serialized, so a capture
-/// mid-streak restores each machine to the first state with its output.
+/// No leg is skipped: checkpoints restore every kind exactly at every
+/// round.
 pub fn check_contract(cfg: &SimConfig, rounds: u64) -> Trace {
     check_contract_at(cfg, rounds, split_round(cfg, rounds))
 }
 
 /// [`check_contract`] with its checkpoint captured at round `split`
-/// (`≤ rounds`, a capture round of the colony), for scenarios whose
-/// point is where the capture lands.
+/// (`≤ rounds`), for scenarios whose point is where the capture lands.
 pub fn check_contract_at(cfg: &SimConfig, rounds: u64, split: u64) -> Trace {
     assert!(
         split <= rounds,
@@ -171,15 +164,14 @@ fn other_legs(cfg: &SimConfig, rounds: u64, split: u64) -> Trace {
     let mut trace = Trace::default();
     engine.run(split / 2, &mut trace);
     pooled(&mut engine, split - split / 2, threads, &mut trace);
-    let captured = exact_restores(&cfg.controller)
-        .then(|| Checkpoint::capture(&engine).expect("the split is a capture round"));
+    let captured = Checkpoint::capture(&engine).expect("every round is a capture round");
     engine.run(rounds - split, &mut trace);
     serial.assert_matches(
         &trace.finish(engine.colony(), engine.trigger_states()),
         &format!("serial / pooled at P = {threads} / serial"),
     );
 
-    if let Some(captured) = captured {
+    {
         let decoded = Checkpoint::from_bytes(&captured.to_bytes()).expect("checkpoint decodes");
         assert!(
             decoded == captured,
@@ -300,27 +292,16 @@ fn assert_outcome_matches(outcome: &RunOutcome, serial: &Trace, warmup: u64) {
     );
 }
 
-/// The round [`check_contract`] splits its run at.
+/// The round [`check_contract`] splits its run at: any round of the
+/// run, picked by the seed.
 fn split_round(cfg: &SimConfig, rounds: u64) -> u64 {
-    let phase = cfg.controller.capture_phase_len(cfg.demands.len());
-    cfg.seed % (rounds + 1) / phase * phase
+    cfg.seed % (rounds + 1)
 }
 
 /// The one pooled stepping call: all `threads` participants however
 /// small the colony.
 fn pooled(engine: &mut SyncEngine, rounds: u64, threads: usize, trace: &mut Trace) {
     engine.run_parallel_forced(rounds, threads, trace);
-}
-
-/// Whether checkpoints of `spec` restore exactly: every kind but
-/// `AntDesync` and `Hysteresis` (see [`check_contract`]).
-fn exact_restores(spec: &ControllerSpec) -> bool {
-    !scenarios::parts(spec).iter().any(|s| {
-        matches!(
-            s,
-            ControllerSpec::AntDesync(_) | ControllerSpec::Hysteresis { .. }
-        )
-    })
 }
 
 /// An engine left mid-run in a state unrelated to `cfg`: another colony

@@ -145,7 +145,7 @@ mod properties {
     }
 
     /// Precise Sigmoid checkpoints capture at **any** round — the
-    /// half-phase counters travel in the scratch section — wherever in
+    /// half-phase counters travel with the bank's columns — wherever in
     /// the 82-round phase the capture lands: phase start, first half,
     /// the pause round, second half, decision round.
     #[test]
@@ -158,7 +158,7 @@ mod properties {
     }
 
     /// Precise Adversarial checkpoints capture at **any** round — the
-    /// ramp/freeze trackers travel in the scratch section — wherever in
+    /// ramp/freeze trackers travel with the bank's columns — wherever in
     /// the 320-round phase the capture lands: ramp, the freeze round
     /// `r = r1`, the frozen sub-phase, the unanimity decision round.
     #[test]

@@ -4,7 +4,7 @@
 
 use antalloc_core::{AntParams, PreciseAdversarialParams, PreciseSigmoidParams};
 use antalloc_noise::{GreyZonePolicy, NoiseModel};
-use antalloc_sim::{Checkpoint, CheckpointError, ControllerSpec, NullObserver, SimConfig};
+use antalloc_sim::{ControllerSpec, SimConfig, Sweep};
 use antalloc_tests::contract::check_contract_at;
 
 #[test]
@@ -64,23 +64,83 @@ fn precise_sigmoid_captures_mid_phase_and_replays_exactly() {
     }
 }
 
-#[test]
-fn off_boundary_capture_is_still_refused_without_a_scratch_codec() {
-    // Kinds whose mid-phase scratch is *not* serialized (here: §4 Ant,
-    // whose first-sample state lives only in the bank) keep the
-    // phase-boundary rule.
-    let cfg = SimConfig::builder(100, vec![20])
+/// One scenario per kind whose state outlives a round in ways the
+/// assignment does not show: AntDesync (its phase parity and first
+/// samples), Hysteresis (each machine's contrary-signal streak) and
+/// Ant (first samples at odd rounds).
+fn mid_phase_kinds(seed: u64) -> [SimConfig; 3] {
+    let desync = SimConfig::builder(400, vec![60, 80, 100])
         .noise(NoiseModel::Sigmoid { lambda: 2.0 })
-        .controller(ControllerSpec::Ant(AntParams::new(1.0 / 16.0)))
-        .seed(6)
+        .controller(ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0)))
+        .seed(seed)
         .build()
         .expect("valid scenario");
-    let mut engine = cfg.build();
-    let mut obs = NullObserver;
-    engine.run(3, &mut obs);
-    match Checkpoint::capture(&engine) {
-        Err(CheckpointError::NotAtPhaseBoundary { round: 3, phase: 2 }) => {}
-        other => panic!("expected boundary refusal, got {other:?}"),
+    let hysteresis = SimConfig::builder(300, vec![100])
+        .noise(NoiseModel::Sigmoid { lambda: 1.0 })
+        .controller(ControllerSpec::Hysteresis {
+            depth: 3,
+            lazy: Some(0.5),
+        })
+        .seed(seed)
+        .build()
+        .expect("valid scenario");
+    let mixed = SimConfig::builder(300, vec![50, 70])
+        .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+        .controller(ControllerSpec::Mix(vec![
+            (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
+            (1.0, ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0))),
+        ]))
+        .seed(seed)
+        .build()
+        .expect("valid scenario");
+    [desync, hysteresis, mixed]
+}
+
+#[test]
+fn every_kind_restores_exactly_off_its_phase_boundary() {
+    // Odd splits land mid-phase for every Ant bank and mid-streak for
+    // the machines.
+    for (i, cfg) in mid_phase_kinds(11).iter().enumerate() {
+        for split in [47, 83] {
+            check_contract_at(cfg, split + 60, split + i as u64 * 2);
+        }
+    }
+}
+
+#[test]
+fn desync_and_hysteresis_forks_match_warmup_on_20_seeds() {
+    // A sweep forked off round 47 equals a plain 47-round warm-up, seed
+    // for seed, for AntDesync and Hysteresis colonies.
+    for cfg in &mid_phase_kinds(0)[..2] {
+        let sweep = |s: Sweep| {
+            s.seeds(0..20)
+                .rounds(30)
+                .threads(2)
+                .run()
+                .expect("sweep runs")
+        };
+        let forked = sweep(Sweep::new(cfg.clone()).from_round(47));
+        let plain = sweep(Sweep::new(cfg.clone()).warmup(47));
+        let differing = forked
+            .iter()
+            .zip(&plain)
+            .filter(|(a, b)| {
+                (
+                    a.final_loads.clone(),
+                    a.final_regret,
+                    a.summary.total_regret(),
+                ) != (
+                    b.final_loads.clone(),
+                    b.final_regret,
+                    b.summary.total_regret(),
+                )
+            })
+            .count();
+        assert_eq!(
+            differing, 0,
+            "{:?}: seeds whose fork differs",
+            cfg.controller
+        );
     }
 }
 

@@ -336,9 +336,8 @@ fn a_kill_event_leaves_every_controller_on_its_ants_assignment() {
 }
 
 /// The golden digests of the kinds no other golden pins, each through
-/// the contract oracle (which skips the checkpoint leg for AntDesync
-/// and Hysteresis, whose restores are approximate). Recorded before
-/// these kinds moved from per-ant controller structs to bank columns.
+/// the contract oracle (checkpoint leg included). Recorded before these
+/// kinds moved from per-ant controller structs to bank columns.
 mod kind_goldens {
     use super::*;
     use antalloc_core::PreciseAdversarialParams;
@@ -388,10 +387,11 @@ mod kind_goldens {
     }
 
     /// The bytes of a Precise Adversarial checkpoint captured mid-ramp,
-    /// its phase trackers in flight.
+    /// its phase trackers in flight. The hash pins the wire layout too,
+    /// so it is re-recorded with each format version (this one: v10).
     #[test]
     fn precise_adversarial_mid_phase_checkpoint_matches_its_golden_hash() {
-        const GOLDEN: u64 = 0x21d5_a1d9_1446_ec8d;
+        const GOLDEN: u64 = 0xcf33_9030_c63e_3e15;
         let mut engine = adversarial(43).build().expect("valid scenario").build();
         engine.run(380, &mut NullObserver);
         let bytes = Checkpoint::capture(&engine)

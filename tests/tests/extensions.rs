@@ -59,13 +59,13 @@ fn desync_is_deterministic_and_survives_perturbations() {
 
 #[test]
 fn desync_checkpoint_roundtrips_structurally() {
-    // AntDesync restores are *approximate* (documented): the offset half
-    // is always mid-phase. The checkpoint must still capture/restore and
-    // resume into a self-stabilizing run.
+    // The offset half of an AntDesync colony is always mid-phase; its
+    // parity column travels, so the checkpoint roundtrips and resumes
+    // into a self-stabilizing run (exactness: the contract oracle).
     let mut engine = desync_config(3, 1.0 / 16.0).build();
     let mut obs = NullObserver;
     engine.run(600, &mut obs);
-    let cp = Checkpoint::capture(&engine).expect("boundary at even round");
+    let cp = Checkpoint::capture(&engine).expect("every round captures");
     let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
     assert_eq!(cp, back);
     let mut resumed = back.restore();

@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use antalloc_core::AntParams;
 use antalloc_noise::NoiseModel;
-use antalloc_sim::{Checkpoint, ControllerSpec, NullObserver, RunSummary, SimConfig, Sweep};
+use antalloc_sim::{
+    Checkpoint, CheckpointError, ControllerSpec, NullObserver, RunSummary, SimConfig, Sweep,
+};
 use antalloc_store::{
     CheckpointStore, EntryKind, Fingerprint, FingerprintBuilder, StoreMiss, MANIFEST_LEN,
     STORE_VERSION,
@@ -299,6 +301,55 @@ fn stale_but_wellformed_checkpoint_entry_is_recomputed() {
 
     let recomputed = sweep(Some(store), false).run().unwrap();
     assert_same_outcomes("recomputed", &recomputed, &reference);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A checkpoint entry written by a build of another checkpoint format
+/// (here v9, as a store kept across the v10 bump holds) verifies in the
+/// store but decodes to the typed `CheckpointError::Version` miss: the
+/// sweep recomputes its prefix bit-identically and writes the current
+/// format back over it. `STORE_VERSION` need not move for that.
+#[test]
+fn v9_checkpoint_entry_is_a_typed_miss_and_is_recomputed() {
+    let root = scratch_root("store_faults_v9");
+    let store = Arc::new(CheckpointStore::local(&root).unwrap());
+    let reference = sweep(Some(store.clone()), false).run().unwrap();
+    let checkpoints = |store: &CheckpointStore| -> Vec<Fingerprint> {
+        let mut fps = Vec::new();
+        for prefix in store.entries().unwrap() {
+            let path = format!("entries/{prefix}/manifest");
+            let manifest = store.backend().read(&path).unwrap().unwrap();
+            match manifest[8] {
+                0 => {
+                    let mut full = [0u8; 32];
+                    full.copy_from_slice(&manifest[9..41]);
+                    fps.push(Fingerprint(full));
+                }
+                // Drop the outcome rows so the sweep consults the
+                // prefix checkpoints instead of serving outcomes.
+                _ => store.backend().remove(&path).unwrap(),
+            }
+        }
+        fps
+    };
+    let fps = checkpoints(&store);
+    assert_eq!(fps.len(), 3, "one prefix checkpoint per seed");
+    for fp in &fps {
+        let mut bytes = store.load(fp, EntryKind::Checkpoint).unwrap();
+        bytes[4..8].copy_from_slice(&9u32.to_le_bytes());
+        assert_eq!(
+            Checkpoint::from_bytes(&bytes),
+            Err(CheckpointError::Version { found: 9 })
+        );
+        store.save(fp, EntryKind::Checkpoint, &bytes).unwrap();
+    }
+
+    let recomputed = sweep(Some(store.clone()), false).run().unwrap();
+    assert_same_outcomes("recomputed", &recomputed, &reference);
+    for fp in &checkpoints(&store) {
+        let bytes = store.load(fp, EntryKind::Checkpoint).unwrap();
+        assert!(Checkpoint::from_bytes(&bytes).is_ok(), "rewritten as v10");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

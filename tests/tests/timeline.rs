@@ -10,7 +10,9 @@
 //! to serial, and survives mid-timeline checkpoint-restore (trigger
 //! state included).
 
-use antalloc_core::{AntParams, PreciseSigmoidParams, ProportionalParams};
+use antalloc_core::{
+    AntParams, PreciseAdversarialParams, PreciseSigmoidParams, ProportionalParams,
+};
 use antalloc_env::{ArenaConfig, Condition, Event, GenShock, Timeline, TimelineGen, Trigger};
 use antalloc_noise::{GreyZonePolicy, NoiseModel};
 use antalloc_sim::{
@@ -285,12 +287,12 @@ fn adversarial_mid_timeline_checkpoint_restore_replays_bit_identically() {
 
     let mut full = config.build();
     full.run(100, &mut obs);
-    let cp = Checkpoint::capture(&full).expect("round 100 is a phase boundary");
+    let cp = Checkpoint::capture(&full).expect("every round captures");
     let bytes = cp.to_bytes();
     assert_eq!(
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        9,
-        "current checkpoints are format v9"
+        10,
+        "current checkpoints are format v10"
     );
     let restored = Checkpoint::from_bytes(&bytes).expect("decodes");
     assert_eq!(cp, restored);
@@ -316,10 +318,11 @@ fn sequential_engine_consumes_triggers_and_generators_deterministically() {
     assert!(a.colony().recount_consistent());
 }
 
-/// The scenario frozen in `fixtures/checkpoint_v9.ckpt`: a mixed Precise
-/// Sigmoid + Proportional colony in a 3-site arena, with a
-/// `deficit-rate-above` trigger, a generated kill schedule, and
-/// `set-noise` switches on both sides of the captured round.
+/// The scenario frozen in `fixtures/checkpoint_v10.ckpt`: a mixed
+/// Precise Sigmoid + Proportional + AntDesync + Precise Adversarial
+/// colony in a 3-site arena, with a `deficit-rate-above` trigger, a
+/// generated kill schedule, and `set-noise` switches on both sides of
+/// the captured round.
 fn fixture_config() -> SimConfig {
     SimConfig::builder(150, vec![20, 25, 30])
         .noise(NoiseModel::Sigmoid { lambda: 2.0 })
@@ -334,6 +337,11 @@ fn fixture_config() -> SimConfig {
                     gain: 0.5,
                     deadband: 2,
                 }),
+            ),
+            (1.0, ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0))),
+            (
+                1.0,
+                ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5)),
             ),
         ]))
         .arena(ArenaConfig {
@@ -375,15 +383,17 @@ fn fixture_config() -> SimConfig {
 
 #[test]
 fn checkpoint_fixture_loads_and_continues_exactly() {
-    // A frozen v9 stream captured at round 37: mid-phase for Precise
-    // Sigmoid, after the first noise switch. It must decode to the same
+    // A frozen v10 stream captured at round 37: mid-phase for every
+    // bank (an odd round for AntDesync's offset half too), after the
+    // first noise switch. It must decode to the same
     // config, re-encode to the same bytes (so a silent layout change
     // fails here), and continue bit-identically to an uninterrupted run
     // across later generated kills, trigger firings and the second
     // noise switch.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/checkpoint_v9.ckpt");
-    let bytes = std::fs::read(&path).expect("v9 fixture present");
-    let cp = Checkpoint::from_bytes(&bytes).expect("v9 fixture decodes");
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/checkpoint_v10.ckpt");
+    let bytes = std::fs::read(&path).expect("v10 fixture present");
+    let cp = Checkpoint::from_bytes(&bytes).expect("v10 fixture decodes");
     let config = fixture_config();
     assert_eq!(cp.round(), 37);
     assert_eq!(cp.config(), &config);
