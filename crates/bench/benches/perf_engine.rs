@@ -282,8 +282,10 @@ where
             *rng = AntRng::keyed(key, i as u64);
         }
     };
-    let mut out_a = vec![antalloc_env::Assignment::Idle; n];
-    let mut out_b = vec![antalloc_env::Assignment::Idle; n];
+    // Each side's decisions; the SoA side's `out_b` is in/out, carrying
+    // every ant's assignment from round to round as the task column does.
+    let mut out_a: Vec<_> = generic.iter().map(Controller::assignment).collect();
+    let mut out_b = out_a.clone();
     // Small rotating deficits keep every signal stochastic (saturated
     // sigmoids compile to draw-free fixed feedback and would flatter
     // both loops equally but measure nothing).

@@ -1,5 +1,6 @@
 //! Structure-of-arrays bank for Appendix C Algorithm Precise
-//! Adversarial: two `u16` task columns and one bit row per ant holding
+//! Adversarial: one `u16` task column (`currentTask`; the colony's task
+//! column holds the assignment) and one bit row per ant holding
 //! the per-task unanimous-lack bits and every phase tracker (see
 //! [`crate::bit_row`]) — the fields [`AdversarialScratch`] names. A
 //! checkpoint stores the columns as they are, so a capture inside the
@@ -61,8 +62,6 @@ soa_bank! {
     columns {
         /// `currentTask` per ant (`IDLE` when idle).
         current: [u16] = IDLE => Task(num_tasks),
-        /// Output assignment `a_t` per ant.
-        assignment: [u16] = IDLE => Mirror,
         /// One bit row per ant: bit `j < k` is 1 iff every sample of task
         /// `j` this phase said `lack` (idle path), then the [`FLAGS`]
         /// trackers.
@@ -79,7 +78,8 @@ fn fresh_row(k: usize) -> Vec<u8> {
 }
 
 impl PreciseAdversarialBank {
-    /// Appends a per-ant controller, transposing its state in.
+    /// Appends a per-ant controller, transposing its state in (all but
+    /// its assignment, which the colony's task column holds).
     ///
     /// # Errors
     /// If the ant runs other parameters or observes another number of
@@ -90,17 +90,16 @@ impl PreciseAdversarialBank {
             (ant.num_tasks(), ant.params()),
         )?;
         self.push_fresh();
-        let slot = self.len() - 1;
-        self.reset_slot(slot, ant.assignment());
-        self.apply_scratch(slot, &ant.scratch());
+        self.apply_scratch(self.len() - 1, &ant.scratch());
         Ok(())
     }
 
-    /// Reconstructs the per-ant controller at `slot` (reference
-    /// extraction; lossless for the whole state between rounds).
-    pub fn to_controller(&self, slot: usize) -> PreciseAdversarial {
+    /// Reconstructs the per-ant controller at `slot`, whose assignment
+    /// is `a` (reference extraction; lossless for the whole state
+    /// between rounds).
+    pub fn to_controller(&self, slot: usize, a: Assignment) -> PreciseAdversarial {
         let mut ant = PreciseAdversarial::new(self.num_tasks, self.params);
-        ant.reset_to(dec(self.assignment[slot]));
+        ant.reset_to(a);
         ant.apply_scratch(&self.scratch(slot));
         ant
     }
@@ -127,8 +126,7 @@ impl PreciseAdversarialBank {
         }
     }
 
-    /// Overwrites the trackers of the ant at `slot` (restore path; write
-    /// them *after* [`PreciseAdversarialBank::reset_slot`]).
+    /// Overwrites the trackers of the ant at `slot`.
     ///
     /// # Panics
     /// If the scratch's task count disagrees with the bank's.
@@ -151,17 +149,10 @@ impl PreciseAdversarialBank {
         bit_row::set(row, k + FROZEN_WORKING, s.frozen_working);
     }
 
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
-    }
-
     /// Forces the ant at `slot` into `a` (see
     /// [`crate::Controller::reset_to`]).
     pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
-        let x = enc(a);
-        self.assignment[slot] = x;
-        self.current[slot] = x;
+        self.current[slot] = enc(a);
         let k = self.num_tasks;
         bit_row::set(self.row_mut(slot), k + HAVE_PHASE, false);
     }
@@ -185,24 +176,23 @@ impl AdversarialSliceMut<'_> {
         let (r1, ramp, k, w) = (self.r1, self.ramp, self.num_tasks, self.width);
         let r = stepping.round() % self.phase_len;
         let current: &mut [u16] = self.current;
-        let assignment: &mut [u16] = self.assignment;
         let bits: &mut [u8] = self.bits;
         let mut scratch = scratch_row(k);
         stepping.run(
             current.len(),
             #[inline(always)]
-            |i, view: RoundView<'_>, rng: &mut AntRng| {
+            |i, prev, view: RoundView<'_>, rng: &mut AntRng| {
                 let row = &mut bits[i * w..i * w + w];
                 if r == 1 {
                     // Phase start: adopt a_{t−1}, reset trackers.
-                    current[i] = assignment[i];
+                    current[i] = prev;
                     row.fill(0);
                     bit_row::fill_ones(row, k);
                     bit_row::set(row, k + ALL_OVERLOAD, true);
                     bit_row::set(row, k + HAVE_PHASE, true);
                 }
                 if !bit_row::get(row, k + HAVE_PHASE) {
-                    return dec(assignment[i]);
+                    return prev;
                 }
                 let cur = current[i];
                 let mut lacked = false;
@@ -225,50 +215,58 @@ impl AdversarialSliceMut<'_> {
                 if (1..r1).contains(&r) {
                     // Ramp (its first round only samples): still-working ants
                     // pause w.p. εγ/32 and stay paused.
-                    if r >= 2 && cur != IDLE && assignment[i] == cur && ramp.sample(rng) {
-                        assignment[i] = IDLE;
-                    }
+                    let next = if r >= 2 && cur != IDLE && prev == cur && ramp.sample(rng) {
+                        IDLE
+                    } else {
+                        prev
+                    };
                     // A first lack is classified after the pause decision: was
                     // the ant still working?
                     if lacked && !bit_row::get(row, k + LACKED) {
                         bit_row::set(row, k + LACKED, true);
-                        bit_row::set(row, k + LACKED_WORKING, assignment[i] == cur);
+                        bit_row::set(row, k + LACKED_WORKING, next == cur);
                     }
+                    next
                 } else if r == r1 {
                     // Freeze the sub-phase-2 behaviour at r_min's state.
-                    if cur != IDLE {
-                        let working = if bit_row::get(row, k + LACKED) {
-                            bit_row::get(row, k + LACKED_WORKING)
-                        } else {
-                            assignment[i] == cur
-                        };
-                        bit_row::set(row, k + FROZEN_WORKING, working);
-                        assignment[i] = if working { cur } else { IDLE };
+                    if cur == IDLE {
+                        return prev;
+                    }
+                    let working = if bit_row::get(row, k + LACKED) {
+                        bit_row::get(row, k + LACKED_WORKING)
+                    } else {
+                        prev == cur
+                    };
+                    bit_row::set(row, k + FROZEN_WORKING, working);
+                    if working {
+                        cur
+                    } else {
+                        IDLE
                     }
                 } else if r == 0 {
                     // Phase end: unanimous-signal decisions.
-                    if cur == IDLE {
-                        assignment[i] = match bit_row::count(row, k) {
+                    let next = if cur == IDLE {
+                        match bit_row::count(row, k) {
                             0 => IDLE,
                             count => {
                                 nth_where(k, uniform_index(rng, count), |j| bit_row::get(row, j))
                             }
-                        };
+                        }
                     } else if bit_row::get(row, k + ALL_OVERLOAD) && ramp.sample(rng) {
-                        assignment[i] = IDLE;
-                    } else {
-                        assignment[i] = cur;
-                    }
-                    bit_row::set(row, k + HAVE_PHASE, false);
-                } else if cur != IDLE {
-                    // Frozen sub-phase (r in (r1, phase_len−1]): replay r_min.
-                    assignment[i] = if bit_row::get(row, k + FROZEN_WORKING) {
-                        cur
-                    } else {
                         IDLE
+                    } else {
+                        cur
                     };
+                    bit_row::set(row, k + HAVE_PHASE, false);
+                    next
+                } else if cur == IDLE {
+                    prev
+                } else if bit_row::get(row, k + FROZEN_WORKING) {
+                    // Frozen sub-phase (r in (r1, phase_len−1]): replay r_min.
+                    cur
+                } else {
+                    IDLE
                 }
-                dec(assignment[i])
             },
         );
     }
@@ -319,12 +317,13 @@ mod tests {
             let mut bank_rngs = crate::round_streams(&seeder, round, n);
             let mut ref_rngs = bank_rngs.clone();
             let mut slot_rngs = bank_rngs.clone();
+            let before = out.clone();
             bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             working_rounds += usize::from(out.iter().any(|a| !a.is_idle()));
             for (i, ant) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
                 assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round} k {k}");
-                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                let slot = twin.step_slot(i, before[i], prepared.view(), &mut slot_rngs[i]);
                 assert_eq!(slot, out[i], "slot {i} round {round} k {k}");
             }
             if round == 400 {
@@ -334,11 +333,12 @@ mod tests {
                     reference[i].reset_to(a);
                     bank.reset_slot(i, a);
                     twin.reset_slot(i, a);
+                    out[i] = a;
                 }
             }
             if round % 97 == 0 {
                 for (i, ant) in reference.iter().enumerate() {
-                    let AnyController::PreciseAdversarial(rebuilt) = bank.to_any(i) else {
+                    let AnyController::PreciseAdversarial(rebuilt) = bank.to_any(i, out[i]) else {
                         unreachable!("a Precise Adversarial bank rebuilds its own kind");
                     };
                     assert_eq!(rebuilt.scratch(), ant.scratch(), "ant {i} round {round}");
@@ -366,7 +366,7 @@ mod tests {
         let mut bank = PreciseAdversarialBank::new(2, params, 0);
         bank.push_controller(&ant).unwrap();
         let AnyController::PreciseAdversarial(back) =
-            ControllerBank::PreciseAdversarial(bank).to_any(0)
+            ControllerBank::PreciseAdversarial(bank).to_any(0, ant.assignment())
         else {
             unreachable!("a Precise Adversarial bank rebuilds Precise Adversarial ants");
         };
@@ -387,7 +387,7 @@ mod tests {
         bank.apply_scratch(2, &moved);
         bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
-        assert_eq!(bank.assignment(0), Assignment::Task(1)); // old slot 2
+        assert_eq!(bank.current, [1, IDLE]); // old slots 2 and 1
         assert_eq!(bank.scratch(0), moved);
     }
 }

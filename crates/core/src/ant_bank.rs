@@ -3,8 +3,9 @@
 //! A million-ant Ant colony is memory-bound: stepping a `Vec` of
 //! per-ant structs streams ~200 bytes per ant per round (struct, two
 //! heap sample buffers). This bank transposes the persistent state into
-//! flat arrays — two `u16` task columns and one bit row of ⌈(k + 2)/8⌉
-//! bytes per ant (5 bytes at `k` = 4), with the ant's draws built on
+//! flat arrays — one `u16` task column and one bit row of ⌈(k + 2)/8⌉
+//! bytes per ant (3 bytes at `k` = 4; the colony's task column holds
+//! the assignment), with the ant's draws built on
 //! the stack from its round stream — and hoists the phase-parity branch
 //! and the shared pause/leave samplers out of the loop.
 //!
@@ -97,8 +98,6 @@ soa_bank! {
     columns {
         /// `currentTask` per ant (`IDLE` when idle).
         current: [u16] = IDLE => Task(num_tasks),
-        /// Output assignment `a_t` per ant.
-        assignment: [u16] = IDLE => Mirror,
         /// One bit row per ant (see [`crate::bit_row`]): the idle path's
         /// first samples in bits `0..k` (1 = lack), then the working
         /// path's first sample of its task ([`S1_CURRENT`]) and the
@@ -141,7 +140,8 @@ impl AntBank {
         &mut self.bits[slot * w..slot * w + w]
     }
 
-    /// Appends a per-ant controller, transposing its state in. An ant
+    /// Appends a per-ant controller, transposing its state in (all but
+    /// its assignment, which the colony's task column holds). An ant
     /// with an odd phase offset desynchronizes the bank.
     ///
     /// # Errors
@@ -163,7 +163,6 @@ impl AntBank {
             *p = parity;
         }
         self.current[slot] = enc(ant.current_task);
-        self.assignment[slot] = enc(ant.assignment);
         // The flags follow the samples in bit order: S1_CURRENT, HAVE_S1.
         let samples = ant.s1_all.iter().map(|f| f.is_lack());
         bit_row::pack(
@@ -173,16 +172,17 @@ impl AntBank {
         Ok(())
     }
 
-    /// Reconstructs the per-ant controller at `slot` (reference
-    /// extraction; lossless for the persistent state, the phase offset
-    /// as its parity, the only part of it a step reads).
-    pub fn to_controller(&self, slot: usize) -> AlgorithmAnt {
+    /// Reconstructs the per-ant controller at `slot`, whose assignment
+    /// is `a` (reference extraction; lossless for the persistent state,
+    /// the phase offset as its parity, the only part of it a step
+    /// reads).
+    pub fn to_controller(&self, slot: usize, a: Assignment) -> AlgorithmAnt {
         let (k, w) = (self.num_tasks, self.width);
         let offset = self.parity.get(slot).map_or(0, |&p| u64::from(p));
         let feedback = |lack: bool| [Feedback::Overload, Feedback::Lack][usize::from(lack)];
         let mut ant = AlgorithmAnt::with_phase_offset(k, self.params, offset);
         ant.current_task = dec(self.current[slot]);
-        ant.assignment = dec(self.assignment[slot]);
+        ant.assignment = a;
         let row = &self.bits[slot * w..slot * w + w];
         for (j, f) in ant.s1_all.iter_mut().enumerate() {
             *f = feedback(bit_row::get(row, j));
@@ -192,17 +192,10 @@ impl AntBank {
         ant
     }
 
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
-    }
-
     /// Forces the ant at `slot` into `a` (see
     /// [`crate::Controller::reset_to`]).
     pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
-        let x = enc(a);
-        self.assignment[slot] = x;
-        self.current[slot] = x;
+        self.current[slot] = enc(a);
         let k = self.num_tasks;
         bit_row::set(self.row_mut(slot), k + HAVE_S1, false);
     }
@@ -229,9 +222,9 @@ impl AntSliceMut<'_> {
             stepping.run(
                 n,
                 #[inline(always)]
-                |i, view, rng| {
+                |i, prev, view, rng| {
                     if odd != (self.parity[i] == 1) {
-                        self.first_sample_round(i, view, rng, &mut scratch)
+                        self.first_sample_round(i, prev, view, rng, &mut scratch)
                     } else {
                         self.second_sample_round(i, view, rng, &mut scratch)
                     }
@@ -241,36 +234,37 @@ impl AntSliceMut<'_> {
             stepping.run(
                 n,
                 #[inline(always)]
-                |i, view, rng| self.first_sample_round(i, view, rng, &mut scratch),
+                |i, prev, view, rng| self.first_sample_round(i, prev, view, rng, &mut scratch),
             );
         } else {
             stepping.run(
                 n,
                 #[inline(always)]
-                |i, view, rng| self.second_sample_round(i, view, rng, &mut scratch),
+                |i, _, view, rng| self.second_sample_round(i, view, rng, &mut scratch),
             );
         }
     }
 
-    /// Odd rounds: adopt `a_{t−1}`, take the first sample, maybe pause.
+    /// Odd rounds: adopt `a_{t−1}` (`prev`), take the first sample, maybe
+    /// pause.
     #[inline(always)]
     fn first_sample_round(
         &mut self,
         i: usize,
+        prev: u16,
         view: RoundView<'_>,
         rng: &mut AntRng,
         scratch: &mut [u8],
-    ) -> Assignment {
+    ) -> u16 {
         let (k, w) = (self.num_tasks, self.width);
         let row = &mut self.bits[i * w..i * w + w];
-        let cur = self.assignment[i];
-        self.current[i] = cur;
-        if cur != IDLE {
-            let lack = view.sample(task_ix(cur), rng).is_lack();
+        self.current[i] = prev;
+        if prev != IDLE {
+            let lack = view.sample(task_ix(prev), rng).is_lack();
             bit_row::set(row, k + S1_CURRENT, lack);
             bit_row::set(row, k + HAVE_S1, true);
             if self.pause.sample(rng) {
-                self.assignment[i] = IDLE;
+                return IDLE;
             }
         } else {
             // Batched full-vector sample straight into the ant's row.
@@ -284,10 +278,11 @@ impl AntSliceMut<'_> {
             }
             bit_row::set(row, k + HAVE_S1, true);
         }
-        dec(self.assignment[i])
+        prev
     }
 
-    /// Even rounds: second sample, then the leave/join decision.
+    /// Even rounds: second sample, then the leave/join decision (the
+    /// prior assignment is not read: `currentTask` decides).
     #[inline(always)]
     fn second_sample_round(
         &mut self,
@@ -295,50 +290,48 @@ impl AntSliceMut<'_> {
         view: RoundView<'_>,
         rng: &mut AntRng,
         scratch: &mut [u8],
-    ) -> Assignment {
+    ) -> u16 {
         let (k, w) = (self.num_tasks, self.width);
         let row = &mut self.bits[i * w..i * w + w];
         let have_s1 = bit_row::get(row, k + HAVE_S1);
         let cur = self.current[i];
-        if cur != IDLE {
+        let next = if cur != IDLE {
             let s2_lack = view.sample(task_ix(cur), rng).is_lack();
             let both_overload = have_s1 && !bit_row::get(row, k + S1_CURRENT) && !s2_lack;
-            self.assignment[i] = if both_overload && self.leave.sample(rng) {
+            if both_overload && self.leave.sample(rng) {
                 IDLE
             } else {
                 cur
-            };
-        } else {
-            self.assignment[i] = if k <= 64 {
-                // Bit-packed join: batch-sample all tasks (every draw
-                // must happen), AND the two sample vectors, pick
-                // uniformly.
-                let s2 = view.lack_mask(rng);
-                let joinable = if have_s1 {
-                    bit_row::load(row, k) & s2
-                } else {
-                    0
-                };
-                match joinable.count_ones() {
-                    0 => IDLE,
-                    count => nth_set_bit(joinable, uniform_index(rng, wide(count))),
-                }
+            }
+        } else if k <= 64 {
+            // Bit-packed join: batch-sample all tasks (every draw
+            // must happen), AND the two sample vectors, pick
+            // uniformly.
+            let s2 = view.lack_mask(rng);
+            let joinable = if have_s1 {
+                bit_row::load(row, k) & s2
             } else {
-                view.fill_lack(rng, scratch);
-                let joinable = |j: usize| bit_row::get(row, j) && scratch[j] == 1;
-                let count = if have_s1 {
-                    (0..k).filter(|&j| joinable(j)).count()
-                } else {
-                    0
-                };
-                match count {
-                    0 => IDLE,
-                    count => nth_where(k, uniform_index(rng, count), joinable),
-                }
+                0
             };
-        }
+            match joinable.count_ones() {
+                0 => IDLE,
+                count => nth_set_bit(joinable, uniform_index(rng, wide(count))),
+            }
+        } else {
+            view.fill_lack(rng, scratch);
+            let joinable = |j: usize| bit_row::get(row, j) && scratch[j] == 1;
+            let count = if have_s1 {
+                (0..k).filter(|&j| joinable(j)).count()
+            } else {
+                0
+            };
+            match count {
+                0 => IDLE,
+                count => nth_where(k, uniform_index(rng, count), joinable),
+            }
+        };
         bit_row::set(row, k + HAVE_S1, false);
-        dec(self.assignment[i])
+        next
     }
 }
 
@@ -380,12 +373,12 @@ mod tests {
             let mut bank_rngs = crate::round_streams(&seeder, round, n);
             let mut ref_rngs = bank_rngs.clone();
             let mut slot_rngs = bank_rngs.clone();
+            let before = out.clone();
             bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
                 assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round} k {k}");
-                assert_eq!(ant.assignment(), bank.assignment(i), "ant {i}");
-                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                let slot = twin.step_slot(i, before[i], prepared.view(), &mut slot_rngs[i]);
                 assert_eq!(slot, out[i], "slot {i} round {round} k {k}");
             }
         }
@@ -394,7 +387,7 @@ mod tests {
         let prepared = model.prepare(41, &deficits, &loads);
         let mut ref_rngs = crate::round_streams(&seeder, 41, n);
         for i in 0..n {
-            let mut rebuilt = bank.to_any(i);
+            let mut rebuilt = bank.to_any(i, out[i]);
             let mut rng_a = ref_rngs[i].clone();
             let mut probe = FeedbackProbe::new(&prepared, &mut rng_a);
             let a = rebuilt.step(&mut probe);
@@ -443,23 +436,25 @@ mod tests {
                     ant.reset_to(a);
                     bank.reset_slot(i, a);
                     twin.reset_slot(i, a);
+                    out[i] = a;
                 }
             }
             let prepared = model.prepare(round, &deficits, &loads);
             let mut bank_rngs = crate::round_streams(&seeder, round, n);
             let mut ref_rngs = bank_rngs.clone();
             let mut slot_rngs = bank_rngs.clone();
+            let before = out.clone();
             bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
                 assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round} k {k}");
-                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                let slot = twin.step_slot(i, before[i], prepared.view(), &mut slot_rngs[i]);
                 assert_eq!(slot, out[i], "slot {i} round {round} k {k}");
             }
         }
         // Conversion out keeps each ant's offset.
         for (i, ant) in reference.iter().enumerate() {
-            let AnyController::Ant(back) = bank.to_any(i) else {
+            let AnyController::Ant(back) = bank.to_any(i, out[i]) else {
                 unreachable!("an Ant bank rebuilds Ant controllers");
             };
             assert_eq!(back.phase_offset(), ant.phase_offset(), "ant {i}");
@@ -477,7 +472,7 @@ mod tests {
         }
         let offsets = |bank: &AntBank| -> Vec<u64> {
             (0..bank.len())
-                .map(|s| bank.to_controller(s).phase_offset())
+                .map(|s| bank.to_controller(s, Assignment::Idle).phase_offset())
                 .collect()
         };
         assert_eq!(offsets(&bank), [0, 1, 0]);
@@ -485,7 +480,7 @@ mod tests {
         // ant stays put.
         bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(offsets(&bank), [0, 1]);
-        assert_eq!(bank.assignment(1), Assignment::Task(1));
+        assert_eq!(bank.current[1], 1);
         bank.apply_slot_map(&SlotMap::swap_remove(2, 0));
         assert_eq!(offsets(&bank), [1]);
         // A rebuild resynchronizes the bank.
@@ -501,8 +496,7 @@ mod tests {
         bank.reset_slot(2, Assignment::Idle);
         bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
-        assert_eq!(bank.assignment(0), Assignment::Idle); // old slot 2
-        assert_eq!(bank.assignment(1), Assignment::Task(1));
+        assert_eq!(bank.current, [IDLE, 1]); // old slots 2 and 1
     }
 
     #[test]
@@ -513,8 +507,7 @@ mod tests {
         ant.reset_to(Assignment::Task(1));
         bank.push_controller(&ant).unwrap();
         assert_eq!(bank.len(), 1);
-        assert_eq!(bank.assignment(0), Assignment::Task(1));
-        let back = bank.to_controller(0);
-        assert_eq!(back.assignment(), Assignment::Task(1));
+        let back = bank.to_controller(0, Assignment::Task(1));
+        assert_eq!(format!("{back:?}"), format!("{ant:?}"));
     }
 }

@@ -43,10 +43,16 @@ pub(crate) fn task_col(ix: usize) -> u16 {
     ix as u16
 }
 
-/// Encodes an assignment as its column value, [`Assignment::to_slot`].
+/// Encodes an assignment as its column value, [`Assignment::to_slot`]'s
+/// encoding narrowed through [`task_col`]: no panic path in release
+/// builds, so a kernel that never reads an ant's prior assignment (a
+/// table machine's) does not pay for encoding it.
 #[inline(always)]
 pub(crate) fn enc(a: Assignment) -> u16 {
-    a.to_slot()
+    match a {
+        Assignment::Idle => IDLE,
+        Assignment::Task(j) => task_col(wide(j)),
+    }
 }
 
 /// Decodes a column value; inverse of [`enc`].

@@ -21,17 +21,18 @@
 //!   one of the chunk's fields: `k` for a counter plane, the row width
 //!   for bit rows, 0 or 1 for a column only some banks of the kind
 //!   carry. A fresh ant's entries are `= value` repeated, or `from` a
-//!   bank field holding a whole fresh row. The first column has one
-//!   entry per ant: the bank's length is its length.
+//!   bank field holding a whole fresh row. The list may be empty: the
+//!   bank and every chunk count their ants themselves.
 //!
+//! No column holds the ants' assignments: the colony's task column is
+//! their one copy, and the stepping drivers hand each ant's prior
+//! assignment to its kernel (see `bank.rs`).
 //!
 //! Each column also names its [`Domain`]: the values it may hold
 //! between rounds, written over the chunk's fields (`Task(num_tasks)`,
-//! `AtMost(m)`, `Row(num_tasks + 2)`, `Any`), or `Mirror` for the
-//! assignment column, which equals the colony's task column between
-//! rounds. Checkpoints store every column but the mirror, exactly as
-//! the bank holds it (little-endian), and validate each against its
-//! domain on decode.
+//! `AtMost(m)`, `Row(num_tasks + 2)`, `Any`). Checkpoints store every
+//! column exactly as the bank holds it (little-endian), and validate
+//! each against its domain on decode.
 //!
 //! From that list [`soa_bank!`] derives the bank and chunk structs, the
 //! bank's `new`/`reinit`, `len`/`is_empty`, `push_fresh`,
@@ -192,10 +193,6 @@ macro_rules! column {
     (at $b:tt, $mid:ident, [$w:ident]) => {
         $mid * $b.$w
     };
-    // The number of ants: the length of the first column.
-    (len $b:tt, $first:ident $($rest:ident)*) => {
-        $b.$first.len()
-    };
     // Entries per ant.
     (per_ant $b:tt, []) => {
         1
@@ -203,18 +200,13 @@ macro_rules! column {
     (per_ant $b:tt, [$w:ident]) => {
         $b.$w
     };
-    // Checkpoint operations, by domain: the mirror is never stored.
-    (state_len $b:tt.$col:ident: $t:ty, $n:ident, $w:tt, Mirror) => {
-        0
-    };
-    (state_len $b:tt.$col:ident: $t:ty, $n:ident, $w:tt, $dom:ident) => {
+    // Checkpoint operations.
+    (state_len $b:tt.$col:ident: $t:ty, $n:ident, $w:tt) => {
         $n * $crate::columns::column!(per_ant $b, $w) * size_of::<$t>()
     };
-    (write $b:tt.$col:ident: $t:ty, $out:ident, Mirror) => {};
-    (write $b:tt.$col:ident: $t:ty, $out:ident, $dom:ident) => {
+    (write $b:tt.$col:ident: $t:ty, $out:ident) => {
         <$t as $crate::columns::Cell>::put(&$b.$col, $out)
     };
-    (check $b:tt.$col:ident: $t:ty, $n:ident, $bytes:ident, $w:tt, Mirror) => {};
     (check $b:tt.$col:ident: $t:ty, $n:ident, $bytes:ident, $w:tt, $dom:ident $(($($arg:tt)*))?) => {{
         let per_ant = $crate::columns::column!(per_ant $b, $w);
         let need = $n * per_ant * size_of::<$t>();
@@ -227,12 +219,8 @@ macro_rules! column {
         $crate::columns::Domain::$dom $(($($arg)*))?.check::<$t>(stringify!($col), col, per_ant)?;
         $bytes = rest;
     }};
-    (read $b:tt.$col:ident: $t:ty, $ids:ident, $tasks:ident, $bytes:ident, $w:tt, Mirror) => {{
-        $b.$col.clear();
-        $b.$col.extend($ids.iter().map(|&id| $tasks.load(id)));
-    }};
-    (read $b:tt.$col:ident: $t:ty, $ids:ident, $tasks:ident, $bytes:ident, $w:tt, $dom:ident) => {{
-        let need = $ids.len() * $crate::columns::column!(per_ant $b, $w) * size_of::<$t>();
+    (read $b:tt.$col:ident: $t:ty, $n:ident, $bytes:ident, $w:tt) => {{
+        let need = $n * $crate::columns::column!(per_ant $b, $w) * size_of::<$t>();
         let (col, rest) = $bytes.split_at(need);
         <$t as $crate::columns::Cell>::get(col, &mut $b.$col);
         $bytes = rest;
@@ -254,7 +242,7 @@ macro_rules! soa_bank {
         }
         columns {
             $($(#[$col_meta:meta])* $col:ident: [$col_ty:ty $(; $width:ident)?] $fill:tt $fresh:tt
-                => $dom:ident $(($($dom_arg:tt)*))?,)+
+                => $dom:ident $(($($dom_arg:tt)*))?,)*
         }
     ) => {
         $(#[$bank_meta])*
@@ -262,7 +250,9 @@ macro_rules! soa_bank {
         pub struct $bank {
             $($(#[$own_meta])* $own: $own_ty,)*
             $($(#[$shared_meta])* $shared: $shared_ty,)*
-            $($(#[$col_meta])* $col: Vec<$col_ty>,)+
+            /// Number of ants.
+            len: usize,
+            $($(#[$col_meta])* $col: Vec<$col_ty>,)*
         }
 
         $(#[$chunk_meta])*
@@ -270,7 +260,11 @@ macro_rules! soa_bank {
         pub struct $chunk<$a> {
             $($borrowed: &$a $borrowed_ty,)*
             $($(#[$shared_meta])* $shared: $shared_ty,)*
-            $($(#[$col_meta])* $col: &$a mut [$col_ty],)+
+            /// Number of ants.
+            len: usize,
+            /// The bank borrowed (a kind without columns borrows none).
+            bank: core::marker::PhantomData<&$a mut ()>,
+            $($(#[$col_meta])* $col: &$a mut [$col_ty],)*
         }
 
         impl $bank {
@@ -279,7 +273,8 @@ macro_rules! soa_bank {
                 let mut bank = Self {
                     $($own: $own_init,)*
                     $($shared: $shared_init,)*
-                    $($col: Vec::new(),)+
+                    len: 0,
+                    $($col: Vec::new(),)*
                 };
                 bank.resize(n);
                 bank
@@ -299,7 +294,8 @@ macro_rules! soa_bank {
             /// Truncates or extends every column to `n` ants, new ants
             /// fresh.
             fn resize(&mut self, n: usize) {
-                $($crate::columns::column!(resize self.$col, n, [$($width)?] $fill $fresh);)+
+                self.len = n;
+                $($crate::columns::column!(resize self.$col, n, [$($width)?] $fill $fresh);)*
             }
 
             /// Appends a fresh ant (a spawn).
@@ -309,7 +305,7 @@ macro_rules! soa_bank {
 
             /// Number of ants.
             pub fn len(&self) -> usize {
-                $crate::columns::column!(len self, $($col)+)
+                self.len
             }
 
             /// True iff the bank holds no ants.
@@ -319,27 +315,26 @@ macro_rules! soa_bank {
 
             /// Reorders the ants' slots by `map`, every column alike.
             pub fn apply_slot_map(&mut self, map: &$crate::SlotMap) {
-                $($crate::columns::column!(apply self.$col, map, [$($width)?]);)+
+                self.len = map.len();
+                $($crate::columns::column!(apply self.$col, map, [$($width)?]);)*
             }
 
             /// Bytes a checkpoint stores for `n` ants of the bank: every
-            /// column but the mirror of the task column.
-            // A kind without stored columns, or without a mirror, leaves
-            // some arguments unused.
-            #[allow(unused_variables, unused_mut)]
+            /// column.
+            // A kind without columns leaves `n` unused.
+            #[allow(unused_variables)]
             pub fn state_len(&self, n: usize) -> usize {
                 0 $(+ $crate::columns::column!(
-                    state_len self.$col: $col_ty, n, [$($width)?], $dom
-                ))+
+                    state_len self.$col: $col_ty, n, [$($width)?]
+                ))*
             }
 
             /// Appends the stored columns, in schema order,
             /// little-endian (a checkpoint capture).
-            // A kind without stored columns, or without a mirror, leaves
-            // some arguments unused.
-            #[allow(unused_variables, unused_mut, clippy::ptr_arg)]
+            // A kind without columns leaves `out` unused.
+            #[allow(unused_variables, clippy::ptr_arg)]
             pub fn write_state(&self, out: &mut Vec<u8>) {
-                $($crate::columns::column!(write self.$col: $col_ty, out, $dom);)+
+                $($crate::columns::column!(write self.$col: $col_ty, out);)*
             }
 
             /// Checks `bytes` as the stored columns of `n` ants: their
@@ -348,15 +343,14 @@ macro_rules! soa_bank {
             /// # Errors
             /// [`crate::BankError::BadColumn`] naming the first column
             /// that fails.
-            // A kind without stored columns, or without a mirror, leaves
-            // some arguments unused.
+            // A kind without columns leaves some arguments unused.
             #[allow(unused_variables, unused_mut)]
             pub fn check_state(&self, n: usize, mut bytes: &[u8]) -> Result<(), crate::BankError> {
                 // The domains are written over the chunk's fields.
                 let ($($borrowed,)* $($shared,)*) = ($(&*self.$borrowed,)* $(self.$shared,)*);
                 $($crate::columns::column!(
                     check self.$col: $col_ty, n, bytes, [$($width)?], $dom $(($($dom_arg)*))?
-                );)+
+                );)*
                 match bytes.len() {
                     0 => Ok(()),
                     extra => Err($crate::BankError::BadColumn {
@@ -366,29 +360,23 @@ macro_rules! soa_bank {
                 }
             }
 
-            /// Overwrites every column with the ants `ids` from
-            /// checked `bytes` ([`Self::check_state`] for `ids.len()`
-            /// ants), the mirror from `tasks` at `ids`. The bank's own
-            /// and chunk fields stay as they are.
-            // A kind without stored columns, or without a mirror, leaves
-            // some arguments unused.
+            /// Overwrites every column with `n` ants from checked
+            /// `bytes` ([`Self::check_state`] for `n` ants). The bank's
+            /// own and chunk fields stay as they are.
+            // A kind without columns leaves some arguments unused.
             #[allow(unused_variables, unused_mut)]
-            pub fn read_state(
-                &mut self,
-                ids: &[u32],
-                tasks: &antalloc_env::TaskColumn,
-                mut bytes: &[u8],
-            ) {
+            pub fn read_state(&mut self, n: usize, mut bytes: &[u8]) {
+                self.len = n;
                 $($crate::columns::column!(
-                    read self.$col: $col_ty, ids, tasks, bytes, [$($width)?], $dom
-                );)+
+                    read self.$col: $col_ty, n, bytes, [$($width)?]
+                );)*
                 debug_assert!(bytes.is_empty(), "one state per bank");
             }
 
             /// Bytes the bank's per-ant columns hold.
             #[cfg(test)]
             pub(crate) fn column_bytes(&self) -> usize {
-                [$(size_of_val(&self.$col[..])),+].iter().sum()
+                0 $(+ size_of_val(&self.$col[..]))*
             }
 
             /// The whole bank as a splittable mutable slice.
@@ -396,7 +384,9 @@ macro_rules! soa_bank {
                 $chunk {
                     $($borrowed: &self.$borrowed,)*
                     $($shared: self.$shared,)*
-                    $($col: &mut self.$col,)+
+                    len: self.len,
+                    bank: core::marker::PhantomData,
+                    $($col: &mut self.$col,)*
                 }
             }
         }
@@ -404,25 +394,33 @@ macro_rules! soa_bank {
         impl<$a> $chunk<$a> {
             /// Number of ants in the chunk.
             pub(crate) fn len(&self) -> usize {
-                $crate::columns::column!(len self, $($col)+)
+                self.len
             }
 
             /// Splits the chunk at `mid` into two disjoint chunks, every
             /// column at its own split point.
+            ///
+            /// # Panics
+            /// If `mid` exceeds the chunk's length.
             pub fn split_at_mut(self, mid: usize) -> (Self, Self) {
+                assert!(mid <= self.len, "split at {mid} of a {}-ant chunk", self.len);
                 $(let $col = self
                     .$col
-                    .split_at_mut($crate::columns::column!(at self, mid, [$($width)?]));)+
+                    .split_at_mut($crate::columns::column!(at self, mid, [$($width)?]));)*
                 (
                     $chunk {
                         $($borrowed: self.$borrowed,)*
                         $($shared: self.$shared,)*
-                        $($col: $col.0,)+
+                        len: mid,
+                        bank: core::marker::PhantomData,
+                        $($col: $col.0,)*
                     },
                     $chunk {
                         $($borrowed: self.$borrowed,)*
                         $($shared: self.$shared,)*
-                        $($col: $col.1,)+
+                        len: self.len - mid,
+                        bank: core::marker::PhantomData,
+                        $($col: $col.1,)*
                     },
                 )
             }

@@ -1,14 +1,13 @@
-//! Flat structure-of-arrays bank for the single-sample controllers.
+//! Column-free bank for the single-sample controllers.
 //!
 //! [`ExactGreedy`] (the \[11\]-style baseline) carries no cross-round
-//! state besides its assignment, so its fast layout is one `u16` per
-//! ant — the same shape as the idle path of [`crate::AntBank`]. With
-//! both probabilities 1 ([`ExactGreedyParams::TRIVIAL`]) it is
-//! [`crate::Trivial`] (Appendix D): a probability-1 Bernoulli draws
-//! nothing, so the two consume the same draws and decide alike. Stepping streams a single flat array
-//! instead of a `Vec` of per-ant structs (each dragging a heap-allocated
-//! scratch bitmap), and the idle path's full-vector sample goes through
-//! the batched [`RoundView::fill_lack`] draw.
+//! state besides its assignment, which the colony's task column holds,
+//! so its bank holds no per-ant column at all: an ant count and the
+//! shared coins. With both probabilities 1
+//! ([`ExactGreedyParams::TRIVIAL`]) it is [`crate::Trivial`] (Appendix
+//! D): a probability-1 Bernoulli draws nothing, so the two consume the
+//! same draws and decide alike. The idle path's full-vector sample goes
+//! through the batched [`RoundView::fill_lack`] draw.
 //!
 //! **Reference semantics.** The per-ant [`crate::Controller`] impls are
 //! the truth: the bank consumes every ant's RNG stream in exactly the
@@ -23,13 +22,13 @@ use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit, scratch_row};
 use crate::bank::{fits, BankError, Stepping};
-use crate::cast::{dec, enc, IDLE};
+use crate::cast::IDLE;
 use crate::columns::{self, soa_bank};
 use crate::controller::Controller;
 use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
 
 soa_bank! {
-    /// A homogeneous [`ExactGreedy`] population in flat layout.
+    /// A homogeneous [`ExactGreedy`] population: no per-ant column.
     pub struct ExactGreedyBank(num_tasks: usize, params: ExactGreedyParams) {
         params: ExactGreedyParams = params,
     }
@@ -39,10 +38,7 @@ soa_bank! {
         leave: Bernoulli = Bernoulli::new(params.p_leave),
         num_tasks: usize = columns::tasks(num_tasks),
     }
-    columns {
-        /// Assignment per ant (`IDLE` when idle).
-        assignment: [u16] = IDLE => Mirror,
-    }
+    columns {}
 }
 
 impl ExactGreedyBank {
@@ -51,7 +47,8 @@ impl ExactGreedyBank {
         &self.params
     }
 
-    /// Appends a per-ant controller, transposing its state in.
+    /// Appends a per-ant controller (its assignment is its whole state,
+    /// and the colony's task column holds it).
     ///
     /// # Errors
     /// If the ant runs other parameters or observes another number of
@@ -62,27 +59,21 @@ impl ExactGreedyBank {
             (ant.num_tasks(), ant.params()),
         )?;
         self.push_fresh();
-        self.reset_slot(self.len() - 1, ant.assignment());
         Ok(())
     }
 
-    /// Reconstructs the per-ant controller at `slot` (reference
-    /// extraction; lossless — the assignment is the whole state).
-    pub fn to_controller(&self, slot: usize) -> ExactGreedy {
+    /// Reconstructs the per-ant controller at `slot`, whose assignment
+    /// is `a` (reference extraction; lossless — the assignment is the
+    /// whole state).
+    pub fn to_controller(&self, _slot: usize, a: Assignment) -> ExactGreedy {
         let mut ant = ExactGreedy::new(self.num_tasks, self.params);
-        ant.reset_to(dec(self.assignment[slot]));
+        ant.reset_to(a);
         ant
     }
 
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
-    }
-
-    /// Forces the ant at `slot` into `a`.
-    pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
-        self.assignment[slot] = enc(a);
-    }
+    /// Forces the ant at `slot` into `a`: nothing to do, as the colony's
+    /// task column holds the whole state.
+    pub fn reset_slot(&mut self, _slot: usize, _a: Assignment) {}
 
     /// Persistent memory in bits (the per-ant impl's accounting,
     /// `memory::assignment_memory_bits`).
@@ -100,43 +91,40 @@ impl ExactGreedySliceMut<'_> {
         stepping.run(
             n,
             #[inline(always)]
-            |i, view, rng| self.step_one(i, view, rng, &mut row),
+            |_, cur, view, rng| self.step_one(cur, view, rng, &mut row),
         );
     }
 
-    /// One ant's round. The coin order is the reference's: samples in
-    /// task order, then the join coin *only* when something lacks, then
-    /// the uniform pick; workers draw the leave coin only on `overload`.
-    /// The idle path's full-vector draw is the bit-packed batched form
-    /// for ≤ 64 tasks (one pass, one register) and the row-buffer form
-    /// beyond; both consume draws in task order like the reference.
+    /// One ant's round from assignment `cur`. The coin order is the
+    /// reference's: samples in task order, then the join coin *only*
+    /// when something lacks, then the uniform pick; workers draw the
+    /// leave coin only on `overload`. The idle path's full-vector draw
+    /// is the bit-packed batched form for ≤ 64 tasks (one pass, one
+    /// register) and the row-buffer form beyond; both consume draws in
+    /// task order like the reference.
     #[inline(always)]
-    fn step_one(
-        &mut self,
-        i: usize,
-        view: RoundView<'_>,
-        rng: &mut AntRng,
-        row: &mut [u8],
-    ) -> Assignment {
-        let cur = self.assignment[i];
-        if cur == IDLE {
-            if self.num_tasks <= 64 {
-                let mask = view.lack_mask(rng);
-                if mask != 0 && self.join.sample(rng) {
-                    let pick = uniform_index(rng, mask.count_ones() as usize);
-                    self.assignment[i] = nth_set_bit(mask, pick);
-                }
+    fn step_one(&self, cur: u16, view: RoundView<'_>, rng: &mut AntRng, row: &mut [u8]) -> u16 {
+        if cur != IDLE {
+            let overload = !view.sample(crate::cast::task_ix(cur), rng).is_lack();
+            return if overload && self.leave.sample(rng) {
+                IDLE
             } else {
-                view.fill_lack(rng, row);
-                let count = count_lacking(row);
-                if count > 0 && self.join.sample(rng) {
-                    self.assignment[i] = nth_lacking(row, uniform_index(rng, count));
-                }
-            }
-        } else if !view.sample(crate::cast::task_ix(cur), rng).is_lack() && self.leave.sample(rng) {
-            self.assignment[i] = IDLE;
+                cur
+            };
         }
-        dec(self.assignment[i])
+        if self.num_tasks <= 64 {
+            let mask = view.lack_mask(rng);
+            if mask != 0 && self.join.sample(rng) {
+                return nth_set_bit(mask, uniform_index(rng, mask.count_ones() as usize));
+            }
+        } else {
+            view.fill_lack(rng, row);
+            let count = count_lacking(row);
+            if count > 0 && self.join.sample(rng) {
+                return nth_lacking(row, uniform_index(rng, count));
+            }
+        }
+        IDLE
     }
 }
 
@@ -183,20 +171,23 @@ mod tests {
             (0..n).map(|_| ExactGreedy::new(k, params).into()).collect(),
         ];
 
-        let mut out = vec![Assignment::Idle; n];
+        // Each bank's ants' assignments, carried from round to round.
+        let mut outs = [vec![Assignment::Idle; n], vec![Assignment::Idle; n]];
         for round in 1..=50u64 {
             let prepared = model.prepare(round, &deficits, &loads);
             let mut bank_rngs = crate::round_streams(&seeder, round, 2 * n);
             let mut ref_rngs = bank_rngs.clone();
             let mut slot_rngs = bank_rngs.clone();
-            for (b, ((bank, twin), reference)) in banks
+            for (b, (((bank, twin), reference), out)) in banks
                 .iter_mut()
                 .zip(&mut twins)
                 .zip(&mut references)
+                .zip(&mut outs)
                 .enumerate()
             {
                 let streams = b * n..(b + 1) * n;
-                bank.step_batch(prepared.view(), &mut bank_rngs[streams.clone()], &mut out);
+                let before = out.clone();
+                bank.step_batch(prepared.view(), &mut bank_rngs[streams.clone()], out);
                 let ref_rngs = &mut ref_rngs[streams.clone()];
                 let slot_rngs = &mut slot_rngs[streams];
                 for (i, ant) in reference.iter_mut().enumerate() {
@@ -207,14 +198,14 @@ mod tests {
                         "bank {b} ant {i} round {round}"
                     );
                     assert_eq!(ref_rngs[i], bank_rngs[b * n + i], "bank {b} ant {i} draws");
-                    let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                    let slot = twin.step_slot(i, before[i], prepared.view(), &mut slot_rngs[i]);
                     assert_eq!(slot, out[i], "bank {b} slot {i} round {round} k {k}");
                 }
             }
         }
-        for (bank, reference) in banks.iter().zip(&references) {
+        for (out, reference) in outs.iter().zip(&references) {
             for (i, ant) in reference.iter().enumerate() {
-                assert_eq!(bank.assignment(i), ant.assignment());
+                assert_eq!(out[i], ant.assignment());
             }
         }
     }
@@ -224,7 +215,7 @@ mod tests {
         let mut ant = Trivial::new(2);
         ant.reset_to(Assignment::Task(1));
         let bank: ControllerBank = [AnyController::from(ant)].into_iter().collect();
-        let AnyController::ExactGreedy(back) = bank.to_any(0) else {
+        let AnyController::ExactGreedy(back) = bank.to_any(0, Assignment::Task(1)) else {
             unreachable!("a trivial colony is an exact-greedy bank");
         };
         assert_eq!(back.params(), &ExactGreedyParams::TRIVIAL);
@@ -234,16 +225,17 @@ mod tests {
         let mut ant = ExactGreedy::new(2, ExactGreedyParams::default());
         ant.reset_to(Assignment::Task(0));
         bank.push_controller(&ant).unwrap();
-        assert_eq!(bank.to_controller(0).assignment(), Assignment::Task(0));
+        assert_eq!(bank.len(), 1);
+        let back = bank.to_controller(0, Assignment::Task(0));
+        assert_eq!(back.assignment(), Assignment::Task(0));
     }
 
     #[test]
     fn swap_remove_moves_last_slot() {
         let mut bank = ExactGreedyBank::new(1, ExactGreedyParams::TRIVIAL, 3);
-        bank.reset_slot(0, Assignment::Task(0));
-        bank.reset_slot(2, Assignment::Idle);
         bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
-        assert_eq!(bank.assignment(0), Assignment::Idle);
+        let (a, b) = bank.as_slice_mut().split_at_mut(1);
+        assert_eq!((a.len(), b.len()), (1, 1));
     }
 }

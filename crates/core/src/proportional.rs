@@ -19,7 +19,8 @@
 //!
 //! **Reference semantics.** [`ProportionalController`] (per ant) is the
 //! truth; [`ProportionalBank`] is its flat structure-of-arrays layout
-//! (one `u16` assignment + one `u16` streak per ant) and consumes every
+//! (one `u16` streak per ant; the colony's task column holds the
+//! assignment) and consumes every
 //! ant's RNG stream in exactly the order `Controller::step` would:
 //! samples in task order, then the uniform pick, then the gain coin —
 //! pinned bit-identical by the parity tests in `tests/banks.rs`.
@@ -30,7 +31,7 @@ use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit, scratch_row};
 use crate::bank::{fits, BankError, Stepping};
-use crate::cast::{dec, enc, IDLE};
+use crate::cast::IDLE;
 use crate::columns::{self, soa_bank};
 use crate::controller::Controller;
 
@@ -190,8 +191,6 @@ soa_bank! {
         num_tasks: usize = columns::tasks(num_tasks),
     }
     columns {
-        /// Assignment per ant (`IDLE` when idle).
-        assignment: [u16] = IDLE => Mirror,
         /// Persisted-error streak per ant.
         streak: [u16] = 0 => Any,
     }
@@ -203,7 +202,8 @@ impl ProportionalBank {
         &self.params
     }
 
-    /// Appends a per-ant controller, transposing its state in.
+    /// Appends a per-ant controller, transposing its streak in (the
+    /// colony's task column holds its assignment).
     ///
     /// # Errors
     /// If the controller runs other parameters or observes another
@@ -215,29 +215,22 @@ impl ProportionalBank {
         )?;
         self.push_fresh();
         let slot = self.len() - 1;
-        self.reset_slot(slot, ant.assignment());
         self.streak[slot] = ant.streak();
         Ok(())
     }
 
-    /// Reconstructs the per-ant controller at `slot` (reference
-    /// extraction; lossless — assignment plus streak is the whole
-    /// state).
-    pub fn to_controller(&self, slot: usize) -> ProportionalController {
+    /// Reconstructs the per-ant controller at `slot`, whose assignment
+    /// is `a` (reference extraction; lossless — assignment plus streak
+    /// is the whole state).
+    pub fn to_controller(&self, slot: usize, a: Assignment) -> ProportionalController {
         let mut ant = ProportionalController::new(self.num_tasks, self.params);
-        ant.reset_to(dec(self.assignment[slot]));
+        ant.reset_to(a);
         ant.set_streak(self.streak[slot]);
         ant
     }
 
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
-    }
-
-    /// Forces the ant at `slot` into `a`.
-    pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
-        self.assignment[slot] = enc(a);
+    /// Forces the ant at `slot` into an assignment: its streak restarts.
+    pub fn reset_slot(&mut self, slot: usize, _a: Assignment) {
         self.streak[slot] = 0;
     }
 
@@ -257,23 +250,24 @@ impl ProportionalSliceMut<'_> {
         stepping.run(
             n,
             #[inline(always)]
-            |i, view, rng| self.step_one(i, view, rng, &mut row),
+            |i, cur, view, rng| self.step_one(i, cur, view, rng, &mut row),
         );
     }
 
-    /// One ant's round. Draw order matches the reference: samples in
-    /// task order (bit-packed batched draw for ≤ 64 tasks), then the
-    /// uniform pick, then the gain coin; workers draw the gain coin
-    /// only on a persisted `overload`.
+    /// One ant's round from assignment `cur`. Draw order matches the
+    /// reference: samples in task order (bit-packed batched draw for
+    /// ≤ 64 tasks), then the uniform pick, then the gain coin; workers
+    /// draw the gain coin only on a persisted `overload`.
     #[inline(always)]
     fn step_one(
         &mut self,
         i: usize,
+        cur: u16,
         view: RoundView<'_>,
         rng: &mut AntRng,
         row: &mut [u8],
-    ) -> Assignment {
-        let cur = self.assignment[i];
+    ) -> u16 {
+        let mut next = cur;
         if cur == IDLE {
             if self.num_tasks <= 64 {
                 let mask = view.lack_mask(rng);
@@ -282,7 +276,7 @@ impl ProportionalSliceMut<'_> {
                     if self.streak[i] > self.deadband {
                         let pick = uniform_index(rng, mask.count_ones() as usize);
                         if self.gain.sample(rng) {
-                            self.assignment[i] = nth_set_bit(mask, pick);
+                            next = nth_set_bit(mask, pick);
                             self.streak[i] = 0;
                         }
                     }
@@ -297,7 +291,7 @@ impl ProportionalSliceMut<'_> {
                     if self.streak[i] > self.deadband {
                         let pick = uniform_index(rng, count);
                         if self.gain.sample(rng) {
-                            self.assignment[i] = nth_lacking(row, pick);
+                            next = nth_lacking(row, pick);
                             self.streak[i] = 0;
                         }
                     }
@@ -310,11 +304,11 @@ impl ProportionalSliceMut<'_> {
         } else {
             self.streak[i] = self.streak[i].saturating_add(1);
             if self.streak[i] > self.deadband && self.gain.sample(rng) {
-                self.assignment[i] = IDLE;
+                next = IDLE;
                 self.streak[i] = 0;
             }
         }
-        dec(self.assignment[i])
+        next
     }
 }
 
@@ -439,7 +433,7 @@ mod tests {
         let mut reference: Vec<ProportionalController> = (0..n)
             .map(|_| ProportionalController::new(k, params))
             .collect();
-        let streak = |bank: &ControllerBank, i: usize| match bank.to_any(i) {
+        let streak = |bank: &ControllerBank, i: usize| match bank.to_any(i, Assignment::Idle) {
             AnyController::Proportional(c) => c.streak(),
             _ => unreachable!("a Proportional bank rebuilds its own kind"),
         };
@@ -449,18 +443,19 @@ mod tests {
             let mut bank_rngs = crate::round_streams(&seeder, round, n);
             let mut ref_rngs = bank_rngs.clone();
             let mut slot_rngs = bank_rngs.clone();
+            let before = out.clone();
             bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
                 assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round} k {k}");
                 assert_eq!(ant.streak(), streak(&bank, i), "ant {i} streak");
-                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                let slot = twin.step_slot(i, before[i], prepared.view(), &mut slot_rngs[i]);
                 assert_eq!(slot, out[i], "slot {i} round {round} k {k}");
                 assert_eq!(ant.streak(), streak(&twin, i), "slot {i} streak");
             }
         }
         for (i, ant) in reference.iter().enumerate() {
-            assert_eq!(bank.assignment(i), ant.assignment());
+            assert_eq!(out[i], ant.assignment());
         }
     }
 
@@ -473,7 +468,7 @@ mod tests {
         ant.set_streak(3);
         bank.push_controller(&ant).unwrap();
         assert_eq!(bank.len(), 1);
-        let back = bank.to_controller(0);
+        let back = bank.to_controller(0, Assignment::Task(1));
         assert_eq!(back.assignment(), Assignment::Task(1));
         assert_eq!(back.streak(), 3);
     }
@@ -482,13 +477,11 @@ mod tests {
     fn swap_remove_moves_both_columns() {
         let params = ProportionalParams::default();
         let mut bank = ProportionalBank::new(1, params, 3);
-        bank.reset_slot(0, Assignment::Task(0));
-        bank.reset_slot(2, Assignment::Idle);
+        bank.streak[1] = 4;
         bank.streak[2] = 5;
         bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
-        assert_eq!(bank.assignment(0), Assignment::Idle);
-        assert_eq!(bank.streak[0], 5);
+        assert_eq!(bank.streak, [5, 4]);
     }
 
     #[test]

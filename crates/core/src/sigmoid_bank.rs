@@ -17,10 +17,10 @@
 //! pause/leave/join coins with the same short-circuits), so bank runs
 //! are bit-identical to per-ant runs — pinned by `tests/banks.rs`.
 //!
-//! Checkpoints store the bank's columns as they are (all but the
-//! assignment, which mirrors the colony's task column), so a capture
-//! *between* phase boundaries — phases are `2m = O(1/ε)` rounds long —
-//! resumes mid-phase bit-identically.
+//! Checkpoints store the bank's columns as they are (the colony's task
+//! column holds the assignment), so a capture *between* phase
+//! boundaries — phases are `2m = O(1/ε)` rounds long — resumes
+//! mid-phase bit-identically.
 
 use antalloc_env::Assignment;
 use antalloc_noise::RoundView;
@@ -53,8 +53,6 @@ soa_bank! {
     columns {
         /// `currentTask` per ant (`IDLE` when idle).
         current: [u16] = IDLE => Task(num_tasks),
-        /// Output assignment `a_t` per ant.
-        assignment: [u16] = IDLE => Mirror,
         /// First-half `lack` counts, ant-major `num_tasks` entries per ant.
         count1: [u16; num_tasks] = 0 => AtMost(m),
         /// Second-half `lack` counts, same shape.
@@ -84,7 +82,8 @@ impl PreciseSigmoidBank {
         &self.params
     }
 
-    /// Appends a per-ant controller, transposing its state in.
+    /// Appends a per-ant controller, transposing its state in (all but
+    /// its assignment, which the colony's task column holds).
     ///
     /// # Errors
     /// If the ant runs other parameters or observes another number of
@@ -95,17 +94,16 @@ impl PreciseSigmoidBank {
             (ant.num_tasks(), ant.params()),
         )?;
         self.push_fresh();
-        let slot = self.len() - 1;
-        self.reset_slot(slot, ant.assignment());
-        self.apply_scratch(slot, &ant.scratch());
+        self.apply_scratch(self.len() - 1, &ant.scratch());
         Ok(())
     }
 
-    /// Reconstructs the per-ant controller at `slot` (reference
-    /// extraction; lossless for the whole state, counters included).
-    pub fn to_controller(&self, slot: usize) -> PreciseSigmoid {
+    /// Reconstructs the per-ant controller at `slot`, whose assignment
+    /// is `a` (reference extraction; lossless for the whole state,
+    /// counters included).
+    pub fn to_controller(&self, slot: usize, a: Assignment) -> PreciseSigmoid {
         let mut ant = PreciseSigmoid::new(self.num_tasks, self.params);
-        ant.reset_to(dec(self.assignment[slot]));
+        ant.reset_to(a);
         ant.apply_scratch(&self.scratch(slot));
         ant
     }
@@ -125,8 +123,7 @@ impl PreciseSigmoidBank {
         }
     }
 
-    /// Overwrites the counter state of the ant at `slot` (write it
-    /// *after* [`PreciseSigmoidBank::reset_slot`]).
+    /// Overwrites the counter state of the ant at `slot`.
     ///
     /// # Panics
     /// If the scratch's task count disagrees with the bank's.
@@ -143,17 +140,10 @@ impl PreciseSigmoidBank {
         bit_row::pack(row, s.shat1_lack.iter().copied().chain([s.have_phase]));
     }
 
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
-    }
-
     /// Forces the ant at `slot` into `a` (see
     /// [`crate::Controller::reset_to`]).
     pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
-        let x = enc(a);
-        self.assignment[slot] = x;
-        self.current[slot] = x;
+        self.current[slot] = enc(a);
         let (k, w) = (self.num_tasks, self.width);
         bit_row::set(
             &mut self.bits[slot * w..slot * w + w],
@@ -190,35 +180,37 @@ impl SigmoidSliceMut<'_> {
         stepping.run(
             n,
             #[inline(always)]
-            |i, view, rng| self.step_one(i, r, view, rng, row),
+            |i, prev, view, rng| self.step_one(i, prev, r, view, rng, row),
         );
     }
 
-    /// One ant's round at phase position `r = round mod 2m`, mirroring
-    /// [`PreciseSigmoid::step`] clause for clause.
+    /// One ant's round from assignment `prev` at phase position
+    /// `r = round mod 2m`, mirroring [`PreciseSigmoid::step`] clause for
+    /// clause.
     #[inline(always)]
     fn step_one(
         &mut self,
         i: usize,
+        prev: u16,
         r: u64,
         view: RoundView<'_>,
         rng: &mut AntRng,
         row: &mut [u8],
-    ) -> Assignment {
+    ) -> u16 {
         let (k, w) = (self.num_tasks, self.width);
         let bits = &mut self.bits[i * w..i * w + w];
         let count1 = &mut self.count1[i * k..i * k + k];
         let count2 = &mut self.count2[i * k..i * k + k];
         if r == 1 {
             // Phase start: adopt a_{t−1} as currentTask, reset counters.
-            self.current[i] = self.assignment[i];
+            self.current[i] = prev;
             count1.fill(0);
             count2.fill(0);
             bit_row::set(bits, k + HAVE_PHASE, true);
         }
         if !bit_row::get(bits, k + HAVE_PHASE) {
             // Joined mid-phase (reset); idle out the remainder.
-            return dec(self.assignment[i]);
+            return prev;
         }
         let first_half = (1..=self.m).contains(&r);
         let cur = self.current[i];
@@ -248,29 +240,29 @@ impl SigmoidSliceMut<'_> {
                 bit_row::set(bits, j, median_is_lack(c));
             }
             if cur != IDLE {
-                self.assignment[i] = if self.pause.sample(rng) { IDLE } else { cur };
+                return if self.pause.sample(rng) { IDLE } else { cur };
             }
         } else if r == 0 {
             // Phase end: compute ŝ2 and decide, exactly as Algorithm Ant.
-            if cur == IDLE {
+            bit_row::set(bits, k + HAVE_PHASE, false);
+            return if cur == IDLE {
                 let joinable = |j: usize| bit_row::get(bits, j) && median_is_lack(count2[j]);
-                self.assignment[i] = match (0..k).filter(|&j| joinable(j)).count() {
+                match (0..k).filter(|&j| joinable(j)).count() {
                     0 => IDLE,
                     count => nth_where(k, uniform_index(rng, count), joinable),
-                };
+                }
             } else {
                 let t = task_ix(cur);
                 let both_overload = !bit_row::get(bits, t) && !median_is_lack(count2[t]);
-                self.assignment[i] = if both_overload && self.leave.sample(rng) {
+                if both_overload && self.leave.sample(rng) {
                     IDLE
                 } else {
                     cur
-                };
-            }
-            bit_row::set(bits, k + HAVE_PHASE, false);
+                }
+            };
         }
         // All other rounds: keep the current assignment (a_t ← a_{t−1}).
-        dec(self.assignment[i])
+        prev
     }
 }
 
@@ -312,24 +304,24 @@ mod tests {
             let mut bank_rngs = crate::round_streams(&seeder, round, n);
             let mut ref_rngs = bank_rngs.clone();
             let mut slot_rngs = bank_rngs.clone();
+            let before = out.clone();
             bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, ant) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
                 assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round} k {k}");
-                assert_eq!(ant.assignment(), bank.assignment(i), "ant {i}");
-                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                let slot = twin.step_slot(i, before[i], prepared.view(), &mut slot_rngs[i]);
                 assert_eq!(slot, out[i], "slot {i} round {round} k {k}");
             }
             if round == 137 {
                 // Mid-phase reconstruction: counters must come out
                 // losslessly, so a rebuilt ant continues in lockstep.
                 for (i, ant) in reference.iter().enumerate() {
-                    let AnyController::PreciseSigmoid(rebuilt) = bank.to_any(i) else {
+                    let AnyController::PreciseSigmoid(rebuilt) = bank.to_any(i, out[i]) else {
                         unreachable!("a Precise Sigmoid bank rebuilds Precise Sigmoid ants");
                     };
                     assert_eq!(rebuilt.scratch(), ant.scratch(), "ant {i}");
                     assert_eq!(rebuilt.assignment(), ant.assignment());
-                    let AnyController::PreciseSigmoid(twin) = twin.to_any(i) else {
+                    let AnyController::PreciseSigmoid(twin) = twin.to_any(i, out[i]) else {
                         unreachable!("a Precise Sigmoid bank rebuilds Precise Sigmoid ants");
                     };
                     assert_eq!(twin.scratch(), ant.scratch(), "slot {i}");
@@ -351,7 +343,7 @@ mod tests {
         }
         let mut bank = PreciseSigmoidBank::new(2, params, 0);
         bank.push_controller(&ant).unwrap();
-        let back = bank.to_controller(0);
+        let back = bank.to_controller(0, ant.assignment());
         assert_eq!(back.scratch(), ant.scratch());
         assert_eq!(back.assignment(), ant.assignment());
     }
@@ -365,7 +357,7 @@ mod tests {
         bank.count1[2 * 2] = 7; // slot 2, task 0
         bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         assert_eq!(bank.len(), 2);
-        assert_eq!(bank.assignment(0), Assignment::Task(1)); // old slot 2
+        assert_eq!(bank.current, [1, IDLE]); // old slots 2 and 1
         assert_eq!(bank.count1[0], 7, "slot 2's counter row moved into slot 0");
     }
 }

@@ -47,6 +47,11 @@ pub struct SlotMap {
 }
 
 impl SlotMap {
+    /// Number of new slots: a column's length once the map is applied.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
     /// Empties the map for reuse, keeping its allocations.
     pub fn clear(&mut self) {
         self.runs.clear();

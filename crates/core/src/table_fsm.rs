@@ -324,17 +324,13 @@ impl FsmBank {
         Ok(())
     }
 
-    /// Reconstructs the per-ant machine at `slot` (lossless).
-    pub fn to_controller(&self, slot: usize) -> TableFsm {
+    /// Reconstructs the per-ant machine at `slot` (lossless: its state
+    /// gives its assignment, so `_a` — the colony's copy — is not read).
+    pub fn to_controller(&self, slot: usize, _a: Assignment) -> TableFsm {
         TableFsm {
             spec: self.spec.clone(),
             state: self.state[slot],
         }
-    }
-
-    /// The assignment of the machine at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        self.spec.output(self.state[slot])
     }
 
     /// Forces the machine at `slot` into `a` (see
@@ -353,14 +349,16 @@ impl FsmBank {
 impl FsmSliceMut<'_> {
     /// Steps every machine in the chunk through `stepping`;
     /// bit-identical to per-ant [`Controller::step`] on [`TableFsm`].
+    /// A machine's state gives its assignment, so the prior one is not
+    /// read.
     pub(crate) fn step_chunk(&mut self, stepping: Stepping<'_, '_>) {
         stepping.run(
             self.len(),
             #[inline(always)]
-            |i, view: RoundView<'_>, rng| {
+            |i, _, view: RoundView<'_>, rng| {
                 let lack = view.sample(0, rng).is_lack();
                 self.state[i] = self.spec.next_state(self.state[i], lack, rng);
-                self.spec.output(self.state[i])
+                self.spec.output(self.state[i]).to_slot()
             },
         );
     }
@@ -518,22 +516,24 @@ mod tests {
                     fsm.reset_to(a);
                     bank.reset_slot(i, a);
                     twin.reset_slot(i, a);
+                    out[i] = a;
                 }
             }
             let prepared = model.prepare(round, &[(round % 7) as i64 - 3], &[40]);
             let mut bank_rngs = crate::round_streams(&seeder, round, n);
             let mut ref_rngs = bank_rngs.clone();
             let mut slot_rngs = bank_rngs.clone();
+            let before = out.clone();
             bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
             for (i, fsm) in reference.iter_mut().enumerate() {
                 let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
                 assert_eq!(fsm.step(&mut probe), out[i], "machine {i} round {round}");
-                let slot = twin.step_slot(i, prepared.view(), &mut slot_rngs[i]);
+                let slot = twin.step_slot(i, before[i], prepared.view(), &mut slot_rngs[i]);
                 assert_eq!(slot, out[i], "slot {i} round {round}");
             }
         }
         for (i, fsm) in reference.iter().enumerate() {
-            let AnyController::Table(back) = bank.to_any(i) else {
+            let AnyController::Table(back) = bank.to_any(i, out[i]) else {
                 unreachable!("a table bank rebuilds table machines");
             };
             assert_eq!(back.state(), fsm.state(), "machine {i}");
@@ -549,11 +549,12 @@ mod tests {
             fsm.state = state;
             bank.push_controller(&fsm).unwrap();
         }
-        assert_eq!(bank.to_controller(1).state(), 3);
-        assert!(bank.assignment(1).is_idle());
+        let back = bank.to_controller(1, Assignment::Idle);
+        assert_eq!(back.state(), 3);
+        assert!(back.assignment().is_idle());
         bank.apply_slot_map(&SlotMap::swap_remove(3, 0));
         let states: Vec<u16> = (0..bank.len())
-            .map(|s| bank.to_controller(s).state())
+            .map(|s| bank.to_controller(s, Assignment::Idle).state())
             .collect();
         assert_eq!(states, [2, 3]);
     }

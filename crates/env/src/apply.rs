@@ -4,8 +4,8 @@
 //! The synchronous engine runs no separate apply pass over a decisions
 //! buffer. Every step kernel writes each ant's next assignment straight
 //! into the colony's one [`TaskColumn`] through a [`ColumnWriter`],
-//! which reads the ant's prior assignment from the same slot first and
-//! folds the transition into a local [`RoundDelta`]. Committing a round
+//! the slot its prior assignment was read from, and folds the
+//! transition into a local [`RoundDelta`]. Committing a round
 //! is then an O(k) delta application — no O(n) sweep.
 //!
 //! Determinism: each slot is read, then written, by its one owner (the
@@ -205,16 +205,15 @@ impl RoundDelta {
     }
 }
 
-/// A kernel's fused output port: one `write` per ant reads the ant's
-/// prior assignment from its slot of the colony's column, stores the
-/// next one in its place and folds the transition into the local delta.
+/// A kernel's fused port onto the colony's column: `load` reads an
+/// ant's prior assignment from its slot, and `write` stores the next
+/// one in its place and folds the transition into the local delta.
 ///
-/// The column is the authoritative ground truth — the same source the
-/// unfused engine's apply sweep compared against — so the fused path
-/// counts switches and load deltas identically even when a controller's
-/// internal state momentarily disagrees with the colony (e.g. right
-/// after a population shock). Only the participant stepping an ant
-/// touches its slot, once per round.
+/// The column is the one copy of every ant's assignment: the kernels
+/// read their ants' prior assignments from it, and the fused path
+/// counts switches and load deltas against it, as the unfused engine's
+/// apply sweep does. Only the participant stepping an ant touches its
+/// slot, once per round.
 pub struct ColumnWriter<'a> {
     column: &'a TaskColumn,
     delta: &'a mut RoundDelta,
@@ -232,15 +231,22 @@ impl<'a> ColumnWriter<'a> {
         self.column.len()
     }
 
-    /// Records ant `id` stepping to `next` ([`TaskColumn`]-encoded): a
-    /// change is stored in its slot and folded into the delta; no
+    /// Ant `id`'s assignment ([`TaskColumn`]-encoded).
+    #[inline(always)]
+    pub fn load(&self, id: u32) -> u16 {
+        self.column.load(id)
+    }
+
+    /// Records ant `id` stepping from `prev`, the value its slot holds
+    /// ([`ColumnWriter::load`]), to `next` (both [`TaskColumn`]-encoded):
+    /// a change is stored in its slot and folded into the delta; no
     /// change writes nothing, so the slot's cache line stays clean.
     ///
     /// Always inlined: every kind's fused loop calls it once per ant,
     /// and an out-of-line call there spills the loop's registers.
     #[inline(always)]
-    pub fn write(&mut self, id: u32, next: u16) {
-        let prev = self.column.load(id);
+    pub fn write(&mut self, id: u32, prev: u16, next: u16) {
+        debug_assert_eq!(prev, self.column.load(id), "ant {id}'s prior value");
         if prev != next {
             self.column.store(id, next);
             self.delta.record(prev, next);
@@ -297,9 +303,9 @@ mod tests {
         col.store(2, 0);
         let mut d = RoundDelta::new(1);
         let mut w = ColumnWriter::new(&col, &mut d);
-        w.write(0, 0); // idle → task 0
-        w.write(1, 0); // task 0 → task 0 (no switch)
-        w.write(2, I); // task 0 → idle
+        w.write(0, I, 0); // idle → task 0
+        w.write(1, 0, 0); // task 0 → task 0 (no switch)
+        w.write(2, 0, I); // task 0 → idle
         assert_eq!(col.to_vec(), vec![0, 0, I]);
         assert_eq!(d.switches(), 2);
         assert_eq!(d.idle_delta, 0);

@@ -395,14 +395,14 @@ mod tests {
             {
                 let mut w = ColumnWriter::new(&column, &mut d0);
                 for i in 0u32..5 {
-                    w.write(i, round);
+                    w.write(i, w.load(i), round);
                 }
             }
             {
                 let mut w = ColumnWriter::new(&column, &mut d1);
                 for i in 5u32..10 {
                     let t = if i == 5 { 1 } else { Assignment::SLOT_IDLE };
-                    w.write(i, t);
+                    w.write(i, w.load(i), t);
                 }
             }
             // Worker deltas merge in either order.
@@ -492,7 +492,7 @@ mod tests {
                     let mut w = ColumnWriter::new(&column, &mut delta);
                     for (i, &t) in targets.iter().enumerate() {
                         let a = if t >= 2 { Assignment::Idle } else { Assignment::Task(t) };
-                        w.write(i as u32, a.to_slot());
+                        w.write(i as u32, w.load(i as u32), a.to_slot());
                         switches += u64::from(reference.assignment(i) != a);
                         reference.apply(i, a);
                     }

@@ -130,6 +130,21 @@ impl TimelineGen {
         }
     }
 
+    /// Runs the arrival process: one gap draw per arrival, then
+    /// `arrive(rng, round)` draws the arrival's magnitude.
+    fn arrivals(&self, rng: &mut AntRng, mut arrive: impl FnMut(&mut AntRng, u64)) {
+        // Arrivals at start − 1 + cumulative gaps; gaps are ≥ 1, so the
+        // earliest possible arrival is exactly `start`.
+        let mut round = self.start.saturating_sub(1);
+        loop {
+            round = round.saturating_add(exponential_gap(rng, self.mean_gap));
+            if round > self.until {
+                return;
+            }
+            arrive(rng, round);
+        }
+    }
+
     /// Expands the schedule, appending one-shot events to `out`.
     ///
     /// Draw order per arrival is fixed (gap, then magnitude), so the
@@ -142,14 +157,7 @@ impl TimelineGen {
         base_demands: &[u64],
         out: &mut Vec<TimedEvent>,
     ) {
-        // Arrivals at start − 1 + cumulative gaps; gaps are ≥ 1, so the
-        // earliest possible arrival is exactly `start`.
-        let mut round = self.start.saturating_sub(1);
-        loop {
-            round = round.saturating_add(exponential_gap(rng, self.mean_gap));
-            if round > self.until {
-                return;
-            }
+        self.arrivals(rng, |rng, round| {
             let count_in = |rng: &mut AntRng, lo: f64, hi: f64| -> usize {
                 let frac = uniform_f64(rng, lo, hi);
                 ((n as f64 * frac).round() as usize).max(1)
@@ -176,7 +184,26 @@ impl TimelineGen {
                 ),
             };
             out.push(TimedEvent { at: round, event });
-        }
+        });
+    }
+
+    /// The number of events [`TimelineGen::events_into`] appends over
+    /// `num_tasks` tasks, replaying the same draws — one per magnitude
+    /// (`uniform_f64` draws once) — without building an event.
+    pub(crate) fn count_events(&self, rng: &mut AntRng, num_tasks: usize) -> usize {
+        let draws = match self.shock {
+            GenShock::Kill { .. } | GenShock::Spawn { .. } => 1,
+            GenShock::Scramble => 0,
+            GenShock::DemandStep { .. } => num_tasks,
+        };
+        let mut count = 0;
+        self.arrivals(rng, |rng, _| {
+            for _ in 0..draws {
+                rng.next_u64();
+            }
+            count += 1;
+        });
+        count
     }
 }
 

@@ -54,6 +54,7 @@ mod assignment;
 mod colony;
 mod demand;
 mod gen;
+mod ids;
 mod perturb;
 mod timeline;
 mod trigger;
@@ -64,6 +65,7 @@ pub use assignment::Assignment;
 pub use colony::ColonyState;
 pub use demand::{AssumptionReport, DemandVector};
 pub use gen::{GenShock, TimelineGen};
+pub use ids::{AntIdSlice, AntIds, IdsOutOfOrder};
 pub use perturb::{InitialConfig, Perturbation};
 pub use timeline::{Cycle, Event, TimedEvent, Timeline};
 pub use trigger::{ColonyView, Condition, Trigger, TriggerState};

@@ -183,6 +183,16 @@ pub struct Timeline {
     pub generators: Vec<TimelineGen>,
 }
 
+/// The seeder of the generators' streams (one sub-stream each), from
+/// the reserved `TIMELINE` stream.
+fn generator_seeder(master_seed: u64) -> StreamSeeder {
+    StreamSeeder::new(
+        StreamSeeder::new(master_seed)
+            .stream(reserved::TIMELINE)
+            .next_u64(),
+    )
+}
+
 impl Timeline {
     /// An empty (static-environment) timeline.
     pub fn new() -> Self {
@@ -246,11 +256,7 @@ impl Timeline {
         if self.generators.is_empty() {
             return self.clone();
         }
-        let sub = StreamSeeder::new(
-            StreamSeeder::new(master_seed)
-                .stream(reserved::TIMELINE)
-                .next_u64(),
-        );
+        let sub = generator_seeder(master_seed);
         let mut events = self.events.clone();
         for (i, generator) in self.generators.iter().enumerate() {
             let mut rng = sub.stream(i as u64);
@@ -263,6 +269,19 @@ impl Timeline {
             triggers: self.triggers.clone(),
             generators: Vec::new(),
         }
+    }
+
+    /// `compile(master_seed, _, base_demands).events.len()` for
+    /// `num_tasks = base_demands.len()`, without building or sorting an
+    /// event: each generator replays its draws and counts its arrivals.
+    pub fn compiled_len(&self, master_seed: u64, num_tasks: usize) -> usize {
+        let sub = generator_seeder(master_seed);
+        let generated = self
+            .generators
+            .iter()
+            .enumerate()
+            .map(|(i, generator)| generator.count_events(&mut sub.stream(i as u64), num_tasks));
+        self.events.len() + generated.sum::<usize>()
     }
 
     /// Fresh runtime state for every trigger, in timeline order.

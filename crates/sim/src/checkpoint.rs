@@ -264,13 +264,11 @@ impl Checkpoint {
         }
         let demands = get_le(buf, k, u64::from_le_bytes)?;
         // The cursor indexes the *compiled* stream (generated events
-        // included), which re-expands deterministically.
+        // included), whose length the generators' draws give without
+        // building it.
         let cursor = get_u64(buf)?;
         let timeline = &config.timeline;
-        let compiled_events = timeline
-            .compile(config.seed, config.n, &config.demands)
-            .events
-            .len();
+        let compiled_events = timeline.compiled_len(config.seed, k);
         if cursor as usize > compiled_events {
             return Err(corrupt(format!(
                 "timeline cursor {cursor} exceeds {compiled_events} compiled events"
@@ -848,6 +846,46 @@ mod tests {
             match Checkpoint::from_bytes(&bad) {
                 Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(expected), "{msg}"),
                 other => panic!("{value:?} at byte {at} decoded as {other:?}"),
+            }
+        }
+    }
+
+    /// The cursor may stand at, never past, the compiled timeline's end:
+    /// the decoder counts the generated events without building them.
+    #[test]
+    fn cursor_past_the_compiled_events_is_corrupt() {
+        let mut cfg = config();
+        cfg.timeline = Timeline::new()
+            .at(3, Event::Scramble)
+            .generate(antalloc_env::TimelineGen {
+                start: 1,
+                until: 400,
+                mean_gap: 9.0,
+                shock: antalloc_env::GenShock::DemandStep {
+                    min_factor: 0.5,
+                    max_factor: 2.0,
+                },
+            });
+        let compiled = cfg.timeline.compile(cfg.seed, cfg.n, &cfg.demands);
+        let events = compiled.events.len() as u64;
+        assert!(events > 20, "{events} events");
+        let mut e = cfg.build();
+        e.run(2, &mut NullObserver);
+        let cp = Checkpoint::capture(&e).unwrap();
+        let bytes = cp.to_bytes();
+        // The cursor follows the demands section.
+        let at = section_ends(&cp)[4];
+        for (cursor, ok) in [(events, true), (events + 1, false)] {
+            let mut patched = bytes.clone();
+            patched[at..at + 8].copy_from_slice(&cursor.to_le_bytes());
+            match Checkpoint::from_bytes(&patched) {
+                Ok(_) => assert!(ok, "cursor {cursor} decoded"),
+                Err(CheckpointError::Corrupt(msg)) => {
+                    assert!(!ok, "{msg}");
+                    let expected = format!("cursor {cursor} exceeds {events} compiled events");
+                    assert!(msg.contains(&expected), "{msg}");
+                }
+                Err(other) => panic!("cursor {cursor}: {other:?}"),
             }
         }
     }

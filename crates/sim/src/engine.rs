@@ -174,7 +174,7 @@ fn step_part(
     let mut writer = ColumnWriter::new(column, delta);
     for (slice, ids) in part.iter_mut() {
         slice
-            .step_batch_fused(sensed, round_key, ids, &mut writer)
+            .step_batch_fused(sensed, round_key, *ids, &mut writer)
             // audit:allow(panic-path): `partition_mut` pairs every chunk with its own ascending ids, all below the column's length.
             .expect("a part's chunk and ids fit the task column");
     }
@@ -484,7 +484,7 @@ impl SyncEngine {
     /// bank property tests and the `perf_engine` pre-bank baseline lean
     /// on this.
     pub fn reference_controllers(&self) -> Vec<AnyController> {
-        self.population.reference_controllers()
+        self.population.reference_controllers(&self.colony)
     }
 
     /// Fires every timeline event scheduled for `round`, the round about
@@ -780,9 +780,12 @@ impl SyncEngine {
         );
         let n = self.population.len();
         let i = uniform_index(scheduler, n);
-        let next = self
-            .population
-            .step_one(i, &self.prepared, self.seeder.round_key(self.round));
+        let next = self.population.step_one(
+            i,
+            &self.colony,
+            &self.prepared,
+            self.seeder.round_key(self.round),
+        );
         let switches = u64::from(next != self.colony.assignment(i));
         self.colony.apply(i, next);
         // A trigger that arms fires at the start of the next step.

@@ -18,7 +18,8 @@
 //! * within a bank, `ants` ascends strictly by slot — so ant `i`'s slot
 //!   is its rank among its bank's ids, a one-bank colony has
 //!   `ants[s] == s`, and every kernel walks the colony's per-ant
-//!   columns front to back;
+//!   columns front to back. The id list's type, [`AntIds`], checks the
+//!   order wherever the list changes;
 //! * banks may be empty (a mix fraction can be killed off entirely) but
 //!   are never dropped, so spawns can always rejoin their sub-spec.
 //!
@@ -44,7 +45,7 @@
 //! to an uninterrupted run.
 
 use antalloc_core::{AnyController, BankSliceMut, ControllerBank, SlotMap};
-use antalloc_env::{Assignment, ColonyState};
+use antalloc_env::{AntIdSlice, AntIds, Assignment, ColonyState};
 use antalloc_noise::PreparedRound;
 use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
 
@@ -52,7 +53,7 @@ use crate::config::ControllerSpec;
 
 /// One worker's share of the colony: disjoint (controller chunk,
 /// global-id chunk) pairs (see [`Population::partition_mut`]).
-pub(crate) type WorkerPart<'a> = Vec<(BankSliceMut<'a>, &'a [u32])>;
+pub(crate) type WorkerPart<'a> = Vec<(BankSliceMut<'a>, AntIdSlice<'a>)>;
 
 /// One homogeneous sub-population: controllers plus their ant ids.
 pub(crate) struct Bank {
@@ -61,7 +62,7 @@ pub(crate) struct Bank {
     /// The controllers, in slot order.
     pub controllers: ControllerBank,
     /// Slot → global ant id, ascending.
-    pub ants: Vec<u32>,
+    pub ants: AntIds,
 }
 
 impl Bank {
@@ -211,8 +212,8 @@ impl Population {
 
     /// Rebuilds this population in place from checkpointed columns
     /// ([`Population::capture`]): membership regroups the banks, and
-    /// every bank copies its stored columns back, its assignments from
-    /// `colony`'s task column (already restored). Reuses allocations
+    /// every bank copies its stored columns back (the assignments live
+    /// in `colony`'s task column, already restored). Reuses allocations
     /// like [`Population::rebuild_in`]; a population that already holds
     /// `members` keeps its banks' id lists.
     ///
@@ -242,8 +243,7 @@ impl Population {
         for bank in &mut self.banks {
             bank.spec.rebuild_bank(k, &[], &mut bank.controllers);
             let (head, rest) = state.split_at(bank.controllers.state_len(bank.len()));
-            bank.controllers
-                .read_state(&bank.ants, colony.task_column(), head);
+            bank.controllers.read_state(bank.len(), head);
             state = rest;
         }
         debug_assert!(state.is_empty() && self.check_invariants());
@@ -298,7 +298,7 @@ impl Population {
             self.banks.push(Bank {
                 controllers: spec.build_bank(num_tasks, &[]),
                 spec,
-                ants: Vec::new(),
+                ants: AntIds::default(),
             });
         }
         for (b, bank) in self.banks.iter_mut().enumerate() {
@@ -315,25 +315,30 @@ impl Population {
     /// caller), a one-bank colony's ants all join bank 0.
     fn fill_ids(&mut self, n: usize) {
         let num_banks = self.banks.len();
-        for bank in &mut self.banks {
-            bank.ants.clear();
-        }
+        let mut ids: Vec<Vec<u32>> = (self.banks.iter_mut())
+            .map(|bank| core::mem::take(&mut bank.ants).into_vec())
+            .collect();
+        ids.iter_mut().for_each(Vec::clear);
         if num_banks == 1 {
             self.members.clear();
-            self.banks[0].ants.extend(0..n as u32);
+            ids[0].extend(0..n as u32);
         } else {
             assert_eq!(self.members.len(), n, "one membership per ant");
             let mut lens = vec![0usize; num_banks];
             for &b in &self.members {
                 lens[usize::from(b)] += 1;
             }
-            for (bank, &len) in self.banks.iter_mut().zip(&lens) {
-                bank.ants.reserve_exact(len);
+            for (ids, &len) in ids.iter_mut().zip(&lens) {
+                ids.reserve_exact(len);
             }
             // Slots fill in global ant order, so each bank's ids ascend.
             for (id, &b) in (0..).zip(&self.members) {
-                self.banks[usize::from(b)].ants.push(id);
+                ids[usize::from(b)].push(id);
             }
+        }
+        for (bank, ids) in self.banks.iter_mut().zip(ids) {
+            // audit:allow(panic-path): each list was filled in ascending id order just above.
+            bank.ants = AntIds::try_from(ids).expect("ids filled in ascending order");
         }
     }
 
@@ -355,12 +360,22 @@ impl Population {
         members
     }
 
-    /// Steps the single ant `i` (the sequential model's round), drawing
-    /// from its stream for the round keyed `round_key`.
-    pub fn step_one(&mut self, i: usize, prepared: &PreparedRound, round_key: u64) -> Assignment {
+    /// Steps the single ant `i`, whose assignment `colony` holds (the
+    /// sequential model's round), drawing from its stream for the round
+    /// keyed `round_key`.
+    pub fn step_one(
+        &mut self,
+        i: usize,
+        colony: &ColonyState,
+        prepared: &PreparedRound,
+        round_key: u64,
+    ) -> Assignment {
         let (b, s) = self.locate(i);
         let rng = &mut AntRng::keyed(round_key, i as u64);
-        self.banks[b].controllers.step_slot(s, prepared.view(), rng)
+        let prior = colony.assignment(i);
+        self.banks[b]
+            .controllers
+            .step_slot(s, prior, prepared.view(), rng)
     }
 
     /// Forces every controller to its colony assignment (initial
@@ -437,7 +452,8 @@ impl Population {
         // bank's ids below `v`: the dead slot in `d`, the slots before
         // the new one in `b`.
         let mut dead: Vec<Vec<u64>> = tails.iter().map(|&t| vec![0; t.div_ceil(64)]).collect();
-        let mut lifted: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_banks];
+        // Per bank: (new slot, old slot, new id) of each relocated ant.
+        let mut lifted: Vec<Vec<(usize, usize, u32)>> = vec![Vec::new(); num_banks];
         let (mut below, mut dead_before) = (vec![0; num_banks], vec![0; num_banks]);
         let mut swept = 0;
         for (v, &(b, from)) in set_bits(&dead_ids).zip(&holders) {
@@ -452,8 +468,7 @@ impl Population {
                 usize::from(core::mem::replace(&mut self.members[v], b as u16))
             };
             let to = below[b] - dead_before[b] + lifted[b].len();
-            lifted[b].push((to, from));
-            self.banks[b].ants[from] = v as u32;
+            lifted[b].push((to, from, v as u32));
             let s = below[d];
             dead[d][s / 64] |= 1 << (s % 64);
             (below[d], dead_before[d]) = (s + 1, dead_before[d] + 1);
@@ -467,7 +482,7 @@ impl Population {
             let mut next_dead = || dead_slots.next().unwrap_or(tail);
             // Old slot, new slot, and the first dead slot at or past `at`.
             let (mut at, mut next, mut dead) = (0, 0, next_dead());
-            for &(to, from) in lifted {
+            for &(to, from, _) in lifted {
                 while next < to {
                     let n = (dead - at).min(to - next);
                     map.keep(at, n);
@@ -496,38 +511,61 @@ impl Population {
             }
             map.finish();
             bank.controllers.apply_slot_map(&map);
-            map.apply(&mut bank.ants);
+            let mut ants = core::mem::take(&mut bank.ants).into_vec();
+            map.apply(&mut ants);
+            for &(to, _, id) in lifted {
+                ants[to] = id;
+            }
+            // audit:allow(panic-path): the map keeps the ids below `len` in order and drops each relocated ant in at its new id's rank.
+            bank.ants = AntIds::try_from(ants).expect("a repaired bank's ids ascend");
         }
         debug_assert!(self.check_invariants());
     }
 
-    /// Removes the ant with global id `victim` by swap-removal in its
-    /// bank and in global ids — the per-kill removal
+    /// Removes the ant with global id `victim`, the global last ant
+    /// taking over its id — the per-kill removal
     /// [`Population::remove_batch`] replaced, kept as its reference. It
-    /// leaves the bank out of id order, so it finds slots by linear
-    /// search.
+    /// drops the victim's slot, then moves the relabelled ant to its new
+    /// id's rank, each bank through its own one-step slot map, and finds
+    /// slots by linear search.
     #[cfg(test)]
     fn remove(&mut self, victim: usize) {
         let last = self.len() - 1;
-        let slot_of = |p: &Self, id: usize| {
-            let b = p.bank_of(id);
-            (
-                b,
-                p.banks[b]
-                    .ants
-                    .iter()
-                    .position(|&a| a as usize == id)
-                    .unwrap(),
-            )
+        // Bank `b`'s ids after `edit`, and the map taking its slots there.
+        let rebuild = |bank: &mut Bank, edit: &dyn Fn(&mut Vec<u32>) -> SlotMap| {
+            let mut ids = core::mem::take(&mut bank.ants).into_vec();
+            let mut map = edit(&mut ids);
+            map.finish();
+            bank.controllers.apply_slot_map(&map);
+            bank.ants = AntIds::try_from(ids).unwrap();
         };
-        let (b, s) = slot_of(self, victim);
-        let bank = &mut self.banks[b];
-        let map = SlotMap::swap_remove(bank.len(), s);
-        bank.controllers.apply_slot_map(&map);
-        bank.ants.swap_remove(s);
+        let b = self.bank_of(victim);
+        let s = self.banks[b]
+            .ants
+            .iter()
+            .position(|&a| a as usize == victim)
+            .unwrap();
+        rebuild(&mut self.banks[b], &|ids| {
+            ids.remove(s);
+            let mut map = SlotMap::default();
+            map.keep(0, s);
+            map.keep(s + 1, ids.len() - s);
+            map
+        });
         if victim != last {
-            let (b, s) = slot_of(self, last);
-            self.banks[b].ants[s] = victim as u32;
+            let b = self.bank_of(last);
+            rebuild(&mut self.banks[b], &|ids| {
+                // The largest id holds its bank's last slot.
+                let s = ids.len() - 1;
+                let to = ids.partition_point(|&a| (a as usize) < victim);
+                ids.pop();
+                ids.insert(to, victim as u32);
+                let mut map = SlotMap::default();
+                map.keep(0, to);
+                map.lift(s);
+                map.keep(to, s - to);
+                map
+            });
             if !self.members.is_empty() {
                 self.members[victim] = self.members[last];
             }
@@ -576,11 +614,12 @@ impl Population {
     }
 
     /// Clones every controller into the per-ant dispatch enum, in
-    /// global ant order — the reference representation the bank
-    /// equivalence tests and the pre-bank baseline replay use.
-    pub fn reference_controllers(&self) -> Vec<AnyController> {
-        self.slots_in_id_order()
-            .map(|(b, s)| self.banks[b].controllers.to_any(s))
+    /// global ant order, each with its assignment from `colony` — the
+    /// reference representation the bank equivalence tests and the
+    /// pre-bank baseline replay use.
+    pub fn reference_controllers(&self, colony: &ColonyState) -> Vec<AnyController> {
+        (self.slots_in_id_order().enumerate())
+            .map(|(id, (b, s))| self.banks[b].controllers.to_any(s, colony.assignment(id)))
             .collect()
     }
 
@@ -618,7 +657,7 @@ impl Population {
         for (b, bank) in self.banks.iter_mut().enumerate() {
             let len = bank.len();
             let mut slice = bank.controllers.as_slice_mut();
-            let mut ids: &[u32] = &bank.ants;
+            let mut ids = bank.ants.as_ids();
             let mut from = 0;
             for (p, part) in parts.iter_mut().enumerate() {
                 let to = part_boundary(len, p + 1, workers);
@@ -641,14 +680,14 @@ impl Population {
     }
 
     /// Full invariant check (debug asserts and tests). With the lengths
-    /// summing to `n`, strictly ascending ids and each id's membership
-    /// naming the bank that holds it, the banks hold `0..n` once each.
+    /// summing to `n`, strictly ascending ids (which [`AntIds`] keeps)
+    /// and each id's membership naming the bank that holds it, the
+    /// banks hold `0..n` once each.
     pub fn check_invariants(&self) -> bool {
         let (n, one_bank) = (self.len(), self.banks.len() == 1);
         self.members.len() == if one_bank { 0 } else { n }
             && self.banks.iter().enumerate().all(|(b, bank)| {
                 bank.controllers.len() == bank.ants.len()
-                    && bank.ants.is_sorted_by(|x, y| x < y)
                     && bank.ants.iter().all(|&id| match one_bank {
                         true => (id as usize) < n,
                         false => self.members.get(id as usize) == Some(&(b as u16)),
@@ -723,13 +762,13 @@ mod tests {
 
     #[test]
     fn invariants_reject_a_bank_out_of_id_order() {
-        let mut p = Population::build(&ControllerSpec::Trivial, 1, 2, 4);
+        let p = Population::build(&ControllerSpec::Trivial, 1, 2, 4);
         assert!(p.check_invariants());
-        // The bank still holds every id once; only the order breaks.
-        p.banks[0].ants.swap(1, 2);
-        assert!(!p.check_invariants());
-        p.banks[0].ants.swap(1, 2);
-        assert!(p.check_invariants());
+        // The bank would still hold every id once; only the order
+        // breaks, and the id list refuses it.
+        let mut ids = p.banks[0].ants.to_vec();
+        ids.swap(1, 2);
+        assert!(AntIds::try_from(ids).is_err());
         // A mix whose membership names the wrong bank for one ant.
         let mut q = from_members(&mix_spec(), 1, 2, &[0, 1, 2, 0]);
         assert!(q.check_invariants());
@@ -777,7 +816,7 @@ mod tests {
             for (slice, ids) in part {
                 assert!(!ids.is_empty(), "empty pair in part {w}");
                 assert_eq!(slice.len(), ids.len());
-                for &id in *ids {
+                for &id in ids.iter() {
                     seen[id as usize] += 1;
                     share[members[id as usize] as usize] += 1;
                 }
@@ -815,7 +854,7 @@ mod tests {
             // A homogeneous colony's slots are its ids: contiguous halves.
             let ids: Vec<u32> = parts
                 .iter()
-                .flat_map(|part| part.iter().flat_map(|(_, ids)| ids.iter().copied()))
+                .flat_map(|part| part.iter().flat_map(|(_, ids)| ids.to_vec()))
                 .collect();
             assert_eq!(ids, (0..n as u32).collect::<Vec<_>>());
         }
@@ -831,31 +870,13 @@ mod tests {
         }
     }
 
-    /// Global id → (bank, per-ant controller as text, assignment).
-    type AntMap = Vec<(u32, String, Assignment)>;
-
-    fn ant_map(p: &Population) -> AntMap {
-        (p.slots_in_id_order())
-            .map(|(b, s)| {
-                let controllers = &p.banks[b].controllers;
-                let controller = format!("{:?}", controllers.to_any(s));
-                (b as u32, controller, controllers.assignment(s))
-            })
+    /// Global id → (bank, per-ant controller as text, its assignment
+    /// from `colony` included).
+    fn ant_map(p: &Population, colony: &ColonyState) -> Vec<(u32, String)> {
+        let controllers = p.reference_controllers(colony);
+        (p.slots_in_id_order().zip(controllers))
+            .map(|((b, _), c)| (b as u32, format!("{c:?}")))
             .collect()
-    }
-
-    /// Puts every bank of `p` back in id order by a plain gather through
-    /// the per-ant controllers, leaving the id → ant map as it was.
-    fn sort_banks(p: &mut Population) {
-        for bank in &mut p.banks {
-            if bank.ants.is_empty() {
-                continue;
-            }
-            let mut order: Vec<usize> = (0..bank.len()).collect();
-            order.sort_by_key(|&s| bank.ants[s]);
-            bank.controllers = order.iter().map(|&s| bank.controllers.to_any(s)).collect();
-            bank.ants = order.iter().map(|&s| bank.ants[s]).collect();
-        }
     }
 
     /// A homogeneous colony, the benchmark's four-kind mix, and a mix
@@ -910,7 +931,6 @@ mod tests {
                         for &victim in &victims {
                             reference.remove(victim);
                         }
-                        sort_banks(&mut reference);
                     }
                     1 => {
                         let count = size % 64;
@@ -932,14 +952,14 @@ mod tests {
                             noise.prepare(round as u64, &deficits, colony.demands().as_slice());
                         let key = seeder.round_key(round as u64);
                         for i in 0..colony.num_ants() {
-                            let a = batch.step_one(i, &prepared, key);
-                            proptest::prop_assert_eq!(a, reference.step_one(i, &prepared, key));
+                            let a = batch.step_one(i, &colony, &prepared, key);
+                            proptest::prop_assert_eq!(a, reference.step_one(i, &colony, &prepared, key));
                             colony.apply(i, a);
                         }
                     }
                 }
                 proptest::prop_assert!(batch.check_invariants(), "event {}", round);
-                proptest::prop_assert_eq!(ant_map(&batch), ant_map(&reference), "event {}", round);
+                proptest::prop_assert_eq!(ant_map(&batch, &colony), ant_map(&reference, &colony), "event {}", round);
             }
         }
     }

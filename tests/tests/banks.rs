@@ -11,7 +11,8 @@ use antalloc_sim::{Checkpoint, ConfigError, ControllerSpec, NullObserver, SimCon
 use antalloc_tests::contract::{check_contract, Round, Trace};
 use antalloc_tests::scenarios;
 
-use antalloc_core::{AntParams, ExactGreedyParams};
+use antalloc_core::{AlgorithmAnt, AntParams, AnyController, ExactGreedyParams};
+use antalloc_env::{AntIdSlice, Assignment, ColumnWriter, RoundDelta, SensedRound, TaskColumn};
 
 /// Replays `cfg` with the pre-bank semantics: a flat `Vec<AnyController>`
 /// stepped per ant, each through its own probe on its stream for the
@@ -80,6 +81,149 @@ fn bank_stepping_equals_per_ant_stepping_for_every_spec() {
                 banked,
                 "trace diverged: {spec:?} seed {seed}"
             );
+        }
+    }
+}
+
+/// `n` per-ant controllers of `spec` over `k` tasks (`AntDesync` ants
+/// at phase offset `i mod 2`), stepped 37 rounds from a reset of every
+/// third ant onto a task, so they hold assignments of every kind —
+/// idle, working, paused mid-phase — and differing state.
+fn warmed_ants(spec: &ControllerSpec, k: usize, n: usize) -> Vec<AnyController> {
+    let seeder = StreamSeeder::new(k as u64 + n as u64);
+    let mut ants: Vec<AnyController> = (0..n)
+        .map(|i| match spec {
+            ControllerSpec::AntDesync(p) => {
+                AlgorithmAnt::with_phase_offset(k, *p, i as u64 % 2).into()
+            }
+            _ => spec.build(k),
+        })
+        .collect();
+    for (i, ant) in ants.iter_mut().enumerate().step_by(3) {
+        ant.reset_to(Assignment::Task((i % k) as u32));
+    }
+    for round in 1..=37 {
+        let prepared = sigmoid_round(k, round);
+        let key = seeder.round_key(round);
+        for (i, ant) in ants.iter_mut().enumerate() {
+            ant.step(&mut FeedbackProbe::new(
+                &prepared,
+                &mut AntRng::keyed(key, i as u64),
+            ));
+        }
+    }
+    ants
+}
+
+/// Round `round`'s feedback over `k` tasks: sigmoid noise on rotating
+/// small deficits, so every signal stays random.
+fn sigmoid_round(k: usize, round: u64) -> antalloc_noise::PreparedRound {
+    let deficits: Vec<i64> = (0..k)
+        .map(|j| [3, -3, 1][(j + round as usize) % 3])
+        .collect();
+    NoiseModel::Sigmoid { lambda: 1.0 }.prepare(round, &deficits, &vec![12; k])
+}
+
+/// The task count `spec` runs under at `k`: Hysteresis observes one.
+fn tasks_for(spec: &ControllerSpec, k: usize) -> usize {
+    if scenarios::single_task(spec) {
+        1
+    } else {
+        k
+    }
+}
+
+/// Every kind's bank, collected from per-ant controllers that hold
+/// non-idle assignments and mid-phase state, steps bit-identically to
+/// those controllers when `out` carries each ant's assignment in and
+/// its decision out, at 3 tasks and at 65 (past the 64-task bit-packed
+/// paths): the same decisions and the same draws, round for round.
+#[test]
+fn banks_step_like_their_controllers_with_each_assignment_in_out() {
+    for spec in scenarios::kinds() {
+        for k in [3, 65] {
+            let k = tasks_for(&spec, k);
+            let n = 130;
+            let mut reference = warmed_ants(&spec, k, n);
+            let mut bank: antalloc_core::ControllerBank = reference.iter().cloned().collect();
+            let mut out: Vec<Assignment> = reference.iter().map(|c| c.assignment()).collect();
+            assert!(out.iter().any(|a| !a.is_idle()), "{spec:?}: some ant works");
+            let seeder = StreamSeeder::new(5);
+            for round in 38..=80 {
+                let prepared = sigmoid_round(k, round);
+                let key = seeder.round_key(round);
+                let mut rngs: Vec<AntRng> = (0..n as u64).map(|i| AntRng::keyed(key, i)).collect();
+                bank.step_batch(prepared.view(), &mut rngs, &mut out);
+                for (i, ant) in reference.iter_mut().enumerate() {
+                    let mut rng = AntRng::keyed(key, i as u64);
+                    let next = ant.step(&mut FeedbackProbe::new(&prepared, &mut rng));
+                    assert_eq!(out[i], next, "{spec:?} k {k} ant {i} round {round}");
+                    assert_eq!(rngs[i], rng, "{spec:?} k {k} ant {i} round {round}: draws");
+                }
+            }
+        }
+    }
+}
+
+/// The fused driver gathers each block of 64 ants' prior assignments
+/// from the task column before stepping the block: at chunk lengths
+/// around the block (none, one, a block ± 1, many blocks and a tail),
+/// every kind writes the per-ant reference's decisions into the column
+/// at ascending, gapped ids, counts its switches, and leaves every other
+/// slot alone.
+#[test]
+fn fused_driver_matches_the_reference_at_every_chunk_length() {
+    for spec in scenarios::kinds() {
+        let k = tasks_for(&spec, 3);
+        for len in [0usize, 1, 63, 64, 65, 1000] {
+            let mut reference = warmed_ants(&spec, k, len);
+            let mut bank = spec.build_bank(k, &[]);
+            for ant in &reference {
+                bank.push(ant.clone()).unwrap();
+            }
+            // Ant `i` holds colony id `3i + 1`; the other slots idle.
+            let ids: Vec<u32> = (0..len as u32).map(|i| 3 * i + 1).collect();
+            let column = TaskColumn::new(3 * len + 2);
+            for (&id, ant) in ids.iter().zip(&reference) {
+                column.store(id, ant.assignment().to_slot());
+            }
+            let seeder = StreamSeeder::new(8);
+            for round in 38..=45 {
+                let prepared = sigmoid_round(k, round);
+                let key = seeder.round_key(round);
+                let mut delta = RoundDelta::new(k);
+                let mut writer = ColumnWriter::new(&column, &mut delta);
+                bank.as_slice_mut()
+                    .step_batch_fused(
+                        SensedRound::Shared(prepared.view()),
+                        key,
+                        AntIdSlice::new(&ids).unwrap(),
+                        &mut writer,
+                    )
+                    .unwrap();
+                let mut switches = 0;
+                for (&id, ant) in ids.iter().zip(&mut reference) {
+                    let before = ant.assignment();
+                    let mut rng = AntRng::keyed(key, id.into());
+                    let next = ant.step(&mut FeedbackProbe::new(&prepared, &mut rng));
+                    switches += u64::from(next != before);
+                    assert_eq!(
+                        column.load(id),
+                        next.to_slot(),
+                        "{spec:?} len {len} id {id} round {round}"
+                    );
+                }
+                assert_eq!(
+                    delta.switches(),
+                    switches,
+                    "{spec:?} len {len} round {round}"
+                );
+                let idle =
+                    (0..column.len() as u32).filter(|id| id % 3 != 1 || *id > 3 * len as u32);
+                for id in idle {
+                    assert_eq!(column.load(id), Assignment::SLOT_IDLE, "slot {id}");
+                }
+            }
         }
     }
 }

@@ -470,3 +470,43 @@ fn event_rounds_match_between_timeline_and_legacy_schedule_semantics() {
         ]
     );
 }
+
+proptest::proptest! {
+    /// The checkpoint decoder bounds its cursor by `compiled_len`,
+    /// which replays the generators' draws without building an event;
+    /// on generated timelines — a scripted prefix and up to four
+    /// generators of every shock kind, or a generated scenario's own —
+    /// it is the compiled timeline's length.
+    #[test]
+    fn compiled_len_counts_the_compiled_events(
+        seed: u64,
+        k in 1usize..6,
+        scripted in 0usize..4,
+        generators in proptest::collection::vec((0usize..4, 1u64..40, 0u64..400, 1.0f64..30.0), 0..5),
+        case in antalloc_tests::scenarios::scenarios(),
+    ) {
+        let (min, max) = (0.25, 1.5);
+        let mut timeline = Timeline::new();
+        for at in 0..scripted as u64 {
+            timeline = timeline.at(1 + at, Event::Scramble);
+        }
+        for (kind, start, span, mean_gap) in generators {
+            let shock = match kind {
+                0 => GenShock::Kill { min_frac: 0.01, max_frac: 0.05 },
+                1 => GenShock::Spawn { min_frac: min, max_frac: max },
+                2 => GenShock::Scramble,
+                _ => GenShock::DemandStep { min_factor: min, max_factor: max },
+            };
+            timeline = timeline.generate(TimelineGen { start, until: start + span, mean_gap, shock });
+        }
+        let demands = vec![50; k];
+        let compiled = timeline.compile(seed, 1000, &demands);
+        proptest::prop_assert_eq!(timeline.compiled_len(seed, k), compiled.events.len());
+        let cfg = case.config;
+        let compiled = cfg.timeline.compile(cfg.seed, cfg.n, &cfg.demands);
+        proptest::prop_assert_eq!(
+            cfg.timeline.compiled_len(cfg.seed, cfg.demands.len()),
+            compiled.events.len()
+        );
+    }
+}
